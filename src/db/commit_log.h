@@ -2,40 +2,14 @@
 #define FASTCOMMIT_DB_COMMIT_LOG_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 
 #include "commit/commit_protocol.h"
+#include "sim/scheduler.h"
 #include "sim/sim_time.h"
 
 namespace fastcommit::db {
-
-/// Ack bitset over the virtual replica group of one log slot phase, in the
-/// spirit of ubft's per-instance InstanceState: a slot phase becomes
-/// durable on fast-path unanimity (every replica acked) or on slow-path
-/// majority, whichever fires first.
-class QuorumBitset {
- public:
-  QuorumBitset() = default;
-  explicit QuorumBitset(int replicas) : replicas_(replicas) {}
-
-  /// Records replica `index`'s ack. Returns false when it already acked.
-  bool Set(int index) {
-    uint64_t bit = uint64_t{1} << index;
-    if ((bits_ & bit) != 0) return false;
-    bits_ |= bit;
-    ++count_;
-    return true;
-  }
-
-  bool Full() const { return count_ == replicas_; }
-  bool Majority() const { return count_ >= replicas_ / 2 + 1; }
-  int count() const { return count_; }
-
- private:
-  uint64_t bits_ = 0;
-  int count_ = 0;
-  int replicas_ = 0;
-};
 
 /// Slot-based replicated coordinator log, modeled on depfast's PaxosServer:
 /// a map of live slots bracketed by min_active / max_committed /
@@ -44,41 +18,36 @@ class QuorumBitset {
 /// round's member/vote record is the bulk-accept analogue of depfast's
 /// OnBulkAccept (many transactions ride one replicated record).
 ///
-/// Replication is virtual: the log tracks per-replica ack bitsets for two
-/// phases per slot — kAccept (the round's votes are durable; recovery can
-/// re-decide) and kDecide (the decision is durable; commits may be exposed
-/// to clients). Ack delays come from a stateless per-(slot, phase, replica)
-/// RNG stream seeded off the log's own seed, never the database's main
-/// stream, so enabling replication cannot shift any pre-existing random
-/// sequence.
+/// Replication is virtual and owned here: each slot has two phases —
+/// kAccept (the round's votes are durable; recovery can re-decide) and
+/// kDecide (the decision is durable; commits may be exposed to clients) —
+/// and each phase replicates as one ack event per replica on the
+/// scheduler. A phase is durable on fast-path unanimity or on slow-path
+/// majority plus one round trip (2 units), whichever lands first. Ack
+/// delays come from a stateless per-(slot, phase, replica) RNG stream
+/// seeded off the log's own seed, never the database's main stream, so
+/// enabling replication cannot shift any pre-existing random sequence.
 class CommitLog {
  public:
   enum class Phase : uint8_t { kAccept = 0, kDecide = 1 };
 
-  /// Result of feeding one replica ack into a slot phase.
-  enum class AckOutcome : uint8_t {
-    kNoQuorum,    ///< ack recorded, no quorum boundary crossed
-    kFastQuorum,  ///< every replica acked: fast-path durability
-    kSlowQuorum,  ///< majority just reached: arm the slow second phase
-    kStale,       ///< slot freed / phase already durable / duplicate ack
+  /// Replication state of one slot phase, in the spirit of ubft's
+  /// per-instance InstanceState: an ack bitset over the replica group.
+  struct PhaseState {
+    uint64_t acks = 0;  ///< bit r set: replica r acked
+    int acked = 0;      ///< set bits in `acks`
+    bool durable = false;
+    bool slow_armed = false;  ///< slow-path second phase already scheduled
   };
 
   struct Slot {
     commit::Decision decision = commit::Decision::kNone;
-    QuorumBitset accept_acks;
-    QuorumBitset decide_acks;
-    bool accept_durable = false;
-    bool decide_durable = false;
-    /// Slow-path second phase already scheduled for the phase.
-    bool accept_slow_armed = false;
-    bool decide_slow_armed = false;
+    PhaseState phases[2];  ///< indexed by Phase
     /// Finishes delivered; the slot is GC-eligible once the contiguous
     /// prefix from min_active is executed.
     bool executed = false;
-    sim::Time appended_at = 0;
-    sim::Time decided_at = 0;
-    int round_width = 0;   ///< partitions in the round
-    int64_t members = 0;   ///< transactions riding the slot
+
+    bool durable() const { return phases[0].durable && phases[1].durable; }
   };
 
   struct Stats {
@@ -105,29 +74,33 @@ class CommitLog {
 
   /// `unit` is the base one-way message delay (Database::Options::unit);
   /// every ack delay is >= unit, which is what lets the database lower the
-  /// simulator lookahead to `unit` when replication is on.
-  CommitLog(int replicas, sim::Time unit, uint64_t seed);
+  /// simulator lookahead to `unit` when replication is on. Ack events run
+  /// on `scheduler` (the database's control plane), which must outlive
+  /// the log.
+  CommitLog(int replicas, sim::Time unit, uint64_t seed,
+            sim::Scheduler* scheduler);
+  CommitLog(const CommitLog&) = delete;
+  CommitLog& operator=(const CommitLog&) = delete;
 
-  int replicas() const { return replicas_; }
+  /// Opens the next slot and starts its accept phase replicating from
+  /// `now`. Returns the slot id (monotonic from 1).
+  int64_t Append(sim::Time now);
 
-  /// Opens the next slot for a round of `round_width` partitions carrying
-  /// `members` transactions. Returns the slot id (monotonic from 1).
-  int64_t Append(int round_width, int64_t members, sim::Time now);
-
-  /// Live slot record, or nullptr once freed (late acks hit this).
-  Slot* Get(int64_t slot);
+  /// Live slot record, or nullptr once freed.
   const Slot* Get(int64_t slot) const;
 
-  /// Records the protocol's decision for a live undecided slot.
+  /// Records the decision of a live undecided slot and starts its decide
+  /// phase replicating from `now`.
   void RecordDecision(int64_t slot, commit::Decision decision, sim::Time now);
 
-  /// Feeds replica `replica`'s ack for `phase` of `slot`.
-  AckOutcome OnReplicaAck(int64_t slot, Phase phase, int replica);
+  /// Runs `continuation` once both phases of `slot` are durable — at once
+  /// if they already are. One continuation per slot.
+  void OnDurable(int64_t slot, std::function<void()> continuation);
 
-  /// Marks `phase` durable (fast path when `fast_path`). Returns false when
-  /// the slot is gone or the phase was already durable — the fast and slow
-  /// paths race and only the first marker wins.
-  bool MarkDurable(int64_t slot, Phase phase, bool fast_path);
+  /// Coordinator crash: drops every registered continuation. They are
+  /// volatile coordinator state; recovery redoes their slots from the log.
+  void DropWaiters() { waiters_.clear(); }
+  bool has_waiters() const { return !waiters_.empty(); }
 
   /// Deterministic ack delay of `replica` for `phase` of `slot`: uniform in
   /// [unit, 2*unit), with ~1-in-5 stragglers taking 4x — so both quorum
@@ -149,9 +122,24 @@ class CommitLog {
   const Stats& stats() const { return stats_; }
 
  private:
+  Slot* Find(int64_t slot);
+  /// Schedules one ack event per replica for `phase` of `slot`, at `base`
+  /// plus each replica's AckDelay.
+  void Replicate(int64_t slot, Phase phase, sim::Time base);
+  /// Feeds one replica ack: unanimity marks the phase durable at once;
+  /// the first majority arms the slow path, durable two units later
+  /// unless unanimity wins the race first. Acks for a freed slot, a
+  /// durable phase, or a replica that already acked are ignored.
+  void OnAck(int64_t slot, Phase phase, int replica);
+  /// Marks `phase` durable unless the slot is gone or the phase already
+  /// is (only the first of the racing paths counts), then runs the slot's
+  /// continuation if both phases are now durable.
+  void SetDurable(int64_t slot, Phase phase, bool fast_path);
+
   int replicas_;
   sim::Time unit_;
   uint64_t seed_;
+  sim::Scheduler* scheduler_;
   int64_t next_slot_ = 1;
   /// Lowest slot id not yet freed; slots below it are GC'd.
   int64_t min_active_ = 1;
@@ -160,6 +148,8 @@ class CommitLog {
   /// Highest slot id whose finishes were delivered.
   int64_t max_executed_ = 0;
   std::map<int64_t, Slot> slots_;
+  /// Continuations awaiting both phases' durability, keyed by slot.
+  std::map<int64_t, std::function<void()>> waiters_;
   Stats stats_;
 };
 

@@ -110,9 +110,14 @@ Database::Database(const Options& options)
       sim_(SimOptions(options)),
       rng_(options.seed),
       plane_(options.num_partitions, sim_.num_shards(), options.concurrency,
-             options.num_regions),
+             options.num_regions, options.partition_parallel),
       pool_(options.protocol, options.consensus, options.protocol_options,
-            options.unit, options.pool_instances, GeoTopologyFor(options)) {
+            options.unit, options.pool_instances, GeoTopologyFor(options)),
+      batches_(options_, sim_.control(),
+               [this](RoundState round) {
+                 StartRound(std::move(round), /*resumed=*/false);
+               }),
+      reads_(&plane_) {
   // num_partitions >= 1 is checked by the plane's constructor.
   plane_.set_check_invariants(options.check_invariants);
   if (GeoEnabled()) {
@@ -125,14 +130,14 @@ Database::Database(const Options& options)
     // The log's ack streams are seeded off the database seed but keyed per
     // (slot, phase, replica), so turning the log on never perturbs the
     // main rng_ stream the retry jitter draws from.
-    log_ = std::make_unique<CommitLog>(options_.log_replicas, options_.unit,
-                                       options_.seed ^ 0xC0117106ULL);
+    log_.emplace(options_.log_replicas, options_.unit,
+                 options_.seed ^ 0xC0117106ULL, sim_.control());
   }
   const FaultPlan& plan = options_.fault_plan;
   if (plan.HasCoordinatorCrash()) {
     FC_CHECK(plan.crash_at_occurrence >= 1)
         << "crash_at_occurrence must be >= 1, got " << plan.crash_at_occurrence;
-    FC_CHECK(plan.crash_point != CrashPoint::kAfterAccept || LogEnabled())
+    FC_CHECK(plan.crash_point != CrashPoint::kAfterAccept || log_.has_value())
         << "crash-after-accept needs the commit log (Options::log_replicas)";
     // The restart is a control event scheduled from wherever the crash
     // fired — possibly a completion effect — so it must respect the
@@ -209,7 +214,7 @@ void Database::FlushPartitionWork() {
   plane_.Flush(&sim_);
   // The flush just filled every pending snapshot read's value slots (their
   // tasks rode the same queues); finalize before anything can observe them.
-  FinalizeSnapshotReads();
+  reads_.Finalize();
   if (options_.check_invariants && LookaheadEnabled()) {
     // Tracker soundness sweep: after a flush every enqueued finish has
     // run, so any lock still held belongs to a transaction whose Finish is
@@ -251,12 +256,8 @@ int Database::ShardOf(TxId id) const {
 void Database::Submit(Transaction tx, sim::Time at_ticks,
                       CompletionCallback on_complete) {
   ++inflight_;
-  PendingTx pending{std::move(tx), 1, std::move(on_complete)};
-  sim_.control()->ScheduleAt(std::max(at_ticks, sim_.Now()),
-                             sim::EventClass::kControl,
-                             [this, pending = std::move(pending)]() mutable {
-                               Execute(std::move(pending));
-                             });
+  ScheduleExecute(PendingTx{std::move(tx), 1, std::move(on_complete)},
+                  std::max(at_ticks, sim_.Now()));
 }
 
 void Database::SubmitArrivals(TrafficEngine* engine,
@@ -297,35 +298,38 @@ void Database::AdmitArrival(
   Execute(PendingTx{std::move(tx), 1, *on_complete});
 }
 
-void Database::PrepareTouched(const PendingTx& pending,
-                              std::vector<int>* touched,
-                              std::vector<commit::Vote>* votes) {
-  // Route ops to partitions: sort (partition, op index) pairs in a reused
-  // flat buffer. The index tiebreak keeps each partition's ops in
-  // program order, matching the old map-of-vectors grouping without its
-  // per-transaction node allocations.
-  const std::vector<Op>& ops = pending.tx.ops;
+void Database::RouteOps(const std::vector<Op>& ops,
+                        std::vector<uint64_t>* hashes) {
+  // A reused flat buffer of (partition, op index) pairs, sorted: routing
+  // allocates nothing per transaction, and the index tiebreak keeps each
+  // partition's ops in program order.
   FC_CHECK(!ops.empty()) << "empty transaction";
-  const bool lookahead = LookaheadEnabled();
   route_.clear();
-  hash_scratch_.clear();
+  if (hashes != nullptr) hashes->clear();
   for (size_t i = 0; i < ops.size(); ++i) {
     uint64_t h = HashKey(ops[i].key);
     route_.emplace_back(
         static_cast<int>(h % static_cast<uint64_t>(options_.num_partitions)),
         static_cast<int>(i));
-    if (lookahead) hash_scratch_.push_back(h);
+    if (hashes != nullptr) hashes->push_back(h);
   }
   std::sort(route_.begin(), route_.end());
+}
 
+void Database::PrepareTouched(const PendingTx& pending,
+                              std::vector<int>* touched,
+                              std::vector<commit::Vote>* votes) {
+  const std::vector<Op>& ops = pending.tx.ops;
+  const bool lookahead = LookaheadEnabled();
+  RouteOps(ops, lookahead ? &hash_scratch_ : nullptr);
   touched->clear();
   for (size_t i = 0; i < route_.size(); ++i) {
     if (i == 0 || route_[i].first != route_[i - 1].first) {
       touched->push_back(route_[i].first);
     }
   }
-  // Vote slots are written through pointers on the partition-parallel
-  // path, so the vector must reach its final size before any is taken.
+  // Vote slots are written through pointers by the plane, so the vector
+  // must reach its final size before any is taken.
   votes->assign(touched->size(), commit::Vote::kNo);
 
   // Conflict-aware lookahead: if every key hash is disjoint from every
@@ -354,44 +358,29 @@ void Database::PrepareTouched(const PendingTx& pending,
   }
 
   sim::Time now = sim_.control()->Now();
-  size_t slot = 0;
-  for (size_t i = 0; i < route_.size(); ++slot) {
-    int partition_id = route_[i].first;
-    if (options_.partition_parallel) {
-      std::vector<Op> group = plane_.TakeOpsBuffer();
-      for (; i < route_.size() && route_[i].first == partition_id; ++i) {
-        group.push_back(ops[static_cast<size_t>(route_[i].second)]);
-      }
-      if (predicted) {
-        plane_.EnqueuePredictedPrepare(partition_id, now, pending.tx.id,
-                                       std::move(group));
-      } else {
-        plane_.EnqueuePrepare(partition_id, now, pending.tx.id,
-                              std::move(group), &(*votes)[slot]);
-      }
+  for (size_t pos = 0, slot = 0; pos < route_.size(); ++slot) {
+    int partition = route_[pos].first;
+    std::vector<Op> group = plane_.TakeGroup(ops, route_, &pos);
+    if (predicted) {
+      plane_.EnqueuePredictedPrepare(partition, now, pending.tx.id,
+                                     std::move(group));
     } else {
-      group_ops_.clear();
-      for (; i < route_.size() && route_[i].first == partition_id; ++i) {
-        group_ops_.push_back(ops[static_cast<size_t>(route_[i].second)]);
-      }
-      (*votes)[slot] =
-          plane_.partition(partition_id).Prepare(pending.tx.id, group_ops_);
+      plane_.EnqueuePrepare(partition, now, pending.tx.id, std::move(group),
+                            &(*votes)[slot]);
     }
   }
-  if (options_.partition_parallel) {
-    if (predicted) {
-      // No barrier: the proof stands in for the flush. The queued
-      // predicted prepares re-derive these votes at the next barrier and
-      // FC_CHECK the match.
-      votes->assign(touched->size(), commit::Vote::kYes);
-      ++lookahead_skips_;
-    } else {
-      // Barrier: deferred finishes run first (they were enqueued at
-      // earlier or equal instants), then this transaction's prepares —
-      // the same serial history the inline branch above produces. Votes
-      // are valid once this returns.
-      FlushPartitionWork();
-    }
+  if (predicted) {
+    // No barrier: the proof stands in for the flush. The queued predicted
+    // prepares re-derive these votes at the next barrier and FC_CHECK the
+    // match.
+    votes->assign(touched->size(), commit::Vote::kYes);
+    ++lookahead_skips_;
+  } else {
+    // Barrier: deferred finishes run first (they were enqueued at earlier
+    // or equal instants), then this transaction's prepares — the serial
+    // history an inline plane produces at enqueue. Votes are valid once
+    // this returns.
+    FlushPartitionWork();
   }
 }
 
@@ -416,159 +405,29 @@ void Database::FinishPartitions(TxId tx, const std::vector<int>& touched,
   // disjointness proof that no longer sees these keys is still sound.
   if (LookaheadEnabled()) ReleaseTrackedKeys(tx);
   int64_t watermark =
-      decision == commit::Decision::kCommit ? Watermark() : 0;
+      decision == commit::Decision::kCommit ? reads_.Watermark() : 0;
   for (int partition_id : touched) {
-    if (options_.partition_parallel) {
-      // Deferred: applied at the next flush barrier, which always comes
-      // before any later prepare or partition-state read can observe the
-      // difference.
-      plane_.EnqueueFinish(partition_id, at, tx, decision, csn, watermark);
-    } else {
-      plane_.partition(partition_id).Finish(tx, decision, csn, watermark);
-    }
+    plane_.EnqueueFinish(partition_id, at, tx, decision, csn, watermark);
   }
 }
 
 void Database::ExecuteSnapshotRead(PendingTx pending) {
-  const std::vector<Op>& ops = pending.tx.ops;
-  FC_CHECK(!ops.empty()) << "empty transaction";
   // The snapshot is the stable CSN at this (canonical-order) instant:
   // every commit with CSN <= it already ran FinishTx, so its finish tasks
   // sit ahead of these read tasks in the same partition FIFOs — the read
   // observes exactly the stable prefix, on any placement.
-  const int64_t snapshot = last_csn_;
-  auto read = std::make_unique<SnapshotRead>();
-  read->snapshot_csn = snapshot;
-  read->op_slots.resize(ops.size());
-
-  route_.clear();
-  for (size_t i = 0; i < ops.size(); ++i) {
-    route_.emplace_back(PartitionOf(ops[i].key), static_cast<int>(i));
-  }
-  std::sort(route_.begin(), route_.end());
-  size_t num_touched = 0;
-  for (size_t i = 0; i < route_.size(); ++i) {
-    if (i == 0 || route_[i].first != route_[i - 1].first) ++num_touched;
-  }
-  // Size the slots before any pointer into them is taken (the SnapshotRead
-  // itself is heap-pinned, so growth of pending_reads_ cannot move them).
-  read->values.resize(num_touched);
-
-  sim::Time now = sim_.control()->Now();
-  size_t slot = 0;
-  for (size_t i = 0; i < route_.size(); ++slot) {
-    int partition_id = route_[i].first;
-    if (options_.partition_parallel) {
-      std::vector<Op> group = plane_.TakeOpsBuffer();
-      for (; i < route_.size() && route_[i].first == partition_id; ++i) {
-        read->op_slots[static_cast<size_t>(route_[i].second)] =
-            static_cast<int>(slot);
-        group.push_back(ops[static_cast<size_t>(route_[i].second)]);
-      }
-      plane_.EnqueueSnapshotRead(partition_id, now, pending.tx.id, snapshot,
-                                 std::move(group), &read->values[slot],
-                                 &read->filled);
-    } else {
-      group_ops_.clear();
-      for (; i < route_.size() && route_[i].first == partition_id; ++i) {
-        read->op_slots[static_cast<size_t>(route_[i].second)] =
-            static_cast<int>(slot);
-        group_ops_.push_back(ops[static_cast<size_t>(route_[i].second)]);
-      }
-      plane_.partition(partition_id)
-          .ReadAtSnapshot(snapshot, group_ops_, &read->values[slot]);
-    }
-  }
-  // Claim the snapshot against GC until the read drains: commits deciding
-  // in between compute their prune watermark as the minimum claimed CSN.
-  ++active_snapshots_[snapshot];
-
+  RouteOps(pending.tx.ops, nullptr);
   // Completion is immediate — the read plane adds no virtual latency and
   // never aborts, so the open-loop admission window frees right away. The
-  // values themselves materialize at the next barrier (the observer).
+  // values themselves materialize when the read drains (the observer).
   ++stats_.read_only_committed;
-  stats_.snapshot_reads_served += static_cast<int64_t>(ops.size());
+  stats_.snapshot_reads_served += static_cast<int64_t>(pending.tx.ops.size());
   if (pending.on_complete) {
     pending.on_complete(pending.tx, commit::Decision::kCommit);
   }
   --inflight_;
-
-  read->tx = std::move(pending.tx);
-  // The inline path filled every slot synchronously above; mark them so
-  // prefix finalization sees this read as complete.
-  if (!options_.partition_parallel) {
-    read->filled.store(static_cast<int>(read->values.size()),
-                       std::memory_order_relaxed);
-  }
-  pending_reads_.push_back(std::move(read));
-  // The inline path already filled the slots above; finalize in place so
-  // the observer and fingerprint see the same per-read order as the
-  // partition-parallel path.
-  if (!options_.partition_parallel) FinalizeSnapshotReads();
-}
-
-void Database::FinalizeSnapshotReads() {
-  if (pending_reads_.empty()) return;
-  // Finalize the longest fully-filled *prefix*, in submit order: a down
-  // partition defers its read tasks, which must keep every later read
-  // pending too so the fingerprint fold order stays the submit order
-  // whatever barrier each read completes at. With no participant crash
-  // every slot is filled by this barrier and the prefix is the whole list
-  // — exactly the old finalize-everything behavior.
-  size_t done_count = 0;
-  while (done_count < pending_reads_.size() &&
-         pending_reads_[done_count]->filled.load(std::memory_order_acquire) ==
-             static_cast<int>(pending_reads_[done_count]->values.size())) {
-    ++done_count;
-  }
-  if (done_count == 0) return;
-  // Move the prefix out first: the observer may not re-enter the database,
-  // but FC_CHECK failures or future hooks should never walk a list being
-  // appended to.
-  std::vector<std::unique_ptr<SnapshotRead>> done;
-  done.reserve(done_count);
-  std::move(pending_reads_.begin(),
-            pending_reads_.begin() + static_cast<std::ptrdiff_t>(done_count),
-            std::back_inserter(done));
-  pending_reads_.erase(
-      pending_reads_.begin(),
-      pending_reads_.begin() + static_cast<std::ptrdiff_t>(done_count));
-  for (const std::unique_ptr<SnapshotRead>& read : done) {
-    // Reassemble in op order: each partition slot holds its kGets' values
-    // in program order, so one cursor per slot zips them back.
-    cursor_scratch_.assign(read->values.size(), 0);
-    values_scratch_.clear();
-    for (size_t i = 0; i < read->tx.ops.size(); ++i) {
-      size_t slot = static_cast<size_t>(read->op_slots[i]);
-      size_t& cursor = cursor_scratch_[slot];
-      FC_CHECK(cursor < read->values[slot].size())
-          << "snapshot read of tx " << read->tx.id
-          << " returned fewer values than read ops at slot " << slot;
-      values_scratch_.push_back(std::move(read->values[slot][cursor]));
-      ++cursor;
-    }
-    // Fold the values into the placement-invariance fingerprint (FNV-1a,
-    // length-prefixed so value boundaries are unambiguous).
-    for (const Value& value : values_scratch_) {
-      uint64_t len = static_cast<uint64_t>(value.size());
-      for (int b = 0; b < 8; ++b) {
-        read_fingerprint_ ^= (len >> (8 * b)) & 0xffu;
-        read_fingerprint_ *= 1099511628211ULL;
-      }
-      for (char c : value) {
-        read_fingerprint_ ^= static_cast<unsigned char>(c);
-        read_fingerprint_ *= 1099511628211ULL;
-      }
-    }
-    if (snapshot_observer_) {
-      snapshot_observer_(read->tx, read->snapshot_csn, values_scratch_);
-    }
-    auto it = active_snapshots_.find(read->snapshot_csn);
-    FC_CHECK(it != active_snapshots_.end() && it->second > 0)
-        << "snapshot CSN " << read->snapshot_csn
-        << " finalized without an active claim";
-    if (--it->second == 0) active_snapshots_.erase(it);
-  }
+  reads_.Start(std::move(pending.tx), route_, sim_.control()->Now());
+  reads_.Finalize();
 }
 
 void Database::Execute(PendingTx pending) {
@@ -610,16 +469,31 @@ void Database::Execute(PendingTx pending) {
     // presumes abort, releases its prepared locks, and resubmits it.
     RoundState round;
     round.id = next_round_id_++;
-    round.members.push_back(BatchMember{std::move(pending), std::move(touched),
+    round.members.push_back(RoundMember{std::move(pending), std::move(touched),
                                         std::move(votes), started});
     round.partitions = round.members.front().touched;
     rounds_.emplace(round.id, std::move(round));
     return;
   }
 
-  if (BatchingEnabled()) {
-    EnqueueInBatch(std::move(pending), std::move(touched), std::move(votes),
-                   started);
+  if (batches_.enabled()) {
+    // A member whose own vote conjunction is already No is doomed whatever
+    // the round decides, and the control plane learned that while
+    // collecting votes — so its prepared state (exclusive locks at the
+    // partitions that voted Yes) is dropped now instead of being held for
+    // up to a full window, where it would amplify contention for every
+    // later arrival. The member still rides the round: its votes join the
+    // disjunction and its abort is delivered at the decide instant like
+    // every other member's, matching the unbatched path where a doomed
+    // transaction also learns its fate only when the protocol decides.
+    // (Finish is idempotent, so the second Finish at the decide instant is
+    // a no-op.)
+    if (commit::ConjoinVotes(votes) == commit::Vote::kNo) {
+      FinishPartitions(pending.tx.id, touched, commit::Decision::kAbort,
+                       started);
+    }
+    batches_.Add(RoundMember{std::move(pending), std::move(touched),
+                             std::move(votes), started});
     return;
   }
 
@@ -630,182 +504,7 @@ void Database::Execute(PendingTx pending) {
   // kYes, so the round's decision alone settles its fate — exactly the
   // pre-refactor unbatched behavior. Its touched set is the round's.
   round.members.push_back(
-      BatchMember{std::move(pending), round.partitions, {}, started});
-  StartRound(std::move(round), /*resumed=*/false);
-}
-
-sim::Time Database::WindowFor(const SetController& controller) const {
-  if (!AdaptiveEnabled()) return options_.batch_window;
-  sim::Time max_window = options_.batch_window_max;
-  if (controller.ewma_gap < 0) {
-    // No arrival history yet: fall back to the fixed window as the prior.
-    return std::min(std::max<sim::Time>(options_.batch_window, 0), max_window);
-  }
-  // A set whose smoothed arrival gap exceeds the widest allowed window is
-  // cold: no second member would arrive before any feasible flush, so it
-  // pays no wait at all (a zero window still groups same-instant arrivals
-  // — the flush timer runs after every Execute already queued at the
-  // opening instant).
-  if (controller.ewma_gap >= max_window) return 0;
-  // Hot set: size the window to gather up to batch_max members at the
-  // observed rate, then shrink it by the smoothed conflict share — a wide
-  // window makes every member hold its prepared locks longer, which is
-  // exactly what amplifies contention when the set is already conflicted.
-  sim::Time window =
-      controller.ewma_gap * static_cast<sim::Time>(options_.batch_max - 1);
-  window = window * (1000 - controller.ewma_conflict_permille) / 1000;
-  return std::min(std::max<sim::Time>(window, 0), max_window);
-}
-
-void Database::EnqueueInBatch(PendingTx pending, std::vector<int> touched,
-                              std::vector<commit::Vote> votes,
-                              sim::Time started) {
-  // A member whose own vote conjunction is already No is doomed whatever
-  // the round decides, and the control plane learned that while collecting
-  // votes — so its prepared state (exclusive locks at the partitions that
-  // voted Yes) is dropped now instead of being held for up to a full
-  // window, where it would amplify contention for every later arrival.
-  // The member still rides the round: its votes join the disjunction and
-  // its abort is delivered at the decide instant like every other
-  // member's, matching the unbatched path where a doomed transaction also
-  // learns its fate only when the protocol decides. (Finish is idempotent,
-  // so the second Finish at the decide instant is a no-op.)
-  if (commit::ConjoinVotes(votes) == commit::Vote::kNo) {
-    FinishPartitions(pending.tx.id, touched, commit::Decision::kAbort,
-                     started);
-  }
-
-  sim::Time now = sim_.control()->Now();
-  SetController* controller = nullptr;
-  if (AdaptiveEnabled()) {
-    // Observe the arrival for this member's own set (even when it then
-    // joins a superset round): the gap EWMA describes how often this exact
-    // set shows up, which is what sizes its future windows.
-    controller = &controllers_[touched];
-    if (controller->last_arrival >= 0) {
-      sim::Time gap = now - controller->last_arrival;
-      controller->ewma_gap = controller->ewma_gap < 0
-                                 ? gap
-                                 : (3 * controller->ewma_gap + gap) / 4;
-    }
-    controller->last_arrival = now;
-  }
-
-  // Exact-set open batch wins; otherwise, with cross-set admission on, the
-  // first open round in canonical (ordered-map) order whose partition set
-  // strictly contains this member's joins it — the member's votes are
-  // re-aligned to the round's width, kYes at untouched partitions.
-  auto it = open_batches_.find(touched);
-  if (it == open_batches_.end() && options_.batch_cross_set) {
-    for (auto cand = open_batches_.begin(); cand != open_batches_.end();
-         ++cand) {
-      if (cand->first.size() <= touched.size()) continue;
-      if (!std::includes(cand->first.begin(), cand->first.end(),
-                         touched.begin(), touched.end())) {
-        continue;
-      }
-      votes = commit::AlignVotesToSuperset(touched, votes, cand->first);
-      ++batch_stats_.cross_set_joins;
-      it = cand;
-      break;
-    }
-  }
-
-  if (it == open_batches_.end()) {
-    it = open_batches_.try_emplace(touched).first;
-    Batch& batch = it->second;
-    batch.id = next_batch_id_++;
-    batch.partitions = touched;
-    batch.deadline =
-        now + (controller ? WindowFor(*controller) : options_.batch_window);
-    // Round merging: any open batch over a strict subset of this set folds
-    // into this wider round before its timer is armed, and may pull the
-    // deadline earlier than the window above.
-    if (options_.batch_round_merge) AbsorbSubsetBatches(&batch);
-    // Window flush: a cancellable control event at the deadline. A
-    // size-triggered flush cancels it; the id fence additionally covers
-    // schedulers without cancellation, where the timer would still fire
-    // against a slot that may hold a younger batch.
-    batch.timer = sim_.control()->ScheduleCancellableAt(
-        batch.deadline, sim::EventClass::kControl,
-        [this, key = touched, id = batch.id]() {
-          auto it = open_batches_.find(key);
-          if (it == open_batches_.end() || it->second.id != id) return;
-          ++batch_stats_.window_flushes;
-          Batch closed = std::move(it->second);
-          open_batches_.erase(it);
-          FlushBatch(std::move(closed));
-        });
-  }
-  Batch& batch = it->second;
-  batch.members.push_back(BatchMember{std::move(pending), std::move(touched),
-                                      std::move(votes), started});
-  if (static_cast<int>(batch.members.size()) >= options_.batch_max) {
-    ++batch_stats_.size_flushes;
-    sim_.control()->Cancel(batch.timer);
-    Batch closed = std::move(batch);
-    open_batches_.erase(it);
-    FlushBatch(std::move(closed));
-  }
-}
-
-void Database::AbsorbSubsetBatches(Batch* super) {
-  for (auto cand = open_batches_.begin(); cand != open_batches_.end();) {
-    const std::vector<int>& set = cand->first;
-    // Strict subsets only; the equal set cannot appear (the caller found
-    // no open batch for it — that is why `super` is being created).
-    if (set.size() >= super->partitions.size() ||
-        !std::includes(super->partitions.begin(), super->partitions.end(),
-                       set.begin(), set.end())) {
-      ++cand;
-      continue;
-    }
-    Batch& sub = cand->second;
-    sim_.control()->Cancel(sub.timer);
-    ++batch_stats_.merged_rounds;
-    batch_stats_.merge_absorbed += static_cast<int64_t>(sub.members.size());
-    // Never delay an absorbed member past its original flush promise: the
-    // merged round flushes at the earliest deadline of everything in it.
-    super->deadline = std::min(super->deadline, sub.deadline);
-    for (BatchMember& member : sub.members) {
-      // The member's votes are aligned with its old round's (sub)set —
-      // its own set, or already padded once by a cross-set admission.
-      // Pad with kYes up to the superset width; its `touched` set (and so
-      // its conjunction and its Finish fan-out) is unchanged.
-      member.votes =
-          commit::AlignVotesToSuperset(set, member.votes, super->partitions);
-      super->members.push_back(std::move(member));
-    }
-    cand = open_batches_.erase(cand);
-  }
-}
-
-void Database::FlushBatch(Batch batch) {
-  FC_CHECK(!batch.members.empty()) << "flush of an empty batch";
-  ++batch_stats_.rounds;
-  batch_stats_.members += static_cast<int64_t>(batch.members.size());
-  batch_stats_.max_round_size =
-      std::max(batch_stats_.max_round_size,
-               static_cast<int64_t>(batch.members.size()));
-  if (batch.members.size() > 1) {
-    batch_stats_.batched_txs += static_cast<int64_t>(batch.members.size());
-  }
-  // The round's vote at participant j is the disjunction of the members'
-  // votes there: the participant can deliver the round's outcome as long
-  // as it prepared at least one member. (A No at every participant only
-  // happens when every member conflicted there, in which case no member
-  // has an all-Yes conjunction and a round-level abort loses nothing.)
-  std::vector<commit::Vote> round_votes(batch.partitions.size(),
-                                        commit::Vote::kNo);
-  for (const BatchMember& member : batch.members) {
-    commit::DisjoinVotesInto(&round_votes, member.votes);
-  }
-
-  RoundState round;
-  round.partitions = std::move(batch.partitions);
-  round.round_votes = std::move(round_votes);
-  round.members = std::move(batch.members);
-  round.from_batch = true;
+      RoundMember{std::move(pending), round.partitions, {}, started});
   StartRound(std::move(round), /*resumed=*/false);
 }
 
@@ -818,19 +517,14 @@ void Database::StartRound(RoundState round, bool resumed) {
   // coordinator crash mid-round presumes abort and resubmits, which is
   // exactly the unlogged-round recovery contract.
   const bool logless =
-      GeoChoreographyEnabled() && RegionSpanOf(round.partitions) == 1;
+      GeoChoreographyEnabled() && RegionSpanOf(round.partitions).count == 1;
   if (!resumed) {
     round.id = next_round_id_++;
-    if (LogEnabled() && !logless) {
-      // Append the round's votes to the log and start the accept phase
-      // replicating immediately: it overlaps the commit protocol's own
-      // message delays, so the crash-free cost is only the decide-phase
-      // quorum wait at the end.
-      round.slot = log_->Append(static_cast<int>(round.partitions.size()),
-                                static_cast<int64_t>(round.members.size()),
-                                now);
-      ScheduleReplication(round.slot, CommitLog::Phase::kAccept, now);
-    }
+    // Append the round's votes to the log, whose accept phase starts
+    // replicating immediately: it overlaps the commit protocol's own
+    // message delays, so the crash-free cost is only the decide-phase
+    // quorum wait at the end.
+    if (log_.has_value() && !logless) round.slot = log_->Append(now);
   }
   if (TrackingRounds()) rounds_[round.id] = round;
   if (!resumed && MaybeCrashCoordinator(CrashPoint::kAfterAccept, now)) {
@@ -911,78 +605,65 @@ void Database::CompleteRound(RoundState round, commit::Decision decision,
   if (GeoEnabled()) {
     RecordGeoRound(round, cross_messages, started_at, finished_at);
   }
-  // round.slot >= 0 excludes the geo logless one-phase rounds, which never
-  // appended a slot; every other logged round has one.
-  if (LogEnabled() && round.slot >= 0) {
-    log_->RecordDecision(round.slot, decision, finished_at);
-    ScheduleReplication(round.slot, CommitLog::Phase::kDecide, finished_at);
-  }
+  // Only logged rounds have a slot: the log is on and the round is not a
+  // geo logless one-phase round.
+  const int64_t slot = round.slot;
+  if (slot >= 0) log_->RecordDecision(slot, decision, finished_at);
   if (MaybeCrashCoordinator(CrashPoint::kAfterDecide, finished_at)) {
     // Decision logged (or lost with the unlogged round) but never
     // delivered: recovery redoes or presumes abort.
     return;
   }
-  if (LogEnabled() && round.slot >= 0) {
-    // Expose the decision only once it is durable: park the delivery on
-    // the slot's quorum. Durability of the accept phase is required too —
-    // a decision durable before its votes would let recovery re-decide
-    // from nothing.
-    int64_t slot = round.slot;
-    durable_waiters_[slot] = [this, round = std::move(round),
-                              decision]() mutable {
-      DeliverRoundDecision(round, decision, sim_.control()->Now());
-    };
-    MaybeCompleteSlot(slot);
+  if (slot < 0) {
+    DeliverRoundDecision(round, decision, finished_at);
     return;
   }
-  DeliverRoundDecision(round, decision, finished_at);
+  // Expose the decision only once it is durable. Durability of the accept
+  // phase is required too — a decision durable before its votes would let
+  // recovery re-decide from nothing.
+  log_->OnDurable(slot, [this, round = std::move(round), decision]() mutable {
+    DeliverRoundDecision(round, decision, sim_.control()->Now());
+  });
 }
 
-int Database::RegionSpanOf(const std::vector<int>& partitions) {
-  if (!GeoEnabled()) return 1;
+Database::RegionSpan Database::RegionSpanOf(
+    const std::vector<int>& partitions) {
+  RegionSpan span;
+  if (!GeoEnabled()) return span;
   std::fill(region_scratch_.begin(), region_scratch_.end(), 0);
-  int span = 0;
+  span.count = 0;
+  span.min = span.max = plane_.RegionOf(partitions.front());
   for (int p : partitions) {
-    char& seen = region_scratch_[static_cast<size_t>(plane_.RegionOf(p))];
-    if (seen == 0) {
-      seen = 1;
-      ++span;
-    }
+    int region = plane_.RegionOf(p);
+    span.min = std::min(span.min, region);
+    span.max = std::max(span.max, region);
+    char& seen = region_scratch_[static_cast<size_t>(region)];
+    span.count += seen == 0;
+    seen = 1;
   }
   return span;
 }
 
 void Database::RunGeoRound(RoundState round, bool resumed, sim::Time now) {
   int n = static_cast<int>(round.partitions.size());
-  std::fill(region_scratch_.begin(), region_scratch_.end(), 0);
-  int span = 0;
-  int min_region = 0;
-  int max_region = 0;
-  for (int p : round.partitions) {
-    int region = plane_.RegionOf(p);
-    char& seen = region_scratch_[static_cast<size_t>(region)];
-    if (seen == 0) {
-      seen = 1;
-      if (span == 0 || region < min_region) min_region = region;
-      if (span == 0 || region > max_region) max_region = region;
-      ++span;
-    }
-  }
+  RegionSpan span = RegionSpanOf(round.partitions);
   // Gather and scatter are intra-DC hops a round only pays when some
   // co-coordinator has local company (n > span: a region holds >= 2
   // touched partitions); each costs one unit because every region gathers
   // in parallel. The all-to-all aggregate exchange is the single
   // cross-region hop on the critical path, bounded by the farthest
   // touched pair — which under the laddered topology is (min, max).
-  sim::Time hop = n > span ? options_.unit : 0;
+  sim::Time hop = n > span.count ? options_.unit : 0;
   sim::Time exchange =
-      span > 1 ? geo_topology_.CrossDelayBetween(min_region, max_region) : 0;
+      span.count > 1 ? geo_topology_.CrossDelayBetween(span.min, span.max)
+                     : 0;
   sim::Time finished = now + hop + exchange + hop;
   // Vote gathers and decision scatters between each co-coordinator and
   // its local partitions, plus the co-coordinators' aggregate exchange.
   int64_t cross_messages =
-      span > 1 ? static_cast<int64_t>(span) * (span - 1) : 0;
-  int64_t messages = 2 * static_cast<int64_t>(n - span) + cross_messages;
+      span.count > 1 ? static_cast<int64_t>(span.count) * (span.count - 1)
+                     : 0;
+  int64_t messages = 2 * static_cast<int64_t>(n - span.count) + cross_messages;
   // Every co-coordinator applies the vote algebra to the same full vote
   // vector, so each region reaches the decision locally — no second
   // cross-region round. This is the same verdict a protocol instance
@@ -1001,7 +682,7 @@ void Database::RunGeoRound(RoundState round, bool resumed, sim::Time now) {
 
 void Database::RecordGeoRound(const RoundState& round, int64_t cross_messages,
                               sim::Time started_at, sim::Time finished_at) {
-  int span = RegionSpanOf(round.partitions);
+  int span = RegionSpanOf(round.partitions).count;
   geo_stats_.cross_region_messages += cross_messages;
   if (GeoChoreographyEnabled()) {
     ++geo_stats_.co_coordinator_rounds;
@@ -1019,7 +700,7 @@ void Database::RecordGeoRound(const RoundState& round, int64_t cross_messages,
   // Critical-path cross-region hops, nearest integer in closest-pair
   // cross delays: exact while intra-DC hops stay well under half a cross
   // delay (the 30-100x WAN regime this plane models).
-  sim::Time cross = CrossTicksMin();
+  sim::Time cross = options_.unit * options_.cross_region_units_min;
   geo_stats_.cross_region_delays += (latency + cross / 2) / cross;
 }
 
@@ -1027,7 +708,7 @@ void Database::DeliverRoundDecision(RoundState& round,
                                     commit::Decision decision,
                                     sim::Time finished_at) {
   int64_t aborted_members = 0;
-  for (BatchMember& member : round.members) {
+  for (RoundMember& member : round.members) {
     // A cross-set joiner's padded kYes votes leave its own conjunction
     // unchanged, so this test reads the member's real fate for every
     // admission path (and an unbatched member's empty votes conjoin to
@@ -1041,71 +722,14 @@ void Database::DeliverRoundDecision(RoundState& round,
     FinishTx(member.pending, member.touched, member_decision, member.started,
              finished_at);
   }
-  if (round.from_batch && AdaptiveEnabled()) {
-    // Feed the round's aborted-member share back into the set's controller
-    // (this runs in canonical order on the control plane, so the EWMA
-    // trajectory is placement invariant).
-    SetController& controller = controllers_[round.partitions];
-    int64_t sample = 1000 * aborted_members /
-                     static_cast<int64_t>(round.members.size());
-    controller.ewma_conflict_permille =
-        controller.rounds_observed == 0
-            ? sample
-            : (3 * controller.ewma_conflict_permille + sample) / 4;
-    ++controller.rounds_observed;
-  }
-  if (LogEnabled() && round.slot >= 0) {
+  // Canonical control-plane order, so the adaptive EWMA trajectory is
+  // placement invariant.
+  batches_.ObserveRound(round, aborted_members);
+  if (round.slot >= 0) {
     log_->MarkExecuted(round.slot);
     log_->FreeSlots();
   }
   if (TrackingRounds()) rounds_.erase(round.id);
-}
-
-void Database::ScheduleReplication(int64_t slot, CommitLog::Phase phase,
-                                   sim::Time base) {
-  for (int r = 0; r < log_->replicas(); ++r) {
-    sim_.control()->ScheduleAt(
-        base + log_->AckDelay(slot, phase, r), sim::EventClass::kDelivery,
-        [this, slot, phase, r] { OnLogAck(slot, phase, r); });
-  }
-}
-
-void Database::OnLogAck(int64_t slot, CommitLog::Phase phase, int replica) {
-  switch (log_->OnReplicaAck(slot, phase, replica)) {
-    case CommitLog::AckOutcome::kFastQuorum:
-      if (log_->MarkDurable(slot, phase, /*fast_path=*/true)) {
-        MaybeCompleteSlot(slot);
-      }
-      break;
-    case CommitLog::AckOutcome::kSlowQuorum:
-      // Majority reached: the slow path commits the chosen record at the
-      // majority in one more round trip — unless unanimity lands first
-      // and the fast path wins the race (MarkDurable settles it).
-      sim_.control()->ScheduleAfter(
-          2 * options_.unit, sim::EventClass::kDelivery, [this, slot, phase] {
-            if (log_->MarkDurable(slot, phase, /*fast_path=*/false)) {
-              MaybeCompleteSlot(slot);
-            }
-          });
-      break;
-    case CommitLog::AckOutcome::kNoQuorum:
-    case CommitLog::AckOutcome::kStale:
-      break;
-  }
-}
-
-void Database::MaybeCompleteSlot(int64_t slot) {
-  // While down, waiters are gone (CrashCoordinator cleared them) and any
-  // straggling ack must not deliver anything: recovery redoes the slot.
-  if (down_) return;
-  auto it = durable_waiters_.find(slot);
-  if (it == durable_waiters_.end()) return;
-  const CommitLog::Slot* record = log_->Get(slot);
-  FC_CHECK(record != nullptr) << "durable waiter on freed slot " << slot;
-  if (!record->accept_durable || !record->decide_durable) return;
-  auto deliver = std::move(it->second);
-  durable_waiters_.erase(it);
-  deliver();
 }
 
 bool Database::MaybeCrashCoordinator(CrashPoint point, sim::Time at) {
@@ -1125,21 +749,15 @@ void Database::CrashCoordinator(sim::Time at) {
   ++recovery_stats_.coordinator_crashes;
   recovery_stats_.last_crash_time = at;
   // Open batches are volatile coordinator state: their window timers die
-  // with the crash and their members become unlogged in-flight rounds for
+  // with the crash and they become unlogged in-flight rounds for
   // recovery's presumed-abort sweep.
-  for (auto& entry : open_batches_) {
-    Batch& batch = entry.second;
-    sim_.control()->Cancel(batch.timer);
-    RoundState round;
+  for (RoundState& round : batches_.TakeOpen()) {
     round.id = next_round_id_++;
-    round.partitions = std::move(batch.partitions);
-    round.members = std::move(batch.members);
     rounds_.emplace(round.id, std::move(round));
   }
-  open_batches_.clear();
   // Parked delivery continuations are volatile too; their slots hold
   // logged decisions, which recovery redoes from the log itself.
-  durable_waiters_.clear();
+  if (log_.has_value()) log_->DropWaiters();
   sim_.control()->ScheduleAt(
       at + options_.fault_plan.coordinator_restart_delay,
       sim::EventClass::kCrash, [this] { RecoverCoordinator(); });
@@ -1177,27 +795,27 @@ void Database::RecoverCoordinator() {
       StartRound(std::move(round), /*resumed=*/true);
     } else {
       ++recovery_stats_.presumed_aborts;
-      for (BatchMember& member : round.members) {
+      for (RoundMember& member : round.members) {
         // Release whatever the member prepared (Finish is idempotent at
         // participants that never prepared it), then re-execute with the
         // same attempt number — the crash was not the member's conflict.
         FinishPartitions(member.pending.tx.id, member.touched,
                          commit::Decision::kAbort, now);
         ++recovery_stats_.resubmissions;
-        Resubmit(std::move(member.pending), now);
+        ScheduleExecute(std::move(member.pending), now);
       }
     }
   }
-  if (log_ != nullptr) log_->FreeSlots();
+  if (log_.has_value()) log_->FreeSlots();
   // Re-execute everything that arrived during the outage, in arrival
   // order, after the resubmissions above (same-instant control events run
   // in insertion order).
   std::vector<PendingTx> parked;
   parked.swap(parked_);
-  for (PendingTx& pending : parked) Resubmit(std::move(pending), now);
+  for (PendingTx& pending : parked) ScheduleExecute(std::move(pending), now);
 }
 
-void Database::Resubmit(PendingTx pending, sim::Time at) {
+void Database::ScheduleExecute(PendingTx pending, sim::Time at) {
   sim_.control()->ScheduleAt(at, sim::EventClass::kControl,
                              [this, pending = std::move(pending)]() mutable {
                                Execute(std::move(pending));
@@ -1211,8 +829,7 @@ void Database::FinishTx(const PendingTx& pending,
   // The CSN authority: every commit is stamped here, in canonical
   // control-plane order, so the sequence — and every snapshot derived
   // from it — is identical on any shard/thread placement.
-  int64_t csn =
-      decision == commit::Decision::kCommit ? ++last_csn_ : 0;
+  int64_t csn = decision == commit::Decision::kCommit ? reads_.NextCsn() : 0;
   FinishPartitions(pending.tx.id, touched, decision, finished_at, csn);
   if (decision == commit::Decision::kCommit) {
     ++stats_.committed;
@@ -1243,14 +860,12 @@ void Database::FinishTx(const PendingTx& pending,
     return;
   }
   ++stats_.retries;
-  PendingTx retry{pending.tx, pending.attempt + 1, pending.on_complete};
   sim::Time backoff =
       options_.unit * options_.retry_backoff_units * pending.attempt +
       static_cast<sim::Time>(rng_.UniformInt(1, options_.unit));
-  sim_.control()->ScheduleAt(finished_at + backoff, sim::EventClass::kControl,
-                             [this, retry = std::move(retry)]() mutable {
-                               Execute(std::move(retry));
-                             });
+  ScheduleExecute(
+      PendingTx{pending.tx, pending.attempt + 1, pending.on_complete},
+      finished_at + backoff);
 }
 
 const DatabaseStats& Database::Drain() {
@@ -1260,18 +875,16 @@ const DatabaseStats& Database::Drain() {
   // every staged write applied.
   FlushPartitionWork();
   FC_CHECK(inflight_ == 0) << "transactions still pending after drain";
-  FC_CHECK(open_batches_.empty())
+  FC_CHECK(batches_.idle())
       << "open batches after drain: a window flush event was lost";
   FC_CHECK(inflight_key_hashes_.empty() && busy_key_counts_.empty())
       << "conflict-lookahead tracker not empty after drain";
-  FC_CHECK(pending_reads_.empty())
-      << "snapshot reads still pending after drain";
-  FC_CHECK(active_snapshots_.empty())
-      << "snapshot CSN claims leaked after drain";
+  FC_CHECK(reads_.idle())
+      << "snapshot reads or CSN claims still pending after drain";
   FC_CHECK(!down_) << "coordinator still down after drain";
   FC_CHECK(rounds_.empty()) << "in-flight rounds leaked after drain";
   FC_CHECK(parked_.empty()) << "parked transactions leaked after drain";
-  FC_CHECK(durable_waiters_.empty())
+  FC_CHECK(!log_.has_value() || !log_->has_waiters())
       << "decision-durability waiters leaked after drain";
   stats_.makespan = sim_.Now();
   return stats_;
@@ -1331,7 +944,7 @@ int64_t Database::TotalVersions() {
 
 int64_t Database::TruncateVersions() {
   FlushPartitionWork();
-  int64_t watermark = Watermark();
+  int64_t watermark = reads_.Watermark();
   int64_t dropped = 0;
   for (int p = 0; p < plane_.num_partitions(); ++p) {
     dropped += plane_.partition(p).store().Truncate(watermark);

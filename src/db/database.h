@@ -1,23 +1,24 @@
 #ifndef FASTCOMMIT_DB_DATABASE_H_
 #define FASTCOMMIT_DB_DATABASE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "core/protocol_kind.h"
-#include "core/runner.h"
+#include "db/batch_former.h"
 #include "db/commit_log.h"
 #include "db/coordinator.h"
+#include "db/database_options.h"
 #include "db/fault_plan.h"
 #include "db/instance_pool.h"
 #include "db/participant.h"
 #include "db/partition_plane.h"
+#include "db/round.h"
+#include "db/snapshot_reader.h"
 #include "db/transaction.h"
 #include "sim/rng.h"
 #include "sim/sharded_simulator.h"
@@ -163,264 +164,36 @@ struct DatabaseStats {
 /// single-threaded drains.
 ///
 /// Partition data-path work (Prepare's locking, commit's write
-/// application, lock release) likewise runs off the control plane by
-/// default: each partition has an FNV-1a home shard and its work drains as
-/// shard-grouped tasks at deterministic flush barriers
-/// (db/partition_plane.h, Options::partition_parallel). The control plane
-/// keeps only transaction admission, batch formation, and retry/backoff.
+/// application, lock release) is enqueued as partition-plane tasks; by
+/// default they run off the control plane, drained per FNV-1a home shard
+/// at deterministic flush barriers, and the plane alone decides whether a
+/// task runs there or inline when it is enqueued (db/partition_plane.h,
+/// Options::partition_parallel).
+///
+/// ## Units
+///
+/// The database holds three units by value, one per cost the commit path
+/// mixes: the BatchFormer (group-commit round formation), the
+/// SnapshotReader (CSNs, MVCC snapshot reads, the version-GC watermark),
+/// and the CommitLog (slot replication and durability). What remains here
+/// is admission -> prepare -> round -> deliver, plus recovery and the geo
+/// choreography.
 class Database {
  public:
   /// Final outcome of a submitted transaction: the protocol's real
   /// commit::Decision (after any retries), delivered from FinishTx. Runs on
   /// the drain thread; must not call Submit or Drain.
-  using CompletionCallback =
-      std::function<void(const Transaction& tx, commit::Decision decision)>;
+  using CompletionCallback = db::CompletionCallback;
 
   /// Observer of finalized snapshot reads (Options::snapshot_reads): fires
   /// at the flush barrier that drained the read, with the values in op
   /// order (absent keys read as empty Values). Runs on the control plane
   /// mid-barrier; must not call Submit, Drain, or any accessor that
   /// flushes.
-  using SnapshotReadObserver =
-      std::function<void(const Transaction& tx, int64_t snapshot_csn,
-                         const std::vector<Value>& values)>;
+  using SnapshotReadObserver = SnapshotReader::Observer;
 
-  struct Options {
-    int num_partitions = 4;
-    core::ProtocolKind protocol = core::ProtocolKind::kInbac;
-    core::ConsensusKind consensus = core::ConsensusKind::kPaxos;
-    core::ProtocolOptions protocol_options;  ///< shared with core::RunConfig
-    sim::Time unit = 100;        ///< ticks per message delay U
-    /// Execution-layer concurrency control (see db/transaction.h). k2PL,
-    /// the default, is the original no-wait shared/exclusive locking and
-    /// leaves DatabaseStats bitwise unchanged for every existing
-    /// configuration. kOCC replaces hot-path locking with version-lock
-    /// validation (db/version_table.h): execution reads are lock-free
-    /// versioned reads, prepare runs lock-writes -> validate-reads, commit
-    /// publishes the new versions — and the validation outcome *is* the
-    /// participant's vote, so every commit protocol, batching mode, round
-    /// merge, and lookahead path runs unchanged on top. Read-mostly
-    /// workloads keep readers invisible to each other and to writers
-    /// (bench_db_throughput --ablation-only quantifies the win); its stats
-    /// are bitwise identical across shard/thread placements, like k2PL's.
-    ConcurrencyMode concurrency = ConcurrencyMode::k2PL;
-    int max_attempts = 5;
-    int64_t retry_backoff_units = 4;  ///< backoff = attempt * this * U
-    uint64_t seed = 1;
-    /// Recycle commit instances through a free-list pool (the default).
-    /// false restores the rebuild-per-transaction baseline, in which every
-    /// commit allocates a fresh cluster that stays live until shutdown —
-    /// kept for the throughput bench's --no-pool comparison and the
-    /// determinism regression gate.
-    bool pool_instances = true;
-    /// Event-queue shards for commit instances. 1 = the single-queue
-    /// baseline. Any value yields bitwise-identical DatabaseStats for the
-    /// same seed.
-    int num_shards = 1;
-    /// Threads draining shards in parallel (1 = single-threaded). Also
-    /// stats-invariant.
-    int num_threads = 1;
-    /// Group-commit batching window, in ticks. 0 (the default) disables
-    /// batching entirely and takes the one-round-per-transaction path
-    /// unchanged — bit-identical stats to a build without this feature
-    /// (gated in tests/db_batch_test.cc). When > 0, multi-partition
-    /// transactions prepared within the window that touch the *same*
-    /// partition set share one commit round: a single CommitInstance whose
-    /// per-participant vote is the disjunction of the members' votes. When
-    /// the round decides commit, exactly the members whose own vote
-    /// conjunction is all-Yes commit; conflicting members abort (and
-    /// retry) individually — a partial-round abort, never the whole round.
-    /// Larger windows trade per-member latency (early members wait for the
-    /// flush) for fewer protocol messages per commit.
-    sim::Time batch_window = 0;
-    /// A batch that reaches this many members flushes immediately instead
-    /// of waiting out the window. <= 1 also disables batching.
-    int batch_max = 16;
-    /// Adaptive group commit: when true (and batch_window_max > 0), each
-    /// partition set's flush window is sized per batch by a control-plane
-    /// controller from that set's observed arrival gaps and round conflict
-    /// rates (EWMAs over recent rounds), clamped to [0, batch_window_max].
-    /// Hot sets earn wide windows (occupancy), cold sets shrink toward 0
-    /// (a zero window still groups same-instant arrivals but adds no wait).
-    /// `batch_window` then only seeds sets with no history yet; with
-    /// batch_adaptive = false it stays the fixed window for every set. The
-    /// controllers live on the control plane keyed by the canonical sorted
-    /// partition set, so adaptive decisions — like everything else — are
-    /// bitwise identical across shard/thread placements.
-    bool batch_adaptive = false;
-    /// Upper clamp for adaptive windows, in ticks. <= 0 disables adaptive
-    /// mode (batch_window rules alone).
-    sim::Time batch_window_max = 0;
-    /// Cross-set round admission: a multi-partition transaction whose
-    /// partition set is a *subset* of an open round's set joins that round
-    /// — voting kYes at the partitions it does not touch (see
-    /// commit::AlignVotesToSuperset) — instead of opening its own batch.
-    /// Raises round occupancy on skewed workloads where narrow hot sets
-    /// arrive alongside wider ones.
-    bool batch_cross_set = false;
-    /// Round merging, the dual of batch_cross_set: when a batch opens over
-    /// a partition set that *strictly contains* an already-open batch's
-    /// set, the open subset batch is absorbed into the new superset round
-    /// — its members' votes re-aligned with kYes padding, its window timer
-    /// cancelled, and the superset's flush deadline clamped to
-    /// min(its own, the absorbed batches') so no absorbed member waits
-    /// past its original flush promise. Cross-set admission only helps
-    /// subsets that arrive *after* the wide round opened; merging catches
-    /// the other arrival order.
-    bool batch_round_merge = false;
-    /// Admission control for open-loop streams (SubmitArrivals): with more
-    /// than this many transactions in flight, new arrivals are shed —
-    /// counted in DatabaseStats::shed and completed immediately with
-    /// kAbort — instead of joining an unbounded queue. 0 = admit
-    /// everything. Directly-Submitted transactions are never shed.
-    int64_t max_inflight = 0;
-    /// Conflict-aware barrier lookahead (partition-parallel path only):
-    /// the control plane tracks the FNV-1a key hashes of every in-flight
-    /// transaction (prepare enqueued, finish not yet enqueued). A new
-    /// transaction whose hashes are disjoint from all of them provably
-    /// receives kYes at every partition under no-wait locking, so its
-    /// prepares are enqueued as *predicted* tasks and its Execute skips
-    /// the flush barrier entirely — steady low-conflict arrivals ride
-    /// through with no barrier at all, and barriers that do happen drain
-    /// fatter task backlogs (better worker-pool amortization). Hash
-    /// collisions only ever force a conservative barrier, and the drain
-    /// FC_CHECKs every predicted vote, so results stay bitwise identical
-    /// to the barrier-per-transaction path (the placement fuzz harness
-    /// toggles this knob inside its identity gate).
-    bool conflict_lookahead = false;
-    /// Lock-free snapshot reads: a submitted transaction whose every op is
-    /// a kGet (db::IsReadOnly — both concurrency modes share the
-    /// predicate) bypasses the commit protocol entirely. It is assigned
-    /// the current *stable CSN* — the commit sequence number the decide
-    /// path stamps on every committed transaction, in canonical order —
-    /// and its reads drain through the partition FIFO as
-    /// PartitionPlane::EnqueueSnapshotRead tasks: every commit with
-    /// CSN <= the snapshot was enqueued earlier on the same queues, so the
-    /// read observes exactly the stable prefix. No locks, no votes, no
-    /// messages, no pooled instance; completion (kCommit) is delivered
-    /// immediately at the submit instant and the values materialize at the
-    /// next flush barrier (set_snapshot_read_observer). Version chains are
-    /// pruned to the reader low-watermark — the minimum CSN an in-flight
-    /// snapshot can still demand — so MVCC memory stays bounded. Off (the
-    /// default): read-only transactions take the normal locked path and
-    /// every pre-existing stat is bitwise unchanged.
-    bool snapshot_reads = false;
-    /// Partition-parallel execution (the default): partition data-path
-    /// work — Prepare's lock acquisition, commit's write application,
-    /// lock release — runs on the partition plane (db/partition_plane.h):
-    /// per-partition task queues homed on shards by FNV-1a over the
-    /// partition id and drained in parallel by the simulator's worker
-    /// pool at deterministic flush barriers, while the control plane
-    /// keeps only admission, batch formation, and retry/backoff. false
-    /// restores the inline baseline where every Participant call runs on
-    /// the control plane at its issue point. The plane's barriers replay
-    /// the serial history exactly, so DatabaseStats and BatchStats are
-    /// bitwise identical either way and across every shard/thread
-    /// placement (tests/db_placement_fuzz_test.cc).
-    bool partition_parallel = true;
-    /// Replicated coordinator commit log (db/commit_log.h): every
-    /// multi-partition round is appended as one slot whose votes replicate
-    /// to this many virtual replicas (accept phase), and the decision
-    /// replicates the same way (decide phase). A phase is durable on
-    /// fast-path unanimity or slow-path majority + two extra delays,
-    /// whichever fires first; commits are exposed to clients only once the
-    /// decision is durable, which is what makes every exposed commit
-    /// survive a coordinator crash. Replication overlaps the commit
-    /// protocol itself (the accept phase races the instance's own message
-    /// delays), so the crash-free latency cost is the decide-phase quorum
-    /// wait. 0 (the default) disables the log entirely — no slots, no ack
-    /// events, no extra delays — and every pre-existing stat is bitwise
-    /// unchanged. Ack delays draw from a stateless per-(slot, phase,
-    /// replica) stream, never the database's main RNG.
-    int log_replicas = 0;
-    /// Geo-distributed deployment: partitions are homed across this many
-    /// regions (PartitionPlane::RegionOf — partition mod regions) and every
-    /// commit-instance message between processes in different regions costs
-    /// a cross-region delay (net::RegionDelayModel) instead of one unit.
-    /// 1 (the default) keeps the single-latency-class world and leaves
-    /// every pre-existing stat bitwise unchanged.
-    int num_regions = 1;
-    /// One-way cross-region delay for the *closest* region pair, in units
-    /// of `unit` (the ROADMAP's intra-DC ~1U vs cross-region 30-100U).
-    int64_t cross_region_units_min = 30;
-    /// ... and for the farthest pair; intermediate pairs ladder linearly
-    /// (net::GeoTopology::Ladder). Equal min/max = a uniform WAN.
-    int64_t cross_region_units_max = 30;
-    /// Co-coordinator commit for multi-region rounds (per "Fast Commitment
-    /// for Geo-Distributed Transactions", arXiv 2312.01229): each region's
-    /// co-coordinator gathers its local partitions' votes over intra-DC
-    /// hops, the co-coordinators exchange one aggregate each, and every
-    /// region scatters the decision locally — one cross-region round on the
-    /// critical path instead of the classic two (vote + decision). Rounds
-    /// whose writes all land in one region additionally take a *logless
-    /// one-phase* path in the spirit of "To Vote Before Decide" (arXiv
-    /// 1701.02408): no commit-log slot is appended — a coordinator crash
-    /// presumes abort and resubmits, which is safe because no decision
-    /// escapes the region before the crash. The round's decision is the
-    /// vote-algebra verdict (commit::DecideFromVotes) over the same
-    /// disjunction votes every protocol path uses, so batching, merging,
-    /// and recovery replay run unchanged. Ignored when num_regions <= 1.
-    bool geo_co_coordinators = false;
-    /// Deterministic fault injection (db/fault_plan.h): at most one
-    /// coordinator crash at a chosen protocol step plus one timed
-    /// participant crash, both driven by sim events at canonical
-    /// control-plane points — so a crash schedule, like everything else,
-    /// is bitwise identical across shard/thread placements. Default
-    /// (empty plan) injects nothing and changes nothing.
-    FaultPlan fault_plan;
-    /// Debug: sweep lock-manager and staging invariants over every
-    /// partition at each partition-plane flush barrier (see
-    /// Participant::CheckInvariants). O(held locks) per barrier; meant
-    /// for tests (tests/lock_invariant_test.cc), off by default. Only
-    /// observed on the partition-parallel path (the inline path has no
-    /// barriers to hook).
-    bool check_invariants = false;
-  };
-
-  /// Counters of the batching path (all zero when batching is disabled —
-  /// batch_max <= 1, or batch_window == 0 with adaptive mode off).
-  /// Deliberately outside DatabaseStats: the determinism gates compare
-  /// DatabaseStats across shard counts, thread counts, and the
-  /// batching-off-vs-PR 2 path, and these counters describe the batching
-  /// machinery rather than workload-visible outcomes.
-  struct BatchStats {
-    int64_t rounds = 0;          ///< commit rounds run by the batching path
-    int64_t batched_txs = 0;     ///< members that shared a round (size >= 2)
-    int64_t window_flushes = 0;  ///< rounds flushed by the window timer
-    int64_t size_flushes = 0;    ///< rounds flushed by reaching batch_max
-    /// Members over every round (occupancy = members / rounds; counts
-    /// size-1 rounds too, unlike batched_txs).
-    int64_t members = 0;
-    int64_t max_round_size = 0;  ///< largest round flushed so far
-    /// Members admitted into an open round of a strict superset partition
-    /// set (Options::batch_cross_set).
-    int64_t cross_set_joins = 0;
-    /// Open subset batches absorbed into a newly opened superset round
-    /// (Options::batch_round_merge), and the members carried over.
-    int64_t merged_rounds = 0;
-    int64_t merge_absorbed = 0;
-
-    /// Mean members per round; 1.0 with batching off (every commit is its
-    /// own round).
-    double Occupancy() const {
-      return rounds == 0 ? 1.0
-                         : static_cast<double>(members) /
-                               static_cast<double>(rounds);
-    }
-
-    bool operator==(const BatchStats& other) const {
-      return rounds == other.rounds && batched_txs == other.batched_txs &&
-             window_flushes == other.window_flushes &&
-             size_flushes == other.size_flushes && members == other.members &&
-             max_round_size == other.max_round_size &&
-             cross_set_joins == other.cross_set_joins &&
-             merged_rounds == other.merged_rounds &&
-             merge_absorbed == other.merge_absorbed;
-    }
-    bool operator!=(const BatchStats& other) const {
-      return !(*this == other);
-    }
-  };
+  using Options = DatabaseOptions;
+  using BatchStats = db::BatchStats;
 
   /// Counters of the fault-injection / recovery plane (all zero with an
   /// empty Options::fault_plan). Outside DatabaseStats for the same reason
@@ -535,11 +308,6 @@ class Database {
   /// Direct partition access; flushes pending partition-plane work first
   /// so the caller observes a quiescent partition.
   Participant& partition(int index);
-  /// Home shard of `partition`'s data-path work under partition-parallel
-  /// execution (Options::partition_parallel); stable FNV-1a placement.
-  int HomeShardOfPartition(int partition) const {
-    return plane_.HomeShardOf(partition);
-  }
   /// Shard that will host the commit instance of transaction `id`
   /// (deterministic in the id, independent of submission order).
   int ShardOf(TxId id) const;
@@ -594,7 +362,7 @@ class Database {
   /// The stable CSN: the commit sequence number of the most recently
   /// decided commit, which is what a snapshot read submitted now would be
   /// assigned. 0 before the first commit.
-  int64_t stable_csn() const { return last_csn_; }
+  int64_t stable_csn() const { return reads_.stable_csn(); }
   /// Sum of live versions across every partition's chains (MVCC memory
   /// footprint, for the GC tests).
   int64_t TotalVersions();
@@ -607,14 +375,14 @@ class Database {
   /// Sink for finalized snapshot-read values (tests assert snapshot
   /// stability and read-your-writes through it).
   void set_snapshot_read_observer(SnapshotReadObserver observer) {
-    snapshot_observer_ = std::move(observer);
+    reads_.set_observer(std::move(observer));
   }
   /// FNV-1a fold over every finalized snapshot read's values, in submit
   /// order — one number that must be bitwise identical across every
   /// shard/thread placement and the inline path, which is how the tests
   /// gate that snapshot *results* (not just stats) are placement
   /// invariant. Read it after a Drain.
-  uint64_t read_fingerprint() const { return read_fingerprint_; }
+  uint64_t read_fingerprint() const { return reads_.fingerprint(); }
 
   const DatabaseStats& stats() const { return stats_; }
   /// Commit-instance pool counters (created/reused/live/peak_live/trimmed)
@@ -625,7 +393,7 @@ class Database {
   }
   /// Batching-path counters (see BatchStats); all zero when batching is
   /// disabled.
-  const BatchStats& batch_stats() const { return batch_stats_; }
+  const BatchStats& batch_stats() const { return batches_.stats(); }
   /// Partition-plane counters (flush barriers run, tasks drained) — zero
   /// on the inline path; outside DatabaseStats like the pool counters,
   /// since they describe execution machinery, not workload outcomes.
@@ -643,102 +411,12 @@ class Database {
   /// The replicated coordinator log, or nullptr when Options::log_replicas
   /// is 0. Watermarks and CommitLog::Stats (fast/slow path decisions,
   /// live-slot high-water mark) for the recovery tests and bench.
-  const CommitLog* commit_log() const { return log_.get(); }
+  const CommitLog* commit_log() const {
+    return log_.has_value() ? &*log_ : nullptr;
+  }
   sim::Time Now() const { return sim_.Now(); }
 
  private:
-  struct PendingTx {
-    Transaction tx;
-    int attempt = 0;
-    CompletionCallback on_complete;
-  };
-
-  /// One snapshot read in flight between its Execute (tasks enqueued,
-  /// completion already delivered) and the flush barrier that fills its
-  /// value slots. Heap-allocated so the `values` vectors the plane holds
-  /// pointers into never move while the list grows.
-  struct SnapshotRead {
-    Transaction tx;
-    int64_t snapshot_csn = 0;
-    /// Per-touched-partition value slots, filled at the drain; sized
-    /// before any pointer into it is taken.
-    std::vector<std::vector<Value>> values;
-    /// op index -> index into `values` of its partition's slot, for
-    /// reassembling the results in op order at finalization.
-    std::vector<int> op_slots;
-    /// Slots filled so far, bumped by the plane's drain workers (atomic:
-    /// one read spans partitions, hence threads). Finalization takes the
-    /// longest fully-filled *prefix* of pending_reads_, so a crashed
-    /// partition deferring its reads keeps later reads pending too and the
-    /// submit-order fingerprint is preserved. With no participant crash
-    /// every slot fills by the barrier and this equals the old
-    /// finalize-everything behavior exactly.
-    std::atomic<int> filled{0};
-  };
-
-  /// One prepared transaction waiting in a batch. `votes` is aligned with
-  /// the *round's* sorted partition set: for a same-set member that equals
-  /// its own touched set; a cross-set joiner's votes are padded with kYes
-  /// at the partitions it does not touch (commit::AlignVotesToSuperset).
-  /// `touched` stays the member's own sorted set — the only partitions its
-  /// Finish may reach.
-  struct BatchMember {
-    PendingTx pending;
-    std::vector<int> touched;
-    std::vector<commit::Vote> votes;
-    sim::Time started = 0;  ///< the member's own Execute instant
-  };
-
-  /// An open commit round accumulating transactions over its partition set
-  /// (or, with batch_cross_set, subsets of it) until its window timer
-  /// fires or it reaches batch_max members. A size-triggered flush cancels
-  /// the timer outright (it neither runs nor stretches makespan); `id`
-  /// additionally fences it for schedulers without cancellation support —
-  /// the map slot may hold a younger batch by the time a stale timer
-  /// fires, and it must then no-op.
-  struct Batch {
-    int64_t id = 0;
-    std::vector<int> partitions;  ///< sorted touched set (the table key)
-    std::vector<BatchMember> members;
-    sim::EventId timer = sim::kNoEvent;  ///< cancellable window flush
-    /// The timer's flush instant. Round merging clamps a superset round's
-    /// deadline to the minimum over everything it absorbed, so merging
-    /// never delays a member past the flush its original batch promised.
-    sim::Time deadline = 0;
-  };
-
-  /// One multi-partition commit round — the unit the unbatched path, the
-  /// batching path, and recovery replay now share (StartRound). `id` is
-  /// the round-table key (monotonic, so recovery replays rounds in the
-  /// order they formed); `slot` the commit-log slot (-1 when unlogged:
-  /// log off, or a crash-interrupted Execute whose round never formed).
-  /// `round_votes` is the per-position disjunction over the members'
-  /// aligned votes — for a single-member round, the member's own votes.
-  /// A member's `votes` may be empty on the unbatched path (conjunction
-  /// kYes), where the round's decision alone settles its fate, exactly as
-  /// before the refactor.
-  struct RoundState {
-    int64_t id = 0;
-    int64_t slot = -1;
-    std::vector<int> partitions;
-    std::vector<commit::Vote> round_votes;
-    std::vector<BatchMember> members;
-    bool from_batch = false;  ///< adaptive-controller feedback is batch-only
-  };
-
-  /// Adaptive window controller of one partition set (Options::
-  /// batch_adaptive). Control plane only: arrival gaps are observed from
-  /// Execute events and conflict shares from completion effects, both of
-  /// which run in canonical order — so the windows it picks are identical
-  /// for every shard/thread placement. EWMAs use integer arithmetic with
-  /// alpha = 1/4.
-  struct SetController {
-    sim::Time last_arrival = -1;  ///< previous arrival instant; -1 = none
-    sim::Time ewma_gap = -1;      ///< smoothed arrival gap; -1 = no history
-    int64_t ewma_conflict_permille = 0;  ///< smoothed aborted-member share
-    int64_t rounds_observed = 0;
-  };
-
   void Execute(PendingTx pending);
   /// Pulls the next arrival from `engine` and schedules its admission
   /// event, which re-arms itself — the self-rescheduling pump behind
@@ -748,86 +426,45 @@ class Database {
   /// Admission control for one open-loop arrival: shed or execute.
   void AdmitArrival(Transaction tx,
                     const std::shared_ptr<CompletionCallback>& on_complete);
-  /// Issues one transaction's per-partition Prepares and collects votes
-  /// into `touched`/`votes` (sorted by partition): through the partition
-  /// plane — enqueue, flush barrier, read — when partition-parallel
-  /// execution is on, inline otherwise. Identical results either way.
+  /// Routes `ops` to partitions by FNV-1a key hash into route_ (see
+  /// OpRoute); `hashes`, when non-null, receives each op's key hash (the
+  /// lookahead tracker's input).
+  void RouteOps(const std::vector<Op>& ops, std::vector<uint64_t>* hashes);
+  /// Enqueues one transaction's per-partition Prepares on the plane and
+  /// collects votes into `touched`/`votes` (sorted by partition): enqueue,
+  /// then a flush barrier unless lookahead proved every vote kYes.
   void PrepareTouched(const PendingTx& pending, std::vector<int>* touched,
                       std::vector<commit::Vote>* votes);
-  /// Issues `tx`'s Finish at every touched partition: deferred onto the
-  /// partition plane (running before any later prepare), or inline. A
-  /// commit carries its CSN (0 for aborts) and the reader low-watermark
-  /// computed here, at enqueue time — a stale watermark at drain time only
-  /// prunes less, never a version a live snapshot still needs.
+  /// Enqueues `tx`'s Finish at every touched partition (applied before any
+  /// later prepare). A commit carries its CSN (0 for aborts) and the
+  /// reader low-watermark computed here, at enqueue time — a stale
+  /// watermark at drain time only prunes less, never a version a live
+  /// snapshot still needs.
   void FinishPartitions(TxId tx, const std::vector<int>& touched,
                         commit::Decision decision, sim::Time at,
                         int64_t csn = 0);
   /// The snapshot fast path (Options::snapshot_reads, read-only
-  /// transactions): assigns the stable CSN, enqueues lock-free read tasks
-  /// into the partition FIFOs, delivers kCommit immediately, and parks the
-  /// value slots in pending_reads_ for the next barrier. No locks, no
-  /// votes, no messages, no pooled instance.
+  /// transactions): starts the read at the stable CSN and delivers kCommit
+  /// immediately. No locks, no votes, no messages, no pooled instance.
   void ExecuteSnapshotRead(PendingTx pending);
-  /// Reassembles every drained snapshot read's values in op order, folds
-  /// the read fingerprint, fires the observer, and releases the read's
-  /// claim on the GC watermark. Runs inside FlushPartitionWork, after the
-  /// plane flush that filled the slots.
-  void FinalizeSnapshotReads();
-  /// Minimum CSN a live snapshot reader can still demand: the smallest
-  /// in-flight snapshot CSN, else the stable CSN (chains prune to length
-  /// one when nobody is reading history).
-  int64_t Watermark() const {
-    return active_snapshots_.empty() ? last_csn_
-                                     : active_snapshots_.begin()->first;
-  }
-  /// Drains pending partition-plane tasks (no-op when none are, or on the
-  /// inline path, which never enqueues any).
+  /// Flushes pending partition-plane tasks (a no-op when none are queued)
+  /// and finalizes the snapshot reads the flush filled.
   void FlushPartitionWork();
-  /// True when multi-partition transactions take the batching path at all.
-  bool BatchingEnabled() const {
-    return options_.batch_max > 1 &&
-           (options_.batch_window > 0 || AdaptiveEnabled());
-  }
-  bool AdaptiveEnabled() const {
-    return options_.batch_adaptive && options_.batch_window_max > 0;
-  }
-  /// Flush window for a new batch over `controller`'s set: the EWMA-sized
-  /// adaptive window (see Options::batch_adaptive), or the fixed
-  /// batch_window when adaptive mode is off.
-  sim::Time WindowFor(const SetController& controller) const;
-  /// Batching path: parks the prepared transaction in the open batch of its
-  /// partition set — or, with batch_cross_set, of the first open strict
-  /// superset in canonical order — creating one, with a cancellable
-  /// window-flush timer, if absent; flushes immediately at batch_max
-  /// members.
-  void EnqueueInBatch(PendingTx pending, std::vector<int> touched,
-                      std::vector<commit::Vote> votes, sim::Time started);
-  /// Round merging (Options::batch_round_merge): folds every open batch
-  /// whose partition set is a strict subset of `super`'s into it — votes
-  /// re-aligned, timers cancelled, `super`'s deadline clamped down. Called
-  /// while `super` is being created, before its timer is armed.
-  void AbsorbSubsetBatches(Batch* super);
-  /// Runs one commit round for a closed batch: disjunction round votes, a
-  /// pooled instance on the lead member's shard, per-member decisions at
-  /// the decide instant.
-  void FlushBatch(Batch batch);
   /// Runs one commit round: appends it to the commit log (when on), starts
   /// a pooled instance on the lead member's shard, and — through the
-  /// epoch-fenced completion effect — logs the decision, gates delivery on
-  /// decision durability, and delivers per-member fates. The single path
-  /// the unbatched Execute, FlushBatch, and recovery's re-decide
-  /// (`resumed`, which reuses the already-logged slot and FC_CHECKs the
-  /// replayed decision against commit::DecideFromVotes) converge on. With
-  /// the log off and no crash planned this is byte-for-byte the old
-  /// unbatched/FlushBatch completion flow.
+  /// epoch-fenced completion effect — hands the decision to CompleteRound.
+  /// The single path the unbatched Execute, the batch former's flushes,
+  /// and recovery's re-decide (`resumed`, which reuses the already-logged
+  /// slot) converge on.
   void StartRound(RoundState round, bool resumed);
   /// Shared tail of every commit round — the instance path's completion
   /// effect and the geo choreography's completion event both land here, in
   /// canonical control-plane order: epoch fence (a stale epoch's messages
   /// count as lost), message accounting, the resumed-round decision
-  /// FC_CHECK, geo metrics, decision logging + durability parking, the
-  /// planned after-decide crash, and per-member delivery. `started_at` is
-  /// the round's StartRound instant, `finished_at` its decide instant.
+  /// FC_CHECK, geo metrics, decision logging, the planned after-decide
+  /// crash, and delivery — gated on both log phases being durable when
+  /// the round is logged. `started_at` is the round's StartRound instant,
+  /// `finished_at` its decide instant.
   void CompleteRound(RoundState round, commit::Decision decision,
                      int64_t messages, int64_t cross_messages,
                      sim::Time started_at, sim::Time finished_at,
@@ -848,43 +485,30 @@ class Database {
   /// classification, critical-path cross delays, latency).
   void RecordGeoRound(const RoundState& round, int64_t cross_messages,
                       sim::Time started_at, sim::Time finished_at);
-  /// Distinct regions the (sorted) partition set touches; 1 with one
-  /// region configured.
-  int RegionSpanOf(const std::vector<int>& partitions);
+  /// Regions a (sorted) partition set touches: how many distinct ones, and
+  /// the lowest and highest — under the laddered topology the farthest
+  /// pair. One region with a single region configured.
+  struct RegionSpan {
+    int count = 1;
+    int min = 0;
+    int max = 0;
+  };
+  RegionSpan RegionSpanOf(const std::vector<int>& partitions);
   bool GeoEnabled() const { return options_.num_regions > 1; }
   /// Co-coordinator rounds replace pooled instances entirely.
   bool GeoChoreographyEnabled() const {
     return GeoEnabled() && options_.geo_co_coordinators;
   }
-  /// Closest-pair one-way cross-region delay in ticks.
-  sim::Time CrossTicksMin() const {
-    return options_.unit * options_.cross_region_units_min;
-  }
   /// Delivers a decided round: per-member fate (round decision AND the
   /// member's own vote conjunction), FinishTx at `finished_at`, adaptive
-  /// conflict feedback for batch rounds, round-table erase, log
-  /// slot-executed + GC.
+  /// conflict feedback, round-table erase, log slot-executed + GC.
   void DeliverRoundDecision(RoundState& round, commit::Decision decision,
                             sim::Time finished_at);
-  bool LogEnabled() const { return options_.log_replicas > 0; }
   /// Round-table tracking is only paid when a coordinator crash is
   /// planned (the table exists so recovery knows what was in flight).
   bool TrackingRounds() const {
     return options_.fault_plan.HasCoordinatorCrash();
   }
-  /// Schedules one ack event per virtual replica for `phase` of `slot`,
-  /// at `base` + the log's stateless per-replica delay (every delay >=
-  /// unit, which the lowered simulator lookahead relies on — `base` may
-  /// be an effect instant).
-  void ScheduleReplication(int64_t slot, CommitLog::Phase phase,
-                           sim::Time base);
-  /// Feeds one replica ack: fast-path unanimity marks the phase durable
-  /// immediately; the first majority arms the slow path (durable two
-  /// units later unless the fast path wins the race).
-  void OnLogAck(int64_t slot, CommitLog::Phase phase, int replica);
-  /// Runs `slot`'s parked delivery continuation once both phases are
-  /// durable (and the coordinator is up).
-  void MaybeCompleteSlot(int64_t slot);
   /// Fires the planned coordinator crash if `point` is its armed protocol
   /// step and this is the configured passage. Returns true when the crash
   /// fired (the caller must drop its round on the floor — that is the
@@ -895,10 +519,10 @@ class Database {
   /// re-decide / presumed abort), releases presumed-abort locks, resubmits
   /// their members, and re-executes everything parked during the outage.
   void RecoverCoordinator();
-  /// Schedules `pending` for a fresh Execute at `at` (recovery resubmit /
-  /// unpark; keeps the attempt number — a coordinator crash is not the
-  /// transaction's fault).
-  void Resubmit(PendingTx pending, sim::Time at);
+  /// Schedules `pending` for a fresh Execute at `at`: a submission, a
+  /// retry, or a recovery resubmit / unpark (which keep the attempt number
+  /// — a coordinator crash is not the transaction's fault).
+  void ScheduleExecute(PendingTx pending, sim::Time at);
   /// `finished_at` is the commit instance's decide instant (== `started`
   /// for single-partition transactions); all stats and the retry schedule
   /// derive from it, not from any queue's transient clock.
@@ -907,7 +531,7 @@ class Database {
                 commit::Decision decision, sim::Time started,
                 sim::Time finished_at);
   /// Conflict-aware lookahead is sound only where prepares run through
-  /// the plane's FIFO queues (the inline path has no barriers to skip) —
+  /// the plane's FIFO queues (the inline plane has no barriers to skip) —
   /// and never when a participant crash is planned: a down partition
   /// answers prepares with kNo whatever the keys, so no disjointness
   /// proof can predict kYes.
@@ -928,21 +552,13 @@ class Database {
   /// Owns the partitions and their task queues; see db/partition_plane.h.
   PartitionPlane plane_;
   CommitInstancePool pool_;
+  BatchFormer batches_;
+  SnapshotReader reads_;
+  /// Replicated coordinator log (Options::log_replicas > 0), else empty.
+  std::optional<CommitLog> log_;
   DatabaseStats stats_;
   int64_t inflight_ = 0;
-  /// Reused routing scratch (control plane only): (partition, op index)
-  /// pairs sorted by partition — replaces a per-transaction
-  /// std::map<int, std::vector<Op>> on the hot path.
-  std::vector<std::pair<int, int>> route_;
-  std::vector<Op> group_ops_;  ///< reused per-partition op batch for Prepare
-  /// Open batches keyed by sorted partition set (control plane only; an
-  /// ordered map so the cross-set admission scan is deterministic).
-  std::map<std::vector<int>, Batch> open_batches_;
-  /// Adaptive controllers keyed the same way (bounded by the number of
-  /// distinct partition sets ever batched).
-  std::map<std::vector<int>, SetController> controllers_;
-  int64_t next_batch_id_ = 1;
-  BatchStats batch_stats_;
+  OpRoute route_;  ///< reused routing scratch (control plane only)
   /// Conflict-lookahead tracker (control plane only): reference counts of
   /// the FNV-1a key hashes of every in-flight transaction — prepare
   /// enqueued, finish not yet enqueued — and the per-transaction hash
@@ -952,25 +568,6 @@ class Database {
   std::unordered_map<TxId, std::vector<uint64_t>> inflight_key_hashes_;
   std::vector<uint64_t> hash_scratch_;  ///< reused per-Execute key hashes
   int64_t lookahead_skips_ = 0;
-  /// The CSN authority: the decide path (FinishTx, canonical control-plane
-  /// order) stamps every committed transaction with ++last_csn_, so the
-  /// CSN sequence — and everything derived from it — is placement
-  /// invariant.
-  int64_t last_csn_ = 0;
-  /// In-flight snapshot CSN refcounts (ordered: begin() is the GC
-  /// watermark floor). A read claims its CSN at Execute and releases it
-  /// when finalized.
-  std::map<int64_t, int64_t> active_snapshots_;
-  /// Snapshot reads whose value slots await the next flush barrier, in
-  /// submit (canonical) order — which is therefore the finalization and
-  /// fingerprint-fold order, whatever barrier each read lands in.
-  std::vector<std::unique_ptr<SnapshotRead>> pending_reads_;
-  SnapshotReadObserver snapshot_observer_;
-  uint64_t read_fingerprint_ = 14695981039346656037ULL;  ///< FNV offset
-  std::vector<Value> values_scratch_;   ///< reused finalize reassembly
-  std::vector<size_t> cursor_scratch_;  ///< reused per-slot read cursors
-  /// Replicated coordinator log (Options::log_replicas > 0), else null.
-  std::unique_ptr<CommitLog> log_;
   RecoveryStats recovery_stats_;
   GeoStats geo_stats_;
   /// The laddered WAN matrix (same value the pool prices instances with);
@@ -994,11 +591,6 @@ class Database {
   /// Submissions/retries that arrived while down, re-executed at recovery
   /// in arrival order.
   std::vector<PendingTx> parked_;
-  /// Decided logged rounds parked until their decision quorum lands,
-  /// keyed by slot: MaybeCompleteSlot runs the continuation once both
-  /// phases are durable. Volatile coordinator state — a crash clears it
-  /// (recovery redoes those slots from the log instead).
-  std::map<int64_t, std::function<void()>> durable_waiters_;
 };
 
 }  // namespace fastcommit::db

@@ -93,13 +93,12 @@ class CommitInstancePool {
   /// reference pooled instances (see class comment).
   int64_t Trim();
 
+  const Stats& stats() const { return stats_; }
+
+ private:
   /// Instances currently parked on free lists.
   int64_t free_count() const;
 
-  const Stats& stats() const { return stats_; }
-  bool enabled() const { return enabled_; }
-
- private:
   core::ProtocolKind protocol_;
   core::ConsensusKind consensus_;
   core::ProtocolOptions protocol_options_;

@@ -24,8 +24,9 @@ uint64_t HashPartitionId(int partition) {
 }  // namespace
 
 PartitionPlane::PartitionPlane(int num_partitions, int num_home_shards,
-                               ConcurrencyMode mode, int num_regions)
-    : num_regions_(num_regions) {
+                               ConcurrencyMode mode, int num_regions,
+                               bool deferred)
+    : num_regions_(num_regions), deferred_(deferred) {
   FC_CHECK(num_partitions >= 1) << "need at least one partition";
   FC_CHECK(num_home_shards >= 1) << "need at least one home shard";
   FC_CHECK(num_regions >= 1) << "need at least one region";
@@ -42,7 +43,8 @@ PartitionPlane::PartitionPlane(int num_partitions, int num_home_shards,
     // vote slots of their queued prepares (disjoint across partitions, so
     // disjoint across groups).
     for (int p : groups_[static_cast<size_t>(group)]) {
-      DrainQueue(queues_[static_cast<size_t>(p)]);
+      PartitionQueue& q = queues_[static_cast<size_t>(p)];
+      for (Task& task : q.tasks) Run(q, task);
     }
   };
 }
@@ -75,57 +77,64 @@ std::vector<Op> PartitionPlane::TakeOpsBuffer() {
   return buffer;
 }
 
-void PartitionPlane::Touch(int partition) {
-  if (queues_[static_cast<size_t>(partition)].tasks.empty()) {
-    dirty_.push_back(partition);
+std::vector<Op> PartitionPlane::TakeGroup(const std::vector<Op>& ops,
+                                          const OpRoute& route, size_t* pos) {
+  std::vector<Op> group = TakeOpsBuffer();
+  int partition = route[*pos].first;
+  for (; *pos < route.size() && route[*pos].first == partition; ++*pos) {
+    group.push_back(ops[static_cast<size_t>(route[*pos].second)]);
   }
+  return group;
+}
+
+void PartitionPlane::Recycle(std::vector<Op>& ops) {
+  if (ops.capacity() == 0) return;
+  ops.clear();
+  spare_ops_.push_back(std::move(ops));
+}
+
+void PartitionPlane::Enqueue(int partition, sim::Time at, Task&& task) {
+  PartitionQueue& q = queue(partition);
+  FC_CHECK(at >= q.last_enqueued_at)
+      << "partition task out of canonical order: task at " << at
+      << " after a task at " << q.last_enqueued_at;
+  q.last_enqueued_at = at;
+  if (!deferred_) {
+    Run(q, task);
+    Recycle(task.ops);
+    return;
+  }
+  if (q.tasks.empty()) dirty_.push_back(partition);
+  q.tasks.push_back(std::move(task));
+  ++pending_tasks_;
 }
 
 void PartitionPlane::EnqueuePrepare(int partition, sim::Time at, TxId tx,
                                     std::vector<Op> ops,
                                     commit::Vote* vote_out) {
   FC_CHECK(vote_out != nullptr) << "prepare task needs a vote slot";
-  PartitionQueue& q = queue(partition);
-  FC_CHECK(at >= q.last_enqueued_at)
-      << "partition task out of canonical order: prepare at " << at
-      << " after a task at " << q.last_enqueued_at;
-  q.last_enqueued_at = at;
-  Touch(partition);
-  q.tasks.push_back(Task{TaskKind::kPrepare, tx, commit::Decision::kNone, 0, 0,
-                         vote_out, nullptr, std::move(ops)});
-  ++pending_tasks_;
+  Enqueue(partition, at,
+          Task{TaskKind::kPrepare, tx, commit::Decision::kNone, 0, 0, vote_out,
+               nullptr, std::move(ops)});
 }
 
 void PartitionPlane::EnqueuePredictedPrepare(int partition, sim::Time at,
                                              TxId tx, std::vector<Op> ops) {
-  PartitionQueue& q = queue(partition);
-  FC_CHECK(at >= q.last_enqueued_at)
-      << "partition task out of canonical order: predicted prepare at " << at
-      << " after a task at " << q.last_enqueued_at;
-  q.last_enqueued_at = at;
-  Touch(partition);
   // No vote slot: the drain may run long after the caller's votes vector
   // has been moved into a commit instance, so a captured pointer would be
   // a write through repurposed memory. The prediction is instead verified
-  // in DrainQueue against the real vote.
-  q.tasks.push_back(Task{TaskKind::kPredictedPrepare, tx,
-                         commit::Decision::kNone, 0, 0, nullptr, nullptr,
-                         std::move(ops)});
-  ++pending_tasks_;
+  // in Run against the real vote.
+  Enqueue(partition, at,
+          Task{TaskKind::kPredictedPrepare, tx, commit::Decision::kNone, 0, 0,
+               nullptr, nullptr, std::move(ops)});
 }
 
 void PartitionPlane::EnqueueFinish(int partition, sim::Time at, TxId tx,
                                    commit::Decision decision, int64_t csn,
                                    int64_t gc_watermark) {
-  PartitionQueue& q = queue(partition);
-  FC_CHECK(at >= q.last_enqueued_at)
-      << "partition task out of canonical order: finish at " << at
-      << " after a task at " << q.last_enqueued_at;
-  q.last_enqueued_at = at;
-  Touch(partition);
-  q.tasks.push_back(Task{TaskKind::kFinish, tx, decision, csn, gc_watermark,
-                         nullptr, nullptr, {}});
-  ++pending_tasks_;
+  Enqueue(partition, at,
+          Task{TaskKind::kFinish, tx, decision, csn, gc_watermark, nullptr,
+               nullptr, {}});
 }
 
 void PartitionPlane::EnqueueSnapshotRead(int partition, sim::Time at, TxId tx,
@@ -134,16 +143,10 @@ void PartitionPlane::EnqueueSnapshotRead(int partition, sim::Time at, TxId tx,
                                          std::vector<Value>* values_out,
                                          std::atomic<int>* read_done) {
   FC_CHECK(values_out != nullptr) << "snapshot read task needs a value slot";
-  PartitionQueue& q = queue(partition);
-  FC_CHECK(at >= q.last_enqueued_at)
-      << "partition task out of canonical order: snapshot read at " << at
-      << " after a task at " << q.last_enqueued_at;
-  q.last_enqueued_at = at;
-  Touch(partition);
-  q.tasks.push_back(Task{TaskKind::kSnapshotRead, tx, commit::Decision::kNone,
-                         snapshot_csn, 0, nullptr, values_out, std::move(ops),
-                         read_done});
-  ++pending_tasks_;
+  Enqueue(partition, at,
+          Task{TaskKind::kSnapshotRead, tx, commit::Decision::kNone,
+               snapshot_csn, 0, nullptr, values_out, std::move(ops),
+               read_done});
 }
 
 void PartitionPlane::CrashPartition(int partition) {
@@ -180,66 +183,54 @@ int64_t PartitionPlane::down_vote_noes() const {
   return total;
 }
 
-void PartitionPlane::DrainQueue(PartitionQueue& q) {
-  for (Task& task : q.tasks) {
-    if (q.down) {
-      switch (task.kind) {
-        case TaskKind::kPrepare:
-          // A crashed participant cannot acquire locks: the no-wait answer
-          // is a kNo vote, written by the plane itself — Prepare never
-          // runs, so prepares() does not count it.
-          *task.vote_out = commit::Vote::kNo;
-          ++q.down_noes;
-          continue;
-        case TaskKind::kPredictedPrepare:
-          // Lookahead is disabled whenever a participant crash is planned
-          // (Database ctor): a predicted-kYes task at a down partition
-          // could only mean that gate was bypassed.
-          FC_FAIL() << "predicted prepare drained at a down partition";
-          continue;
-        case TaskKind::kFinish:
-        case TaskKind::kSnapshotRead:
-          // Crash holding locks: the finish (and any read behind it in
-          // the FIFO) waits out the downtime, replaying at the barrier
-          // after restart.
-          q.deferred.push_back(std::move(task));
-          ++q.deferred_total;
-          continue;
-      }
-    }
+void PartitionPlane::Run(PartitionQueue& q, Task& task) {
+  if (q.down) {
     switch (task.kind) {
       case TaskKind::kPrepare:
-        *task.vote_out = q.participant->Prepare(task.tx, task.ops);
-        break;
-      case TaskKind::kPredictedPrepare: {
-        commit::Vote vote = q.participant->Prepare(task.tx, task.ops);
-        FC_CHECK(vote == commit::Vote::kYes)
-            << "conflict-lookahead misprediction: tx " << task.tx
-            << " voted No despite a disjointness proof";
-        break;
-      }
+        // A crashed participant cannot acquire locks: the no-wait answer
+        // is a kNo vote, written by the plane itself — Prepare never
+        // runs, so prepares() does not count it.
+        *task.vote_out = commit::Vote::kNo;
+        ++q.down_noes;
+        return;
+      case TaskKind::kPredictedPrepare:
+        // Lookahead is disabled whenever a participant crash is planned
+        // (Database ctor): a predicted-kYes task at a down partition
+        // could only mean that gate was bypassed.
+        FC_FAIL() << "predicted prepare drained at a down partition";
+        return;
       case TaskKind::kFinish:
-        q.participant->Finish(task.tx, task.decision, task.csn,
-                              task.gc_watermark);
-        break;
       case TaskKind::kSnapshotRead:
-        q.participant->ReadAtSnapshot(task.csn, task.ops, task.values_out);
-        if (task.read_done != nullptr) {
-          task.read_done->fetch_add(1, std::memory_order_release);
-        }
-        break;
+        // Crash holding locks: the finish (and any read behind it in
+        // the FIFO) waits out the downtime, replaying at the barrier
+        // after restart.
+        q.deferred.push_back(std::move(task));
+        ++q.deferred_total;
+        return;
     }
   }
-}
-
-void PartitionPlane::ReclaimAndClear(PartitionQueue& q) {
-  for (Task& task : q.tasks) {
-    if (task.ops.capacity() > 0) {
-      task.ops.clear();
-      spare_ops_.push_back(std::move(task.ops));
+  switch (task.kind) {
+    case TaskKind::kPrepare:
+      *task.vote_out = q.participant->Prepare(task.tx, task.ops);
+      break;
+    case TaskKind::kPredictedPrepare: {
+      commit::Vote vote = q.participant->Prepare(task.tx, task.ops);
+      FC_CHECK(vote == commit::Vote::kYes)
+          << "conflict-lookahead misprediction: tx " << task.tx
+          << " voted No despite a disjointness proof";
+      break;
     }
+    case TaskKind::kFinish:
+      q.participant->Finish(task.tx, task.decision, task.csn,
+                            task.gc_watermark);
+      break;
+    case TaskKind::kSnapshotRead:
+      q.participant->ReadAtSnapshot(task.csn, task.ops, task.values_out);
+      if (task.read_done != nullptr) {
+        task.read_done->fetch_add(1, std::memory_order_release);
+      }
+      break;
   }
-  q.tasks.clear();
 }
 
 void PartitionPlane::Flush(sim::ShardedSimulator* sim) {
@@ -263,11 +254,18 @@ void PartitionPlane::Flush(sim::ShardedSimulator* sim) {
   if (parallel) {
     sim->ParallelFor(static_cast<int>(groups_.size()), drain_group_);
   } else {
-    for (int p : dirty_) DrainQueue(queues_[static_cast<size_t>(p)]);
+    for (int p : dirty_) {
+      PartitionQueue& q = queues_[static_cast<size_t>(p)];
+      for (Task& task : q.tasks) Run(q, task);
+    }
   }
   // Back on the flushing thread (ParallelFor is a barrier): recycle the
   // drained tasks' op buffers and reset the dirty queues.
-  for (int p : dirty_) ReclaimAndClear(queues_[static_cast<size_t>(p)]);
+  for (int p : dirty_) {
+    PartitionQueue& q = queues_[static_cast<size_t>(p)];
+    for (Task& task : q.tasks) Recycle(task.ops);
+    q.tasks.clear();
+  }
   dirty_.clear();
   tasks_drained_ += pending_tasks_;
   pending_tasks_ = 0;

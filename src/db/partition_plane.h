@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "db/participant.h"
@@ -26,10 +27,10 @@ namespace fastcommit::db {
 /// ## Execution model
 ///
 /// The control plane (submit/route, batch formation, retry/backoff) never
-/// calls into a Participant directly when partition-parallel execution is
-/// on. It enqueues *partition tasks* tagged (time, tx id) into
-/// per-partition FIFO queues and flushes the plane at deterministic
-/// barriers:
+/// calls into a Participant directly. It enqueues *partition tasks* tagged
+/// (time, tx id) and the plane alone decides where they run: a deferred
+/// plane (the default) queues them in per-partition FIFOs and flushes at
+/// deterministic barriers:
 ///   - inside Database::Execute, immediately after enqueueing one
 ///     transaction's prepares and before consuming their votes;
 ///   - before any direct read of partition state (store accessors,
@@ -40,9 +41,11 @@ namespace fastcommit::db {
 /// queue therefore replays exactly the serial history — a finish enqueued
 /// at time F runs before a prepare enqueued at u >= F, and same-instant
 /// tasks keep their control-plane issue order — so outcomes (votes,
-/// partition state, per-partition counters) are bitwise identical to
-/// inline execution (Database::Options::partition_parallel = false),
-/// which tests/db_placement_fuzz_test.cc gates across random placements.
+/// partition state, per-partition counters) are bitwise identical to an
+/// inline plane (Database::Options::partition_parallel = false), which
+/// runs every task on the caller's thread at enqueue and never flushes.
+/// The inline plane is the reference tests/db_placement_fuzz_test.cc
+/// compares every random placement against.
 ///
 /// ## Parallelism and determinism
 ///
@@ -54,6 +57,11 @@ namespace fastcommit::db {
 /// and cross-partition interleaving is unobservable, so any worker
 /// schedule yields the same result; only wall-clock changes with the
 /// thread count.
+/// One transaction's ops routed to partitions: (partition, op index) pairs
+/// sorted by partition, the index tiebreak keeping each partition's ops in
+/// program order.
+using OpRoute = std::vector<std::pair<int, int>>;
+
 class PartitionPlane {
  public:
   /// `num_home_shards` is the worker-group count, normally the sharded
@@ -61,10 +69,12 @@ class PartitionPlane {
   /// scale together. `mode` is the concurrency control every Participant
   /// runs (Database::Options::concurrency). `num_regions` homes each
   /// partition in a geo region (Database::Options::num_regions); 1 keeps
-  /// the single-latency-class world.
+  /// the single-latency-class world. `deferred` = false makes the inline
+  /// plane (Database::Options::partition_parallel = false): every task
+  /// runs at enqueue and flushes()/tasks_drained() stay zero.
   PartitionPlane(int num_partitions, int num_home_shards,
                  ConcurrencyMode mode = ConcurrencyMode::k2PL,
-                 int num_regions = 1);
+                 int num_regions = 1, bool deferred = true);
   PartitionPlane(const PartitionPlane&) = delete;
   PartitionPlane& operator=(const PartitionPlane&) = delete;
 
@@ -76,7 +86,6 @@ class PartitionPlane {
   /// deliberately *not* hashed — region assignment is part of the modeled
   /// deployment, so workloads pick their region mix by picking partitions.
   int RegionOf(int partition) const;
-  int num_regions() const { return num_regions_; }
 
   /// Direct partition access. Callers that may have pending tasks must
   /// Flush first (Database's accessors do).
@@ -86,9 +95,16 @@ class PartitionPlane {
   /// recycled here, so steady state allocates nothing per task).
   std::vector<Op> TakeOpsBuffer();
 
+  /// Copies the ops of `route`'s partition group starting at `*pos` into a
+  /// TakeOpsBuffer buffer, in program order, and advances `*pos` past the
+  /// group.
+  std::vector<Op> TakeGroup(const std::vector<Op>& ops, const OpRoute& route,
+                            size_t* pos);
+
   /// Queues a Prepare of `tx`'s local ops at `partition`. The vote lands
-  /// in `*vote_out` when the plane flushes; `vote_out` must stay valid
-  /// until then (Database::Execute flushes before its votes vector dies).
+  /// in `*vote_out` when the plane flushes (at once on an inline plane);
+  /// `vote_out` must stay valid until then (Database::Execute flushes
+  /// before its votes vector dies).
   void EnqueuePrepare(int partition, sim::Time at, TxId tx,
                       std::vector<Op> ops, commit::Vote* vote_out);
 
@@ -114,22 +130,20 @@ class PartitionPlane {
 
   /// Queues a lock-free snapshot read of `ops`' kGets at `partition`
   /// (Participant::ReadAtSnapshot). The values land in `*values_out` when
-  /// the plane flushes; the slot must stay valid until then (Database owns
-  /// it in the pending-read state finalized at the next barrier). Riding
+  /// the plane flushes; the slot must stay valid until then (the
+  /// SnapshotReader owns it until the read is finalized). Riding
   /// the same FIFO as finishes is what makes the read consistent: every
   /// commit with CSN <= `snapshot_csn` was enqueued earlier, so its writes
   /// apply before the read runs — no locks, no votes, no barrier of its
   /// own.
   /// `read_done` (optional) is bumped once when the read executes — the
-  /// database's filled-slot counter for prefix finalization, needed
+  /// reader's filled-slot counter for prefix finalization, needed
   /// because a crashed partition defers its reads past the next barrier.
   /// Atomic: one read's slots span partitions, hence worker threads.
   void EnqueueSnapshotRead(int partition, sim::Time at, TxId tx,
                            int64_t snapshot_csn, std::vector<Op> ops,
                            std::vector<Value>* values_out,
                            std::atomic<int>* read_done = nullptr);
-
-  bool has_pending() const { return pending_tasks_ > 0; }
 
   /// Fault injection (Options::fault_plan): takes `partition` down. Queued
   /// and future finishes / snapshot reads are deferred in FIFO order — the
@@ -142,9 +156,6 @@ class PartitionPlane {
   /// (they are the oldest work) and apply at the next barrier.
   void RestartPartition(int partition);
 
-  bool partition_down(int partition) const {
-    return queues_[static_cast<size_t>(partition)].down;
-  }
   /// Tasks ever deferred by down partitions / prepares refused while down,
   /// summed over partitions. Machinery counters, not part of stats
   /// equality (per-queue, so worker drains never contend).
@@ -212,16 +223,19 @@ class PartitionPlane {
   static constexpr int64_t kParallelFlushMin = 16;
 
   PartitionQueue& queue(int partition);
-  /// Marks a partition dirty on its first pending task.
-  void Touch(int partition);
-  /// Executes one queue's tasks in FIFO order — the single dispatch site
-  /// both the parallel (drain_group_) and inline flush routes share.
-  void DrainQueue(PartitionQueue& q);
-  void ReclaimAndClear(PartitionQueue& q);
+  /// Canonical-order check, then either runs `task` now (inline plane) or
+  /// appends it to the partition's queue, marking the partition dirty on
+  /// its first pending task.
+  void Enqueue(int partition, sim::Time at, Task&& task);
+  /// Executes one task against its queue's participant — the single
+  /// dispatch site of the inline plane and of both flush routes.
+  void Run(PartitionQueue& q, Task& task);
+  void Recycle(std::vector<Op>& ops);
 
   std::vector<PartitionQueue> queues_;
   std::vector<std::vector<int>> groups_;  ///< home shard -> partition ids
   int num_regions_ = 1;                   ///< geo regions (RegionOf modulus)
+  bool deferred_ = true;                  ///< false: run tasks at enqueue
   std::function<void(int)> drain_group_;  ///< reused ParallelFor body
   /// Partitions with pending tasks, in first-task order (deterministic:
   /// the control plane enqueues canonically; and partition order is

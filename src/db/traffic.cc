@@ -115,8 +115,7 @@ bool TrafficEngine::Next(Arrival* out) {
   // every pre-existing configuration stay bitwise identical.
   if (options_.read_fraction > 0.0 && rng_.Chance(options_.read_fraction)) {
     for (int k = 0; k < options_.reads_per_tx; ++k) {
-      out->tx.ops.push_back(
-          Transaction::Get(ItemKey(static_cast<int>(SampleKey()))));
+      out->tx.ops.push_back(Transaction::Get(ItemKey(SampleKey())));
     }
     ++generated_;
     return true;
@@ -127,14 +126,12 @@ bool TrafficEngine::Next(Arrival* out) {
       int64_t to = SampleKey();
       if (to == from) to = (to + 1) % options_.num_keys;
       int64_t amount = rng_.UniformInt(1, options_.max_amount);
-      AppendTransferOps(&out->tx, ItemKey(static_cast<int>(from)),
-                        ItemKey(static_cast<int>(to)), amount);
+      AppendTransferOps(&out->tx, ItemKey(from), ItemKey(to), amount);
       break;
     }
     case TxShape::kReadModifyWrite:
       for (int k = 0; k < options_.keys_per_tx; ++k) {
-        AppendReadModifyWriteOps(&out->tx,
-                                 ItemKey(static_cast<int>(SampleKey())));
+        AppendReadModifyWriteOps(&out->tx, ItemKey(SampleKey()));
       }
       break;
   }

@@ -6,7 +6,7 @@
 namespace fastcommit::db {
 
 Key AccountKey(int account) { return "acct:" + std::to_string(account); }
-Key ItemKey(int item) { return "item:" + std::to_string(item); }
+Key ItemKey(int64_t item) { return "item:" + std::to_string(item); }
 
 void AppendTransferOps(Transaction* tx, Key from, Key to, int64_t amount) {
   tx->ops.push_back(Transaction::Add(std::move(from), -amount));

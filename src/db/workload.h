@@ -11,7 +11,7 @@ namespace fastcommit::db {
 
 /// Key naming shared by the workloads and examples.
 Key AccountKey(int account);
-Key ItemKey(int item);
+Key ItemKey(int64_t item);
 
 /// Op-pattern builders shared by the closed-loop generators below and the
 /// open-loop traffic engine (db/traffic.h), so both emit byte-identical

@@ -24,27 +24,16 @@ class Scheduler {
   /// Schedules `fn` at absolute time `at` (>= Now()).
   virtual void ScheduleAt(Time at, EventClass cls, std::function<void()> fn) = 0;
 
-  /// Like ScheduleAt, but returns a handle accepted by Cancel. The default
-  /// implementation cannot cancel: it schedules normally and returns
-  /// kNoEvent, which Cancel ignores — so callers degrade to "the event runs
-  /// and must fence itself" on schedulers without cancellation support.
-  /// `Simulator` (and thus both the control plane and every shard of
-  /// `ShardedSimulator`) overrides with real cancellation.
+  /// Like ScheduleAt, but returns a handle accepted by Cancel.
   virtual EventId ScheduleCancellableAt(Time at, EventClass cls,
-                                        std::function<void()> fn) {
-    ScheduleAt(at, cls, std::move(fn));
-    return kNoEvent;
-  }
+                                        std::function<void()> fn) = 0;
 
   /// Cancels a pending event scheduled via ScheduleCancellableAt. Returns
-  /// true when the event was still pending and will now never run — and,
-  /// on schedulers with real support, never advance this domain's clock
-  /// either (a drained queue reads the last *live* event's time). False
-  /// for kNoEvent, an already-executed event, or a repeated cancel.
-  virtual bool Cancel(EventId id) {
-    (void)id;
-    return false;
-  }
+  /// true when the event was still pending and will now never run, nor
+  /// advance this domain's clock (a drained queue reads the last *live*
+  /// event's time). False for kNoEvent, an already-executed event, or a
+  /// repeated cancel.
+  virtual bool Cancel(EventId id) = 0;
 
   /// True when no events are pending in this domain.
   virtual bool idle() const = 0;

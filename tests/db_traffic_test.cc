@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -143,6 +144,27 @@ TEST(TrafficEngineTest, DriftRotatesTheHotSet) {
     if (second_half[i] > second_half[peak_second]) peak_second = i;
   }
   EXPECT_NE(peak_first, peak_second);
+}
+
+// Key spaces past 2^31 must not wrap: every sampled key names an item in
+// [0, num_keys), and the upper half of the space is actually reached.
+TEST(TrafficEngineTest, KeysBeyondTwoToThe31DoNotWrap) {
+  TrafficOptions traffic;
+  traffic.num_keys = int64_t{1} << 33;
+  traffic.num_arrivals = 1000;
+  traffic.seed = 42;
+  TrafficEngine engine(traffic);
+  TrafficEngine::Arrival arrival;
+  int64_t high = 0;
+  while (engine.Next(&arrival)) {
+    for (const Op& op : arrival.tx.ops) {
+      int64_t item = std::stoll(op.key.substr(op.key.find(':') + 1));
+      ASSERT_GE(item, 0) << op.key;
+      ASSERT_LT(item, traffic.num_keys) << op.key;
+      if (item >= (int64_t{1} << 31)) ++high;
+    }
+  }
+  EXPECT_GT(high, 0);
 }
 
 TEST(OpenLoopTest, OfferedSplitsExactlyAndBalanceConserved) {
