@@ -85,17 +85,16 @@ struct Mode {
 struct Result {
   db::DatabaseStats stats;
   db::Database::BatchStats batch;
+  bool prepare_on_shard = false;  ///< deferred partition plane
 };
 
 Result RunOne(core::ProtocolKind protocol, const WorkloadSpec& workload,
-              int num_txs, const Mode& mode, int shards, int threads,
-              bool partition_parallel) {
+              int num_txs, const Mode& mode, int shards, int threads) {
   db::Database::Options options;
   options.num_partitions = 4;  // few partition sets => batches actually form
   options.protocol = protocol;
   options.num_shards = shards;
   options.num_threads = threads;
-  options.partition_parallel = partition_parallel;
   if (mode.adaptive) {
     options.batch_window = kAdaptivePrior;
     options.batch_adaptive = true;
@@ -119,6 +118,7 @@ Result RunOne(core::ProtocolKind protocol, const WorkloadSpec& workload,
   Result result;
   result.stats = database.Drain();
   result.batch = database.batch_stats();
+  result.prepare_on_shard = database.partition_plane().deferred();
   return result;
 }
 
@@ -201,10 +201,8 @@ int main(int argc, char** argv) {
         // Serial reference (one queue, prepare inline) vs the fully
         // displaced run (4 shards, worker threads, prepare on-shard): one
         // comparison gates the merge rule and the partition plane at once.
-        Result r = RunOne(protocol, workload, num_txs, mode, 1, 1,
-                          /*partition_parallel=*/false);
-        Result placed = RunOne(protocol, workload, num_txs, mode, 4, threads,
-                               /*partition_parallel=*/true);
+        Result r = RunOne(protocol, workload, num_txs, mode, 1, 1);
+        Result placed = RunOne(protocol, workload, num_txs, mode, 4, threads);
         bool identical =
             r.stats == placed.stats && r.batch == placed.batch;
         if (!identical) diverged = true;
@@ -229,9 +227,7 @@ int main(int argc, char** argv) {
             .Set("occupancy", r.batch.Occupancy())
             .Set("rounds", r.batch.rounds)
             .Set("cross_set_joins", r.batch.cross_set_joins)
-            // Every row is gated identical between prepare on-shard and
-            // inline, so 1 records the production execution mode.
-            .Set("prepare_on_shard", static_cast<int64_t>(1))
+            .Set("prepare_on_shard", static_cast<int64_t>(r.prepare_on_shard))
             .Set("commits_per_tick",
                  CommitsPerTick(r.stats.committed, r.stats.makespan))
             .Set("makespan_ticks", static_cast<int64_t>(r.stats.makespan));

@@ -74,7 +74,6 @@ Result RunOne(core::ProtocolKind protocol, bool co_coordinators,
   options.protocol = protocol;
   options.num_shards = shards;
   options.num_threads = threads;
-  options.partition_parallel = true;
   options.num_regions = kNumRegions;
   options.cross_region_units_min = kCrossUnits;
   options.cross_region_units_max = kCrossUnits;

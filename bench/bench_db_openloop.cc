@@ -80,13 +80,12 @@ struct Result {
 };
 
 Result RunOne(core::ProtocolKind protocol, const Mode& mode, int num_arrivals,
-              int shards, int threads, bool partition_parallel) {
+              int shards, int threads) {
   db::Database::Options options;
   options.num_partitions = 8;
   options.protocol = protocol;
   options.num_shards = shards;
   options.num_threads = threads;
-  options.partition_parallel = partition_parallel;
   options.max_inflight = mode.max_inflight;
   options.conflict_lookahead = mode.lookahead;
   db::Database database(options);
@@ -217,13 +216,10 @@ int main(int argc, char** argv) {
   bool lookahead_failed = false;
 
   auto run_gated = [&](core::ProtocolKind protocol, const Mode& mode) {
-    // Serial reference vs the placed run. Lookahead rows keep the
-    // partition plane on in the reference (lookahead is plane-only); all
-    // others gate the plane against the inline baseline at the same time.
-    Result serial = RunOne(protocol, mode, num_arrivals, 1, 1,
-                           /*partition_parallel=*/mode.lookahead);
-    Result placed = RunOne(protocol, mode, num_arrivals, 4, threads,
-                           /*partition_parallel=*/true);
+    // Serial reference (inline plane; lookahead needs worker threads, so
+    // it is off there) vs the placed run on the deferred plane.
+    Result serial = RunOne(protocol, mode, num_arrivals, 1, 1);
+    Result placed = RunOne(protocol, mode, num_arrivals, 4, threads);
     bool identical =
         serial.stats == placed.stats && serial.batch == placed.batch;
     if (!identical) diverged = true;

@@ -21,9 +21,9 @@
 // It doubles as the snapshot-plane regression gate, exiting nonzero when
 // any fails:
 //   - every row's DatabaseStats, BatchStats, and read fingerprint must
-//     be bitwise identical between the serial inline reference (one
-//     queue, one thread, no partition plane) and the same stream placed
-//     on 4 shards with worker threads;
+//     be bitwise identical between the serial reference (one queue, one
+//     thread, inline partition plane) and the same stream placed on 4
+//     shards with worker threads (deferred plane);
 //   - at read fraction 0.99 the snapshot plane must serve at least
 //     kReadSpeedupFloor x the locked path's reads per tick — the whole
 //     point of routing read-only transactions around the protocol;
@@ -99,14 +99,12 @@ struct Result {
 };
 
 db::Database::Options BaseOptions(bool snapshot, int64_t max_inflight,
-                                  int shards, int threads,
-                                  bool partition_parallel) {
+                                  int shards, int threads) {
   db::Database::Options options;
   options.num_partitions = 8;
   options.protocol = core::ProtocolKind::kInbac;
   options.num_shards = shards;
   options.num_threads = threads;
-  options.partition_parallel = partition_parallel;
   options.max_inflight = max_inflight;
   options.snapshot_reads = snapshot;
   return options;
@@ -133,9 +131,8 @@ db::Database::CompletionCallback CountReads(Result* result) {
 }
 
 Result RunMix(double read_fraction, bool snapshot, int num_arrivals,
-              int shards, int threads, bool partition_parallel) {
-  db::Database database(BaseOptions(snapshot, kReadMixCap, shards, threads,
-                                    partition_parallel));
+              int shards, int threads) {
+  db::Database database(BaseOptions(snapshot, kReadMixCap, shards, threads));
   db::TrafficOptions traffic = MixTraffic(read_fraction);
   traffic.num_arrivals = num_arrivals;
   db::TrafficEngine engine(traffic);
@@ -152,10 +149,9 @@ Result RunMix(double read_fraction, bool snapshot, int num_arrivals,
 /// stream of wide read-only scans (its own engine, ids offset past every
 /// OLTP id). Uncapped — the gate is that the snapshot plane serves every
 /// scan while the writers keep sustaining, not that admission binds.
-Result RunScan(int num_arrivals, int shards, int threads,
-               bool partition_parallel) {
+Result RunScan(int num_arrivals, int shards, int threads) {
   db::Database database(BaseOptions(/*snapshot=*/true, /*max_inflight=*/0,
-                                    shards, threads, partition_parallel));
+                                    shards, threads));
   db::TrafficOptions oltp;
   oltp.process = db::ArrivalProcess::kPoisson;
   oltp.mean_gap = 40.0;
@@ -242,7 +238,7 @@ int main(int argc, char** argv) {
   bool leaked_reads = false;
   bool scan_failed = false;
 
-  // Serial inline reference vs the placed partition-parallel run: stats,
+  // Serial inline-plane reference vs the placed deferred-plane run: stats,
   // batch counters, and the snapshot-read fingerprint must all match, so
   // the gate covers read *results*, not just outcome counts.
   auto check_identity = [&](const Result& serial, const Result& placed) {
@@ -282,10 +278,8 @@ int main(int argc, char** argv) {
   for (double fraction : {0.5, 0.9, 0.99}) {
     Result pair[2];  // [0] = snapshot off (locked reads), [1] = on
     for (int snapshot = 0; snapshot <= 1; ++snapshot) {
-      Result serial = RunMix(fraction, snapshot != 0, num_arrivals, 1, 1,
-                             /*partition_parallel=*/false);
-      Result placed = RunMix(fraction, snapshot != 0, num_arrivals, 4,
-                             threads, /*partition_parallel=*/true);
+      Result serial = RunMix(fraction, snapshot != 0, num_arrivals, 1, 1);
+      Result placed = RunMix(fraction, snapshot != 0, num_arrivals, 4, threads);
       bool identical = check_identity(serial, placed);
       char label[64];
       std::snprintf(label, sizeof(label), "read=%.2f/snapshot=%d", fraction,
@@ -338,9 +332,8 @@ int main(int argc, char** argv) {
   std::printf("\nscan stream beside OLTP writers (snapshot on)\n");
   PrintRule();
   {
-    Result serial = RunScan(num_arrivals, 1, 1, /*partition_parallel=*/false);
-    Result placed = RunScan(num_arrivals, 4, threads,
-                            /*partition_parallel=*/true);
+    Result serial = RunScan(num_arrivals, 1, 1);
+    Result placed = RunScan(num_arrivals, 4, threads);
     bool identical = check_identity(serial, placed);
     PrintResult("scan+oltp/snapshot=1", placed, identical);
     add_row("inbac/scan+oltp/snapshot=1", placed);

@@ -84,7 +84,6 @@ Result RunOne(core::ProtocolKind protocol, const db::FaultPlan& plan,
   options.protocol = protocol;
   options.num_shards = shards;
   options.num_threads = threads;
-  options.partition_parallel = true;
   options.log_replicas = kLogReplicas;
   options.fault_plan = plan;
   db::Database database(options);

@@ -1,12 +1,12 @@
 // Sharded-simulator scaling: the same 100k-transaction workload drained on
-// one event queue vs N per-shard queues with M worker threads, with
-// partition data-path work (Prepare/apply/release) executing on-shard via
-// the partition plane (db/partition_plane.h) or inline on the control
-// plane.
+// one event queue vs N per-shard queues with M worker threads. Partition
+// data-path work (Prepare/apply/release) runs inline on the control plane
+// without worker threads and on-shard via the deferred partition plane
+// (db/partition_plane.h) with them.
 //
-// Measures, per (protocol, {shards, threads, prepare placement}):
+// Measures, per (protocol, {shards, threads}):
 //   - committed transactions per wall-clock second and the speedup over
-//     the serial baseline (shards=1, threads=1, prepare inline);
+//     the serial baseline (shards=1, threads=1);
 //   - bitwise equality of DatabaseStats against the baseline — the sharded
 //     merge rule's and the partition plane's determinism gate at bench
 //     scale;
@@ -49,9 +49,6 @@ struct Config {
   const char* name;
   int shards;
   int threads;
-  /// Prepare on-shard (db/partition_plane.h) vs inline on the control
-  /// plane; a placement knob, so stats must not move with it.
-  bool partition_parallel = true;
 };
 
 struct Result {
@@ -59,6 +56,7 @@ struct Result {
   double txs_per_second = 0;
   db::DatabaseStats stats;
   db::CommitInstancePool::Stats pool;
+  bool prepare_on_shard = false;  ///< deferred partition plane
 };
 
 Result RunOne(core::ProtocolKind protocol, int num_txs, const Config& config) {
@@ -67,7 +65,6 @@ Result RunOne(core::ProtocolKind protocol, int num_txs, const Config& config) {
   options.protocol = protocol;
   options.num_shards = config.shards;
   options.num_threads = config.threads;
-  options.partition_parallel = config.partition_parallel;
   db::Database database(options);
 
   auto txs = db::MakeTransferWorkload(num_txs, /*num_accounts=*/2000,
@@ -89,6 +86,7 @@ Result RunOne(core::ProtocolKind protocol, int num_txs, const Config& config) {
   result.txs_per_second =
       static_cast<double>(result.stats.committed) / result.wall_seconds;
   result.pool = database.pool_stats();
+  result.prepare_on_shard = database.partition_plane().deferred();
   return result;
 }
 
@@ -134,14 +132,12 @@ int main(int argc, char** argv) {
   };
 
   const Config kConfigs[] = {
-      // Single-queue, prepare inline: the fully serial reference the
+      // Single queue, single thread: the fully serial reference the
       // divergence gate measures every placement against.
-      {"1 shard  / 1t inline", 1, 1, false},
-      {"1 shard  / 1 thread", 1, 1, true},
-      {"4 shards / 1 thread", 4, 1, true},
-      {"4 shards / N threads", 4, threads, true},
-      {"8 shards / N threads", 8, threads, true},
-      {"8 shards / Nt inline", 8, threads, false},
+      {"1 shard  / 1 thread", 1, 1},
+      {"4 shards / 1 thread", 4, 1},
+      {"4 shards / N threads", 4, threads},
+      {"8 shards / N threads", 8, threads},
   };
 
   PrintHeader("DB commit throughput: sharded event queues + worker threads");
@@ -165,23 +161,18 @@ int main(int argc, char** argv) {
     Result base;
     for (const Config& config : kConfigs) {
       Result r = RunOne(protocol, num_txs, config);
-      // The serial reference is the first config (1 shard, 1 thread,
-      // prepare inline); every other placement — including the threaded
-      // prepare-on-shard drains — must match it bitwise.
-      if (config.shards == 1 && config.threads == 1 &&
-          !config.partition_parallel) {
-        base = r;
-      }
+      // The serial reference is the first config (1 shard, 1 thread);
+      // every other placement — including the threaded prepare-on-shard
+      // drains — must match it bitwise.
+      if (&config == &kConfigs[0]) base = r;
       if (r.stats != base.stats) diverged = true;
       PrintResult(config, r, base);
       report
           .AddRow(std::string(core::ProtocolName(protocol)) + "/shards=" +
                   std::to_string(config.shards) + "/threads=" +
-                  std::to_string(config.threads) +
-                  (config.partition_parallel ? "" : "/inline"))
+                  std::to_string(config.threads))
           .Set("committed", r.stats.committed)
-          .Set("prepare_on_shard",
-               static_cast<int64_t>(config.partition_parallel ? 1 : 0))
+          .Set("prepare_on_shard", static_cast<int64_t>(r.prepare_on_shard))
           .Set("msgs_per_commit",
                MsgsPerCommit(r.stats.commit_messages, r.stats.committed))
           .Set("mean_latency_ticks", r.stats.MeanLatency())

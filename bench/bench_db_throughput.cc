@@ -16,11 +16,12 @@
 // for comparison); --pool-only restricts to the pooled mode. --json writes
 // the machine-readable row set consumed by tools/bench_compare.py.
 //
-// The pooled mode additionally runs once with partition-parallel execution
-// off (`inline` line): stats must be bitwise identical — prepare on-shard
-// (db/partition_plane.h) is a placement knob, not a semantic one — and the
-// bench exits nonzero when they are not. JSON rows carry the mode in the
-// `prepare_on_shard` column.
+// The pooled mode additionally runs once on 2 shards with 2 threads
+// (`workers` line), where the partition plane defers its tasks to flush
+// barriers instead of running them inline: stats must be bitwise
+// identical — the plane (db/partition_plane.h) is placement, not
+// semantics — and the bench exits nonzero when they are not. JSON rows
+// carry the plane of the reported run in the `prepare_on_shard` column.
 
 #include <chrono>
 #include <cstdio>
@@ -59,15 +60,17 @@ struct Result {
   double txs_per_second = 0;
   db::DatabaseStats stats;
   db::CommitInstancePool::Stats pool;
+  bool prepare_on_shard = false;  ///< deferred partition plane
 };
 
 Result RunOne(core::ProtocolKind protocol, const WorkloadSpec& workload,
-              int num_txs, bool pooled, bool partition_parallel = true) {
+              int num_txs, bool pooled, int shards = 1, int threads = 1) {
   db::Database::Options options;
   options.num_partitions = 8;
   options.protocol = protocol;
   options.pool_instances = pooled;
-  options.partition_parallel = partition_parallel;
+  options.num_shards = shards;
+  options.num_threads = threads;
   db::Database database(options);
 
   auto txs = workload.make(num_txs, /*seed=*/42);
@@ -84,6 +87,7 @@ Result RunOne(core::ProtocolKind protocol, const WorkloadSpec& workload,
   result.txs_per_second =
       static_cast<double>(result.stats.committed) / result.wall_seconds;
   result.pool = database.pool_stats();
+  result.prepare_on_shard = database.partition_plane().deferred();
   return result;
 }
 
@@ -151,8 +155,7 @@ double OpReadFraction(const std::vector<db::Transaction>& txs) {
 
 Result RunAblation(const std::vector<db::Transaction>& txs,
                    db::ConcurrencyMode mode, int num_shards = 1,
-                   int num_threads = 1, bool partition_parallel = true,
-                   bool conflict_lookahead = false) {
+                   int num_threads = 1, bool conflict_lookahead = false) {
   db::Database::Options options;
   options.num_partitions = 8;
   options.protocol = core::ProtocolKind::kInbac;
@@ -160,7 +163,6 @@ Result RunAblation(const std::vector<db::Transaction>& txs,
   options.max_attempts = 1;  // no retries: committed counts are goodput
   options.num_shards = num_shards;
   options.num_threads = num_threads;
-  options.partition_parallel = partition_parallel;
   options.conflict_lookahead = conflict_lookahead;
   db::Database database(options);
 
@@ -240,16 +242,15 @@ int main(int argc, char** argv) {
       if (run_pooled) {
         pooled = RunOne(protocol, workload, num_txs, /*pooled=*/true);
         PrintResult("pooled", pooled);
-        // Prepare on-shard vs inline: the partition plane must replay the
+        // Deferred vs inline plane: the deferred plane must replay the
         // serial history exactly, so this doubles as the bench-scale
-        // partition-parallel determinism gate.
-        Result inline_prepare = RunOne(protocol, workload, num_txs,
-                                       /*pooled=*/true,
-                                       /*partition_parallel=*/false);
-        PrintResult("inline", inline_prepare);
-        if (inline_prepare.stats != pooled.stats) {
+        // partition-plane determinism gate.
+        Result workers = RunOne(protocol, workload, num_txs, /*pooled=*/true,
+                                /*shards=*/2, /*threads=*/2);
+        PrintResult("workers", workers);
+        if (workers.stats != pooled.stats) {
           diverged = true;
-          std::printf("  -> prepare on-shard vs inline stats DIVERGED\n");
+          std::printf("  -> deferred vs inline plane stats DIVERGED\n");
         }
         report
             .AddRow(std::string(core::ProtocolName(protocol)) + "/" +
@@ -262,7 +263,8 @@ int main(int argc, char** argv) {
             .Set("p99_latency_ticks",
                  static_cast<int64_t>(pooled.stats.PercentileLatency(99)))
             .Set("peak_live_instances", pooled.pool.peak_live)
-            .Set("prepare_on_shard", static_cast<int64_t>(1))
+            .Set("prepare_on_shard",
+                 static_cast<int64_t>(pooled.prepare_on_shard))
             .Set("commits_per_tick", CommitsPerTick(pooled.stats.committed,
                                                     pooled.stats.makespan))
             .Set("wall_seconds", pooled.wall_seconds)
@@ -346,8 +348,7 @@ int main(int argc, char** argv) {
       // single-thread reference above.
       Result occ_spread =
           RunAblation(txs, db::ConcurrencyMode::kOCC, /*num_shards=*/8,
-                      /*num_threads=*/2, /*partition_parallel=*/true,
-                      /*conflict_lookahead=*/true);
+                      /*num_threads=*/2, /*conflict_lookahead=*/true);
       if (occ_spread.stats != occ.stats) {
         diverged = true;
         std::printf("  -> OCC placement determinism DIVERGED on %s\n",

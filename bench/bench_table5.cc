@@ -74,16 +74,6 @@ void PrintClaims() {
   }
 }
 
-void BM_Table5Protocol(benchmark::State& state) {
-  auto kind = static_cast<ProtocolKind>(state.range(0));
-  int n = static_cast<int>(state.range(1));
-  int f = static_cast<int>(state.range(2));
-  for (auto _ : state) {
-    core::RunResult result = core::Run(core::MakeNiceConfig(kind, n, f));
-    benchmark::DoNotOptimize(result.decide_times.data());
-  }
-}
-
 void RegisterBenchmarks() {
   for (ProtocolKind kind : kTable5) {
     for (auto [n, f] : {std::pair<int, int>{6, 2}, {12, 3}}) {

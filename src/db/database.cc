@@ -75,15 +75,18 @@ bool DatabaseStats::operator==(const DatabaseStats& other) const {
 
 namespace {
 
+/// Retry backoff: attempt k waits k * this many units, plus 1..U jitter.
+constexpr int64_t kRetryBackoffUnits = 4;
+
 sim::ShardedSimulator::Options SimOptions(const Database::Options& options) {
   sim::ShardedSimulator::Options sim_options;
   sim_options.num_shards = options.num_shards;
   sim_options.num_threads = options.num_threads;
   // The only control events scheduled from completion effects are retries,
-  // and the earliest retry lands backoff >= unit * retry_backoff_units + 1
+  // and the earliest retry lands backoff >= unit * kRetryBackoffUnits + 1
   // ticks after the decide instant (attempt >= 1, random part >= 1). That
   // bound is the merge rule's safe run-ahead window.
-  sim_options.lookahead = options.unit * options.retry_backoff_units + 1;
+  sim_options.lookahead = options.unit * kRetryBackoffUnits + 1;
   if (options.log_replicas > 0) {
     // With the commit log on, decide effects also schedule replica-ack
     // events, at >= effect time + unit (CommitLog::AckDelay's floor) — the
@@ -109,8 +112,10 @@ Database::Database(const Options& options)
     : options_(options),
       sim_(SimOptions(options)),
       rng_(options.seed),
+      // Deferred exactly when worker threads exist to drain it: without
+      // them the inline plane matches or beats it.
       plane_(options.num_partitions, sim_.num_shards(), options.concurrency,
-             options.num_regions, options.partition_parallel),
+             options.num_regions, sim_.has_workers()),
       pool_(options.protocol, options.consensus, options.protocol_options,
             options.unit, options.pool_instances, GeoTopologyFor(options)),
       batches_(options_, sim_.control(),
@@ -120,6 +125,11 @@ Database::Database(const Options& options)
       reads_(&plane_) {
   // num_partitions >= 1 is checked by the plane's constructor.
   plane_.set_check_invariants(options.check_invariants);
+  // A down partition answers prepares with kNo whatever the keys, so no
+  // disjointness proof can predict kYes while a participant crash is
+  // planned.
+  plane_.set_lookahead(options.conflict_lookahead &&
+                       !options.fault_plan.HasParticipantCrash());
   if (GeoEnabled()) {
     // Delay-range validity (cross >= 1 tick, min <= max) is FC_CHECKed by
     // GeoTopology::Ladder inside GeoTopologyFor above.
@@ -148,9 +158,6 @@ Database::Database(const Options& options)
     crash_countdown_ = plan.crash_at_occurrence;
   }
   if (plan.HasParticipantCrash()) {
-    FC_CHECK(options_.partition_parallel)
-        << "participant crashes need the partition plane (the inline path "
-           "has no queues to defer work in)";
     FC_CHECK(plan.crash_partition >= 0 &&
              plan.crash_partition < options_.num_partitions)
         << "crash_partition " << plan.crash_partition << " out of range";
@@ -179,35 +186,9 @@ Database::Database(const Options& options)
 
 Database::~Database() = default;
 
-namespace {
-
-/// FNV-1a over the key bytes. Routing must not use std::hash: its value is
-/// implementation-defined, so the same seed routed keys differently across
-/// standard libraries and every stat diverged between platforms. FNV-1a is
-/// fully specified (offset basis 14695981039346656037, prime
-/// 1099511628211), which makes the golden routing vector in
-/// tests/db_test.cc hold everywhere.
-uint64_t HashKey(const Key& key) {
-  uint64_t h = 14695981039346656037ULL;
-  for (char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
-
-int Database::PartitionOf(const Key& key) const {
-  return static_cast<int>(HashKey(key) %
-                          static_cast<uint64_t>(options_.num_partitions));
-}
-
 Participant& Database::partition(int index) {
-  FC_CHECK(index >= 0 && index < options_.num_partitions)
-      << "bad partition index " << index;
   FlushPartitionWork();
-  return plane_.partition(index);
+  return plane_.partition(index);  // FC_CHECKs the index
 }
 
 void Database::FlushPartitionWork() {
@@ -215,33 +196,6 @@ void Database::FlushPartitionWork() {
   // The flush just filled every pending snapshot read's value slots (their
   // tasks rode the same queues); finalize before anything can observe them.
   reads_.Finalize();
-  if (options_.check_invariants && LookaheadEnabled()) {
-    // Tracker soundness sweep: after a flush every enqueued finish has
-    // run, so any lock still held belongs to a transaction whose Finish is
-    // not yet enqueued — exactly the in-flight window the lookahead
-    // tracker must over-approximate. A held key missing from the tracker
-    // could hand a later conflicting transaction a false disjointness
-    // proof, and a predicted-kNo crash far from the cause.
-    auto check_tracked = [this](const Key& key, TxId tx) {
-      auto it = busy_key_counts_.find(HashKey(key));
-      FC_CHECK(it != busy_key_counts_.end() && it->second > 0)
-          << "conflict-lookahead tracker lost key '" << key
-          << "' still locked by tx " << tx;
-    };
-    for (int p = 0; p < plane_.num_partitions(); ++p) {
-      if (options_.concurrency == ConcurrencyMode::kOCC) {
-        // Under OCC the lock manager is idle; the held footprint to sweep
-        // is the version table's locked words (write locks held between a
-        // validated prepare and its finish).
-        plane_.partition(p).versions().ForEachLocked(
-            [&check_tracked](const Key& key, TxId tx, uint64_t) {
-              check_tracked(key, tx);
-            });
-      } else {
-        plane_.partition(p).locks().ForEachHeldKey(check_tracked);
-      }
-    }
-  }
 }
 
 int Database::ShardOf(TxId id) const {
@@ -298,112 +252,9 @@ void Database::AdmitArrival(
   Execute(PendingTx{std::move(tx), 1, *on_complete});
 }
 
-void Database::RouteOps(const std::vector<Op>& ops,
-                        std::vector<uint64_t>* hashes) {
-  // A reused flat buffer of (partition, op index) pairs, sorted: routing
-  // allocates nothing per transaction, and the index tiebreak keeps each
-  // partition's ops in program order.
-  FC_CHECK(!ops.empty()) << "empty transaction";
-  route_.clear();
-  if (hashes != nullptr) hashes->clear();
-  for (size_t i = 0; i < ops.size(); ++i) {
-    uint64_t h = HashKey(ops[i].key);
-    route_.emplace_back(
-        static_cast<int>(h % static_cast<uint64_t>(options_.num_partitions)),
-        static_cast<int>(i));
-    if (hashes != nullptr) hashes->push_back(h);
-  }
-  std::sort(route_.begin(), route_.end());
-}
-
-void Database::PrepareTouched(const PendingTx& pending,
-                              std::vector<int>* touched,
-                              std::vector<commit::Vote>* votes) {
-  const std::vector<Op>& ops = pending.tx.ops;
-  const bool lookahead = LookaheadEnabled();
-  RouteOps(ops, lookahead ? &hash_scratch_ : nullptr);
-  touched->clear();
-  for (size_t i = 0; i < route_.size(); ++i) {
-    if (i == 0 || route_[i].first != route_[i - 1].first) {
-      touched->push_back(route_[i].first);
-    }
-  }
-  // Vote slots are written through pointers by the plane, so the vector
-  // must reach its final size before any is taken.
-  votes->assign(touched->size(), commit::Vote::kNo);
-
-  // Conflict-aware lookahead: if every key hash is disjoint from every
-  // in-flight transaction's, no-wait locking cannot deny this transaction
-  // a single lock (self-conflicts always succeed: exclusive subsumes
-  // shared, and a sole shared owner may upgrade), so each partition's vote
-  // is provably kYes and the flush barrier below can be skipped — the
-  // prepares drain at a later, fatter barrier. The check runs before this
-  // transaction's own hashes join the tracker, so its intra-transaction
-  // key reuse never blocks the proof.
-  bool predicted = false;
-  if (lookahead) {
-    predicted = true;
-    for (uint64_t h : hash_scratch_) {
-      if (busy_key_counts_.find(h) != busy_key_counts_.end()) {
-        predicted = false;
-        break;
-      }
-    }
-    for (uint64_t h : hash_scratch_) ++busy_key_counts_[h];
-    bool inserted =
-        inflight_key_hashes_.emplace(pending.tx.id, hash_scratch_).second;
-    FC_CHECK(inserted) << "tx " << pending.tx.id
-                       << " already tracked: a retry executed before its "
-                          "previous attempt's finish was enqueued";
-  }
-
-  sim::Time now = sim_.control()->Now();
-  for (size_t pos = 0, slot = 0; pos < route_.size(); ++slot) {
-    int partition = route_[pos].first;
-    std::vector<Op> group = plane_.TakeGroup(ops, route_, &pos);
-    if (predicted) {
-      plane_.EnqueuePredictedPrepare(partition, now, pending.tx.id,
-                                     std::move(group));
-    } else {
-      plane_.EnqueuePrepare(partition, now, pending.tx.id, std::move(group),
-                            &(*votes)[slot]);
-    }
-  }
-  if (predicted) {
-    // No barrier: the proof stands in for the flush. The queued predicted
-    // prepares re-derive these votes at the next barrier and FC_CHECK the
-    // match.
-    votes->assign(touched->size(), commit::Vote::kYes);
-    ++lookahead_skips_;
-  } else {
-    // Barrier: deferred finishes run first (they were enqueued at earlier
-    // or equal instants), then this transaction's prepares — the serial
-    // history an inline plane produces at enqueue. Votes are valid once
-    // this returns.
-    FlushPartitionWork();
-  }
-}
-
-void Database::ReleaseTrackedKeys(TxId tx) {
-  auto it = inflight_key_hashes_.find(tx);
-  if (it == inflight_key_hashes_.end()) return;
-  for (uint64_t h : it->second) {
-    auto count = busy_key_counts_.find(h);
-    FC_CHECK(count != busy_key_counts_.end() && count->second > 0)
-        << "conflict-lookahead tracker underflow for tx " << tx;
-    if (--count->second == 0) busy_key_counts_.erase(count);
-  }
-  inflight_key_hashes_.erase(it);
-}
-
 void Database::FinishPartitions(TxId tx, const std::vector<int>& touched,
                                 commit::Decision decision, sim::Time at,
                                 int64_t csn) {
-  // The tracker can forget this transaction as soon as its finishes are
-  // *enqueued*: FIFO queue order guarantees they drain before any
-  // later-enqueued prepare on the same partitions, so a subsequent
-  // disjointness proof that no longer sees these keys is still sound.
-  if (LookaheadEnabled()) ReleaseTrackedKeys(tx);
   int64_t watermark =
       decision == commit::Decision::kCommit ? reads_.Watermark() : 0;
   for (int partition_id : touched) {
@@ -412,11 +263,6 @@ void Database::FinishPartitions(TxId tx, const std::vector<int>& touched,
 }
 
 void Database::ExecuteSnapshotRead(PendingTx pending) {
-  // The snapshot is the stable CSN at this (canonical-order) instant:
-  // every commit with CSN <= it already ran FinishTx, so its finish tasks
-  // sit ahead of these read tasks in the same partition FIFOs — the read
-  // observes exactly the stable prefix, on any placement.
-  RouteOps(pending.tx.ops, nullptr);
   // Completion is immediate — the read plane adds no virtual latency and
   // never aborts, so the open-loop admission window frees right away. The
   // values themselves materialize when the read drains (the observer).
@@ -426,7 +272,11 @@ void Database::ExecuteSnapshotRead(PendingTx pending) {
     pending.on_complete(pending.tx, commit::Decision::kCommit);
   }
   --inflight_;
-  reads_.Start(std::move(pending.tx), route_, sim_.control()->Now());
+  // The snapshot is the stable CSN at this (canonical-order) instant:
+  // every commit with CSN <= it already ran FinishTx, so its finish tasks
+  // sit ahead of these read tasks in the same partition FIFOs — the read
+  // observes exactly the stable prefix, on any placement.
+  reads_.Start(std::move(pending.tx), sim_.control()->Now());
   reads_.Finalize();
 }
 
@@ -446,11 +296,18 @@ void Database::Execute(PendingTx pending) {
     ExecuteSnapshotRead(std::move(pending));
     return;
   }
+  sim::Time started = sim_.control()->Now();
   std::vector<int> touched;
   std::vector<commit::Vote> votes;
-  PrepareTouched(pending, &touched, &votes);
-
-  sim::Time started = sim_.control()->Now();
+  if (!plane_.EnqueuePrepares(started, pending.tx.id, pending.tx.ops, &touched,
+                              &votes)) {
+    // Barrier: deferred finishes run first (they were enqueued at earlier
+    // or equal instants), then this transaction's prepares — the serial
+    // history an inline plane produces at enqueue. Skipped only when
+    // lookahead proved every vote kYes; the queued predicted prepares
+    // re-derive them at a later barrier and FC_CHECK the match.
+    FlushPartitionWork();
+  }
 
   if (touched.size() == 1) {
     // One-phase commit: the only participant's vote is the decision.
@@ -861,7 +718,7 @@ void Database::FinishTx(const PendingTx& pending,
   }
   ++stats_.retries;
   sim::Time backoff =
-      options_.unit * options_.retry_backoff_units * pending.attempt +
+      options_.unit * kRetryBackoffUnits * pending.attempt +
       static_cast<sim::Time>(rng_.UniformInt(1, options_.unit));
   ScheduleExecute(
       PendingTx{pending.tx, pending.attempt + 1, pending.on_complete},
@@ -877,8 +734,8 @@ const DatabaseStats& Database::Drain() {
   FC_CHECK(inflight_ == 0) << "transactions still pending after drain";
   FC_CHECK(batches_.idle())
       << "open batches after drain: a window flush event was lost";
-  FC_CHECK(inflight_key_hashes_.empty() && busy_key_counts_.empty())
-      << "conflict-lookahead tracker not empty after drain";
+  FC_CHECK(plane_.idle())
+      << "partition tasks or conflict-lookahead keys left after drain";
   FC_CHECK(reads_.idle())
       << "snapshot reads or CSN claims still pending after drain";
   FC_CHECK(!down_) << "coordinator still down after drain";

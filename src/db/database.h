@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -164,11 +163,13 @@ struct DatabaseStats {
 /// single-threaded drains.
 ///
 /// Partition data-path work (Prepare's locking, commit's write
-/// application, lock release) is enqueued as partition-plane tasks; by
-/// default they run off the control plane, drained per FNV-1a home shard
-/// at deterministic flush barriers, and the plane alone decides whether a
-/// task runs there or inline when it is enqueued (db/partition_plane.h,
-/// Options::partition_parallel).
+/// application, lock release) is enqueued as partition-plane tasks
+/// (db/partition_plane.h). With worker threads the plane is deferred: it
+/// drains per FNV-1a home shard at deterministic flush barriers, and owns
+/// the conflict-lookahead tracker that lets a provably conflict-free
+/// transaction skip its barrier. Without workers it is inline and runs
+/// each task when it is enqueued. The simulator's worker count is the
+/// only input to that choice; no db code branches on it.
 ///
 /// ## Units
 ///
@@ -304,7 +305,7 @@ class Database {
   ~Database();
 
   int num_partitions() const { return options_.num_partitions; }
-  int PartitionOf(const Key& key) const;
+  int PartitionOf(const Key& key) const { return plane_.PartitionOf(key); }
   /// Direct partition access; flushes pending partition-plane work first
   /// so the caller observes a quiescent partition.
   Participant& partition(int index);
@@ -379,8 +380,8 @@ class Database {
   }
   /// FNV-1a fold over every finalized snapshot read's values, in submit
   /// order — one number that must be bitwise identical across every
-  /// shard/thread placement and the inline path, which is how the tests
-  /// gate that snapshot *results* (not just stats) are placement
+  /// shard/thread placement, inline or deferred plane, which is how the
+  /// tests gate that snapshot *results* (not just stats) are placement
   /// invariant. Read it after a Drain.
   uint64_t read_fingerprint() const { return reads_.fingerprint(); }
 
@@ -395,14 +396,15 @@ class Database {
   /// disabled.
   const BatchStats& batch_stats() const { return batches_.stats(); }
   /// Partition-plane counters (flush barriers run, tasks drained) — zero
-  /// on the inline path; outside DatabaseStats like the pool counters,
-  /// since they describe execution machinery, not workload outcomes.
+  /// on the inline plane (no worker threads); outside DatabaseStats like
+  /// the pool counters, since they describe execution machinery, not
+  /// workload outcomes.
   const PartitionPlane& partition_plane() const { return plane_; }
   /// Flush barriers skipped by conflict-aware lookahead
   /// (Options::conflict_lookahead) — one per transaction whose disjointness
   /// proof let its Execute proceed on predicted kYes votes. Execution
   /// machinery, outside DatabaseStats.
-  int64_t lookahead_skips() const { return lookahead_skips_; }
+  int64_t lookahead_skips() const { return plane_.lookahead_skips(); }
   /// Fault-injection / recovery counters (see RecoveryStats); all zero
   /// with an empty fault plan.
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }
@@ -426,15 +428,6 @@ class Database {
   /// Admission control for one open-loop arrival: shed or execute.
   void AdmitArrival(Transaction tx,
                     const std::shared_ptr<CompletionCallback>& on_complete);
-  /// Routes `ops` to partitions by FNV-1a key hash into route_ (see
-  /// OpRoute); `hashes`, when non-null, receives each op's key hash (the
-  /// lookahead tracker's input).
-  void RouteOps(const std::vector<Op>& ops, std::vector<uint64_t>* hashes);
-  /// Enqueues one transaction's per-partition Prepares on the plane and
-  /// collects votes into `touched`/`votes` (sorted by partition): enqueue,
-  /// then a flush barrier unless lookahead proved every vote kYes.
-  void PrepareTouched(const PendingTx& pending, std::vector<int>* touched,
-                      std::vector<commit::Vote>* votes);
   /// Enqueues `tx`'s Finish at every touched partition (applied before any
   /// later prepare). A commit carries its CSN (0 for aborts) and the
   /// reader low-watermark computed here, at enqueue time — a stale
@@ -530,21 +523,6 @@ class Database {
                 const std::vector<int>& touched_partitions,
                 commit::Decision decision, sim::Time started,
                 sim::Time finished_at);
-  /// Conflict-aware lookahead is sound only where prepares run through
-  /// the plane's FIFO queues (the inline plane has no barriers to skip) —
-  /// and never when a participant crash is planned: a down partition
-  /// answers prepares with kNo whatever the keys, so no disjointness
-  /// proof can predict kYes.
-  bool LookaheadEnabled() const {
-    return options_.conflict_lookahead && options_.partition_parallel &&
-           !options_.fault_plan.HasParticipantCrash();
-  }
-  /// Drops `tx`'s key hashes from the lookahead tracker. Called when its
-  /// Finish is *enqueued* — sound because a finish enqueued at time F
-  /// drains before any prepare enqueued at u >= F on the same partition
-  /// queue. Idempotent per attempt (a doomed batch member's partitions
-  /// finish twice: early release at enqueue, then at the decide instant).
-  void ReleaseTrackedKeys(TxId tx);
 
   Options options_;
   sim::ShardedSimulator sim_;
@@ -558,16 +536,6 @@ class Database {
   std::optional<CommitLog> log_;
   DatabaseStats stats_;
   int64_t inflight_ = 0;
-  OpRoute route_;  ///< reused routing scratch (control plane only)
-  /// Conflict-lookahead tracker (control plane only): reference counts of
-  /// the FNV-1a key hashes of every in-flight transaction — prepare
-  /// enqueued, finish not yet enqueued — and the per-transaction hash
-  /// lists that release them. Over-approximates the set of locked keys
-  /// (collisions included), so a disjointness hit is always a proof.
-  std::unordered_map<uint64_t, int64_t> busy_key_counts_;
-  std::unordered_map<TxId, std::vector<uint64_t>> inflight_key_hashes_;
-  std::vector<uint64_t> hash_scratch_;  ///< reused per-Execute key hashes
-  int64_t lookahead_skips_ = 0;
   RecoveryStats recovery_stats_;
   GeoStats geo_stats_;
   /// The laddered WAN matrix (same value the pool prices instances with);

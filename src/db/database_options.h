@@ -32,8 +32,7 @@ struct DatabaseOptions {
   /// (bench_db_throughput --ablation-only quantifies the win); its stats
   /// are bitwise identical across shard/thread placements, like k2PL's.
   ConcurrencyMode concurrency = ConcurrencyMode::k2PL;
-  int max_attempts = 5;
-  int64_t retry_backoff_units = 4;  ///< backoff = attempt * this * U
+  int max_attempts = 5;  ///< retry k waits k * 4 U plus 1..U jitter
   uint64_t seed = 1;
   /// Recycle commit instances through a free-list pool (the default).
   /// false restores the rebuild-per-transaction baseline, in which every
@@ -102,19 +101,21 @@ struct DatabaseOptions {
   /// kAbort — instead of joining an unbounded queue. 0 = admit
   /// everything. Directly-Submitted transactions are never shed.
   int64_t max_inflight = 0;
-  /// Conflict-aware barrier lookahead (partition-parallel path only):
-  /// the control plane tracks the FNV-1a key hashes of every in-flight
-  /// transaction (prepare enqueued, finish not yet enqueued). A new
-  /// transaction whose hashes are disjoint from all of them provably
-  /// receives kYes at every partition under no-wait locking, so its
-  /// prepares are enqueued as *predicted* tasks and its Execute skips
-  /// the flush barrier entirely — steady low-conflict arrivals ride
-  /// through with no barrier at all, and barriers that do happen drain
-  /// fatter task backlogs (better worker-pool amortization). Hash
-  /// collisions only ever force a conservative barrier, and the drain
-  /// FC_CHECKs every predicted vote, so results stay bitwise identical
-  /// to the barrier-per-transaction path (the placement fuzz harness
-  /// toggles this knob inside its identity gate).
+  /// Conflict-aware barrier lookahead, active only with worker threads
+  /// (min(num_shards, num_threads) > 1: the deferred partition plane) and
+  /// without a planned participant crash. The partition plane tracks the
+  /// FNV-1a key hashes of every in-flight transaction (prepare enqueued,
+  /// finish not yet enqueued). A new transaction whose hashes are disjoint
+  /// from all of them provably receives kYes at every partition under
+  /// no-wait locking, so its prepares are enqueued as *predicted* tasks
+  /// and its Execute skips the flush barrier — low-conflict arrivals ride
+  /// through until PartitionPlane::kMaxPredictedBacklog tasks are
+  /// pending, and the barriers that do happen drain fatter task backlogs
+  /// (better worker-pool amortization). Hash collisions only ever force a
+  /// conservative barrier, and the drain FC_CHECKs every predicted vote,
+  /// so results stay bitwise identical to the barrier-per-transaction
+  /// path (the placement fuzz harness toggles this knob inside its
+  /// identity gate).
   bool conflict_lookahead = false;
   /// Lock-free snapshot reads: a submitted transaction whose every op is
   /// a kGet (db::IsReadOnly — both concurrency modes share the
@@ -133,20 +134,6 @@ struct DatabaseOptions {
   /// default): read-only transactions take the normal locked path and
   /// every pre-existing stat is bitwise unchanged.
   bool snapshot_reads = false;
-  /// Partition-parallel execution (the default): partition data-path
-  /// work — Prepare's lock acquisition, commit's write application,
-  /// lock release — runs on the partition plane (db/partition_plane.h):
-  /// per-partition task queues homed on shards by FNV-1a over the
-  /// partition id and drained in parallel by the simulator's worker
-  /// pool at deterministic flush barriers, while the control plane
-  /// keeps only admission, batch formation, and retry/backoff. false
-  /// makes the plane inline: every task runs on the control plane when it
-  /// is enqueued — the reference the placement tests compare against.
-  /// The plane's barriers replay the serial history exactly, so
-  /// DatabaseStats and BatchStats are bitwise identical either way and
-  /// across every shard/thread placement
-  /// (tests/db_placement_fuzz_test.cc).
-  bool partition_parallel = true;
   /// Replicated coordinator commit log (db/commit_log.h): every
   /// multi-partition round is appended as one slot whose votes replicate
   /// to this many virtual replicas (accept phase), and the decision
@@ -198,11 +185,11 @@ struct DatabaseOptions {
   /// (empty plan) injects nothing and changes nothing.
   FaultPlan fault_plan;
   /// Debug: sweep lock-manager and staging invariants over every
-  /// partition at each partition-plane flush barrier (see
-  /// Participant::CheckInvariants). O(held locks) per barrier; meant
-  /// for tests (tests/lock_invariant_test.cc), off by default. Only
-  /// observed on the partition-parallel path (the inline path has no
-  /// barriers to hook).
+  /// partition at each partition-plane flush barrier, on the inline and
+  /// the deferred plane alike (see Participant::CheckInvariants), plus
+  /// the lookahead tracker's coverage of every held lock when lookahead
+  /// is active. O(held locks) per barrier; meant for tests
+  /// (tests/lock_invariant_test.cc), off by default.
   bool check_invariants = false;
 };
 

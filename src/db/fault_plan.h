@@ -62,8 +62,8 @@ struct FaultPlan {
   /// `participant_crash_at` holding whatever locks it holds (in-flight
   /// finishes and snapshot reads are deferred, new prepares vote no), and
   /// restarts `participant_restart_delay` ticks later, applying the
-  /// deferred work in FIFO order. -1 disables. Requires the
-  /// partition-parallel plane (Options::partition_parallel).
+  /// deferred work in FIFO order. -1 disables. Works on the inline and
+  /// the deferred partition plane alike; disables conflict lookahead.
   int crash_partition = -1;
   sim::Time participant_crash_at = 0;
   sim::Time participant_restart_delay = 2000;

@@ -1,25 +1,16 @@
 #include "db/partition_plane.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/check.h"
+#include "db/fnv1a.h"
 
 namespace fastcommit::db {
 
 namespace {
 
-/// FNV-1a over the partition id's bytes — the same fully-specified hash
-/// family Database::PartitionOf uses for keys, so partition placement is
-/// identical on every platform (std::hash would not be).
-uint64_t HashPartitionId(int partition) {
-  uint64_t h = 14695981039346656037ULL;
-  auto value = static_cast<uint32_t>(partition);
-  for (int byte = 0; byte < 4; ++byte) {
-    h ^= (value >> (8 * byte)) & 0xffu;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+uint64_t HashKey(const Key& key) { return Fnv1a().Bytes(key).value; }
 
 }  // namespace
 
@@ -49,9 +40,13 @@ PartitionPlane::PartitionPlane(int num_partitions, int num_home_shards,
   };
 }
 
+int PartitionPlane::PartitionOf(const Key& key) const {
+  return static_cast<int>(HashKey(key) % static_cast<uint64_t>(queues_.size()));
+}
+
 int PartitionPlane::HomeShardOf(int partition) const {
-  return static_cast<int>(HashPartitionId(partition) %
-                          static_cast<uint64_t>(groups_.size()));
+  uint64_t h = Fnv1a().Int(static_cast<uint32_t>(partition)).value;
+  return static_cast<int>(h % static_cast<uint64_t>(groups_.size()));
 }
 
 int PartitionPlane::RegionOf(int partition) const {
@@ -68,6 +63,24 @@ PartitionPlane::PartitionQueue& PartitionPlane::queue(int partition) {
   FC_CHECK(partition >= 0 && partition < num_partitions())
       << "bad partition index " << partition;
   return queues_[static_cast<size_t>(partition)];
+}
+
+const OpRoute& PartitionPlane::Route(const std::vector<Op>& ops) {
+  // A reused flat buffer of (partition, op index) pairs, sorted: routing
+  // allocates nothing per transaction, and the index tiebreak keeps each
+  // partition's ops in program order.
+  FC_CHECK(!ops.empty()) << "empty transaction";
+  route_.clear();
+  hashes_.clear();
+  for (size_t i = 0; i < ops.size(); ++i) {
+    uint64_t h = HashKey(ops[i].key);
+    route_.emplace_back(
+        static_cast<int>(h % static_cast<uint64_t>(queues_.size())),
+        static_cast<int>(i));
+    hashes_.push_back(h);
+  }
+  std::sort(route_.begin(), route_.end());
+  return route_;
 }
 
 std::vector<Op> PartitionPlane::TakeOpsBuffer() {
@@ -100,6 +113,10 @@ void PartitionPlane::Enqueue(int partition, sim::Time at, Task&& task) {
       << " after a task at " << q.last_enqueued_at;
   q.last_enqueued_at = at;
   if (!deferred_) {
+    // Only a restart re-queues work on an inline plane, and its barrier
+    // must drain it before anything newer runs.
+    FC_CHECK(q.tasks.empty()) << "inline task at partition " << partition
+                              << " ahead of its restart backlog";
     Run(q, task);
     Recycle(task.ops);
     return;
@@ -118,20 +135,82 @@ void PartitionPlane::EnqueuePrepare(int partition, sim::Time at, TxId tx,
                nullptr, std::move(ops)});
 }
 
-void PartitionPlane::EnqueuePredictedPrepare(int partition, sim::Time at,
-                                             TxId tx, std::vector<Op> ops) {
-  // No vote slot: the drain may run long after the caller's votes vector
-  // has been moved into a commit instance, so a captured pointer would be
-  // a write through repurposed memory. The prediction is instead verified
-  // in Run against the real vote.
-  Enqueue(partition, at,
-          Task{TaskKind::kPredictedPrepare, tx, commit::Decision::kNone, 0, 0,
-               nullptr, nullptr, std::move(ops)});
+bool PartitionPlane::EnqueuePrepares(sim::Time at, TxId tx,
+                                     const std::vector<Op>& ops,
+                                     std::vector<int>* touched,
+                                     std::vector<commit::Vote>* votes) {
+  Route(ops);
+  touched->clear();
+  for (size_t i = 0; i < route_.size(); ++i) {
+    if (i == 0 || route_[i].first != route_[i - 1].first) {
+      touched->push_back(route_[i].first);
+    }
+  }
+  // Vote slots are written through pointers, so the vector must reach its
+  // final size before any is taken.
+  votes->assign(touched->size(), commit::Vote::kNo);
+  // Every transaction joins the tracker; a disjoint one is predicted unless
+  // the backlog is already at its cap.
+  bool predicted = false;
+  if (lookahead_) {
+    predicted = TrackKeys(tx) && pending_tasks_ < kMaxPredictedBacklog;
+  }
+  for (size_t pos = 0, slot = 0; pos < route_.size(); ++slot) {
+    int partition = route_[pos].first;
+    std::vector<Op> group = TakeGroup(ops, route_, &pos);
+    if (!predicted) {
+      EnqueuePrepare(partition, at, tx, std::move(group), &(*votes)[slot]);
+      continue;
+    }
+    // No vote slot: the drain may run long after the caller's votes vector
+    // has been moved into a commit instance, so a captured pointer would
+    // be a write through repurposed memory. Run verifies the prediction
+    // against the real vote instead.
+    Enqueue(partition, at,
+            Task{TaskKind::kPredictedPrepare, tx, commit::Decision::kNone, 0,
+                 0, nullptr, nullptr, std::move(group)});
+  }
+  if (predicted) {
+    std::fill(votes->begin(), votes->end(), commit::Vote::kYes);
+    ++lookahead_skips_;
+  }
+  return predicted;
+}
+
+bool PartitionPlane::TrackKeys(TxId tx) {
+  // If every key hash is disjoint from every in-flight transaction's,
+  // no-wait locking cannot deny this transaction a single lock
+  // (self-conflicts always succeed: exclusive subsumes shared, and a sole
+  // shared owner may upgrade). The check runs before this transaction's
+  // own hashes join, so its intra-transaction key reuse never blocks the
+  // proof.
+  bool disjoint = true;
+  for (uint64_t h : hashes_) disjoint &= busy_key_counts_.count(h) == 0;
+  for (uint64_t h : hashes_) ++busy_key_counts_[h];
+  bool inserted = inflight_key_hashes_.emplace(tx, hashes_).second;
+  FC_CHECK(inserted) << "tx " << tx
+                     << " already tracked: a retry executed before its "
+                        "previous attempt's finish was enqueued";
+  return disjoint;
 }
 
 void PartitionPlane::EnqueueFinish(int partition, sim::Time at, TxId tx,
                                    commit::Decision decision, int64_t csn,
                                    int64_t gc_watermark) {
+  // The first finish of an attempt releases its keys; later ones (its
+  // other partitions, or a doomed batch member's second finish at the
+  // decide instant) find nothing to release.
+  auto tracked = lookahead_ ? inflight_key_hashes_.find(tx)
+                            : inflight_key_hashes_.end();
+  if (tracked != inflight_key_hashes_.end()) {
+    for (uint64_t h : tracked->second) {
+      auto count = busy_key_counts_.find(h);
+      FC_CHECK(count != busy_key_counts_.end() && count->second > 0)
+          << "conflict-lookahead tracker underflow for tx " << tx;
+      if (--count->second == 0) busy_key_counts_.erase(count);
+    }
+    inflight_key_hashes_.erase(tracked);
+  }
   Enqueue(partition, at,
           Task{TaskKind::kFinish, tx, decision, csn, gc_watermark, nullptr,
                nullptr, {}});
@@ -234,44 +313,74 @@ void PartitionPlane::Run(PartitionQueue& q, Task& task) {
 }
 
 void PartitionPlane::Flush(sim::ShardedSimulator* sim) {
-  if (pending_tasks_ == 0) return;
-  // Worker dispatch only pays when several home-shard groups hold enough
-  // work to amortize the wake + join; the typical barrier (one
-  // transaction's prepares plus a few deferred finishes) drains inline.
-  // Either route produces identical state: partitions share nothing and
-  // each queue drains FIFO.
-  bool parallel = sim != nullptr && pending_tasks_ >= kParallelFlushMin;
-  if (parallel) {
-    group_has_work_.assign(groups_.size(), 0);
-    int busy_groups = 0;
-    for (int p : dirty_) {
-      char& flag = group_has_work_[static_cast<size_t>(HomeShardOf(p))];
-      busy_groups += flag == 0;
-      flag = 1;
+  if (pending_tasks_ > 0) {
+    // Worker dispatch only pays when several home-shard groups hold enough
+    // work to amortize the wake + join; the typical barrier (one
+    // transaction's prepares plus a few deferred finishes) drains inline.
+    // Either route produces identical state: partitions share nothing and
+    // each queue drains FIFO.
+    bool parallel = sim != nullptr && pending_tasks_ >= kParallelFlushMin;
+    if (parallel) {
+      group_has_work_.assign(groups_.size(), 0);
+      int busy_groups = 0;
+      for (int p : dirty_) {
+        char& flag = group_has_work_[static_cast<size_t>(HomeShardOf(p))];
+        busy_groups += flag == 0;
+        flag = 1;
+      }
+      parallel = busy_groups > 1;
     }
-    parallel = busy_groups > 1;
-  }
-  if (parallel) {
-    sim->ParallelFor(static_cast<int>(groups_.size()), drain_group_);
-  } else {
+    if (parallel) {
+      sim->ParallelFor(static_cast<int>(groups_.size()), drain_group_);
+    } else {
+      for (int p : dirty_) {
+        PartitionQueue& q = queues_[static_cast<size_t>(p)];
+        for (Task& task : q.tasks) Run(q, task);
+      }
+    }
+    // Back on the flushing thread (ParallelFor is a barrier): recycle the
+    // drained tasks' op buffers and reset the dirty queues.
     for (int p : dirty_) {
       PartitionQueue& q = queues_[static_cast<size_t>(p)];
-      for (Task& task : q.tasks) Run(q, task);
+      for (Task& task : q.tasks) Recycle(task.ops);
+      q.tasks.clear();
     }
+    dirty_.clear();
+    tasks_drained_ += pending_tasks_;
+    pending_tasks_ = 0;
+    ++flushes_;
   }
-  // Back on the flushing thread (ParallelFor is a barrier): recycle the
-  // drained tasks' op buffers and reset the dirty queues.
-  for (int p : dirty_) {
-    PartitionQueue& q = queues_[static_cast<size_t>(p)];
-    for (Task& task : q.tasks) Recycle(task.ops);
-    q.tasks.clear();
-  }
-  dirty_.clear();
-  tasks_drained_ += pending_tasks_;
-  pending_tasks_ = 0;
-  ++flushes_;
-  if (check_invariants_) {
-    for (PartitionQueue& q : queues_) q.participant->CheckInvariants();
+  if (check_invariants_) CheckInvariants();
+}
+
+void PartitionPlane::CheckInvariants() {
+  for (PartitionQueue& q : queues_) q.participant->CheckInvariants();
+  if (!lookahead_) return;
+  // Tracker soundness: after a flush every enqueued finish has run, so any
+  // lock still held belongs to a transaction whose finish is not yet
+  // enqueued — exactly the in-flight window the tracker must
+  // over-approximate. A held key missing from it could hand a later
+  // conflicting transaction a false disjointness proof, and a
+  // predicted-kNo crash far from the cause.
+  auto check_tracked = [this](const Key& key, TxId tx) {
+    auto it = busy_key_counts_.find(HashKey(key));
+    FC_CHECK(it != busy_key_counts_.end() && it->second > 0)
+        << "conflict-lookahead tracker lost key '" << key
+        << "' still locked by tx " << tx;
+  };
+  for (PartitionQueue& q : queues_) {
+    const Participant& participant = *q.participant;
+    if (participant.mode() == ConcurrencyMode::kOCC) {
+      // Under OCC the lock manager is idle; the held footprint is the
+      // version table's locked words (write locks held between a
+      // validated prepare and its finish).
+      participant.versions().ForEachLocked(
+          [&check_tracked](const Key& key, TxId tx, uint64_t) {
+            check_tracked(key, tx);
+          });
+    } else {
+      participant.locks().ForEachHeldKey(check_tracked);
+    }
   }
 }
 

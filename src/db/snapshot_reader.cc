@@ -6,12 +6,11 @@
 
 namespace fastcommit::db {
 
-void SnapshotReader::Start(Transaction tx, const OpRoute& route,
-                           sim::Time now) {
-  FC_CHECK(!tx.ops.empty()) << "empty transaction";
+void SnapshotReader::Start(Transaction tx, sim::Time now) {
   auto read = std::make_unique<Read>();
   read->snapshot_csn = stable_csn_;
   read->tx = std::move(tx);
+  const OpRoute& route = plane_->Route(read->tx.ops);
   // One value slot per partition group. Size the slots before any pointer
   // into them is taken (the Read itself is heap-pinned).
   read->op_slots.resize(read->tx.ops.size());
@@ -67,15 +66,7 @@ void SnapshotReader::Finalize() {
     // Fold the values into the placement-invariance fingerprint (FNV-1a,
     // length-prefixed so value boundaries are unambiguous).
     for (const Value& value : values_scratch_) {
-      uint64_t len = static_cast<uint64_t>(value.size());
-      for (int b = 0; b < 8; ++b) {
-        fingerprint_ ^= (len >> (8 * b)) & 0xffu;
-        fingerprint_ *= 1099511628211ULL;
-      }
-      for (char c : value) {
-        fingerprint_ ^= static_cast<unsigned char>(c);
-        fingerprint_ *= 1099511628211ULL;
-      }
+      fingerprint_.Int(static_cast<uint64_t>(value.size())).Bytes(value);
     }
     if (observer_) observer_(read->tx, read->snapshot_csn, values_scratch_);
     auto it = claims_.find(read->snapshot_csn);

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "db/fnv1a.h"
 #include "db/partition_plane.h"
 #include "db/transaction.h"
 #include "sim/sim_time.h"
@@ -50,10 +51,10 @@ class SnapshotReader {
   }
 
   /// Starts `tx`'s read at the stable CSN: one lock-free read task per
-  /// partition group of `route`, enqueued at `now` behind every finish
+  /// partition its ops route to, enqueued at `now` behind every finish
   /// already queued — so the read observes exactly the stable prefix —
   /// and a claim on the GC watermark until the read is finalized.
-  void Start(Transaction tx, const OpRoute& route, sim::Time now);
+  void Start(Transaction tx, sim::Time now);
 
   /// Finalizes the longest fully-filled prefix of pending reads, in start
   /// order: values reassembled in op order, folded into the fingerprint,
@@ -65,7 +66,7 @@ class SnapshotReader {
 
   /// No pending read and no claim (true after every drain).
   bool idle() const { return pending_.empty() && claims_.empty(); }
-  uint64_t fingerprint() const { return fingerprint_; }
+  uint64_t fingerprint() const { return fingerprint_.value; }
   void set_observer(Observer observer) { observer_ = std::move(observer); }
 
  private:
@@ -94,7 +95,7 @@ class SnapshotReader {
   /// Reads awaiting finalization, in start (canonical) order.
   std::vector<std::unique_ptr<Read>> pending_;
   Observer observer_;
-  uint64_t fingerprint_ = 14695981039346656037ULL;  ///< FNV offset
+  Fnv1a fingerprint_;
   std::vector<Value> values_scratch_;   ///< reused reassembly buffer
   std::vector<size_t> cursor_scratch_;  ///< reused per-slot read cursors
 };

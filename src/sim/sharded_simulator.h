@@ -74,6 +74,9 @@ class ShardedSimulator {
   ~ShardedSimulator();
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
+  /// Whether worker threads exist (min(num_shards, num_threads) > 1);
+  /// without them ParallelFor runs everything on the calling thread.
+  bool has_workers() const { return !workers_.empty(); }
 
   /// Scheduler of the control plane. Control events may schedule onto any
   /// shard (injection) and onto the control plane itself.

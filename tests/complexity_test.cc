@@ -166,7 +166,9 @@ TEST(Table5Test, TwoDelayBoundTheorem5) {
       int64_t faster =
           ExpectedNice(ProtocolKind::kFasterPaxosCommit, n, f).messages;
       EXPECT_GE(faster, TwoDelayMessageLowerBound(n, f));
-      if (f < n - 1) EXPECT_GT(faster, TwoDelayMessageLowerBound(n, f));
+      if (f < n - 1) {
+        EXPECT_GT(faster, TwoDelayMessageLowerBound(n, f));
+      }
     }
   }
 }

@@ -260,7 +260,9 @@ TEST(FloodingConsensusTest, ToleratesAnyMinorityOrMajorityOfCrashes) {
     bool any = false;
     for (int i = 0; i < 4; ++i) {
       cluster.at(i).set_on_decide([&](int v) {
-        if (any) EXPECT_EQ(v, decided_value) << "seed " << seed;
+        if (any) {
+          EXPECT_EQ(v, decided_value) << "seed " << seed;
+        }
         any = true;
         decided_value = v;
       });

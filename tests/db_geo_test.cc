@@ -9,7 +9,7 @@
 //   - num_regions = 1 leaves DatabaseStats bitwise identical to a build
 //     without any geo option set, and GeoStats all zero;
 //   - DatabaseStats + GeoStats + BatchStats are bitwise identical across
-//     shard/thread/partition-parallel placements in both geo modes,
+//     shard/thread placements, inline and deferred plane, in both geo modes,
 //     including under a planned coordinator crash inside the topology.
 
 #include <gtest/gtest.h>
@@ -160,10 +160,9 @@ struct GeoRun {
 };
 
 GeoRun RunGeoWorkload(Database::Options options, int shards, int threads,
-                      bool parallel, bool batched) {
+                      bool batched) {
   options.num_shards = shards;
   options.num_threads = threads;
-  options.partition_parallel = parallel;
   if (batched) {
     options.batch_window = 2 * kUnit;
     options.batch_max = 8;
@@ -203,16 +202,14 @@ TEST(DbGeoTest, StatsBitwiseAcrossPlacementsBothModes) {
   for (bool co : {false, true}) {
     for (bool batched : {false, true}) {
       Database::Options options = GeoOptions(3, co);
-      GeoRun reference = RunGeoWorkload(options, 1, 1, false, batched);
+      GeoRun reference = RunGeoWorkload(options, 1, 1, batched);
       ASSERT_GT(reference.stats.committed, 0);
       ASSERT_GT(reference.geo.multi_region_rounds, 0);
       std::string label = std::string(co ? "co-coordinator" : "spread") +
                           (batched ? "/batched" : "/unbatched");
-      ExpectGeoRunsEqual(reference,
-                         RunGeoWorkload(options, 1, 1, true, batched),
-                         label + " parallel-plane");
-      ExpectGeoRunsEqual(reference,
-                         RunGeoWorkload(options, 8, 4, true, batched),
+      ExpectGeoRunsEqual(reference, RunGeoWorkload(options, 2, 2, batched),
+                         label + " deferred-plane");
+      ExpectGeoRunsEqual(reference, RunGeoWorkload(options, 8, 4, batched),
                          label + " sharded-threaded");
     }
   }
@@ -246,11 +243,11 @@ TEST(DbGeoTest, CoordinatorCrashInsideGeoTopology) {
   options.fault_plan.crash_point = CrashPoint::kAfterDecide;
   options.fault_plan.crash_at_occurrence = 3;
   options.fault_plan.coordinator_restart_delay = 50 * kUnit;
-  GeoRun reference = RunGeoWorkload(options, 1, 1, false, false);
+  GeoRun reference = RunGeoWorkload(options, 1, 1, false);
   EXPECT_EQ(reference.recovery.coordinator_crashes, 1);
   EXPECT_EQ(reference.recovery.recoveries, 1);
   ASSERT_GT(reference.stats.committed, 0);
-  ExpectGeoRunsEqual(reference, RunGeoWorkload(options, 8, 4, true, false),
+  ExpectGeoRunsEqual(reference, RunGeoWorkload(options, 8, 4, false),
                      "geo crash placement");
 }
 

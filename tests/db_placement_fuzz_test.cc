@@ -2,9 +2,10 @@
 // configurations (protocol × workload × batching knobs × closed- or
 // open-loop submission), the same seed must produce bitwise-identical
 // DatabaseStats AND BatchStats for every *placement* — shard count, thread
-// count, partition-parallel execution on/off, and conflict-aware lookahead
-// on/off (lookahead only moves barriers, never results, so it is a
-// placement knob by construction and belongs inside the identity gate).
+// count (which also picks the inline or the deferred partition plane), and
+// conflict-aware lookahead on/off (lookahead only moves barriers, never
+// results, so it is a placement knob by construction and belongs inside
+// the identity gate).
 // Placement knobs decide where work runs, never what it computes; this
 // harness fuzzes the whole knob space instead of the hand-picked grids of
 // db_shard_test / db_batch_test / db_adaptive_batch tests.
@@ -120,7 +121,6 @@ struct FuzzConfig {
 struct Placement {
   int num_shards = 1;
   int num_threads = 1;
-  bool partition_parallel = false;
   /// Stats-invariant by construction (Options::conflict_lookahead): only
   /// barrier placement changes, so it rides inside the identity gate.
   bool conflict_lookahead = false;
@@ -128,7 +128,6 @@ struct Placement {
   std::string Describe() const {
     std::ostringstream out;
     out << "shards=" << num_shards << " threads=" << num_threads
-        << " partition_parallel=" << partition_parallel
         << " lookahead=" << conflict_lookahead;
     return out.str();
   }
@@ -212,9 +211,9 @@ FuzzConfig DrawConfig(sim::Rng& rng) {
     config.fault_plan.crash_point = point;
     config.fault_plan.crash_at_occurrence =
         static_cast<int64_t>(rng.UniformInt(1, 16));
-    // >= 401 = unit * retry_backoff_units + 1, the simulator lookahead the
-    // Database ctor checks restart delays against (log off is the binding
-    // case).
+    // >= 401 = unit * 4 + 1 (the retry backoff floor of 4 units plus a
+    // tick), the simulator lookahead the Database ctor checks restart
+    // delays against (log off is the binding case).
     config.fault_plan.coordinator_restart_delay =
         401 + 100 * rng.UniformInt(0, 12);
   }
@@ -306,18 +305,10 @@ RunResult RunOne(const FuzzConfig& config, const Placement& placement) {
   options.geo_co_coordinators = config.geo_co_coordinators;
   options.num_shards = placement.num_shards;
   options.num_threads = placement.num_threads;
-  options.partition_parallel = placement.partition_parallel;
-  // A participant crash needs partition queues to defer work in, so that
-  // dim pins the plane on for every placement (including the serial
-  // reference — the identity gate then spans shard/thread counts only).
-  if (config.fault_plan.HasParticipantCrash()) {
-    options.partition_parallel = true;
-  }
   options.conflict_lookahead = placement.conflict_lookahead;
   // Cheap extra teeth: every flush barrier sweeps the per-partition lock
-  // (or, under OCC, version-table) invariants — only observed on the
-  // partition-parallel path — and, with lookahead on, the
-  // tracker-vs-held-footprint soundness cross-check.
+  // (or, under OCC, version-table) invariants and, with lookahead active,
+  // the tracker-vs-held-footprint soundness cross-check.
   options.check_invariants = true;
   Database database(options);
   RunResult result;
@@ -358,10 +349,10 @@ TEST(PlacementFuzzTest, StatsIdenticalAcrossRandomPlacements) {
   for (int i = 0; i < kConfigs; ++i) {
     FuzzConfig config = DrawConfig(rng);
     SCOPED_TRACE("config " + std::to_string(i) + ": " + config.Describe());
-    // Reference placement: single queue, single thread, inline partition
-    // execution, no lookahead — the fully serial interpreter of the
+    // Reference placement: single queue, single thread (hence the inline
+    // partition plane), no lookahead — the fully serial interpreter of the
     // configuration.
-    RunResult reference = RunOne(config, Placement{1, 1, false, false});
+    RunResult reference = RunOne(config, Placement{1, 1, false});
     ASSERT_EQ(reference.stats.committed + reference.stats.aborted +
                   reference.stats.shed + reference.stats.read_only_committed,
               config.num_txs)
@@ -369,15 +360,14 @@ TEST(PlacementFuzzTest, StatsIdenticalAcrossRandomPlacements) {
 
     // Always cover the acceptance grid's extremes, then random fill.
     std::vector<Placement> placements = {
-        Placement{1, 1, true, false},
-        Placement{8, 4, true, true},
+        Placement{2, 2, false},
+        Placement{8, 4, true},
     };
     for (int extra = 0; extra < 2; ++extra) {
       Placement p;
       const int kShardChoices[] = {1, 2, 3, 8};
       p.num_shards = kShardChoices[rng.Next() % 4];
       p.num_threads = static_cast<int>(rng.UniformInt(1, 4));
-      p.partition_parallel = rng.Chance(0.75);
       p.conflict_lookahead = rng.Chance(0.5);
       placements.push_back(p);
     }
@@ -401,9 +391,9 @@ TEST(PlacementFuzzTest, StatsIdenticalAcrossRandomPlacements) {
   }
 }
 
-// The acceptance grid, exactly as ISSUE 5 states it: partition-parallel on
-// vs off across 1/2/8 shards × 1/4 threads for InBAC/2PC/PaxosCommit with
-// adaptive + cross-set batching enabled. (The fuzz loop above usually
+// The acceptance grid: 1/2/8 shards × 1/4 threads (inline and deferred
+// plane) × lookahead off/on for InBAC/2PC/PaxosCommit with adaptive +
+// cross-set batching enabled. (The fuzz loop above usually
 // covers this space too, but the criterion deserves a deterministic gate
 // that does not depend on what the RNG happened to draw.)
 TEST(PlacementFuzzTest, AcceptanceGridAdaptiveCrossSet) {
@@ -428,8 +418,8 @@ TEST(PlacementFuzzTest, AcceptanceGridAdaptiveCrossSet) {
     EXPECT_GT(reference.batch.rounds, 0) << "batching path never engaged";
     for (int shards : {1, 2, 8}) {
       for (int threads : {1, 4}) {
-        for (bool parallel : {false, true}) {
-          Placement placement{shards, threads, parallel};
+        for (bool lookahead : {false, true}) {
+          Placement placement{shards, threads, lookahead};
           SCOPED_TRACE("placement: " + placement.Describe());
           RunResult run = RunOne(config, placement);
           EXPECT_EQ(reference.stats, run.stats);
@@ -442,7 +432,7 @@ TEST(PlacementFuzzTest, AcceptanceGridAdaptiveCrossSet) {
 
 // The OCC acceptance grid: version-lock validation must be bitwise
 // placement-invariant exactly like 2PL — 1/2/8 shards × 1/4 threads ×
-// partition-parallel on/off, on a contended hotspot workload with real
+// lookahead off/on, on a contended hotspot workload with real
 // validation failures and retries in play.
 TEST(PlacementFuzzTest, AcceptanceGridOcc) {
   const core::ProtocolKind kProtocols[] = {core::ProtocolKind::kInbac,
@@ -465,9 +455,8 @@ TEST(PlacementFuzzTest, AcceptanceGridOcc) {
         << "2PL abort bucket counted under OCC";
     for (int shards : {1, 2, 8}) {
       for (int threads : {1, 4}) {
-        for (bool parallel : {false, true}) {
-          Placement placement{shards, threads, parallel,
-                              /*conflict_lookahead=*/parallel};
+        for (bool lookahead : {false, true}) {
+          Placement placement{shards, threads, lookahead};
           SCOPED_TRACE("placement: " + placement.Describe());
           RunResult run = RunOne(config, placement);
           EXPECT_EQ(reference.stats, run.stats);
@@ -500,9 +489,8 @@ TEST(PlacementFuzzTest, AcceptanceGridGeo) {
         << "transfer run never crossed a region boundary";
     for (int shards : {1, 2, 8}) {
       for (int threads : {1, 4}) {
-        for (bool parallel : {false, true}) {
-          Placement placement{shards, threads, parallel,
-                              /*conflict_lookahead=*/parallel};
+        for (bool lookahead : {false, true}) {
+          Placement placement{shards, threads, lookahead};
           SCOPED_TRACE("placement: " + placement.Describe());
           RunResult run = RunOne(config, placement);
           EXPECT_EQ(reference.stats, run.stats);

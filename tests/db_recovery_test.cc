@@ -5,7 +5,7 @@
 //     ledger), no lock is orphaned, and the drain is clean;
 //   - replay determinism: a crashing run's DatabaseStats, RecoveryStats,
 //     and CommitLog::Stats are bitwise identical across shard/thread
-//     placements and the inline partition path;
+//     placements, inline and deferred partition plane;
 //   - the replicated log's fast and slow quorum paths both occur, and its
 //     slot GC keeps live-slot memory bounded;
 //   - a participant crash holds its locks across the outage: deferred
@@ -26,10 +26,11 @@
 namespace fastcommit::db {
 namespace {
 
+/// Without worker threads (min(shards, threads) == 1) the partition plane
+/// is inline; with them it is deferred.
 struct Placement {
   int shards = 1;
   int threads = 1;
-  bool partition_parallel = true;
 };
 
 /// Everything a recovery run must reproduce bitwise across placements,
@@ -125,7 +126,6 @@ Database::Options FaultOptions(core::ProtocolKind protocol, int log_replicas,
   options.log_replicas = log_replicas;
   options.num_shards = placement.shards;
   options.num_threads = placement.threads;
-  options.partition_parallel = placement.partition_parallel;
   return options;
 }
 
@@ -198,8 +198,8 @@ TEST_P(RecoveryProtocolTest, CrashWithoutLogPresumesAbort) {
 
 // Replay determinism, the repo's core invariant extended to crashes: the
 // whole recovery trajectory — stats, recovery counters, log counters — is
-// bitwise identical across shard counts, thread counts, and the inline
-// partition path.
+// bitwise identical across shard counts, thread counts, and both
+// partition planes.
 TEST_P(RecoveryProtocolTest, ReplayBitwiseDeterministicAcrossPlacements) {
   for (CrashPoint point : {CrashPoint::kAfterPrepare, CrashPoint::kAfterAccept,
                            CrashPoint::kAfterDecide}) {
@@ -211,14 +211,12 @@ TEST_P(RecoveryProtocolTest, ReplayBitwiseDeterministicAcrossPlacements) {
       options.fault_plan.coordinator_restart_delay = 3000;
       return RunTransfer(options, 250, 77);
     };
-    RunOutcome baseline = run({1, 1, true});
+    RunOutcome baseline = run({1, 1});
     for (const Placement& placement :
-         {Placement{2, 1, true}, Placement{8, 4, true},
-          Placement{1, 1, false}}) {
+         {Placement{2, 1}, Placement{8, 4}, Placement{2, 2}}) {
       RunOutcome out = run(placement);
       SCOPED_TRACE("shards=" + std::to_string(placement.shards) +
-                   " threads=" + std::to_string(placement.threads) +
-                   " parallel=" + std::to_string(placement.partition_parallel));
+                   " threads=" + std::to_string(placement.threads));
       EXPECT_EQ(out.stats, baseline.stats);
       EXPECT_TRUE(RecoveryEq(out.recovery, baseline.recovery));
       EXPECT_EQ(out.log_stats, baseline.log_stats);
@@ -291,9 +289,9 @@ TEST(CommitLogTest, LoggedRunBitwiseDeterministicAcrossPlacements) {
     return RunTransfer(FaultOptions(core::ProtocolKind::kInbac, 3, placement),
                        300, 23);
   };
-  RunOutcome baseline = run({1, 1, true});
+  RunOutcome baseline = run({1, 1});
   for (const Placement& placement :
-       {Placement{2, 1, true}, Placement{8, 4, true}, Placement{1, 1, false}}) {
+       {Placement{2, 1}, Placement{8, 4}, Placement{2, 2}}) {
     RunOutcome out = run(placement);
     EXPECT_EQ(out.stats, baseline.stats)
         << "shards=" << placement.shards << " threads=" << placement.threads;
@@ -336,9 +334,9 @@ TEST(ParticipantCrashTest, BitwiseDeterministicAcrossPlacements) {
     options.fault_plan.participant_restart_delay = 2500;
     return RunTransfer(options, 250, 77);
   };
-  RunOutcome baseline = run({1, 1, true});
+  RunOutcome baseline = run({1, 1});
   for (const Placement& placement :
-       {Placement{2, 1, true}, Placement{8, 4, true}}) {
+       {Placement{2, 1}, Placement{8, 4}, Placement{2, 2}}) {
     RunOutcome out = run(placement);
     EXPECT_EQ(out.stats, baseline.stats)
         << "shards=" << placement.shards << " threads=" << placement.threads;
@@ -385,10 +383,7 @@ TEST(ParticipantCrashTest, SnapshotReadsDeferAndStayDeterministic) {
   // Regenerate the workload with the same seed per placement (seed depends
   // only on a constant here).
   auto fixed_seed_run = [&run](int shards, int threads) {
-    Placement placement{1, 1, true};
-    placement.shards = shards;
-    placement.threads = threads;
-    return run(placement);
+    return run(Placement{shards, threads});
   };
   RunOutcome a = fixed_seed_run(1, 1);
   RunOutcome b = fixed_seed_run(1, 1);
@@ -435,9 +430,11 @@ TEST(RecoveryEdgeTest, CoordinatorCrashWithSnapshotReads) {
 
 // Conflict-aware lookahead composes with a coordinator crash: tracked key
 // hashes of lost rounds are released by recovery's presumed-abort sweep,
-// so the tracker drains empty (Drain FC_CHECKs it).
+// so the tracker drains empty (Drain FC_CHECKs it). Lookahead needs the
+// deferred plane, hence worker threads.
 TEST(RecoveryEdgeTest, LookaheadTrackerSurvivesCoordinatorCrash) {
-  Database::Options options = FaultOptions(core::ProtocolKind::kInbac, 3);
+  Database::Options options =
+      FaultOptions(core::ProtocolKind::kInbac, 3, Placement{2, 2});
   options.conflict_lookahead = true;
   options.fault_plan.crash_point = CrashPoint::kAfterPrepare;
   options.fault_plan.crash_at_occurrence = 7;

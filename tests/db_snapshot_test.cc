@@ -6,8 +6,8 @@
 // (no locks, no votes, no protocol messages, no pooled instances for
 // read-only traffic in either concurrency mode), version GC staying
 // bounded, and bitwise placement determinism of both DatabaseStats and
-// the read-result fingerprint across shard/thread grids and the inline
-// path.
+// the read-result fingerprint across shard/thread grids, inline and
+// deferred partition plane.
 
 #include <gtest/gtest.h>
 
@@ -289,14 +289,13 @@ struct PlacementResult {
 };
 
 PlacementResult RunPlacement(ConcurrencyMode mode, int shards, int threads,
-                             bool partition_parallel, bool lookahead) {
+                             bool lookahead) {
   Database::Options options;
   options.num_partitions = 8;
   options.concurrency = mode;
   options.snapshot_reads = true;
   options.num_shards = shards;
   options.num_threads = threads;
-  options.partition_parallel = partition_parallel;
   options.conflict_lookahead = lookahead;
   options.check_invariants = true;
   options.max_inflight = 64;
@@ -324,16 +323,14 @@ PlacementResult RunPlacement(ConcurrencyMode mode, int shards, int threads,
 
 void ExpectPlacementInvariant(ConcurrencyMode mode) {
   PlacementResult reference =
-      RunPlacement(mode, /*shards=*/1, /*threads=*/1,
-                   /*partition_parallel=*/false, /*lookahead=*/false);
+      RunPlacement(mode, /*shards=*/1, /*threads=*/1, /*lookahead=*/false);
   EXPECT_GT(reference.stats.read_only_committed, 0);
   EXPECT_GT(reference.stats.committed, 0);
   for (int shards : {1, 2, 8}) {
     for (int threads : {1, 4}) {
       for (bool lookahead : {false, true}) {
         PlacementResult placed =
-            RunPlacement(mode, shards, threads,
-                         /*partition_parallel=*/true, lookahead);
+            RunPlacement(mode, shards, threads, lookahead);
         // Stats AND the read-result fingerprint: every snapshot read
         // returned bitwise the same values in the same order, whatever
         // the placement or barrier schedule.

@@ -8,9 +8,10 @@
 //     harness can actually pressure the system);
 //   - admission control: Options::max_inflight sheds at saturation and
 //     sheds nothing when the bound is slack;
-//   - conflict-aware lookahead (Options::conflict_lookahead): skips flush
-//     barriers on low-conflict streams with DatabaseStats and BatchStats
-//     bitwise identical to lookahead-off;
+//   - conflict-aware lookahead (Options::conflict_lookahead, active only
+//     with worker threads): skips flush barriers on low-conflict streams
+//     with DatabaseStats and BatchStats bitwise identical to
+//     lookahead-off, and still flushes once its backlog reaches the cap;
 //   - placement determinism: every arrival process x skew drift config
 //     yields bitwise-identical DatabaseStats across shard/thread
 //     placements and lookahead settings.
@@ -49,6 +50,7 @@ struct OpenLoopResult {
   Database::BatchStats batch_stats;
   int64_t lookahead_skips = 0;
   int64_t plane_flushes = 0;
+  int64_t tasks_drained = 0;
   int64_t balance_sum = 0;
 };
 
@@ -62,6 +64,7 @@ OpenLoopResult RunOpenLoop(const Database::Options& options,
   result.batch_stats = database.batch_stats();
   result.lookahead_skips = database.lookahead_skips();
   result.plane_flushes = database.partition_plane().flushes();
+  result.tasks_drained = database.partition_plane().tasks_drained();
   result.balance_sum = database.SumInts();
   return result;
 }
@@ -252,10 +255,17 @@ TEST(OpenLoopTest, ShedArrivalsReportAbortToTheCallback) {
   EXPECT_GE(aborts, stats.shed);
 }
 
+/// Lookahead runs only on the deferred plane, which needs worker threads.
+void PlaceOnWorkers(Database::Options* options) {
+  options->num_shards = 2;
+  options->num_threads = 2;
+}
+
 TEST(OpenLoopTest, LookaheadSkipsBarriersWithIdenticalStats) {
   Database::Options off;
   off.num_partitions = 8;
   off.seed = 13;
+  PlaceOnWorkers(&off);
   Database::Options on = off;
   on.conflict_lookahead = true;
 
@@ -284,6 +294,7 @@ TEST(OpenLoopTest, LookaheadSurvivesContentionAndInvariantSweeps) {
   Database::Options off;
   off.num_partitions = 4;
   off.check_invariants = true;
+  PlaceOnWorkers(&off);
   Database::Options on = off;
   on.conflict_lookahead = true;
 
@@ -305,6 +316,7 @@ TEST(OpenLoopTest, LookaheadComposesWithBatching) {
   off.batch_max = 8;
   off.batch_cross_set = true;
   off.batch_round_merge = true;
+  PlaceOnWorkers(&off);
   Database::Options on = off;
   on.conflict_lookahead = true;
 
@@ -318,6 +330,35 @@ TEST(OpenLoopTest, LookaheadComposesWithBatching) {
   EXPECT_EQ(look.stats, base.stats);
   EXPECT_EQ(look.batch_stats, base.batch_stats);
   EXPECT_GT(base.batch_stats.rounds, 0);
+}
+
+// A conflict-free stream never gives lookahead a reason to flush, so
+// without a cap the deferred plane would hold every task of the run until
+// the drain. The cap makes it flush along the way, with stats unchanged.
+TEST(OpenLoopTest, LookaheadBacklogIsBounded) {
+  Database::Options serial;
+  serial.num_partitions = 8;
+  Database::Options placed = serial;
+  PlaceOnWorkers(&placed);
+  placed.conflict_lookahead = true;
+
+  TrafficOptions traffic;
+  traffic.mean_gap = 40.0;
+  traffic.num_arrivals = 3000;  // ~4 tasks each: ~12x the backlog cap
+  traffic.num_keys = int64_t{1} << 30;
+  traffic.seed = 21;
+
+  OpenLoopResult reference = RunOpenLoop(serial, traffic);
+  OpenLoopResult run = RunOpenLoop(placed, traffic);
+  EXPECT_EQ(run.stats, reference.stats);
+  EXPECT_EQ(run.balance_sum, reference.balance_sum);
+  ASSERT_EQ(run.stats.retries, 0) << "stream should be conflict-free";
+  EXPECT_GT(run.lookahead_skips, 0);
+  // More than the drain's own flush, and on average no flush holding much
+  // more than the cap (finishes keep arriving between two prepares).
+  EXPECT_GT(run.plane_flushes, 1);
+  EXPECT_LE(run.tasks_drained,
+            run.plane_flushes * 2 * PartitionPlane::kMaxPredictedBacklog);
 }
 
 struct PlacementCase {

@@ -1,9 +1,10 @@
-// Stress of the per-partition LockManager under partition-parallel prepare
-// (ISSUE 5): the debug CheckInvariants() hook runs at every partition-plane
-// flush barrier (Database::Options::check_invariants) while contended
-// workloads prepare, upgrade, batch, abort, and retry across worker
-// threads — catching any lock a finished transaction still holds, any
-// shared/exclusive coexistence, and any upgrade-path bookkeeping drift.
+// Stress of the per-partition LockManager on the inline and the deferred
+// partition plane: the debug CheckInvariants() hook runs at every
+// partition-plane flush barrier (Database::Options::check_invariants)
+// while contended workloads prepare, upgrade, batch, abort, and retry,
+// across worker threads where the placement has them — catching any lock
+// a finished transaction still holds, any shared/exclusive coexistence,
+// and any upgrade-path bookkeeping drift.
 //
 // The LockManager-level tests below additionally pin each invariant
 // directly (including that CheckInvariants passes through the states the
@@ -75,7 +76,7 @@ TEST(LockInvariantTest, ReleaseAllOfUnknownTxIsHarmless) {
   EXPECT_TRUE(locks.HoldsExclusive("k", 1));
 }
 
-// --- Database-level stress under partition-parallel prepare ----------------
+// --- Database-level stress on both partition planes ------------------------
 
 struct StressSpec {
   int num_shards;
@@ -117,7 +118,6 @@ Database::Options StressOptions(const StressSpec& spec) {
   options.max_attempts = 3;
   options.num_shards = spec.num_shards;
   options.num_threads = spec.num_threads;
-  options.partition_parallel = true;
   options.check_invariants = true;  // sweep at every flush barrier
   options.batch_window = spec.batch_window;
   options.batch_adaptive = spec.adaptive;
@@ -184,8 +184,8 @@ TEST_P(LockInvariantStressTest, FinishedTransactionsHoldNoLocks) {
 
 INSTANTIATE_TEST_SUITE_P(
     Placements, LockInvariantStressTest,
-    ::testing::Values(StressSpec{1, 1, 0, false},      // plane, single queue
-                      StressSpec{4, 1, 0, false},      // sharded homes
+    ::testing::Values(StressSpec{1, 1, 0, false},      // inline plane
+                      StressSpec{4, 1, 0, false},      // sharded, inline
                       StressSpec{8, 4, 0, false},      // threaded flushes
                       StressSpec{8, 4, 200, false},    // + batched rounds
                       StressSpec{8, 4, 100, true}),    // + adaptive windows
