@@ -17,68 +17,69 @@ int64_t ParseInt(const Value& value) {
 }  // namespace
 
 std::optional<Value> KvStore::Get(const Key& key) const {
-  auto it = map_.find(key);
-  if (it == map_.end()) return std::nullopt;
-  return it->second.back().value;
+  const auto* entry = map_.Find(key);
+  if (entry == nullptr) return std::nullopt;
+  return entry->value.head.value;
 }
 
 std::optional<Value> KvStore::GetAtSnapshot(const Key& key,
                                             int64_t snapshot_csn) const {
-  auto it = map_.find(key);
-  if (it == map_.end()) return std::nullopt;
-  const Chain& chain = it->second;
-  // Newest version with csn <= snapshot: chains are short (pruned to the
-  // GC watermark), so a backward scan beats a binary search in practice.
-  for (auto v = chain.rbegin(); v != chain.rend(); ++v) {
+  const auto* entry = map_.Find(key);
+  if (entry == nullptr) return std::nullopt;
+  const Chain& chain = entry->value;
+  if (chain.head.csn <= snapshot_csn) return chain.head.value;
+  // Newest older version with csn <= snapshot: chains are short (pruned to
+  // the GC watermark), so a backward scan beats a binary search in
+  // practice.
+  for (auto v = chain.older.rbegin(); v != chain.older.rend(); ++v) {
     if (v->csn <= snapshot_csn) return v->value;
   }
   return std::nullopt;  // key born after the snapshot
 }
 
-void KvStore::PutAt(const Key& key, int64_t csn, Value value,
-                    int64_t gc_watermark) {
-  Chain& chain = map_[key];
-  if (!chain.empty() && chain.back().csn >= csn) {
-    // Same-commit second op, or a non-transactional head overwrite: the
-    // chain gains no version and CSN order stays strict.
-    chain.back().value = std::move(value);
-  } else {
-    chain.push_back(Version{csn, std::move(value)});
+KvStore::Version& KvStore::WritableHead(Chain& chain, bool fresh, int64_t csn,
+                                        int64_t gc_watermark) {
+  if (fresh) {
+    chain.head.csn = csn;
     ++total_versions_;
+  } else if (chain.head.csn < csn) {
+    // A new version. The old head stays readable unless the watermark
+    // already covers the new one, which is then the base every snapshot
+    // resolves to: the old head is replaced in place, as pruning would
+    // drop it at once.
+    if (csn > gc_watermark) {
+      chain.older.push_back(std::move(chain.head));
+      ++total_versions_;
+    }
+    chain.head.csn = csn;
   }
   if (gc_watermark > 0) total_versions_ -= PruneChain(chain, gc_watermark);
+  return chain.head;
 }
 
 void KvStore::Put(const Key& key, Value value) {
-  Chain& chain = map_[key];
-  if (chain.empty()) {
-    chain.push_back(Version{0, std::move(value)});
-    ++total_versions_;
-  } else {
-    chain.back().value = std::move(value);
-  }
+  auto [entry, fresh] = map_.Insert(key);
+  WritableHead(entry->value, fresh, 0, 0).value = std::move(value);
 }
 
 bool KvStore::Erase(const Key& key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) return false;
-  total_versions_ -= static_cast<int64_t>(it->second.size());
-  map_.erase(it);
+  auto* entry = map_.Find(key);
+  if (entry == nullptr) return false;
+  total_versions_ -= 1 + static_cast<int64_t>(entry->value.older.size());
+  map_.Erase(entry);
   return true;
 }
 
 void KvStore::Apply(const Op& op, int64_t csn, int64_t gc_watermark) {
-  switch (op.type) {
-    case Op::Type::kGet:
-      break;
-    case Op::Type::kPut:
-      PutAt(op.key, csn, op.value, gc_watermark);
-      break;
-    case Op::Type::kAdd:
-      PutAt(op.key, csn, std::to_string(GetInt(op.key) + op.delta),
-            gc_watermark);
-      break;
-  }
+  if (op.type == Op::Type::kGet) return;  // reads mutate nothing
+  auto [entry, fresh] = map_.Insert(op.key);
+  Chain& chain = entry->value;
+  // kAdd reads the newest value (empty, so 0, on a fresh chain) before the
+  // head can move into the older versions.
+  Value value = op.type == Op::Type::kPut
+                    ? op.value
+                    : std::to_string(ParseInt(chain.head.value) + op.delta);
+  WritableHead(chain, fresh, csn, gc_watermark).value = std::move(value);
 }
 
 int64_t KvStore::AddInt(const Key& key, int64_t delta) {
@@ -88,9 +89,8 @@ int64_t KvStore::AddInt(const Key& key, int64_t delta) {
 }
 
 int64_t KvStore::GetInt(const Key& key) const {
-  auto it = map_.find(key);
-  if (it == map_.end()) return 0;
-  return ParseInt(it->second.back().value);
+  const auto* entry = map_.Find(key);
+  return entry == nullptr ? 0 : ParseInt(entry->value.head.value);
 }
 
 int64_t KvStore::GetIntAtSnapshot(const Key& key, int64_t snapshot_csn) const {
@@ -99,8 +99,10 @@ int64_t KvStore::GetIntAtSnapshot(const Key& key, int64_t snapshot_csn) const {
 }
 
 int64_t KvStore::versions(const Key& key) const {
-  auto it = map_.find(key);
-  return it == map_.end() ? 0 : static_cast<int64_t>(it->second.size());
+  const auto* entry = map_.Find(key);
+  return entry == nullptr
+             ? 0
+             : 1 + static_cast<int64_t>(entry->value.older.size());
 }
 
 int64_t KvStore::PruneChain(Chain& chain, int64_t watermark) {
@@ -108,15 +110,19 @@ int64_t KvStore::PruneChain(Chain& chain, int64_t watermark) {
   // at or above the watermark resolves to) and everything newer. Versions
   // strictly older than that base are invisible to all live and future
   // readers — the watermark is the minimum CSN any of them can hold.
-  size_t base = 0;
-  for (size_t i = chain.size(); i-- > 0;) {
-    if (chain[i].csn <= watermark) {
-      base = i;
-      break;
+  std::vector<Version>& older = chain.older;
+  size_t base = older.size();  // the head is the base
+  if (chain.head.csn > watermark) {
+    base = 0;
+    for (size_t i = older.size(); i-- > 0;) {
+      if (older[i].csn <= watermark) {
+        base = i;
+        break;
+      }
     }
   }
   if (base == 0) return 0;
-  chain.erase(chain.begin(), chain.begin() + static_cast<ptrdiff_t>(base));
+  older.erase(older.begin(), older.begin() + static_cast<ptrdiff_t>(base));
   return static_cast<int64_t>(base);
 }
 
@@ -129,19 +135,20 @@ int64_t KvStore::Truncate(int64_t watermark) {
 
 int64_t KvStore::SumInts() const {
   int64_t sum = 0;
-  for (const auto& [key, chain] : map_) sum += ParseInt(chain.back().value);
+  for (const auto& [key, chain] : map_) sum += ParseInt(chain.head.value);
   return sum;
 }
 
 void KvStore::CheckInvariants() const {
   int64_t counted = 0;
   for (const auto& [key, chain] : map_) {
-    FC_CHECK(!chain.empty()) << "empty version chain for key '" << key << "'";
-    counted += static_cast<int64_t>(chain.size());
-    for (size_t i = 1; i < chain.size(); ++i) {
-      FC_CHECK(chain[i - 1].csn < chain[i].csn)
+    const std::vector<Version>& older = chain.older;
+    counted += 1 + static_cast<int64_t>(older.size());
+    for (size_t i = 0; i < older.size(); ++i) {
+      int64_t next = i + 1 < older.size() ? older[i + 1].csn : chain.head.csn;
+      FC_CHECK(older[i].csn < next)
           << "version chain of '" << key << "' not strictly increasing: csn "
-          << chain[i - 1].csn << " then " << chain[i].csn;
+          << older[i].csn << " then " << next;
     }
   }
   FC_CHECK(counted == total_versions_)

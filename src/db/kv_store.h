@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "db/flat_table.h"
 #include "db/transaction.h"
 
 namespace fastcommit::db {
@@ -26,6 +26,12 @@ namespace fastcommit::db {
 /// touched chain down to the GC watermark — the minimum CSN any live
 /// snapshot reader can still demand (Database tracks it) — so memory stays
 /// bounded at O(keys + versions above the watermark) without any sweep.
+///
+/// Chains live in one FlatTable entry per key, with the newest version
+/// inline and older versions in a side vector. Without snapshot claims the
+/// watermark is the stable CSN, so every commit prunes its chain to the
+/// head and the side vector stays empty: a write is one probe and, for a
+/// resident key with a short value, no allocation.
 class KvStore {
  public:
   KvStore() = default;
@@ -83,9 +89,10 @@ class KvStore {
   /// example).
   int64_t SumInts() const;
 
-  /// FC_CHECKs chain invariants: no empty chains, strictly increasing
-  /// CSNs within every chain, and the version counter consistent. Swept at
-  /// partition-plane flush barriers under Database check_invariants.
+  /// FC_CHECKs chain invariants: strictly increasing CSNs within every
+  /// chain (older versions below the head), and the version counter
+  /// consistent. Swept at partition-plane flush barriers under Database
+  /// check_invariants.
   void CheckInvariants() const;
 
  private:
@@ -93,16 +100,28 @@ class KvStore {
     int64_t csn = 0;
     Value value;
   };
-  using Chain = std::vector<Version>;
+  /// One key's versions: the newest inline, the older ones oldest first.
+  struct Chain {
+    Version head;
+    std::vector<Version> older;
+    void clear() {
+      head.csn = 0;
+      head.value.clear();
+      older.clear();
+    }
+  };
 
-  /// Writes `value` as the version at `csn`: in-place when the head is at
-  /// `csn` or newer (same-transaction second op, or a non-transactional
-  /// overwrite), appended otherwise.
-  void PutAt(const Key& key, int64_t csn, Value value, int64_t gc_watermark);
+  /// Makes `chain`'s head the version at `csn` and returns it for the
+  /// caller to write: the head itself when it is at `csn` or newer
+  /// (same-commit second op, or a non-transactional overwrite), a new
+  /// version otherwise. `fresh` marks a just-inserted chain. Prunes the
+  /// chain to `gc_watermark` when it is positive.
+  Version& WritableHead(Chain& chain, bool fresh, int64_t csn,
+                        int64_t gc_watermark);
   /// Prunes one chain to `watermark` (see Truncate); returns drops.
-  int64_t PruneChain(Chain& chain, int64_t watermark);
+  static int64_t PruneChain(Chain& chain, int64_t watermark);
 
-  std::unordered_map<Key, Chain> map_;
+  FlatTable<Key, Chain> map_;
   int64_t total_versions_ = 0;
 };
 

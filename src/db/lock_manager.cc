@@ -37,12 +37,12 @@ bool LockManager::TryLockExclusive(const Key& key, TxId tx) {
 }
 
 void LockManager::ReleaseAll(TxId tx) {
-  auto it = held_.find(tx);
-  if (it == held_.end()) return;
-  for (const Key& key : it->second) {
-    auto lock_it = locks_.find(key);
-    if (lock_it == locks_.end()) continue;
-    LockState& state = lock_it->second;
+  auto* held = held_.Find(tx);
+  if (held == nullptr) return;
+  for (const Key& key : held->value) {
+    auto* lock = locks_.Find(key);
+    if (lock == nullptr) continue;
+    LockState& state = lock->value;
     if (state.exclusive_owner == tx) state.exclusive_owner = -1;
     auto pos = std::lower_bound(state.shared_owners.begin(),
                                 state.shared_owners.end(), tx);
@@ -50,10 +50,10 @@ void LockManager::ReleaseAll(TxId tx) {
       state.shared_owners.erase(pos);
     }
     if (state.exclusive_owner < 0 && state.shared_owners.empty()) {
-      locks_.erase(lock_it);
+      locks_.Erase(lock);
     }
   }
-  held_.erase(it);
+  held_.Erase(held);
 }
 
 int64_t LockManager::held_locks() const {
@@ -65,8 +65,8 @@ int64_t LockManager::held_locks() const {
 }
 
 int64_t LockManager::held_by(TxId tx) const {
-  auto it = held_.find(tx);
-  return it == held_.end() ? 0 : static_cast<int64_t>(it->second.size());
+  const auto* held = held_.Find(tx);
+  return held == nullptr ? 0 : static_cast<int64_t>(held->value.size());
 }
 
 void LockManager::CheckInvariants() const {
@@ -128,22 +128,22 @@ void LockManager::ForEachHeldKey(
 }
 
 bool LockManager::HeldRecorded(const Key& key, TxId tx) const {
-  auto it = held_.find(tx);
-  if (it == held_.end()) return false;
-  return std::find(it->second.begin(), it->second.end(), key) !=
-         it->second.end();
+  const auto* held = held_.Find(tx);
+  if (held == nullptr) return false;
+  return std::find(held->value.begin(), held->value.end(), key) !=
+         held->value.end();
 }
 
 bool LockManager::HoldsExclusive(const Key& key, TxId tx) const {
-  auto it = locks_.find(key);
-  return it != locks_.end() && it->second.exclusive_owner == tx;
+  const auto* lock = locks_.Find(key);
+  return lock != nullptr && lock->value.exclusive_owner == tx;
 }
 
 bool LockManager::HoldsShared(const Key& key, TxId tx) const {
-  auto it = locks_.find(key);
-  return it != locks_.end() &&
-         std::binary_search(it->second.shared_owners.begin(),
-                            it->second.shared_owners.end(), tx);
+  const auto* lock = locks_.Find(key);
+  return lock != nullptr &&
+         std::binary_search(lock->value.shared_owners.begin(),
+                            lock->value.shared_owners.end(), tx);
 }
 
 }  // namespace fastcommit::db

@@ -2,9 +2,9 @@
 #define FASTCOMMIT_DB_LOCK_MANAGER_H_
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "db/flat_table.h"
 #include "db/transaction.h"
 
 namespace fastcommit::db {
@@ -13,6 +13,11 @@ namespace fastcommit::db {
 /// transaction that cannot acquire a lock is voted "no" by the partition
 /// (Helios-style conflict detection — the paper's motivating execution
 /// model), leaving deadlock avoidance to abort-and-retry.
+///
+/// Both the per-key lock table and the per-transaction held-key table are
+/// FlatTables, and each gains and loses an entry per transaction. An
+/// erased entry keeps its owner and key vectors' capacity for the next
+/// insert, so a steady-state acquire/release cycle allocates nothing.
 class LockManager {
  public:
   LockManager() = default;
@@ -60,14 +65,19 @@ class LockManager {
     /// runs (membership, ordered insert, erase) and on allocation count.
     /// Sorted order also keeps iteration deterministic, as the set's was.
     std::vector<TxId> shared_owners;
+
+    void clear() {
+      exclusive_owner = -1;
+      shared_owners.clear();
+    }
   };
 
   /// True when held_[tx] records `key` (linear in that transaction's held
   /// set; CheckInvariants-only).
   bool HeldRecorded(const Key& key, TxId tx) const;
 
-  std::unordered_map<Key, LockState> locks_;
-  std::unordered_map<TxId, std::vector<Key>> held_;
+  FlatTable<Key, LockState> locks_;
+  FlatTable<TxId, std::vector<Key>> held_;
 };
 
 }  // namespace fastcommit::db

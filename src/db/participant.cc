@@ -125,12 +125,12 @@ void Participant::Finish(TxId tx, commit::Decision decision, int64_t csn,
     FinishOcc(tx, decision, csn, gc_watermark);
     return;
   }
-  auto it = staged_.find(tx);
-  if (it != staged_.end()) {
+  auto* staged = staged_.Find(tx);
+  if (staged != nullptr) {
     if (decision == commit::Decision::kCommit) {
-      for (const Op& op : it->second) store_.Apply(op, csn, gc_watermark);
+      for (const Op& op : staged->value) store_.Apply(op, csn, gc_watermark);
     }
-    staged_.erase(it);
+    staged_.Erase(staged);
   }
   locks_.ReleaseAll(tx);
 }
@@ -140,19 +140,20 @@ void Participant::FinishOcc(TxId tx, commit::Decision decision, int64_t csn,
   // Read-only transactions (and transactions never prepared here, or
   // already finished — batching's doomed-member early release finishes
   // twice) have no staged entry and no version locks: nothing to do.
-  auto it = staged_.find(tx);
-  if (it == staged_.end()) return;
+  auto* staged = staged_.Find(tx);
+  if (staged == nullptr) return;
+  const std::vector<Op>& ops = staged->value;
   if (decision == commit::Decision::kCommit) {
     // Apply every staged write, then publish each key's new version —
     // PublishIfOwned is a no-op after the first duplicate of a key, so
     // the version moves exactly once per committed key however many ops
     // the transaction stacked on it.
-    for (const Op& op : it->second) store_.Apply(op, csn, gc_watermark);
-    for (const Op& op : it->second) versions_.PublishIfOwned(op.key, tx);
+    for (const Op& op : ops) store_.Apply(op, csn, gc_watermark);
+    for (const Op& op : ops) versions_.PublishIfOwned(op.key, tx);
   } else {
-    for (const Op& op : it->second) versions_.UnlockIfOwned(op.key, tx);
+    for (const Op& op : ops) versions_.UnlockIfOwned(op.key, tx);
   }
-  staged_.erase(it);
+  staged_.Erase(staged);
 }
 
 void Participant::ReadAtSnapshot(int64_t snapshot_csn,
@@ -192,10 +193,10 @@ void Participant::CheckInvariants() const {
     // without a live owner — a staged entry that will publish or unlock
     // it. An orphaned lock would wedge every later writer of the key.
     versions_.ForEachLocked([this](const Key& key, TxId owner, uint64_t) {
-      auto staged = staged_.find(owner);
+      const auto* staged = staged_.Find(owner);
       bool live = false;
-      if (staged != staged_.end()) {
-        for (const Op& op : staged->second) {
+      if (staged != nullptr) {
+        for (const Op& op : staged->value) {
           if (op.key == key) {
             live = true;
             break;

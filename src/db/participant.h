@@ -1,10 +1,10 @@
 #ifndef FASTCOMMIT_DB_PARTICIPANT_H_
 #define FASTCOMMIT_DB_PARTICIPANT_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "commit/commit_protocol.h"
+#include "db/flat_table.h"
 #include "db/kv_store.h"
 #include "db/lock_manager.h"
 #include "db/transaction.h"
@@ -24,6 +24,12 @@ namespace fastcommit::db {
 ///     set, then prepare runs lock-writes -> validate-reads, and "the
 ///     validation passed" is the vote. Commit publishes the new versions.
 /// Either way the commit protocols upstream run unchanged on the votes.
+///
+/// Every table here (the store's chains, the lock and held tables, the
+/// version words and the staged writes) is a FlatTable (db/flat_table.h)
+/// that reuses an erased entry's buffers, so a steady-state Prepare/Finish
+/// over resident keys that fit std::string's inline buffer (15 characters
+/// in libstdc++) allocates nothing.
 class Participant {
  public:
   explicit Participant(int partition_id,
@@ -107,7 +113,8 @@ class Participant {
   /// OCC version-lock words, living next to the staged writes they guard.
   /// Untouched (empty) under 2PL.
   VersionTable versions_;
-  std::unordered_map<TxId, std::vector<Op>> staged_;
+  /// Staged write ops per prepared transaction.
+  FlatTable<TxId, std::vector<Op>> staged_;
   /// Reused OCC read-set scratch: observations live only from the read
   /// phase to the validate phase of one Prepare, so the buffer never
   /// allocates in steady state.

@@ -5,49 +5,49 @@
 namespace fastcommit::db {
 
 uint64_t VersionTable::ReadWord(const Key& key) const {
-  auto it = words_.find(key);
-  return it == words_.end() ? 0 : it->second.word;
+  const auto* entry = words_.Find(key);
+  return entry == nullptr ? 0 : entry->value.word;
 }
 
 bool VersionTable::TryLock(const Key& key, TxId tx) {
-  Entry& entry = words_[key];
-  if (Locked(entry.word)) return entry.owner == tx;
-  entry.word |= kLockedBit;
-  entry.owner = tx;
+  Word& w = words_[key];
+  if (Locked(w.word)) return w.owner == tx;
+  w.word |= kLockedBit;
+  w.owner = tx;
   ++locked_words_;
   return true;
 }
 
 void VersionTable::UnlockIfOwned(const Key& key, TxId tx) {
-  auto it = words_.find(key);
-  if (it == words_.end() || !Locked(it->second.word) ||
-      it->second.owner != tx) {
+  auto* entry = words_.Find(key);
+  if (entry == nullptr || !Locked(entry->value.word) ||
+      entry->value.owner != tx) {
     return;
   }
-  it->second.word &= ~kLockedBit;
-  it->second.owner = -1;
+  entry->value.word &= ~kLockedBit;
+  entry->value.owner = -1;
   --locked_words_;
-  if (it->second.word == 0) words_.erase(it);
+  if (entry->value.word == 0) words_.Erase(entry);
 }
 
 void VersionTable::PublishIfOwned(const Key& key, TxId tx) {
-  auto it = words_.find(key);
-  if (it == words_.end() || !Locked(it->second.word) ||
-      it->second.owner != tx) {
+  auto* entry = words_.Find(key);
+  if (entry == nullptr || !Locked(entry->value.word) ||
+      entry->value.owner != tx) {
     return;
   }
   // Clear the lock and advance the publish count in one step: the word
   // moves from (v, locked) to (v + 1, unlocked), so any reader that
   // observed v re-validates to a mismatch and any later reader sees v + 1.
-  it->second.word = (it->second.word & ~kLockedBit) + 2;
-  it->second.owner = -1;
+  entry->value.word = (entry->value.word & ~kLockedBit) + 2;
+  entry->value.owner = -1;
   --locked_words_;
 }
 
 TxId VersionTable::OwnerOf(const Key& key) const {
-  auto it = words_.find(key);
-  if (it == words_.end() || !Locked(it->second.word)) return -1;
-  return it->second.owner;
+  const auto* entry = words_.Find(key);
+  if (entry == nullptr || !Locked(entry->value.word)) return -1;
+  return entry->value.owner;
 }
 
 void VersionTable::ForEachLocked(

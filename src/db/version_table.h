@@ -3,8 +3,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 
+#include "db/flat_table.h"
 #include "db/transaction.h"
 
 namespace fastcommit::db {
@@ -15,7 +15,8 @@ namespace fastcommit::db {
 /// TL2-style layout of mtak-/lstm's commit algorithm. A key that was never
 /// written reads as version 0, unlocked, and occupies no memory, so the
 /// table is bounded by the distinct written keys plus in-flight write
-/// locks; read-only traffic never grows it at all.
+/// locks; read-only traffic never grows it at all. The words live in a
+/// FlatTable, so a lock, publish or unlock is one probe.
 ///
 /// This is simulator state, not shared memory: partition task queues drain
 /// serially in canonical order (db/partition_plane.h), so the "word" needs
@@ -67,11 +68,13 @@ class VersionTable {
   void CheckInvariants() const;
 
  private:
-  struct Entry {
+  struct Word {
     uint64_t word = 0;
     TxId owner = -1;  ///< valid iff Locked(word)
+
+    void clear() { *this = Word{}; }
   };
-  std::unordered_map<Key, Entry> words_;
+  FlatTable<Key, Word> words_;
   int64_t locked_words_ = 0;
 };
 

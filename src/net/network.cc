@@ -29,27 +29,30 @@ void Network::Send(ProcessId from, ProcessId to, Message msg) {
   FC_CHECK(to >= 0 && to < n_) << "bad receiver " << to;
   if (crashed_[static_cast<size_t>(from)]) return;
 
-  auto shared = std::make_shared<const Message>(std::move(msg));
+  // The delivery closure owns the message: the event queue moves closures
+  // and never copies them, so the message is neither copied nor shared.
   uint64_t generation = generation_;
   if (from == to) {
     // Local step: delivered at the same instant, not a network message
     // (paper footnote 10). Still goes through the event queue so the current
     // handler finishes first.
-    scheduler_->ScheduleAt(scheduler_->Now(), sim::EventClass::kDelivery,
-                           [this, generation, from, to, shared]() {
-                             Deliver(generation, -1, from, to, shared);
-                           });
+    scheduler_->ScheduleAt(
+        scheduler_->Now(), sim::EventClass::kDelivery,
+        [this, generation, from, to, msg = std::move(msg)]() {
+          Deliver(generation, -1, from, to, msg);
+        });
     return;
   }
 
   sim::Time now = scheduler_->Now();
-  int64_t seq = stats_.RecordSend(from, to, now, shared->channel, shared->kind);
+  int64_t seq = stats_.RecordSend(from, to, now, msg.channel, msg.kind);
   sim::Time delay = delays_->DelayFor(from, to, now, seq);
   FC_CHECK(delay >= 1) << "delay model returned non-positive delay";
-  scheduler_->ScheduleAt(now + delay, sim::EventClass::kDelivery,
-                         [this, generation, seq, from, to, shared]() {
-                           Deliver(generation, seq, from, to, shared);
-                         });
+  scheduler_->ScheduleAt(
+      now + delay, sim::EventClass::kDelivery,
+      [this, generation, seq, from, to, msg = std::move(msg)]() {
+        Deliver(generation, seq, from, to, msg);
+      });
 }
 
 void Network::ResetEpoch() {
@@ -75,7 +78,7 @@ int Network::crash_count() const {
 }
 
 void Network::Deliver(uint64_t generation, int64_t seq, ProcessId from,
-                      ProcessId to, std::shared_ptr<const Message> msg) {
+                      ProcessId to, const Message& msg) {
   // A delivery from a previous epoch: the instance this message belonged to
   // has been recycled; its trace record is gone too. Drop silently.
   if (generation != generation_) return;
@@ -86,7 +89,7 @@ void Network::Deliver(uint64_t generation, int64_t seq, ProcessId from,
   if (seq >= 0) stats_.RecordDelivery(seq, scheduler_->Now());
   const Handler& handler = handlers_[static_cast<size_t>(to)];
   FC_CHECK(handler != nullptr) << "no handler registered for process " << to;
-  handler(from, *msg);
+  handler(from, msg);
 }
 
 }  // namespace fastcommit::net

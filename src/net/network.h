@@ -64,7 +64,7 @@ class Network {
 
  private:
   void Deliver(uint64_t generation, int64_t seq, ProcessId from, ProcessId to,
-               std::shared_ptr<const Message> msg);
+               const Message& msg);
 
   sim::Scheduler* scheduler_;
   int n_;

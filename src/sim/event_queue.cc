@@ -1,5 +1,6 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/check.h"
@@ -14,7 +15,8 @@ void EventQueue::Push(Time at, EventClass cls, std::function<void()> fn) {
   e.cls = cls;
   e.seq = next_seq_++;
   e.fn = std::move(fn);
-  heap_.push(std::move(e));
+  heap_.push_back(std::move(e));
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 EventId EventQueue::PushCancellable(Time at, EventClass cls,
@@ -33,21 +35,25 @@ bool EventQueue::Cancel(EventId id) {
 
 void EventQueue::Prune() const {
   while (!heap_.empty() && !cancelled_.empty() &&
-         cancelled_.erase(heap_.top().seq) > 0) {
-    heap_.pop();
+         cancelled_.erase(heap_.front().seq) > 0) {
+    PopTop();
   }
+}
+
+Event EventQueue::PopTop() const {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event e = std::move(heap_.back());
+  heap_.pop_back();
+  return e;
 }
 
 Event EventQueue::Pop() {
   Prune();
   // After pruning, a heap that held only cancelled entries is empty — and
-  // top()/pop() on an empty priority queue is undefined behavior, so the
-  // misuse must fail loudly here, not corrupt the heap.
+  // popping an empty heap is undefined behavior, so the misuse must fail
+  // loudly here, not corrupt the heap.
   FC_CHECK(!heap_.empty()) << "Pop() on a queue with no live events";
-  // std::priority_queue::top() returns a const reference; the function
-  // object must be moved out via a copy of the top element.
-  Event e = heap_.top();
-  heap_.pop();
+  Event e = PopTop();
   last_popped_at_ = e.at;
   cancellable_.erase(e.seq);  // executed: its handle is dead
   return e;

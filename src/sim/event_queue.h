@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <unordered_set>
 #include <vector>
 
@@ -92,7 +91,7 @@ class EventQueue {
   Time PeekTime() const {
     Prune();
     FC_CHECK(!heap_.empty()) << "PeekTime() on a queue with no live events";
-    return heap_.top().at;
+    return heap_.front().at;
   }
 
  private:
@@ -108,10 +107,15 @@ class EventQueue {
   /// public accessors only ever see live events. Does not touch
   /// last_popped_at_: pruning is not execution.
   void Prune() const;
+  /// Removes the top entry and returns it, moved out: the closure (and
+  /// whatever it captured) is never copied.
+  Event PopTop() const;
 
-  /// seq doubles as the cancellation handle, so it starts at 1 and 0 stays
-  /// free for kNoEvent.
-  mutable std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  /// A binary heap under Later (std::push_heap/std::pop_heap) rather than
+  /// a std::priority_queue, whose const top() would force Pop to copy each
+  /// event. seq doubles as the cancellation handle, so it starts at 1 and
+  /// 0 stays free for kNoEvent.
+  mutable std::vector<Event> heap_;
   uint64_t next_seq_ = 1;
   Time last_popped_at_ = 0;
   /// Cancellable events still in the heap, and those of them cancelled but

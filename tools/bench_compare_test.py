@@ -241,6 +241,19 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(code, 0)
         self.assertIn("report-only", out)
 
+    def test_served_per_sec_wall_is_report_only(self):
+        # bench_db_readmix's wall-clock served rate (commits plus snapshot
+        # reads): a drop never fails the gate, it is only reported.
+        rows = [{"key": "inbac/read=0.99/snapshot=1",
+                 "served_per_sec_wall": 480000.0}]
+        base = self.write_baseline("base.json", [make_doc(rows=rows)])
+        doc = make_doc(rows=[dict(rows[0], served_per_sec_wall=1000.0)])
+        cur = self.write("cur.json", doc)
+        code, out, _ = self.run_main(["--baseline", base, cur])
+        self.assertEqual(code, 0)
+        self.assertIn("served_per_sec_wall", out)
+        self.assertIn("report-only", out)
+
     def test_wall_clock_is_report_only(self):
         base = self.write_baseline("base.json", [make_doc()])
         doc = make_doc()
