@@ -3,18 +3,12 @@
 namespace fastcommit::commit {
 
 ANbac::ANbac(proc::ProcessEnv* env)
-    : CommitProtocol(env, nullptr),
+    : ChainNbac(env),
       collection_v_(static_cast<size_t>(env->n()), false),
-      collection_b_(static_cast<size_t>(env->n()), false) {
-  timer_origin_ = 1;
-}
+      collection_b_(static_cast<size_t>(env->n()), false) {}
 
 void ANbac::Reset() {
-  CommitProtocol::Reset();
-  decision_value_ = 1;
-  delivered_ = false;
-  relayed_ = false;
-  phase_ = 0;
+  ChainNbac::Reset();
   vote_ = 1;
   delivered_v_ = false;
   collection_v_.assign(collection_v_.size(), false);
@@ -26,21 +20,8 @@ void ANbac::Reset() {
 }
 
 void ANbac::Propose(Vote vote) {
-  decision_value_ = VoteValue(vote);
+  ChainNbac::Propose(vote);
   vote_ = VoteValue(vote);
-  // Chain part, identical to (n-1+f)NBAC.
-  if (rank() == 1) {
-    net::Message m;
-    m.kind = kVal;
-    m.value = decision_value_;
-    SendTo(RankToId(2), m);
-    SetTimerAtPaperTime(n() + 1, n() + 1);
-    phase_ = 2;
-  } else {
-    SetTimerAtPaperTime(rank(), rank());
-    phase_ = 1;
-  }
-  // Abort overlay.
   if (vote_ == 0) {
     net::Message m;
     m.kind = kV;
@@ -83,38 +64,20 @@ void ANbac::OnMessage(net::ProcessId from, const net::Message& m) {
       }
       break;
     }
-    case kVal: {
-      decision_value_ &= m.value;
-      if (phase_ <= 2) {
-        if (from == PredecessorId()) delivered_ = true;
-      } else if (!has_decided()) {
-        BroadcastDecisionOnce();
-      }
-      break;
-    }
     default:
-      FC_FAIL() << "unknown anbac message kind " << m.kind;
+      ChainNbac::OnMessage(from, m);
   }
-}
-
-void ANbac::BroadcastDecisionOnce() {
-  if (relayed_) return;
-  relayed_ = true;
-  net::Message m;
-  m.kind = kVal;
-  m.value = decision_value_;
-  SendAll(m);
 }
 
 void ANbac::OnTimer(int64_t tag) {
   if (tag >= kTimer0Tag) {
-    OnTimer0(tag - kTimer0Tag);
+    OnTimer0();
   } else {
-    OnChainTimer(tag);
+    ChainNbac::OnTimer(tag);
   }
 }
 
-void ANbac::OnTimer0(int64_t /*paper_time*/) {
+void ANbac::OnTimer0() {
   if (vote_ == 1 && delivered_v_ && phase0_ == 0) {
     net::Message m;
     m.kind = kB;
@@ -143,53 +106,9 @@ void ANbac::OnTimer0(int64_t /*paper_time*/) {
   // vote = 1 and no [V, 0] seen: nothing to do on timer0.
 }
 
-void ANbac::OnChainTimer(int64_t tag) {
-  if (phase_ == 1 && tag == rank()) {
-    if (!delivered_) decision_value_ = 0;
-    if (decision_value_ == 1) {
-      net::Message m;
-      m.kind = kVal;
-      m.value = decision_value_;
-      SendTo(SuccessorId(), m);
-    } else if (rank() == n()) {
-      net::Message m;
-      m.kind = kVal;
-      m.value = decision_value_;
-      SendAll(m);
-    }
-    delivered_ = false;
-    if (rank() >= f() + 1) {
-      SetTimerAtPaperTime(n() + 2 * f() + 1, n() + 2 * f() + 1);
-      phase_ = 3;
-    } else {
-      SetTimerAtPaperTime(n() + rank(), n() + rank());
-      phase_ = 2;
-    }
-    return;
-  }
-  if (phase_ == 2 && tag == n() + rank()) {
-    if (!delivered_) decision_value_ = 0;
-    if (decision_value_ == 1 && rank() != f()) {
-      net::Message m;
-      m.kind = kVal;
-      m.value = decision_value_;
-      SendTo(SuccessorId(), m);
-    }
-    if (decision_value_ == 0) {
-      net::Message m;
-      m.kind = kVal;
-      m.value = decision_value_;
-      SendAll(m);
-    }
-    delivered_ = false;
-    SetTimerAtPaperTime(n() + 2 * f() + 1, n() + 2 * f() + 1);
-    phase_ = 3;
-    return;
-  }
-  if (phase_ == 3 && tag == n() + 2 * f() + 1 && !has_decided()) {
-    if (decision_value_ == 1 && !noop_) Decide(Decision::kCommit);
-    // Otherwise never decide: the cell does not promise termination.
-    return;
+void ANbac::OnNoopEnd() {
+  if (!has_decided() && decision_value_ == 1 && !noop_) {
+    Decide(Decision::kCommit);
   }
 }
 

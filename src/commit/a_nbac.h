@@ -3,7 +3,7 @@
 
 #include <vector>
 
-#include "commit/commit_protocol.h"
+#include "commit/chain_nbac.h"
 
 namespace fastcommit::commit {
 
@@ -11,17 +11,20 @@ namespace fastcommit::commit {
 /// every crash-failure execution, agreement in every network-failure
 /// execution. Message-optimal: n-1+f messages in every nice execution.
 ///
-/// Two overlaid mechanisms:
-///   - the (n-1+f)NBAC vote chain P1 → ... → Pn → P1 → ... → Pf followed by
-///     nooping, which commits (decides 1) at time n+2f+1 if nothing aborted;
-///   - an abort overlay: a 0-voter broadcasts [V, 0] and decides 0 only
-///     after collecting acknowledgements from *all* processes (otherwise it
-///     sets `noop` and never decides); a 1-voter that saw [V, 0] broadcasts
-///     [B, 0] and likewise needs all acknowledgements to decide 0.
+/// Inherits from ChainNbac the whole (n-1+f)NBAC vote chain P1 → ... → Pn
+/// → P1 → ... → Pf and its noop window, which commits at time n+2f+1 if
+/// nothing aborted. Adds only an abort overlay:
+///   - a 0-voter broadcasts [V, 0] and decides 0 only after collecting
+///     acknowledgements from *all* processes (otherwise it sets `noop` and
+///     never decides); a 1-voter that saw [V, 0] broadcasts [B, 0] and
+///     likewise needs all acknowledgements to decide 0;
+///   - the end of the noop window (ChainNbac::OnNoopEnd) commits only when
+///     the chain value is 1 and no overlay path set `noop`; otherwise it
+///     decides nothing there, since the cell does not promise termination.
 /// The all-acks rule is what preserves agreement under network failures: a
 /// process that already (or will) decide 1 refuses no acknowledgement in
 /// time, so a 0-decision can never coexist with a 1-decision.
-class ANbac : public CommitProtocol {
+class ANbac : public ChainNbac {
  public:
   explicit ANbac(proc::ProcessEnv* env);
 
@@ -30,31 +33,23 @@ class ANbac : public CommitProtocol {
   void OnTimer(int64_t tag) override;
   void Reset() override;
 
+  /// Overlay kinds, after ChainNbac::kVal.
   enum Kind : int {
-    kVal = 1,   ///< bare chain value
     kV = 2,     ///< [V, 0]
     kB = 3,     ///< [B, 0]
     kAckV = 4,  ///< [ACK, V]
     kAckB = 5,  ///< [ACK, B]
   };
 
+ protected:
+  void OnNoopEnd() override;
+
  private:
-  // Chain timer tags reuse the paper times; timer0 tags are offset.
+  // Chain timer tags are the paper times; timer0 tags are offset.
   static constexpr int64_t kTimer0Tag = 1000;
 
-  net::ProcessId PredecessorId() const { return (id() - 1 + n()) % n(); }
-  net::ProcessId SuccessorId() const { return (id() + 1) % n(); }
-  void BroadcastDecisionOnce();
-  void OnChainTimer(int64_t tag);
-  void OnTimer0(int64_t paper_time);
+  void OnTimer0();
 
-  // Chain state.
-  int64_t decision_value_ = 1;
-  bool delivered_ = false;
-  bool relayed_ = false;
-  int phase_ = 0;
-
-  // Abort-overlay state.
   int64_t vote_ = 1;
   bool delivered_v_ = false;
   std::vector<bool> collection_v_;

@@ -2,7 +2,8 @@
 
 namespace fastcommit::commit {
 
-AvNbacFast::AvNbacFast(proc::ProcessEnv* env) : CommitProtocol(env, nullptr) {
+AvNbacFast::AvNbacFast(proc::ProcessEnv* env, consensus::Consensus* cons)
+    : CommitProtocol(env, cons) {
   timer_origin_ = 0;
 }
 

@@ -16,7 +16,10 @@ namespace fastcommit::commit {
 /// AND of all n votes, agreement holds even across network failures.
 class AvNbacFast : public CommitProtocol {
  public:
-  explicit AvNbacFast(proc::ProcessEnv* env);
+  /// `cons` is for subclasses that fall back to consensus (1NBAC);
+  /// avNBAC itself never proposes.
+  explicit AvNbacFast(proc::ProcessEnv* env,
+                      consensus::Consensus* cons = nullptr);
 
   void Propose(Vote vote) override;
   void OnMessage(net::ProcessId from, const net::Message& m) override;
@@ -27,7 +30,7 @@ class AvNbacFast : public CommitProtocol {
     kV = 1,
   };
 
- private:
+ protected:
   int votes_seen_ = 0;
   int64_t and_votes_ = 1;
 };

@@ -30,13 +30,15 @@ class AvNbacLean : public CommitProtocol {
     kB = 2,
   };
 
- private:
+ protected:
   bool IsHub() const { return rank() == n(); }
 
   int64_t votes_ = 1;
   bool received_b_ = false;
-  std::vector<bool> collection_;
   int collection_size_ = 0;
+
+ private:
+  std::vector<bool> collection_;
 };
 
 }  // namespace fastcommit::commit

@@ -2,57 +2,15 @@
 
 namespace fastcommit::commit {
 
-BcastNbac::BcastNbac(proc::ProcessEnv* env)
-    : CommitProtocol(env, nullptr),
-      collection_(static_cast<size_t>(env->n()), false) {
-  timer_origin_ = 1;
-  collection_[static_cast<size_t>(id())] = true;  // collection := {Pi}
-  collection_size_ = 1;
-}
-
 void BcastNbac::Reset() {
-  CommitProtocol::Reset();
-  votes_ = 1;
-  received_b_ = false;
+  AvNbacLean::Reset();
   relayed_zero_ = false;
   phase_ = 0;
-  collection_.assign(collection_.size(), false);
-  collection_[static_cast<size_t>(id())] = true;
-  collection_size_ = 1;
-}
-
-void BcastNbac::Propose(Vote vote) {
-  votes_ &= VoteValue(vote);
-  if (rank() <= n() - 1) {
-    net::Message m;
-    m.kind = kV;
-    m.value = VoteValue(vote);
-    SendTo(RankToId(n()), m);
-    SetTimerAtPaperTime(3);
-  } else {
-    SetTimerAtPaperTime(2);
-  }
 }
 
 void BcastNbac::OnMessage(net::ProcessId from, const net::Message& m) {
-  switch (m.kind) {
-    case kV: {
-      votes_ &= m.value;
-      if (!collection_[static_cast<size_t>(from)]) {
-        collection_[static_cast<size_t>(from)] = true;
-        ++collection_size_;
-      }
-      break;
-    }
-    case kB: {
-      received_b_ = true;
-      votes_ = m.value;
-      if (votes_ == 0) RelayZeroOnce();
-      break;
-    }
-    default:
-      FC_FAIL() << "unknown bcast-nbac message kind " << m.kind;
-  }
+  AvNbacLean::OnMessage(from, m);
+  if (m.kind == kB && votes_ == 0) RelayZeroOnce();
 }
 
 void BcastNbac::RelayZeroOnce() {
@@ -65,37 +23,27 @@ void BcastNbac::RelayZeroOnce() {
 }
 
 void BcastNbac::OnTimer(int64_t tag) {
-  if (phase_ == 0 && tag == 2 && IsHub()) {
-    if (votes_ == 1 && collection_size_ == n()) {
-      net::Message m;
-      m.kind = kB;
-      m.value = 1;
-      SendAll(m);
-    } else {
-      votes_ = 0;
-      relayed_zero_ = true;  // this broadcast is the hub's own relay
-      net::Message m;
-      m.kind = kB;
-      m.value = 0;
-      SendAll(m);
-    }
-    SetTimerAtPaperTime(3 + f());
-    phase_ = 1;
+  if (phase_ == 1) {
+    if (tag == 3 + f()) DecideValue(votes_);
     return;
   }
-  if (phase_ == 0 && tag == 3 && !IsHub()) {
+  if (tag == 2 && IsHub()) {
+    if (collection_size_ < n()) votes_ = 0;
+    if (votes_ == 0) relayed_zero_ = true;  // the hub's own relay
+    net::Message m;
+    m.kind = kB;
+    m.value = votes_;
+    SendAll(m);
+  } else if (tag == 3 && !IsHub()) {
     if (!received_b_) {
       votes_ = 0;
       RelayZeroOnce();
     }
-    SetTimerAtPaperTime(3 + f());
-    phase_ = 1;
+  } else {
     return;
   }
-  if (phase_ == 1 && tag == 3 + f()) {
-    DecideValue(votes_);
-    return;
-  }
+  SetTimerAtPaperTime(3 + f());
+  phase_ = 1;
 }
 
 }  // namespace fastcommit::commit

@@ -102,10 +102,9 @@ void ChainNbac::OnTimer(int64_t tag) {
     phase_ = 3;
     return;
   }
-  if (phase_ == 3 && tag == n() + 2 * f() + 1) {
-    DecideValue(decision_value_);
-    return;
-  }
+  if (phase_ == 3 && tag == n() + 2 * f() + 1) OnNoopEnd();
 }
+
+void ChainNbac::OnNoopEnd() { DecideValue(decision_value_); }
 
 }  // namespace fastcommit::commit

@@ -37,12 +37,18 @@ class ChainNbac : public CommitProtocol {
     kVal = 1,  ///< bare 0/1 payload, as in the pseudocode
   };
 
+ protected:
+  /// The end of the noop window (paper time n+2f+1): decides the chain's
+  /// value. aNBAC overrides it to commit only when no abort was seen.
+  virtual void OnNoopEnd();
+
+  int64_t decision_value_ = 1;
+
  private:
   net::ProcessId PredecessorId() const;
   net::ProcessId SuccessorId() const;
   void BroadcastDecisionOnce();
 
-  int64_t decision_value_ = 1;
   bool delivered_ = false;
   bool relayed_ = false;
   int phase_ = 0;

@@ -49,10 +49,6 @@ const char* Inbac::BranchName(Branch b) {
 }
 
 Inbac::Inbac(proc::ProcessEnv* env, consensus::Consensus* cons,
-             int num_backups)
-    : Inbac(env, cons, Options{num_backups, false, false}) {}
-
-Inbac::Inbac(proc::ProcessEnv* env, consensus::Consensus* cons,
              const Options& options)
     : CommitProtocol(env, cons),
       b_(options.num_backups == 0 ? env->f() : options.num_backups),

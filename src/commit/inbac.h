@@ -27,9 +27,10 @@ namespace fastcommit::commit {
 /// middle processes with no [C] at all first ask Pf+1..Pn for help and wait
 /// for n-f responses. Consensus is *never* invoked in a nice execution.
 ///
-/// `num_backups` defaults to f. The ablation benches lower it below f to
-/// demonstrate experimentally why Lemma 1 makes f backups necessary:
-/// with fewer backups, adversarial crash+delay schedules violate agreement.
+/// `Options::num_backups` defaults to f. The ablation benches lower it
+/// below f to demonstrate experimentally why Lemma 1 makes f backups
+/// necessary: with fewer backups, adversarial crash+delay schedules
+/// violate agreement.
 ///
 /// Pseudocode fidelity note: the appendix listing ends <inbac, Propose>
 /// with an unconditional `phase := 1`, which would make the phase-0 guards
@@ -68,8 +69,6 @@ class Inbac : public CommitProtocol {
     bool split_acks = false;
   };
 
-  Inbac(proc::ProcessEnv* env, consensus::Consensus* cons,
-        int num_backups = 0 /* 0 => f */);
   Inbac(proc::ProcessEnv* env, consensus::Consensus* cons,
         const Options& options);
 

@@ -2,70 +2,37 @@
 
 namespace fastcommit::commit {
 
-OneNbac::OneNbac(proc::ProcessEnv* env, consensus::Consensus* cons)
-    : CommitProtocol(env, cons),
-      collection0_(static_cast<size_t>(env->n()), false) {
-  timer_origin_ = 0;
-}
-
 void OneNbac::Reset() {
-  CommitProtocol::Reset();
-  phase_ = 0;
-  decision_value_ = 1;
-  collection0_.assign(collection0_.size(), false);
-  collection0_size_ = 0;
+  AvNbacFast::Reset();
   collection1_size_ = 0;
 }
 
-void OneNbac::Propose(Vote vote) {
-  decision_value_ = VoteValue(vote);
-  net::Message m;
-  m.kind = kV;
-  m.value = VoteValue(vote);
-  SendAll(m);  // forall q ∈ Ω, including self (local delivery)
-  SetTimerAtPaperTime(1);
-}
-
 void OneNbac::OnMessage(net::ProcessId from, const net::Message& m) {
-  switch (m.kind) {
-    case kV: {
-      if (!collection0_[static_cast<size_t>(from)]) {
-        collection0_[static_cast<size_t>(from)] = true;
-        ++collection0_size_;
-      }
-      decision_value_ &= m.value;
-      break;
-    }
-    case kD: {
-      ++collection1_size_;
-      decision_value_ = m.value;
-      break;
-    }
-    default:
-      FC_FAIL() << "unknown 1nbac message kind " << m.kind;
+  if (m.kind != kD) {
+    AvNbacFast::OnMessage(from, m);
+    return;
   }
+  ++collection1_size_;
+  and_votes_ = m.value;
 }
 
 void OneNbac::OnTimer(int64_t tag) {
-  if (tag == 1 && phase_ == 0) {
-    if (collection0_size_ == n()) {
+  if (tag == 1) {
+    if (votes_seen_ == n()) {
       net::Message m;
       m.kind = kD;
-      m.value = decision_value_;
+      m.value = and_votes_;
       SendAll(m);
-      if (!has_decided()) DecideValue(decision_value_);
+      AvNbacFast::OnTimer(tag);  // decides the AND
     } else {
-      phase_ = 1;
       SetTimerAtPaperTime(2);
     }
     return;
   }
-  if (tag == 2 && phase_ == 1) {
-    if (!has_decided()) {
-      if (collection1_size_ == 0) decision_value_ = 0;
-      ConsPropose(static_cast<int>(decision_value_));
-    }
-    return;
+  // Time 2: propose the [D] value, or 0 if no [D] arrived.
+  if (!has_decided()) {
+    if (collection1_size_ == 0) and_votes_ = 0;
+    ConsPropose(static_cast<int>(and_votes_));
   }
 }
 

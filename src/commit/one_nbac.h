@@ -1,9 +1,7 @@
 #ifndef FASTCOMMIT_COMMIT_ONE_NBAC_H_
 #define FASTCOMMIT_COMMIT_ONE_NBAC_H_
 
-#include <vector>
-
-#include "commit/commit_protocol.h"
+#include "commit/av_nbac_fast.h"
 
 namespace fastcommit::commit {
 
@@ -14,30 +12,29 @@ namespace fastcommit::commit {
 /// which the paper proves optimal, at the cost of n(n-1) messages (the
 /// time/message tradeoff of Theorem 2's discussion).
 ///
-///   time 0: every process sends its vote to every process;
-///   time U: a process with all n votes broadcasts [D, AND(votes)] and
-///           decides; otherwise it waits one more delay for some [D, d]
-///           and proposes d (or 0 if none arrived) to uniform consensus.
-class OneNbac : public CommitProtocol {
+/// Inherits from AvNbacFast the one-delay vote round: at time 0 every
+/// process sends its vote to every process, and at time U a process with
+/// all n votes decides their AND. Adds only:
+///   - the [D] broadcast: that process first broadcasts [D, AND(votes)];
+///   - the consensus fallback: a process without all n votes waits one
+///     more delay for some [D, d] and proposes d (or 0 if none arrived) to
+///     uniform consensus.
+class OneNbac : public AvNbacFast {
  public:
-  OneNbac(proc::ProcessEnv* env, consensus::Consensus* cons);
+  OneNbac(proc::ProcessEnv* env, consensus::Consensus* cons)
+      : AvNbacFast(env, cons) {}
 
-  void Propose(Vote vote) override;
   void OnMessage(net::ProcessId from, const net::Message& m) override;
   void OnTimer(int64_t tag) override;
   void Reset() override;
 
+  /// After AvNbacFast::kV.
   enum Kind : int {
-    kV = 1,  ///< [V, v] — a vote
     kD = 2,  ///< [D, d] — the AND of all n votes
   };
 
  private:
-  int phase_ = 0;
-  int64_t decision_value_ = 1;
-  std::vector<bool> collection0_;  ///< senders of [V, *]
-  int collection0_size_ = 0;
-  int collection1_size_ = 0;  ///< senders of [D, *]
+  int collection1_size_ = 0;  ///< [D, *] messages received
 };
 
 }  // namespace fastcommit::commit

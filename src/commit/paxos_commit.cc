@@ -2,16 +2,17 @@
 
 namespace fastcommit::commit {
 
+namespace {
+// Recovery round 1 starts at 6U, and round r lasts 8U * r.
+constexpr int64_t kFallbackStartUnits = 6;
+constexpr int64_t kRoundBaseUnits = 8;
+}  // namespace
+
 PaxosCommit::PaxosCommit(proc::ProcessEnv* env, const Options& options)
     : CommitProtocol(env, nullptr),
       acceptors_(options.num_acceptors == 0 ? env->f() + 1
                                             : options.num_acceptors),
       faster_(options.faster),
-      fallback_start_(options.fallback_start == 0 ? 6 * env->unit()
-                                                  : options.fallback_start),
-      round_base_(options.fallback_round_base == 0
-                      ? 8 * env->unit()
-                      : options.fallback_round_base),
       accepted_ballot_(static_cast<size_t>(env->n()), -1),
       accepted_value_(static_cast<size_t>(env->n()), 0),
       reports_(static_cast<size_t>(env->n()), 0),
@@ -53,7 +54,8 @@ void PaxosCommit::Propose(Vote vote) {
 }
 
 sim::Time PaxosCommit::RoundStart(int64_t round) const {
-  return fallback_start_ + round_base_ * (round - 1) * round / 2;
+  return kFallbackStartUnits * env_->unit() +
+         kRoundBaseUnits * env_->unit() * (round - 1) * round / 2;
 }
 
 void PaxosCommit::ScheduleRound(int64_t round) {

@@ -40,10 +40,8 @@ namespace fastcommit::commit {
 class PaxosCommit : public CommitProtocol {
  public:
   struct Options {
-    int num_acceptors = 0;             ///< 0 => f + 1
-    bool faster = false;               ///< faster Paxos Commit
-    sim::Time fallback_start = 0;      ///< ticks; 0 => 6 * U
-    sim::Time fallback_round_base = 0; ///< ticks; 0 => 8 * U
+    int num_acceptors = 0;  ///< 0 => f + 1
+    bool faster = false;    ///< faster Paxos Commit
   };
 
   PaxosCommit(proc::ProcessEnv* env, const Options& options);
@@ -78,8 +76,6 @@ class PaxosCommit : public CommitProtocol {
 
   int acceptors_;
   bool faster_;
-  sim::Time fallback_start_;
-  sim::Time round_base_;
 
   // --- acceptor state ---
   int64_t promised_ = 0;  ///< ballot 0 is implicitly promised

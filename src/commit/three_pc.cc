@@ -20,7 +20,6 @@ void ThreePhaseCommit::Reset() {
   all_yes_ = true;
   acks_ = 0;
   precommitted_ = false;
-  sent_pre_ = false;
 }
 
 void ThreePhaseCommit::Propose(Vote vote) {
@@ -72,7 +71,6 @@ void ThreePhaseCommit::OnMessage(net::ProcessId /*from*/,
 
 void ThreePhaseCommit::OnTimer(int64_t tag) {
   if (tag == kOutcomeTimer) {
-    sent_pre_ = true;
     bool commit = all_yes_ && votes_received_ == n();
     net::Message m;
     m.kind = kPre;

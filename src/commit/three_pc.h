@@ -42,7 +42,6 @@ class ThreePhaseCommit : public CommitProtocol {
   bool all_yes_ = true;
   int acks_ = 0;
   bool precommitted_ = false;
-  bool sent_pre_ = false;
 };
 
 }  // namespace fastcommit::commit

@@ -72,41 +72,17 @@ void ScriptedDelayModel::AddRule(ProcessId from, ProcessId to,
   // adversary never actually fires.
   FC_CHECK(sent_from <= sent_to)
       << "inverted rule interval [" << sent_from << ", " << sent_to << "]";
-  // Normalize any negative id to the canonical wildcard so the bucket key
-  // is unique per match class.
-  if (from < 0) from = -1;
-  if (to < 0) to = -1;
   rules_.push_back(Rule{from, to, sent_from, sent_to, delay});
-  by_link_[{from, to}].push_back(rules_.size() - 1);
 }
 
 sim::Time ScriptedDelayModel::DelayFor(ProcessId from, ProcessId to,
                                        sim::Time send_time, int64_t seq) {
-  // A message can only match rules in four buckets: its exact link and the
-  // three wildcard combinations. Within each bucket indices are ascending,
-  // so scanning from the back finds that bucket's newest interval match;
-  // the newest match across buckets (max global index) reproduces the old
-  // whole-list reverse scan's last-rule-wins answer bitwise.
-  const std::pair<ProcessId, ProcessId> keys[4] = {
-      {from, to}, {from, -1}, {-1, to}, {-1, -1}};
-  bool found = false;
-  size_t best = 0;
-  for (const auto& key : keys) {
-    auto it = by_link_.find(key);
-    if (it == by_link_.end()) continue;
-    const std::vector<size_t>& indices = it->second;
-    for (auto rit = indices.rbegin(); rit != indices.rend(); ++rit) {
-      const Rule& r = rules_[*rit];
-      if (send_time >= r.sent_from && send_time <= r.sent_to) {
-        if (!found || *rit > best) {
-          found = true;
-          best = *rit;
-        }
-        break;
-      }
+  for (auto it = rules_.rbegin(); it != rules_.rend(); ++it) {
+    if ((it->from < 0 || it->from == from) && (it->to < 0 || it->to == to) &&
+        send_time >= it->sent_from && send_time <= it->sent_to) {
+      return it->delay;
     }
   }
-  if (found) return rules_[best].delay;
   return base_->DelayFor(from, to, send_time, seq);
 }
 

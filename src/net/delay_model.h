@@ -2,9 +2,7 @@
 #define FASTCOMMIT_NET_DELAY_MODEL_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "net/message.h"
@@ -112,15 +110,9 @@ class ScriptedDelayModel : public DelayModel {
   };
 
   std::unique_ptr<DelayModel> base_;
-  /// Insertion order; the vector index is the rule's age for last-wins
-  /// arbitration.
+  /// Insertion order; a lookup scans from the back, so the newest matching
+  /// rule wins.
   std::vector<Rule> rules_;
-  /// (from, to) -> ascending indices into rules_ with exactly that link key
-  /// (wildcards normalized to -1). A lookup probes at most the four buckets
-  /// a message can match — (f,t), (f,*), (*,t), (*,*) — instead of scanning
-  /// every rule of every other link, which matters now that fault-plan
-  /// scripts ride the geo hot path.
-  std::map<std::pair<ProcessId, ProcessId>, std::vector<size_t>> by_link_;
 };
 
 /// Region topology for geo-distributed commit: a symmetric matrix of one-way

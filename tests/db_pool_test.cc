@@ -78,7 +78,11 @@ INSTANTIATE_TEST_SUITE_P(
                       core::ProtocolKind::kPaxosCommit,
                       core::ProtocolKind::kFasterPaxosCommit,
                       core::ProtocolKind::kOneNbac,
-                      core::ProtocolKind::kBcastNbac),
+                      core::ProtocolKind::kBcastNbac,
+                      core::ProtocolKind::kANbac,
+                      core::ProtocolKind::kChainNbac,
+                      core::ProtocolKind::kAvNbacLean,
+                      core::ProtocolKind::kAvNbacFast),
     [](const ::testing::TestParamInfo<core::ProtocolKind>& info) {
       std::string name = core::ProtocolName(info.param);
       std::string clean;

@@ -5,8 +5,9 @@
 #
 # Usage:
 #   tools/check.sh            # plain RelWithDebInfo build + ctest + gates
-#   tools/check.sh --asan     # additionally build & test with
-#                             # -DFASTCOMMIT_SANITIZE=address
+#   tools/check.sh --asan     # additionally build with
+#                             # -DFASTCOMMIT_SANITIZE=address and run ctest
+#                             # and the same gates there
 #
 # Every gate announces itself and names itself again on failure, so a red
 # CI log says *which* invariant broke without scrolling for the first
@@ -37,58 +38,63 @@ run_suite() {
     --output-on-failure --no-tests=error -j "$(nproc)"
 }
 
+# run_gates <build dir>: the reduced-scale bench gates, against one build.
+# (CI reruns them in the default build at 20k transactions.)
+run_gates() {
+  gates_dir="$1"
+
+  # Batching determinism: nonzero if DatabaseStats or BatchStats diverge
+  # between the serial reference and a sharded/threaded prepare-on-shard
+  # placement for any batching window, or if batching stops reducing
+  # per-commit messages. The hotspot and cross-set rows also drive the most
+  # lock churn, which the flat tables' moving entries make asan-relevant.
+  gate "batching determinism ($gates_dir/bench_db_batching --txs 4000)" \
+    "./$gates_dir/bench_db_batching" --txs 4000
+
+  # Open-loop determinism + saturation: nonzero if any arrival stream's
+  # stats diverge across placements, an uncapped Poisson stream falls under
+  # 95% of offered load, the saturated row stops shedding, or conflict
+  # lookahead drifts a simulated metric / stops skipping barriers.
+  gate "open-loop traffic ($gates_dir/bench_db_openloop --txs 4000)" \
+    "./$gates_dir/bench_db_openloop" --txs 4000
+
+  # 2PL-vs-OCC ablation: nonzero if OCC stops clearing its goodput floor on
+  # the gated read-heavy low-conflict row, or if OCC stats diverge across
+  # shard/thread/lookahead placements.
+  gate "2PL-vs-OCC ablation ($gates_dir/bench_db_throughput --txs 4000)" \
+    "./$gates_dir/bench_db_throughput" --txs 4000 --ablation-only
+
+  # Snapshot read plane: nonzero if the snapshot plane stops serving >= 2x
+  # the locked path's reads/tick at read fraction 0.99, turning snapshot
+  # reads on regresses the write p99, a read-only transaction leaks onto
+  # the locked path, the concurrent scan stream stops being fully served,
+  # or stats / read fingerprints diverge across placements.
+  gate "snapshot read mix ($gates_dir/bench_db_readmix --txs 4000)" \
+    "./$gates_dir/bench_db_readmix" --txs 4000
+
+  # Crash recovery: nonzero if a committed transaction is lost across any
+  # coordinator crash point (per-key ledger conservation), the crash replay
+  # diverges across placements, the unavailability window exceeds the
+  # planned restart delay, or the commit log's fast/slow quorum split
+  # collapses to one path.
+  gate "crash recovery ($gates_dir/bench_db_recovery --txs 4000)" \
+    "./$gates_dir/bench_db_recovery" --txs 4000
+
+  # Geo commit: nonzero if co-coordinator multi-region commits stop
+  # averaging <= 1 cross-region delay (vs >= 1.5 for the spread baseline),
+  # stop beating the baseline's multi-region latency, a single-region round
+  # misses the logless one-phase path, a committed transaction is lost, or
+  # the WAN-priced schedule diverges across placements.
+  gate "geo commit ($gates_dir/bench_db_geo --txs 4000)" \
+    "./$gates_dir/bench_db_geo" --txs 4000
+}
+
 run_suite build
-
-# Batching determinism gate at reduced scale: bench_db_batching exits
-# nonzero if DatabaseStats or BatchStats diverge between the serial
-# reference and a sharded/threaded prepare-on-shard placement for any
-# batching window, or if batching stops reducing per-commit messages.
-# (CI reruns it, plus the other bench gates, at 20k transactions.)
-gate "batching determinism (bench_db_batching --txs 4000)" \
-  ./build/bench_db_batching --txs 4000
-
-# Open-loop determinism + saturation gate at reduced scale: nonzero if any
-# arrival stream's stats diverge across placements, an uncapped Poisson
-# stream falls under 95% of offered load, the saturated row stops
-# shedding, or conflict lookahead drifts a simulated metric / stops
-# skipping barriers.
-gate "open-loop traffic (bench_db_openloop --txs 4000)" \
-  ./build/bench_db_openloop --txs 4000
-
-# 2PL-vs-OCC ablation gate at reduced scale: nonzero if OCC stops clearing
-# its goodput floor on the gated read-heavy low-conflict row, or if OCC
-# stats diverge across shard/thread/lookahead placements.
-gate "2PL-vs-OCC ablation (bench_db_throughput --txs 4000)" \
-  ./build/bench_db_throughput --txs 4000 --ablation-only
-
-# Snapshot-read-plane gate at reduced scale: nonzero if the snapshot plane
-# stops serving >= 2x the locked path's reads/tick at read fraction 0.99,
-# turning snapshot reads on regresses the write p99, a read-only
-# transaction leaks onto the locked path, the concurrent scan stream stops
-# being fully served, or stats / read fingerprints diverge across
-# placements.
-gate "snapshot read mix (bench_db_readmix --txs 4000)" \
-  ./build/bench_db_readmix --txs 4000
-
-# Crash-recovery gate at reduced scale: nonzero if a committed transaction
-# is lost across any coordinator crash point (per-key ledger conservation),
-# the crash replay diverges across placements, the unavailability window
-# exceeds the planned restart delay, or the commit log's fast/slow quorum
-# split collapses to one path.
-gate "crash recovery (bench_db_recovery --txs 4000)" \
-  ./build/bench_db_recovery --txs 4000
-
-# Geo-commit gate at reduced scale: nonzero if co-coordinator multi-region
-# commits stop averaging <= 1 cross-region delay (vs >= 1.5 for the spread
-# baseline), stop beating the baseline's multi-region latency, a
-# single-region round misses the logless one-phase path, a committed
-# transaction is lost, or the WAN-priced schedule diverges across
-# placements.
-gate "geo commit (bench_db_geo --txs 4000)" \
-  ./build/bench_db_geo --txs 4000
+run_gates build
 
 if [ "${1:-}" = "--asan" ]; then
   run_suite build-asan -DFASTCOMMIT_SANITIZE=address
+  run_gates build-asan
 fi
 
 echo "check.sh: all suites passed"
