@@ -174,7 +174,7 @@ class CommitProtocol : public proc::Module {
   net::ProcessId RankToId(int rank) const { return rank - 1; }
 
   /// Sends to the process with the given 0-based id.
-  void SendTo(net::ProcessId to, net::Message m) { env_->Send(to, std::move(m)); }
+  void SendTo(net::ProcessId to, const net::Message& m) { env_->Send(to, m); }
   /// "forall q ∈ Ω" — includes self (delivered locally, not counted).
   void SendAll(const net::Message& m);
   /// "every other process".
@@ -188,6 +188,16 @@ class CommitProtocol : public proc::Module {
   void SetTimerAtPaperTime(int64_t k, int64_t tag);
   void SetTimerAtPaperTime(int64_t k) { SetTimerAtPaperTime(k, k); }
 
+  /// The protocol's one reusable outgoing message, re-armed with `kind`,
+  /// `value` and no ints: payloads built in it keep their buffer across
+  /// messages and pooled incarnations. Valid until the next call.
+  net::Message& Outgoing(int kind, int64_t value = 0) {
+    outgoing_.kind = kind;
+    outgoing_.value = value;
+    outgoing_.ints.clear();
+    return outgoing_;
+  }
+
   proc::ProcessEnv* env_;
   consensus::Consensus* consensus_;
   int64_t timer_origin_ = 0;
@@ -196,6 +206,7 @@ class CommitProtocol : public proc::Module {
   Decision decision_ = Decision::kNone;
   bool cons_proposed_ = false;
   std::function<void(Decision)> on_decide_;
+  net::Message outgoing_;
 };
 
 }  // namespace fastcommit::commit

@@ -158,8 +158,7 @@ void Inbac::OnMessage(net::ProcessId from, const net::Message& m) {
 }
 
 void Inbac::AnswerHelp(net::ProcessId p) {
-  net::Message reply;
-  reply.kind = kHelped;
+  net::Message& reply = Outgoing(kHelped);
   EncodeCollection(collection0_, &reply);
   SendTo(p, reply);
 }
@@ -171,8 +170,7 @@ void Inbac::OnTimer(int64_t tag) {
       // ~n times the messages.
       for (int k = 0; k < n(); ++k) {
         if (collection0_[static_cast<size_t>(k)] < 0) continue;
-        net::Message piece;
-        piece.kind = kC;
+        net::Message& piece = Outgoing(kC);
         net::AppendPair(&piece, k, collection0_[static_cast<size_t>(k)]);
         if (rank() <= b_) {
           SendAll(piece);
@@ -181,8 +179,7 @@ void Inbac::OnTimer(int64_t tag) {
         }
       }
     } else {
-      net::Message m;
-      m.kind = kC;
+      net::Message& m = Outgoing(kC);
       EncodeCollection(collection0_, &m);
       if (rank() <= b_) {
         SendAll(m);  // forall q ∈ Ω

@@ -113,9 +113,7 @@ void PaxosCommit::OnMessage(net::ProcessId from, const net::Message& m) {
       int64_t ballot = m.value;
       if (ballot > promised_) {
         promised_ = ballot;
-        net::Message reply;
-        reply.kind = kPromise;
-        reply.value = ballot;
+        net::Message& reply = Outgoing(kPromise, ballot);
         for (int i = 0; i < n(); ++i) {
           size_t ins = static_cast<size_t>(i);
           if (accepted_ballot_[ins] >= 0) {
@@ -139,9 +137,7 @@ void PaxosCommit::OnMessage(net::ProcessId from, const net::Message& m) {
       }
       if (++promise_count_ >= AcceptorMajority()) {
         accept_sent_ = true;
-        net::Message accept;
-        accept.kind = kAccept;
-        accept.value = leading_;
+        net::Message& accept = Outgoing(kAccept, leading_);
         for (int i = 0; i < n(); ++i) {
           size_t ins = static_cast<size_t>(i);
           // Gray-Lamport recovery rule: an instance with no accepted value
@@ -193,8 +189,7 @@ void PaxosCommit::OnMessage(net::ProcessId from, const net::Message& m) {
 void PaxosCommit::MaybeSendAggregate() {
   if (aggregate_sent_ || accepted_instances_ != n()) return;
   aggregate_sent_ = true;
-  net::Message m;
-  m.kind = kAgg2b;
+  net::Message& m = Outgoing(kAgg2b);
   for (int i = 0; i < n(); ++i) {
     net::AppendPair(&m, i, accepted_value_[static_cast<size_t>(i)]);
   }

@@ -19,9 +19,8 @@ class Host::ChannelEnv : public proc::ProcessEnv {
   sim::Time Now() const override { return host_->scheduler_->Now(); }
   sim::Time epoch() const override { return host_->epoch_; }
 
-  void Send(net::ProcessId to, net::Message m) override {
-    m.channel = channel_;
-    host_->network_->Send(host_->id_, to, std::move(m));
+  void Send(net::ProcessId to, const net::Message& m) override {
+    host_->network_->Send(host_->id_, to, m, channel_);
   }
 
   void SetTimerAtUnits(int64_t units, int64_t tag) override {

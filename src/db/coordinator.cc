@@ -12,11 +12,12 @@ CommitInstance::CommitInstance(sim::Scheduler* scheduler,
                                core::ProtocolKind protocol,
                                core::ConsensusKind consensus,
                                const core::ProtocolOptions& protocol_options,
-                               sim::Time unit, std::vector<commit::Vote> votes,
+                               sim::Time unit,
+                               const std::vector<commit::Vote>& votes,
                                DoneCallback done, net::GeoTopology topology)
     : scheduler_(scheduler),
       n_(static_cast<int>(votes.size())),
-      votes_(std::move(votes)),
+      votes_(votes),
       done_(std::move(done)) {
   FC_CHECK(n_ >= 2) << "commit instance needs >= 2 participants";
   // Resilience: tolerate any minority of the touched partitions, at least 1.
@@ -69,12 +70,12 @@ CommitInstance::CommitInstance(sim::Scheduler* scheduler,
 
 CommitInstance::~CommitInstance() = default;
 
-void CommitInstance::Reset(std::vector<commit::Vote> votes,
+void CommitInstance::Reset(const std::vector<commit::Vote>& votes,
                            DoneCallback done) {
   FC_CHECK(finished()) << "reset of an unfinished commit instance";
   FC_CHECK(static_cast<int>(votes.size()) == n_)
       << "vote count " << votes.size() << " != instance size " << n_;
-  votes_ = std::move(votes);
+  votes_.assign(votes.begin(), votes.end());
   done_ = std::move(done);
   decided_count_ = 0;
   decision_ = commit::Decision::kNone;

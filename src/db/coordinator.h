@@ -1,7 +1,6 @@
 #ifndef FASTCOMMIT_DB_COORDINATOR_H_
 #define FASTCOMMIT_DB_COORDINATOR_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -11,6 +10,7 @@
 #include "db/transaction.h"
 #include "net/delay_model.h"
 #include "net/network.h"
+#include "sim/callback.h"
 #include "sim/scheduler.h"
 
 namespace fastcommit::db {
@@ -48,9 +48,9 @@ class CommitInstance {
  public:
   /// Called once per incarnation, when every process has decided. The
   /// instance pointer lets the owner account for the round's messages and
-  /// return the instance to its pool.
-  using DoneCallback =
-      std::function<void(CommitInstance* instance, commit::Decision decision)>;
+  /// return the instance to its pool. Inline and move-only, like every
+  /// event closure (sim/callback.h).
+  using DoneCallback = sim::InlineFunction<CommitInstance*, commit::Decision>;
 
   /// `topology` with num_regions > 1 prices the cluster's messages through
   /// a net::RegionDelayModel over the usual FixedDelayModel(unit) intra
@@ -59,16 +59,17 @@ class CommitInstance {
   CommitInstance(sim::Scheduler* scheduler, core::ProtocolKind protocol,
                  core::ConsensusKind consensus,
                  const core::ProtocolOptions& protocol_options, sim::Time unit,
-                 std::vector<commit::Vote> votes, DoneCallback done,
+                 const std::vector<commit::Vote>& votes, DoneCallback done,
                  net::GeoTopology topology = net::GeoTopology());
   CommitInstance(const CommitInstance&) = delete;
   CommitInstance& operator=(const CommitInstance&) = delete;
   ~CommitInstance();
 
   /// Re-arms the instance for a new commit among the same number of
-  /// partitions: new votes, new done callback, epoch = Now(). Requires the
-  /// previous incarnation to have finished.
-  void Reset(std::vector<commit::Vote> votes, DoneCallback done);
+  /// partitions: new votes (assigned into the retained vector), new done
+  /// callback, epoch = Now(). Requires the previous incarnation to have
+  /// finished.
+  void Reset(const std::vector<commit::Vote>& votes, DoneCallback done);
 
   /// Re-homes process i in region regions[i] for this incarnation (geo
   /// instances only; call after Reset, before Start). An empty vector on a

@@ -404,7 +404,6 @@ void Database::StartRound(RoundState round, bool resumed) {
   // later epoch was already settled by recovery, so its effect only
   // returns the instance to the pool.
   int64_t epoch = coordinator_epoch_;
-  std::vector<commit::Vote> votes = round.round_votes;
   // Geo baseline (spread coordination, no co-coordinators): home each
   // cluster process in its partition's region, so the instance's own
   // protocol messages pay the WAN delays.
@@ -413,25 +412,30 @@ void Database::StartRound(RoundState round, bool resumed) {
     regions.reserve(round.partitions.size());
     for (int p : round.partitions) regions.push_back(plane_.RegionOf(p));
   }
+  // Boxed so the completion effect fits sim::Callback; the votes stay put
+  // for Acquire to copy while the box moves into the done callback.
+  auto boxed = std::make_unique<RoundState>(std::move(round));
+  const std::vector<commit::Vote>& votes = boxed->round_votes;
   CommitInstance* instance = pool_.Acquire(
-      shard, sim_.shard(shard), std::move(votes),
+      shard, sim_.shard(shard), votes,
       [this, shard, lead, epoch, resumed, started = now,
-       round = std::move(round)](CommitInstance* done_instance,
+       round = std::move(boxed)](CommitInstance* done_instance,
                                  commit::Decision decision) mutable {
         // Runs on the shard (possibly a worker thread) at the decide
-        // instant: snapshot the instance-local results here — after Release
-        // the per-epoch counters belong to the next incarnation — and defer
-        // everything that touches shared state to a canonical-order
-        // completion effect on the control plane.
+        // instant: snapshot the message counts here — the instance runs on
+        // until the effect applies, and after Release the per-epoch
+        // counters belong to the next incarnation — and defer everything
+        // that touches shared state to a canonical-order completion effect
+        // on the control plane. The finish time holds until the next Reset.
         int64_t messages = done_instance->messages();
         int64_t cross_messages = done_instance->cross_messages();
-        sim::Time finished = done_instance->finish_time();
         sim_.PostEffect(
-            shard, finished, static_cast<uint64_t>(lead),
-            [this, done_instance, messages, cross_messages, decision, epoch,
-             resumed, started, round = std::move(round), finished]() mutable {
+            shard, done_instance->finish_time(), static_cast<uint64_t>(lead),
+            [this, done_instance, messages, cross_messages, epoch, started,
+             round = std::move(round), decision, resumed]() mutable {
+              sim::Time finished = done_instance->finish_time();
               pool_.Release(done_instance);
-              CompleteRound(std::move(round), decision, messages,
+              CompleteRound(std::move(*round), decision, messages,
                             cross_messages, started, finished, epoch, resumed);
             });
       },
@@ -530,9 +534,9 @@ void Database::RunGeoRound(RoundState round, bool resumed, sim::Time now) {
   int64_t epoch = coordinator_epoch_;
   sim_.control()->ScheduleAt(
       finished, sim::EventClass::kDelivery,
-      [this, round = std::move(round), decision, messages, cross_messages,
-       now, finished, epoch, resumed]() mutable {
-        CompleteRound(std::move(round), decision, messages, cross_messages,
+      [this, round = std::make_unique<RoundState>(std::move(round)), messages,
+       cross_messages, now, finished, epoch, decision, resumed]() mutable {
+        CompleteRound(std::move(*round), decision, messages, cross_messages,
                       now, finished, epoch, resumed);
       });
 }
@@ -673,10 +677,11 @@ void Database::RecoverCoordinator() {
 }
 
 void Database::ScheduleExecute(PendingTx pending, sim::Time at) {
-  sim_.control()->ScheduleAt(at, sim::EventClass::kControl,
-                             [this, pending = std::move(pending)]() mutable {
-                               Execute(std::move(pending));
-                             });
+  sim_.control()->ScheduleAt(
+      at, sim::EventClass::kControl,
+      [this, pending = std::make_unique<PendingTx>(std::move(pending))] {
+        Execute(std::move(*pending));
+      });
 }
 
 void Database::FinishTx(const PendingTx& pending,

@@ -19,11 +19,10 @@ CommitInstancePool::CommitInstancePool(
       enabled_(enabled),
       topology_(std::move(topology)) {}
 
-CommitInstance* CommitInstancePool::Acquire(int shard,
-                                            sim::Scheduler* scheduler,
-                                            std::vector<commit::Vote> votes,
-                                            CommitInstance::DoneCallback done,
-                                            std::vector<int> regions) {
+CommitInstance* CommitInstancePool::Acquire(
+    int shard, sim::Scheduler* scheduler,
+    const std::vector<commit::Vote>& votes, CommitInstance::DoneCallback done,
+    std::vector<int> regions) {
   FC_CHECK(scheduler != nullptr);
   int n = static_cast<int>(votes.size());
   ++stats_.live;
@@ -35,7 +34,7 @@ CommitInstance* CommitInstancePool::Acquire(int shard,
     if (it != free_.end() && !it->second.empty()) {
       CommitInstance* instance = it->second.back();
       it->second.pop_back();
-      instance->Reset(std::move(votes), std::move(done));
+      instance->Reset(votes, std::move(done));
       instance->SetProcessRegions(std::move(regions));
       ++stats_.reused;
       return instance;
@@ -43,8 +42,8 @@ CommitInstance* CommitInstancePool::Acquire(int shard,
   }
 
   auto instance = std::make_unique<CommitInstance>(
-      scheduler, protocol_, consensus_, protocol_options_, unit_,
-      std::move(votes), std::move(done), topology_);
+      scheduler, protocol_, consensus_, protocol_options_, unit_, votes,
+      std::move(done), topology_);
   CommitInstance* raw = instance.get();
   raw->set_shard_key(shard);
   raw->SetProcessRegions(std::move(regions));

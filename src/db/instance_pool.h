@@ -71,14 +71,16 @@ class CommitInstancePool {
   CommitInstancePool(const CommitInstancePool&) = delete;
   CommitInstancePool& operator=(const CommitInstancePool&) = delete;
 
-  /// Hands out an instance armed with `votes` and `done`, scheduling on
-  /// `scheduler` (the shard's). The pool retains ownership; the caller must
+  /// Hands out an instance armed with `done` and a copy of `votes` (a
+  /// recycled instance assigns the votes into its retained vector, so a
+  /// warm Acquire allocates nothing), scheduling on `scheduler` (the
+  /// shard's). The pool retains ownership; the caller must
   /// Release exactly once when the commit decided (typically from the
   /// completion effect). `shard` must identify `scheduler` stably.
   /// `regions` homes process i in regions[i] for this incarnation (geo
   /// pools only; leave empty on a single-region pool).
   CommitInstance* Acquire(int shard, sim::Scheduler* scheduler,
-                          std::vector<commit::Vote> votes,
+                          const std::vector<commit::Vote>& votes,
                           CommitInstance::DoneCallback done,
                           std::vector<int> regions = {});
 

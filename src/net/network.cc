@@ -24,35 +24,40 @@ void Network::RegisterHandler(ProcessId pid, Handler handler) {
   handlers_[static_cast<size_t>(pid)] = std::move(handler);
 }
 
-void Network::Send(ProcessId from, ProcessId to, Message msg) {
+void Network::Send(ProcessId from, ProcessId to, const Message& msg,
+                   Channel channel) {
   FC_CHECK(from >= 0 && from < n_) << "bad sender " << from;
   FC_CHECK(to >= 0 && to < n_) << "bad receiver " << to;
   if (crashed_[static_cast<size_t>(from)]) return;
 
-  // The delivery closure owns the message: the event queue moves closures
-  // and never copies them, so the message is neither copied nor shared.
-  uint64_t generation = generation_;
-  if (from == to) {
-    // Local step: delivered at the same instant, not a network message
-    // (paper footnote 10). Still goes through the event queue so the current
-    // handler finishes first.
-    scheduler_->ScheduleAt(
-        scheduler_->Now(), sim::EventClass::kDelivery,
-        [this, generation, from, to, msg = std::move(msg)]() {
-          Deliver(generation, -1, from, to, msg);
-        });
-    return;
+  // A local step (from == to) is delivered at the same instant and is not
+  // a network message (paper footnote 10). It still goes through the event
+  // queue so the current handler finishes first.
+  sim::Time at = scheduler_->Now();
+  int64_t seq = -1;
+  if (from != to) {
+    seq = stats_.RecordSend(from, to, at, channel, msg.kind);
+    sim::Time delay = delays_->DelayFor(from, to, at, seq);
+    FC_CHECK(delay >= 1) << "delay model returned non-positive delay";
+    at += delay;
   }
-
-  sim::Time now = scheduler_->Now();
-  int64_t seq = stats_.RecordSend(from, to, now, msg.channel, msg.kind);
-  sim::Time delay = delays_->DelayFor(from, to, now, seq);
-  FC_CHECK(delay >= 1) << "delay model returned non-positive delay";
-  scheduler_->ScheduleAt(
-      now + delay, sim::EventClass::kDelivery,
-      [this, generation, seq, from, to, msg = std::move(msg)]() {
-        Deliver(generation, seq, from, to, msg);
-      });
+  uint32_t index;
+  if (free_slots_.empty()) {
+    index = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    index = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  Slot& slot = slots_[index];
+  slot.msg = msg;  // copy-assigning ints keeps the slot's buffer if it fits
+  slot.msg.channel = channel;
+  slot.generation = generation_;
+  slot.seq = seq;
+  slot.from = from;
+  slot.to = to;
+  scheduler_->ScheduleAt(at, sim::EventClass::kDelivery,
+                         [this, index] { Deliver(index); });
 }
 
 void Network::ResetEpoch() {
@@ -77,19 +82,26 @@ int Network::crash_count() const {
   return count;
 }
 
-void Network::Deliver(uint64_t generation, int64_t seq, ProcessId from,
-                      ProcessId to, const Message& msg) {
-  // A delivery from a previous epoch: the instance this message belonged to
-  // has been recycled; its trace record is gone too. Drop silently.
-  if (generation != generation_) return;
-  if (crashed_[static_cast<size_t>(to)]) {
-    if (seq >= 0) stats_.RecordDrop(seq, scheduler_->Now());
-    return;
+void Network::Deliver(uint32_t index) {
+  Slot& slot = slots_[index];
+  // A delivery from a previous epoch is dropped silently: the instance this
+  // message belonged to has been recycled, its trace record is gone too.
+  if (slot.generation == generation_) {
+    size_t to = static_cast<size_t>(slot.to);
+    if (crashed_[to]) {
+      if (slot.seq >= 0) stats_.RecordDrop(slot.seq, scheduler_->Now());
+    } else {
+      if (slot.seq >= 0) stats_.RecordDelivery(slot.seq, scheduler_->Now());
+      FC_CHECK(handlers_[to] != nullptr)
+          << "no handler registered for process " << to;
+      // The handler may send and so grow slots_: it reads the payload
+      // outside the table, and the slot gets its buffer back afterwards.
+      Message msg = std::move(slot.msg);
+      handlers_[to](slot.from, msg);
+      slots_[index].msg = std::move(msg);
+    }
   }
-  if (seq >= 0) stats_.RecordDelivery(seq, scheduler_->Now());
-  const Handler& handler = handlers_[static_cast<size_t>(to)];
-  FC_CHECK(handler != nullptr) << "no handler registered for process " << to;
-  handler(from, msg);
+  free_slots_.push_back(index);
 }
 
 }  // namespace fastcommit::net

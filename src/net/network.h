@@ -24,12 +24,19 @@ namespace fastcommit::net {
 /// Self-addressed messages are delivered at the same instant (local step,
 /// zero delay) and do not appear in the statistics.
 ///
+/// Message slots: Send copies the message into a slot of a per-network
+/// table with a free list, and the delivery event captures only the slot
+/// index. A slot's `ints` buffer keeps its capacity across sends and
+/// ResetEpochs, so a warm network delivers without allocating. The payload
+/// leaves its slot for the handler, which may send and grow the table, and
+/// returns to it before the slot is freed.
+///
 /// Pooled lifecycle: ResetEpoch re-arms the network for a new protocol
 /// instance over the same processes. Every in-flight delivery carries the
 /// generation it was sent under; deliveries from a previous generation are
-/// silently discarded, so a recycled cluster never observes messages of an
-/// earlier incarnation. Per-epoch statistics restart while lifetime totals
-/// accumulate (MessageStats::ResetEpoch).
+/// silently discarded (their slots still freed), so a recycled cluster
+/// never observes messages of an earlier incarnation. Per-epoch statistics
+/// restart while lifetime totals accumulate (MessageStats::ResetEpoch).
 class Network {
  public:
   using Handler = std::function<void(ProcessId from, const Message&)>;
@@ -41,8 +48,12 @@ class Network {
   /// Installs the delivery handler of process `pid`.
   void RegisterHandler(ProcessId pid, Handler handler);
 
-  /// Sends `msg` from `from` to `to`. No-op if `from` has crashed.
-  void Send(ProcessId from, ProcessId to, Message msg);
+  /// Sends a copy of `msg`, tagged with `channel`, from `from` to `to`.
+  /// No-op if `from` has crashed.
+  void Send(ProcessId from, ProcessId to, const Message& msg, Channel channel);
+  void Send(ProcessId from, ProcessId to, const Message& msg) {
+    Send(from, to, msg, msg.channel);
+  }
 
   /// Marks `pid` crashed as of the current instant.
   void Crash(ProcessId pid);
@@ -63,8 +74,16 @@ class Network {
   const MessageStats& stats() const { return stats_; }
 
  private:
-  void Deliver(uint64_t generation, int64_t seq, ProcessId from, ProcessId to,
-               const Message& msg);
+  /// One in-flight message; seq is -1 for a self-addressed one.
+  struct Slot {
+    Message msg;
+    uint64_t generation = 0;
+    int64_t seq = -1;
+    ProcessId from = 0;
+    ProcessId to = 0;
+  };
+
+  void Deliver(uint32_t index);
 
   sim::Scheduler* scheduler_;
   int n_;
@@ -73,6 +92,8 @@ class Network {
   std::vector<bool> crashed_;
   MessageStats stats_;
   uint64_t generation_ = 0;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace fastcommit::net

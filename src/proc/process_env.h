@@ -37,9 +37,9 @@ class ProcessEnv {
   /// layer starts a commit instance per transaction mid-simulation.
   virtual sim::Time epoch() const = 0;
 
-  /// Sends `m` to process `to`; the channel field is overwritten with this
-  /// env's channel.
-  virtual void Send(net::ProcessId to, net::Message m) = 0;
+  /// Sends a copy of `m` to process `to`, tagged with this env's channel
+  /// whatever `m.channel` says.
+  virtual void Send(net::ProcessId to, const net::Message& m) = 0;
 
   /// Schedules OnTimer(tag) at time epoch() + units * unit(). Multiple
   /// timers may be pending; timers are not cancellable (handlers guard on

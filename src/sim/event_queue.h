@@ -2,11 +2,11 @@
 #define FASTCOMMIT_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
-#include <functional>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/check.h"
+#include "sim/callback.h"
 #include "sim/sim_time.h"
 
 namespace fastcommit::sim {
@@ -31,12 +31,11 @@ enum class EventClass : uint8_t {
 using EventId = uint64_t;
 inline constexpr EventId kNoEvent = 0;
 
-/// One scheduled callback.
+/// One scheduled callback, as Pop hands it out.
 struct Event {
   Time at = 0;
   EventClass cls = EventClass::kControl;
-  uint64_t seq = 0;  ///< insertion order; ties broken deterministically
-  std::function<void()> fn;
+  Callback fn;
 };
 
 /// Deterministic priority queue of events ordered by (time, class, insertion
@@ -44,14 +43,23 @@ struct Event {
 /// configuration bitwise reproducible, which the lower-bound style tests rely
 /// on when constructing indistinguishable executions.
 ///
-/// Cancellation: PushCancellable returns an EventId; Cancel removes the
-/// event logically. Removal is lazy (the heap entry stays until it reaches
-/// the top), but a cancelled event is invisible to empty()/PeekTime()/Pop()
-/// — in particular it never advances any clock, so a queue whose only
-/// remaining entries are cancelled timers reads as drained at the last
-/// *live* event's time, not the cancelled timers' (the db layer relies on
-/// this to keep makespan at the final decide when size-flushed batches
-/// cancel their window timers). Plain Push events pay no tracking cost.
+/// Layout: the binary heap holds 24-byte keys — time, class and sequence
+/// packed into one word, and a slot index. Each callback lives in a slot
+/// table with a free list and never moves during a sift; Pop moves it out
+/// of its slot before the caller runs it, since running it may push and
+/// grow the table.
+///
+/// Cancellation: PushCancellable returns an EventId naming the event's slot
+/// and sequence number; Cancel removes the event logically by marking its
+/// slot dead, so a stale handle — its event already ran or was cancelled,
+/// its slot maybe reused — matches no live sequence and cancels nothing.
+/// Removal is lazy (the key stays until it reaches the top and only then
+/// frees its slot), but a cancelled event is invisible to empty()/
+/// PeekTime()/Pop() — in particular it never advances any clock, so a
+/// queue whose only remaining entries are cancelled timers reads as drained
+/// at the last *live* event's time, not the cancelled timers' (the db layer
+/// relies on this to keep makespan at the final decide when size-flushed
+/// batches cancel their window timers).
 class EventQueue {
  public:
   EventQueue() = default;
@@ -62,11 +70,13 @@ class EventQueue {
   /// (enforced: scheduling into the past would corrupt determinism, and a
   /// recycled commit instance doing so must fail loudly, not silently
   /// reorder history).
-  void Push(Time at, EventClass cls, std::function<void()> fn);
+  void Push(Time at, EventClass cls, Callback&& fn) {
+    PushSlot(at, cls, std::move(fn));
+  }
 
-  /// Like Push, but returns a handle accepted by Cancel. Only cancellable
-  /// events are tracked, so the hot delivery/timer path stays untracked.
-  EventId PushCancellable(Time at, EventClass cls, std::function<void()> fn);
+  /// Like Push, but returns a handle accepted by Cancel. A handle stays
+  /// unambiguous for 2^32 pushes after its own.
+  EventId PushCancellable(Time at, EventClass cls, Callback&& fn);
 
   /// Logically removes a pending cancellable event. Returns true when `id`
   /// named a still-pending event (now removed); false for kNoEvent, an
@@ -79,12 +89,9 @@ class EventQueue {
   Event Pop();
 
   /// True when no *live* events remain (cancelled entries do not count).
-  bool empty() const {
-    Prune();
-    return heap_.empty();
-  }
+  bool empty() const { return size() == 0; }
   /// Live events pending (excludes cancelled entries).
-  size_t size() const { return heap_.size() - cancelled_.size(); }
+  size_t size() const { return heap_.size() - dead_keys_; }
 
   /// Time of the earliest live pending event. FC_CHECKs that one exists
   /// (same all-cancelled hazard as Pop: callers must test empty() first).
@@ -95,33 +102,38 @@ class EventQueue {
   }
 
  private:
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      if (a.cls != b.cls) return a.cls > b.cls;
-      return a.seq > b.seq;
-    }
+  static constexpr int kClassShift = 56;
+  static constexpr uint64_t kSeqMask = (uint64_t{1} << kClassShift) - 1;
+
+  struct Key {
+    Time at;
+    uint64_t order;  ///< class << kClassShift | seq
+    uint32_t slot;
+  };
+  struct Slot {
+    Callback fn;
+    uint64_t seq = 0;  ///< the occupant's seq; 0 when free or cancelled
   };
 
-  /// Discards cancelled entries sitting at the top of the heap so the
-  /// public accessors only ever see live events. Does not touch
+  /// Stores `fn` in a free slot and pushes its key; returns the slot.
+  uint32_t PushSlot(Time at, EventClass cls, Callback&& fn);
+  /// Pops the top key; its slot stays occupied.
+  Key PopKey() const;
+  /// Discards cancelled keys at the top of the heap, freeing their slots,
+  /// so the public accessors only ever see live events. Does not touch
   /// last_popped_at_: pruning is not execution.
   void Prune() const;
-  /// Removes the top entry and returns it, moved out: the closure (and
-  /// whatever it captured) is never copied.
-  Event PopTop() const;
 
-  /// A binary heap under Later (std::push_heap/std::pop_heap) rather than
-  /// a std::priority_queue, whose const top() would force Pop to copy each
-  /// event. seq doubles as the cancellation handle, so it starts at 1 and
-  /// 0 stays free for kNoEvent.
-  mutable std::vector<Event> heap_;
+  /// A binary heap of keys, earliest at the front (std::push_heap/pop_heap
+  /// under a greater-than comparison). seq starts at 1, so no handle is
+  /// kNoEvent and a free slot's seq 0 matches no key.
+  mutable std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  mutable std::vector<uint32_t> free_slots_;
+  /// Cancelled keys still in the heap.
+  mutable size_t dead_keys_ = 0;
   uint64_t next_seq_ = 1;
   Time last_popped_at_ = 0;
-  /// Cancellable events still in the heap, and those of them cancelled but
-  /// not yet pruned. Both empty when the feature is unused.
-  std::unordered_set<EventId> cancellable_;
-  mutable std::unordered_set<EventId> cancelled_;
 };
 
 }  // namespace fastcommit::sim

@@ -1,8 +1,7 @@
 #ifndef FASTCOMMIT_SIM_SCHEDULER_H_
 #define FASTCOMMIT_SIM_SCHEDULER_H_
 
-#include <functional>
-
+#include "sim/callback.h"
 #include "sim/event_queue.h"
 #include "sim/sim_time.h"
 
@@ -22,11 +21,11 @@ class Scheduler {
   virtual Time Now() const = 0;
 
   /// Schedules `fn` at absolute time `at` (>= Now()).
-  virtual void ScheduleAt(Time at, EventClass cls, std::function<void()> fn) = 0;
+  virtual void ScheduleAt(Time at, EventClass cls, Callback fn) = 0;
 
   /// Like ScheduleAt, but returns a handle accepted by Cancel.
   virtual EventId ScheduleCancellableAt(Time at, EventClass cls,
-                                        std::function<void()> fn) = 0;
+                                        Callback fn) = 0;
 
   /// Cancels a pending event scheduled via ScheduleCancellableAt. Returns
   /// true when the event was still pending and will now never run, nor
@@ -39,7 +38,7 @@ class Scheduler {
   virtual bool idle() const = 0;
 
   /// Schedules `fn` after `delay` ticks (>= 0).
-  void ScheduleAfter(Time delay, EventClass cls, std::function<void()> fn) {
+  void ScheduleAfter(Time delay, EventClass cls, Callback fn) {
     ScheduleAt(Now() + delay, cls, std::move(fn));
   }
 };

@@ -45,7 +45,7 @@ Scheduler* ShardedSimulator::shard(int index) {
 }
 
 void ShardedSimulator::PostEffect(int index, Time at, uint64_t key,
-                                  std::function<void()> fn) {
+                                  Callback fn) {
   FC_CHECK(index >= 0 && index < num_shards()) << "bad shard " << index;
   Shard& shard = *shards_[static_cast<size_t>(index)];
   // The canonical merge order assumes `at` is the posting event's instant

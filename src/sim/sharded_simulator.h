@@ -92,7 +92,7 @@ class ShardedSimulator {
   /// next merge barrier in ascending (`at`, `key`) order; `key` must make
   /// the pair unique (the database uses the transaction id). `at` must be
   /// the posting event's time.
-  void PostEffect(int index, Time at, uint64_t key, std::function<void()> fn);
+  void PostEffect(int index, Time at, uint64_t key, Callback fn);
 
   /// Drains every queue to quiescence under the merge rule. Returns the
   /// number of events executed by this call (shard + control).
@@ -120,7 +120,7 @@ class ShardedSimulator {
   struct Effect {
     Time at = 0;
     uint64_t key = 0;
-    std::function<void()> fn;
+    Callback fn;
   };
 
   struct Shard {

@@ -6,14 +6,14 @@
 
 namespace fastcommit::sim {
 
-void Simulator::ScheduleAt(Time at, EventClass cls, std::function<void()> fn) {
+void Simulator::ScheduleAt(Time at, EventClass cls, Callback fn) {
   FC_CHECK(at >= now_) << "Simulator::ScheduleAt into the past: " << at
                        << " < " << now_;
   queue_.Push(at, cls, std::move(fn));
 }
 
 EventId Simulator::ScheduleCancellableAt(Time at, EventClass cls,
-                                         std::function<void()> fn) {
+                                         Callback fn) {
   FC_CHECK(at >= now_) << "Simulator::ScheduleCancellableAt into the past: "
                        << at << " < " << now_;
   return queue_.PushCancellable(at, cls, std::move(fn));

@@ -2,7 +2,6 @@
 #define FASTCOMMIT_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/event_queue.h"
 #include "sim/scheduler.h"
@@ -29,7 +28,7 @@ class Simulator : public Scheduler {
   Time Now() const override { return now_; }
 
   /// Schedules `fn` at absolute time `at` (>= Now()).
-  void ScheduleAt(Time at, EventClass cls, std::function<void()> fn) override;
+  void ScheduleAt(Time at, EventClass cls, Callback fn) override;
 
   /// Cancellable scheduling backed by the queue's lazy removal: a cancelled
   /// event neither runs nor advances the clock (NextEventTime/idle/Run all
@@ -37,7 +36,7 @@ class Simulator : public Scheduler {
   /// timers so a size-flushed batch stops stretching makespan by up to one
   /// window.
   EventId ScheduleCancellableAt(Time at, EventClass cls,
-                                std::function<void()> fn) override;
+                                Callback fn) override;
   bool Cancel(EventId id) override { return queue_.Cancel(id); }
 
   /// Executes events in order until the queue is empty or the next event is

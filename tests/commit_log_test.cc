@@ -13,7 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
+#include <deque>
 #include <utility>
 #include <vector>
 
@@ -31,39 +31,38 @@ class CaptureScheduler : public sim::Scheduler {
  public:
   struct Event {
     sim::Time at = 0;
-    std::function<void()> fn;
+    sim::Callback fn;
   };
 
   sim::Time Now() const override { return now_; }
-  void ScheduleAt(sim::Time at, sim::EventClass,
-                  std::function<void()> fn) override {
+  void ScheduleAt(sim::Time at, sim::EventClass, sim::Callback fn) override {
     events_.push_back(Event{at, std::move(fn)});
   }
   sim::EventId ScheduleCancellableAt(sim::Time at, sim::EventClass cls,
-                                     std::function<void()> fn) override {
+                                     sim::Callback fn) override {
     ScheduleAt(at, cls, std::move(fn));
     return static_cast<sim::EventId>(events_.size());
   }
   bool Cancel(sim::EventId id) override {
     Event& event = events_.at(static_cast<size_t>(id) - 1);
-    bool pending = event.fn != nullptr;
-    event.fn = nullptr;
+    bool pending = static_cast<bool>(event.fn);
+    event.fn = sim::Callback();
     return pending;
   }
   bool idle() const override { return events_.empty(); }
 
   size_t size() const { return events_.size(); }
   const Event& event(size_t index) const { return events_.at(index); }
-  /// Runs event `index` at its own instant; it may run again.
+  /// Runs event `index` at its own instant, in place (the deque keeps it
+  /// there while it schedules more); it may run again.
   void Deliver(size_t index) {
     now_ = std::max(now_, events_.at(index).at);
-    std::function<void()> fn = events_.at(index).fn;
-    fn();
+    events_.at(index).fn();
   }
 
  private:
   sim::Time now_ = 0;
-  std::vector<Event> events_;
+  std::deque<Event> events_;
 };
 
 const CommitLog::PhaseState& Accept(const CommitLog& log, int64_t slot) {

@@ -73,9 +73,8 @@ class ConsensusCluster {
     sim::Time unit() const override { return cluster_->unit_; }
     sim::Time Now() const override { return cluster_->simulator_.Now(); }
     sim::Time epoch() const override { return 0; }
-    void Send(net::ProcessId to, net::Message m) override {
-      m.channel = net::Channel::kConsensus;
-      cluster_->network_->Send(id_, to, std::move(m));
+    void Send(net::ProcessId to, const net::Message& m) override {
+      cluster_->network_->Send(id_, to, m, net::Channel::kConsensus);
     }
     void SetTimerAtUnits(int64_t units, int64_t tag) override {
       SetTimerAtTicks(units * cluster_->unit_, tag);

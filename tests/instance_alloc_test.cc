@@ -1,0 +1,118 @@
+// A warm commit instance makes no heap allocation: a pooled Acquire ->
+// Start -> Simulator::Run -> Release cycle with all-yes votes allocates
+// nothing for INBAC, 2PC and PaxosCommit at n = 2..5, and a network whose
+// in-flight payloads go stale across ResetEpoch reuses every message slot.
+// The test replaces the global operator new with a counting one, so it
+// lives in its own file (each tests/*_test.cc builds its own executable).
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <vector>
+
+#include "core/protocol_kind.h"
+#include "core/runner.h"
+#include "db/instance_pool.h"
+#include "net/network.h"
+#include "sim/simulator.h"
+
+namespace {
+std::atomic<int64_t> g_allocations{0};
+}  // namespace
+
+// Not inlined: GCC's -Wmismatched-new-delete would otherwise see the
+// free() of an inlined delete applied to a pointer from operator new.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
+namespace fastcommit::db {
+namespace {
+
+constexpr int kCycles = 1000;
+constexpr int kWarmup = 8;
+
+/// Heap allocations made by kCycles pooled instance cycles of width `n`,
+/// after a warm-up of the same shape.
+int64_t InstanceCycleAllocations(core::ProtocolKind protocol, int n) {
+  sim::Simulator sim;
+  CommitInstancePool pool(protocol, core::ConsensusKind::kPaxos,
+                          core::ProtocolOptions(), /*unit=*/100,
+                          /*enabled=*/true);
+  const std::vector<commit::Vote> votes(static_cast<size_t>(n),
+                                        commit::Vote::kYes);
+  int commits = 0;
+  auto cycle = [&] {
+    CommitInstance* instance = pool.Acquire(
+        0, &sim, votes, [&commits](CommitInstance*, commit::Decision d) {
+          commits += d == commit::Decision::kCommit ? 1 : 0;
+        });
+    instance->Start();
+    sim.Run();
+    pool.Release(instance);
+  };
+  for (int i = 0; i < kWarmup; ++i) cycle();
+  const int64_t before = g_allocations.load();
+  for (int i = 0; i < kCycles; ++i) cycle();
+  const int64_t made = g_allocations.load() - before;
+  EXPECT_EQ(commits, kWarmup + kCycles);
+  EXPECT_EQ(pool.stats().created, 1) << "every cycle reuses one instance";
+  return made;
+}
+
+TEST(InstanceAllocationTest, WarmCycleAllocatesNothing) {
+  for (core::ProtocolKind protocol :
+       {core::ProtocolKind::kInbac, core::ProtocolKind::kTwoPc,
+        core::ProtocolKind::kPaxosCommit}) {
+    for (int n = 2; n <= 5; ++n) {
+      SCOPED_TRACE(::testing::Message()
+                   << core::ProtocolName(protocol) << " n=" << n);
+      EXPECT_EQ(InstanceCycleAllocations(protocol, n), 0);
+    }
+  }
+}
+
+TEST(InstanceAllocationTest, StaleDeliveriesReturnTheirSlots) {
+  // Every cycle sends payload-carrying messages (self-addressed ones
+  // included), makes them stale with ResetEpoch, sends two live ones, and
+  // drains. A stale delivery that kept its slot would grow the table — and
+  // allocate a fresh payload buffer — every cycle.
+  constexpr int kN = 3;
+  sim::Simulator sim;
+  net::Network network(&sim, kN, std::make_unique<net::FixedDelayModel>(100));
+  int delivered = 0;
+  auto count = [&delivered](net::ProcessId, const net::Message&) {
+    ++delivered;
+  };
+  for (int pid = 0; pid < kN; ++pid) network.RegisterHandler(pid, count);
+  net::Message m;
+  m.kind = 1;
+  m.ints.assign(6, 7);
+  auto cycle = [&] {
+    for (int from = 0; from < kN; ++from) {
+      for (int to = 0; to < kN; ++to) network.Send(from, to, m);
+    }
+    network.ResetEpoch();
+    network.Send(0, 1, m);
+    network.Send(2, 2, m);
+    sim.Run();
+  };
+  for (int i = 0; i < kWarmup; ++i) cycle();
+  const int64_t before = g_allocations.load();
+  for (int i = 0; i < kCycles; ++i) cycle();
+  EXPECT_EQ(g_allocations.load() - before, 0);
+  EXPECT_EQ(delivered, 2 * (kWarmup + kCycles)) << "stale messages dropped";
+}
+
+}  // namespace
+}  // namespace fastcommit::db

@@ -167,6 +167,36 @@ TEST_F(NetworkTest, EveryMessageToCorrectProcessIsEventuallyDelivered) {
   EXPECT_EQ(network_->stats().DeliveredBy(simulator_.Now()), 15);
 }
 
+TEST_F(NetworkTest, HandlerReadsItsOwnPayloadWhileSendingGrowsTheTable) {
+  // The handler of the first delivery sends 64 messages, each with a
+  // payload, before it reads its own: the slot table grows under it, and
+  // the message it was handed must stay intact (asan reports a dangling
+  // read otherwise).
+  Wire(2);
+  Message seen;
+  int handled = 0;
+  network_->RegisterHandler(1, [&](ProcessId, const Message& m) {
+    if (handled++ > 0) return;
+    for (int i = 0; i < 64; ++i) {
+      Message burst;
+      burst.kind = 100 + i;
+      burst.ints.assign(8, i);
+      network_->Send(1, 0, burst);
+    }
+    seen = m;
+  });
+  Message m;
+  m.kind = 7;
+  m.value = -42;
+  m.ints = {1, 2, 3, 5, 8, 13};
+  network_->Send(0, 1, m);
+  simulator_.Run();
+  EXPECT_EQ(seen.kind, 7);
+  EXPECT_EQ(seen.value, -42);
+  EXPECT_EQ(seen.ints, m.ints);
+  EXPECT_EQ(received_[0].size(), 64u);
+}
+
 TEST_F(NetworkTest, CrashCountTracksCrashes) {
   Wire(3);
   EXPECT_EQ(network_->crash_count(), 0);

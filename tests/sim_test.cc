@@ -1,6 +1,9 @@
 // Unit tests for the discrete-event kernel: ordering, priorities,
 // determinism, RNG.
 
+#include <cstdint>
+#include <map>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -254,6 +257,101 @@ TEST(SimulatorTest, CountsEvents) {
   }
   EXPECT_EQ(s.Run(), 7);
   EXPECT_EQ(s.events_executed(), 7);
+}
+
+TEST(EventQueueTest, StaleHandleNeverCancelsItsSlotsNextOccupant) {
+  // The first event runs and frees its slot; the next push reuses it. The
+  // first handle is dead: cancelling it fails and the new event stays live.
+  EventQueue q;
+  int fired = 0;
+  EventId first = q.PushCancellable(10, EventClass::kTimer, [] {});
+  q.Pop().fn();
+  q.PushCancellable(10, EventClass::kTimer, [&] { ++fired; });
+  EXPECT_FALSE(q.Cancel(first));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.PeekTime(), 10);
+  q.Pop().fn();
+  EXPECT_EQ(fired, 1);
+}
+
+// Random Push / PushCancellable / Cancel / Pop sequences against a
+// reference ordered by (time, class, seq): pop order, size(), empty(),
+// PeekTime() and every Cancel return, including cancels through handles
+// whose events already ran or were cancelled and whose slots hold newer
+// events.
+TEST(EventQueueTest, MatchesAnOrderedReferenceUnderRandomOperations) {
+  using RefKey = std::tuple<Time, int, uint64_t>;
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    EventQueue q;
+    struct Entry {
+      int tag;
+      EventId id;  // kNoEvent for a plain Push
+    };
+    std::map<RefKey, Entry> live;
+    std::map<EventId, RefKey> live_handles;  // pending cancellable events
+    std::vector<EventId> issued;             // every handle, dead or alive
+    uint64_t seq = 0;
+    Time now = 0;
+    int fired = -1;
+    for (int op = 0; op < 20000; ++op) {
+      int64_t dice = rng.UniformInt(0, 99);
+      if (dice < 30 && !live.empty()) {
+        auto [expected, entry] = *live.begin();
+        Event e = q.Pop();
+        e.fn();
+        EXPECT_EQ(e.at, std::get<0>(expected));
+        EXPECT_EQ(static_cast<int>(e.cls), std::get<1>(expected));
+        ASSERT_EQ(fired, entry.tag) << "pop order diverged at op " << op;
+        now = e.at;
+        live.erase(live.begin());
+        live_handles.erase(entry.id);
+      } else if (dice < 45 && !issued.empty()) {
+        // Half the time a live handle, otherwise any handle ever issued.
+        EventId id = issued[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(issued.size()) - 1))];
+        if (rng.Chance(0.5) && !live_handles.empty()) {
+          id = std::next(live_handles.begin(),
+                         rng.UniformInt(0, static_cast<int64_t>(
+                                               live_handles.size()) - 1))
+                   ->first;
+        }
+        auto it = live_handles.find(id);
+        bool expected = it != live_handles.end();
+        EXPECT_EQ(q.Cancel(id), expected) << "cancel at op " << op;
+        if (expected) {
+          live.erase(it->second);
+          live_handles.erase(it);
+        }
+        EXPECT_FALSE(q.Cancel(id)) << "repeated cancel at op " << op;
+        EXPECT_FALSE(q.Cancel(kNoEvent));
+      } else {
+        Time at = now + rng.UniformInt(0, 30);
+        auto cls = static_cast<EventClass>(rng.UniformInt(0, 3));
+        int tag = op;
+        RefKey key{at, static_cast<int>(cls), ++seq};
+        auto fire = [&fired, tag] { fired = tag; };
+        EventId id = kNoEvent;
+        if (dice < 70) {
+          q.Push(at, cls, fire);
+        } else {
+          id = q.PushCancellable(at, cls, fire);
+          EXPECT_NE(id, kNoEvent);
+          EXPECT_EQ(live_handles.count(id), 0u) << "handle issued twice";
+          live_handles.emplace(id, key);
+          issued.push_back(id);
+        }
+        live.emplace(key, Entry{tag, id});
+      }
+      ASSERT_EQ(q.size(), live.size()) << "at op " << op;
+      ASSERT_EQ(q.empty(), live.empty()) << "at op " << op;
+      if (!live.empty()) {
+        ASSERT_EQ(q.PeekTime(), std::get<0>(live.begin()->first))
+            << "at op " << op;
+      }
+    }
+  }
 }
 
 TEST(RngTest, DeterministicForSameSeed) {

@@ -87,6 +87,13 @@ run_gates() {
   # the WAN-priced schedule diverges across placements.
   gate "geo commit ($gates_dir/bench_db_geo --txs 4000)" \
     "./$gates_dir/bench_db_geo" --txs 4000
+
+  # Sharded drain: nonzero if any placement's stats diverge from the
+  # single-queue run. Four threads drain per-shard event and message slot
+  # tables on worker threads and post cross-shard completion effects, so
+  # the asan build checks their lifetimes too.
+  gate "sharded drain ($gates_dir/bench_db_sharded --txs 4000 --threads 4)" \
+    "./$gates_dir/bench_db_sharded" --txs 4000 --threads 4
 }
 
 run_suite build
