@@ -1,7 +1,8 @@
 // A warm commit instance makes no heap allocation: a pooled Acquire ->
 // Start -> Simulator::Run -> Release cycle with all-yes votes allocates
-// nothing for INBAC, 2PC and PaxosCommit at n = 2..5, and a network whose
-// in-flight payloads go stale across ResetEpoch reuses every message slot.
+// nothing for INBAC, 2PC and PaxosCommit at n = 2..5, a network whose
+// in-flight payloads go stale across ResetEpoch reuses every message slot,
+// and a simulator's event queue reuses its slots, wheel and far heap.
 // The test replaces the global operator new with a counting one, so it
 // lives in its own file (each tests/*_test.cc builds its own executable).
 
@@ -112,6 +113,35 @@ TEST(InstanceAllocationTest, StaleDeliveriesReturnTheirSlots) {
   for (int i = 0; i < kCycles; ++i) cycle();
   EXPECT_EQ(g_allocations.load() - before, 0);
   EXPECT_EQ(delivered, 2 * (kWarmup + kCycles)) << "stale messages dropped";
+}
+
+TEST(InstanceAllocationTest, EventQueueCyclesAllocateNothing) {
+  // Every cycle queues near events and far ones 5,000 ticks ahead, cancels
+  // a quarter of each, and drains: the drain jumps from the emptied wheel
+  // to the far events and migrates them, cancelled ones included.
+  constexpr sim::EventClass kTimer = sim::EventClass::kTimer;
+  sim::Simulator sim;
+  int fired = 0;
+  auto fire = [&fired] { ++fired; };
+  auto cycle = [&] {
+    const sim::Time now = sim.Now();
+    for (int i = 0; i < 16; ++i) {
+      const sim::Time at = now + 7 * i;
+      sim::EventId near = sim.ScheduleCancellableAt(at, kTimer, fire);
+      sim::EventId far = sim.ScheduleCancellableAt(at + 5000, kTimer, fire);
+      sim.ScheduleAt(now + 3 * i, sim::EventClass::kDelivery, fire);
+      if (i % 4 == 0) {
+        EXPECT_TRUE(sim.Cancel(near));
+        EXPECT_TRUE(sim.Cancel(far));
+      }
+    }
+    sim.Run();
+  };
+  for (int i = 0; i < kWarmup; ++i) cycle();
+  const int64_t before = g_allocations.load();
+  for (int i = 0; i < kCycles; ++i) cycle();
+  EXPECT_EQ(g_allocations.load() - before, 0);
+  EXPECT_EQ(fired, 40 * (kWarmup + kCycles));
 }
 
 }  // namespace

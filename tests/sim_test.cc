@@ -274,15 +274,120 @@ TEST(EventQueueTest, StaleHandleNeverCancelsItsSlotsNextOccupant) {
   EXPECT_EQ(fired, 1);
 }
 
+// The wheel covers the 1,024 ticks from the last popped time; later events
+// wait in a heap and move into the wheel as the window reaches them.
+
+TEST(EventQueueTest, MigratedFarEventKeepsClassOrder) {
+  // The far timer is older than every push at its instant once the window
+  // covers it: it follows a later delivery and precedes a later timer.
+  EventQueue q;
+  std::vector<int> order;
+  q.Push(2000, EventClass::kTimer, [&] { order.push_back(2); });
+  q.Push(500, EventClass::kControl, [] {});
+  q.Push(1000, EventClass::kControl, [] {});
+  q.Pop().fn();
+  q.Pop().fn();  // the window is now [1000, 2024)
+  q.Push(2000, EventClass::kTimer, [&] { order.push_back(3); });
+  q.Push(2000, EventClass::kDelivery, [&] { order.push_back(1); });
+  while (!q.empty()) q.Pop().fn();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueueTest, WindowBoundaryPopsInTimeOrder) {
+  // From base 100, 1123 is the wheel's last instant and 1124 is on the heap.
+  EventQueue q;
+  q.Push(100, EventClass::kControl, [] {});
+  q.Pop().fn();
+  q.Push(1124, EventClass::kCrash, [] {});
+  q.Push(1123, EventClass::kControl, [] {});
+  EXPECT_EQ(q.PeekTime(), 1123);
+  EXPECT_EQ(q.Pop().at, 1123);
+  EXPECT_EQ(q.Pop().at, 1124);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueTest, LongJumpFromAnEmptyWheel) {
+  constexpr Time kFar = 1'000'000'000'000;
+  EventQueue q;
+  q.Push(kFar + 1024, EventClass::kTimer, [] {});
+  q.Push(kFar, EventClass::kTimer, [] {});
+  q.Push(kFar + 1023, EventClass::kTimer, [] {});
+  EXPECT_EQ(q.PeekTime(), kFar);
+  std::vector<Time> popped;
+  while (!q.empty()) {
+    Event e = q.Pop();
+    popped.push_back(e.at);
+    if (e.at == kFar) q.Push(kFar + 7, EventClass::kTimer, [] {});
+  }
+  const std::vector<Time> expected{kFar, kFar + 7, kFar + 1023, kFar + 1024};
+  EXPECT_EQ(popped, expected);
+}
+
+TEST(EventQueueTest, WrappedBucketServesOnlyItsNewInstant) {
+  // Instants 5 and 1029 share a bucket. The cancelled event left behind at
+  // 5 must neither run nor disturb 1029 once the window has wrapped.
+  EventQueue q;
+  std::vector<Time> popped;
+  q.Push(5, EventClass::kTimer, [] {});
+  EventId dead = q.PushCancellable(5, EventClass::kTimer, [] { FAIL(); });
+  q.Push(1000, EventClass::kTimer, [] {});
+  EXPECT_TRUE(q.Cancel(dead));
+  popped.push_back(q.Pop().at);
+  popped.push_back(q.Pop().at);  // the window is now [1000, 2024)
+  q.Push(2000, EventClass::kTimer, [] {});
+  q.Push(1029, EventClass::kTimer, [] {});
+  while (!q.empty()) {
+    Event e = q.Pop();
+    e.fn();
+    popped.push_back(e.at);
+  }
+  EXPECT_EQ(popped, (std::vector<Time>{5, 1000, 1029, 2000}));
+}
+
+TEST(EventQueueTest, CancellingTheCachedFrontExposesTheNextLiveEvent) {
+  EventQueue q;
+  EventId near = q.PushCancellable(10, EventClass::kTimer, [] {});
+  EventId far = q.PushCancellable(3000, EventClass::kTimer, [] {});
+  q.Push(4000, EventClass::kTimer, [] {});
+  EXPECT_EQ(q.PeekTime(), 10);
+  EXPECT_TRUE(q.Cancel(near));
+  EXPECT_EQ(q.PeekTime(), 3000);
+  EXPECT_TRUE(q.Cancel(far));
+  EXPECT_EQ(q.PeekTime(), 4000);
+  q.Push(20, EventClass::kTimer, [] {});
+  EXPECT_EQ(q.PeekTime(), 20) << "an earlier push replaces the cached front";
+  EXPECT_EQ(q.Pop().at, 20);
+  EXPECT_EQ(q.Pop().at, 4000);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueDeathTest, PopOnQueueOfCancelledFarEventsFailsLoudly) {
+  EventQueue q;
+  EventId a = q.PushCancellable(5000, EventClass::kTimer, [] {});
+  EventId b = q.PushCancellable(6000, EventClass::kTimer, [] {});
+  EXPECT_EQ(q.PeekTime(), 5000);
+  EXPECT_TRUE(q.Cancel(a));
+  EXPECT_TRUE(q.Cancel(b));
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_DEATH(q.Pop(), "no live events");
+}
+
 // Random Push / PushCancellable / Cancel / Pop sequences against a
 // reference ordered by (time, class, seq): pop order, size(), empty(),
 // PeekTime() and every Cancel return, including cancels through handles
 // whose events already ran or were cancelled and whose slots hold newer
-// events.
+// events. Seeds 1-20 of two inputs: every push lands within 30 ticks; then
+// 20% of them land up to 5,000 ticks ahead, past the wheel's window, which
+// reaches far keys, their migration, jumps from an empty wheel and
+// cancelled far keys.
 TEST(EventQueueTest, MatchesAnOrderedReferenceUnderRandomOperations) {
   using RefKey = std::tuple<Time, int, uint64_t>;
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    SCOPED_TRACE(seed);
+  for (int run = 0; run < 40; ++run) {
+    const uint64_t seed = static_cast<uint64_t>(run % 20) + 1;
+    const double far_share = run < 20 ? 0.0 : 0.2;
+    SCOPED_TRACE(::testing::Message()
+                 << "seed " << seed << " far share " << far_share);
     Rng rng(seed);
     EventQueue q;
     struct Entry {
@@ -327,7 +432,8 @@ TEST(EventQueueTest, MatchesAnOrderedReferenceUnderRandomOperations) {
         EXPECT_FALSE(q.Cancel(id)) << "repeated cancel at op " << op;
         EXPECT_FALSE(q.Cancel(kNoEvent));
       } else {
-        Time at = now + rng.UniformInt(0, 30);
+        const bool far = far_share > 0 && rng.Chance(far_share);
+        Time at = now + rng.UniformInt(0, far ? 5000 : 30);
         auto cls = static_cast<EventClass>(rng.UniformInt(0, 3));
         int tag = op;
         RefKey key{at, static_cast<int>(cls), ++seq};

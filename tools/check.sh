@@ -8,6 +8,8 @@
 #   tools/check.sh --asan     # additionally build with
 #                             # -DFASTCOMMIT_SANITIZE=address and run ctest
 #                             # and the same gates there
+#   tools/check.sh --ubsan    # the same with -DFASTCOMMIT_SANITIZE=undefined,
+#                             # aborting on the first report
 #
 # Every gate announces itself and names itself again on failure, so a red
 # CI log says *which* invariant broke without scrolling for the first
@@ -99,9 +101,16 @@ run_gates() {
 run_suite build
 run_gates build
 
-if [ "${1:-}" = "--asan" ]; then
-  run_suite build-asan -DFASTCOMMIT_SANITIZE=address
-  run_gates build-asan
-fi
+case "${1:-}" in
+  --asan)
+    run_suite build-asan -DFASTCOMMIT_SANITIZE=address
+    run_gates build-asan
+    ;;
+  --ubsan)
+    run_suite build-ubsan -DFASTCOMMIT_SANITIZE=undefined \
+      -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined
+    run_gates build-ubsan
+    ;;
+esac
 
 echo "check.sh: all suites passed"
