@@ -1,6 +1,7 @@
 #include "db/commit_log.h"
 
 #include <algorithm>
+#include <array>
 #include <utility>
 
 #include "core/check.h"
@@ -18,18 +19,17 @@ CommitLog::CommitLog(int replicas, sim::Time unit, uint64_t seed,
 }
 
 int64_t CommitLog::Append(sim::Time now) {
-  int64_t slot_id = next_slot_++;
-  slots_.emplace(slot_id, Slot{});
+  int64_t slot_id = min_active_ + live_slots();
+  slots_.emplace_back();
   ++stats_.appends;
-  stats_.max_live_slots =
-      std::max(stats_.max_live_slots, static_cast<int64_t>(slots_.size()));
+  stats_.max_live_slots = std::max(stats_.max_live_slots, live_slots());
   Replicate(slot_id, Phase::kAccept, now);
   return slot_id;
 }
 
 const CommitLog::Slot* CommitLog::Get(int64_t slot) const {
-  auto it = slots_.find(slot);
-  return it == slots_.end() ? nullptr : &it->second;
+  if (slot < min_active_ || slot >= min_active_ + live_slots()) return nullptr;
+  return &slots_[static_cast<size_t>(slot - min_active_)];
 }
 
 CommitLog::Slot* CommitLog::Find(int64_t slot) {
@@ -37,7 +37,7 @@ CommitLog::Slot* CommitLog::Find(int64_t slot) {
 }
 
 void CommitLog::RecordDecision(int64_t slot_id, commit::Decision decision,
-                               sim::Time now) {
+                               sim::Time now, sim::Callback deliver) {
   Slot* slot = Find(slot_id);
   FC_CHECK(slot != nullptr) << "CommitLog: decision for a freed slot";
   FC_CHECK(slot->decision == commit::Decision::kNone)
@@ -45,64 +45,50 @@ void CommitLog::RecordDecision(int64_t slot_id, commit::Decision decision,
   FC_CHECK(decision != commit::Decision::kNone)
       << "CommitLog: recording an empty decision";
   slot->decision = decision;
+  slot->deliver = std::move(deliver);
   ++stats_.decisions;
   Replicate(slot_id, Phase::kDecide, now);
 }
 
-void CommitLog::OnDurable(int64_t slot_id, std::function<void()> continuation) {
-  const Slot* slot = Get(slot_id);
-  FC_CHECK(slot != nullptr) << "durable waiter on freed slot " << slot_id;
-  if (slot->durable()) {
-    continuation();
-    return;
-  }
-  waiters_[slot_id] = std::move(continuation);
+void CommitLog::DropWaiters() {
+  for (Slot& slot : slots_) slot.deliver = sim::Callback();
+}
+
+bool CommitLog::has_waiters() const {
+  return std::any_of(slots_.begin(), slots_.end(), [](const Slot& slot) {
+    return static_cast<bool>(slot.deliver);
+  });
 }
 
 void CommitLog::Replicate(int64_t slot, Phase phase, sim::Time base) {
+  std::array<sim::Time, 64> acks{};
   for (int r = 0; r < replicas_; ++r) {
-    scheduler_->ScheduleAt(base + AckDelay(slot, phase, r),
-                           sim::EventClass::kDelivery,
-                           [this, slot, phase, r] { OnAck(slot, phase, r); });
+    acks[static_cast<size_t>(r)] = base + AckDelay(slot, phase, r);
   }
-}
-
-void CommitLog::OnAck(int64_t slot_id, Phase phase, int replica) {
-  Slot* slot = Find(slot_id);
-  if (slot == nullptr) return;
-  PhaseState& state = slot->phases[static_cast<int>(phase)];
-  uint64_t bit = uint64_t{1} << replica;
-  if (state.durable || (state.acks & bit) != 0) return;
-  state.acks |= bit;
-  if (++state.acked == replicas_) {
-    SetDurable(slot_id, phase, /*fast_path=*/true);
+  std::sort(acks.begin(), acks.begin() + replicas_);
+  sim::Time majority = acks[static_cast<size_t>(replicas_ / 2)];
+  sim::Time last = acks[static_cast<size_t>(replicas_ - 1)];
+  // On a tie the last ack wins: it was queued before the slow-path timer.
+  if (last <= majority + 2 * unit_) {
+    scheduler_->ScheduleAt(last, sim::EventClass::kDelivery,
+                           [this, slot] { SetDurable(slot, true); });
     return;
   }
-  if (state.acked < replicas_ / 2 + 1 || state.slow_armed) return;
-  // Majority reached: the slow path commits the chosen record at the
-  // majority in one more round trip — unless unanimity lands first and the
-  // fast path wins the race (SetDurable settles it).
-  state.slow_armed = true;
-  scheduler_->ScheduleAfter(2 * unit_, sim::EventClass::kDelivery,
-                            [this, slot_id, phase] {
-                              SetDurable(slot_id, phase, /*fast_path=*/false);
-                            });
+  scheduler_->ScheduleAt(majority, sim::EventClass::kDelivery, [this, slot] {
+    if (Get(slot) == nullptr) return;
+    scheduler_->ScheduleAfter(2 * unit_, sim::EventClass::kDelivery,
+                              [this, slot] { SetDurable(slot, false); });
+  });
 }
 
-void CommitLog::SetDurable(int64_t slot_id, Phase phase, bool fast_path) {
+void CommitLog::SetDurable(int64_t slot_id, bool fast_path) {
   Slot* slot = Find(slot_id);
-  if (slot == nullptr || slot->phases[static_cast<int>(phase)].durable) return;
-  slot->phases[static_cast<int>(phase)].durable = true;
+  if (slot == nullptr) return;
   ++(fast_path ? stats_.fast_path_decisions : stats_.slow_path_decisions);
-  if (phase == Phase::kDecide) {
-    max_committed_ = std::max(max_committed_, slot_id);
-  }
-  if (!slot->durable()) return;
-  auto it = waiters_.find(slot_id);
-  if (it == waiters_.end()) return;
-  std::function<void()> continuation = std::move(it->second);
-  waiters_.erase(it);
-  continuation();
+  if (++slot->durable_phases < 2 || !slot->deliver) return;
+  // The delivery frees the slot, so its continuation leaves it first.
+  sim::Callback deliver = std::move(slot->deliver);
+  deliver();
 }
 
 sim::Time CommitLog::AckDelay(int64_t slot, Phase phase, int replica) const {
@@ -124,20 +110,11 @@ void CommitLog::MarkExecuted(int64_t slot_id) {
       << "CommitLog: slot " << slot_id << " executed twice";
   slot->executed = true;
   ++stats_.executed_slots;
-  max_executed_ = std::max(max_executed_, slot_id);
-}
-
-int64_t CommitLog::FreeSlots() {
-  int64_t freed = 0;
-  auto it = slots_.begin();
-  while (it != slots_.end() && it->first == min_active_ &&
-         it->second.executed) {
-    it = slots_.erase(it);
+  while (!slots_.empty() && slots_.front().executed) {
+    slots_.pop_front();
     ++min_active_;
-    ++freed;
+    ++stats_.freed_slots;
   }
-  stats_.freed_slots += freed;
-  return freed;
 }
 
 }  // namespace fastcommit::db

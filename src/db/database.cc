@@ -88,7 +88,7 @@ sim::ShardedSimulator::Options SimOptions(const Database::Options& options) {
   // bound is the merge rule's safe run-ahead window.
   sim_options.lookahead = options.unit * kRetryBackoffUnits + 1;
   if (options.log_replicas > 0) {
-    // With the commit log on, decide effects also schedule replica-ack
+    // With the commit log on, decide effects also schedule durability
     // events, at >= effect time + unit (CommitLog::AckDelay's floor) — the
     // binding feedback bound when it is tighter than the retry backoff's.
     sim_options.lookahead = std::min(sim_options.lookahead, options.unit);
@@ -469,22 +469,24 @@ void Database::CompleteRound(RoundState round, commit::Decision decision,
   // Only logged rounds have a slot: the log is on and the round is not a
   // geo logless one-phase round.
   const int64_t slot = round.slot;
-  if (slot >= 0) log_->RecordDecision(slot, decision, finished_at);
+  if (slot >= 0) {
+    // Expose the decision only once it is durable. Durability of the
+    // accept phase is required too — a decision durable before its votes
+    // would let recovery re-decide from nothing.
+    log_->RecordDecision(
+        slot, decision, finished_at,
+        [this, round = std::make_unique<RoundState>(std::move(round)),
+         decision] {
+          DeliverRoundDecision(*round, decision, sim_.control()->Now());
+        });
+  }
   if (MaybeCrashCoordinator(CrashPoint::kAfterDecide, finished_at)) {
     // Decision logged (or lost with the unlogged round) but never
-    // delivered: recovery redoes or presumes abort.
+    // delivered: the crash drops the parked delivery, and recovery redoes
+    // or presumes abort.
     return;
   }
-  if (slot < 0) {
-    DeliverRoundDecision(round, decision, finished_at);
-    return;
-  }
-  // Expose the decision only once it is durable. Durability of the accept
-  // phase is required too — a decision durable before its votes would let
-  // recovery re-decide from nothing.
-  log_->OnDurable(slot, [this, round = std::move(round), decision]() mutable {
-    DeliverRoundDecision(round, decision, sim_.control()->Now());
-  });
+  if (slot < 0) DeliverRoundDecision(round, decision, finished_at);
 }
 
 Database::RegionSpan Database::RegionSpanOf(
@@ -586,10 +588,7 @@ void Database::DeliverRoundDecision(RoundState& round,
   // Canonical control-plane order, so the adaptive EWMA trajectory is
   // placement invariant.
   batches_.ObserveRound(round, aborted_members);
-  if (round.slot >= 0) {
-    log_->MarkExecuted(round.slot);
-    log_->FreeSlots();
-  }
+  if (round.slot >= 0) log_->MarkExecuted(round.slot);
   if (TrackingRounds()) rounds_.erase(round.id);
 }
 
@@ -667,7 +666,6 @@ void Database::RecoverCoordinator() {
       }
     }
   }
-  if (log_.has_value()) log_->FreeSlots();
   // Re-execute everything that arrived during the outage, in arrival
   // order, after the resubmissions above (same-instant control events run
   // in insertion order).

@@ -411,8 +411,9 @@ class Database {
   /// Geo-plane counters (see GeoStats); all zero with one region.
   const GeoStats& geo_stats() const { return geo_stats_; }
   /// The replicated coordinator log, or nullptr when Options::log_replicas
-  /// is 0. Watermarks and CommitLog::Stats (fast/slow path decisions,
-  /// live-slot high-water mark) for the recovery tests and bench.
+  /// is 0. Its live-slot window and CommitLog::Stats (fast/slow path
+  /// decisions, live-slot high-water mark) for the recovery tests and
+  /// bench.
   const CommitLog* commit_log() const {
     return log_.has_value() ? &*log_ : nullptr;
   }

@@ -24,7 +24,14 @@ silently dropping a measured configuration is a coverage regression.
 
 Usage:
   tools/bench_compare.py --baseline BENCH_baseline.json current1.json ...
+  tools/bench_compare.py --baseline parent.json --exact current1.json ...
   tools/bench_compare.py --merge BENCH_baseline.json current1.json ...
+
+--exact replaces the tolerance band with equality: every field that is
+not report-only, gated or not, must match the baseline, and each
+difference is printed. It is the bitwise check of a change that should
+not move any simulated result: --merge a parent build's files into a
+temporary baseline, then --exact the change's files against it.
 
 --merge rewrites the baseline from the given current files (the refresh
 procedure after an intentional perf change; see README). The baseline
@@ -86,7 +93,18 @@ def load_rows(doc):
     return {row["key"]: row for row in doc["rows"]}
 
 
-def compare(baseline_doc, current_doc):
+def exact_failures(bench, key, base, cur):
+    """Every non-report-only field of one row that differs, or is missing
+    on one side."""
+    failures = []
+    for field in sorted((set(base) | set(cur)) - set(REPORT_ONLY)):
+        b, c = base.get(field, "<missing>"), cur.get(field, "<missing>")
+        if b != c:
+            failures.append(f"{bench}/{key}: {field} {b} -> {c}")
+    return failures
+
+
+def compare(baseline_doc, current_doc, exact=False):
     """Returns (failures, reports) for one bench's row sets."""
     failures, reports = [], []
     bench = current_doc["bench"]
@@ -102,6 +120,9 @@ def compare(baseline_doc, current_doc):
         cur = cur_rows.get(key)
         if cur is None:
             failures.append(f"{bench}/{key}: row disappeared from the bench")
+            continue
+        if exact:
+            failures += exact_failures(bench, key, base, cur)
             continue
         for metric in LOWER_IS_BETTER + HIGHER_IS_BETTER:
             if metric not in base:
@@ -136,7 +157,8 @@ def compare(baseline_doc, current_doc):
                         f"{bench}/{key}: {metric} {b:g} -> {c:g} "
                         f"({(c - b) / b * 100:+.1f}%, report-only)")
     for key in sorted(set(cur_rows) - set(base_rows)):
-        reports.append(f"{bench}/{key}: new row (not in baseline)")
+        (failures if exact else reports).append(
+            f"{bench}/{key}: new row (not in baseline)")
     return failures, reports
 
 
@@ -145,11 +167,16 @@ def main():
     parser.add_argument("--baseline", help="baseline JSON to gate against")
     parser.add_argument("--merge", metavar="OUT",
                         help="write a fresh baseline from the current files")
+    parser.add_argument("--exact", action="store_true",
+                        help="with --baseline: fail on any difference in "
+                        "a field that is not report-only")
     parser.add_argument("current", nargs="+",
                         help="bench --json output files")
     args = parser.parse_args()
     if bool(args.baseline) == bool(args.merge):
         parser.error("exactly one of --baseline / --merge is required")
+    if args.exact and not args.baseline:
+        parser.error("--exact needs --baseline")
 
     structural = []
     current_docs = []
@@ -239,7 +266,7 @@ def main():
         if base is None:
             all_reports.append(f"{doc['bench']}: no baseline yet (skipped)")
             continue
-        failures, reports = compare(base, doc)
+        failures, reports = compare(base, doc, args.exact)
         all_failures += failures
         all_reports += reports
     # Same coverage rule at file granularity: a baseline bench with no
@@ -252,17 +279,19 @@ def main():
 
     for line in all_reports:
         print(line)
+    band = "exact" if args.exact else f"tolerance {TOLERANCE:.0%}"
     if all_failures:
         print(f"\nBENCH REGRESSION ({len(all_failures)} failure(s), "
-              f"tolerance {TOLERANCE:.0%}):", file=sys.stderr)
+              f"{band}):", file=sys.stderr)
         for line in all_failures:
             print(f"  {line}", file=sys.stderr)
         print("\nIf the change is intentional, refresh the baseline:\n"
               "  tools/bench_compare.py --merge BENCH_baseline.json "
               "<current files>", file=sys.stderr)
         return 1
-    print(f"\nbench_compare: {len(current_docs)} bench file(s) within "
-          f"{TOLERANCE:.0%} of baseline")
+    verdict = "equal to" if args.exact else f"within {TOLERANCE:.0%} of"
+    print(f"\nbench_compare: {len(current_docs)} bench file(s) {verdict} "
+          "baseline")
     return 0
 
 

@@ -316,6 +316,71 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(code, 0)
         self.assertIn("no baseline yet", out)
 
+    # -------------------------------------------------------- exact mode --
+
+    def test_exact_equal_documents_pass(self):
+        base = self.write_baseline("base.json", [make_doc()])
+        cur = self.write("cur.json", make_doc())
+        code, out, _ = self.run_main(["--baseline", base, "--exact", cur])
+        self.assertEqual(code, 0)
+        self.assertIn("equal to baseline", out)
+
+    def test_exact_moved_ungated_field_fails(self):
+        rows = [{"key": "inbac/a", "msgs_per_commit": 10.0,
+                 "fast_path_decisions": 400}]
+        base = self.write_baseline("base.json", [make_doc(rows=rows)])
+        doc = make_doc(rows=[dict(rows[0], fast_path_decisions=401)])
+        cur = self.write("cur.json", doc)
+        # Not a gated metric: the tolerance gate lets it through ...
+        self.assertEqual(self.run_main(["--baseline", base, cur])[0], 0)
+        # ... the exact comparison names it.
+        code, _, err = self.run_main(["--baseline", base, "--exact", cur])
+        self.assertEqual(code, 1)
+        self.assertIn("inbac/a: fast_path_decisions 400 -> 401", err)
+
+    def test_exact_moved_gated_field_within_tolerance_fails(self):
+        base = self.write_baseline("base.json", [make_doc()])
+        doc = make_doc()
+        doc["rows"][0]["msgs_per_commit"] = 10.1  # +1%: inside the band
+        cur = self.write("cur.json", doc)
+        code, _, err = self.run_main(["--baseline", base, "--exact", cur])
+        self.assertEqual(code, 1)
+        self.assertIn("msgs_per_commit 10.0 -> 10.1", err)
+
+    def test_exact_ignores_report_only_fields(self):
+        base = self.write_baseline("base.json", [make_doc()])
+        doc = make_doc()
+        doc["rows"][0]["wall_seconds"] = 50.0
+        doc["rows"][0]["fast_path_rate"] = 0.2  # report-only, only here
+        cur = self.write("cur.json", doc)
+        code, _, _ = self.run_main(["--baseline", base, "--exact", cur])
+        self.assertEqual(code, 0)
+
+    def test_exact_added_or_dropped_field_fails(self):
+        base = self.write_baseline("base.json", [make_doc()])
+        doc = make_doc()
+        doc["rows"][0]["shed"] = 0
+        del doc["rows"][0]["occupancy"]
+        cur = self.write("cur.json", doc)
+        code, _, err = self.run_main(["--baseline", base, "--exact", cur])
+        self.assertEqual(code, 1)
+        self.assertIn("shed <missing> -> 0", err)
+        self.assertIn("occupancy 4.0 -> <missing>", err)
+
+    def test_exact_new_row_fails(self):
+        base = self.write_baseline("base.json", [make_doc()])
+        doc = make_doc()
+        doc["rows"].append({"key": "inbac/new", "msgs_per_commit": 1.0})
+        cur = self.write("cur.json", doc)
+        code, _, err = self.run_main(["--baseline", base, "--exact", cur])
+        self.assertEqual(code, 1)
+        self.assertIn("new row", err)
+
+    def test_exact_needs_baseline(self):
+        cur = self.write("cur.json", make_doc())
+        with self.assertRaises(SystemExit):
+            self.run_main(["--merge", self.path("m.json"), "--exact", cur])
+
     # -------------------------------------------------------- merge mode --
 
     def test_merge_creates_baseline(self):
