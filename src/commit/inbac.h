@@ -89,9 +89,6 @@ class Inbac : public CommitProtocol {
   };
 
  private:
-  bool IsBackup() const { return rank() <= b_; }
-  bool IsPivot() const { return rank() == b_ + 1; }
-
   /// True if collection1 contains, for every backup rank j = 1..b, a [C]
   /// collection with all n votes (the i >= f+1 decision condition).
   bool BackupCollectionsComplete() const;

@@ -63,7 +63,6 @@ class PaxosCommit : public CommitProtocol {
 
  private:
   bool IsAcceptor() const { return id() < acceptors_; }
-  bool IsLeader() const { return id() == 0; }
   int AcceptorMajority() const { return acceptors_ / 2 + 1; }
 
   void MaybeSendAggregate();

@@ -12,13 +12,6 @@ sim::Time RunResult::LastDecisionTime() const {
   return last;
 }
 
-bool RunResult::AllDecided() const {
-  return std::all_of(decisions.begin(), decisions.end(),
-                     [](commit::Decision d) {
-                       return d != commit::Decision::kNone;
-                     });
-}
-
 bool RunResult::AllCorrectDecided() const {
   for (size_t i = 0; i < decisions.size(); ++i) {
     if (!crashed[i] && decisions[i] == commit::Decision::kNone) return false;

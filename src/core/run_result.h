@@ -31,7 +31,6 @@ struct RunResult {
   /// Latest decision instant across all processes; -1 if nobody decided.
   sim::Time LastDecisionTime() const;
 
-  bool AllDecided() const;
   /// Termination in the paper's sense: every correct process decided.
   bool AllCorrectDecided() const;
 

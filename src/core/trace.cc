@@ -34,8 +34,6 @@ const char* ChannelName(net::Channel channel) {
       return "commit";
     case net::Channel::kConsensus:
       return "cons";
-    case net::Channel::kDatabase:
-      return "db";
   }
   return "?";
 }

@@ -120,7 +120,7 @@ Database::Database(const Options& options)
             options.unit, options.pool_instances, GeoTopologyFor(options)),
       batches_(options_, sim_.control(),
                [this](RoundState round) {
-                 StartRound(std::move(round), /*resumed=*/false);
+                 StartRound(FileRound(std::move(round)), /*resumed=*/false);
                }),
       reads_(&plane_) {
   // num_partitions >= 1 is checked by the plane's constructor.
@@ -319,21 +319,8 @@ void Database::Execute(PendingTx pending) {
     return;
   }
 
-  if (MaybeCrashCoordinator(CrashPoint::kAfterPrepare, started)) {
-    // The crash caught this transaction between its prepares and its
-    // round: it is in-flight coordinator state like any open round, so it
-    // joins the round table as an unlogged single-member round — recovery
-    // presumes abort, releases its prepared locks, and resubmits it.
-    RoundState round;
-    round.id = next_round_id_++;
-    round.members.push_back(RoundMember{std::move(pending), std::move(touched),
-                                        std::move(votes), started});
-    round.partitions = round.members.front().touched;
-    rounds_.emplace(round.id, std::move(round));
-    return;
-  }
-
-  if (batches_.enabled()) {
+  bool crashed = MaybeCrashCoordinator(CrashPoint::kAfterPrepare, started);
+  if (batches_.enabled() && !crashed) {
     // A member whose own vote conjunction is already No is doomed whatever
     // the round decides, and the control plane learned that while
     // collecting votes — so its prepared state (exclusive locks at the
@@ -354,7 +341,7 @@ void Database::Execute(PendingTx pending) {
     return;
   }
 
-  RoundState round;
+  RoundState& round = FileRound(RoundState());
   round.partitions = std::move(touched);
   round.round_votes = std::move(votes);
   // The member's own votes stay empty: ConjoinVotes of an empty vector is
@@ -362,10 +349,13 @@ void Database::Execute(PendingTx pending) {
   // pre-refactor unbatched behavior. Its touched set is the round's.
   round.members.push_back(
       RoundMember{std::move(pending), round.partitions, {}, started});
-  StartRound(std::move(round), /*resumed=*/false);
+  // A crash that caught this transaction between its prepares and its
+  // round leaves the round filed but unstarted, like an open batch:
+  // recovery presumes abort, releases its locks, and resubmits it.
+  if (!crashed) StartRound(round, /*resumed=*/false);
 }
 
-void Database::StartRound(RoundState round, bool resumed) {
+void Database::StartRound(RoundState& round, bool resumed) {
   sim::Time now = sim_.control()->Now();
   // Logless one-phase fast path (geo co-coordinator mode): a round whose
   // partitions all live in one region never exposes a decision outside
@@ -375,15 +365,11 @@ void Database::StartRound(RoundState round, bool resumed) {
   // exactly the unlogged-round recovery contract.
   const bool logless =
       GeoChoreographyEnabled() && RegionSpanOf(round.partitions).count == 1;
-  if (!resumed) {
-    round.id = next_round_id_++;
-    // Append the round's votes to the log, whose accept phase starts
-    // replicating immediately: it overlaps the commit protocol's own
-    // message delays, so the crash-free cost is only the decide-phase
-    // quorum wait at the end.
-    if (log_.has_value() && !logless) round.slot = log_->Append(now);
-  }
-  if (TrackingRounds()) rounds_[round.id] = round;
+  // Append the round's votes to the log, whose accept phase starts
+  // replicating immediately: it overlaps the commit protocol's own message
+  // delays, so the crash-free cost is only the decide-phase quorum wait at
+  // the end.
+  if (!resumed && log_.has_value() && !logless) round.slot = log_->Append(now);
   if (!resumed && MaybeCrashCoordinator(CrashPoint::kAfterAccept, now)) {
     // The votes are (replicating to) the log but the instance never
     // starts: recovery finds the slot undecided and re-decides it.
@@ -391,7 +377,7 @@ void Database::StartRound(RoundState round, bool resumed) {
   }
 
   if (GeoChoreographyEnabled()) {
-    RunGeoRound(std::move(round), resumed, now);
+    RunGeoRound(round, now);
     return;
   }
 
@@ -412,57 +398,53 @@ void Database::StartRound(RoundState round, bool resumed) {
     regions.reserve(round.partitions.size());
     for (int p : round.partitions) regions.push_back(plane_.RegionOf(p));
   }
-  // Boxed so the completion effect fits sim::Callback; the votes stay put
-  // for Acquire to copy while the box moves into the done callback.
-  auto boxed = std::make_unique<RoundState>(std::move(round));
-  const std::vector<commit::Vote>& votes = boxed->round_votes;
   CommitInstance* instance = pool_.Acquire(
-      shard, sim_.shard(shard), votes,
-      [this, shard, lead, epoch, resumed, started = now,
-       round = std::move(boxed)](CommitInstance* done_instance,
-                                 commit::Decision decision) mutable {
+      shard, sim_.shard(shard), round.round_votes,
+      [this, shard, lead, epoch, started = now, id = round.id](
+          CommitInstance* done_instance, commit::Decision decision) {
         // Runs on the shard (possibly a worker thread) at the decide
         // instant: snapshot the message counts here — the instance runs on
         // until the effect applies, and after Release the per-epoch
         // counters belong to the next incarnation — and defer everything
-        // that touches shared state to a canonical-order completion effect
-        // on the control plane. The finish time holds until the next Reset.
+        // that touches shared state — the round table included — to a
+        // canonical-order completion effect on the control plane. The
+        // finish time holds until the next Reset.
         int64_t messages = done_instance->messages();
         int64_t cross_messages = done_instance->cross_messages();
         sim_.PostEffect(
             shard, done_instance->finish_time(), static_cast<uint64_t>(lead),
-            [this, done_instance, messages, cross_messages, epoch, started,
-             round = std::move(round), decision, resumed]() mutable {
+            [this, done_instance, messages, cross_messages, epoch, started, id,
+             decision] {
               sim::Time finished = done_instance->finish_time();
               pool_.Release(done_instance);
-              CompleteRound(std::move(*round), decision, messages,
-                            cross_messages, started, finished, epoch, resumed);
+              CompleteRound(id, decision, messages, cross_messages, started,
+                            finished, epoch);
             });
       },
       std::move(regions));
   instance->Start();
 }
 
-void Database::CompleteRound(RoundState round, commit::Decision decision,
+void Database::CompleteRound(int64_t id, commit::Decision decision,
                              int64_t messages, int64_t cross_messages,
                              sim::Time started_at, sim::Time finished_at,
-                             int64_t epoch, bool resumed) {
+                             int64_t epoch) {
   if (epoch != coordinator_epoch_) {
-    // Decided into a dead epoch: the round's fate is recovery's to settle
-    // (it is still in the round table).
+    // Decided into a dead epoch: the round's fate is recovery's to settle,
+    // which may already have retired it or restarted it under this id.
     recovery_stats_.lost_round_messages += messages;
     return;
   }
+  RoundState& round = InFlightRound(id);
   // One protocol round's messages, however many members it carried — the
   // amortization batching exists for.
   stats_.commit_messages += messages;
-  if (resumed) {
-    // Replay determinism: a re-decided round must land on the unique
-    // failure-free decision its logged votes imply.
-    FC_CHECK(decision == commit::DecideFromVotes(round.round_votes))
-        << "recovery replay divergence: round " << round.id << " re-decided "
-        << commit::ToString(decision) << " against its logged votes";
-  }
+  // NBAC validity at the database: every instance runs failure-free, so a
+  // round, first run or re-decided by recovery, must land on the unique
+  // decision its votes imply.
+  FC_CHECK(decision == commit::DecideFromVotes(round.round_votes))
+      << "round " << id << " decided " << commit::ToString(decision)
+      << " against its votes";
   if (GeoEnabled()) {
     RecordGeoRound(round, cross_messages, started_at, finished_at);
   }
@@ -473,12 +455,9 @@ void Database::CompleteRound(RoundState round, commit::Decision decision,
     // Expose the decision only once it is durable. Durability of the
     // accept phase is required too — a decision durable before its votes
     // would let recovery re-decide from nothing.
-    log_->RecordDecision(
-        slot, decision, finished_at,
-        [this, round = std::make_unique<RoundState>(std::move(round)),
-         decision] {
-          DeliverRoundDecision(*round, decision, sim_.control()->Now());
-        });
+    log_->RecordDecision(slot, decision, finished_at, [this, id, decision] {
+      DeliverRoundDecision(InFlightRound(id), decision, sim_.control()->Now());
+    });
   }
   if (MaybeCrashCoordinator(CrashPoint::kAfterDecide, finished_at)) {
     // Decision logged (or lost with the unlogged round) but never
@@ -507,7 +486,7 @@ Database::RegionSpan Database::RegionSpanOf(
   return span;
 }
 
-void Database::RunGeoRound(RoundState round, bool resumed, sim::Time now) {
+void Database::RunGeoRound(const RoundState& round, sim::Time now) {
   int n = static_cast<int>(round.partitions.size());
   RegionSpan span = RegionSpanOf(round.partitions);
   // Gather and scatter are intra-DC hops a round only pays when some
@@ -530,16 +509,16 @@ void Database::RunGeoRound(RoundState round, bool resumed, sim::Time now) {
   // Every co-coordinator applies the vote algebra to the same full vote
   // vector, so each region reaches the decision locally — no second
   // cross-region round. This is the same verdict a protocol instance
-  // reaches in a failure-free run (the resumed-round FC_CHECK in
-  // CompleteRound pins exactly that equivalence).
+  // reaches in a failure-free run (the validity FC_CHECK in CompleteRound
+  // pins exactly that equivalence).
   commit::Decision decision = commit::DecideFromVotes(round.round_votes);
   int64_t epoch = coordinator_epoch_;
   sim_.control()->ScheduleAt(
       finished, sim::EventClass::kDelivery,
-      [this, round = std::make_unique<RoundState>(std::move(round)), messages,
-       cross_messages, now, finished, epoch, decision, resumed]() mutable {
-        CompleteRound(std::move(*round), decision, messages, cross_messages,
-                      now, finished, epoch, resumed);
+      [this, id = round.id, messages, cross_messages, now, finished, epoch,
+       decision] {
+        CompleteRound(id, decision, messages, cross_messages, now, finished,
+                      epoch);
       });
 }
 
@@ -589,7 +568,28 @@ void Database::DeliverRoundDecision(RoundState& round,
   // placement invariant.
   batches_.ObserveRound(round, aborted_members);
   if (round.slot >= 0) log_->MarkExecuted(round.slot);
-  if (TrackingRounds()) rounds_.erase(round.id);
+  RetireRound(round);
+}
+
+RoundState& Database::FileRound(RoundState round) {
+  round.id = oldest_round_ + static_cast<int64_t>(rounds_.size());
+  return rounds_.emplace_back(std::move(round));
+}
+
+RoundState& Database::InFlightRound(int64_t id) {
+  const int64_t index = id - oldest_round_;
+  FC_CHECK(index >= 0 && index < static_cast<int64_t>(rounds_.size()) &&
+           rounds_[static_cast<size_t>(index)].id == id)
+      << "round " << id << " is not in flight";
+  return rounds_[static_cast<size_t>(index)];
+}
+
+void Database::RetireRound(RoundState& round) {
+  round = RoundState();  // id 0: no live round has it
+  while (!rounds_.empty() && rounds_.front().id == 0) {
+    rounds_.pop_front();
+    ++oldest_round_;
+  }
 }
 
 bool Database::MaybeCrashCoordinator(CrashPoint point, sim::Time at) {
@@ -611,10 +611,7 @@ void Database::CrashCoordinator(sim::Time at) {
   // Open batches are volatile coordinator state: their window timers die
   // with the crash and they become unlogged in-flight rounds for
   // recovery's presumed-abort sweep.
-  for (RoundState& round : batches_.TakeOpen()) {
-    round.id = next_round_id_++;
-    rounds_.emplace(round.id, std::move(round));
-  }
+  for (RoundState& round : batches_.TakeOpen()) FileRound(std::move(round));
   // Parked delivery continuations are volatile too; their slots hold
   // logged decisions, which recovery redoes from the log itself.
   if (log_.has_value()) log_->DropWaiters();
@@ -633,11 +630,14 @@ void Database::RecoverCoordinator() {
   // Replay the round table in formation order against the recovered log.
   // Three classes: decision logged -> redo the finishes; votes logged but
   // undecided -> re-decide through a fresh instance; nothing durable ->
-  // presumed abort, release locks, resubmit the members.
-  std::map<int64_t, RoundState> lost;
-  lost.swap(rounds_);
-  for (auto& entry : lost) {
-    RoundState& round = entry.second;
+  // presumed abort, release locks, resubmit the members. Redo and presumed
+  // abort retire the entry, re-decide keeps it and its id; the walk goes
+  // by id because retiring pops the retired prefix.
+  const int64_t end = oldest_round_ + static_cast<int64_t>(rounds_.size());
+  for (int64_t id = oldest_round_; id < end; ++id) {
+    if (id < oldest_round_) continue;  // popped: delivered before the crash
+    RoundState& round = rounds_[static_cast<size_t>(id - oldest_round_)];
+    if (round.id != id) continue;  // retired in place
     const CommitLog::Slot* slot =
         round.slot >= 0 ? log_->Get(round.slot) : nullptr;
     FC_CHECK(round.slot < 0 || slot != nullptr)
@@ -652,7 +652,7 @@ void Database::RecoverCoordinator() {
       DeliverRoundDecision(round, decision, now);
     } else if (slot != nullptr) {
       ++recovery_stats_.redecide_rounds;
-      StartRound(std::move(round), /*resumed=*/true);
+      StartRound(round, /*resumed=*/true);
     } else {
       ++recovery_stats_.presumed_aborts;
       for (RoundMember& member : round.members) {
@@ -664,6 +664,7 @@ void Database::RecoverCoordinator() {
         ++recovery_stats_.resubmissions;
         ScheduleExecute(std::move(member.pending), now);
       }
+      RetireRound(round);
     }
   }
   // Re-execute everything that arrived during the outage, in arrival

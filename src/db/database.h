@@ -2,7 +2,7 @@
 #define FASTCOMMIT_DB_DATABASE_H_
 
 #include <cstdint>
-#include <map>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -444,25 +444,26 @@ class Database {
   /// Flushes pending partition-plane tasks (a no-op when none are queued)
   /// and finalizes the snapshot reads the flush filled.
   void FlushPartitionWork();
-  /// Runs one commit round: appends it to the commit log (when on), starts
-  /// a pooled instance on the lead member's shard, and — through the
-  /// epoch-fenced completion effect — hands the decision to CompleteRound.
-  /// The single path the unbatched Execute, the batch former's flushes,
-  /// and recovery's re-decide (`resumed`, which reuses the already-logged
-  /// slot) converge on.
-  void StartRound(RoundState round, bool resumed);
+  /// Runs the round table's entry `round`: appends it to the commit log
+  /// (when on), starts a pooled instance on the lead member's shard, and —
+  /// through the epoch-fenced completion effect, which carries the round's
+  /// id — hands the decision to CompleteRound. The single path the
+  /// unbatched Execute, the batch former's flushes, and recovery's
+  /// re-decide (`resumed`, which reuses the already-logged slot) converge
+  /// on.
+  void StartRound(RoundState& round, bool resumed);
   /// Shared tail of every commit round — the instance path's completion
   /// effect and the geo choreography's completion event both land here, in
   /// canonical control-plane order: epoch fence (a stale epoch's messages
-  /// count as lost), message accounting, the resumed-round decision
-  /// FC_CHECK, geo metrics, decision logging, the planned after-decide
-  /// crash, and delivery — gated on both log phases being durable when
-  /// the round is logged. `started_at` is the round's StartRound instant,
-  /// `finished_at` its decide instant.
-  void CompleteRound(RoundState round, commit::Decision decision,
-                     int64_t messages, int64_t cross_messages,
-                     sim::Time started_at, sim::Time finished_at,
-                     int64_t epoch, bool resumed);
+  /// count as lost, and its round `id` is not looked up: recovery may have
+  /// restarted that round under the same id), message accounting, the
+  /// validity FC_CHECK, geo metrics, decision logging, the planned
+  /// after-decide crash, and delivery — gated on both log phases being
+  /// durable when the round is logged. `started_at` is the round's
+  /// StartRound instant, `finished_at` its decide instant.
+  void CompleteRound(int64_t id, commit::Decision decision, int64_t messages,
+                     int64_t cross_messages, sim::Time started_at,
+                     sim::Time finished_at, int64_t epoch);
   /// Co-coordinator choreography (Options::geo_co_coordinators): instead
   /// of a pooled protocol instance, the round's partitions are grouped by
   /// region; each region's co-coordinator gathers local votes (one intra
@@ -474,7 +475,7 @@ class Database {
   /// 2 * sum(region fan-out) + R * (R - 1). Everything is a pure function
   /// of round state, scheduled as one control-plane event at the decide
   /// instant — no shard events, trivially placement-invariant.
-  void RunGeoRound(RoundState round, bool resumed, sim::Time now);
+  void RunGeoRound(const RoundState& round, sim::Time now);
   /// Records one decided round's geo counters (multi/single region, round
   /// classification, critical-path cross delays, latency).
   void RecordGeoRound(const RoundState& round, int64_t cross_messages,
@@ -495,14 +496,18 @@ class Database {
   }
   /// Delivers a decided round: per-member fate (round decision AND the
   /// member's own vote conjunction), FinishTx at `finished_at`, adaptive
-  /// conflict feedback, round-table erase, log slot-executed + GC.
+  /// conflict feedback, log slot-executed + GC, and the round's retirement
+  /// from the table.
   void DeliverRoundDecision(RoundState& round, commit::Decision decision,
                             sim::Time finished_at);
-  /// Round-table tracking is only paid when a coordinator crash is
-  /// planned (the table exists so recovery knows what was in flight).
-  bool TrackingRounds() const {
-    return options_.fault_plan.HasCoordinatorCrash();
-  }
+  /// Files `round` at the back of the round table under the next id.
+  RoundState& FileRound(RoundState round);
+  /// The table entry of round `id`, FC_CHECKed to be in flight: a second
+  /// delivery or a stale completion of a round is a bug.
+  RoundState& InFlightRound(int64_t id);
+  /// Clears a delivered or presumed-aborted round in place and pops the
+  /// table's retired prefix.
+  void RetireRound(RoundState& round);
   /// Fires the planned coordinator crash if `point` is its armed protocol
   /// step and this is the configured passage. Returns true when the crash
   /// fired (the caller must drop its round on the floor — that is the
@@ -552,11 +557,15 @@ class Database {
   /// Passages of the armed crash point remaining before the crash fires;
   /// 0 = disarmed (no crash planned, or already fired).
   int64_t crash_countdown_ = 0;
-  /// In-flight round table, populated only when a coordinator crash is
-  /// planned (TrackingRounds): round id -> the state recovery needs to
-  /// replay it. Erased when the round's decision is delivered.
-  std::map<int64_t, RoundState> rounds_;
-  int64_t next_round_id_ = 1;
+  /// The round table: every commit round from formation to delivery, in
+  /// every configuration. rounds_[i] holds round oldest_round_ + i; ids
+  /// follow formation order, so recovery replays rounds in that order. A
+  /// retired entry (id 0) stays in place until the retired prefix pops.
+  /// StartRound and CompleteRound hold their entry across a crash that
+  /// files the open batches: a deque's push_back and pop_front keep other
+  /// entries' references valid, where a vector's growth would not.
+  std::deque<RoundState> rounds_;
+  int64_t oldest_round_ = 1;
   /// Submissions/retries that arrived while down, re-executed at recovery
   /// in arrival order.
   std::vector<PendingTx> parked_;

@@ -70,7 +70,6 @@ struct FaultPlan {
 
   bool HasCoordinatorCrash() const { return crash_point != CrashPoint::kNone; }
   bool HasParticipantCrash() const { return crash_partition >= 0; }
-  bool Empty() const { return !HasCoordinatorCrash() && !HasParticipantCrash(); }
 };
 
 }  // namespace fastcommit::db

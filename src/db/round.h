@@ -38,12 +38,15 @@ struct RoundMember {
 };
 
 /// One multi-partition commit round — the unit the unbatched path, the
-/// batch former, and recovery replay share. `id` is the round-table key
-/// (monotonic, so recovery replays rounds in the order they formed);
-/// `slot` the commit-log slot (-1 when unlogged: log off, a geo one-phase
-/// round, or a crash-interrupted round that never started). `round_votes`
-/// is the per-position disjunction over the members' aligned votes — for
-/// an unbatched round, the member's own votes.
+/// batch former, and recovery replay share. `id` is its key in the
+/// Database's round table, which owns the round from formation to
+/// delivery (monotonic, so recovery replays rounds in the order they
+/// formed; 0 before filing and once retired); closures that outlive a
+/// call carry the id, never the round. `slot` is the commit-log slot (-1
+/// when unlogged: log off, a geo one-phase round, or a crash-interrupted
+/// round that never started). `round_votes` is the per-position
+/// disjunction over the members' aligned votes — for an unbatched round,
+/// the member's own votes.
 struct RoundState {
   int64_t id = 0;
   int64_t slot = -1;

@@ -105,8 +105,6 @@ class TrafficEngine {
 
   const TrafficOptions& options() const { return options_; }
   int64_t generated() const { return generated_; }
-  /// Arrival instant of the last generated transaction (0 before any).
-  sim::Time last_arrival_time() const { return clock_; }
 
  private:
   /// Inter-arrival gap, in ticks, before the next arrival.

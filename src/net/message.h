@@ -19,7 +19,6 @@ using ProcessId = int;
 enum class Channel : uint8_t {
   kCommit = 0,
   kConsensus = 1,
-  kDatabase = 2,
 };
 
 /// A network message.

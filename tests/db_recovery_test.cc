@@ -129,43 +129,52 @@ Database::Options FaultOptions(core::ProtocolKind protocol, int log_replicas,
 class RecoveryProtocolTest
     : public ::testing::TestWithParam<core::ProtocolKind> {};
 
+/// Coordinator restart delays the crash sweeps run: the simulator
+/// lookahead with the log on (one unit), where instances of the crashed
+/// epoch still decide after recovery restarted their rounds, and an outage
+/// longer than any round.
+constexpr sim::Time kRestartDelays[] = {100, 3000};
+
 // The tentpole gate: crash the coordinator at every protocol step, with
 // the log on, and verify nothing committed is lost, nothing uncommitted
 // leaks in, and every lock comes back.
 TEST_P(RecoveryProtocolTest, CrashAtEveryStepLosesNothing) {
   for (CrashPoint point : {CrashPoint::kAfterPrepare, CrashPoint::kAfterAccept,
                            CrashPoint::kAfterDecide}) {
-    Database::Options options = FaultOptions(GetParam(), 3);
-    options.fault_plan.crash_point = point;
-    options.fault_plan.crash_at_occurrence = 7;
-    options.fault_plan.coordinator_restart_delay = 3000;
-    RunOutcome out = RunTransfer(options, 300, 42);
-    SCOPED_TRACE(std::string("crash point ") + ToString(point));
-    EXPECT_EQ(out.recovery.coordinator_crashes, 1);
-    EXPECT_EQ(out.recovery.recoveries, 1);
-    EXPECT_EQ(out.recovery.unavailability_ticks, 3000);
-    EXPECT_TRUE(out.conservation_violations.empty())
-        << out.conservation_violations.size()
-        << " keys diverged from the delivered-commit ledger, first: "
-        << out.conservation_violations.front();
-    EXPECT_EQ(out.total_balance, 64 * 1000)
-        << "transfers must conserve the total balance across the crash";
-    EXPECT_EQ(out.held_locks, 0) << "orphaned locks after recovery";
-    EXPECT_EQ(out.locked_words, 0);
-    EXPECT_GT(out.stats.committed, 0);
-    // The crash interrupted real work: recovery had something to replay
-    // (a tracked round, a parked arrival, or a presumed abort).
-    EXPECT_GT(out.recovery.redo_rounds + out.recovery.redecide_rounds +
-                  out.recovery.presumed_aborts + out.recovery.parked,
-              0);
-    if (point == CrashPoint::kAfterAccept) {
-      EXPECT_GT(out.recovery.redecide_rounds, 0)
-          << "crash-after-accept must leave an undecided logged slot";
-    }
-    if (point == CrashPoint::kAfterPrepare) {
-      EXPECT_GT(out.recovery.presumed_aborts, 0)
-          << "crash-after-prepare must leave an unlogged in-flight round";
-      EXPECT_GT(out.recovery.resubmissions, 0);
+    for (sim::Time restart_delay : kRestartDelays) {
+      Database::Options options = FaultOptions(GetParam(), 3);
+      options.fault_plan.crash_point = point;
+      options.fault_plan.crash_at_occurrence = 7;
+      options.fault_plan.coordinator_restart_delay = restart_delay;
+      RunOutcome out = RunTransfer(options, 300, 42);
+      SCOPED_TRACE(std::string("crash point ") + ToString(point) +
+                   ", restart delay " + std::to_string(restart_delay));
+      EXPECT_EQ(out.recovery.coordinator_crashes, 1);
+      EXPECT_EQ(out.recovery.recoveries, 1);
+      EXPECT_EQ(out.recovery.unavailability_ticks, restart_delay);
+      EXPECT_TRUE(out.conservation_violations.empty())
+          << out.conservation_violations.size()
+          << " keys diverged from the delivered-commit ledger, first: "
+          << out.conservation_violations.front();
+      EXPECT_EQ(out.total_balance, 64 * 1000)
+          << "transfers must conserve the total balance across the crash";
+      EXPECT_EQ(out.held_locks, 0) << "orphaned locks after recovery";
+      EXPECT_EQ(out.locked_words, 0);
+      EXPECT_GT(out.stats.committed, 0);
+      // The crash interrupted real work: recovery had something to replay
+      // (a tracked round, a parked arrival, or a presumed abort).
+      EXPECT_GT(out.recovery.redo_rounds + out.recovery.redecide_rounds +
+                    out.recovery.presumed_aborts + out.recovery.parked,
+                0);
+      if (point == CrashPoint::kAfterAccept) {
+        EXPECT_GT(out.recovery.redecide_rounds, 0)
+            << "crash-after-accept must leave an undecided logged slot";
+      }
+      if (point == CrashPoint::kAfterPrepare) {
+        EXPECT_GT(out.recovery.presumed_aborts, 0)
+            << "crash-after-prepare must leave an unlogged in-flight round";
+        EXPECT_GT(out.recovery.resubmissions, 0);
+      }
     }
   }
 }
@@ -200,24 +209,27 @@ TEST_P(RecoveryProtocolTest, CrashWithoutLogPresumesAbort) {
 TEST_P(RecoveryProtocolTest, ReplayBitwiseDeterministicAcrossPlacements) {
   for (CrashPoint point : {CrashPoint::kAfterPrepare, CrashPoint::kAfterAccept,
                            CrashPoint::kAfterDecide}) {
-    SCOPED_TRACE(std::string("crash point ") + ToString(point));
-    auto run = [&](const Placement& placement) {
-      Database::Options options = FaultOptions(GetParam(), 3, placement);
-      options.fault_plan.crash_point = point;
-      options.fault_plan.crash_at_occurrence = 7;
-      options.fault_plan.coordinator_restart_delay = 3000;
-      return RunTransfer(options, 250, 77);
-    };
-    RunOutcome baseline = run({1, 1});
-    for (const Placement& placement :
-         {Placement{2, 1}, Placement{8, 4}, Placement{2, 2}}) {
-      RunOutcome out = run(placement);
-      SCOPED_TRACE("shards=" + std::to_string(placement.shards) +
-                   " threads=" + std::to_string(placement.threads));
-      EXPECT_EQ(out.stats, baseline.stats);
-      EXPECT_TRUE(RecoveryEq(out.recovery, baseline.recovery));
-      EXPECT_EQ(out.log_stats, baseline.log_stats);
-      EXPECT_EQ(out.fingerprint, baseline.fingerprint);
+    for (sim::Time restart_delay : kRestartDelays) {
+      SCOPED_TRACE(std::string("crash point ") + ToString(point) +
+                   ", restart delay " + std::to_string(restart_delay));
+      auto run = [&](const Placement& placement) {
+        Database::Options options = FaultOptions(GetParam(), 3, placement);
+        options.fault_plan.crash_point = point;
+        options.fault_plan.crash_at_occurrence = 7;
+        options.fault_plan.coordinator_restart_delay = restart_delay;
+        return RunTransfer(options, 250, 77);
+      };
+      RunOutcome baseline = run({1, 1});
+      for (const Placement& placement :
+           {Placement{2, 1}, Placement{8, 4}, Placement{2, 2}}) {
+        RunOutcome out = run(placement);
+        SCOPED_TRACE("shards=" + std::to_string(placement.shards) +
+                     " threads=" + std::to_string(placement.threads));
+        EXPECT_EQ(out.stats, baseline.stats);
+        EXPECT_TRUE(RecoveryEq(out.recovery, baseline.recovery));
+        EXPECT_EQ(out.log_stats, baseline.log_stats);
+        EXPECT_EQ(out.fingerprint, baseline.fingerprint);
+      }
     }
   }
 }

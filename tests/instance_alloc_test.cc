@@ -2,7 +2,9 @@
 // Start -> Simulator::Run -> Release cycle with all-yes votes allocates
 // nothing for INBAC, 2PC and PaxosCommit at n = 2..5, a network whose
 // in-flight payloads go stale across ResetEpoch reuses every message slot,
-// and a simulator's event queue reuses its slots, wheel and far heap.
+// and a simulator's event queue reuses its slots, wheel and far heap. At
+// database level, a planned coordinator crash that never fires costs no
+// allocation: every run keeps the round table that recovery replays.
 // The test replaces the global operator new with a counting one, so it
 // lives in its own file (each tests/*_test.cc builds its own executable).
 
@@ -17,7 +19,9 @@
 
 #include "core/protocol_kind.h"
 #include "core/runner.h"
+#include "db/database.h"
 #include "db/instance_pool.h"
+#include "db/traffic.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 
@@ -142,6 +146,57 @@ TEST(InstanceAllocationTest, EventQueueCyclesAllocateNothing) {
   for (int i = 0; i < kCycles; ++i) cycle();
   EXPECT_EQ(g_allocations.load() - before, 0);
   EXPECT_EQ(fired, 40 * (kWarmup + kCycles));
+}
+
+/// What a logged PaxosCommit open-loop stream allocated around
+/// SubmitArrivals + Drain, and what it produced.
+struct StreamRun {
+  int64_t allocations = 0;
+  DatabaseStats stats;
+  CommitLog::Stats log;
+  Database::RecoveryStats recovery;
+};
+
+StreamRun LoggedStream(const FaultPlan& plan) {
+  Database::Options options;
+  options.num_partitions = 8;
+  options.unit = 100;
+  options.seed = 42;
+  options.protocol = core::ProtocolKind::kPaxosCommit;
+  options.log_replicas = 3;
+  options.fault_plan = plan;
+  TrafficOptions traffic;
+  traffic.process = ArrivalProcess::kPoisson;
+  traffic.mean_gap = 40.0;
+  traffic.num_arrivals = 2000;
+  traffic.seed = 42;
+  Database database(options);
+  TrafficEngine engine(traffic);
+  StreamRun run;
+  const int64_t before = g_allocations.load();
+  database.SubmitArrivals(&engine);
+  run.stats = database.Drain();
+  run.allocations = g_allocations.load() - before;
+  run.log = database.commit_log()->stats();
+  run.recovery = database.recovery_stats();
+  return run;
+}
+
+TEST(InstanceAllocationTest, PlannedCrashThatNeverFiresCostsNothing) {
+  FaultPlan armed;
+  armed.crash_point = CrashPoint::kAfterAccept;
+  armed.crash_at_occurrence = int64_t{1} << 40;
+  armed.coordinator_restart_delay = 2000;
+  LoggedStream(FaultPlan());  // warm-up: the process's first-use growth
+  const StreamRun plain = LoggedStream(FaultPlan());
+  const StreamRun planned = LoggedStream(armed);
+  EXPECT_EQ(planned.recovery.coordinator_crashes, 0);
+  EXPECT_EQ(planned.stats.committed, 2000);
+  EXPECT_EQ(planned.stats, plain.stats);
+  EXPECT_EQ(planned.log, plain.log);
+  EXPECT_EQ(planned.allocations, plain.allocations)
+      << "an armed crash that never fires must not change what a run "
+         "allocates";
 }
 
 }  // namespace
