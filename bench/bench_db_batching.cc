@@ -18,9 +18,8 @@
 // It doubles as a determinism and regression gate, exiting nonzero when
 // any fails:
 //   - for every mode, DatabaseStats and BatchStats must be bitwise
-//     identical between the serial reference (one queue, prepare inline)
-//     and the same run placed on 4 shards with 2 worker threads and
-//     prepare on-shard (db/partition_plane.h);
+//     identical between the single-queue reference and the same run
+//     placed on 4 shards;
 //   - with the largest fixed window, messages per committed transaction
 //     must be strictly lower than with batching disabled, on every
 //     protocol and workload;
@@ -30,10 +29,9 @@
 //     controller.
 //
 // Usage:
-//   bench_db_batching [--txs N] [--threads M] [--json PATH]
+//   bench_db_batching [--txs N] [--json PATH]
 //
-// Default: N = 100000, M = 2 (threads for the placement-check runs).
-// --json writes the machine-readable row set consumed by
+// Default: N = 100000. --json writes the machine-readable row set consumed by
 // tools/bench_compare.py (see BENCH_baseline.json).
 
 #include <cstdio>
@@ -85,16 +83,14 @@ struct Mode {
 struct Result {
   db::DatabaseStats stats;
   db::Database::BatchStats batch;
-  bool prepare_on_shard = false;  ///< deferred partition plane
 };
 
 Result RunOne(core::ProtocolKind protocol, const WorkloadSpec& workload,
-              int num_txs, const Mode& mode, int shards, int threads) {
+              int num_txs, const Mode& mode, int shards) {
   db::Database::Options options;
   options.num_partitions = 4;  // few partition sets => batches actually form
   options.protocol = protocol;
   options.num_shards = shards;
-  options.num_threads = threads;
   if (mode.adaptive) {
     options.batch_window = kAdaptivePrior;
     options.batch_adaptive = true;
@@ -118,7 +114,6 @@ Result RunOne(core::ProtocolKind protocol, const WorkloadSpec& workload,
   Result result;
   result.stats = database.Drain();
   result.batch = database.batch_stats();
-  result.prepare_on_shard = database.partition_plane().deferred();
   return result;
 }
 
@@ -145,18 +140,14 @@ int main(int argc, char** argv) {
   using namespace fastcommit::bench;
 
   int num_txs = 100000;
-  int threads = 2;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--txs") == 0 && i + 1 < argc) {
       num_txs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--txs N] [--threads M] [--json PATH]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--txs N] [--json PATH]\n", argv[0]);
       return 1;
     }
   }
@@ -180,9 +171,9 @@ int main(int argc, char** argv) {
       "DB commit batching: fixed-window sweep + adaptive cross-set mode");
   std::printf(
       "%d transactions per run, 4 partitions, bursts of %d, "
-      "placement check on 4 shards / %d threads\n"
+      "placement check on 4 shards\n"
       "adaptive mode: prior %lld, window max %lld, cross-set admission on\n",
-      num_txs, kBurst, threads, static_cast<long long>(kAdaptivePrior),
+      num_txs, kBurst, static_cast<long long>(kAdaptivePrior),
       static_cast<long long>(kAdaptiveWindowMax));
 
   JsonBenchReport report("db_batching", num_txs);
@@ -198,11 +189,10 @@ int main(int argc, char** argv) {
       Result fixed_reference;
       Result adaptive;
       for (const Mode& mode : modes) {
-        // Serial reference (one queue, prepare inline) vs the fully
-        // displaced run (4 shards, worker threads, prepare on-shard): one
-        // comparison gates the merge rule and the partition plane at once.
-        Result r = RunOne(protocol, workload, num_txs, mode, 1, 1);
-        Result placed = RunOne(protocol, workload, num_txs, mode, 4, threads);
+        // Single-queue reference vs the run placed on 4 shards: the merge
+        // rule's determinism gate.
+        Result r = RunOne(protocol, workload, num_txs, mode, 1);
+        Result placed = RunOne(protocol, workload, num_txs, mode, 4);
         bool identical =
             r.stats == placed.stats && r.batch == placed.batch;
         if (!identical) diverged = true;
@@ -227,7 +217,6 @@ int main(int argc, char** argv) {
             .Set("occupancy", r.batch.Occupancy())
             .Set("rounds", r.batch.rounds)
             .Set("cross_set_joins", r.batch.cross_set_joins)
-            .Set("prepare_on_shard", static_cast<int64_t>(r.prepare_on_shard))
             .Set("commits_per_tick",
                  CommitsPerTick(r.stats.committed, r.stats.makespan))
             .Set("makespan_ticks", static_cast<int64_t>(r.stats.makespan));

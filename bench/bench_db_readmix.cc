@@ -21,9 +21,8 @@
 // It doubles as the snapshot-plane regression gate, exiting nonzero when
 // any fails:
 //   - every row's DatabaseStats, BatchStats, and read fingerprint must
-//     be bitwise identical between the serial reference (one queue, one
-//     thread, inline partition plane) and the same stream placed on 4
-//     shards with worker threads (deferred plane);
+//     be bitwise identical between the single-queue reference and the
+//     same stream placed on 4 shards;
 //   - at read fraction 0.99 the snapshot plane must serve at least
 //     kReadSpeedupFloor x the locked path's reads per tick — the whole
 //     point of routing read-only transactions around the protocol;
@@ -39,11 +38,10 @@
 //     their offered load.
 //
 // Usage:
-//   bench_db_readmix [--txs N] [--threads M] [--json PATH]
+//   bench_db_readmix [--txs N] [--json PATH]
 //
-// Default: N = 20000 arrivals per run, M = 2 (threads for the placed
-// runs). --json writes the machine-readable row set consumed by
-// tools/bench_compare.py (see BENCH_baseline.json).
+// Default: N = 20000 arrivals per run. --json writes the machine-readable
+// row set consumed by tools/bench_compare.py (see BENCH_baseline.json).
 
 #include <chrono>
 #include <cstdio>
@@ -89,7 +87,6 @@ struct Result {
   db::DatabaseStats stats;
   db::Database::BatchStats batch;
   uint64_t fingerprint = 0;  ///< Database::read_fingerprint after drain
-  int64_t flushes = 0;       ///< partition-plane barriers run
   /// Read-only commits seen by the completion callback — on the locked
   /// rows these ride the normal path (stats.read_only_committed stays 0),
   /// so the callback is the only counter that means the same thing on
@@ -99,12 +96,11 @@ struct Result {
 };
 
 db::Database::Options BaseOptions(bool snapshot, int64_t max_inflight,
-                                  int shards, int threads) {
+                                  int shards) {
   db::Database::Options options;
   options.num_partitions = 8;
   options.protocol = core::ProtocolKind::kInbac;
   options.num_shards = shards;
-  options.num_threads = threads;
   options.max_inflight = max_inflight;
   options.snapshot_reads = snapshot;
   return options;
@@ -117,7 +113,6 @@ Result Finish(db::Database& database, Clock::time_point start) {
       std::chrono::duration<double>(Clock::now() - start).count();
   result.batch = database.batch_stats();
   result.fingerprint = database.read_fingerprint();
-  result.flushes = database.partition_plane().flushes();
   return result;
 }
 
@@ -131,8 +126,8 @@ db::Database::CompletionCallback CountReads(Result* result) {
 }
 
 Result RunMix(double read_fraction, bool snapshot, int num_arrivals,
-              int shards, int threads) {
-  db::Database database(BaseOptions(snapshot, kReadMixCap, shards, threads));
+              int shards) {
+  db::Database database(BaseOptions(snapshot, kReadMixCap, shards));
   db::TrafficOptions traffic = MixTraffic(read_fraction);
   traffic.num_arrivals = num_arrivals;
   db::TrafficEngine engine(traffic);
@@ -149,9 +144,9 @@ Result RunMix(double read_fraction, bool snapshot, int num_arrivals,
 /// stream of wide read-only scans (its own engine, ids offset past every
 /// OLTP id). Uncapped — the gate is that the snapshot plane serves every
 /// scan while the writers keep sustaining, not that admission binds.
-Result RunScan(int num_arrivals, int shards, int threads) {
+Result RunScan(int num_arrivals, int shards) {
   db::Database database(BaseOptions(/*snapshot=*/true, /*max_inflight=*/0,
-                                    shards, threads));
+                                    shards));
   db::TrafficOptions oltp;
   oltp.process = db::ArrivalProcess::kPoisson;
   oltp.mean_gap = 40.0;
@@ -207,18 +202,14 @@ int main(int argc, char** argv) {
   using namespace fastcommit::bench;
 
   int num_arrivals = 20000;
-  int threads = 2;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--txs") == 0 && i + 1 < argc) {
       num_arrivals = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--txs N] [--threads M] [--json PATH]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--txs N] [--json PATH]\n", argv[0]);
       return 1;
     }
   }
@@ -227,9 +218,9 @@ int main(int argc, char** argv) {
   std::printf(
       "%d arrivals per run, 8 partitions, transfer writers + %d-key reads "
       "over 4096 Zipf(0.99) keys,\nPoisson mean gap %.0f against "
-      "max_inflight = %lld, placement check on 4 shards / %d threads\n",
+      "max_inflight = %lld, placement check on 4 shards\n",
       num_arrivals, MixTraffic(0.5).reads_per_tx, kReadMixGap,
-      static_cast<long long>(kReadMixCap), threads);
+      static_cast<long long>(kReadMixCap));
 
   JsonBenchReport report("db_readmix", num_arrivals);
   bool diverged = false;
@@ -238,9 +229,9 @@ int main(int argc, char** argv) {
   bool leaked_reads = false;
   bool scan_failed = false;
 
-  // Serial inline-plane reference vs the placed deferred-plane run: stats,
-  // batch counters, and the snapshot-read fingerprint must all match, so
-  // the gate covers read *results*, not just outcome counts.
+  // Single-queue reference vs the run placed on 4 shards: stats, batch
+  // counters, and the snapshot-read fingerprint must all match, so the
+  // gate covers read *results*, not just outcome counts.
   auto check_identity = [&](const Result& serial, const Result& placed) {
     bool identical = serial.stats == placed.stats &&
                      serial.batch == placed.batch &&
@@ -260,7 +251,6 @@ int main(int argc, char** argv) {
              CommitsPerTick(r.stats.committed, r.stats.makespan))
         .Set("write_p99_latency_ticks",
              static_cast<int64_t>(r.stats.write_latency.Percentile(99)))
-        .Set("barrier_flushes", r.flushes)
         .Set("makespan_ticks", static_cast<int64_t>(r.stats.makespan))
         .Set("wall_seconds", r.wall_seconds)
         .Set("committed_per_sec_wall",
@@ -284,8 +274,8 @@ int main(int argc, char** argv) {
   for (double fraction : {0.5, 0.9, 0.99}) {
     Result pair[2];  // [0] = snapshot off (locked reads), [1] = on
     for (int snapshot = 0; snapshot <= 1; ++snapshot) {
-      Result serial = RunMix(fraction, snapshot != 0, num_arrivals, 1, 1);
-      Result placed = RunMix(fraction, snapshot != 0, num_arrivals, 4, threads);
+      Result serial = RunMix(fraction, snapshot != 0, num_arrivals, 1);
+      Result placed = RunMix(fraction, snapshot != 0, num_arrivals, 4);
       bool identical = check_identity(serial, placed);
       char label[64];
       std::snprintf(label, sizeof(label), "read=%.2f/snapshot=%d", fraction,
@@ -338,8 +328,8 @@ int main(int argc, char** argv) {
   std::printf("\nscan stream beside OLTP writers (snapshot on)\n");
   PrintRule();
   {
-    Result serial = RunScan(num_arrivals, 1, 1);
-    Result placed = RunScan(num_arrivals, 4, threads);
+    Result serial = RunScan(num_arrivals, 1);
+    Result placed = RunScan(num_arrivals, 4);
     bool identical = check_identity(serial, placed);
     PrintResult("scan+oltp/snapshot=1", placed, identical);
     add_row("inbac/scan+oltp/snapshot=1", placed);

@@ -18,7 +18,7 @@
 //     (Add-delta conservation), across every crash point;
 //   - bitwise replay determinism: DatabaseStats, RecoveryStats, and
 //     CommitLog::Stats of every crashed run must be identical between the
-//     serial reference placement and 4 shards with worker threads;
+//     single-queue reference placement and 4 shards;
 //   - bounded unavailability: the recovery window must equal the planned
 //     restart delay exactly (the coordinator replays and reopens at the
 //     restart instant, no tail), and the outage commit gap must stay
@@ -28,10 +28,10 @@
 //     crash-free baseline (the straggler model guarantees a mix).
 //
 // Usage:
-//   bench_db_recovery [--txs N] [--threads M] [--json PATH]
+//   bench_db_recovery [--txs N] [--json PATH]
 //
-// Default: N = 20000 arrivals per run, M = 2 (threads for the placed
-// runs). --json writes the row set consumed by tools/bench_compare.py.
+// Default: N = 20000 arrivals per run. --json writes the row set consumed
+// by tools/bench_compare.py.
 
 #include <chrono>
 #include <cstdio>
@@ -78,12 +78,11 @@ db::TrafficOptions Traffic(int num_arrivals) {
 }
 
 Result RunOne(core::ProtocolKind protocol, const db::FaultPlan& plan,
-              int num_arrivals, int shards, int threads) {
+              int num_arrivals, int shards) {
   db::Database::Options options;
   options.num_partitions = 8;
   options.protocol = protocol;
   options.num_shards = shards;
-  options.num_threads = threads;
   options.log_replicas = kLogReplicas;
   options.fault_plan = plan;
   db::Database database(options);
@@ -131,18 +130,14 @@ int main(int argc, char** argv) {
   using namespace fastcommit::bench;
 
   int num_arrivals = 20000;
-  int threads = 2;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--txs") == 0 && i + 1 < argc) {
       num_arrivals = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--txs N] [--threads M] [--json PATH]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--txs N] [--json PATH]\n", argv[0]);
       return 1;
     }
   }
@@ -162,10 +157,9 @@ int main(int argc, char** argv) {
   std::printf(
       "%d arrivals per run, 8 partitions, transfer pairs over 512 keys, "
       "log replicas %d\ncoordinator killed at the %d-th passage of each "
-      "crash point, restart after %lld ticks\nplacement check on 4 shards / "
-      "%d threads\n",
+      "crash point, restart after %lld ticks\nplacement check on 4 shards\n",
       num_arrivals, kLogReplicas, num_arrivals / 4,
-      static_cast<long long>(kRestartDelay), threads);
+      static_cast<long long>(kRestartDelay));
 
   JsonBenchReport report("db_recovery", num_arrivals);
   bool lost_commits = false;
@@ -180,8 +174,7 @@ int main(int argc, char** argv) {
     // Crash-free baseline: the makespan yardstick of the outage gate and
     // the row that must exercise both quorum paths.
     db::FaultPlan no_fault;
-    Result baseline =
-        RunOne(protocol, no_fault, num_arrivals, 4, threads);
+    Result baseline = RunOne(protocol, no_fault, num_arrivals, 4);
     if (baseline.conservation_violations > 0) lost_commits = true;
     if (baseline.log_stats.fast_path_decisions == 0 ||
         baseline.log_stats.slow_path_decisions == 0) {
@@ -230,8 +223,8 @@ int main(int argc, char** argv) {
 
       // Serial reference vs the placed run: the whole crash/replay
       // schedule must be placement-invariant, not just the workload stats.
-      Result serial = RunOne(protocol, plan, num_arrivals, 1, 1);
-      Result placed = RunOne(protocol, plan, num_arrivals, 4, threads);
+      Result serial = RunOne(protocol, plan, num_arrivals, 1);
+      Result placed = RunOne(protocol, plan, num_arrivals, 4);
       bool identical = serial.stats == placed.stats &&
                        serial.recovery == placed.recovery &&
                        serial.log_stats == placed.log_stats;

@@ -1,36 +1,31 @@
-// Sharded-simulator scaling: the same 100k-transaction workload drained on
-// one event queue vs N per-shard queues with M worker threads. Partition
-// data-path work (Prepare/apply/release) runs inline on the control plane
-// without worker threads and on-shard via the deferred partition plane
-// (db/partition_plane.h) with them.
+// Sharded-simulator cost: the same 100k-transaction workload drained on
+// one event queue vs 4 per-shard queues, both on one thread.
 //
-// Measures, per (protocol, {shards, threads}):
+// Measures, per (protocol, shards):
 //   - committed transactions per wall-clock second and the speedup over
-//     the serial baseline (shards=1, threads=1);
+//     the single-queue baseline (shards=1);
 //   - bitwise equality of DatabaseStats against the baseline — the sharded
-//     merge rule's and the partition plane's determinism gate at bench
-//     scale;
+//     merge rule's determinism gate at bench scale;
 //   - pool counters (peak live stays O(concurrency), never O(transactions)).
 //
 // Transactions arrive in bursts (kBurst at one instant, then a gap with the
 // same long-run arrival rate as bench_db_throughput's steady 40-tick
-// spacing). Bursts model group-commit-style admission and give the merge
-// loop wide conflict-free windows, which is where multi-core drains pay off.
+// spacing). Bursts model group-commit-style admission and put hundreds of
+// events on one instant of one queue.
 //
 // Usage:
-//   bench_db_sharded [--txs N] [--threads M] [--json PATH]
+//   bench_db_sharded [--txs N] [--json PATH]
 //
-// Default: N = 100000, M = 4 (threads used for the threaded configs).
-// --json writes the machine-readable row set (per-config wall clock and
-// speedup — the multi-core scaling curve CI records as an artifact — plus
-// the deterministic simulated metrics the compare gate checks).
+// Default: N = 100000. --json writes the machine-readable row set
+// (per-config wall clock and speedup, plus the deterministic simulated
+// metrics the compare gate checks). Row keys end in "/threads=1", the one
+// thread every placement drains on.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -48,7 +43,6 @@ constexpr sim::Time kMeanArrivalGap = 40;  // ticks per tx, long-run average
 struct Config {
   const char* name;
   int shards;
-  int threads;
 };
 
 struct Result {
@@ -56,7 +50,6 @@ struct Result {
   double txs_per_second = 0;
   db::DatabaseStats stats;
   db::CommitInstancePool::Stats pool;
-  bool prepare_on_shard = false;  ///< deferred partition plane
 };
 
 Result RunOne(core::ProtocolKind protocol, int num_txs, const Config& config) {
@@ -64,7 +57,6 @@ Result RunOne(core::ProtocolKind protocol, int num_txs, const Config& config) {
   options.num_partitions = 8;
   options.protocol = protocol;
   options.num_shards = config.shards;
-  options.num_threads = config.threads;
   db::Database database(options);
 
   auto txs = db::MakeTransferWorkload(num_txs, /*num_accounts=*/2000,
@@ -86,7 +78,6 @@ Result RunOne(core::ProtocolKind protocol, int num_txs, const Config& config) {
   result.txs_per_second =
       static_cast<double>(result.stats.committed) / result.wall_seconds;
   result.pool = database.pool_stats();
-  result.prepare_on_shard = database.partition_plane().deferred();
   return result;
 }
 
@@ -109,18 +100,14 @@ int main(int argc, char** argv) {
   using namespace fastcommit::bench;
 
   int num_txs = 100000;
-  int threads = 4;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--txs") == 0 && i + 1 < argc) {
       num_txs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = std::atoi(argv[++i]);
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: %s [--txs N] [--threads M] [--json PATH]\n",
-                   argv[0]);
+      std::fprintf(stderr, "usage: %s [--txs N] [--json PATH]\n", argv[0]);
       return 1;
     }
   }
@@ -132,26 +119,17 @@ int main(int argc, char** argv) {
   };
 
   const Config kConfigs[] = {
-      // Single queue, single thread: the fully serial reference the
-      // divergence gate measures every placement against.
-      {"1 shard  / 1 thread", 1, 1},
-      {"4 shards / 1 thread", 4, 1},
-      {"4 shards / N threads", 4, threads},
-      {"8 shards / N threads", 8, threads},
+      // Single queue: the reference the divergence gate measures every
+      // placement against.
+      {"1 shard", 1},
+      {"4 shards", 4},
   };
 
-  PrintHeader("DB commit throughput: sharded event queues + worker threads");
-  unsigned cores = std::thread::hardware_concurrency();
+  PrintHeader("DB commit throughput: one event queue vs sharded queues");
   std::printf(
       "%d transactions per run, transfer workload, 8 partitions, bursts of "
-      "%d, N = %d threads, %u hardware core%s\n",
-      num_txs, kBurst, threads, cores, cores == 1 ? "" : "s");
-  if (cores != 0 && static_cast<int>(cores) < threads) {
-    std::printf(
-        "NOTE: fewer cores than threads — threaded configs cannot show "
-        "wall-clock scaling on this machine (expect ~1x or a small "
-        "barrier overhead); determinism results remain meaningful.\n");
-  }
+      "%d, one thread\n",
+      num_txs, kBurst);
 
   JsonBenchReport report("db_sharded", num_txs);
   bool diverged = false;
@@ -161,18 +139,15 @@ int main(int argc, char** argv) {
     Result base;
     for (const Config& config : kConfigs) {
       Result r = RunOne(protocol, num_txs, config);
-      // The serial reference is the first config (1 shard, 1 thread);
-      // every other placement — including the threaded prepare-on-shard
-      // drains — must match it bitwise.
+      // The reference is the first config (1 shard); every other placement
+      // must match it bitwise.
       if (&config == &kConfigs[0]) base = r;
       if (r.stats != base.stats) diverged = true;
       PrintResult(config, r, base);
       report
           .AddRow(std::string(core::ProtocolName(protocol)) + "/shards=" +
-                  std::to_string(config.shards) + "/threads=" +
-                  std::to_string(config.threads))
+                  std::to_string(config.shards) + "/threads=1")
           .Set("committed", r.stats.committed)
-          .Set("prepare_on_shard", static_cast<int64_t>(r.prepare_on_shard))
           .Set("msgs_per_commit",
                MsgsPerCommit(r.stats.commit_messages, r.stats.committed))
           .Set("mean_latency_ticks", r.stats.MeanLatency())

@@ -15,9 +15,9 @@ namespace fastcommit::db {
 /// Counters of the batching path (all zero when batching is disabled —
 /// batch_max <= 1, or batch_window == 0 with adaptive mode off).
 /// Deliberately outside DatabaseStats: the determinism gates compare
-/// DatabaseStats across shard counts, thread counts, and execution paths,
-/// and these counters describe the batching machinery rather than
-/// workload-visible outcomes.
+/// DatabaseStats across shard counts and execution paths, and these
+/// counters describe the batching machinery rather than workload-visible
+/// outcomes.
 struct BatchStats {
   int64_t rounds = 0;          ///< commit rounds run by the batching path
   int64_t batched_txs = 0;     ///< members that shared a round (size >= 2)
@@ -61,8 +61,7 @@ struct BatchStats {
 /// members, then the closed round — members plus the disjunction of their
 /// votes — goes to the flush callback, which starts it. Control plane
 /// only: every decision here (admission, window sizes, merges) is made in
-/// canonical event order, so it is identical on every shard/thread
-/// placement.
+/// canonical event order, so it is identical on every shard placement.
 class BatchFormer {
  public:
   /// Receives each closed round at its flush instant.

@@ -81,7 +81,6 @@ constexpr int64_t kRetryBackoffUnits = 4;
 sim::ShardedSimulator::Options SimOptions(const Database::Options& options) {
   sim::ShardedSimulator::Options sim_options;
   sim_options.num_shards = options.num_shards;
-  sim_options.num_threads = options.num_threads;
   // The only control events scheduled from completion effects are retries,
   // and the earliest retry lands backoff >= unit * kRetryBackoffUnits + 1
   // ticks after the decide instant (attempt >= 1, random part >= 1). That
@@ -112,10 +111,8 @@ Database::Database(const Options& options)
     : options_(options),
       sim_(SimOptions(options)),
       rng_(options.seed),
-      // Deferred exactly when worker threads exist to drain it: without
-      // them the inline plane matches or beats it.
       plane_(options.num_partitions, sim_.num_shards(), options.concurrency,
-             options.num_regions, sim_.has_workers()),
+             options.num_regions),
       pool_(options.protocol, options.consensus, options.protocol_options,
             options.unit, options.pool_instances, GeoTopologyFor(options)),
       batches_(options_, sim_.control(),
@@ -125,11 +122,6 @@ Database::Database(const Options& options)
       reads_(&plane_) {
   // num_partitions >= 1 is checked by the plane's constructor.
   plane_.set_check_invariants(options.check_invariants);
-  // A down partition answers prepares with kNo whatever the keys, so no
-  // disjointness proof can predict kYes while a participant crash is
-  // planned.
-  plane_.set_lookahead(options.conflict_lookahead &&
-                       !options.fault_plan.HasParticipantCrash());
   if (GeoEnabled()) {
     // Delay-range validity (cross >= 1 tick, min <= max) is FC_CHECKed by
     // GeoTopology::Ladder inside GeoTopologyFor above.
@@ -177,8 +169,8 @@ Database::Database(const Options& options)
           plane_.RestartPartition(options_.fault_plan.crash_partition);
           ++recovery_stats_.participant_restarts;
           // Apply the deferred finishes (and any reads queued behind them)
-          // at the restart instant, not at whichever barrier some later
-          // transaction happens to force.
+          // at the restart instant, before any newer task reaches the
+          // partition.
           FlushPartitionWork();
         });
   }
@@ -192,7 +184,7 @@ Participant& Database::partition(int index) {
 }
 
 void Database::FlushPartitionWork() {
-  plane_.Flush(&sim_);
+  plane_.Flush();
   // The flush just filled every pending snapshot read's value slots (their
   // tasks rode the same queues); finalize before anything can observe them.
   reads_.Finalize();
@@ -289,9 +281,9 @@ void Database::Execute(PendingTx pending) {
     parked_.push_back(std::move(pending));
     return;
   }
-  // The read-only plane: checked before any routing, locking, or
-  // lookahead tracking, so a snapshot read leaves zero concurrency-control
-  // footprint in either mode (2PL locks and OCC version words alike).
+  // The read-only plane: checked before any routing or locking, so a
+  // snapshot read leaves zero concurrency-control footprint in either mode
+  // (2PL locks and OCC version words alike).
   if (options_.snapshot_reads && IsReadOnly(pending.tx)) {
     ExecuteSnapshotRead(std::move(pending));
     return;
@@ -299,15 +291,11 @@ void Database::Execute(PendingTx pending) {
   sim::Time started = sim_.control()->Now();
   std::vector<int> touched;
   std::vector<commit::Vote> votes;
-  if (!plane_.EnqueuePrepares(started, pending.tx.id, pending.tx.ops, &touched,
-                              &votes)) {
-    // Barrier: deferred finishes run first (they were enqueued at earlier
-    // or equal instants), then this transaction's prepares — the serial
-    // history an inline plane produces at enqueue. Skipped only when
-    // lookahead proved every vote kYes; the queued predicted prepares
-    // re-derive them at a later barrier and FC_CHECK the match.
-    FlushPartitionWork();
-  }
+  plane_.EnqueuePrepares(started, pending.tx.id, pending.tx.ops, &touched,
+                         &votes);
+  // The check_invariants sweep runs here once per transaction; with no
+  // restart backlog to replay, the flush itself does nothing.
+  FlushPartitionWork();
 
   if (touched.size() == 1) {
     // One-phase commit: the only participant's vote is the decision.
@@ -402,13 +390,13 @@ void Database::StartRound(RoundState& round, bool resumed) {
       shard, sim_.shard(shard), round.round_votes,
       [this, shard, lead, epoch, started = now, id = round.id](
           CommitInstance* done_instance, commit::Decision decision) {
-        // Runs on the shard (possibly a worker thread) at the decide
-        // instant: snapshot the message counts here — the instance runs on
-        // until the effect applies, and after Release the per-epoch
-        // counters belong to the next incarnation — and defer everything
-        // that touches shared state — the round table included — to a
-        // canonical-order completion effect on the control plane. The
-        // finish time holds until the next Reset.
+        // Runs on the shard at the decide instant: snapshot the message
+        // counts here — the instance runs on until the effect applies, and
+        // after Release the per-epoch counters belong to the next
+        // incarnation — and defer everything that touches shared state —
+        // the round table included — to a canonical-order completion
+        // effect on the control plane. The finish time holds until the
+        // next Reset.
         int64_t messages = done_instance->messages();
         int64_t cross_messages = done_instance->cross_messages();
         sim_.PostEffect(
@@ -689,7 +677,7 @@ void Database::FinishTx(const PendingTx& pending,
                         sim::Time finished_at) {
   // The CSN authority: every commit is stamped here, in canonical
   // control-plane order, so the sequence — and every snapshot derived
-  // from it — is identical on any shard/thread placement.
+  // from it — is identical on any shard placement.
   int64_t csn = decision == commit::Decision::kCommit ? reads_.NextCsn() : 0;
   FinishPartitions(pending.tx.id, touched, decision, finished_at, csn);
   if (decision == commit::Decision::kCommit) {
@@ -731,15 +719,13 @@ void Database::FinishTx(const PendingTx& pending,
 
 const DatabaseStats& Database::Drain() {
   sim_.Run();
-  // The last decides' finish tasks have no later prepare to force a
-  // barrier; drain them so the run ends with every lock released and
-  // every staged write applied.
+  // Every task has run by now (a restart replays its backlog at the
+  // restart instant); this last flush sweeps the final state's invariants.
   FlushPartitionWork();
   FC_CHECK(inflight_ == 0) << "transactions still pending after drain";
   FC_CHECK(batches_.idle())
       << "open batches after drain: a window flush event was lost";
-  FC_CHECK(plane_.idle())
-      << "partition tasks or conflict-lookahead keys left after drain";
+  FC_CHECK(plane_.idle()) << "partition backlog left after drain";
   FC_CHECK(reads_.idle())
       << "snapshot reads or CSN claims still pending after drain";
   FC_CHECK(!down_) << "coordinator still down after drain";

@@ -80,7 +80,7 @@ class LatencyStats {
 /// Aggregate results of a database run. Memory is O(1) in transaction
 /// count; equality compares every workload-visible field, which both
 /// determinism gates rely on (tests/db_pool_test.cc for pooled vs rebuild,
-/// tests/db_shard_test.cc for shard counts and threaded drains).
+/// tests/db_shard_test.cc for shard counts).
 struct DatabaseStats {
   int64_t committed = 0;
   int64_t aborted = 0;           ///< gave up after max_attempts
@@ -159,17 +159,12 @@ struct DatabaseStats {
 /// messages (the paper's model advances time only on message delays within
 /// one instance), so shards interact with the control plane only through
 /// canonical-ordered completion effects — DatabaseStats for a given seed is
-/// bitwise identical for any shard count and for threaded vs
-/// single-threaded drains.
+/// bitwise identical for any shard count. One thread drains everything.
 ///
 /// Partition data-path work (Prepare's locking, commit's write
-/// application, lock release) is enqueued as partition-plane tasks
-/// (db/partition_plane.h). With worker threads the plane is deferred: it
-/// drains per FNV-1a home shard at deterministic flush barriers, and owns
-/// the conflict-lookahead tracker that lets a provably conflict-free
-/// transaction skip its barrier. Without workers it is inline and runs
-/// each task when it is enqueued. The simulator's worker count is the
-/// only input to that choice; no db code branches on it.
+/// application, lock release, snapshot reads) goes through the partition
+/// plane (db/partition_plane.h), which runs each task when it is enqueued;
+/// only a crashed partition queues work, until its restart replays it.
 ///
 /// ## Units
 ///
@@ -187,10 +182,10 @@ class Database {
   using CompletionCallback = db::CompletionCallback;
 
   /// Observer of finalized snapshot reads (Options::snapshot_reads): fires
-  /// at the flush barrier that drained the read, with the values in op
-  /// order (absent keys read as empty Values). Runs on the control plane
-  /// mid-barrier; must not call Submit, Drain, or any accessor that
-  /// flushes.
+  /// once the read has run — at its submit instant, or at the restart of
+  /// a partition that was down — with the values in op order (absent keys
+  /// read as empty Values). Runs on the control plane mid-flush; must not
+  /// call Submit, Drain, or any accessor that flushes.
   using SnapshotReadObserver = SnapshotReader::Observer;
 
   using Options = DatabaseOptions;
@@ -380,9 +375,8 @@ class Database {
   }
   /// FNV-1a fold over every finalized snapshot read's values, in submit
   /// order — one number that must be bitwise identical across every
-  /// shard/thread placement, inline or deferred plane, which is how the
-  /// tests gate that snapshot *results* (not just stats) are placement
-  /// invariant. Read it after a Drain.
+  /// shard placement, which is how the tests gate that snapshot *results*
+  /// (not just stats) are placement invariant. Read it after a Drain.
   uint64_t read_fingerprint() const { return reads_.fingerprint(); }
 
   const DatabaseStats& stats() const { return stats_; }
@@ -395,16 +389,13 @@ class Database {
   /// Batching-path counters (see BatchStats); all zero when batching is
   /// disabled.
   const BatchStats& batch_stats() const { return batches_.stats(); }
-  /// Partition-plane counters (flush barriers run, tasks drained) — zero
-  /// on the inline plane (no worker threads); outside DatabaseStats like
-  /// the pool counters, since they describe execution machinery, not
-  /// workload outcomes.
+  /// Partition-plane counters (flushes that replayed a restart backlog,
+  /// tasks replayed) — zero without a participant crash; outside
+  /// DatabaseStats like the pool counters, since they describe execution
+  /// machinery, not workload outcomes.
   const PartitionPlane& partition_plane() const { return plane_; }
-  /// Flush barriers skipped by conflict-aware lookahead
-  /// (Options::conflict_lookahead) — one per transaction whose disjointness
-  /// proof let its Execute proceed on predicted kYes votes. Execution
-  /// machinery, outside DatabaseStats.
-  int64_t lookahead_skips() const { return plane_.lookahead_skips(); }
+  /// inert; kept only because benchmark/fc_bench.cc calls it. Always 0.
+  int64_t lookahead_skips() const { return 0; }
   /// Fault-injection / recovery counters (see RecoveryStats); all zero
   /// with an empty fault plan.
   const RecoveryStats& recovery_stats() const { return recovery_stats_; }

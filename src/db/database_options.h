@@ -26,11 +26,11 @@ struct DatabaseOptions {
   /// validation (db/version_table.h): execution reads are lock-free
   /// versioned reads, prepare runs lock-writes -> validate-reads, commit
   /// publishes the new versions — and the validation outcome *is* the
-  /// participant's vote, so every commit protocol, batching mode, round
-  /// merge, and lookahead path runs unchanged on top. Read-mostly
-  /// workloads keep readers invisible to each other and to writers
-  /// (bench_db_throughput --ablation-only quantifies the win); its stats
-  /// are bitwise identical across shard/thread placements, like k2PL's.
+  /// participant's vote, so every commit protocol, batching mode and round
+  /// merge runs unchanged on top. Read-mostly workloads keep readers
+  /// invisible to each other and to writers (bench_db_throughput
+  /// --ablation-only quantifies the win); its stats are bitwise identical
+  /// across shard placements, like k2PL's.
   ConcurrencyMode concurrency = ConcurrencyMode::k2PL;
   int max_attempts = 5;  ///< retry k waits k * 4 U plus 1..U jitter
   uint64_t seed = 1;
@@ -42,10 +42,9 @@ struct DatabaseOptions {
   bool pool_instances = true;
   /// Event-queue shards for commit instances. 1 = the single-queue
   /// baseline. Any value yields bitwise-identical DatabaseStats for the
-  /// same seed.
+  /// same seed. One thread drains every shard.
   int num_shards = 1;
-  /// Threads draining shards in parallel (1 = single-threaded). Also
-  /// stats-invariant.
+  /// inert; kept only because benchmark/fc_bench.cc sets it.
   int num_threads = 1;
   /// Group-commit batching window, in ticks. 0 (the default) disables
   /// batching entirely and takes the one-round-per-transaction path
@@ -73,7 +72,7 @@ struct DatabaseOptions {
   /// batch_adaptive = false it stays the fixed window for every set. The
   /// controllers live on the control plane keyed by the canonical sorted
   /// partition set, so adaptive decisions — like everything else — are
-  /// bitwise identical across shard/thread placements.
+  /// bitwise identical across shard placements.
   bool batch_adaptive = false;
   /// Upper clamp for adaptive windows, in ticks. <= 0 disables adaptive
   /// mode (batch_window rules alone).
@@ -101,38 +100,23 @@ struct DatabaseOptions {
   /// kAbort — instead of joining an unbounded queue. 0 = admit
   /// everything. Directly-Submitted transactions are never shed.
   int64_t max_inflight = 0;
-  /// Conflict-aware barrier lookahead, active only with worker threads
-  /// (min(num_shards, num_threads) > 1: the deferred partition plane) and
-  /// without a planned participant crash. The partition plane tracks the
-  /// FNV-1a key hashes of every in-flight transaction (prepare enqueued,
-  /// finish not yet enqueued). A new transaction whose hashes are disjoint
-  /// from all of them provably receives kYes at every partition under
-  /// no-wait locking, so its prepares are enqueued as *predicted* tasks
-  /// and its Execute skips the flush barrier — low-conflict arrivals ride
-  /// through until PartitionPlane::kMaxPredictedBacklog tasks are
-  /// pending, and the barriers that do happen drain fatter task backlogs
-  /// (better worker-pool amortization). Hash collisions only ever force a
-  /// conservative barrier, and the drain FC_CHECKs every predicted vote,
-  /// so results stay bitwise identical to the barrier-per-transaction
-  /// path (the placement fuzz harness toggles this knob inside its
-  /// identity gate).
+  /// inert; kept only because benchmark/fc_bench.cc sets it.
   bool conflict_lookahead = false;
   /// Lock-free snapshot reads: a submitted transaction whose every op is
   /// a kGet (db::IsReadOnly — both concurrency modes share the
   /// predicate) bypasses the commit protocol entirely. It is assigned
   /// the current *stable CSN* — the commit sequence number the decide
   /// path stamps on every committed transaction, in canonical order —
-  /// and its reads drain through the partition FIFO as
-  /// PartitionPlane::EnqueueSnapshotRead tasks: every commit with
-  /// CSN <= the snapshot was enqueued earlier on the same queues, so the
-  /// read observes exactly the stable prefix. No locks, no votes, no
-  /// messages, no pooled instance; completion (kCommit) is delivered
-  /// immediately at the submit instant and the values materialize at the
-  /// next flush barrier (set_snapshot_read_observer). Version chains are
-  /// pruned to the reader low-watermark — the minimum CSN an in-flight
-  /// snapshot can still demand — so MVCC memory stays bounded. Off (the
-  /// default): read-only transactions take the normal locked path and
-  /// every pre-existing stat is bitwise unchanged.
+  /// and its reads run as PartitionPlane::EnqueueSnapshotRead tasks:
+  /// every commit with CSN <= the snapshot was enqueued earlier at the
+  /// same partitions, so the read observes exactly the stable prefix. No
+  /// locks, no votes, no messages, no pooled instance; completion
+  /// (kCommit) is delivered immediately at the submit instant, and so are
+  /// the values unless a partition is down (set_snapshot_read_observer).
+  /// Version chains are pruned to the reader low-watermark — the minimum
+  /// CSN an in-flight snapshot can still demand — so MVCC memory stays
+  /// bounded. Off (the default): read-only transactions take the normal
+  /// locked path and every pre-existing stat is bitwise unchanged.
   bool snapshot_reads = false;
   /// Replicated coordinator commit log (db/commit_log.h): every
   /// multi-partition round is appended as one slot whose votes replicate
@@ -181,15 +165,13 @@ struct DatabaseOptions {
   /// coordinator crash at a chosen protocol step plus one timed
   /// participant crash, both driven by sim events at canonical
   /// control-plane points — so a crash schedule, like everything else,
-  /// is bitwise identical across shard/thread placements. Default
+  /// is bitwise identical across shard placements. Default
   /// (empty plan) injects nothing and changes nothing.
   FaultPlan fault_plan;
   /// Debug: sweep lock-manager and staging invariants over every
-  /// partition at each partition-plane flush barrier, on the inline and
-  /// the deferred plane alike (see Participant::CheckInvariants), plus
-  /// the lookahead tracker's coverage of every held lock when lookahead
-  /// is active. O(held locks) per barrier; meant for tests
-  /// (tests/lock_invariant_test.cc), off by default.
+  /// partition after each transaction's prepares and at the end of a
+  /// drain (see Participant::CheckInvariants). O(held locks) per sweep;
+  /// meant for tests (tests/lock_invariant_test.cc), off by default.
   bool check_invariants = false;
 };
 

@@ -10,7 +10,7 @@ namespace fastcommit::db {
 /// Protocol step at which a planned coordinator crash fires. The counter
 /// that arms the crash advances at canonical control-plane points only, so
 /// the crash instant — and everything downstream of it — is identical
-/// across shard/thread placements.
+/// across shard placements.
 enum class CrashPoint : uint8_t {
   kNone = 0,
   /// After a multi-partition transaction collected its prepare votes,
@@ -62,8 +62,7 @@ struct FaultPlan {
   /// `participant_crash_at` holding whatever locks it holds (in-flight
   /// finishes and snapshot reads are deferred, new prepares vote no), and
   /// restarts `participant_restart_delay` ticks later, applying the
-  /// deferred work in FIFO order. -1 disables. Works on the inline and
-  /// the deferred partition plane alike; disables conflict lookahead.
+  /// deferred work in FIFO order at the restart instant. -1 disables.
   int crash_partition = -1;
   sim::Time participant_crash_at = 0;
   sim::Time participant_restart_delay = 2000;

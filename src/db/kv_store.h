@@ -91,7 +91,7 @@ class KvStore {
 
   /// FC_CHECKs chain invariants: strictly increasing CSNs within every
   /// chain (older versions below the head), and the version counter
-  /// consistent. Swept at partition-plane flush barriers under Database
+  /// consistent. Swept at partition-plane flushes under Database
   /// check_invariants.
   void CheckInvariants() const;
 

@@ -119,14 +119,6 @@ void LockManager::CheckInvariants() const {
       << recorded;
 }
 
-void LockManager::ForEachHeldKey(
-    const std::function<void(const Key& key, TxId tx)>& fn) const {
-  for (const auto& [key, state] : locks_) {
-    if (state.exclusive_owner >= 0) fn(key, state.exclusive_owner);
-    for (TxId tx : state.shared_owners) fn(key, tx);
-  }
-}
-
 bool LockManager::HeldRecorded(const Key& key, TxId tx) const {
   const auto* held = held_.Find(tx);
   if (held == nullptr) return false;

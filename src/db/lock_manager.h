@@ -1,7 +1,6 @@
 #ifndef FASTCOMMIT_DB_LOCK_MANAGER_H_
 #define FASTCOMMIT_DB_LOCK_MANAGER_H_
 
-#include <functional>
 #include <vector>
 
 #include "db/flat_table.h"
@@ -37,13 +36,6 @@ class LockManager {
   bool HoldsExclusive(const Key& key, TxId tx) const;
   bool HoldsShared(const Key& key, TxId tx) const;
 
-  /// Visits every (key, holder) pair once per holder, in unspecified
-  /// order. Debug/invariant use only (the conflict-lookahead tracker
-  /// cross-check in Database sweeps this at flush barriers); O(held
-  /// locks), allocation-free.
-  void ForEachHeldKey(
-      const std::function<void(const Key& key, TxId tx)>& fn) const;
-
   /// Debug invariant sweep, FC_CHECKs on violation:
   ///   - no key is both exclusive-owned and shared-owned (the
   ///     shared/exclusive coexistence ban, including after an upgrade);
@@ -53,7 +45,7 @@ class LockManager {
   ///   - held_ and the per-key owner sets agree exactly in both
   ///     directions, with no duplicate held_ entries (the upgrade path
   ///     must not double-record a key it re-acquired exclusively).
-  /// O(held locks); called at partition-plane flush barriers when enabled.
+  /// O(held locks); called at partition-plane flushes when enabled.
   void CheckInvariants() const;
 
  private:

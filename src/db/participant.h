@@ -90,8 +90,8 @@ class Participant {
   /// direction — no locked word survives without a live owner (a staged
   /// entry naming that key), so an abort that forgot to unlock dies here
   /// instead of wedging every later writer of the key. Called at
-  /// partition-plane flush barriers when
-  /// Database::Options::check_invariants is set.
+  /// partition-plane flushes when Database::Options::check_invariants is
+  /// set.
   void CheckInvariants() const;
 
   int64_t prepares() const { return prepares_; }

@@ -36,7 +36,7 @@ void SnapshotReader::Start(Transaction tx, sim::Time now) {
 void SnapshotReader::Finalize() {
   size_t done_count = 0;
   while (done_count < pending_.size() &&
-         pending_[done_count]->filled.load(std::memory_order_acquire) ==
+         pending_[done_count]->filled ==
              static_cast<int>(pending_[done_count]->values.size())) {
     ++done_count;
   }

@@ -1,7 +1,6 @@
 #ifndef FASTCOMMIT_DB_SNAPSHOT_READER_H_
 #define FASTCOMMIT_DB_SNAPSHOT_READER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -25,7 +24,7 @@ namespace fastcommit::db {
 class SnapshotReader {
  public:
   /// Observer of finalized snapshot reads: the values in op order (absent
-  /// keys read as empty Values). Runs on the control plane mid-barrier;
+  /// keys read as empty Values). Runs on the control plane mid-flush;
   /// must not call back into the database.
   using Observer =
       std::function<void(const Transaction& tx, int64_t snapshot_csn,
@@ -59,9 +58,8 @@ class SnapshotReader {
   /// Finalizes the longest fully-filled prefix of pending reads, in start
   /// order: values reassembled in op order, folded into the fingerprint,
   /// passed to the observer, claim released. Called after every plane
-  /// flush, and after each Start (an inline plane fills the slots at
-  /// enqueue; on a deferred plane the new read is unfilled and this is a
-  /// no-op).
+  /// flush, and after each Start (the plane fills the slots at enqueue
+  /// unless a partition is down).
   void Finalize();
 
   /// No pending read and no claim (true after every drain).
@@ -80,11 +78,11 @@ class SnapshotReader {
     std::vector<std::vector<Value>> values;
     /// op index -> index into `values` of its partition's slot.
     std::vector<int> op_slots;
-    /// Slots filled so far, bumped by the plane's drain workers (atomic:
-    /// one read spans partitions, hence threads). A crashed partition
-    /// defers its reads, which keeps every later read pending too, so the
-    /// fingerprint folds in start order whatever barrier a read lands in.
-    std::atomic<int> filled{0};
+    /// Slots filled so far, bumped by the plane as each read task runs. A
+    /// crashed partition defers its reads, which keeps every later read
+    /// pending too, so the fingerprint folds in start order whatever flush
+    /// a read lands in.
+    int filled = 0;
   };
 
   PartitionPlane* plane_;

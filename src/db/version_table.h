@@ -18,7 +18,7 @@ namespace fastcommit::db {
 /// locks; read-only traffic never grows it at all. The words live in a
 /// FlatTable, so a lock, publish or unlock is one probe.
 ///
-/// This is simulator state, not shared memory: partition task queues drain
+/// This is simulator state, not shared memory: partition tasks run
 /// serially in canonical order (db/partition_plane.h), so the "word" needs
 /// no atomics — determinism comes from the drain order, exactly as for the
 /// 2PL lock manager. The owner id rides alongside the word so self-relocks
@@ -57,7 +57,7 @@ class VersionTable {
   size_t size() const { return words_.size(); }
 
   /// Visits every locked word as (key, owner, version). Debug/invariant
-  /// use only (the flush-barrier sweeps); O(table size).
+  /// use only (the flush-time sweeps); O(table size).
   void ForEachLocked(
       const std::function<void(const Key&, TxId, uint64_t)>& fn) const;
 

@@ -51,19 +51,30 @@ uint32_t EventQueue::PushSlot(Time at, EventClass cls, Callback&& fn) {
 void EventQueue::Link(uint32_t slot, Time at) {
   const size_t b = static_cast<size_t>(at & (kWindow - 1));
   Bucket& bucket = wheel_->buckets[b];
-  const uint64_t order = slots_[slot].order;
-  uint32_t* link = &bucket.head;
   if (bucket.head == kNone) {
     wheel_->occupied[b / 64] |= uint64_t{1} << (b % 64);
-  } else if (slots_[bucket.tail].order < order) {
-    link = &slots_[bucket.tail].next;
-  } else {
-    // An earlier class than the tail's: walk to the first later entry.
-    while (slots_[*link].order < order) link = &slots_[*link].next;
+  }
+  // Sequence numbers rise within a class, and migrated far keys enter a
+  // bucket before any direct push can reach it, so `slot` sorts after
+  // every entry of its class and of the earlier classes, and before every
+  // entry of a later class.
+  const int cls = static_cast<int>(slots_[slot].order >> kClassShift);
+  uint32_t* link = &bucket.head;
+  for (int c = cls; c >= 0; --c) {
+    if (bucket.last[c] != kNone) {
+      link = &slots_[bucket.last[c]].next;
+      break;
+    }
   }
   slots_[slot].next = *link;
   *link = slot;
-  if (slots_[slot].next == kNone) bucket.tail = slot;
+  bucket.last[cls] = slot;
+}
+
+void EventQueue::UnlinkHead(Bucket& bucket, uint32_t slot) const {
+  bucket.head = slots_[slot].next;
+  uint32_t& last = bucket.last[slots_[slot].order >> kClassShift];
+  if (last == slot) last = kNone;
 }
 
 void EventQueue::Migrate() {
@@ -118,7 +129,7 @@ void EventQueue::FindFront() const {
       Bucket& bucket = wheel_->buckets[b];
       while (bucket.head != kNone && !slots_[bucket.head].live) {
         free_slots_.push_back(bucket.head);
-        bucket.head = slots_[bucket.head].next;
+        UnlinkHead(bucket, bucket.head);
       }
       if (bucket.head != kNone) {
         front_ = bucket.head;
@@ -148,7 +159,7 @@ Event EventQueue::Pop() {
     // FindFront freed the cancelled entries ahead: the front is the head.
     const size_t b = static_cast<size_t>(at & (kWindow - 1));
     Bucket& bucket = wheel_->buckets[b];
-    bucket.head = slots_[index].next;
+    UnlinkHead(bucket, index);
     if (bucket.head == kNone) {
       wheel_->occupied[b / 64] &= ~(uint64_t{1} << (b % 64));
     }

@@ -52,9 +52,11 @@ struct Event {
 ///
 /// - Near events, due before base + kWindow, sit in a wheel of kWindow
 ///   buckets, bucket `at % kWindow`, so each bucket holds one instant. A
-///   bucket is a FIFO list threaded through the slots and kept in (class,
-///   seq) order: a push appends at the tail, as every same-class push does,
-///   or walks the bucket to its place. An occupancy bitmap finds the next
+///   bucket is a list threaded through the slots and kept in (class, seq)
+///   order. It remembers the last entry of each class, and a push appends
+///   after its own class's last entry, or else after the nearest earlier
+///   class's, or else at the head; no push walks the list, however many
+///   events share the instant. An occupancy bitmap finds the next
 ///   non-empty bucket with one count-trailing-zeros per 64 buckets. Push
 ///   and pop are O(1).
 /// - Far events sit in a binary heap of 24-byte keys: time, class and
@@ -67,7 +69,7 @@ struct Event {
 /// kWindow is 1,024 ticks, 10 U at the default unit of 100 ticks: message
 /// delays, protocol timers and commit-log acks land inside it; retries,
 /// restarts, WAN delays and events on a shard whose queue lags its clock
-/// go to the heap. The wheel (8 KiB) is allocated on the first push, not in
+/// go to the heap. The wheel (20 KiB) is allocated on the first push, not in
 /// the constructor: a database builds one queue per shard plus the control
 /// queue, and its set-up should not pay for wheels.
 ///
@@ -134,6 +136,7 @@ class EventQueue {
   /// Ticks the wheel covers from the window base; a power of two.
   static constexpr Time kWindow = 1024;
   static constexpr uint32_t kNone = ~uint32_t{0};
+  static constexpr int kClasses = 4;  ///< EventClass values
 
   struct Key {
     Time at;
@@ -148,7 +151,10 @@ class EventQueue {
   };
   struct Bucket {
     uint32_t head = kNone;
-    uint32_t tail = kNone;  ///< meaningful only while head != kNone
+    /// Per EventClass, the bucket's last entry of that class (kNone when
+    /// it holds none). Cancelled entries stay linked until they reach the
+    /// head, so these never name a freed slot.
+    uint32_t last[kClasses] = {kNone, kNone, kNone, kNone};
   };
   struct Wheel {
     Bucket buckets[kWindow];
@@ -160,6 +166,8 @@ class EventQueue {
   /// Inserts `slot`, due at `at` inside the window, into its bucket in
   /// (class, seq) order.
   void Link(uint32_t slot, Time at);
+  /// Unlinks `bucket`'s head, which is `slot`.
+  void UnlinkHead(Bucket& bucket, uint32_t slot) const;
   /// Moves the far keys the window now covers into their buckets.
   void Migrate();
   /// Pops the top key of the heap; its slot stays occupied.

@@ -17,26 +17,6 @@ ShardedSimulator::ShardedSimulator(const Options& options)
   for (int i = 0; i < options.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  drain_fn_ = [this](int index) {
-    shards_[static_cast<size_t>(index)]->sim.Run(horizon_);
-  };
-  // The merge thread drains shards too, so n threads = n-1 workers.
-  int worker_count = std::min(options.num_threads - 1, options.num_shards - 1);
-  workers_.reserve(static_cast<size_t>(std::max(worker_count, 0)));
-  for (int i = 0; i < worker_count; ++i) {
-    workers_.emplace_back([this] { WorkerMain(); });
-  }
-}
-
-ShardedSimulator::~ShardedSimulator() {
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-    }
-    work_cv_.notify_all();
-    for (std::thread& worker : workers_) worker.join();
-  }
 }
 
 Scheduler* ShardedSimulator::shard(int index) {
@@ -106,76 +86,12 @@ int64_t ShardedSimulator::Run() {
 }
 
 void ShardedSimulator::RunShards(Time horizon) {
-  // Threading pays for itself only when several shards have due work;
-  // otherwise drain inline and skip the barrier entirely.
-  int busy = 0;
-  Shard* only_busy = nullptr;
-  for (auto& shard : shards_) {
-    if (shard->sim.NextEventTime() <= horizon) {
-      ++busy;
-      only_busy = shard.get();
-    }
-  }
-  if (busy == 0) return;
-  if (busy == 1) {
-    only_busy->sim.Run(horizon);
-    return;
-  }
-  horizon_ = horizon;
-  ParallelFor(num_shards(), drain_fn_);
+  // A shard with nothing due by the horizon returns at once, clock unmoved.
+  for (auto& shard : shards_) shard->sim.Run(horizon);
 }
 
 void ShardedSimulator::ParallelFor(int n, const std::function<void(int)>& fn) {
-  if (n <= 0) return;
-  if (workers_.empty() || n == 1) {
-    for (int i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    task_ = &fn;
-    task_count_ = n;
-    next_index_.store(0, std::memory_order_relaxed);
-    workers_running_ = static_cast<int>(workers_.size());
-    ++round_;
-  }
-  work_cv_.notify_all();
-  // The merge thread claims indices alongside the workers.
-  while (true) {
-    int index = next_index_.fetch_add(1, std::memory_order_relaxed);
-    if (index >= n) break;
-    fn(index);
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return workers_running_ == 0; });
-  task_ = nullptr;
-}
-
-void ShardedSimulator::WorkerMain() {
-  uint64_t seen_round = 0;
-  while (true) {
-    const std::function<void(int)>* task;
-    int count;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock,
-                    [&] { return shutdown_ || round_ != seen_round; });
-      if (shutdown_) return;
-      seen_round = round_;
-      task = task_;
-      count = task_count_;
-    }
-    while (true) {
-      int index = next_index_.fetch_add(1, std::memory_order_relaxed);
-      if (index >= count) break;
-      (*task)(index);
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --workers_running_;
-    }
-    done_cv_.notify_one();
-  }
+  for (int i = 0; i < n; ++i) fn(i);
 }
 
 void ShardedSimulator::ApplyEffects() {

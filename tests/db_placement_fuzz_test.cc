@@ -1,14 +1,11 @@
 // Randomized placement-determinism harness: for ~50 random database
 // configurations (protocol × workload × batching knobs × closed- or
 // open-loop submission), the same seed must produce bitwise-identical
-// DatabaseStats AND BatchStats for every *placement* — shard count, thread
-// count (which also picks the inline or the deferred partition plane), and
-// conflict-aware lookahead on/off (lookahead only moves barriers, never
-// results, so it is a placement knob by construction and belongs inside
-// the identity gate).
-// Placement knobs decide where work runs, never what it computes; this
-// harness fuzzes the whole knob space instead of the hand-picked grids of
-// db_shard_test / db_batch_test / db_adaptive_batch tests.
+// DatabaseStats AND BatchStats for every *placement*: the shard count.
+// Placement decides which queue work runs on, never what it computes; this
+// harness fuzzes it across the whole configuration space instead of the
+// hand-picked grids of db_shard_test / db_batch_test / db_adaptive_batch
+// tests.
 //
 // Reproducing a failure: every EXPECT carries the drawn base seed and the
 // per-config seed via SCOPED_TRACE, and the base seed can be pinned with
@@ -114,21 +111,6 @@ struct FuzzConfig {
           << " co_coord=" << geo_co_coordinators;
     }
     out << " seed=" << seed;
-    return out.str();
-  }
-};
-
-struct Placement {
-  int num_shards = 1;
-  int num_threads = 1;
-  /// Stats-invariant by construction (Options::conflict_lookahead): only
-  /// barrier placement changes, so it rides inside the identity gate.
-  bool conflict_lookahead = false;
-
-  std::string Describe() const {
-    std::ostringstream out;
-    out << "shards=" << num_shards << " threads=" << num_threads
-        << " lookahead=" << conflict_lookahead;
     return out.str();
   }
 };
@@ -282,7 +264,7 @@ struct RunResult {
   Database::GeoStats geo;
 };
 
-RunResult RunOne(const FuzzConfig& config, const Placement& placement) {
+RunResult RunOne(const FuzzConfig& config, int num_shards) {
   Database::Options options;
   options.num_partitions = config.num_partitions;
   options.protocol = config.protocol;
@@ -303,12 +285,9 @@ RunResult RunOne(const FuzzConfig& config, const Placement& placement) {
   options.cross_region_units_min = config.cross_region_units_min;
   options.cross_region_units_max = config.cross_region_units_max;
   options.geo_co_coordinators = config.geo_co_coordinators;
-  options.num_shards = placement.num_shards;
-  options.num_threads = placement.num_threads;
-  options.conflict_lookahead = placement.conflict_lookahead;
-  // Cheap extra teeth: every flush barrier sweeps the per-partition lock
-  // (or, under OCC, version-table) invariants and, with lookahead active,
-  // the tracker-vs-held-footprint soundness cross-check.
+  options.num_shards = num_shards;
+  // Cheap extra teeth: every flush sweeps the per-partition lock (or,
+  // under OCC, version-table) invariants.
   options.check_invariants = true;
   Database database(options);
   RunResult result;
@@ -349,31 +328,23 @@ TEST(PlacementFuzzTest, StatsIdenticalAcrossRandomPlacements) {
   for (int i = 0; i < kConfigs; ++i) {
     FuzzConfig config = DrawConfig(rng);
     SCOPED_TRACE("config " + std::to_string(i) + ": " + config.Describe());
-    // Reference placement: single queue, single thread (hence the inline
-    // partition plane), no lookahead — the fully serial interpreter of the
+    // Reference placement: one queue, the plainest interpreter of the
     // configuration.
-    RunResult reference = RunOne(config, Placement{1, 1, false});
+    RunResult reference = RunOne(config, 1);
     ASSERT_EQ(reference.stats.committed + reference.stats.aborted +
                   reference.stats.shed + reference.stats.read_only_committed,
               config.num_txs)
         << "reference run lost transactions";
 
     // Always cover the acceptance grid's extremes, then random fill.
-    std::vector<Placement> placements = {
-        Placement{2, 2, false},
-        Placement{8, 4, true},
-    };
+    std::vector<int> placements = {2, 8};
     for (int extra = 0; extra < 2; ++extra) {
-      Placement p;
       const int kShardChoices[] = {1, 2, 3, 8};
-      p.num_shards = kShardChoices[rng.Next() % 4];
-      p.num_threads = static_cast<int>(rng.UniformInt(1, 4));
-      p.conflict_lookahead = rng.Chance(0.5);
-      placements.push_back(p);
+      placements.push_back(kShardChoices[rng.Next() % 4]);
     }
-    for (const Placement& placement : placements) {
-      SCOPED_TRACE("placement: " + placement.Describe());
-      RunResult run = RunOne(config, placement);
+    for (int shards : placements) {
+      SCOPED_TRACE("placement: shards=" + std::to_string(shards));
+      RunResult run = RunOne(config, shards);
       EXPECT_EQ(reference.stats, run.stats);
       EXPECT_EQ(reference.batch, run.batch);
       EXPECT_EQ(reference.read_fingerprint, run.read_fingerprint);
@@ -391,9 +362,8 @@ TEST(PlacementFuzzTest, StatsIdenticalAcrossRandomPlacements) {
   }
 }
 
-// The acceptance grid: 1/2/8 shards × 1/4 threads (inline and deferred
-// plane) × lookahead off/on for InBAC/2PC/PaxosCommit with adaptive +
-// cross-set batching enabled. (The fuzz loop above usually
+// The acceptance grid: 1/2/8 shards for InBAC/2PC/PaxosCommit with
+// adaptive + cross-set batching enabled. (The fuzz loop above usually
 // covers this space too, but the criterion deserves a deterministic gate
 // that does not depend on what the RNG happened to draw.)
 TEST(PlacementFuzzTest, AcceptanceGridAdaptiveCrossSet) {
@@ -414,26 +384,20 @@ TEST(PlacementFuzzTest, AcceptanceGridAdaptiveCrossSet) {
     config.batch_cross_set = true;
     config.seed = 0xA11CE;
     SCOPED_TRACE(config.Describe());
-    RunResult reference = RunOne(config, Placement{1, 1, false});
+    RunResult reference = RunOne(config, 1);
     EXPECT_GT(reference.batch.rounds, 0) << "batching path never engaged";
-    for (int shards : {1, 2, 8}) {
-      for (int threads : {1, 4}) {
-        for (bool lookahead : {false, true}) {
-          Placement placement{shards, threads, lookahead};
-          SCOPED_TRACE("placement: " + placement.Describe());
-          RunResult run = RunOne(config, placement);
-          EXPECT_EQ(reference.stats, run.stats);
-          EXPECT_EQ(reference.batch, run.batch);
-        }
-      }
+    for (int shards : {2, 8}) {
+      SCOPED_TRACE("placement: shards=" + std::to_string(shards));
+      RunResult run = RunOne(config, shards);
+      EXPECT_EQ(reference.stats, run.stats);
+      EXPECT_EQ(reference.batch, run.batch);
     }
   }
 }
 
 // The OCC acceptance grid: version-lock validation must be bitwise
-// placement-invariant exactly like 2PL — 1/2/8 shards × 1/4 threads ×
-// lookahead off/on, on a contended hotspot workload with real
-// validation failures and retries in play.
+// placement-invariant exactly like 2PL — 1/2/8 shards, on a contended
+// hotspot workload with real validation failures and retries in play.
 TEST(PlacementFuzzTest, AcceptanceGridOcc) {
   const core::ProtocolKind kProtocols[] = {core::ProtocolKind::kInbac,
                                            core::ProtocolKind::kTwoPc,
@@ -448,21 +412,16 @@ TEST(PlacementFuzzTest, AcceptanceGridOcc) {
     config.arrival_gap = 15;
     config.seed = 0xBEEF;
     SCOPED_TRACE(config.Describe());
-    RunResult reference = RunOne(config, Placement{1, 1, false});
+    RunResult reference = RunOne(config, 1);
     EXPECT_GT(reference.stats.abort_validation_failures, 0)
         << "hotspot run never exercised OCC validation failure";
     EXPECT_EQ(reference.stats.abort_lock_conflicts, 0)
         << "2PL abort bucket counted under OCC";
-    for (int shards : {1, 2, 8}) {
-      for (int threads : {1, 4}) {
-        for (bool lookahead : {false, true}) {
-          Placement placement{shards, threads, lookahead};
-          SCOPED_TRACE("placement: " + placement.Describe());
-          RunResult run = RunOne(config, placement);
-          EXPECT_EQ(reference.stats, run.stats);
-          EXPECT_EQ(reference.batch, run.batch);
-        }
-      }
+    for (int shards : {2, 8}) {
+      SCOPED_TRACE("placement: shards=" + std::to_string(shards));
+      RunResult run = RunOne(config, shards);
+      EXPECT_EQ(reference.stats, run.stats);
+      EXPECT_EQ(reference.batch, run.batch);
     }
   }
 }
@@ -484,21 +443,16 @@ TEST(PlacementFuzzTest, AcceptanceGridGeo) {
     config.geo_co_coordinators = co_coordinators;
     config.seed = 0x6E0;
     SCOPED_TRACE(config.Describe());
-    RunResult reference = RunOne(config, Placement{1, 1, false});
+    RunResult reference = RunOne(config, 1);
     EXPECT_GT(reference.geo.multi_region_rounds, 0)
         << "transfer run never crossed a region boundary";
-    for (int shards : {1, 2, 8}) {
-      for (int threads : {1, 4}) {
-        for (bool lookahead : {false, true}) {
-          Placement placement{shards, threads, lookahead};
-          SCOPED_TRACE("placement: " + placement.Describe());
-          RunResult run = RunOne(config, placement);
-          EXPECT_EQ(reference.stats, run.stats);
-          EXPECT_EQ(reference.batch, run.batch);
-          EXPECT_TRUE(reference.geo == run.geo)
-              << "geo schedule diverged across placements";
-        }
-      }
+    for (int shards : {2, 8}) {
+      SCOPED_TRACE("placement: shards=" + std::to_string(shards));
+      RunResult run = RunOne(config, shards);
+      EXPECT_EQ(reference.stats, run.stats);
+      EXPECT_EQ(reference.batch, run.batch);
+      EXPECT_TRUE(reference.geo == run.geo)
+          << "geo schedule diverged across placements";
     }
   }
 }

@@ -4,8 +4,7 @@
 //     is lost (per-key Add conservation against the delivered-commit
 //     ledger), no lock is orphaned, and the drain is clean;
 //   - replay determinism: a crashing run's DatabaseStats, RecoveryStats,
-//     and CommitLog::Stats are bitwise identical across shard/thread
-//     placements, inline and deferred partition plane;
+//     and CommitLog::Stats are bitwise identical across shard placements;
 //   - the replicated log's fast and slow quorum paths both occur, its
 //     slot GC keeps live-slot memory bounded, and a crash-free logged
 //     drain ends at its last delivered decision;
@@ -26,13 +25,6 @@
 
 namespace fastcommit::db {
 namespace {
-
-/// Without worker threads (min(shards, threads) == 1) the partition plane
-/// is inline; with them it is deferred.
-struct Placement {
-  int shards = 1;
-  int threads = 1;
-};
 
 /// Everything a recovery run must reproduce bitwise across placements,
 /// plus the conservation/cleanliness evidence the fault gates assert on.
@@ -116,13 +108,12 @@ RunOutcome RunTransfer(Database::Options options, int num_txs, uint64_t seed,
 }
 
 Database::Options FaultOptions(core::ProtocolKind protocol, int log_replicas,
-                               const Placement& placement = {}) {
+                               int shards = 1) {
   Database::Options options;
   options.num_partitions = 4;
   options.protocol = protocol;
   options.log_replicas = log_replicas;
-  options.num_shards = placement.shards;
-  options.num_threads = placement.threads;
+  options.num_shards = shards;
   return options;
 }
 
@@ -204,27 +195,24 @@ TEST_P(RecoveryProtocolTest, CrashWithoutLogPresumesAbort) {
 
 // Replay determinism, the repo's core invariant extended to crashes: the
 // whole recovery trajectory — stats, recovery counters, log counters — is
-// bitwise identical across shard counts, thread counts, and both
-// partition planes.
+// bitwise identical across shard counts.
 TEST_P(RecoveryProtocolTest, ReplayBitwiseDeterministicAcrossPlacements) {
   for (CrashPoint point : {CrashPoint::kAfterPrepare, CrashPoint::kAfterAccept,
                            CrashPoint::kAfterDecide}) {
     for (sim::Time restart_delay : kRestartDelays) {
       SCOPED_TRACE(std::string("crash point ") + ToString(point) +
                    ", restart delay " + std::to_string(restart_delay));
-      auto run = [&](const Placement& placement) {
-        Database::Options options = FaultOptions(GetParam(), 3, placement);
+      auto run = [&](int shards) {
+        Database::Options options = FaultOptions(GetParam(), 3, shards);
         options.fault_plan.crash_point = point;
         options.fault_plan.crash_at_occurrence = 7;
         options.fault_plan.coordinator_restart_delay = restart_delay;
         return RunTransfer(options, 250, 77);
       };
-      RunOutcome baseline = run({1, 1});
-      for (const Placement& placement :
-           {Placement{2, 1}, Placement{8, 4}, Placement{2, 2}}) {
-        RunOutcome out = run(placement);
-        SCOPED_TRACE("shards=" + std::to_string(placement.shards) +
-                     " threads=" + std::to_string(placement.threads));
+      RunOutcome baseline = run(1);
+      for (int shards : {2, 8}) {
+        RunOutcome out = run(shards);
+        SCOPED_TRACE("shards=" + std::to_string(shards));
         EXPECT_EQ(out.stats, baseline.stats);
         EXPECT_TRUE(RecoveryEq(out.recovery, baseline.recovery));
         EXPECT_EQ(out.log_stats, baseline.log_stats);
@@ -329,16 +317,14 @@ TEST(CommitLogTest, LoggedDrainEndsAtTheLastDeliveredDecision) {
 // The log's durability gate must itself be placement invariant: a
 // crash-free logged run reproduces bitwise across placements.
 TEST(CommitLogTest, LoggedRunBitwiseDeterministicAcrossPlacements) {
-  auto run = [](const Placement& placement) {
-    return RunTransfer(FaultOptions(core::ProtocolKind::kInbac, 3, placement),
+  auto run = [](int shards) {
+    return RunTransfer(FaultOptions(core::ProtocolKind::kInbac, 3, shards),
                        300, 23);
   };
-  RunOutcome baseline = run({1, 1});
-  for (const Placement& placement :
-       {Placement{2, 1}, Placement{8, 4}, Placement{2, 2}}) {
-    RunOutcome out = run(placement);
-    EXPECT_EQ(out.stats, baseline.stats)
-        << "shards=" << placement.shards << " threads=" << placement.threads;
+  RunOutcome baseline = run(1);
+  for (int shards : {2, 8}) {
+    RunOutcome out = run(shards);
+    EXPECT_EQ(out.stats, baseline.stats) << "shards=" << shards;
     EXPECT_EQ(out.log_stats, baseline.log_stats);
   }
   EXPECT_GT(baseline.stats.committed, 0);
@@ -370,20 +356,18 @@ TEST(ParticipantCrashTest, CrashHoldingLocksRecoversClean) {
 // Participant crashes are placement invariant too (the crash schedule is
 // time-driven on the control plane).
 TEST(ParticipantCrashTest, BitwiseDeterministicAcrossPlacements) {
-  auto run = [](const Placement& placement) {
+  auto run = [](int shards) {
     Database::Options options =
-        FaultOptions(core::ProtocolKind::kTwoPc, 0, placement);
+        FaultOptions(core::ProtocolKind::kTwoPc, 0, shards);
     options.fault_plan.crash_partition = 2;
     options.fault_plan.participant_crash_at = 1500;
     options.fault_plan.participant_restart_delay = 2500;
     return RunTransfer(options, 250, 77);
   };
-  RunOutcome baseline = run({1, 1});
-  for (const Placement& placement :
-       {Placement{2, 1}, Placement{8, 4}, Placement{2, 2}}) {
-    RunOutcome out = run(placement);
-    EXPECT_EQ(out.stats, baseline.stats)
-        << "shards=" << placement.shards << " threads=" << placement.threads;
+  RunOutcome baseline = run(1);
+  for (int shards : {2, 8}) {
+    RunOutcome out = run(shards);
+    EXPECT_EQ(out.stats, baseline.stats) << "shards=" << shards;
     EXPECT_TRUE(RecoveryEq(out.recovery, baseline.recovery));
   }
   EXPECT_GT(baseline.recovery.participant_crashes, 0);
@@ -393,9 +377,9 @@ TEST(ParticipantCrashTest, BitwiseDeterministicAcrossPlacements) {
 // defer (prefix finalization keeps submit order), and the read fingerprint
 // is placement invariant.
 TEST(ParticipantCrashTest, SnapshotReadsDeferAndStayDeterministic) {
-  auto run = [](const Placement& placement) {
+  auto run = [](int shards) {
     Database::Options options =
-        FaultOptions(core::ProtocolKind::kInbac, 0, placement);
+        FaultOptions(core::ProtocolKind::kInbac, 0, shards);
     options.snapshot_reads = true;
     options.fault_plan.crash_partition = 1;
     options.fault_plan.participant_crash_at = 1500;
@@ -404,7 +388,7 @@ TEST(ParticipantCrashTest, SnapshotReadsDeferAndStayDeterministic) {
     Database database(options);
     const int kAccounts = 64;
     for (int a = 0; a < kAccounts; ++a) database.LoadInt(AccountKey(a), 1000);
-    auto txs = MakeTransferWorkload(200, kAccounts, 50, placement.shards + 5);
+    auto txs = MakeTransferWorkload(200, kAccounts, 50, shards + 5);
     sim::Time at = 0;
     TxId next_id = 100000;
     for (auto& tx : txs) {
@@ -426,11 +410,8 @@ TEST(ParticipantCrashTest, SnapshotReadsDeferAndStayDeterministic) {
   };
   // Regenerate the workload with the same seed per placement (seed depends
   // only on a constant here).
-  auto fixed_seed_run = [&run](int shards, int threads) {
-    return run(Placement{shards, threads});
-  };
-  RunOutcome a = fixed_seed_run(1, 1);
-  RunOutcome b = fixed_seed_run(1, 1);
+  RunOutcome a = run(1);
+  RunOutcome b = run(1);
   EXPECT_EQ(a.stats, b.stats);
   EXPECT_EQ(a.fingerprint, b.fingerprint);
   EXPECT_GT(a.stats.read_only_committed, 0);
@@ -470,23 +451,6 @@ TEST(RecoveryEdgeTest, CoordinatorCrashWithSnapshotReads) {
   EXPECT_EQ(database.recovery_stats().coordinator_crashes, 1);
   EXPECT_EQ(stats.read_only_committed, reads_completed);
   EXPECT_EQ(database.SumInts(), 32 * 1000);
-}
-
-// Conflict-aware lookahead composes with a coordinator crash: tracked key
-// hashes of lost rounds are released by recovery's presumed-abort sweep,
-// so the tracker drains empty (Drain FC_CHECKs it). Lookahead needs the
-// deferred plane, hence worker threads.
-TEST(RecoveryEdgeTest, LookaheadTrackerSurvivesCoordinatorCrash) {
-  Database::Options options =
-      FaultOptions(core::ProtocolKind::kInbac, 3, Placement{2, 2});
-  options.conflict_lookahead = true;
-  options.fault_plan.crash_point = CrashPoint::kAfterPrepare;
-  options.fault_plan.crash_at_occurrence = 7;
-  options.fault_plan.coordinator_restart_delay = 3000;
-  RunOutcome out = RunTransfer(options, 250, 13);
-  EXPECT_EQ(out.recovery.coordinator_crashes, 1);
-  EXPECT_TRUE(out.conservation_violations.empty());
-  EXPECT_EQ(out.held_locks, 0);
 }
 
 // OCC composes with recovery: version-lock words are released by the same

@@ -8,13 +8,10 @@
 //     harness can actually pressure the system);
 //   - admission control: Options::max_inflight sheds at saturation and
 //     sheds nothing when the bound is slack;
-//   - conflict-aware lookahead (Options::conflict_lookahead, active only
-//     with worker threads): skips flush barriers on low-conflict streams
-//     with DatabaseStats and BatchStats bitwise identical to
-//     lookahead-off, and still flushes once its backlog reaches the cap;
+//   - invariant sweeps (Options::check_invariants) under a contended,
+//     retrying stream change no stat;
 //   - placement determinism: every arrival process x skew drift config
-//     yields bitwise-identical DatabaseStats across shard/thread
-//     placements and lookahead settings.
+//     yields bitwise-identical DatabaseStats across shard placements.
 
 #include <gtest/gtest.h>
 
@@ -48,9 +45,6 @@ TrafficOptions SmallStream(ArrivalProcess process, double zipf,
 struct OpenLoopResult {
   DatabaseStats stats;
   Database::BatchStats batch_stats;
-  int64_t lookahead_skips = 0;
-  int64_t plane_flushes = 0;
-  int64_t tasks_drained = 0;
   int64_t balance_sum = 0;
 };
 
@@ -62,9 +56,6 @@ OpenLoopResult RunOpenLoop(const Database::Options& options,
   OpenLoopResult result;
   result.stats = database.Drain();
   result.batch_stats = database.batch_stats();
-  result.lookahead_skips = database.lookahead_skips();
-  result.plane_flushes = database.partition_plane().flushes();
-  result.tasks_drained = database.partition_plane().tasks_drained();
   result.balance_sum = database.SumInts();
   return result;
 }
@@ -255,122 +246,28 @@ TEST(OpenLoopTest, ShedArrivalsReportAbortToTheCallback) {
   EXPECT_GE(aborts, stats.shed);
 }
 
-/// Lookahead runs only on the deferred plane, which needs worker threads.
-void PlaceOnWorkers(Database::Options* options) {
-  options->num_shards = 2;
-  options->num_threads = 2;
-}
-
-TEST(OpenLoopTest, LookaheadSkipsBarriersWithIdenticalStats) {
-  Database::Options off;
-  off.num_partitions = 8;
-  off.seed = 13;
-  PlaceOnWorkers(&off);
-  Database::Options on = off;
-  on.conflict_lookahead = true;
-
-  // Low-conflict stream: a wide key space keeps most arrivals disjoint.
-  TrafficOptions traffic;
-  traffic.mean_gap = 40.0;
-  traffic.num_arrivals = 600;
-  traffic.num_keys = 1 << 18;
-  traffic.seed = 17;
-
-  OpenLoopResult base = RunOpenLoop(off, traffic);
-  OpenLoopResult look = RunOpenLoop(on, traffic);
-  // The whole point: fewer barriers, not one bit of stats drift.
-  EXPECT_GT(look.lookahead_skips, 0);
-  EXPECT_LT(look.plane_flushes, base.plane_flushes);
-  EXPECT_EQ(base.lookahead_skips, 0);
-  EXPECT_EQ(look.stats, base.stats);
-  EXPECT_EQ(look.batch_stats, base.batch_stats);
-  EXPECT_EQ(look.balance_sum, base.balance_sum);
-}
-
-TEST(OpenLoopTest, LookaheadSurvivesContentionAndInvariantSweeps) {
-  // A hot tiny key space forces constant conflicts (nothing predictable)
-  // plus retries; check_invariants turns on the tracker-vs-lock sweep at
-  // every barrier. Stats must still match lookahead-off exactly.
+TEST(OpenLoopTest, ContendedStreamSurvivesInvariantSweeps) {
+  // A hot tiny key space forces constant conflicts plus retries;
+  // check_invariants sweeps every partition after each transaction's
+  // prepares. Stats must match the unswept run exactly.
   Database::Options off;
   off.num_partitions = 4;
-  off.check_invariants = true;
-  PlaceOnWorkers(&off);
+  off.num_shards = 2;
   Database::Options on = off;
-  on.conflict_lookahead = true;
+  on.check_invariants = true;
 
   TrafficOptions traffic = SmallStream(ArrivalProcess::kBursty, 1.1, 0);
   traffic.num_keys = 16;
   traffic.mean_gap = 30.0;
 
   OpenLoopResult base = RunOpenLoop(off, traffic);
-  OpenLoopResult look = RunOpenLoop(on, traffic);
-  EXPECT_EQ(look.stats, base.stats);
-  EXPECT_EQ(look.batch_stats, base.batch_stats);
-  EXPECT_GT(look.stats.retries, 0) << "stream too tame to stress conflicts";
+  OpenLoopResult swept = RunOpenLoop(on, traffic);
+  EXPECT_EQ(swept.stats, base.stats);
+  EXPECT_EQ(swept.batch_stats, base.batch_stats);
+  EXPECT_GT(swept.stats.retries, 0) << "stream too tame to stress conflicts";
 }
-
-TEST(OpenLoopTest, LookaheadComposesWithBatching) {
-  Database::Options off;
-  off.num_partitions = 6;
-  off.batch_window = 60;
-  off.batch_max = 8;
-  off.batch_cross_set = true;
-  off.batch_round_merge = true;
-  PlaceOnWorkers(&off);
-  Database::Options on = off;
-  on.conflict_lookahead = true;
-
-  TrafficOptions traffic = SmallStream(ArrivalProcess::kPoisson, 0.6, 0);
-  traffic.mean_gap = 25.0;
-  traffic.num_keys = 1 << 14;
-
-  OpenLoopResult base = RunOpenLoop(off, traffic);
-  OpenLoopResult look = RunOpenLoop(on, traffic);
-  EXPECT_GT(look.lookahead_skips, 0);
-  EXPECT_EQ(look.stats, base.stats);
-  EXPECT_EQ(look.batch_stats, base.batch_stats);
-  EXPECT_GT(base.batch_stats.rounds, 0);
-}
-
-// A conflict-free stream never gives lookahead a reason to flush, so
-// without a cap the deferred plane would hold every task of the run until
-// the drain. The cap makes it flush along the way, with stats unchanged.
-TEST(OpenLoopTest, LookaheadBacklogIsBounded) {
-  Database::Options serial;
-  serial.num_partitions = 8;
-  Database::Options placed = serial;
-  PlaceOnWorkers(&placed);
-  placed.conflict_lookahead = true;
-
-  TrafficOptions traffic;
-  traffic.mean_gap = 40.0;
-  traffic.num_arrivals = 3000;  // ~4 tasks each: ~12x the backlog cap
-  traffic.num_keys = int64_t{1} << 30;
-  traffic.seed = 21;
-
-  OpenLoopResult reference = RunOpenLoop(serial, traffic);
-  OpenLoopResult run = RunOpenLoop(placed, traffic);
-  EXPECT_EQ(run.stats, reference.stats);
-  EXPECT_EQ(run.balance_sum, reference.balance_sum);
-  ASSERT_EQ(run.stats.retries, 0) << "stream should be conflict-free";
-  EXPECT_GT(run.lookahead_skips, 0);
-  // More than the drain's own flush, and on average no flush holding much
-  // more than the cap (finishes keep arriving between two prepares).
-  EXPECT_GT(run.plane_flushes, 1);
-  EXPECT_LE(run.tasks_drained,
-            run.plane_flushes * 2 * PartitionPlane::kMaxPredictedBacklog);
-}
-
-struct PlacementCase {
-  int num_shards;
-  int num_threads;
-  bool conflict_lookahead;
-};
 
 TEST(OpenLoopTest, EveryProcessIsPlacementDeterministic) {
-  const PlacementCase kPlacements[] = {
-      {1, 1, false}, {2, 4, true}, {8, 4, false}, {8, 2, true},
-  };
   for (ArrivalProcess process : {ArrivalProcess::kPoisson,
                                  ArrivalProcess::kBursty,
                                  ArrivalProcess::kDiurnal}) {
@@ -379,16 +276,13 @@ TEST(OpenLoopTest, EveryProcessIsPlacementDeterministic) {
       Database::Options reference_options;
       reference_options.num_partitions = 6;
       OpenLoopResult reference = RunOpenLoop(reference_options, traffic);
-      for (const PlacementCase& placement : kPlacements) {
+      for (int shards : {2, 8}) {
         Database::Options options = reference_options;
-        options.num_shards = placement.num_shards;
-        options.num_threads = placement.num_threads;
-        options.conflict_lookahead = placement.conflict_lookahead;
+        options.num_shards = shards;
         OpenLoopResult run = RunOpenLoop(options, traffic);
         EXPECT_EQ(run.stats, reference.stats)
-            << ToString(process) << " drift=" << drift << " shards="
-            << placement.num_shards << " threads=" << placement.num_threads
-            << " lookahead=" << placement.conflict_lookahead;
+            << ToString(process) << " drift=" << drift
+            << " shards=" << shards;
         EXPECT_EQ(run.batch_stats, reference.batch_stats);
       }
     }

@@ -1,10 +1,10 @@
-// Stress of the per-partition LockManager on the inline and the deferred
-// partition plane: the debug CheckInvariants() hook runs at every
-// partition-plane flush barrier (Database::Options::check_invariants)
-// while contended workloads prepare, upgrade, batch, abort, and retry,
-// across worker threads where the placement has them — catching any lock
-// a finished transaction still holds, any shared/exclusive coexistence,
-// and any upgrade-path bookkeeping drift.
+// Stress of the per-partition LockManager: the debug CheckInvariants()
+// hook runs at every partition-plane flush (Database::Options::
+// check_invariants: after each transaction's prepares and at the end of a
+// drain) while contended workloads prepare, upgrade, batch, abort, and
+// retry on several shard placements — catching any lock a finished
+// transaction still holds, any shared/exclusive coexistence, and any
+// upgrade-path bookkeeping drift.
 //
 // The LockManager-level tests below additionally pin each invariant
 // directly (including that CheckInvariants passes through the states the
@@ -76,17 +76,15 @@ TEST(LockInvariantTest, ReleaseAllOfUnknownTxIsHarmless) {
   EXPECT_TRUE(locks.HoldsExclusive("k", 1));
 }
 
-// --- Database-level stress on both partition planes ------------------------
+// --- Database-level stress ---------------------------------------------------
 
 struct StressSpec {
   int num_shards;
-  int num_threads;
   sim::Time batch_window;
   bool adaptive;
 };
 
-// Runs a contended mixed workload with invariant sweeps at every flush
-// barrier.
+// Runs a contended mixed workload with invariant sweeps at every flush.
 DatabaseStats RunStress(Database& database) {
   // Read-modify-write exercises shared locks and the shared->exclusive
   // upgrade on every transaction; the hotspot tail adds no-wait conflicts
@@ -117,8 +115,7 @@ Database::Options StressOptions(const StressSpec& spec) {
   options.protocol = core::ProtocolKind::kTwoPc;
   options.max_attempts = 3;
   options.num_shards = spec.num_shards;
-  options.num_threads = spec.num_threads;
-  options.check_invariants = true;  // sweep at every flush barrier
+  options.check_invariants = true;  // sweep at every flush
   options.batch_window = spec.batch_window;
   options.batch_adaptive = spec.adaptive;
   options.batch_window_max = spec.adaptive ? 300 : 0;
@@ -184,15 +181,14 @@ TEST_P(LockInvariantStressTest, FinishedTransactionsHoldNoLocks) {
 
 INSTANTIATE_TEST_SUITE_P(
     Placements, LockInvariantStressTest,
-    ::testing::Values(StressSpec{1, 1, 0, false},      // inline plane
-                      StressSpec{4, 1, 0, false},      // sharded, inline
-                      StressSpec{8, 4, 0, false},      // threaded flushes
-                      StressSpec{8, 4, 200, false},    // + batched rounds
-                      StressSpec{8, 4, 100, true}),    // + adaptive windows
+    ::testing::Values(StressSpec{1, 0, false},      // one queue
+                      StressSpec{4, 0, false},      // sharded
+                      StressSpec{8, 0, false},      // more shards
+                      StressSpec{8, 200, false},    // + batched rounds
+                      StressSpec{8, 100, true}),    // + adaptive windows
     [](const ::testing::TestParamInfo<StressSpec>& info) {
       const StressSpec& spec = info.param;
-      return "shards" + std::to_string(spec.num_shards) + "threads" +
-             std::to_string(spec.num_threads) + "window" +
+      return "shards" + std::to_string(spec.num_shards) + "window" +
              std::to_string(spec.batch_window) +
              (spec.adaptive ? "adaptive" : "");
     });

@@ -377,17 +377,21 @@ TEST(EventQueueDeathTest, PopOnQueueOfCancelledFarEventsFailsLoudly) {
 // reference ordered by (time, class, seq): pop order, size(), empty(),
 // PeekTime() and every Cancel return, including cancels through handles
 // whose events already ran or were cancelled and whose slots hold newer
-// events. Seeds 1-20 of two inputs: every push lands within 30 ticks; then
-// 20% of them land up to 5,000 ticks ahead, past the wheel's window, which
-// reaches far keys, their migration, jumps from an empty wheel and
-// cancelled far keys.
+// events. Seeds 1-20 of three inputs: every push lands within 30 ticks;
+// then 20% of them land up to 5,000 ticks ahead, past the wheel's window,
+// which reaches far keys, their migration, jumps from an empty wheel and
+// cancelled far keys; then bursts of hundreds of pushes at one instant
+// across all four classes, with pops in between and a cancel of each
+// class's last entry followed by more pushes behind it, which exercises
+// the buckets' per-class last-entry links.
 TEST(EventQueueTest, MatchesAnOrderedReferenceUnderRandomOperations) {
   using RefKey = std::tuple<Time, int, uint64_t>;
-  for (int run = 0; run < 40; ++run) {
+  for (int run = 0; run < 60; ++run) {
     const uint64_t seed = static_cast<uint64_t>(run % 20) + 1;
-    const double far_share = run < 20 ? 0.0 : 0.2;
-    SCOPED_TRACE(::testing::Message()
-                 << "seed " << seed << " far share " << far_share);
+    const int input = run / 20;  // 0: near, 1: 20% far, 2: bursts
+    const double far_share = input == 1 ? 0.2 : 0.0;
+    const bool bursts = input == 2;
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " input " << input);
     Rng rng(seed);
     EventQueue q;
     struct Entry {
@@ -398,20 +402,98 @@ TEST(EventQueueTest, MatchesAnOrderedReferenceUnderRandomOperations) {
     std::map<EventId, RefKey> live_handles;  // pending cancellable events
     std::vector<EventId> issued;             // every handle, dead or alive
     uint64_t seq = 0;
+    int next_tag = 0;
     Time now = 0;
     int fired = -1;
+    auto pop = [&](int op) {
+      auto [expected, entry] = *live.begin();
+      Event e = q.Pop();
+      e.fn();
+      EXPECT_EQ(e.at, std::get<0>(expected));
+      EXPECT_EQ(static_cast<int>(e.cls), std::get<1>(expected));
+      ASSERT_EQ(fired, entry.tag) << "pop order diverged at op " << op;
+      now = e.at;
+      live.erase(live.begin());
+      live_handles.erase(entry.id);
+    };
+    auto cancel = [&](int op, EventId id) {
+      auto it = live_handles.find(id);
+      bool expected = it != live_handles.end();
+      EXPECT_EQ(q.Cancel(id), expected) << "cancel at op " << op;
+      if (expected) {
+        live.erase(it->second);
+        live_handles.erase(it);
+      }
+      EXPECT_FALSE(q.Cancel(id)) << "repeated cancel at op " << op;
+      EXPECT_FALSE(q.Cancel(kNoEvent));
+    };
+    auto push = [&](Time at, EventClass cls, bool cancellable) {
+      int tag = next_tag++;
+      RefKey key{at, static_cast<int>(cls), ++seq};
+      auto fire = [&fired, tag] { fired = tag; };
+      EventId id = kNoEvent;
+      if (!cancellable) {
+        q.Push(at, cls, fire);
+      } else {
+        id = q.PushCancellable(at, cls, fire);
+        EXPECT_NE(id, kNoEvent);
+        EXPECT_EQ(live_handles.count(id), 0u) << "handle issued twice";
+        live_handles.emplace(id, key);
+        issued.push_back(id);
+      }
+      live.emplace(key, Entry{tag, id});
+      return id;
+    };
+    auto check = [&](int op) {
+      ASSERT_EQ(q.size(), live.size()) << "at op " << op;
+      ASSERT_EQ(q.empty(), live.empty()) << "at op " << op;
+      if (!live.empty()) {
+        ASSERT_EQ(q.PeekTime(), std::get<0>(live.begin()->first))
+            << "at op " << op;
+      }
+    };
     for (int op = 0; op < 20000; ++op) {
       int64_t dice = rng.UniformInt(0, 99);
+      if (bursts && dice < 2) {
+        // Every burst push is cancellable, so each class's latest push is
+        // its last entry in the bucket and can be cancelled.
+        const Time at = now + rng.UniformInt(0, 30);
+        EventId last[4] = {kNoEvent, kNoEvent, kNoEvent, kNoEvent};
+        const int64_t count = rng.UniformInt(200, 400);
+        for (int64_t i = 0; i < count; ++i) {
+          const int cls = static_cast<int>(rng.UniformInt(0, 3));
+          last[cls] = push(at, static_cast<EventClass>(cls), true);
+          // Pops in between, as long as the instant is still pending.
+          if (rng.Chance(0.05) && std::get<0>(live.begin()->first) <= at) {
+            pop(op);
+          }
+        }
+        for (EventId id : last) {
+          if (id != kNoEvent && rng.Chance(0.7)) cancel(op, id);
+        }
+        // More pushes of every class land behind the cancelled entries
+        // (no pop went past `at`, so it is still a legal instant).
+        for (int i = 0; i < 8; ++i) {
+          push(at, static_cast<EventClass>(rng.UniformInt(0, 3)),
+               rng.Chance(0.5));
+        }
+        check(op);
+        // Drain the instant, pushing now and then behind entries whose
+        // predecessors of the same class have already been popped.
+        while (!HasFatalFailure() && !live.empty() &&
+               std::get<0>(live.begin()->first) <= at) {
+          pop(op);
+          if (rng.Chance(0.1)) {
+            push(at, static_cast<EventClass>(rng.UniformInt(0, 3)),
+                 rng.Chance(0.5));
+          }
+          check(op);
+        }
+        if (HasFatalFailure()) return;
+        continue;
+      }
       if (dice < 30 && !live.empty()) {
-        auto [expected, entry] = *live.begin();
-        Event e = q.Pop();
-        e.fn();
-        EXPECT_EQ(e.at, std::get<0>(expected));
-        EXPECT_EQ(static_cast<int>(e.cls), std::get<1>(expected));
-        ASSERT_EQ(fired, entry.tag) << "pop order diverged at op " << op;
-        now = e.at;
-        live.erase(live.begin());
-        live_handles.erase(entry.id);
+        pop(op);
       } else if (dice < 45 && !issued.empty()) {
         // Half the time a live handle, otherwise any handle ever issued.
         EventId id = issued[static_cast<size_t>(
@@ -422,40 +504,15 @@ TEST(EventQueueTest, MatchesAnOrderedReferenceUnderRandomOperations) {
                                                live_handles.size()) - 1))
                    ->first;
         }
-        auto it = live_handles.find(id);
-        bool expected = it != live_handles.end();
-        EXPECT_EQ(q.Cancel(id), expected) << "cancel at op " << op;
-        if (expected) {
-          live.erase(it->second);
-          live_handles.erase(it);
-        }
-        EXPECT_FALSE(q.Cancel(id)) << "repeated cancel at op " << op;
-        EXPECT_FALSE(q.Cancel(kNoEvent));
+        cancel(op, id);
       } else {
         const bool far = far_share > 0 && rng.Chance(far_share);
         Time at = now + rng.UniformInt(0, far ? 5000 : 30);
         auto cls = static_cast<EventClass>(rng.UniformInt(0, 3));
-        int tag = op;
-        RefKey key{at, static_cast<int>(cls), ++seq};
-        auto fire = [&fired, tag] { fired = tag; };
-        EventId id = kNoEvent;
-        if (dice < 70) {
-          q.Push(at, cls, fire);
-        } else {
-          id = q.PushCancellable(at, cls, fire);
-          EXPECT_NE(id, kNoEvent);
-          EXPECT_EQ(live_handles.count(id), 0u) << "handle issued twice";
-          live_handles.emplace(id, key);
-          issued.push_back(id);
-        }
-        live.emplace(key, Entry{tag, id});
+        push(at, cls, dice >= 70);
       }
-      ASSERT_EQ(q.size(), live.size()) << "at op " << op;
-      ASSERT_EQ(q.empty(), live.empty()) << "at op " << op;
-      if (!live.empty()) {
-        ASSERT_EQ(q.PeekTime(), std::get<0>(live.begin()->first))
-            << "at op " << op;
-      }
+      check(op);
+      if (HasFatalFailure()) return;
     }
   }
 }

@@ -14,8 +14,8 @@ report-only.
 
 Gated (lower is better): msgs_per_commit, mean_latency_ticks,
 p99_latency_ticks, write_p99_latency_ticks, makespan_ticks,
-barrier_flushes, unavailability_ticks, outage_commit_gap_ticks,
-recovery_ticks, cross_region_rounds, multi_region_latency_units.
+unavailability_ticks, outage_commit_gap_ticks, recovery_ticks,
+cross_region_rounds, multi_region_latency_units.
 Gated (higher is better): occupancy, commits_per_tick,
 achieved_over_offered, occ_speedup_vs_2pl, reads_per_tick,
 read_speedup_vs_locked. A row key
@@ -45,10 +45,9 @@ import sys
 TOLERANCE = 0.05  # >5% regression fails
 LOWER_IS_BETTER = ("msgs_per_commit", "mean_latency_ticks",
                    "p99_latency_ticks", "write_p99_latency_ticks",
-                   "makespan_ticks", "barrier_flushes",
-                   "unavailability_ticks", "outage_commit_gap_ticks",
-                   "recovery_ticks", "cross_region_rounds",
-                   "multi_region_latency_units")
+                   "makespan_ticks", "unavailability_ticks",
+                   "outage_commit_gap_ticks", "recovery_ticks",
+                   "cross_region_rounds", "multi_region_latency_units")
 HIGHER_IS_BETTER = ("occupancy", "commits_per_tick", "achieved_over_offered",
                     "occ_speedup_vs_2pl", "reads_per_tick",
                     "read_speedup_vs_locked")

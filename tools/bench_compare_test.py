@@ -107,7 +107,7 @@ class BenchCompareTest(unittest.TestCase):
 
     def test_commits_per_tick_regression_fails(self):
         rows = [{"key": "inbac/openloop", "commits_per_tick": 0.025,
-                 "barrier_flushes": 1000}]
+                 "mean_latency_ticks": 200}]
         base = self.write_baseline("base.json", [make_doc(rows=rows)])
         doc = make_doc(rows=[dict(rows[0], commits_per_tick=0.020)])  # -20%
         cur = self.write("cur.json", doc)
@@ -172,16 +172,6 @@ class BenchCompareTest(unittest.TestCase):
         code, _, err = self.run_main(["--baseline", base, cur])
         self.assertEqual(code, 1)
         self.assertIn("write_p99_latency_ticks", err)
-
-    def test_barrier_flushes_regression_fails(self):
-        rows = [{"key": "inbac/openloop", "commits_per_tick": 0.025,
-                 "barrier_flushes": 1000}]
-        base = self.write_baseline("base.json", [make_doc(rows=rows)])
-        doc = make_doc(rows=[dict(rows[0], barrier_flushes=1200)])  # +20%
-        cur = self.write("cur.json", doc)
-        code, _, err = self.run_main(["--baseline", base, cur])
-        self.assertEqual(code, 1)
-        self.assertIn("barrier_flushes", err)
 
     def test_unavailability_regression_fails(self):
         rows = [{"key": "inbac/crash=after-decide",

@@ -46,23 +46,22 @@ run_gates() {
   gates_dir="$1"
 
   # Batching determinism: nonzero if DatabaseStats or BatchStats diverge
-  # between the serial reference and a sharded/threaded prepare-on-shard
-  # placement for any batching window, or if batching stops reducing
-  # per-commit messages. The hotspot and cross-set rows also drive the most
-  # lock churn, which the flat tables' moving entries make asan-relevant.
+  # between the single-queue reference and a 4-shard placement for any
+  # batching window, or if batching stops reducing per-commit messages.
+  # The hotspot and cross-set rows also drive the most lock churn, which
+  # the flat tables' moving entries make asan-relevant.
   gate "batching determinism ($gates_dir/bench_db_batching --txs 4000)" \
     "./$gates_dir/bench_db_batching" --txs 4000
 
   # Open-loop determinism + saturation: nonzero if any arrival stream's
   # stats diverge across placements, an uncapped Poisson stream falls under
-  # 95% of offered load, the saturated row stops shedding, or conflict
-  # lookahead drifts a simulated metric / stops skipping barriers.
+  # 95% of offered load, or the saturated row stops shedding.
   gate "open-loop traffic ($gates_dir/bench_db_openloop --txs 4000)" \
     "./$gates_dir/bench_db_openloop" --txs 4000
 
   # 2PL-vs-OCC ablation: nonzero if OCC stops clearing its goodput floor on
   # the gated read-heavy low-conflict row, or if OCC stats diverge across
-  # shard/thread/lookahead placements.
+  # shard placements.
   gate "2PL-vs-OCC ablation ($gates_dir/bench_db_throughput --txs 4000)" \
     "./$gates_dir/bench_db_throughput" --txs 4000 --ablation-only
 
@@ -90,12 +89,13 @@ run_gates() {
   gate "geo commit ($gates_dir/bench_db_geo --txs 4000)" \
     "./$gates_dir/bench_db_geo" --txs 4000
 
-  # Sharded drain: nonzero if any placement's stats diverge from the
-  # single-queue run. Four threads drain per-shard event and message slot
-  # tables on worker threads and post cross-shard completion effects, so
-  # the asan build checks their lifetimes too.
-  gate "sharded drain ($gates_dir/bench_db_sharded --txs 4000 --threads 4)" \
-    "./$gates_dir/bench_db_sharded" --txs 4000 --threads 4
+  # Sharded drain: nonzero if the 4-shard placement's stats diverge from
+  # the single-queue run. Bursts of 256 transactions stack hundreds of
+  # events on one wheel bucket, and shards post cross-shard completion
+  # effects, so the asan build checks the event and message slot tables'
+  # lifetimes too.
+  gate "sharded drain ($gates_dir/bench_db_sharded --txs 4000)" \
+    "./$gates_dir/bench_db_sharded" --txs 4000
 }
 
 run_suite build
