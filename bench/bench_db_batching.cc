@@ -197,7 +197,9 @@ int main(int argc, char** argv) {
             r.stats == placed.stats && r.batch == placed.batch;
         if (!identical) diverged = true;
         PrintResult(mode, r, identical);
-        if (!mode.adaptive && mode.window == 0) unbatched_ratio = MsgsPerCommit(r);
+        if (!mode.adaptive && mode.window == 0) {
+          unbatched_ratio = MsgsPerCommit(r);
+        }
         if (!mode.adaptive && mode.window == kFixedReference) {
           fixed_reference = r;
         }

@@ -176,13 +176,13 @@ int main(int argc, char** argv) {
     db::FaultPlan no_fault;
     Result baseline = RunOne(protocol, no_fault, num_arrivals, 4);
     if (baseline.conservation_violations > 0) lost_commits = true;
-    if (baseline.log_stats.fast_path_decisions == 0 ||
-        baseline.log_stats.slow_path_decisions == 0) {
+    const db::CommitLog::Stats& log = baseline.log_stats;
+    if (log.fast_path_decisions == 0 || log.slow_path_decisions == 0) {
       quorum_path_missing = true;
       std::printf("  QUORUM REGRESSION: fast=%lld slow=%lld — one path "
                   "never fired\n",
-                  static_cast<long long>(baseline.log_stats.fast_path_decisions),
-                  static_cast<long long>(baseline.log_stats.slow_path_decisions));
+                  static_cast<long long>(log.fast_path_decisions),
+                  static_cast<long long>(log.slow_path_decisions));
     }
     std::printf(
         "  %-22s %8lld committed  makespan %8lld  fast-path %.3f  "

@@ -37,7 +37,9 @@ class Consensus : public proc::Module {
   }
 
   /// Installs the <uc, Decide | v> callback (at most one fires, once).
-  void set_on_decide(std::function<void(int)> cb) { on_decide_ = std::move(cb); }
+  void set_on_decide(std::function<void(int)> cb) {
+    on_decide_ = std::move(cb);
+  }
 
   /// Re-arms the module for a new consensus instance (pooled lifecycle);
   /// the decide callback survives. Subclasses extend with their own state.

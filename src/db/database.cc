@@ -754,14 +754,14 @@ int64_t Database::TrimPool() {
   return pool_.Trim();
 }
 
-int64_t Database::GetInt(const Key& key) {
+int64_t Database::GetInt(Key key) {
   FlushPartitionWork();
   return plane_.partition(PartitionOf(key)).store().GetInt(key);
 }
 
-void Database::LoadInt(const Key& key, int64_t value) {
+void Database::LoadInt(Key key, int64_t value) {
   FlushPartitionWork();
-  plane_.partition(PartitionOf(key)).store().Put(key, std::to_string(value));
+  plane_.partition(PartitionOf(key)).store().Put(key, value);
 }
 
 int64_t Database::SumInts() {
@@ -773,7 +773,7 @@ int64_t Database::SumInts() {
   return sum;
 }
 
-int64_t Database::GetIntAtSnapshot(const Key& key, int64_t snapshot_csn) {
+int64_t Database::GetIntAtSnapshot(Key key, int64_t snapshot_csn) {
   FlushPartitionWork();
   return plane_.partition(PartitionOf(key))
       .store()

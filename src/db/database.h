@@ -184,8 +184,8 @@ class Database {
   /// Observer of finalized snapshot reads (Options::snapshot_reads): fires
   /// once the read has run — at its submit instant, or at the restart of
   /// a partition that was down — with the values in op order (absent keys
-  /// read as empty Values). Runs on the control plane mid-flush; must not
-  /// call Submit, Drain, or any accessor that flushes.
+  /// read as kAbsent). Runs on the control plane mid-flush; must not call
+  /// Submit, Drain, or any accessor that flushes.
   using SnapshotReadObserver = SnapshotReader::Observer;
 
   using Options = DatabaseOptions;
@@ -300,7 +300,7 @@ class Database {
   ~Database();
 
   int num_partitions() const { return options_.num_partitions; }
-  int PartitionOf(const Key& key) const { return plane_.PartitionOf(key); }
+  int PartitionOf(Key key) const { return plane_.PartitionOf(key); }
   /// Direct partition access; flushes pending partition-plane work first
   /// so the caller observes a quiescent partition.
   Participant& partition(int index);
@@ -345,16 +345,16 @@ class Database {
   int64_t TrimPool();
 
   /// Cross-partition numeric read (outside any transaction).
-  int64_t GetInt(const Key& key);
+  int64_t GetInt(Key key);
   /// Direct load used to initialize datasets.
-  void LoadInt(const Key& key, int64_t value);
+  void LoadInt(Key key, int64_t value);
   /// Sum of numeric values across every partition.
   int64_t SumInts();
 
   /// Numeric read at a snapshot: the newest version of `key` with
   /// CSN <= `snapshot_csn` (0 when absent). Flushes pending partition work
   /// first, like GetInt.
-  int64_t GetIntAtSnapshot(const Key& key, int64_t snapshot_csn);
+  int64_t GetIntAtSnapshot(Key key, int64_t snapshot_csn);
   /// The stable CSN: the commit sequence number of the most recently
   /// decided commit, which is what a snapshot read submitted now would be
   /// assigned. 0 before the first commit.

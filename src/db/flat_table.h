@@ -12,8 +12,8 @@
 namespace fastcommit::db {
 
 /// std::hash<K> spread by a Fibonacci multiply: FlatTable indexes by the
-/// hash's high bits, and std::hash of an integer (a TxId) is the identity,
-/// whose high bits are all zero.
+/// hash's high bits, and std::hash of an integer (a TxId, a Key) is the
+/// identity, whose high bits barely vary.
 template <typename K>
 struct FlatHash {
   uint64_t operator()(const K& key) const {

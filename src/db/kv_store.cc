@@ -1,28 +1,18 @@
 #include "db/kv_store.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "core/check.h"
 
 namespace fastcommit::db {
 
-namespace {
-
-int64_t ParseInt(const Value& value) {
-  if (value.empty()) return 0;
-  return std::strtoll(value.c_str(), nullptr, 10);
-}
-
-}  // namespace
-
-std::optional<Value> KvStore::Get(const Key& key) const {
+std::optional<Value> KvStore::Get(Key key) const {
   const auto* entry = map_.Find(key);
   if (entry == nullptr) return std::nullopt;
   return entry->value.head.value;
 }
 
-std::optional<Value> KvStore::GetAtSnapshot(const Key& key,
+std::optional<Value> KvStore::GetAtSnapshot(Key key,
                                             int64_t snapshot_csn) const {
   const auto* entry = map_.Find(key);
   if (entry == nullptr) return std::nullopt;
@@ -57,12 +47,13 @@ KvStore::Version& KvStore::WritableHead(Chain& chain, bool fresh, int64_t csn,
   return chain.head;
 }
 
-void KvStore::Put(const Key& key, Value value) {
+void KvStore::Put(Key key, Value value) {
+  FC_CHECK(value != kAbsent) << "Put of the reserved absent value at " << key;
   auto [entry, fresh] = map_.Insert(key);
-  WritableHead(entry->value, fresh, 0, 0).value = std::move(value);
+  WritableHead(entry->value, fresh, 0, 0).value = value;
 }
 
-bool KvStore::Erase(const Key& key) {
+bool KvStore::Erase(Key key) {
   auto* entry = map_.Find(key);
   if (entry == nullptr) return false;
   total_versions_ -= 1 + static_cast<int64_t>(entry->value.older.size());
@@ -74,31 +65,31 @@ void KvStore::Apply(const Op& op, int64_t csn, int64_t gc_watermark) {
   if (op.type == Op::Type::kGet) return;  // reads mutate nothing
   auto [entry, fresh] = map_.Insert(op.key);
   Chain& chain = entry->value;
-  // kAdd reads the newest value (empty, so 0, on a fresh chain) before the
-  // head can move into the older versions.
-  Value value = op.type == Op::Type::kPut
-                    ? op.value
-                    : std::to_string(ParseInt(chain.head.value) + op.delta);
-  WritableHead(chain, fresh, csn, gc_watermark).value = std::move(value);
+  // kAdd reads the newest value (0 on a fresh chain) before the head can
+  // move into the older versions.
+  Value value = op.value;
+  if (op.type == Op::Type::kAdd) value = chain.head.value + op.delta;
+  FC_CHECK(value != kAbsent)
+      << "write of the reserved absent value at " << op.key;
+  WritableHead(chain, fresh, csn, gc_watermark).value = value;
 }
 
-int64_t KvStore::AddInt(const Key& key, int64_t delta) {
+int64_t KvStore::AddInt(Key key, int64_t delta) {
   int64_t next = GetInt(key) + delta;
-  Put(key, std::to_string(next));
+  Put(key, next);
   return next;
 }
 
-int64_t KvStore::GetInt(const Key& key) const {
+int64_t KvStore::GetInt(Key key) const {
   const auto* entry = map_.Find(key);
-  return entry == nullptr ? 0 : ParseInt(entry->value.head.value);
+  return entry == nullptr ? 0 : entry->value.head.value;
 }
 
-int64_t KvStore::GetIntAtSnapshot(const Key& key, int64_t snapshot_csn) const {
-  std::optional<Value> value = GetAtSnapshot(key, snapshot_csn);
-  return value.has_value() ? ParseInt(*value) : 0;
+int64_t KvStore::GetIntAtSnapshot(Key key, int64_t snapshot_csn) const {
+  return GetAtSnapshot(key, snapshot_csn).value_or(0);
 }
 
-int64_t KvStore::versions(const Key& key) const {
+int64_t KvStore::versions(Key key) const {
   const auto* entry = map_.Find(key);
   return entry == nullptr
              ? 0
@@ -135,7 +126,7 @@ int64_t KvStore::Truncate(int64_t watermark) {
 
 int64_t KvStore::SumInts() const {
   int64_t sum = 0;
-  for (const auto& [key, chain] : map_) sum += ParseInt(chain.head.value);
+  for (const auto& [key, chain] : map_) sum += chain.head.value;
   return sum;
 }
 

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "db/flat_table.h"
@@ -16,8 +15,9 @@ namespace fastcommit::db {
 /// increasing CSN order — so a snapshot reader at CSN c can be served the
 /// newest version <= c with no locks and no coordination, while writers
 /// keep appending at their commit CSNs (the csn_log design the ROADMAP's
-/// snapshot-reads item points at). Values are opaque bytes; AddInt
-/// provides the numeric read-modify-write used by the bank workload.
+/// snapshot-reads item points at). Keys and values are 64-bit integers
+/// (db/key.h): a kAdd adds its delta to the newest value, and AddInt is
+/// the same read-modify-write outside a transaction.
 ///
 /// Non-transactional callers (dataset loads, tests) use Put/AddInt, which
 /// write at the chain's current head: behavior is exactly the old
@@ -27,28 +27,27 @@ namespace fastcommit::db {
 /// snapshot reader can still demand (Database tracks it) — so memory stays
 /// bounded at O(keys + versions above the watermark) without any sweep.
 ///
-/// Chains live in one FlatTable entry per key, with the newest version
-/// inline and older versions in a side vector. Without snapshot claims the
-/// watermark is the stable CSN, so every commit prunes its chain to the
-/// head and the side vector stays empty: a write is one probe and, for a
-/// resident key with a short value, no allocation.
+/// Chains live in one 48-byte FlatTable entry per key, with the newest
+/// version inline and older versions in a side vector. Without snapshot
+/// claims the watermark is the stable CSN, so every commit prunes its
+/// chain to the head and the side vector stays empty: a write is one probe
+/// and, for a resident key, no allocation.
 class KvStore {
  public:
   KvStore() = default;
 
   /// Newest value of `key` (the chain head), regardless of CSN.
-  std::optional<Value> Get(const Key& key) const;
+  std::optional<Value> Get(Key key) const;
   /// Newest value with CSN <= `snapshot_csn` — the lock-free snapshot
   /// read. std::nullopt when the key did not exist at that snapshot
   /// (never written, or first written at a later CSN).
-  std::optional<Value> GetAtSnapshot(const Key& key,
-                                     int64_t snapshot_csn) const;
+  std::optional<Value> GetAtSnapshot(Key key, int64_t snapshot_csn) const;
 
   /// Non-transactional store: overwrites the chain head in place (chains
   /// start at CSN 0), preserving the pre-MVCC overwrite semantics for
-  /// dataset loads and direct-store tests.
-  void Put(const Key& key, Value value);
-  bool Erase(const Key& key);
+  /// dataset loads and direct-store tests. `value` must not be kAbsent.
+  void Put(Key key, Value value);
+  bool Erase(Key key);
 
   /// Applies one committed transaction op at commit CSN `csn`: kPut stores,
   /// kAdd adjusts the newest value, kGet is a no-op (reads mutate
@@ -57,24 +56,25 @@ class KvStore {
   /// (key, commit). After writing, the touched chain is pruned to
   /// `gc_watermark` (see Truncate); pass 0 to keep everything. The single
   /// write-application site both concurrency modes' Finish paths share, so
-  /// commit semantics cannot drift between them.
+  /// commit semantics cannot drift between them. FC_CHECKs that the
+  /// written value is not kAbsent.
   void Apply(const Op& op, int64_t csn = 0, int64_t gc_watermark = 0);
 
-  /// Interprets the newest value (or 0 if absent) as an int64, adds
-  /// `delta` and stores the result at the chain head (non-transactional,
-  /// like Put). Returns the new value.
-  int64_t AddInt(const Key& key, int64_t delta);
+  /// Adds `delta` to the newest value (0 if absent) and stores the result
+  /// at the chain head (non-transactional, like Put). Returns the new
+  /// value.
+  int64_t AddInt(Key key, int64_t delta);
 
-  /// Numeric read of the newest value; 0 if absent or non-numeric.
-  int64_t GetInt(const Key& key) const;
-  /// Numeric read at a snapshot; 0 if absent there.
-  int64_t GetIntAtSnapshot(const Key& key, int64_t snapshot_csn) const;
+  /// The newest value; 0 if absent.
+  int64_t GetInt(Key key) const;
+  /// The value at a snapshot; 0 if absent there.
+  int64_t GetIntAtSnapshot(Key key, int64_t snapshot_csn) const;
 
   size_t size() const { return map_.size(); }
   /// Total versions over all chains (>= size(); the GC tests watch it).
   int64_t total_versions() const { return total_versions_; }
   /// Versions of one key's chain (0 when absent).
-  int64_t versions(const Key& key) const;
+  int64_t versions(Key key) const;
 
   /// GC pass: for every chain, drops all versions older than the newest
   /// version with CSN <= `watermark` — that one version stays as the base
@@ -85,8 +85,7 @@ class KvStore {
   /// force a full pass.
   int64_t Truncate(int64_t watermark);
 
-  /// Sum of all numeric chain-head values (invariant checks in the bank
-  /// example).
+  /// Sum of all chain-head values (invariant checks in the bank example).
   int64_t SumInts() const;
 
   /// FC_CHECKs chain invariants: strictly increasing CSNs within every
@@ -98,15 +97,14 @@ class KvStore {
  private:
   struct Version {
     int64_t csn = 0;
-    Value value;
+    Value value = 0;
   };
   /// One key's versions: the newest inline, the older ones oldest first.
   struct Chain {
     Version head;
     std::vector<Version> older;
     void clear() {
-      head.csn = 0;
-      head.value.clear();
+      head = Version{};
       older.clear();
     }
   };

@@ -7,7 +7,7 @@
 
 namespace fastcommit::db {
 
-bool LockManager::TryLockShared(const Key& key, TxId tx) {
+bool LockManager::TryLockShared(Key key, TxId tx) {
   LockState& state = locks_[key];
   if (state.exclusive_owner >= 0 && state.exclusive_owner != tx) return false;
   if (state.exclusive_owner == tx) return true;  // exclusive subsumes shared
@@ -20,7 +20,7 @@ bool LockManager::TryLockShared(const Key& key, TxId tx) {
   return true;
 }
 
-bool LockManager::TryLockExclusive(const Key& key, TxId tx) {
+bool LockManager::TryLockExclusive(Key key, TxId tx) {
   LockState& state = locks_[key];
   if (state.exclusive_owner == tx) return true;
   if (state.exclusive_owner >= 0) return false;
@@ -39,7 +39,7 @@ bool LockManager::TryLockExclusive(const Key& key, TxId tx) {
 void LockManager::ReleaseAll(TxId tx) {
   auto* held = held_.Find(tx);
   if (held == nullptr) return;
-  for (const Key& key : held->value) {
+  for (Key key : held->value) {
     auto* lock = locks_.Find(key);
     if (lock == nullptr) continue;
     LockState& state = lock->value;
@@ -105,7 +105,7 @@ void LockManager::CheckInvariants() const {
   int64_t recorded = 0;
   for (const auto& [tx, keys] : held_) {
     std::unordered_set<Key> seen;
-    for (const Key& key : keys) {
+    for (Key key : keys) {
       FC_CHECK(seen.insert(key).second)
           << "tx " << tx << " records key '" << key << "' twice in held_";
       FC_CHECK(HoldsExclusive(key, tx) || HoldsShared(key, tx))
@@ -119,19 +119,19 @@ void LockManager::CheckInvariants() const {
       << recorded;
 }
 
-bool LockManager::HeldRecorded(const Key& key, TxId tx) const {
+bool LockManager::HeldRecorded(Key key, TxId tx) const {
   const auto* held = held_.Find(tx);
   if (held == nullptr) return false;
   return std::find(held->value.begin(), held->value.end(), key) !=
          held->value.end();
 }
 
-bool LockManager::HoldsExclusive(const Key& key, TxId tx) const {
+bool LockManager::HoldsExclusive(Key key, TxId tx) const {
   const auto* lock = locks_.Find(key);
   return lock != nullptr && lock->value.exclusive_owner == tx;
 }
 
-bool LockManager::HoldsShared(const Key& key, TxId tx) const {
+bool LockManager::HoldsShared(Key key, TxId tx) const {
   const auto* lock = locks_.Find(key);
   return lock != nullptr &&
          std::binary_search(lock->value.shared_owners.begin(),

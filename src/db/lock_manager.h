@@ -22,8 +22,8 @@ class LockManager {
   LockManager() = default;
 
   /// Acquire; returns false on conflict (state unchanged on failure).
-  bool TryLockShared(const Key& key, TxId tx);
-  bool TryLockExclusive(const Key& key, TxId tx);
+  bool TryLockShared(Key key, TxId tx);
+  bool TryLockExclusive(Key key, TxId tx);
 
   /// Releases every lock held by `tx`.
   void ReleaseAll(TxId tx);
@@ -33,8 +33,8 @@ class LockManager {
   /// Locks held by one transaction (0 when it holds none) — the "no lock
   /// held by a finished transaction" probe of tests/lock_invariant_test.cc.
   int64_t held_by(TxId tx) const;
-  bool HoldsExclusive(const Key& key, TxId tx) const;
-  bool HoldsShared(const Key& key, TxId tx) const;
+  bool HoldsExclusive(Key key, TxId tx) const;
+  bool HoldsShared(Key key, TxId tx) const;
 
   /// Debug invariant sweep, FC_CHECKs on violation:
   ///   - no key is both exclusive-owned and shared-owned (the
@@ -66,7 +66,7 @@ class LockManager {
 
   /// True when held_[tx] records `key` (linear in that transaction's held
   /// set; CheckInvariants-only).
-  bool HeldRecorded(const Key& key, TxId tx) const;
+  bool HeldRecorded(Key key, TxId tx) const;
 
   FlatTable<Key, LockState> locks_;
   FlatTable<TxId, std::vector<Key>> held_;

@@ -162,7 +162,7 @@ void Participant::ReadAtSnapshot(int64_t snapshot_csn,
   for (const Op& op : local_ops) {
     if (op.type != Op::Type::kGet) continue;
     std::optional<Value> value = store_.GetAtSnapshot(op.key, snapshot_csn);
-    out->push_back(value.has_value() ? std::move(*value) : Value{});
+    out->push_back(value.value_or(kAbsent));
   }
 }
 
@@ -192,7 +192,7 @@ void Participant::CheckInvariants() const {
     // The other direction: no locked word survives a flush barrier
     // without a live owner — a staged entry that will publish or unlock
     // it. An orphaned lock would wedge every later writer of the key.
-    versions_.ForEachLocked([this](const Key& key, TxId owner, uint64_t) {
+    versions_.ForEachLocked([this](Key key, TxId owner, uint64_t) {
       const auto* staged = staged_.Find(owner);
       bool live = false;
       if (staged != nullptr) {

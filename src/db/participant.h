@@ -27,9 +27,9 @@ namespace fastcommit::db {
 ///
 /// Every table here (the store's chains, the lock and held tables, the
 /// version words and the staged writes) is a FlatTable (db/flat_table.h)
-/// that reuses an erased entry's buffers, so a steady-state Prepare/Finish
-/// over resident keys that fit std::string's inline buffer (15 characters
-/// in libstdc++) allocates nothing.
+/// that reuses an erased entry's buffers, and keys and values are integers
+/// (db/key.h), so a steady-state Prepare/Finish over resident keys
+/// allocates nothing.
 class Participant {
  public:
   explicit Participant(int partition_id,
@@ -63,7 +63,7 @@ class Participant {
 
   /// The lock-free read plane: serves every kGet of `local_ops` from the
   /// newest version <= `snapshot_csn`, appending one Value per read op to
-  /// `*out` (absent keys read as an empty Value). Touches no LockManager
+  /// `*out` (absent keys read as kAbsent). Touches no LockManager
   /// or VersionTable state and mutates nothing — a pure chain lookup, in
   /// either concurrency mode. Drained inside the partition FIFO (see
   /// PartitionPlane::EnqueueSnapshotRead) so every commit with CSN <=

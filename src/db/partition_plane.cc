@@ -21,8 +21,8 @@ PartitionPlane::PartitionPlane(int num_partitions, int num_home_shards,
   }
 }
 
-int PartitionPlane::PartitionOf(const Key& key) const {
-  return static_cast<int>(Fnv1a().Bytes(key).value %
+int PartitionPlane::PartitionOf(Key key) const {
+  return static_cast<int>(Fnv1a().Bytes(KeyText(key).view()).value %
                           static_cast<uint64_t>(queues_.size()));
 }
 

@@ -52,9 +52,9 @@ class PartitionPlane {
   PartitionPlane& operator=(const PartitionPlane&) = delete;
 
   int num_partitions() const { return static_cast<int>(queues_.size()); }
-  /// Partition owning `key`: FNV-1a over the key bytes, mod the partition
-  /// count.
-  int PartitionOf(const Key& key) const;
+  /// Partition owning `key`: FNV-1a over the key's canonical text
+  /// (KeyText), mod the partition count.
+  int PartitionOf(Key key) const;
   /// Geo region of `partition`: round-robin homing (partition mod regions),
   /// deliberately *not* hashed — region assignment is part of the modeled
   /// deployment, so workloads pick their region mix by picking partitions.

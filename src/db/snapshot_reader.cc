@@ -1,5 +1,6 @@
 #include "db/snapshot_reader.h"
 
+#include <charconv>
 #include <iterator>
 
 #include "core/check.h"
@@ -63,10 +64,17 @@ void SnapshotReader::Finalize() {
       values_scratch_.push_back(std::move(read->values[slot][cursor]));
       ++cursor;
     }
-    // Fold the values into the placement-invariance fingerprint (FNV-1a,
-    // length-prefixed so value boundaries are unambiguous).
-    for (const Value& value : values_scratch_) {
-      fingerprint_.Int(static_cast<uint64_t>(value.size())).Bytes(value);
+    // Fold the values' decimal text into the placement-invariance
+    // fingerprint (FNV-1a, length-prefixed so value boundaries are
+    // unambiguous; an absent key folds as empty text).
+    for (Value value : values_scratch_) {
+      char text[20] = {};
+      size_t size = 0;
+      if (value != kAbsent) {
+        size = static_cast<size_t>(
+            std::to_chars(text, text + sizeof(text), value).ptr - text);
+      }
+      fingerprint_.Int(static_cast<uint64_t>(size)).Bytes({text, size});
     }
     if (observer_) observer_(read->tx, read->snapshot_csn, values_scratch_);
     auto it = claims_.find(read->snapshot_csn);

@@ -24,7 +24,7 @@ namespace fastcommit::db {
 class SnapshotReader {
  public:
   /// Observer of finalized snapshot reads: the values in op order (absent
-  /// keys read as empty Values). Runs on the control plane mid-flush;
+  /// keys read as kAbsent). Runs on the control plane mid-flush;
   /// must not call back into the database.
   using Observer =
       std::function<void(const Transaction& tx, int64_t snapshot_csn,

@@ -38,7 +38,8 @@ TrafficEngine::TrafficEngine(const TrafficOptions& options)
   FC_CHECK(options.diurnal_period >= 2) << "diurnal_period must be >= 2";
   FC_CHECK(options.diurnal_amplitude >= 0.0 && options.diurnal_amplitude < 1.0)
       << "diurnal_amplitude must be in [0, 1)";
-  FC_CHECK(options.num_keys >= 2) << "need at least two keys";
+  FC_CHECK(options.num_keys >= 2 && options.num_keys <= kKeyIndexLimit)
+      << "num_keys must be in [2, 2^56]";
   FC_CHECK(options.keys_per_tx >= 1) << "keys_per_tx must be >= 1";
   FC_CHECK(options.read_fraction >= 0.0 && options.read_fraction <= 1.0)
       << "read_fraction must be in [0, 1]";

@@ -2,13 +2,12 @@
 #define FASTCOMMIT_DB_TRANSACTION_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
+
+#include "db/key.h"
 
 namespace fastcommit::db {
 
-using Key = std::string;
-using Value = std::string;
 using TxId = int64_t;
 
 /// Execution-layer concurrency control (Database::Options::concurrency).
@@ -23,22 +22,22 @@ enum class ConcurrencyMode : uint8_t {
 /// version-lock word it read lock-free. Validation passes when the word's
 /// version is unchanged and the word is not locked by another transaction.
 struct ReadObservation {
-  Key key;
+  Key key{};
   uint64_t word = 0;
 };
 /// The per-transaction read set a partition collects while executing under
 /// ConcurrencyMode::kOCC, then validates at prepare time.
 using ReadSet = std::vector<ReadObservation>;
 
-/// One operation in a transaction. kAdd treats the value as a signed
-/// 64-bit integer delta (the bank-transfer primitive); missing keys read
-/// as 0 for kAdd and as absent for kGet.
+/// One operation in a transaction: 32 bytes, copied by value. kAdd adds
+/// its delta to the stored integer (the bank-transfer primitive); missing
+/// keys read as 0 for kAdd and as kAbsent for a snapshot kGet.
 struct Op {
   enum class Type : uint8_t { kGet, kPut, kAdd };
 
   Type type = Type::kGet;
-  Key key;
-  Value value;     ///< kPut payload
+  Key key{};
+  Value value = 0;    ///< kPut payload
   int64_t delta = 0;  ///< kAdd payload
 };
 
@@ -49,12 +48,12 @@ struct Transaction {
   TxId id = 0;
   std::vector<Op> ops;
 
-  static Op Get(Key key) { return Op{Op::Type::kGet, std::move(key), {}, 0}; }
+  static Op Get(Key key) { return Op{Op::Type::kGet, key, 0, 0}; }
   static Op Put(Key key, Value value) {
-    return Op{Op::Type::kPut, std::move(key), std::move(value), 0};
+    return Op{Op::Type::kPut, key, value, 0};
   }
   static Op Add(Key key, int64_t delta) {
-    return Op{Op::Type::kAdd, std::move(key), {}, delta};
+    return Op{Op::Type::kAdd, key, 0, delta};
   }
 };
 

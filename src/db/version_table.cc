@@ -4,12 +4,12 @@
 
 namespace fastcommit::db {
 
-uint64_t VersionTable::ReadWord(const Key& key) const {
+uint64_t VersionTable::ReadWord(Key key) const {
   const auto* entry = words_.Find(key);
   return entry == nullptr ? 0 : entry->value.word;
 }
 
-bool VersionTable::TryLock(const Key& key, TxId tx) {
+bool VersionTable::TryLock(Key key, TxId tx) {
   Word& w = words_[key];
   if (Locked(w.word)) return w.owner == tx;
   w.word |= kLockedBit;
@@ -18,7 +18,7 @@ bool VersionTable::TryLock(const Key& key, TxId tx) {
   return true;
 }
 
-void VersionTable::UnlockIfOwned(const Key& key, TxId tx) {
+void VersionTable::UnlockIfOwned(Key key, TxId tx) {
   auto* entry = words_.Find(key);
   if (entry == nullptr || !Locked(entry->value.word) ||
       entry->value.owner != tx) {
@@ -30,7 +30,7 @@ void VersionTable::UnlockIfOwned(const Key& key, TxId tx) {
   if (entry->value.word == 0) words_.Erase(entry);
 }
 
-void VersionTable::PublishIfOwned(const Key& key, TxId tx) {
+void VersionTable::PublishIfOwned(Key key, TxId tx) {
   auto* entry = words_.Find(key);
   if (entry == nullptr || !Locked(entry->value.word) ||
       entry->value.owner != tx) {
@@ -44,14 +44,14 @@ void VersionTable::PublishIfOwned(const Key& key, TxId tx) {
   --locked_words_;
 }
 
-TxId VersionTable::OwnerOf(const Key& key) const {
+TxId VersionTable::OwnerOf(Key key) const {
   const auto* entry = words_.Find(key);
   if (entry == nullptr || !Locked(entry->value.word)) return -1;
   return entry->value.owner;
 }
 
 void VersionTable::ForEachLocked(
-    const std::function<void(const Key&, TxId, uint64_t)>& fn) const {
+    const std::function<void(Key, TxId, uint64_t)>& fn) const {
   for (const auto& [key, entry] : words_) {
     if (Locked(entry.word)) fn(key, entry.owner, VersionOf(entry.word));
   }

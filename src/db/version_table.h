@@ -34,32 +34,31 @@ class VersionTable {
   /// Lock-free versioned read: the key's current word. Missing keys read
   /// as version 0, unlocked. Mutates nothing — the whole point of the
   /// OCC read path.
-  uint64_t ReadWord(const Key& key) const;
+  uint64_t ReadWord(Key key) const;
 
   /// Sets the locked bit with `tx` as owner. Succeeds when the word is
   /// unlocked or already owned by `tx` (write-set re-lock); fails when
   /// another transaction holds it (no-wait, state unchanged on failure).
-  bool TryLock(const Key& key, TxId tx);
+  bool TryLock(Key key, TxId tx);
 
   /// Abort path: clears the locked bit without bumping the version. No-op
   /// unless `tx` owns the word (idempotent across duplicate write-set
   /// keys); an entry back at version 0 is erased so aborted writes to
   /// fresh keys do not grow the table.
-  void UnlockIfOwned(const Key& key, TxId tx);
+  void UnlockIfOwned(Key key, TxId tx);
 
   /// Commit path: bumps the version and clears the locked bit. No-op
   /// unless `tx` owns the word (idempotent across duplicate staged ops on
   /// one key — the version moves once per commit, not once per op).
-  void PublishIfOwned(const Key& key, TxId tx);
+  void PublishIfOwned(Key key, TxId tx);
 
-  TxId OwnerOf(const Key& key) const;  ///< -1 when unlocked
+  TxId OwnerOf(Key key) const;  ///< -1 when unlocked
   int64_t locked_words() const { return locked_words_; }
   size_t size() const { return words_.size(); }
 
   /// Visits every locked word as (key, owner, version). Debug/invariant
   /// use only (the flush-time sweeps); O(table size).
-  void ForEachLocked(
-      const std::function<void(const Key&, TxId, uint64_t)>& fn) const;
+  void ForEachLocked(const std::function<void(Key, TxId, uint64_t)>& fn) const;
 
   /// FC_CHECKs internal consistency: the locked-word counter matches the
   /// table, every locked entry names a live owner, unlocked entries name

@@ -5,17 +5,14 @@
 
 namespace fastcommit::db {
 
-Key AccountKey(int account) { return "acct:" + std::to_string(account); }
-Key ItemKey(int64_t item) { return "item:" + std::to_string(item); }
-
 void AppendTransferOps(Transaction* tx, Key from, Key to, int64_t amount) {
-  tx->ops.push_back(Transaction::Add(std::move(from), -amount));
-  tx->ops.push_back(Transaction::Add(std::move(to), amount));
+  tx->ops.push_back(Transaction::Add(from, -amount));
+  tx->ops.push_back(Transaction::Add(to, amount));
 }
 
 void AppendReadModifyWriteOps(Transaction* tx, Key key) {
   tx->ops.push_back(Transaction::Get(key));
-  tx->ops.push_back(Transaction::Add(std::move(key), 1));
+  tx->ops.push_back(Transaction::Add(key, 1));
 }
 
 std::vector<Transaction> MakeTransferWorkload(int num_txs, int num_accounts,

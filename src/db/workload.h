@@ -2,20 +2,16 @@
 #define FASTCOMMIT_DB_WORKLOAD_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "db/transaction.h"
 
 namespace fastcommit::db {
 
-/// Key naming shared by the workloads and examples.
-Key AccountKey(int account);
-Key ItemKey(int64_t item);
-
 /// Op-pattern builders shared by the closed-loop generators below and the
 /// open-loop traffic engine (db/traffic.h), so both emit byte-identical
-/// transactions for the same key choices.
+/// transactions for the same key choices. Keys are AccountKey and
+/// ItemKey (db/key.h).
 ///
 /// A money transfer: Add(-amount) at `from`, Add(+amount) at `to` —
 /// conserves the total balance, the invariant the bank example checks.

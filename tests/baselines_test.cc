@@ -94,7 +94,8 @@ TEST(ThreePcTest, CrashAfterPrecommitPreservesAgreement) {
 }
 
 TEST(ThreePcTest, OneDelaySlowerAndTwiceTheMessagesOfTwoPc) {
-  RunResult two_pc = fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kTwoPc, 6, 2));
+  RunResult two_pc =
+      fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kTwoPc, 6, 2));
   RunResult three_pc =
       fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kThreePc, 6, 2));
   EXPECT_GT(three_pc.MessageDelays(), two_pc.MessageDelays());

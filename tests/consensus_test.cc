@@ -45,8 +45,8 @@ class ConsensusCluster {
   template <typename T, typename... Args>
   void Build(Args&&... args) {
     for (int i = 0; i < n_; ++i) {
-      modules_.push_back(std::make_unique<T>(envs_[static_cast<size_t>(i)].get(),
-                                             args...));
+      modules_.push_back(
+          std::make_unique<T>(envs_[static_cast<size_t>(i)].get(), args...));
     }
   }
 

@@ -42,11 +42,12 @@ Database::Options GeoOptions(int num_regions, bool co_coordinators) {
 
 /// Deterministic key homed on `partition`: probes the FNV-1a routing until
 /// it lands (depends only on num_partitions, so the same key set is valid
-/// for every placement of the same options).
+/// for every placement of the same options). Probe i of the pair
+/// (partition < 8, salt < 1024) is item i * 8192 + salt * 8 + partition,
+/// so distinct pairs never share a key.
 Key KeyOnPartition(const Database& db, int partition, int salt) {
-  for (int i = 0;; ++i) {
-    Key key = "geo:" + std::to_string(partition) + ":" + std::to_string(salt) +
-              ":" + std::to_string(i);
+  for (int64_t i = 0;; ++i) {
+    Key key = ItemKey(i * 8192 + int64_t{salt} * 8 + partition);
     if (db.PartitionOf(key) == partition) return key;
   }
 }

@@ -17,70 +17,76 @@
 namespace fastcommit::db {
 namespace {
 
+const Key kKey = ItemKey(0);
+const Key kA = ItemKey(1);
+const Key kB = ItemKey(2);
+const Key kFresh = ItemKey(3);
+const Key kPub = ItemKey(4);
+
 TEST(VersionTableTest, MissingKeyReadsUnlockedVersionZero) {
   VersionTable table;
-  EXPECT_EQ(table.ReadWord("k"), 0u);
-  EXPECT_FALSE(VersionTable::Locked(table.ReadWord("k")));
-  EXPECT_EQ(VersionTable::VersionOf(table.ReadWord("k")), 0u);
-  EXPECT_EQ(table.OwnerOf("k"), -1);
+  EXPECT_EQ(table.ReadWord(kKey), 0u);
+  EXPECT_FALSE(VersionTable::Locked(table.ReadWord(kKey)));
+  EXPECT_EQ(VersionTable::VersionOf(table.ReadWord(kKey)), 0u);
+  EXPECT_EQ(table.OwnerOf(kKey), -1);
   EXPECT_EQ(table.size(), 0u);
 }
 
 TEST(VersionTableTest, LockPublishCycleAdvancesVersion) {
   VersionTable table;
-  ASSERT_TRUE(table.TryLock("k", 7));
-  EXPECT_TRUE(VersionTable::Locked(table.ReadWord("k")));
-  EXPECT_EQ(table.OwnerOf("k"), 7);
+  ASSERT_TRUE(table.TryLock(kKey, 7));
+  EXPECT_TRUE(VersionTable::Locked(table.ReadWord(kKey)));
+  EXPECT_EQ(table.OwnerOf(kKey), 7);
   EXPECT_EQ(table.locked_words(), 1);
-  table.PublishIfOwned("k", 7);
-  uint64_t word = table.ReadWord("k");
+  table.PublishIfOwned(kKey, 7);
+  uint64_t word = table.ReadWord(kKey);
   EXPECT_FALSE(VersionTable::Locked(word));
   EXPECT_EQ(VersionTable::VersionOf(word), 1u);
-  EXPECT_EQ(table.OwnerOf("k"), -1);
+  EXPECT_EQ(table.OwnerOf(kKey), -1);
   EXPECT_EQ(table.locked_words(), 0);
   table.CheckInvariants();
 }
 
 TEST(VersionTableTest, NoWaitConflictAndSelfRelock) {
   VersionTable table;
-  ASSERT_TRUE(table.TryLock("k", 1));
-  EXPECT_FALSE(table.TryLock("k", 2));  // held by another: no-wait fail
-  EXPECT_TRUE(table.TryLock("k", 1));   // own write-set re-lock succeeds
+  ASSERT_TRUE(table.TryLock(kKey, 1));
+  EXPECT_FALSE(table.TryLock(kKey, 2));  // held by another: no-wait fail
+  EXPECT_TRUE(table.TryLock(kKey, 1));   // own write-set re-lock succeeds
   EXPECT_EQ(table.locked_words(), 1);
   table.CheckInvariants();
 }
 
 TEST(VersionTableTest, UnlockErasesFreshEntries) {
   VersionTable table;
-  ASSERT_TRUE(table.TryLock("fresh", 1));
-  table.UnlockIfOwned("fresh", 1);
+  ASSERT_TRUE(table.TryLock(kFresh, 1));
+  table.UnlockIfOwned(kFresh, 1);
   // An aborted write of a never-published key must not leak an entry.
   EXPECT_EQ(table.size(), 0u);
   // A published key unlocks back to its version, entry retained.
-  ASSERT_TRUE(table.TryLock("pub", 1));
-  table.PublishIfOwned("pub", 1);
-  ASSERT_TRUE(table.TryLock("pub", 2));
-  table.UnlockIfOwned("pub", 2);
-  EXPECT_EQ(VersionTable::VersionOf(table.ReadWord("pub")), 1u);
+  ASSERT_TRUE(table.TryLock(kPub, 1));
+  table.PublishIfOwned(kPub, 1);
+  ASSERT_TRUE(table.TryLock(kPub, 2));
+  table.UnlockIfOwned(kPub, 2);
+  EXPECT_EQ(VersionTable::VersionOf(table.ReadWord(kPub)), 1u);
   table.CheckInvariants();
 }
 
 TEST(VersionTableTest, PublishAndUnlockAreOwnerGuardedAndIdempotent) {
   VersionTable table;
-  ASSERT_TRUE(table.TryLock("k", 1));
-  table.PublishIfOwned("k", 2);  // non-owner: no-op
-  EXPECT_TRUE(VersionTable::Locked(table.ReadWord("k")));
-  table.PublishIfOwned("k", 1);
-  table.PublishIfOwned("k", 1);  // duplicate staged key: version moves once
-  EXPECT_EQ(VersionTable::VersionOf(table.ReadWord("k")), 1u);
-  table.UnlockIfOwned("k", 1);  // already unlocked: no-op
-  EXPECT_EQ(VersionTable::VersionOf(table.ReadWord("k")), 1u);
+  ASSERT_TRUE(table.TryLock(kKey, 1));
+  table.PublishIfOwned(kKey, 2);  // non-owner: no-op
+  EXPECT_TRUE(VersionTable::Locked(table.ReadWord(kKey)));
+  table.PublishIfOwned(kKey, 1);
+  table.PublishIfOwned(kKey, 1);  // duplicate staged key: version moves once
+  EXPECT_EQ(VersionTable::VersionOf(table.ReadWord(kKey)), 1u);
+  table.UnlockIfOwned(kKey, 1);  // already unlocked: no-op
+  EXPECT_EQ(VersionTable::VersionOf(table.ReadWord(kKey)), 1u);
   table.CheckInvariants();
 }
 
 TEST(ParticipantOccTest, ReadOnlyFastPathLeavesNoFootprint) {
   Participant p(0, ConcurrencyMode::kOCC);
-  EXPECT_EQ(p.Prepare(1, {Transaction::Get("a"), Transaction::Get("b")}),
+  EXPECT_EQ(p.Prepare(1, {Transaction::Get(kA), Transaction::Get(kB)}),
             commit::Vote::kYes);
   // Nothing staged, nothing locked, nothing in the version table: the
   // reader's Finish is a true no-op whichever decision arrives.
@@ -94,23 +100,23 @@ TEST(ParticipantOccTest, ReadModifyWriteValidatesAgainstOwnLock) {
   Participant p(0, ConcurrencyMode::kOCC);
   // Get + Add on one key: phase 2 locks the key, phase 3 then re-reads it
   // locked — by itself, which must validate.
-  EXPECT_EQ(p.Prepare(1, {Transaction::Get("k"), Transaction::Add("k", 5)}),
+  EXPECT_EQ(p.Prepare(1, {Transaction::Get(kKey), Transaction::Add(kKey, 5)}),
             commit::Vote::kYes);
   p.Finish(1, commit::Decision::kCommit);
-  EXPECT_EQ(p.store().GetInt("k"), 5);
-  EXPECT_EQ(VersionTable::VersionOf(p.versions().ReadWord("k")), 1u);
+  EXPECT_EQ(p.store().GetInt(kKey), 5);
+  EXPECT_EQ(VersionTable::VersionOf(p.versions().ReadWord(kKey)), 1u);
   p.CheckInvariants();
 }
 
 TEST(ParticipantOccTest, ReaderFailsValidationWhileWriterHoldsLock) {
   Participant p(0, ConcurrencyMode::kOCC);
-  ASSERT_EQ(p.Prepare(1, {Transaction::Put("k", "v")}), commit::Vote::kYes);
+  ASSERT_EQ(p.Prepare(1, {Transaction::Put(kKey, 9)}), commit::Vote::kYes);
   // In-flight writer lock on k: the reader's validation must refuse.
-  EXPECT_EQ(p.Prepare(2, {Transaction::Get("k")}), commit::Vote::kNo);
+  EXPECT_EQ(p.Prepare(2, {Transaction::Get(kKey)}), commit::Vote::kNo);
   EXPECT_EQ(p.conflicts(), 1);
   p.Finish(1, commit::Decision::kCommit);
   // After the publish the same read validates at the new version.
-  EXPECT_EQ(p.Prepare(2, {Transaction::Get("k")}), commit::Vote::kYes);
+  EXPECT_EQ(p.Prepare(2, {Transaction::Get(kKey)}), commit::Vote::kYes);
   p.Finish(2, commit::Decision::kCommit);
   p.CheckInvariants();
 }
@@ -120,34 +126,33 @@ TEST(ParticipantOccTest, WriteSkewSecondTransactionRefused) {
   // T1 reads a, writes b; T2 reads b, writes a. T1 holds b's version lock
   // when T2 validates its read of b, so T2 votes No — the classic write
   // skew is refused, not silently committed.
-  ASSERT_EQ(
-      p.Prepare(1, {Transaction::Get("a"), Transaction::Put("b", "1")}),
-      commit::Vote::kYes);
-  EXPECT_EQ(
-      p.Prepare(2, {Transaction::Get("b"), Transaction::Put("a", "2")}),
-      commit::Vote::kNo);
+  ASSERT_EQ(p.Prepare(1, {Transaction::Get(kA), Transaction::Put(kB, 1)}),
+            commit::Vote::kYes);
+  EXPECT_EQ(p.Prepare(2, {Transaction::Get(kB), Transaction::Put(kA, 2)}),
+            commit::Vote::kNo);
   // T2's rollback must have dropped its own lock on a.
-  EXPECT_EQ(p.versions().OwnerOf("a"), -1);
+  EXPECT_EQ(p.versions().OwnerOf(kA), -1);
   p.Finish(1, commit::Decision::kCommit);
   p.CheckInvariants();
 }
 
 TEST(ParticipantOccTest, DuplicateWriteKeysPublishOnce) {
   Participant p(0, ConcurrencyMode::kOCC);
-  ASSERT_EQ(p.Prepare(1, {Transaction::Add("k", 1), Transaction::Add("k", 2)}),
-            commit::Vote::kYes);
+  ASSERT_EQ(
+      p.Prepare(1, {Transaction::Add(kKey, 1), Transaction::Add(kKey, 2)}),
+      commit::Vote::kYes);
   p.Finish(1, commit::Decision::kCommit);
-  EXPECT_EQ(p.store().GetInt("k"), 3);  // both ops applied...
-  EXPECT_EQ(VersionTable::VersionOf(p.versions().ReadWord("k")),
+  EXPECT_EQ(p.store().GetInt(kKey), 3);  // both ops applied...
+  EXPECT_EQ(VersionTable::VersionOf(p.versions().ReadWord(kKey)),
             1u);  // ...but the version moved once
   p.CheckInvariants();
 }
 
 TEST(ParticipantOccTest, AbortUnlocksWithoutPublishing) {
   Participant p(0, ConcurrencyMode::kOCC);
-  ASSERT_EQ(p.Prepare(1, {Transaction::Put("k", "v")}), commit::Vote::kYes);
+  ASSERT_EQ(p.Prepare(1, {Transaction::Put(kKey, 9)}), commit::Vote::kYes);
   p.Finish(1, commit::Decision::kAbort);
-  EXPECT_EQ(p.store().Get("k"), std::nullopt);
+  EXPECT_EQ(p.store().Get(kKey), std::nullopt);
   EXPECT_EQ(p.versions().size(), 0u);  // fresh key: entry erased entirely
   p.Finish(1, commit::Decision::kAbort);  // idempotent double finish
   p.CheckInvariants();
@@ -155,13 +160,13 @@ TEST(ParticipantOccTest, AbortUnlocksWithoutPublishing) {
 
 TEST(ParticipantOccTest, WriterWriterNoWaitConflict) {
   Participant p(0, ConcurrencyMode::kOCC);
-  ASSERT_EQ(p.Prepare(1, {Transaction::Add("k", 1)}), commit::Vote::kYes);
-  EXPECT_EQ(p.Prepare(2, {Transaction::Add("k", 1)}), commit::Vote::kNo);
+  ASSERT_EQ(p.Prepare(1, {Transaction::Add(kKey, 1)}), commit::Vote::kYes);
+  EXPECT_EQ(p.Prepare(2, {Transaction::Add(kKey, 1)}), commit::Vote::kNo);
   EXPECT_EQ(p.conflicts(), 1);
   p.Finish(1, commit::Decision::kCommit);
-  EXPECT_EQ(p.Prepare(2, {Transaction::Add("k", 1)}), commit::Vote::kYes);
+  EXPECT_EQ(p.Prepare(2, {Transaction::Add(kKey, 1)}), commit::Vote::kYes);
   p.Finish(2, commit::Decision::kCommit);
-  EXPECT_EQ(p.store().GetInt("k"), 2);
+  EXPECT_EQ(p.store().GetInt(kKey), 2);
   p.CheckInvariants();
 }
 

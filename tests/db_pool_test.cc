@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -92,18 +93,19 @@ INSTANTIATE_TEST_SUITE_P(
       return clean;
     });
 
-// Builds `count` non-conflicting transactions, each spanning the same two
+// Builds `count` non-conflicting transactions, each spanning two
 // partitions (distinct keys per transaction so concurrent prepares never
 // contend for locks).
 std::vector<Transaction> MakeTwoPartitionTxs(const Database& database,
                                              int count) {
+  // First keys come from a range no other key of these tests uses.
+  const int kFirstKeys = 1000000;
   std::vector<Transaction> txs;
   int item = 1;
   for (int i = 0; i < count; ++i) {
     Transaction tx;
     tx.id = i + 1;
-    tx.ops.push_back(
-        Transaction::Add(ItemKey(0) + ":u" + std::to_string(i), 1));
+    tx.ops.push_back(Transaction::Add(ItemKey(kFirstKeys + i), 1));
     // A fresh key in a different partition than the first op's key.
     int first = database.PartitionOf(tx.ops[0].key);
     while (database.PartitionOf(ItemKey(item)) == first) ++item;
@@ -175,22 +177,31 @@ TEST(InstancePoolTest, PoolIsKeyedByClusterSize) {
   // One 2-partition and one 3-partition transaction, run sequentially, then
   // again: each size class keeps and reuses its own instance.
   auto two_part = MakeTwoPartitionTxs(database, 2);
-  Transaction three_part_a;
-  Transaction three_part_b;
-  three_part_a.id = 100;
-  three_part_b.id = 101;
-  int item = 1000;
-  std::vector<int> seen;
-  while (seen.size() < 3) {
-    int p = database.PartitionOf(ItemKey(item));
-    if (std::find(seen.begin(), seen.end(), p) == seen.end()) {
+  // A transaction of Adds to the first keys, from `item` up, that land
+  // on three distinct partitions.
+  auto three_partition_tx = [&database](TxId id, int item) {
+    Transaction tx;
+    tx.id = id;
+    std::vector<int> seen;
+    for (; seen.size() < 3; ++item) {
+      int p = database.PartitionOf(ItemKey(item));
+      if (std::find(seen.begin(), seen.end(), p) != seen.end()) continue;
       seen.push_back(p);
-      three_part_a.ops.push_back(Transaction::Add(ItemKey(item), 1));
-      three_part_b.ops.push_back(
-          Transaction::Add(ItemKey(item) + ":b", 1));
+      tx.ops.push_back(Transaction::Add(ItemKey(item), 1));
     }
-    ++item;
-  }
+    return tx;
+  };
+  auto span = [&database](const Transaction& tx) {
+    std::set<int> partitions;
+    for (const Op& op : tx.ops) partitions.insert(database.PartitionOf(op.key));
+    return partitions.size();
+  };
+  Transaction three_part_a = three_partition_tx(100, 1000);
+  Transaction three_part_b = three_partition_tx(101, 2000);
+  EXPECT_EQ(span(two_part[0]), 2u);
+  EXPECT_EQ(span(two_part[1]), 2u);
+  EXPECT_EQ(span(three_part_a), 3u);
+  EXPECT_EQ(span(three_part_b), 3u);
   database.Submit(std::move(two_part[0]), 0);
   database.Submit(std::move(three_part_a), 10000);
   database.Submit(std::move(two_part[1]), 20000);
@@ -218,10 +229,10 @@ TEST(InstancePoolTest, StaleTimersFromRecycledInstanceDoNotAffectNextCommit) {
     last_decision = d;
   };
 
+  std::vector<commit::Vote> votes(3, commit::Vote::kYes);
   CommitInstance instance(&simulator, core::ProtocolKind::kThreePc,
                           core::ConsensusKind::kPaxos, protocol_options, 100,
-                          {commit::Vote::kYes, commit::Vote::kYes, commit::Vote::kYes},
-                          done);
+                          votes, done);
   instance.Start();
   while (!instance.finished()) {
     ASSERT_TRUE(simulator.Step()) << "first commit never finished";

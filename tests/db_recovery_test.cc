@@ -41,7 +41,7 @@ struct RunOutcome {
   int64_t down_noes = 0;
   /// Keys whose final value diverged from the delivered-commit ledger
   /// (empty = zero lost committed transactions, zero ghost commits).
-  std::vector<std::string> conservation_violations;
+  std::vector<Key> conservation_violations;
   int64_t total_balance = 0;
 };
 

@@ -231,14 +231,15 @@ TEST(ShardRuntimeTest, PoolStaysBoundedByConcurrencyPerShard) {
   Database database(BaseOptions(core::ProtocolKind::kInbac, 4));
   const int kWaves = 20;
   const int kPerWave = 6;
+  // First keys come from a range the second keys never reach.
+  const int kFirstKeys = 1000000;
   TxId next_id = 1;
   int item = 1;
   for (int w = 0; w < kWaves; ++w) {
     for (int i = 0; i < kPerWave; ++i) {
       Transaction tx;
       tx.id = next_id++;
-      tx.ops.push_back(
-          Transaction::Add(ItemKey(0) + ":u" + std::to_string(tx.id), 1));
+      tx.ops.push_back(Transaction::Add(ItemKey(kFirstKeys + tx.id), 1));
       int first = database.PartitionOf(tx.ops[0].key);
       while (database.PartitionOf(ItemKey(item)) == first) ++item;
       tx.ops.push_back(Transaction::Add(ItemKey(item++), 1));

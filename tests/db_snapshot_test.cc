@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "commit/commit_protocol.h"
@@ -24,35 +23,43 @@
 namespace fastcommit::db {
 namespace {
 
+const Key kKey = ItemKey(0);
+const Key kCounter = ItemKey(4);
+// kAlpha, kBeta and kGamma route to three of SnapshotOptions' four
+// partitions.
+const Key kAlpha = ItemKey(1);
+const Key kBeta = ItemKey(2);
+const Key kGamma = ItemKey(3);
+
 TEST(KvStoreMvccTest, SnapshotResolvesNewestVersionAtOrBelow) {
   KvStore store;
-  store.Apply(Transaction::Put("k", "v1"), /*csn=*/1);
-  store.Apply(Transaction::Put("k", "v3"), /*csn=*/3);
-  EXPECT_EQ(store.GetAtSnapshot("k", 0), std::nullopt);  // not yet written
-  EXPECT_EQ(store.GetAtSnapshot("k", 1), "v1");
-  EXPECT_EQ(store.GetAtSnapshot("k", 2), "v1");  // between versions: older
-  EXPECT_EQ(store.GetAtSnapshot("k", 3), "v3");
-  EXPECT_EQ(store.GetAtSnapshot("k", 99), "v3");
-  EXPECT_EQ(store.Get("k"), "v3");  // head read ignores CSNs
-  EXPECT_EQ(store.versions("k"), 2);
+  store.Apply(Transaction::Put(kKey, 1), /*csn=*/1);
+  store.Apply(Transaction::Put(kKey, 3), /*csn=*/3);
+  EXPECT_EQ(store.GetAtSnapshot(kKey, 0), std::nullopt);  // not yet written
+  EXPECT_EQ(store.GetAtSnapshot(kKey, 1), 1);
+  EXPECT_EQ(store.GetAtSnapshot(kKey, 2), 1);  // between versions: older
+  EXPECT_EQ(store.GetAtSnapshot(kKey, 3), 3);
+  EXPECT_EQ(store.GetAtSnapshot(kKey, 99), 3);
+  EXPECT_EQ(store.Get(kKey), 3);  // head read ignores CSNs
+  EXPECT_EQ(store.versions(kKey), 2);
   store.CheckInvariants();
 }
 
 TEST(KvStoreMvccTest, SameCommitOpsShareOneVersion) {
   KvStore store;
-  store.Apply(Transaction::Add("k", 2), /*csn=*/5);
-  store.Apply(Transaction::Add("k", 3), /*csn=*/5);  // same commit: in place
-  EXPECT_EQ(store.GetIntAtSnapshot("k", 5), 5);
-  EXPECT_EQ(store.versions("k"), 1);
+  store.Apply(Transaction::Add(kKey, 2), /*csn=*/5);
+  store.Apply(Transaction::Add(kKey, 3), /*csn=*/5);  // same commit: in place
+  EXPECT_EQ(store.GetIntAtSnapshot(kKey, 5), 5);
+  EXPECT_EQ(store.versions(kKey), 1);
   store.CheckInvariants();
 }
 
 TEST(KvStoreMvccTest, NonTransactionalPutKeepsOverwriteSemantics) {
   KvStore store;
-  store.Put("k", "a");
-  store.Put("k", "b");  // pre-MVCC behavior: head overwritten, one version
-  EXPECT_EQ(store.Get("k"), "b");
-  EXPECT_EQ(store.versions("k"), 1);
+  store.Put(kKey, 1);
+  store.Put(kKey, 2);  // pre-MVCC behavior: head overwritten, one version
+  EXPECT_EQ(store.Get(kKey), 2);
+  EXPECT_EQ(store.versions(kKey), 1);
   EXPECT_EQ(store.total_versions(), 1);
   store.CheckInvariants();
 }
@@ -60,61 +67,71 @@ TEST(KvStoreMvccTest, NonTransactionalPutKeepsOverwriteSemantics) {
 TEST(KvStoreMvccTest, TruncateKeepsTheWatermarkBase) {
   KvStore store;
   for (int64_t csn = 1; csn <= 5; ++csn) {
-    store.Apply(Transaction::Put("k", "v" + std::to_string(csn)), csn);
+    store.Apply(Transaction::Put(kKey, csn), csn);
   }
-  ASSERT_EQ(store.versions("k"), 5);
+  ASSERT_EQ(store.versions(kKey), 5);
   // Watermark 3: versions 1 and 2 die, but version 3 must survive as the
   // base every snapshot in [3, 4) still resolves to.
   EXPECT_EQ(store.Truncate(3), 2);
-  EXPECT_EQ(store.versions("k"), 3);
-  EXPECT_EQ(store.GetAtSnapshot("k", 3), "v3");
-  EXPECT_EQ(store.GetAtSnapshot("k", 4), "v4");
+  EXPECT_EQ(store.versions(kKey), 3);
+  EXPECT_EQ(store.GetAtSnapshot(kKey, 3), 3);
+  EXPECT_EQ(store.GetAtSnapshot(kKey, 4), 4);
   // A snapshot below the watermark is by definition no longer live; its
   // history is gone and the read correctly resolves to nothing.
-  EXPECT_EQ(store.GetAtSnapshot("k", 2), std::nullopt);
+  EXPECT_EQ(store.GetAtSnapshot(kKey, 2), std::nullopt);
   store.CheckInvariants();
 }
 
 TEST(KvStoreMvccTest, ApplyPrunesTheTouchedChainIncrementally) {
   KvStore store;
-  store.Apply(Transaction::Put("k", "v1"), /*csn=*/1);
-  store.Apply(Transaction::Put("k", "v2"), /*csn=*/2, /*gc_watermark=*/0);
-  EXPECT_EQ(store.versions("k"), 2);  // watermark 0 keeps everything
+  store.Apply(Transaction::Put(kKey, 1), /*csn=*/1);
+  store.Apply(Transaction::Put(kKey, 2), /*csn=*/2, /*gc_watermark=*/0);
+  EXPECT_EQ(store.versions(kKey), 2);  // watermark 0 keeps everything
   // A commit at CSN 3 whose watermark already passed 2 prunes v1 on the
   // way through — no sweep needed.
-  store.Apply(Transaction::Put("k", "v3"), /*csn=*/3, /*gc_watermark=*/2);
-  EXPECT_EQ(store.versions("k"), 2);  // v2 (base at 2) + v3
-  EXPECT_EQ(store.GetAtSnapshot("k", 2), "v2");
+  store.Apply(Transaction::Put(kKey, 3), /*csn=*/3, /*gc_watermark=*/2);
+  EXPECT_EQ(store.versions(kKey), 2);  // v2 (base at 2) + v3
+  EXPECT_EQ(store.GetAtSnapshot(kKey, 2), 2);
   store.CheckInvariants();
 }
 
 TEST(ParticipantSnapshotTest, ReadAtSnapshotTouchesNoConcurrencyState) {
   Participant p(0, ConcurrencyMode::k2PL);
   p.Finish(7, commit::Decision::kCommit);  // no-op warmup
-  p.store().Put("a", "1");
-  // A writer holds an exclusive lock on "a"; the snapshot read must not
+  p.store().Put(kAlpha, 1);
+  // A writer holds an exclusive lock on kAlpha; the snapshot read must not
   // block, conflict, or even notice.
-  ASSERT_EQ(p.Prepare(1, {Transaction::Put("a", "2")}), commit::Vote::kYes);
+  ASSERT_EQ(p.Prepare(1, {Transaction::Put(kAlpha, 2)}), commit::Vote::kYes);
   std::vector<Value> values;
-  p.ReadAtSnapshot(/*snapshot_csn=*/0, {Transaction::Get("a")}, &values);
+  p.ReadAtSnapshot(/*snapshot_csn=*/0, {Transaction::Get(kAlpha)}, &values);
   ASSERT_EQ(values.size(), 1u);
-  EXPECT_EQ(values[0], "1");  // uncommitted staged write invisible
+  EXPECT_EQ(values[0], 1);  // uncommitted staged write invisible
   p.Finish(1, commit::Decision::kCommit);
   p.CheckInvariants();
 }
 
-TEST(ParticipantSnapshotTest, AbsentKeysReadAsEmptyValues) {
+TEST(ParticipantSnapshotTest, AbsentKeysReadAsAbsent) {
   Participant p(0, ConcurrencyMode::kOCC);
+  p.store().Put(kBeta, 0);  // a stored 0 is not an absent key
   std::vector<Value> values;
-  p.ReadAtSnapshot(0, {Transaction::Get("missing"), Transaction::Get("x")},
+  p.ReadAtSnapshot(0, {Transaction::Get(kAlpha), Transaction::Get(kBeta)},
                    &values);
   ASSERT_EQ(values.size(), 2u);
-  EXPECT_EQ(values[0], "");
-  EXPECT_EQ(values[1], "");
+  EXPECT_EQ(values[0], kAbsent);
+  EXPECT_EQ(values[1], 0);
   EXPECT_EQ(p.prepares(), 0);  // reads are not prepares
 }
 
-Database::Options SnapshotOptions(ConcurrencyMode mode = ConcurrencyMode::k2PL) {
+TEST(ParticipantSnapshotTest, NoWriteStoresTheAbsentValue) {
+  KvStore store;
+  EXPECT_DEATH(store.Put(kKey, kAbsent), "absent value");
+  store.Put(kKey, kAbsent + 1);
+  EXPECT_DEATH(store.Apply(Transaction::Add(kKey, -1), /*csn=*/1),
+               "absent value");
+}
+
+Database::Options SnapshotOptions(
+    ConcurrencyMode mode = ConcurrencyMode::k2PL) {
   Database::Options options;
   options.num_partitions = 4;
   options.concurrency = mode;
@@ -123,10 +140,10 @@ Database::Options SnapshotOptions(ConcurrencyMode mode = ConcurrencyMode::k2PL) 
   return options;
 }
 
-// Every committed write increments "ctr", so the CSN sequence counts those
-// commits exactly: a snapshot read at CSN S must observe ctr == S — the
-// stable-prefix invariant, asserted for every interleaved read while
-// writers keep committing around it.
+// Every committed write increments kCounter, so the CSN sequence counts
+// those commits exactly: a snapshot read at CSN S must observe a count of
+// S — the stable-prefix invariant, asserted for every interleaved read
+// while writers keep committing around it.
 TEST(DatabaseSnapshotTest, SnapshotReadsObserveExactlyTheStablePrefix) {
   Database database(SnapshotOptions());
   int64_t observed_reads = 0;
@@ -134,7 +151,7 @@ TEST(DatabaseSnapshotTest, SnapshotReadsObserveExactlyTheStablePrefix) {
       [&](const Transaction& tx, int64_t snapshot_csn,
           const std::vector<Value>& values) {
         ASSERT_EQ(values.size(), tx.ops.size());
-        int64_t ctr = values[0].empty() ? 0 : std::stoll(values[0]);
+        int64_t ctr = values[0] == kAbsent ? 0 : values[0];
         EXPECT_EQ(ctr, snapshot_csn)
             << "snapshot read of tx " << tx.id << " at CSN " << snapshot_csn;
         ++observed_reads;
@@ -144,11 +161,11 @@ TEST(DatabaseSnapshotTest, SnapshotReadsObserveExactlyTheStablePrefix) {
   for (int i = 0; i < kWriters; ++i) {
     Transaction w;
     w.id = i + 1;
-    w.ops.push_back(Transaction::Add("ctr", 1));
+    w.ops.push_back(Transaction::Add(kCounter, 1));
     database.Submit(std::move(w), at);
     Transaction r;
     r.id = 1000 + i;
-    r.ops.push_back(Transaction::Get("ctr"));
+    r.ops.push_back(Transaction::Get(kCounter));
     database.Submit(std::move(r), at + 3);
     at += 7;
   }
@@ -167,8 +184,8 @@ TEST(DatabaseSnapshotTest, ReadYourWritesAcrossPartitions) {
   // so it must see both keys.
   Transaction w;
   w.id = 1;
-  w.ops.push_back(Transaction::Put("alpha", "1"));
-  w.ops.push_back(Transaction::Put("beta", "2"));
+  w.ops.push_back(Transaction::Put(kAlpha, 1));
+  w.ops.push_back(Transaction::Put(kBeta, 2));
   database.Submit(std::move(w), 0);
   database.Drain();
   ASSERT_EQ(database.stable_csn(), 1);
@@ -180,17 +197,33 @@ TEST(DatabaseSnapshotTest, ReadYourWritesAcrossPartitions) {
       });
   Transaction r;
   r.id = 2;
-  r.ops.push_back(Transaction::Get("alpha"));
-  r.ops.push_back(Transaction::Get("beta"));
-  r.ops.push_back(Transaction::Get("gamma"));  // never written
+  r.ops.push_back(Transaction::Get(kAlpha));
+  r.ops.push_back(Transaction::Get(kBeta));
+  r.ops.push_back(Transaction::Get(kGamma));  // never written
   database.Submit(std::move(r), database.Now());
   database.Drain();
   ASSERT_EQ(seen.size(), 3u);
-  EXPECT_EQ(seen[0], "1");
-  EXPECT_EQ(seen[1], "2");
-  EXPECT_EQ(seen[2], "");  // absent at every snapshot
-  EXPECT_EQ(database.GetIntAtSnapshot("alpha", 0), 0);  // before the commit
-  EXPECT_EQ(database.GetIntAtSnapshot("alpha", 1), 1);
+  EXPECT_EQ(seen[0], 1);
+  EXPECT_EQ(seen[1], 2);
+  EXPECT_EQ(seen[2], kAbsent);  // absent at every snapshot
+  EXPECT_EQ(database.GetIntAtSnapshot(kAlpha, 0), 0);  // before the commit
+  EXPECT_EQ(database.GetIntAtSnapshot(kAlpha, 1), 1);
+}
+
+// The read fingerprint folds an absent key as empty text and a stored 0
+// as the text "0", so the two stay distinct.
+TEST(DatabaseSnapshotTest, FingerprintTellsAbsentFromStoredZero) {
+  auto fingerprint = [](bool store_zero) {
+    Database database(SnapshotOptions());
+    if (store_zero) database.LoadInt(kKey, 0);
+    Transaction r;
+    r.id = 1;
+    r.ops.push_back(Transaction::Get(kKey));
+    database.Submit(std::move(r), 0);
+    database.Drain();
+    return database.read_fingerprint();
+  };
+  EXPECT_NE(fingerprint(false), fingerprint(true));
 }
 
 void ExpectZeroFootprint(ConcurrencyMode mode) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "db/database.h"
 #include "db/kv_store.h"
 #include "db/lock_manager.h"
@@ -13,27 +15,57 @@
 namespace fastcommit::db {
 namespace {
 
+const Key kA = ItemKey(0);
+const Key kB = ItemKey(1);
+const Key kKey = ItemKey(2);
+
+// ------------------------------------------------------------------ Key --
+
+TEST(KeyTest, IndexAndTextRoundTrip) {
+  EXPECT_EQ(KeyText(ItemKey(0)).view(), "item:0");
+  EXPECT_EQ(KeyText(AccountKey(7)).view(), "acct:7");
+  for (int64_t index : {int64_t{0}, int64_t{7}, (int64_t{1} << 30) - 1,
+                        (int64_t{1} << 56) - 1}) {
+    EXPECT_EQ(KeyIndex(ItemKey(index)), index);
+    EXPECT_EQ(KeyIndex(AccountKey(index)), index);
+    EXPECT_EQ(KeyText(ItemKey(index)).view(), "item:" + std::to_string(index));
+    EXPECT_EQ(KeyText(AccountKey(index)).view(),
+              "acct:" + std::to_string(index));
+  }
+  EXPECT_EQ(KeyText(ItemKey((int64_t{1} << 56) - 1)).view(),
+            "item:72057594037927935");
+  EXPECT_NE(ItemKey(7), AccountKey(7));
+  EXPECT_EQ(KeyText(Key{}).view(), "0");  // outside both namespaces: raw
+}
+
+TEST(KeyTest, IndexOutsideFiftySixBitsDies) {
+  EXPECT_DEATH(ItemKey(-1), "outside \\[0, 2\\^56\\)");
+  EXPECT_DEATH(AccountKey(-1), "outside");
+  EXPECT_DEATH(ItemKey(int64_t{1} << 56), "outside");
+  EXPECT_DEATH(AccountKey(int64_t{1} << 56), "outside");
+}
+
 // -------------------------------------------------------------- KvStore --
 
 TEST(KvStoreTest, PutGetErase) {
   KvStore store;
-  EXPECT_FALSE(store.Get("a").has_value());
-  store.Put("a", "1");
-  EXPECT_EQ(store.Get("a"), "1");
-  store.Put("a", "2");
-  EXPECT_EQ(store.Get("a"), "2");
-  EXPECT_TRUE(store.Erase("a"));
-  EXPECT_FALSE(store.Erase("a"));
+  EXPECT_FALSE(store.Get(kA).has_value());
+  store.Put(kA, 1);
+  EXPECT_EQ(store.Get(kA), 1);
+  store.Put(kA, 2);
+  EXPECT_EQ(store.Get(kA), 2);
+  EXPECT_TRUE(store.Erase(kA));
+  EXPECT_FALSE(store.Erase(kA));
   EXPECT_EQ(store.size(), 0u);
 }
 
 TEST(KvStoreTest, AddIntArithmetic) {
   KvStore store;
-  EXPECT_EQ(store.AddInt("x", 5), 5);
-  EXPECT_EQ(store.AddInt("x", -2), 3);
-  EXPECT_EQ(store.GetInt("x"), 3);
-  EXPECT_EQ(store.GetInt("missing"), 0);
-  store.Put("y", "40");
+  EXPECT_EQ(store.AddInt(kA, 5), 5);
+  EXPECT_EQ(store.AddInt(kA, -2), 3);
+  EXPECT_EQ(store.GetInt(kA), 3);
+  EXPECT_EQ(store.GetInt(kB), 0);
+  store.Put(kKey, 40);
   EXPECT_EQ(store.SumInts(), 43);
 }
 
@@ -41,38 +73,38 @@ TEST(KvStoreTest, AddIntArithmetic) {
 
 TEST(LockManagerTest, SharedLocksCoexist) {
   LockManager locks;
-  EXPECT_TRUE(locks.TryLockShared("k", 1));
-  EXPECT_TRUE(locks.TryLockShared("k", 2));
-  EXPECT_FALSE(locks.TryLockExclusive("k", 3));
+  EXPECT_TRUE(locks.TryLockShared(kKey, 1));
+  EXPECT_TRUE(locks.TryLockShared(kKey, 2));
+  EXPECT_FALSE(locks.TryLockExclusive(kKey, 3));
 }
 
 TEST(LockManagerTest, ExclusiveExcludes) {
   LockManager locks;
-  EXPECT_TRUE(locks.TryLockExclusive("k", 1));
-  EXPECT_FALSE(locks.TryLockExclusive("k", 2));
-  EXPECT_FALSE(locks.TryLockShared("k", 2));
-  EXPECT_TRUE(locks.TryLockShared("k", 1));  // owner reads its own write
+  EXPECT_TRUE(locks.TryLockExclusive(kKey, 1));
+  EXPECT_FALSE(locks.TryLockExclusive(kKey, 2));
+  EXPECT_FALSE(locks.TryLockShared(kKey, 2));
+  EXPECT_TRUE(locks.TryLockShared(kKey, 1));  // owner reads its own write
 }
 
 TEST(LockManagerTest, UpgradeOnlyForSoleOwner) {
   LockManager locks;
-  EXPECT_TRUE(locks.TryLockShared("k", 1));
-  EXPECT_TRUE(locks.TryLockExclusive("k", 1));  // sole shared owner upgrades
+  EXPECT_TRUE(locks.TryLockShared(kKey, 1));
+  EXPECT_TRUE(locks.TryLockExclusive(kKey, 1));  // sole shared owner upgrades
   locks.ReleaseAll(1);
-  EXPECT_TRUE(locks.TryLockShared("k", 1));
-  EXPECT_TRUE(locks.TryLockShared("k", 2));
-  EXPECT_FALSE(locks.TryLockExclusive("k", 1));  // contended upgrade fails
+  EXPECT_TRUE(locks.TryLockShared(kKey, 1));
+  EXPECT_TRUE(locks.TryLockShared(kKey, 2));
+  EXPECT_FALSE(locks.TryLockExclusive(kKey, 1));  // contended upgrade fails
 }
 
 TEST(LockManagerTest, ReleaseAllFreesEverything) {
   LockManager locks;
-  EXPECT_TRUE(locks.TryLockExclusive("a", 1));
-  EXPECT_TRUE(locks.TryLockExclusive("b", 1));
+  EXPECT_TRUE(locks.TryLockExclusive(kA, 1));
+  EXPECT_TRUE(locks.TryLockExclusive(kB, 1));
   EXPECT_EQ(locks.held_locks(), 2);
   locks.ReleaseAll(1);
   EXPECT_EQ(locks.held_locks(), 0);
-  EXPECT_TRUE(locks.TryLockExclusive("a", 2));
-  EXPECT_TRUE(locks.TryLockExclusive("b", 2));
+  EXPECT_TRUE(locks.TryLockExclusive(kA, 2));
+  EXPECT_TRUE(locks.TryLockExclusive(kB, 2));
 }
 
 TEST(LockManagerTest, ReleaseUnknownTxIsNoop) {
@@ -85,26 +117,26 @@ TEST(LockManagerTest, ReleaseUnknownTxIsNoop) {
 
 TEST(ParticipantTest, PrepareVotesYesAndStagesWrites) {
   Participant p(0);
-  std::vector<Op> ops = {Transaction::Add("a", 10)};
+  std::vector<Op> ops = {Transaction::Add(kA, 10)};
   EXPECT_EQ(p.Prepare(1, ops), commit::Vote::kYes);
-  EXPECT_EQ(p.store().GetInt("a"), 0) << "writes must not apply before commit";
+  EXPECT_EQ(p.store().GetInt(kA), 0) << "writes must not apply before commit";
   p.Finish(1, commit::Decision::kCommit);
-  EXPECT_EQ(p.store().GetInt("a"), 10);
+  EXPECT_EQ(p.store().GetInt(kA), 10);
 }
 
 TEST(ParticipantTest, AbortDiscardsStagedWrites) {
   Participant p(0);
-  std::vector<Op> ops = {Transaction::Put("a", "v")};
+  std::vector<Op> ops = {Transaction::Put(kA, 9)};
   EXPECT_EQ(p.Prepare(1, ops), commit::Vote::kYes);
   p.Finish(1, commit::Decision::kAbort);
-  EXPECT_FALSE(p.store().Get("a").has_value());
+  EXPECT_FALSE(p.store().Get(kA).has_value());
   // Locks were released: another transaction proceeds.
   EXPECT_EQ(p.Prepare(2, ops), commit::Vote::kYes);
 }
 
 TEST(ParticipantTest, ConflictVotesNoHeliosStyle) {
   Participant p(0);
-  std::vector<Op> ops = {Transaction::Add("a", 1)};
+  std::vector<Op> ops = {Transaction::Add(kA, 1)};
   EXPECT_EQ(p.Prepare(1, ops), commit::Vote::kYes);
   EXPECT_EQ(p.Prepare(2, ops), commit::Vote::kNo);
   EXPECT_EQ(p.conflicts(), 1);
@@ -114,11 +146,11 @@ TEST(ParticipantTest, ConflictVotesNoHeliosStyle) {
 
 TEST(ParticipantTest, FailedPrepareHoldsNoLocks) {
   Participant p(0);
-  EXPECT_EQ(p.Prepare(1, {Transaction::Add("a", 1)}), commit::Vote::kYes);
-  // Tx 2 conflicts on "a" after locking "b": its "b" lock must be dropped.
-  EXPECT_EQ(p.Prepare(2, {Transaction::Add("b", 1), Transaction::Add("a", 1)}),
+  EXPECT_EQ(p.Prepare(1, {Transaction::Add(kA, 1)}), commit::Vote::kYes);
+  // Tx 2 conflicts on kA after locking kB: its kB lock must be dropped.
+  EXPECT_EQ(p.Prepare(2, {Transaction::Add(kB, 1), Transaction::Add(kA, 1)}),
             commit::Vote::kNo);
-  EXPECT_EQ(p.Prepare(3, {Transaction::Add("b", 1)}), commit::Vote::kYes);
+  EXPECT_EQ(p.Prepare(3, {Transaction::Add(kB, 1)}), commit::Vote::kYes);
 }
 
 // -------------------------------------------------------------- Database --
@@ -134,9 +166,9 @@ TEST(DatabaseTest, SinglePartitionTransactionCommitsLocally) {
   Database database(DbOptions(core::ProtocolKind::kInbac, 1));
   Transaction tx;
   tx.id = 1;
-  tx.ops = {Transaction::Add("a", 7)};
+  tx.ops = {Transaction::Add(kA, 7)};
   EXPECT_EQ(database.Execute(tx), commit::Decision::kCommit);
-  EXPECT_EQ(database.GetInt("a"), 7);
+  EXPECT_EQ(database.GetInt(kA), 7);
   EXPECT_EQ(database.stats().single_partition, 1);
   EXPECT_EQ(database.stats().commit_messages, 0);
 }
@@ -316,7 +348,7 @@ TEST(WorkloadTest, ReadModifyWriteEmitsReadsBeforeWrites) {
   }
 }
 
-// Golden routing vector: PartitionOf is in-repo FNV-1a over the key bytes,
+// Golden routing vector: PartitionOf is in-repo FNV-1a over the key text,
 // fully specified and therefore identical on every platform and standard
 // library (std::hash, which it replaced, is implementation-defined and
 // routed differently across libstdc++/libc++ — silently breaking

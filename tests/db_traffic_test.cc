@@ -16,7 +16,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -126,8 +125,7 @@ TEST(TrafficEngineTest, DriftRotatesTheHotSet) {
   for (int64_t i = 0; engine.Next(&arrival); ++i) {
     // kReadModifyWrite emits Get(key) then Add(key): op 0 names the key.
     ASSERT_EQ(arrival.tx.ops.size(), 2u);
-    const Key& key = arrival.tx.ops[0].key;
-    int64_t item = std::stoll(key.substr(key.find(':') + 1));
+    int64_t item = KeyIndex(arrival.tx.ops[0].key);
     (i < 2000 ? first_half : second_half)[static_cast<size_t>(item)]++;
   }
   // The drift advances 20 positions per 2000 arrivals, so the two halves
@@ -152,13 +150,22 @@ TEST(TrafficEngineTest, KeysBeyondTwoToThe31DoNotWrap) {
   int64_t high = 0;
   while (engine.Next(&arrival)) {
     for (const Op& op : arrival.tx.ops) {
-      int64_t item = std::stoll(op.key.substr(op.key.find(':') + 1));
+      int64_t item = KeyIndex(op.key);
       ASSERT_GE(item, 0) << op.key;
       ASSERT_LT(item, traffic.num_keys) << op.key;
       if (item >= (int64_t{1} << 31)) ++high;
     }
   }
   EXPECT_GT(high, 0);
+}
+
+// A key index has 56 bits, so a larger key space is refused up front.
+TEST(TrafficEngineTest, KeySpaceBeyondFiftySixBitsDies) {
+  TrafficOptions traffic;
+  traffic.num_keys = int64_t{1} << 56;
+  TrafficEngine engine(traffic);  // the largest space that fits
+  traffic.num_keys = (int64_t{1} << 56) + 1;
+  EXPECT_DEATH(TrafficEngine{traffic}, "num_keys must be in");
 }
 
 TEST(OpenLoopTest, OfferedSplitsExactlyAndBalanceConserved) {

@@ -238,8 +238,8 @@ TEST(RegionDelayModelTest, SingleRegionIsBitwiseTheBaseModel) {
   // Same seed, same draw sequence: a 1-region topology must consume the
   // base model's stream exactly as the bare model does.
   BoundedRandomDelayModel bare(1, 100, 9);
-  RegionDelayModel composed(GeoTopology::Uniform(1, 1),
-                            std::make_unique<BoundedRandomDelayModel>(1, 100, 9));
+  auto base = std::make_unique<BoundedRandomDelayModel>(1, 100, 9);
+  RegionDelayModel composed(GeoTopology::Uniform(1, 1), std::move(base));
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(composed.DelayFor(i % 3, (i + 1) % 3, i, i),
               bare.DelayFor(i % 3, (i + 1) % 3, i, i));

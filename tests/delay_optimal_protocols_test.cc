@@ -17,7 +17,8 @@ using commit::Vote;
 // -------------------------------------------------------------- 0NBAC ---
 
 TEST(ZeroNbacTest, SilenceCommitsWithZeroMessages) {
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kZeroNbac, 6, 3));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kZeroNbac, 6, 3));
   for (Decision d : result.decisions) EXPECT_EQ(d, Decision::kCommit);
   EXPECT_EQ(result.TotalMessages(), 0);
   EXPECT_EQ(result.MessageDelays(), 1);
@@ -83,7 +84,8 @@ TEST(ZeroNbacTest, TwoZeroVotersAgree) {
 // -------------------------------------------------------------- 1NBAC ---
 
 TEST(OneNbacTest, DecidesInOneDelayWithAllVotes) {
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kOneNbac, 5, 2));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kOneNbac, 5, 2));
   for (size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(result.decide_times[i], result.unit);
   }

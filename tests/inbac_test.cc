@@ -23,7 +23,8 @@ int CountBranch(const RunResult& result, Inbac::Branch branch) {
 }
 
 TEST(InbacTest, NiceExecutionUsesOnlyFastDecide) {
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kInbac, 5, 2));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kInbac, 5, 2));
   EXPECT_EQ(CountBranch(result, Inbac::Branch::kFastDecide), 5);
 }
 

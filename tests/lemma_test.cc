@@ -69,7 +69,8 @@ class Lemma2Validity : public ::testing::TestWithParam<LemmaCase> {};
 
 TEST_P(Lemma2Validity, EveryProcessReachesAtLeastFProcesses) {
   const LemmaCase& c = GetParam();
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(c.protocol, c.n, c.f));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(c.protocol, c.n, c.f));
   ReachabilityAnalysis reach(result.stats, c.n);
   for (int p = 0; p < c.n; ++p) {
     EXPECT_GE(reach.CountReachedBy(p, result.end_time), c.f)
@@ -87,7 +88,8 @@ class Lemma3NetworkValidity : public ::testing::TestWithParam<LemmaCase> {};
 
 TEST_P(Lemma3NetworkValidity, EveryoneReachesQBeforeQDecides) {
   const LemmaCase& c = GetParam();
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(c.protocol, c.n, c.f));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(c.protocol, c.n, c.f));
   ReachabilityAnalysis reach(result.stats, c.n);
   for (int q = 0; q < c.n; ++q) {
     sim::Time decide = result.decide_times[static_cast<size_t>(q)];
@@ -111,7 +113,8 @@ class Lemma1Backups : public ::testing::TestWithParam<LemmaCase> {};
 
 TEST_P(Lemma1Backups, DeciderHasFBackupsByT2) {
   const LemmaCase& c = GetParam();
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(c.protocol, c.n, c.f));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(c.protocol, c.n, c.f));
   ReachabilityAnalysis reach(result.stats, c.n);
   for (int p = 0; p < c.n; ++p) {
     sim::Time decide = result.decide_times[static_cast<size_t>(p)];
@@ -163,7 +166,8 @@ TEST(Lemma5QuickAcks, InbacRoundTripsAreTheBackupAcks) {
   // The acknowledged backups of a middle process are exactly its backup
   // set {P1..Pf} in a nice execution.
   int n = 6, f = 2;
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kInbac, n, f));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kInbac, n, f));
   ReachabilityAnalysis reach(result.stats, n);
   for (int p = f + 1; p < n; ++p) {  // Pf+2..Pn send only to P1..Pf
     auto theta = reach.AcknowledgedBackups(
@@ -197,7 +201,8 @@ TEST(TradeoffStructure, ChainProtocolReachesAreSequential) {
   // (n-1+f)NBAC pays delays for messages: P1 reaches Pn only through the
   // whole chain, at (n-1) * U.
   int n = 6, f = 2;
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kChainNbac, n, f));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kChainNbac, n, f));
   ReachabilityAnalysis reach(result.stats, n);
   EXPECT_EQ(reach.ReachTime(0, n - 1), (n - 1) * result.unit);
   // P2 only forwards at its own timer (time U), so it reaches P3 at 2U.

@@ -22,21 +22,26 @@
 namespace fastcommit::db {
 namespace {
 
+const Key kKey = ItemKey(0);
+const Key kA = ItemKey(1);
+const Key kB = ItemKey(2);
+const Key kC = ItemKey(3);
+
 // --- LockManager unit-level invariant coverage -----------------------------
 
 TEST(LockInvariantTest, CheckInvariantsPassesThroughUpgradePath) {
   LockManager locks;
-  ASSERT_TRUE(locks.TryLockShared("k", 1));
+  ASSERT_TRUE(locks.TryLockShared(kKey, 1));
   locks.CheckInvariants();
   // Sole shared owner upgrades; held_ must keep exactly one record.
-  ASSERT_TRUE(locks.TryLockExclusive("k", 1));
+  ASSERT_TRUE(locks.TryLockExclusive(kKey, 1));
   locks.CheckInvariants();
   EXPECT_EQ(locks.held_by(1), 1);
-  EXPECT_TRUE(locks.HoldsExclusive("k", 1));
-  EXPECT_FALSE(locks.HoldsShared("k", 1));
+  EXPECT_TRUE(locks.HoldsExclusive(kKey, 1));
+  EXPECT_FALSE(locks.HoldsShared(kKey, 1));
   // Re-acquiring in either mode is idempotent for the bookkeeping.
-  ASSERT_TRUE(locks.TryLockShared("k", 1));
-  ASSERT_TRUE(locks.TryLockExclusive("k", 1));
+  ASSERT_TRUE(locks.TryLockShared(kKey, 1));
+  ASSERT_TRUE(locks.TryLockExclusive(kKey, 1));
   locks.CheckInvariants();
   EXPECT_EQ(locks.held_by(1), 1);
   locks.ReleaseAll(1);
@@ -47,20 +52,20 @@ TEST(LockInvariantTest, CheckInvariantsPassesThroughUpgradePath) {
 
 TEST(LockInvariantTest, CheckInvariantsPassesWithMixedOwners) {
   LockManager locks;
-  ASSERT_TRUE(locks.TryLockShared("a", 1));
-  ASSERT_TRUE(locks.TryLockShared("a", 2));
-  ASSERT_TRUE(locks.TryLockExclusive("b", 1));
-  ASSERT_TRUE(locks.TryLockShared("c", 2));
+  ASSERT_TRUE(locks.TryLockShared(kA, 1));
+  ASSERT_TRUE(locks.TryLockShared(kA, 2));
+  ASSERT_TRUE(locks.TryLockExclusive(kB, 1));
+  ASSERT_TRUE(locks.TryLockShared(kC, 2));
   locks.CheckInvariants();
   // Multi-shared denies the upgrade and must leave state untouched.
-  ASSERT_FALSE(locks.TryLockExclusive("a", 1));
+  ASSERT_FALSE(locks.TryLockExclusive(kA, 1));
   locks.CheckInvariants();
   EXPECT_EQ(locks.held_by(1), 2);
   EXPECT_EQ(locks.held_by(2), 2);
   locks.ReleaseAll(1);
   locks.CheckInvariants();
   EXPECT_EQ(locks.held_by(1), 0);
-  EXPECT_TRUE(locks.HoldsShared("a", 2));
+  EXPECT_TRUE(locks.HoldsShared(kA, 2));
   locks.ReleaseAll(2);
   locks.CheckInvariants();
   EXPECT_EQ(locks.held_locks(), 0);
@@ -70,10 +75,10 @@ TEST(LockInvariantTest, ReleaseAllOfUnknownTxIsHarmless) {
   LockManager locks;
   locks.ReleaseAll(42);
   locks.CheckInvariants();
-  ASSERT_TRUE(locks.TryLockExclusive("k", 1));
+  ASSERT_TRUE(locks.TryLockExclusive(kKey, 1));
   locks.ReleaseAll(42);
   locks.CheckInvariants();
-  EXPECT_TRUE(locks.HoldsExclusive("k", 1));
+  EXPECT_TRUE(locks.HoldsExclusive(kKey, 1));
 }
 
 // --- Database-level stress ---------------------------------------------------

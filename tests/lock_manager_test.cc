@@ -13,66 +13,68 @@
 namespace fastcommit::db {
 namespace {
 
+const Key kKey = ItemKey(0);
+
 TEST(LockManagerUpgradeTest, SoleSharedOwnerUpgradesInPlace) {
   LockManager locks;
-  ASSERT_TRUE(locks.TryLockShared("k", 1));
-  EXPECT_TRUE(locks.HoldsShared("k", 1));
-  ASSERT_TRUE(locks.TryLockExclusive("k", 1));
-  EXPECT_TRUE(locks.HoldsExclusive("k", 1));
-  EXPECT_FALSE(locks.HoldsShared("k", 1))
+  ASSERT_TRUE(locks.TryLockShared(kKey, 1));
+  EXPECT_TRUE(locks.HoldsShared(kKey, 1));
+  ASSERT_TRUE(locks.TryLockExclusive(kKey, 1));
+  EXPECT_TRUE(locks.HoldsExclusive(kKey, 1));
+  EXPECT_FALSE(locks.HoldsShared(kKey, 1))
       << "upgrade must move the owner out of the shared set";
   // Exactly one held_ entry despite two acquisitions: release frees it all.
   EXPECT_EQ(locks.held_locks(), 1);
   locks.ReleaseAll(1);
   EXPECT_EQ(locks.held_locks(), 0);
-  EXPECT_TRUE(locks.TryLockExclusive("k", 2));
+  EXPECT_TRUE(locks.TryLockExclusive(kKey, 2));
 }
 
 TEST(LockManagerUpgradeTest, UpgradeDeniedWhileOthersShare) {
   LockManager locks;
-  ASSERT_TRUE(locks.TryLockShared("k", 1));
-  ASSERT_TRUE(locks.TryLockShared("k", 2));
-  EXPECT_FALSE(locks.TryLockExclusive("k", 1));
-  EXPECT_FALSE(locks.TryLockExclusive("k", 2));
+  ASSERT_TRUE(locks.TryLockShared(kKey, 1));
+  ASSERT_TRUE(locks.TryLockShared(kKey, 2));
+  EXPECT_FALSE(locks.TryLockExclusive(kKey, 1));
+  EXPECT_FALSE(locks.TryLockExclusive(kKey, 2));
   // The failed upgrades left both shared holds intact.
-  EXPECT_TRUE(locks.HoldsShared("k", 1));
-  EXPECT_TRUE(locks.HoldsShared("k", 2));
+  EXPECT_TRUE(locks.HoldsShared(kKey, 1));
+  EXPECT_TRUE(locks.HoldsShared(kKey, 2));
   // Once the other reader leaves, the upgrade goes through.
   locks.ReleaseAll(2);
-  EXPECT_TRUE(locks.TryLockExclusive("k", 1));
-  EXPECT_TRUE(locks.HoldsExclusive("k", 1));
+  EXPECT_TRUE(locks.TryLockExclusive(kKey, 1));
+  EXPECT_TRUE(locks.HoldsExclusive(kKey, 1));
 }
 
 TEST(LockManagerUpgradeTest, SharedReacquireTracksOneHeldEntry) {
   LockManager locks;
-  ASSERT_TRUE(locks.TryLockShared("k", 1));
-  ASSERT_TRUE(locks.TryLockShared("k", 1));  // idempotent re-acquire
+  ASSERT_TRUE(locks.TryLockShared(kKey, 1));
+  ASSERT_TRUE(locks.TryLockShared(kKey, 1));  // idempotent re-acquire
   EXPECT_EQ(locks.held_locks(), 1);
   locks.ReleaseAll(1);
   EXPECT_EQ(locks.held_locks(), 0);
-  EXPECT_FALSE(locks.HoldsShared("k", 1));
+  EXPECT_FALSE(locks.HoldsShared(kKey, 1));
 }
 
 TEST(LockManagerUpgradeTest, ExclusiveSubsumesSharedWithoutDuplicateEntry) {
   LockManager locks;
-  ASSERT_TRUE(locks.TryLockExclusive("k", 1));
-  ASSERT_TRUE(locks.TryLockShared("k", 1));  // owner reads its own write
+  ASSERT_TRUE(locks.TryLockExclusive(kKey, 1));
+  ASSERT_TRUE(locks.TryLockShared(kKey, 1));  // owner reads its own write
   EXPECT_EQ(locks.held_locks(), 1);
-  EXPECT_FALSE(locks.HoldsShared("k", 1))
+  EXPECT_FALSE(locks.HoldsShared(kKey, 1))
       << "the exclusive owner must not also appear as a shared owner";
   locks.ReleaseAll(1);
   EXPECT_EQ(locks.held_locks(), 0);
-  EXPECT_TRUE(locks.TryLockShared("k", 2));
+  EXPECT_TRUE(locks.TryLockShared(kKey, 2));
 }
 
 TEST(LockManagerUpgradeTest, ReleaseAfterUpgradeFreesReaders) {
   LockManager locks;
-  ASSERT_TRUE(locks.TryLockShared("k", 1));
-  ASSERT_TRUE(locks.TryLockExclusive("k", 1));
+  ASSERT_TRUE(locks.TryLockShared(kKey, 1));
+  ASSERT_TRUE(locks.TryLockExclusive(kKey, 1));
   locks.ReleaseAll(1);
   // Both modes are available again.
-  EXPECT_TRUE(locks.TryLockShared("k", 2));
-  EXPECT_TRUE(locks.TryLockShared("k", 3));
+  EXPECT_TRUE(locks.TryLockShared(kKey, 2));
+  EXPECT_TRUE(locks.TryLockShared(kKey, 3));
   locks.ReleaseAll(2);
   locks.ReleaseAll(3);
   EXPECT_EQ(locks.held_locks(), 0);
@@ -83,35 +85,35 @@ TEST(LockManagerUpgradeTest, ReleaseAfterUpgradeFreesReaders) {
 // readers deny each other's upgrades (no-wait => vote No).
 TEST(ParticipantReadOpTest, ReadModifyWriteUpgradesOwnSharedLock) {
   Participant p(0);
-  std::vector<Op> rmw = {Transaction::Get("k"), Transaction::Add("k", 1)};
+  std::vector<Op> rmw = {Transaction::Get(kKey), Transaction::Add(kKey, 1)};
   EXPECT_EQ(p.Prepare(1, rmw), commit::Vote::kYes);
   p.Finish(1, commit::Decision::kCommit);
-  EXPECT_EQ(p.store().GetInt("k"), 1);
+  EXPECT_EQ(p.store().GetInt(kKey), 1);
   EXPECT_EQ(p.locks().held_locks(), 0);
 }
 
 TEST(ParticipantReadOpTest, ConcurrentReadersDenyUpgrade) {
   Participant p(0);
-  EXPECT_EQ(p.Prepare(1, {Transaction::Get("k")}), commit::Vote::kYes);
-  EXPECT_EQ(p.Prepare(2, {Transaction::Get("k")}), commit::Vote::kYes)
+  EXPECT_EQ(p.Prepare(1, {Transaction::Get(kKey)}), commit::Vote::kYes);
+  EXPECT_EQ(p.Prepare(2, {Transaction::Get(kKey)}), commit::Vote::kYes)
       << "shared locks must coexist";
   // Reader 3 wants to write too: multi-shared denial, and its own shared
   // lock from the failed prepare must be fully rolled back.
-  EXPECT_EQ(p.Prepare(3, {Transaction::Get("k"), Transaction::Add("k", 1)}),
+  EXPECT_EQ(p.Prepare(3, {Transaction::Get(kKey), Transaction::Add(kKey, 1)}),
             commit::Vote::kNo);
-  EXPECT_FALSE(p.locks().HoldsShared("k", 3));
+  EXPECT_FALSE(p.locks().HoldsShared(kKey, 3));
   p.Finish(1, commit::Decision::kCommit);
   p.Finish(2, commit::Decision::kCommit);
-  EXPECT_EQ(p.store().GetInt("k"), 0) << "pure reads must write nothing";
+  EXPECT_EQ(p.store().GetInt(kKey), 0) << "pure reads must write nothing";
   EXPECT_EQ(p.locks().held_locks(), 0);
 }
 
 TEST(ParticipantReadOpTest, PureReadStagesNothing) {
   Participant p(0);
-  p.store().Put("k", "7");
-  EXPECT_EQ(p.Prepare(1, {Transaction::Get("k")}), commit::Vote::kYes);
+  p.store().Put(kKey, 7);
+  EXPECT_EQ(p.Prepare(1, {Transaction::Get(kKey)}), commit::Vote::kYes);
   p.Finish(1, commit::Decision::kCommit);
-  EXPECT_EQ(p.store().Get("k"), "7");
+  EXPECT_EQ(p.store().Get(kKey), 7);
   EXPECT_EQ(p.locks().held_locks(), 0);
 }
 

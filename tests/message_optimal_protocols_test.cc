@@ -199,7 +199,8 @@ TEST(ChainAckNbacTest, VoteZeroRidesTheChainWithoutConsensus) {
 // -------------------------------------------------------------- aNBAC ---
 
 TEST(ANbacTest, NiceExecutionCommitsViaTheChain) {
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kANbac, 5, 2));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kANbac, 5, 2));
   for (Decision d : result.decisions) EXPECT_EQ(d, Decision::kCommit);
 }
 

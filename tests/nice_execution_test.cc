@@ -36,14 +36,16 @@ class NiceExecutionTest : public ::testing::TestWithParam<NiceCase> {};
 
 TEST_P(NiceExecutionTest, CommitsEverywhere) {
   const NiceCase& c = GetParam();
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(c.protocol, c.n, c.f));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(c.protocol, c.n, c.f));
   EXPECT_TRUE(NiceExecutionCommitsEverywhere(result))
       << ProtocolName(c.protocol) << " n=" << c.n << " f=" << c.f;
 }
 
 TEST_P(NiceExecutionTest, MatchesExpectedDelays) {
   const NiceCase& c = GetParam();
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(c.protocol, c.n, c.f));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(c.protocol, c.n, c.f));
   NiceComplexity expected = ExpectedNice(c.protocol, c.n, c.f);
   EXPECT_EQ(result.MessageDelays(), expected.delays)
       << ProtocolName(c.protocol) << " n=" << c.n << " f=" << c.f;
@@ -51,7 +53,8 @@ TEST_P(NiceExecutionTest, MatchesExpectedDelays) {
 
 TEST_P(NiceExecutionTest, MatchesExpectedMessages) {
   const NiceCase& c = GetParam();
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(c.protocol, c.n, c.f));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(c.protocol, c.n, c.f));
   NiceComplexity expected = ExpectedNice(c.protocol, c.n, c.f);
   EXPECT_EQ(result.PaperMessageCount(), expected.messages)
       << ProtocolName(c.protocol) << " n=" << c.n << " f=" << c.f;
@@ -59,7 +62,8 @@ TEST_P(NiceExecutionTest, MatchesExpectedMessages) {
 
 TEST_P(NiceExecutionTest, ConsensusNeverInvoked) {
   const NiceCase& c = GetParam();
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(c.protocol, c.n, c.f));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(c.protocol, c.n, c.f));
   int64_t consensus_messages = 0;
   for (const net::MessageRecord& r : result.stats.records()) {
     if (r.channel == net::Channel::kConsensus) ++consensus_messages;
@@ -72,7 +76,8 @@ TEST_P(NiceExecutionTest, MeetsTheCellLowerBounds) {
   // Sanity of Table 1: the measured nice execution can never beat the
   // proved lower bounds of the protocol's cell.
   const NiceCase& c = GetParam();
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(c.protocol, c.n, c.f));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(c.protocol, c.n, c.f));
   Cell cell = ProtocolCell(c.protocol);
   if (c.protocol == ProtocolKind::kTwoPc) {
     // 2PC does not solve NBAC in crash-failure executions; Table 1 does not

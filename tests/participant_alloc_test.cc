@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
-#include <string>
 #include <vector>
 
 #include "db/participant.h"
@@ -38,10 +37,11 @@ namespace {
 constexpr int kKeys = 64;
 constexpr int kCycles = 1000;
 
-/// Two-kAdd transfers over resident keys of 14 characters, which fit the
-/// short-string buffer. transfers[i] moves a unit from key i to key i + 1;
-/// rivals[i] moves one from key i + 2 to key i + 1, so while transfers[i]
-/// is prepared, rivals[i] takes one lock and then conflicts.
+/// Two-kAdd transfers over resident keys whose text ("item:" and 16
+/// digits) is longer than a short-string buffer. transfers[i] moves a unit
+/// from key i to key i + 1; rivals[i] moves one from key i + 2 to key
+/// i + 1, so while transfers[i] is prepared, rivals[i] takes one lock and
+/// then conflicts.
 struct Shapes {
   std::vector<Key> keys;
   std::vector<std::vector<Op>> transfers;
@@ -51,7 +51,7 @@ struct Shapes {
 Shapes MakeShapes() {
   Shapes s;
   for (int i = 0; i < kKeys + 2; ++i) {
-    s.keys.push_back("item:" + std::to_string(100000000 + i));
+    s.keys.push_back(ItemKey((int64_t{1} << 50) + i));
   }
   for (int i = 0; i < kKeys; ++i) {
     s.transfers.push_back({Transaction::Add(s.keys[i], -1),
@@ -92,7 +92,7 @@ void RunCycles(Participant& p, const Shapes& s, bool conflict, TxId* tx,
 int64_t SteadyStateAllocations(ConcurrencyMode mode, bool conflict) {
   Shapes shapes = MakeShapes();
   Participant p(0, mode);
-  for (const Key& key : shapes.keys) p.store().Put(key, "0");
+  for (Key key : shapes.keys) p.store().Put(key, 0);
   TxId tx = 1;
   Counts warmup;
   RunCycles(p, shapes, conflict, &tx, &warmup);

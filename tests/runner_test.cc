@@ -75,14 +75,16 @@ TEST(RunnerTest, AnyFailureDetectsLateMessages) {
 }
 
 TEST(RunnerTest, NiceExecutionHasNoFailure) {
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kInbac, 4, 1));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kInbac, 4, 1));
   EXPECT_FALSE(result.AnyFailure());
 }
 
 TEST(RunnerTest, PaperMessageCountExcludesPostDecisionTraffic) {
   // 1NBAC's [D] broadcasts land after every decision; the paper metric
   // excludes them while the raw total includes them.
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kOneNbac, 4, 1));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kOneNbac, 4, 1));
   EXPECT_EQ(result.PaperMessageCount(), 4 * 3);
   EXPECT_EQ(result.TotalMessages(), 2 * 4 * 3);
 }
@@ -115,7 +117,8 @@ TEST(RunnerTest, MinimalSystemOfTwoProcesses) {
 }
 
 TEST(RunnerTest, EndTimeAndEventCountsArePopulated) {
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kInbac, 4, 2));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kInbac, 4, 2));
   EXPECT_GT(result.events_executed, 0);
   EXPECT_GE(result.end_time, result.LastDecisionTime());
   EXPECT_FALSE(result.deadline_reached);

@@ -34,7 +34,8 @@ TEST(ScaleTest, ClosedFormsHoldAtLargerN) {
 TEST(ScaleTest, QuadraticVersusLinearSeparation) {
   // At n = 32 the tradeoff is stark: 1 delay costs 992 messages while the
   // message-optimal chain protocol runs at 32+k messages.
-  RunResult one = fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kOneNbac, 32, 4));
+  RunResult one =
+      fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kOneNbac, 32, 4));
   RunResult chain =
       fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kChainNbac, 32, 4));
   EXPECT_EQ(one.PaperMessageCount(), 32 * 31);
@@ -57,7 +58,8 @@ TEST(ScaleTest, DeterministicAtScale) {
 TEST(ScaleTest, InbacStaysTwoDelaysRegardlessOfSize) {
   for (int n : {12, 20, 28}) {
     for (int f : {1, n / 2, n - 1}) {
-      RunResult result = fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kInbac, n, f));
+      RunResult result =
+          fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kInbac, n, f));
       EXPECT_EQ(result.MessageDelays(), 2) << "n=" << n << " f=" << f;
       EXPECT_EQ(result.PaperMessageCount(), 2 * int64_t{f} * n)
           << "n=" << n << " f=" << f;

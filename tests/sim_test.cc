@@ -160,9 +160,10 @@ TEST(SimulatorTest, AllCancelledSimulatorIsIdleAndRunsNothing) {
   // that leaves the clock at the last live event.
   Simulator s;
   int fired = 0;
-  s.ScheduleAt(5, EventClass::kControl, [&] { ++fired; });
-  EventId t1 = s.ScheduleCancellableAt(50, EventClass::kTimer, [&] { ++fired; });
-  EventId t2 = s.ScheduleCancellableAt(60, EventClass::kTimer, [&] { ++fired; });
+  auto fire = [&] { ++fired; };
+  s.ScheduleAt(5, EventClass::kControl, fire);
+  EventId t1 = s.ScheduleCancellableAt(50, EventClass::kTimer, fire);
+  EventId t2 = s.ScheduleCancellableAt(60, EventClass::kTimer, fire);
   EXPECT_TRUE(s.Cancel(t1));
   EXPECT_TRUE(s.Cancel(t2));
   EXPECT_EQ(s.Run(), 1);

@@ -9,7 +9,8 @@ namespace fastcommit::core {
 namespace {
 
 TEST(TraceTest, TimelineContainsSendsReceivesAndDecisions) {
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kTwoPc, 3, 1));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kTwoPc, 3, 1));
   std::string timeline = FormatTimeline(result);
   EXPECT_NE(timeline.find("P2 -> P1  send"), std::string::npos);
   EXPECT_NE(timeline.find("P1 <- P2  recv"), std::string::npos);
@@ -19,7 +20,8 @@ TEST(TraceTest, TimelineContainsSendsReceivesAndDecisions) {
 }
 
 TEST(TraceTest, TimelineOrdersByTime) {
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kTwoPc, 3, 1));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kTwoPc, 3, 1));
   std::string timeline = FormatTimeline(result);
   size_t send = timeline.find("send");
   size_t decide = timeline.find("DECIDES");
@@ -37,7 +39,8 @@ TEST(TraceTest, DroppedMessagesAreMarked) {
 }
 
 TEST(TraceTest, TruncationRespectsMaxLines) {
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kOneNbac, 6, 2));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kOneNbac, 6, 2));
   TraceOptions options;
   options.max_lines = 5;
   std::string timeline = FormatTimeline(result, options);
@@ -74,7 +77,8 @@ TEST(TraceTest, SummaryReportsCountsAndCrashes) {
 }
 
 TEST(TraceTest, SummaryShowsDelaysForNiceExecutions) {
-  RunResult result = fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kInbac, 4, 1));
+  RunResult result =
+      fastcommit::core::Run(MakeNiceConfig(ProtocolKind::kInbac, 4, 1));
   std::string summary = FormatSummary(result);
   EXPECT_NE(summary.find("delays=2"), std::string::npos);
 }
