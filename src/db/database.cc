@@ -166,29 +166,18 @@ Database::Database(const Options& options)
     sim_.control()->ScheduleAt(
         plan.participant_crash_at + plan.participant_restart_delay,
         sim::EventClass::kCrash, [this] {
+          // The restart applies the deferred finishes, then serves the
+          // reads that waited for it, before anything newer reaches the
+          // partition.
           plane_.RestartPartition(options_.fault_plan.crash_partition);
           ++recovery_stats_.participant_restarts;
-          // Apply the deferred finishes (and any reads queued behind them)
-          // at the restart instant, before any newer task reaches the
-          // partition.
-          FlushPartitionWork();
+          reads_.Resume();
+          plane_.Flush();
         });
   }
 }
 
 Database::~Database() = default;
-
-Participant& Database::partition(int index) {
-  FlushPartitionWork();
-  return plane_.partition(index);  // FC_CHECKs the index
-}
-
-void Database::FlushPartitionWork() {
-  plane_.Flush();
-  // The flush just filled every pending snapshot read's value slots (their
-  // tasks rode the same queues); finalize before anything can observe them.
-  reads_.Finalize();
-}
 
 int Database::ShardOf(TxId id) const {
   // One stateless draw from the repo's canonical splitmix64 stream seeded
@@ -257,7 +246,7 @@ void Database::FinishPartitions(TxId tx, const std::vector<int>& touched,
 void Database::ExecuteSnapshotRead(PendingTx pending) {
   // Completion is immediate — the read plane adds no virtual latency and
   // never aborts, so the open-loop admission window frees right away. The
-  // values themselves materialize when the read drains (the observer).
+  // values themselves reach the observer when the read is served.
   ++stats_.read_only_committed;
   stats_.snapshot_reads_served += static_cast<int64_t>(pending.tx.ops.size());
   if (pending.on_complete) {
@@ -265,11 +254,11 @@ void Database::ExecuteSnapshotRead(PendingTx pending) {
   }
   --inflight_;
   // The snapshot is the stable CSN at this (canonical-order) instant:
-  // every commit with CSN <= it already ran FinishTx, so its finish tasks
-  // sit ahead of these read tasks in the same partition FIFOs — the read
-  // observes exactly the stable prefix, on any placement.
-  reads_.Start(std::move(pending.tx), sim_.control()->Now());
-  reads_.Finalize();
+  // every commit with CSN <= it already ran FinishTx, so it is applied at
+  // every up partition, and a read touching a down one waits for the
+  // restart — the read observes exactly the stable prefix, on any
+  // placement.
+  reads_.Start(std::move(pending.tx));
 }
 
 void Database::Execute(PendingTx pending) {
@@ -293,9 +282,8 @@ void Database::Execute(PendingTx pending) {
   std::vector<commit::Vote> votes;
   plane_.EnqueuePrepares(started, pending.tx.id, pending.tx.ops, &touched,
                          &votes);
-  // The check_invariants sweep runs here once per transaction; with no
-  // restart backlog to replay, the flush itself does nothing.
-  FlushPartitionWork();
+  // The check_invariants sweep, once per transaction.
+  plane_.Flush();
 
   if (touched.size() == 1) {
     // One-phase commit: the only participant's vote is the decision.
@@ -719,15 +707,13 @@ void Database::FinishTx(const PendingTx& pending,
 
 const DatabaseStats& Database::Drain() {
   sim_.Run();
-  // Every task has run by now (a restart replays its backlog at the
-  // restart instant); this last flush sweeps the final state's invariants.
-  FlushPartitionWork();
+  // Sweep the final state's invariants.
+  plane_.Flush();
   FC_CHECK(inflight_ == 0) << "transactions still pending after drain";
   FC_CHECK(batches_.idle())
       << "open batches after drain: a window flush event was lost";
-  FC_CHECK(plane_.idle()) << "partition backlog left after drain";
-  FC_CHECK(reads_.idle())
-      << "snapshot reads or CSN claims still pending after drain";
+  FC_CHECK(!plane_.any_down()) << "partition still down after drain";
+  FC_CHECK(reads_.idle()) << "snapshot reads still waiting after drain";
   FC_CHECK(!down_) << "coordinator still down after drain";
   FC_CHECK(rounds_.empty()) << "in-flight rounds leaked after drain";
   FC_CHECK(parked_.empty()) << "parked transactions leaked after drain";
@@ -755,17 +741,14 @@ int64_t Database::TrimPool() {
 }
 
 int64_t Database::GetInt(Key key) {
-  FlushPartitionWork();
   return plane_.partition(PartitionOf(key)).store().GetInt(key);
 }
 
 void Database::LoadInt(Key key, int64_t value) {
-  FlushPartitionWork();
   plane_.partition(PartitionOf(key)).store().Put(key, value);
 }
 
 int64_t Database::SumInts() {
-  FlushPartitionWork();
   int64_t sum = 0;
   for (int p = 0; p < plane_.num_partitions(); ++p) {
     sum += plane_.partition(p).store().SumInts();
@@ -774,14 +757,12 @@ int64_t Database::SumInts() {
 }
 
 int64_t Database::GetIntAtSnapshot(Key key, int64_t snapshot_csn) {
-  FlushPartitionWork();
   return plane_.partition(PartitionOf(key))
       .store()
       .GetIntAtSnapshot(key, snapshot_csn);
 }
 
 int64_t Database::TotalVersions() {
-  FlushPartitionWork();
   int64_t total = 0;
   for (int p = 0; p < plane_.num_partitions(); ++p) {
     total += plane_.partition(p).store().total_versions();
@@ -790,7 +771,6 @@ int64_t Database::TotalVersions() {
 }
 
 int64_t Database::TruncateVersions() {
-  FlushPartitionWork();
   int64_t watermark = reads_.Watermark();
   int64_t dropped = 0;
   for (int p = 0; p < plane_.num_partitions(); ++p) {

@@ -162,9 +162,11 @@ struct DatabaseStats {
 /// bitwise identical for any shard count. One thread drains everything.
 ///
 /// Partition data-path work (Prepare's locking, commit's write
-/// application, lock release, snapshot reads) goes through the partition
-/// plane (db/partition_plane.h), which runs each task when it is enqueued;
-/// only a crashed partition queues work, until its restart replays it.
+/// application, lock release) goes through the partition plane
+/// (db/partition_plane.h), which runs each call at once; only a crashed
+/// partition queues finishes, until its restart applies them. A snapshot
+/// read is a store lookup at its CSN, served at its execute instant or,
+/// when it touches a down partition, at the restart.
 ///
 /// ## Units
 ///
@@ -181,11 +183,11 @@ class Database {
   /// the drain thread; must not call Submit or Drain.
   using CompletionCallback = db::CompletionCallback;
 
-  /// Observer of finalized snapshot reads (Options::snapshot_reads): fires
-  /// once the read has run — at its submit instant, or at the restart of
+  /// Observer of served snapshot reads (Options::snapshot_reads): fires
+  /// once the read is served — at its submit instant, or at the restart of
   /// a partition that was down — with the values in op order (absent keys
-  /// read as kAbsent). Runs on the control plane mid-flush; must not call
-  /// Submit, Drain, or any accessor that flushes.
+  /// read as kAbsent). Runs on the control plane; must not call Submit or
+  /// Drain.
   using SnapshotReadObserver = SnapshotReader::Observer;
 
   using Options = DatabaseOptions;
@@ -301,9 +303,9 @@ class Database {
 
   int num_partitions() const { return options_.num_partitions; }
   int PartitionOf(Key key) const { return plane_.PartitionOf(key); }
-  /// Direct partition access; flushes pending partition-plane work first
-  /// so the caller observes a quiescent partition.
-  Participant& partition(int index);
+  /// Direct partition access. Only a down partition has work pending, in
+  /// its backlog, so the caller always observes a quiescent partition.
+  Participant& partition(int index) { return plane_.partition(index); }
   /// Shard that will host the commit instance of transaction `id`
   /// (deterministic in the id, independent of submission order).
   int ShardOf(TxId id) const;
@@ -352,8 +354,7 @@ class Database {
   int64_t SumInts();
 
   /// Numeric read at a snapshot: the newest version of `key` with
-  /// CSN <= `snapshot_csn` (0 when absent). Flushes pending partition work
-  /// first, like GetInt.
+  /// CSN <= `snapshot_csn` (0 when absent).
   int64_t GetIntAtSnapshot(Key key, int64_t snapshot_csn);
   /// The stable CSN: the commit sequence number of the most recently
   /// decided commit, which is what a snapshot read submitted now would be
@@ -368,12 +369,12 @@ class Database {
   /// makes this a no-op; it exists to bound chains after a reader-heavy
   /// phase ends.
   int64_t TruncateVersions();
-  /// Sink for finalized snapshot-read values (tests assert snapshot
+  /// Sink for served snapshot-read values (tests assert snapshot
   /// stability and read-your-writes through it).
   void set_snapshot_read_observer(SnapshotReadObserver observer) {
     reads_.set_observer(std::move(observer));
   }
-  /// FNV-1a fold over every finalized snapshot read's values, in submit
+  /// FNV-1a fold over every served snapshot read's values, in submit
   /// order — one number that must be bitwise identical across every
   /// shard placement, which is how the tests gate that snapshot *results*
   /// (not just stats) are placement invariant. Read it after a Drain.
@@ -389,8 +390,8 @@ class Database {
   /// Batching-path counters (see BatchStats); all zero when batching is
   /// disabled.
   const BatchStats& batch_stats() const { return batches_.stats(); }
-  /// Partition-plane counters (flushes that replayed a restart backlog,
-  /// tasks replayed) — zero without a participant crash; outside
+  /// Partition-plane counters (restarts that applied a backlog, finishes
+  /// applied) — zero without a participant crash; outside
   /// DatabaseStats like the pool counters, since they describe execution
   /// machinery, not workload outcomes.
   const PartitionPlane& partition_plane() const { return plane_; }
@@ -420,11 +421,11 @@ class Database {
   /// Admission control for one open-loop arrival: shed or execute.
   void AdmitArrival(Transaction tx,
                     const std::shared_ptr<CompletionCallback>& on_complete);
-  /// Enqueues `tx`'s Finish at every touched partition (applied before any
-  /// later prepare). A commit carries its CSN (0 for aborts) and the
-  /// reader low-watermark computed here, at enqueue time — a stale
-  /// watermark at drain time only prunes less, never a version a live
-  /// snapshot still needs.
+  /// Finishes `tx` at every touched partition (a down one applies it at
+  /// its restart). A commit carries its CSN (0 for aborts) and the reader
+  /// low-watermark computed here — a stale watermark when a backlog is
+  /// applied only prunes less, never a version a live snapshot still
+  /// needs.
   void FinishPartitions(TxId tx, const std::vector<int>& touched,
                         commit::Decision decision, sim::Time at,
                         int64_t csn = 0);
@@ -432,9 +433,6 @@ class Database {
   /// transactions): starts the read at the stable CSN and delivers kCommit
   /// immediately. No locks, no votes, no messages, no pooled instance.
   void ExecuteSnapshotRead(PendingTx pending);
-  /// Flushes pending partition-plane tasks (a no-op when none are queued)
-  /// and finalizes the snapshot reads the flush filled.
-  void FlushPartitionWork();
   /// Runs the round table's entry `round`: appends it to the commit log
   /// (when on), starts a pooled instance on the lead member's shard, and —
   /// through the epoch-fenced completion effect, which carries the round's
@@ -524,7 +522,8 @@ class Database {
   Options options_;
   sim::ShardedSimulator sim_;
   sim::Rng rng_;
-  /// Owns the partitions and their task queues; see db/partition_plane.h.
+  /// Owns the partitions and their crash backlogs; see
+  /// db/partition_plane.h.
   PartitionPlane plane_;
   CommitInstancePool pool_;
   BatchFormer batches_;

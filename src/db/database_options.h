@@ -107,16 +107,18 @@ struct DatabaseOptions {
   /// predicate) bypasses the commit protocol entirely. It is assigned
   /// the current *stable CSN* — the commit sequence number the decide
   /// path stamps on every committed transaction, in canonical order —
-  /// and its reads run as PartitionPlane::EnqueueSnapshotRead tasks:
-  /// every commit with CSN <= the snapshot was enqueued earlier at the
-  /// same partitions, so the read observes exactly the stable prefix. No
+  /// and each kGet is a store lookup at that CSN (SnapshotReader): every
+  /// commit with CSN <= the snapshot was already applied at its
+  /// partitions, so the read observes exactly the stable prefix. No
   /// locks, no votes, no messages, no pooled instance; completion
   /// (kCommit) is delivered immediately at the submit instant, and so are
-  /// the values unless a partition is down (set_snapshot_read_observer).
-  /// Version chains are pruned to the reader low-watermark — the minimum
-  /// CSN an in-flight snapshot can still demand — so MVCC memory stays
-  /// bounded. Off (the default): read-only transactions take the normal
-  /// locked path and every pre-existing stat is bitwise unchanged.
+  /// the values (set_snapshot_read_observer) unless an older read is
+  /// waiting or a partition the read touches is down; then the read waits
+  /// until the restart. Version chains are pruned to the reader
+  /// low-watermark — the oldest waiting read's CSN, else the stable CSN —
+  /// so MVCC memory stays bounded. Off (the default): read-only
+  /// transactions take the normal locked path and every pre-existing stat
+  /// is bitwise unchanged.
   bool snapshot_reads = false;
   /// Replicated coordinator commit log (db/commit_log.h): every
   /// multi-partition round is appended as one slot whose votes replicate

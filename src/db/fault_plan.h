@@ -59,10 +59,11 @@ struct FaultPlan {
   sim::Time coordinator_restart_delay = 2000;
 
   /// Participant crash: partition `crash_partition` goes down at
-  /// `participant_crash_at` holding whatever locks it holds (in-flight
-  /// finishes and snapshot reads are deferred, new prepares vote no), and
-  /// restarts `participant_restart_delay` ticks later, applying the
-  /// deferred work in FIFO order at the restart instant. -1 disables.
+  /// `participant_crash_at` holding whatever locks it holds (finishes wait
+  /// in its backlog, snapshot reads that touch it wait in submit order,
+  /// new prepares vote no), and restarts `participant_restart_delay`
+  /// ticks later, applying the backlog in order and then serving the
+  /// waiting reads at the restart instant. -1 disables.
   int crash_partition = -1;
   sim::Time participant_crash_at = 0;
   sim::Time participant_restart_delay = 2000;

@@ -61,13 +61,13 @@ class Participant {
   void Finish(TxId tx, commit::Decision decision, int64_t csn = 0,
               int64_t gc_watermark = 0);
 
-  /// The lock-free read plane: serves every kGet of `local_ops` from the
-  /// newest version <= `snapshot_csn`, appending one Value per read op to
-  /// `*out` (absent keys read as kAbsent). Touches no LockManager
-  /// or VersionTable state and mutates nothing — a pure chain lookup, in
-  /// either concurrency mode. Drained inside the partition FIFO (see
-  /// PartitionPlane::EnqueueSnapshotRead) so every commit with CSN <=
-  /// snapshot has applied before the read runs.
+  /// Serves every kGet of `local_ops` from the newest version <=
+  /// `snapshot_csn`, appending one Value per read op to `*out` (absent
+  /// keys read as kAbsent). Touches no LockManager or VersionTable state
+  /// and mutates nothing — a pure chain lookup (KvStore::GetAtSnapshot),
+  /// in either concurrency mode. The database's snapshot reads look keys
+  /// up directly (SnapshotReader); this batch form serves
+  /// PartitionPlane::EnqueueSnapshotRead.
   void ReadAtSnapshot(int64_t snapshot_csn, const std::vector<Op>& local_ops,
                       std::vector<Value>* out) const;
 
@@ -89,8 +89,8 @@ class Participant {
   /// is version-locked by the staging transaction, and — the other
   /// direction — no locked word survives without a live owner (a staged
   /// entry naming that key), so an abort that forgot to unlock dies here
-  /// instead of wedging every later writer of the key. Called at
-  /// partition-plane flushes when Database::Options::check_invariants is
+  /// instead of wedging every later writer of the key. Called at every
+  /// PartitionPlane::Flush when Database::Options::check_invariants is
   /// set.
   void CheckInvariants() const;
 

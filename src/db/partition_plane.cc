@@ -1,7 +1,6 @@
 #include "db/partition_plane.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "core/check.h"
 #include "db/fnv1a.h"
@@ -42,110 +41,84 @@ PartitionPlane::PartitionQueue& PartitionPlane::queue(int partition) {
   return queues_[static_cast<size_t>(partition)];
 }
 
-const OpRoute& PartitionPlane::Route(const std::vector<Op>& ops) {
-  // A reused flat buffer of (partition, op index) pairs, sorted: routing
-  // allocates nothing per transaction, and the index tiebreak keeps each
-  // partition's ops in program order.
-  FC_CHECK(!ops.empty()) << "empty transaction";
-  route_.clear();
-  for (size_t i = 0; i < ops.size(); ++i) {
-    route_.emplace_back(PartitionOf(ops[i].key), static_cast<int>(i));
-  }
-  std::sort(route_.begin(), route_.end());
-  return route_;
-}
-
-std::vector<Op> PartitionPlane::TakeOpsBuffer() {
-  if (spare_ops_.empty()) return {};
-  std::vector<Op> buffer = std::move(spare_ops_.back());
-  spare_ops_.pop_back();
-  return buffer;
-}
-
-std::vector<Op> PartitionPlane::TakeGroup(const std::vector<Op>& ops,
-                                          const OpRoute& route, size_t* pos) {
-  std::vector<Op> group = TakeOpsBuffer();
-  int partition = route[*pos].first;
-  for (; *pos < route.size() && route[*pos].first == partition; ++*pos) {
-    group.push_back(ops[static_cast<size_t>(route[*pos].second)]);
-  }
-  return group;
-}
-
-void PartitionPlane::Recycle(std::vector<Op>& ops) {
-  if (ops.capacity() == 0) return;
-  ops.clear();
-  spare_ops_.push_back(std::move(ops));
-}
-
-void PartitionPlane::Enqueue(int partition, sim::Time at, Task&& task) {
+PartitionPlane::PartitionQueue& PartitionPlane::Admit(int partition,
+                                                      sim::Time at) {
   PartitionQueue& q = queue(partition);
   FC_CHECK(at >= q.last_enqueued_at)
-      << "partition task out of canonical order: task at " << at
-      << " after a task at " << q.last_enqueued_at;
+      << "partition call out of canonical order: call at " << at
+      << " after a call at " << q.last_enqueued_at;
   q.last_enqueued_at = at;
-  // Only a restart leaves a backlog at an up partition, and its Flush must
-  // replay it before anything newer runs.
-  FC_CHECK(q.down || q.deferred.empty())
-      << "task at partition " << partition << " ahead of its restart backlog";
-  Run(q, task);
-  Recycle(task.ops);
+  return q;
 }
 
 void PartitionPlane::EnqueuePrepare(int partition, sim::Time at, TxId tx,
-                                    std::vector<Op> ops,
+                                    const std::vector<Op>& ops,
                                     commit::Vote* vote_out) {
-  FC_CHECK(vote_out != nullptr) << "prepare task needs a vote slot";
-  Enqueue(partition, at,
-          Task{TaskKind::kPrepare, tx, commit::Decision::kNone, 0, 0, vote_out,
-               nullptr, std::move(ops)});
+  PartitionQueue& q = Admit(partition, at);
+  if (q.down) {
+    // A crashed participant cannot acquire locks: the no-wait answer is a
+    // kNo vote, written by the plane itself — Prepare never runs, so
+    // prepares() does not count it.
+    *vote_out = commit::Vote::kNo;
+    ++q.down_noes;
+    return;
+  }
+  *vote_out = q.participant->Prepare(tx, ops);
 }
 
 void PartitionPlane::EnqueuePrepares(sim::Time at, TxId tx,
                                      const std::vector<Op>& ops,
                                      std::vector<int>* touched,
                                      std::vector<commit::Vote>* votes) {
-  Route(ops);
-  touched->clear();
-  for (size_t i = 0; i < route_.size(); ++i) {
-    if (i == 0 || route_[i].first != route_[i - 1].first) {
-      touched->push_back(route_[i].first);
-    }
+  // Sorted (partition, op index) pairs: the index tiebreak keeps each
+  // partition's ops in program order, and the buffers are reused, so
+  // routing allocates nothing per transaction.
+  FC_CHECK(!ops.empty()) << "empty transaction";
+  route_.clear();
+  for (size_t i = 0; i < ops.size(); ++i) {
+    route_.emplace_back(PartitionOf(ops[i].key), static_cast<int>(i));
   }
-  // Vote slots are written through pointers, so the vector must reach its
-  // final size before any is taken.
-  votes->assign(touched->size(), commit::Vote::kNo);
-  for (size_t pos = 0, slot = 0; pos < route_.size(); ++slot) {
+  std::sort(route_.begin(), route_.end());
+  touched->clear();
+  votes->clear();
+  for (size_t pos = 0; pos < route_.size();) {
     int partition = route_[pos].first;
-    EnqueuePrepare(partition, at, tx, TakeGroup(ops, route_, &pos),
-                   &(*votes)[slot]);
+    group_.clear();
+    for (; pos < route_.size() && route_[pos].first == partition; ++pos) {
+      group_.push_back(ops[static_cast<size_t>(route_[pos].second)]);
+    }
+    touched->push_back(partition);
+    EnqueuePrepare(partition, at, tx, group_, &votes->emplace_back());
   }
 }
 
 void PartitionPlane::EnqueueFinish(int partition, sim::Time at, TxId tx,
                                    commit::Decision decision, int64_t csn,
                                    int64_t gc_watermark) {
-  Enqueue(partition, at,
-          Task{TaskKind::kFinish, tx, decision, csn, gc_watermark, nullptr,
-               nullptr, {}});
+  PartitionQueue& q = Admit(partition, at);
+  if (q.down) {
+    // Crash holding locks: the finish waits out the downtime.
+    q.backlog.push_back(DeferredFinish{tx, decision, csn, gc_watermark});
+    ++q.deferred_total;
+    return;
+  }
+  q.participant->Finish(tx, decision, csn, gc_watermark);
 }
 
-void PartitionPlane::EnqueueSnapshotRead(int partition, sim::Time at, TxId tx,
+void PartitionPlane::EnqueueSnapshotRead(int partition, sim::Time at, TxId,
                                          int64_t snapshot_csn,
-                                         std::vector<Op> ops,
-                                         std::vector<Value>* values_out,
-                                         int* read_done) {
-  FC_CHECK(values_out != nullptr) << "snapshot read task needs a value slot";
-  Enqueue(partition, at,
-          Task{TaskKind::kSnapshotRead, tx, commit::Decision::kNone,
-               snapshot_csn, 0, nullptr, values_out, std::move(ops),
-               read_done});
+                                         const std::vector<Op>& ops,
+                                         std::vector<Value>* values_out) {
+  PartitionQueue& q = Admit(partition, at);
+  FC_CHECK(!q.down) << "snapshot read at down partition " << partition;
+  q.participant->ReadAtSnapshot(snapshot_csn, ops, values_out);
 }
 
 void PartitionPlane::CrashPartition(int partition) {
   PartitionQueue& q = queue(partition);
   FC_CHECK(!q.down) << "partition " << partition << " crashed twice";
   q.down = true;
+  ++down_count_;
 }
 
 void PartitionPlane::RestartPartition(int partition) {
@@ -153,12 +126,17 @@ void PartitionPlane::RestartPartition(int partition) {
   FC_CHECK(q.down) << "restarting partition " << partition
                    << " that is not down";
   q.down = false;
-  // The backlog is older than anything enqueued from now on: the next
-  // Flush replays it in FIFO order, and Enqueue refuses newer work first.
-  pending_tasks_ += static_cast<int64_t>(q.deferred.size());
+  --down_count_;
+  if (q.backlog.empty()) return;
+  for (const DeferredFinish& f : q.backlog) {
+    q.participant->Finish(f.tx, f.decision, f.csn, f.gc_watermark);
+  }
+  tasks_drained_ += static_cast<int64_t>(q.backlog.size());
+  ++flushes_;
+  q.backlog.clear();
 }
 
-int64_t PartitionPlane::deferred_tasks_total() const {
+int64_t PartitionPlane::deferred_finishes() const {
   int64_t total = 0;
   for (const PartitionQueue& q : queues_) total += q.deferred_total;
   return total;
@@ -170,58 +148,9 @@ int64_t PartitionPlane::down_vote_noes() const {
   return total;
 }
 
-void PartitionPlane::Run(PartitionQueue& q, Task& task) {
-  if (q.down) {
-    switch (task.kind) {
-      case TaskKind::kPrepare:
-        // A crashed participant cannot acquire locks: the no-wait answer
-        // is a kNo vote, written by the plane itself — Prepare never
-        // runs, so prepares() does not count it.
-        *task.vote_out = commit::Vote::kNo;
-        ++q.down_noes;
-        return;
-      case TaskKind::kFinish:
-      case TaskKind::kSnapshotRead:
-        // Crash holding locks: the finish (and any read behind it in
-        // the FIFO) waits out the downtime, replaying at the Flush after
-        // the restart.
-        q.deferred.push_back(std::move(task));
-        ++q.deferred_total;
-        return;
-    }
-  }
-  switch (task.kind) {
-    case TaskKind::kPrepare:
-      *task.vote_out = q.participant->Prepare(task.tx, task.ops);
-      break;
-    case TaskKind::kFinish:
-      q.participant->Finish(task.tx, task.decision, task.csn,
-                            task.gc_watermark);
-      break;
-    case TaskKind::kSnapshotRead:
-      q.participant->ReadAtSnapshot(task.csn, task.ops, task.values_out);
-      if (task.read_done != nullptr) ++*task.read_done;
-      break;
-  }
-}
-
 void PartitionPlane::Flush(sim::ShardedSimulator*) {
-  if (pending_tasks_ > 0) {
-    for (PartitionQueue& q : queues_) {
-      if (q.down) continue;
-      for (Task& task : q.deferred) {
-        Run(q, task);
-        Recycle(task.ops);
-      }
-      q.deferred.clear();
-    }
-    tasks_drained_ += pending_tasks_;
-    pending_tasks_ = 0;
-    ++flushes_;
-  }
-  if (check_invariants_) {
-    for (PartitionQueue& q : queues_) q.participant->CheckInvariants();
-  }
+  if (!check_invariants_) return;
+  for (PartitionQueue& q : queues_) q.participant->CheckInvariants();
 }
 
 }  // namespace fastcommit::db

@@ -9,8 +9,9 @@
 //     slot GC keeps live-slot memory bounded, and a crash-free logged
 //     drain ends at its last delivered decision;
 //   - a participant crash holds its locks across the outage: deferred
-//     finishes/reads apply at restart, prepares refused while down vote
-//     kNo, and everything above still holds.
+//     finishes apply at restart, snapshot reads that touch the partition
+//     wait for it in submit order, prepares refused while down vote kNo,
+//     and everything above still holds.
 // Invariant checking (Options::check_invariants) is on for every run.
 
 #include <gtest/gtest.h>
@@ -37,7 +38,7 @@ struct RunOutcome {
   uint64_t fingerprint = 0;
   int64_t held_locks = 0;
   int64_t locked_words = 0;
-  int64_t deferred_tasks = 0;
+  int64_t deferred_finishes = 0;
   int64_t down_noes = 0;
   /// Keys whose final value diverged from the delivered-commit ledger
   /// (empty = zero lost committed transactions, zero ghost commits).
@@ -92,7 +93,7 @@ RunOutcome RunTransfer(Database::Options options, int num_txs, uint64_t seed,
     out.log_min_active = log.min_active();
   }
   out.fingerprint = database.read_fingerprint();
-  out.deferred_tasks = database.partition_plane().deferred_tasks_total();
+  out.deferred_finishes = database.partition_plane().deferred_finishes();
   out.down_noes = database.partition_plane().down_vote_noes();
   for (const auto& entry : ledger) {
     if (database.GetInt(entry.first) != entry.second) {
@@ -343,7 +344,7 @@ TEST(ParticipantCrashTest, CrashHoldingLocksRecoversClean) {
   RunOutcome out = RunTransfer(options, 300, 42);
   EXPECT_EQ(out.recovery.participant_crashes, 1);
   EXPECT_EQ(out.recovery.participant_restarts, 1);
-  EXPECT_GT(out.deferred_tasks, 0)
+  EXPECT_GT(out.deferred_finishes, 0)
       << "the crash window should catch finishes in flight";
   EXPECT_GT(out.down_noes, 0)
       << "prepares at the down partition must vote kNo";
@@ -373,49 +374,78 @@ TEST(ParticipantCrashTest, BitwiseDeterministicAcrossPlacements) {
   EXPECT_GT(baseline.recovery.participant_crashes, 0);
 }
 
-// Snapshot reads across a participant crash: reads at the down partition
-// defer (prefix finalization keeps submit order), and the read fingerprint
-// is placement invariant.
+// Snapshot reads across a participant crash: a read that touches the
+// down partition waits for the restart, and every later read waits behind
+// it. Through the observer, reads arrive in submit order, each at its
+// submit instant or at the restart instant, and their values fold into a
+// fingerprint pinned for every placement.
 TEST(ParticipantCrashTest, SnapshotReadsDeferAndStayDeterministic) {
-  auto run = [](int shards) {
+  constexpr sim::Time kCrashAt = 1500;
+  constexpr sim::Time kRestartAt = 4000;
+  // The read values of this run, folded: a change to which version a read
+  // sees, on any placement, moves it.
+  constexpr uint64_t kGoldenFingerprint = 1777516774854724264ULL;
+  auto run = [&](int shards) {
     Database::Options options =
         FaultOptions(core::ProtocolKind::kInbac, 0, shards);
     options.snapshot_reads = true;
     options.fault_plan.crash_partition = 1;
-    options.fault_plan.participant_crash_at = 1500;
-    options.fault_plan.participant_restart_delay = 2500;
+    options.fault_plan.participant_crash_at = kCrashAt;
+    options.fault_plan.participant_restart_delay = kRestartAt - kCrashAt;
     options.check_invariants = true;
     Database database(options);
     const int kAccounts = 64;
     for (int a = 0; a < kAccounts; ++a) database.LoadInt(AccountKey(a), 1000);
-    auto txs = MakeTransferWorkload(200, kAccounts, 50, shards + 5);
+    auto txs = MakeTransferWorkload(200, kAccounts, 50, 6);
     sim::Time at = 0;
     TxId next_id = 100000;
+    std::map<TxId, sim::Time> submitted_at;  // reader id -> submit instant
     for (auto& tx : txs) {
       database.Submit(std::move(tx), at);
-      // Interleave a read-only transaction spanning several partitions.
+      // Interleave a read-only transaction spanning several partitions,
+      // its keys shifting from reader to reader so that some touch the
+      // crashed partition and some do not.
       Transaction reader;
       reader.id = next_id++;
       for (int a = 0; a < 6; ++a) {
-        reader.ops.push_back(Transaction::Get(AccountKey((a * 11) % 64)));
+        reader.ops.push_back(
+            Transaction::Get(AccountKey((reader.id * 7 + a * 11) % 64)));
       }
+      submitted_at[reader.id] = at + 7;
       database.Submit(std::move(reader), at + 7);
       at += 25;
     }
+    TxId last_served = 0;
+    int64_t served = 0;
+    int64_t waited = 0;
+    database.set_snapshot_read_observer(
+        [&](const Transaction& tx, int64_t, const std::vector<Value>&) {
+          EXPECT_GT(tx.id, last_served) << "read served out of submit order";
+          last_served = tx.id;
+          ++served;
+          sim::Time now = database.Now();
+          if (now == submitted_at.at(tx.id)) return;
+          EXPECT_EQ(now, kRestartAt) << "read " << tx.id << " submitted at "
+                                     << submitted_at.at(tx.id);
+          ++waited;
+        });
     RunOutcome out;
     out.stats = database.Drain();
     out.fingerprint = database.read_fingerprint();
-    out.deferred_tasks = database.partition_plane().deferred_tasks_total();
+    out.deferred_finishes = database.partition_plane().deferred_finishes();
+    EXPECT_EQ(served, 200);
+    EXPECT_GT(waited, 0) << "no read waited for the restart";
     return out;
   };
-  // Regenerate the workload with the same seed per placement (seed depends
-  // only on a constant here).
-  RunOutcome a = run(1);
-  RunOutcome b = run(1);
-  EXPECT_EQ(a.stats, b.stats);
-  EXPECT_EQ(a.fingerprint, b.fingerprint);
-  EXPECT_GT(a.stats.read_only_committed, 0);
-  EXPECT_GT(a.deferred_tasks, 0);
+  RunOutcome baseline = run(1);
+  EXPECT_EQ(baseline.fingerprint, kGoldenFingerprint);
+  EXPECT_EQ(baseline.stats.read_only_committed, 200);
+  EXPECT_GT(baseline.deferred_finishes, 0);
+  for (int shards : {2, 8}) {
+    RunOutcome out = run(shards);
+    EXPECT_EQ(out.stats, baseline.stats) << "shards=" << shards;
+    EXPECT_EQ(out.fingerprint, baseline.fingerprint) << "shards=" << shards;
+  }
 }
 
 // ------------------------------------------ combined / edge scenarios ----

@@ -128,8 +128,8 @@ int ThreadCount() {
 
 // One thread drains every placement, so the thread-count and
 // conflict-lookahead options are inert: a 4-shard, 4-thread run with
-// lookahead on starts no thread, runs every partition task at enqueue
-// (no flush replays a backlog, none is skipped) and reproduces the 1 x 1
+// lookahead on starts no thread, calls every partition directly (no
+// restart applies a backlog, none is skipped) and reproduces the 1 x 1
 // run bitwise.
 TEST(ShardRuntimeTest, ThreadAndLookaheadKnobsAreInert) {
   TrafficOptions traffic;  // transfer pairs over the default 2^20 keys

@@ -5,11 +5,13 @@
 // the first S commits), read-your-writes, the zero-footprint guarantee
 // (no locks, no votes, no protocol messages, no pooled instances for
 // read-only traffic in either concurrency mode), version GC staying
-// bounded, and bitwise placement determinism of both DatabaseStats and
-// the read-result fingerprint across shard counts.
+// bounded, the empty-transaction check on both read paths, and bitwise
+// placement determinism of both DatabaseStats and the read-result
+// fingerprint across shard counts.
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "commit/commit_protocol.h"
@@ -224,6 +226,25 @@ TEST(DatabaseSnapshotTest, FingerprintTellsAbsentFromStoredZero) {
     return database.read_fingerprint();
   };
   EXPECT_NE(fingerprint(false), fingerprint(true));
+}
+
+// IsReadOnly holds for a transaction without ops, so the snapshot path must
+// refuse an empty transaction just as the locked path's routing does.
+TEST(DatabaseSnapshotTest, EmptyTransactionDiesOnEitherPath) {
+  for (bool snapshot_reads : {false, true}) {
+    Database::Options options = SnapshotOptions();
+    options.snapshot_reads = snapshot_reads;
+    EXPECT_DEATH(
+        {
+          Database database(options);
+          Transaction empty;
+          empty.id = 1;
+          database.Submit(std::move(empty), 0);
+          database.Drain();
+        },
+        "empty transaction")
+        << "snapshot_reads=" << snapshot_reads;
+  }
 }
 
 void ExpectZeroFootprint(ConcurrencyMode mode) {

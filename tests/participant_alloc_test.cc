@@ -71,7 +71,7 @@ struct Counts {
 
 /// `kCycles` cycles of: prepare a transfer, with `conflict` prepare its
 /// rival and finish it aborted, then finish the transfer committed at the
-/// next CSN (the GC watermark is that CSN: no snapshot claims).
+/// next CSN (the GC watermark is that CSN: no snapshot read waits).
 void RunCycles(Participant& p, const Shapes& s, bool conflict, TxId* tx,
                Counts* counts) {
   for (int i = 0; i < kCycles; ++i) {

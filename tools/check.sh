@@ -98,7 +98,20 @@ run_gates() {
     "./$gates_dir/bench_db_sharded" --txs 4000
 }
 
+# report_src_lines: the src/ code-line count, with ROADMAP item 7's
+# command, so every log carries the net size a change reports. Report-only:
+# it never fails the script.
+report_src_lines() {
+  if src_lines=$(git ls-files 'src/*.h' 'src/*.cc' 2>/dev/null | xargs cat |
+    grep -Evc '^\s*(//|$)'); then
+    echo "check.sh: src/ code lines: $src_lines"
+  else
+    echo "check.sh: src/ code lines: not counted (no git checkout)"
+  fi
+}
+
 run_suite build
+report_src_lines
 run_gates build
 
 case "${1:-}" in
