@@ -580,7 +580,6 @@ bool Database::MaybeCrashCoordinator(CrashPoint point, sim::Time at) {
 void Database::CrashCoordinator(sim::Time at) {
   FC_CHECK(!down_) << "coordinator crashed while already down";
   down_ = true;
-  crash_time_ = at;
   ++coordinator_epoch_;
   ++recovery_stats_.coordinator_crashes;
   recovery_stats_.last_crash_time = at;
@@ -602,7 +601,7 @@ void Database::RecoverCoordinator() {
   down_ = false;
   ++recovery_stats_.recoveries;
   recovery_stats_.last_restart_time = now;
-  recovery_stats_.unavailability_ticks += now - crash_time_;
+  recovery_stats_.unavailability_ticks += now - recovery_stats_.last_crash_time;
   // Replay the round table in formation order against the recovered log.
   // Three classes: decision logged -> redo the finishes; votes logged but
   // undecided -> re-decide through a fresh instance; nothing durable ->

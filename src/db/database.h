@@ -142,11 +142,11 @@ struct DatabaseStats {
 /// Execution model per transaction:
 ///   1. ops are routed to partitions by key hash;
 ///   2. each touched partition prepares locally: acquires no-wait locks and
-///      stages writes, voting yes/no (Helios-style conflict voting);
+///      records what it holds, voting yes/no (Helios-style conflict voting);
 ///   3. a commit instance of the configured protocol — acquired from a pool
 ///      keyed by (shard, cluster size), see db/instance_pool.h — runs among
 ///      the touched partitions on the shard chosen by the transaction id;
-///   4. on commit, staged writes apply; on abort, the transaction retries
+///   4. on commit, recorded writes apply; on abort, the transaction retries
 ///      with backoff up to max_attempts.
 /// Single-partition transactions skip the protocol (one-phase commit).
 ///
@@ -543,7 +543,6 @@ class Database {
   /// started in an older epoch release their instance and nothing else.
   bool down_ = false;
   int64_t coordinator_epoch_ = 0;
-  sim::Time crash_time_ = 0;
   /// Passages of the armed crash point remaining before the crash fires;
   /// 0 = disarmed (no crash planned, or already fired).
   int64_t crash_countdown_ = 0;

@@ -22,9 +22,9 @@ struct FlatHash {
 };
 
 /// Open-addressing hash table behind every per-partition table (the
-/// KvStore's chains, the lock and held tables, the OCC version words and
-/// the staged writes). Those tables insert and erase once per transaction,
-/// so the layout is chosen for that churn:
+/// KvStore's chains, the lock table, the OCC version words and the
+/// prepared transactions' records). Those tables insert and erase once per
+/// transaction, so the layout is chosen for that churn:
 ///   - Entries live in a dense array, behind an index of 8-byte slots that
 ///     each hold a 32-bit hash tag and an entry number. A lookup reads one
 ///     index line, compares tags, and touches only the entry whose tag

@@ -1,6 +1,7 @@
 #ifndef FASTCOMMIT_DB_LOCK_MANAGER_H_
 #define FASTCOMMIT_DB_LOCK_MANAGER_H_
 
+#include <functional>
 #include <vector>
 
 #include "db/flat_table.h"
@@ -13,10 +14,11 @@ namespace fastcommit::db {
 /// (Helios-style conflict detection — the paper's motivating execution
 /// model), leaving deadlock avoidance to abort-and-retry.
 ///
-/// Both the per-key lock table and the per-transaction held-key table are
-/// FlatTables, and each gains and loses an entry per transaction. An
-/// erased entry keeps its owner and key vectors' capacity for the next
-/// insert, so a steady-state acquire/release cycle allocates nothing.
+/// The table is keyed by key only: which keys a transaction holds is the
+/// Participant's record of its prepare, which releases them one by one.
+/// The per-key table is a FlatTable that gains and loses an entry per
+/// locked key; an erased entry keeps its owner vector's capacity for the
+/// next insert, so a steady-state acquire/release cycle allocates nothing.
 class LockManager {
  public:
   LockManager() = default;
@@ -25,27 +27,25 @@ class LockManager {
   bool TryLockShared(Key key, TxId tx);
   bool TryLockExclusive(Key key, TxId tx);
 
-  /// Releases every lock held by `tx`.
-  void ReleaseAll(TxId tx);
+  /// Releases `tx`'s lock on `key`, in either mode; a no-op when `tx`
+  /// holds none there.
+  void Release(Key key, TxId tx);
 
   /// Diagnostics.
   int64_t held_locks() const;
-  /// Locks held by one transaction (0 when it holds none) — the "no lock
-  /// held by a finished transaction" probe of tests/lock_invariant_test.cc.
-  int64_t held_by(TxId tx) const;
   bool HoldsExclusive(Key key, TxId tx) const;
   bool HoldsShared(Key key, TxId tx) const;
+  /// Visits every (key, owner) pair, exclusive and shared alike. Debug
+  /// and invariant use only; O(held locks).
+  void ForEachOwner(const std::function<void(Key, TxId)>& fn) const;
 
   /// Debug invariant sweep, FC_CHECKs on violation:
   ///   - no key is both exclusive-owned and shared-owned (the
   ///     shared/exclusive coexistence ban, including after an upgrade);
-  ///   - no empty lock entries linger (ReleaseAll must erase them);
+  ///   - no empty lock entries linger (Release must erase them);
   ///   - every shared-owner list is sorted and duplicate-free (the
-  ///     sorted-vector representation's own contract);
-  ///   - held_ and the per-key owner sets agree exactly in both
-  ///     directions, with no duplicate held_ entries (the upgrade path
-  ///     must not double-record a key it re-acquired exclusively).
-  /// O(held locks); called at partition-plane flushes when enabled.
+  ///     sorted-vector representation's own contract).
+  /// O(held locks); Participant::CheckInvariants runs it.
   void CheckInvariants() const;
 
  private:
@@ -64,12 +64,7 @@ class LockManager {
     }
   };
 
-  /// True when held_[tx] records `key` (linear in that transaction's held
-  /// set; CheckInvariants-only).
-  bool HeldRecorded(Key key, TxId tx) const;
-
   FlatTable<Key, LockState> locks_;
-  FlatTable<TxId, std::vector<Key>> held_;
 };
 
 }  // namespace fastcommit::db

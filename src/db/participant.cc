@@ -1,72 +1,51 @@
 #include "db/participant.h"
 
+#include <algorithm>
+
 #include "core/check.h"
 
 namespace fastcommit::db {
 
 commit::Vote Participant::Prepare(TxId tx, const std::vector<Op>& local_ops) {
+  FC_CHECK(records_.Find(tx) == nullptr)
+      << "partition " << partition_id_ << ": tx " << tx
+      << " prepared again before its finish";
+  ++prepares_;
   return mode_ == ConcurrencyMode::kOCC ? PrepareOcc(tx, local_ops)
                                         : Prepare2pl(tx, local_ops);
 }
 
 commit::Vote Participant::Prepare2pl(TxId tx,
                                      const std::vector<Op>& local_ops) {
-  ++prepares_;
-  for (const Op& op : local_ops) {
-    bool ok = false;
-    switch (op.type) {
-      case Op::Type::kGet:
-        ok = locks_.TryLockShared(op.key, tx);
-        break;
-      case Op::Type::kPut:
-      case Op::Type::kAdd:
-        ok = locks_.TryLockExclusive(op.key, tx);
-        break;
-    }
-    if (!ok) {
-      ++conflicts_;
-      locks_.ReleaseAll(tx);
-      return commit::Vote::kNo;
-    }
+  for (size_t i = 0; i < local_ops.size(); ++i) {
+    const Op& op = local_ops[i];
+    bool ok = op.type == Op::Type::kGet ? locks_.TryLockShared(op.key, tx)
+                                        : locks_.TryLockExclusive(op.key, tx);
+    if (!ok) return Refuse(tx, local_ops, i + 1);
   }
-  StageWrites(tx, local_ops);
-  return commit::Vote::kYes;
+  return Record(tx, local_ops);
 }
 
 commit::Vote Participant::PrepareOcc(TxId tx,
                                      const std::vector<Op>& local_ops) {
-  ++prepares_;
   // Phase 1 — execution: lock-free versioned reads. Each read records the
   // key's current version-lock word in the transaction's read set and
   // mutates nothing, so pure readers leave no footprint for anyone else
   // to conflict with — the whole point of the mode.
   read_scratch_.clear();
-  bool has_writes = false;
   for (const Op& op : local_ops) {
     if (op.type == Op::Type::kGet) {
       read_scratch_.push_back(
           ReadObservation{op.key, versions_.ReadWord(op.key)});
-    } else {
-      has_writes = true;
     }
   }
 
   // Phase 2 — lock writes (no-wait): take the version lock of every write
-  // key. A word held by another transaction fails the whole prepare; the
-  // rollback only releases words this transaction owns, so duplicate
-  // write-set keys and the failing key itself are safe to sweep.
-  if (has_writes) {
-    for (const Op& op : local_ops) {
-      if (op.type == Op::Type::kGet) continue;
-      if (!versions_.TryLock(op.key, tx)) {
-        ++conflicts_;
-        for (const Op& undo : local_ops) {
-          if (undo.type != Op::Type::kGet) {
-            versions_.UnlockIfOwned(undo.key, tx);
-          }
-        }
-        return commit::Vote::kNo;
-      }
+  // key. A word held by another transaction refuses the whole prepare.
+  for (size_t i = 0; i < local_ops.size(); ++i) {
+    const Op& op = local_ops[i];
+    if (op.type != Op::Type::kGet && !versions_.TryLock(op.key, tx)) {
+      return Refuse(tx, local_ops, i + 1);
     }
   }
 
@@ -84,76 +63,63 @@ commit::Vote Participant::PrepareOcc(TxId tx,
         VersionTable::Locked(now) && versions_.OwnerOf(read.key) != tx;
     if (locked_by_other ||
         VersionTable::VersionOf(now) != VersionTable::VersionOf(read.word)) {
-      ++conflicts_;
-      for (const Op& undo : local_ops) {
-        if (undo.type != Op::Type::kGet) versions_.UnlockIfOwned(undo.key, tx);
-      }
-      return commit::Vote::kNo;
+      return Refuse(tx, local_ops, local_ops.size());
     }
   }
 
-  // Validation passed: that *is* the vote. Stage the writes for Finish;
-  // a read-only transaction stages nothing and holds nothing — its
-  // prepare was a pure table lookup (the read-only fast path).
-  StageWrites(tx, local_ops);
+  // Validation passed: that *is* the vote.
+  return Record(tx, local_ops);
+}
+
+commit::Vote Participant::Record(TxId tx, const std::vector<Op>& local_ops) {
+  // Only ops that hold their key are recorded, so an OCC read-only
+  // prepare, a pure table lookup, records nothing (the read-only fast
+  // path) and its Finish finds nothing to do.
+  if (std::none_of(local_ops.begin(), local_ops.end(),
+                   [this](const Op& op) { return Holds(op); })) {
+    return commit::Vote::kYes;
+  }
+  std::vector<Op>& record = records_[tx];
+  for (const Op& op : local_ops) {
+    if (Holds(op)) record.push_back(op);
+  }
   return commit::Vote::kYes;
 }
 
-void Participant::StageWrites(TxId tx, const std::vector<Op>& local_ops) {
-  // Stage only the write ops: reads apply nothing, so staging them would
-  // just grow the table — and with batched rounds a staged entry can wait
-  // out a whole batching window, not just one protocol run. Read-only op
-  // sets never touch the table at all.
-  bool has_writes = false;
-  for (const Op& op : local_ops) {
-    if (op.type != Op::Type::kGet) {
-      has_writes = true;
-      break;
+commit::Vote Participant::Refuse(TxId tx, const std::vector<Op>& local_ops,
+                                 size_t tried) {
+  ++conflicts_;
+  Release(tx, local_ops, tried, commit::Decision::kAbort);
+  return commit::Vote::kNo;
+}
+
+void Participant::Release(TxId tx, const std::vector<Op>& ops, size_t count,
+                          commit::Decision decision) {
+  for (size_t i = 0; i < count; ++i) {
+    Key key = ops[i].key;
+    if (mode_ == ConcurrencyMode::k2PL) {
+      locks_.Release(key, tx);
+    } else if (decision == commit::Decision::kCommit) {
+      versions_.PublishIfOwned(key, tx);
+    } else {
+      versions_.UnlockIfOwned(key, tx);
     }
-  }
-  if (!has_writes) return;
-  std::vector<Op>& staged = staged_[tx];
-  staged.clear();
-  for (const Op& op : local_ops) {
-    if (op.type != Op::Type::kGet) staged.push_back(op);
   }
 }
 
 void Participant::Finish(TxId tx, commit::Decision decision, int64_t csn,
                          int64_t gc_watermark) {
-  if (mode_ == ConcurrencyMode::kOCC) {
-    FinishOcc(tx, decision, csn, gc_watermark);
-    return;
-  }
-  auto* staged = staged_.Find(tx);
-  if (staged != nullptr) {
-    if (decision == commit::Decision::kCommit) {
-      for (const Op& op : staged->value) store_.Apply(op, csn, gc_watermark);
-    }
-    staged_.Erase(staged);
-  }
-  locks_.ReleaseAll(tx);
-}
-
-void Participant::FinishOcc(TxId tx, commit::Decision decision, int64_t csn,
-                            int64_t gc_watermark) {
-  // Read-only transactions (and transactions never prepared here, or
-  // already finished — batching's doomed-member early release finishes
-  // twice) have no staged entry and no version locks: nothing to do.
-  auto* staged = staged_.Find(tx);
-  if (staged == nullptr) return;
-  const std::vector<Op>& ops = staged->value;
+  auto* record = records_.Find(tx);
+  if (record == nullptr) return;
+  const std::vector<Op>& ops = record->value;
   if (decision == commit::Decision::kCommit) {
-    // Apply every staged write, then publish each key's new version —
-    // PublishIfOwned is a no-op after the first duplicate of a key, so
-    // the version moves exactly once per committed key however many ops
-    // the transaction stacked on it.
+    // Reads apply nothing. Every write lands before any release, and an
+    // OCC key's version moves once, at its first publish, however many
+    // ops the transaction stacked on it.
     for (const Op& op : ops) store_.Apply(op, csn, gc_watermark);
-    for (const Op& op : ops) versions_.PublishIfOwned(op.key, tx);
-  } else {
-    for (const Op& op : ops) versions_.UnlockIfOwned(op.key, tx);
   }
-  staged_.Erase(staged);
+  Release(tx, ops, ops.size(), decision);
+  records_.Erase(record);
 }
 
 void Participant::ReadAtSnapshot(int64_t snapshot_csn,
@@ -167,65 +133,38 @@ void Participant::ReadAtSnapshot(int64_t snapshot_csn,
 }
 
 void Participant::CheckInvariants() const {
-  // Version-chain hygiene is mode-independent: both Finish paths append
-  // through KvStore::Apply, so chain ordering must hold everywhere.
   store_.CheckInvariants();
-  if (mode_ == ConcurrencyMode::kOCC) {
-    FC_CHECK(locks_.held_locks() == 0)
-        << "partition " << partition_id_
-        << ": 2PL locks held in OCC mode";
-    versions_.CheckInvariants();
-    for (const auto& [tx, ops] : staged_) {
-      FC_CHECK(!ops.empty())
-          << "partition " << partition_id_ << ": empty staged entry for tx "
-          << tx << " (read-only op sets must not stage)";
-      for (const Op& op : ops) {
-        FC_CHECK(op.type != Op::Type::kGet)
-            << "partition " << partition_id_ << ": read op staged for tx "
-            << tx;
-        FC_CHECK(versions_.OwnerOf(op.key) == tx)
-            << "partition " << partition_id_ << ": tx " << tx
-            << " staged a write to '" << op.key
-            << "' without holding its version lock";
-      }
-    }
-    // The other direction: no locked word survives a flush barrier
-    // without a live owner — a staged entry that will publish or unlock
-    // it. An orphaned lock would wedge every later writer of the key.
-    versions_.ForEachLocked([this](Key key, TxId owner, uint64_t) {
-      const auto* staged = staged_.Find(owner);
-      bool live = false;
-      if (staged != nullptr) {
-        for (const Op& op : staged->value) {
-          if (op.key == key) {
-            live = true;
-            break;
-          }
-        }
-      }
-      FC_CHECK(live) << "partition " << partition_id_
-                     << ": version lock on '" << key << "' owned by tx "
-                     << owner << " with no staged write to publish it";
-    });
-    return;
-  }
   locks_.CheckInvariants();
-  FC_CHECK(versions_.size() == 0 && versions_.locked_words() == 0)
-      << "partition " << partition_id_ << ": version table used in 2PL mode";
-  for (const auto& [tx, ops] : staged_) {
+  versions_.CheckInvariants();
+  const bool occ = mode_ == ConcurrencyMode::kOCC;
+  FC_CHECK(occ ? locks_.held_locks() == 0 : versions_.size() == 0)
+      << "partition " << partition_id_ << ": the other mode's table is used";
+  // Record to lock: every recorded key is held by its transaction.
+  for (const auto& [tx, ops] : records_) {
     FC_CHECK(!ops.empty())
-        << "partition " << partition_id_ << ": empty staged entry for tx "
-        << tx << " (read-only op sets must not stage)";
+        << "partition " << partition_id_ << ": empty record for tx " << tx;
     for (const Op& op : ops) {
-      FC_CHECK(op.type != Op::Type::kGet)
-          << "partition " << partition_id_ << ": read op staged for tx "
-          << tx;
-      FC_CHECK(locks_.HoldsExclusive(op.key, tx))
+      bool held = occ ? versions_.OwnerOf(op.key) == tx
+                      : locks_.HoldsExclusive(op.key, tx) ||
+                            (op.type == Op::Type::kGet &&
+                             locks_.HoldsShared(op.key, tx));
+      FC_CHECK(Holds(op) && held)
           << "partition " << partition_id_ << ": tx " << tx
-          << " staged a write to '" << op.key
-          << "' without holding its exclusive lock";
+          << " records key '" << op.key << "' without holding it";
     }
   }
+  // Lock to record: every held key is named by its holder's record.
+  auto named = [this](Key key, TxId owner) {
+    const auto* record = records_.Find(owner);
+    FC_CHECK(record != nullptr &&
+             std::any_of(record->value.begin(), record->value.end(),
+                         [key](const Op& op) { return op.key == key; }))
+        << "partition " << partition_id_ << ": tx " << owner
+        << " holds key '" << key << "' that no record of it names";
+  };
+  locks_.ForEachOwner(named);
+  versions_.ForEachLocked(
+      [&named](Key key, TxId owner, uint64_t) { named(key, owner); });
 }
 
 }  // namespace fastcommit::db

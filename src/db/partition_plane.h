@@ -16,9 +16,10 @@ class ShardedSimulator;
 
 namespace fastcommit::db {
 
-/// Owns every partition (Participant: lock manager + KV store + staged
-/// writes) and is the control plane's only way into one for Prepare's
-/// lock acquisition, commit's write application and abort's lock release.
+/// Owns every partition (Participant: lock manager + KV store + prepared
+/// transactions' records) and is the control plane's only way into one
+/// for Prepare's lock acquisition, commit's write application and abort's
+/// lock release.
 ///
 /// ## Execution model
 ///
@@ -78,7 +79,7 @@ class PartitionPlane {
                        std::vector<int>* touched,
                        std::vector<commit::Vote>* votes);
 
-  /// Finishes (applies staged writes on commit, releases locks) `tx` at
+  /// Finishes (applies recorded writes on commit, releases locks) `tx` at
   /// `partition`, or appends it to the backlog while the partition is
   /// down. `csn` is the commit CSN a commit's writes are versioned at (0
   /// for aborts), and `gc_watermark` the reader low-watermark the touched
@@ -126,7 +127,7 @@ class PartitionPlane {
 
   /// When on, every Flush runs Participant::CheckInvariants over every
   /// partition — the debug hook tests/lock_invariant_test.cc stresses.
-  /// O(held locks + staged writes) per call, so off by default.
+  /// O(held locks + recorded ops) per call, so off by default.
   void set_check_invariants(bool on) { check_invariants_ = on; }
 
   /// Restarts that applied a backlog, and the finishes they applied.

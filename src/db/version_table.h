@@ -48,7 +48,7 @@ class VersionTable {
   void UnlockIfOwned(Key key, TxId tx);
 
   /// Commit path: bumps the version and clears the locked bit. No-op
-  /// unless `tx` owns the word (idempotent across duplicate staged ops on
+  /// unless `tx` owns the word (idempotent across duplicate recorded ops on
   /// one key — the version moves once per commit, not once per op).
   void PublishIfOwned(Key key, TxId tx);
 

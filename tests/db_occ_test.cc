@@ -88,7 +88,7 @@ TEST(ParticipantOccTest, ReadOnlyFastPathLeavesNoFootprint) {
   Participant p(0, ConcurrencyMode::kOCC);
   EXPECT_EQ(p.Prepare(1, {Transaction::Get(kA), Transaction::Get(kB)}),
             commit::Vote::kYes);
-  // Nothing staged, nothing locked, nothing in the version table: the
+  // Nothing recorded, nothing locked, nothing in the version table: the
   // reader's Finish is a true no-op whichever decision arrives.
   EXPECT_EQ(p.versions().size(), 0u);
   EXPECT_EQ(p.versions().locked_words(), 0);

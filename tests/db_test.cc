@@ -90,18 +90,20 @@ TEST(LockManagerTest, UpgradeOnlyForSoleOwner) {
   LockManager locks;
   EXPECT_TRUE(locks.TryLockShared(kKey, 1));
   EXPECT_TRUE(locks.TryLockExclusive(kKey, 1));  // sole shared owner upgrades
-  locks.ReleaseAll(1);
+  locks.Release(kKey, 1);
   EXPECT_TRUE(locks.TryLockShared(kKey, 1));
   EXPECT_TRUE(locks.TryLockShared(kKey, 2));
   EXPECT_FALSE(locks.TryLockExclusive(kKey, 1));  // contended upgrade fails
 }
 
-TEST(LockManagerTest, ReleaseAllFreesEverything) {
+TEST(LockManagerTest, ReleaseFreesEachKey) {
   LockManager locks;
   EXPECT_TRUE(locks.TryLockExclusive(kA, 1));
   EXPECT_TRUE(locks.TryLockExclusive(kB, 1));
   EXPECT_EQ(locks.held_locks(), 2);
-  locks.ReleaseAll(1);
+  locks.Release(kA, 1);
+  EXPECT_EQ(locks.held_locks(), 1);
+  locks.Release(kB, 1);
   EXPECT_EQ(locks.held_locks(), 0);
   EXPECT_TRUE(locks.TryLockExclusive(kA, 2));
   EXPECT_TRUE(locks.TryLockExclusive(kB, 2));
@@ -109,7 +111,7 @@ TEST(LockManagerTest, ReleaseAllFreesEverything) {
 
 TEST(LockManagerTest, ReleaseUnknownTxIsNoop) {
   LockManager locks;
-  locks.ReleaseAll(42);
+  locks.Release(kKey, 42);
   EXPECT_EQ(locks.held_locks(), 0);
 }
 

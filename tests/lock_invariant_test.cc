@@ -1,22 +1,24 @@
-// Stress of the per-partition LockManager: the debug CheckInvariants()
-// hook runs at every partition-plane flush (Database::Options::
+// Stress of the per-partition records and locks: Participant::
+// CheckInvariants runs at every partition-plane flush (Database::Options::
 // check_invariants: after each transaction's prepares and at the end of a
 // drain) while contended workloads prepare, upgrade, batch, abort, and
-// retry on several shard placements — catching any lock a finished
-// transaction still holds, any shared/exclusive coexistence, and any
-// upgrade-path bookkeeping drift.
+// retry on several shard placements — catching any recorded key its
+// transaction no longer holds, any lock no record names (which nothing
+// would ever release), and any shared/exclusive coexistence.
 //
-// The LockManager-level tests below additionally pin each invariant
-// directly (including that CheckInvariants passes through the states the
-// upgrade path produces), so a future bookkeeping change that silently
-// weakens the sweep fails here, not just via the stress run.
+// The unit tests below additionally pin each invariant directly: the lock
+// table's own sweep through the states the upgrade path produces, and the
+// participant's two record checks as death tests, so a change that
+// silently weakens either sweep fails here, not just via the stress run.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "db/database.h"
 #include "db/lock_manager.h"
+#include "db/participant.h"
 #include "db/workload.h"
 
 namespace fastcommit::db {
@@ -27,26 +29,32 @@ const Key kA = ItemKey(1);
 const Key kB = ItemKey(2);
 const Key kC = ItemKey(3);
 
+// Locks `tx` holds, counted through ForEachOwner.
+int64_t HeldBy(const LockManager& locks, TxId tx) {
+  int64_t held = 0;
+  locks.ForEachOwner([&](Key, TxId owner) { held += owner == tx ? 1 : 0; });
+  return held;
+}
+
 // --- LockManager unit-level invariant coverage -----------------------------
 
 TEST(LockInvariantTest, CheckInvariantsPassesThroughUpgradePath) {
   LockManager locks;
   ASSERT_TRUE(locks.TryLockShared(kKey, 1));
   locks.CheckInvariants();
-  // Sole shared owner upgrades; held_ must keep exactly one record.
+  // Sole shared owner upgrades; the key keeps exactly one ownership.
   ASSERT_TRUE(locks.TryLockExclusive(kKey, 1));
   locks.CheckInvariants();
-  EXPECT_EQ(locks.held_by(1), 1);
+  EXPECT_EQ(HeldBy(locks, 1), 1);
   EXPECT_TRUE(locks.HoldsExclusive(kKey, 1));
   EXPECT_FALSE(locks.HoldsShared(kKey, 1));
-  // Re-acquiring in either mode is idempotent for the bookkeeping.
+  // Re-acquiring in either mode is idempotent.
   ASSERT_TRUE(locks.TryLockShared(kKey, 1));
   ASSERT_TRUE(locks.TryLockExclusive(kKey, 1));
   locks.CheckInvariants();
-  EXPECT_EQ(locks.held_by(1), 1);
-  locks.ReleaseAll(1);
+  EXPECT_EQ(HeldBy(locks, 1), 1);
+  locks.Release(kKey, 1);
   locks.CheckInvariants();
-  EXPECT_EQ(locks.held_by(1), 0);
   EXPECT_EQ(locks.held_locks(), 0);
 }
 
@@ -60,25 +68,58 @@ TEST(LockInvariantTest, CheckInvariantsPassesWithMixedOwners) {
   // Multi-shared denies the upgrade and must leave state untouched.
   ASSERT_FALSE(locks.TryLockExclusive(kA, 1));
   locks.CheckInvariants();
-  EXPECT_EQ(locks.held_by(1), 2);
-  EXPECT_EQ(locks.held_by(2), 2);
-  locks.ReleaseAll(1);
+  EXPECT_EQ(HeldBy(locks, 1), 2);
+  EXPECT_EQ(HeldBy(locks, 2), 2);
+  locks.Release(kA, 1);
+  locks.Release(kB, 1);
   locks.CheckInvariants();
-  EXPECT_EQ(locks.held_by(1), 0);
+  EXPECT_EQ(HeldBy(locks, 1), 0);
   EXPECT_TRUE(locks.HoldsShared(kA, 2));
-  locks.ReleaseAll(2);
+  locks.Release(kA, 2);
+  locks.Release(kC, 2);
   locks.CheckInvariants();
   EXPECT_EQ(locks.held_locks(), 0);
 }
 
-TEST(LockInvariantTest, ReleaseAllOfUnknownTxIsHarmless) {
+TEST(LockInvariantTest, ReleaseByANonOwnerIsHarmless) {
   LockManager locks;
-  locks.ReleaseAll(42);
+  locks.Release(kKey, 42);
   locks.CheckInvariants();
   ASSERT_TRUE(locks.TryLockExclusive(kKey, 1));
-  locks.ReleaseAll(42);
+  ASSERT_TRUE(locks.TryLockShared(kA, 1));
+  locks.Release(kKey, 42);
+  locks.Release(kA, 42);
   locks.CheckInvariants();
   EXPECT_TRUE(locks.HoldsExclusive(kKey, 1));
+  EXPECT_TRUE(locks.HoldsShared(kA, 1));
+}
+
+// --- Participant record invariants -------------------------------------------
+
+// A lock that no record names would never be released: Finish releases
+// only what the record lists.
+TEST(ParticipantRecordDeathTest, LockWithoutARecordDies) {
+  Participant partition(0);
+  ASSERT_EQ(partition.Prepare(1, {Transaction::Add(kA, 1)}),
+            commit::Vote::kYes);
+  partition.CheckInvariants();
+  ASSERT_TRUE(partition.locks().TryLockExclusive(kB, 2));
+  EXPECT_DEATH(partition.CheckInvariants(), "no record of it names");
+}
+
+// A second prepare before the finish would replace the first one's record
+// and orphan its locks, in either mode.
+TEST(ParticipantRecordDeathTest, SecondPrepareBeforeFinishDies) {
+  for (ConcurrencyMode mode : {ConcurrencyMode::k2PL, ConcurrencyMode::kOCC}) {
+    Participant partition(0, mode);
+    ASSERT_EQ(partition.Prepare(1, {Transaction::Add(kA, 1)}),
+              commit::Vote::kYes);
+    EXPECT_DEATH(partition.Prepare(1, {Transaction::Add(kB, 1)}),
+                 "prepared again before its finish");
+    partition.Finish(1, commit::Decision::kAbort);
+    EXPECT_EQ(partition.Prepare(1, {Transaction::Add(kB, 1)}),
+              commit::Vote::kYes);
+  }
 }
 
 // --- Database-level stress ---------------------------------------------------
@@ -106,7 +147,7 @@ DatabaseStats RunStress(Database& database) {
   }
   for (auto& tx : hot) {
     // Workload generators number from 1; concurrent waves need disjoint
-    // transaction ids (ids key locks, staging, and effect ordering).
+    // transaction ids (ids key locks, records, and effect ordering).
     tx.id += 1000;
     database.Submit(std::move(tx), at);
     at += 5;
@@ -136,7 +177,7 @@ TEST_P(LockInvariantStressTest, InvariantsHoldAtEveryBarrier) {
   EXPECT_EQ(stats.committed + stats.aborted, 200);
   EXPECT_GT(stats.retries, 0) << "stress run should contend";
   // Quiescent end state: every transaction finished, so no partition may
-  // hold a lock or a staged write for anyone.
+  // hold a lock or a record for anyone.
   for (int p = 0; p < database.num_partitions(); ++p) {
     Participant& partition = database.partition(p);
     EXPECT_EQ(partition.locks().held_locks(), 0)
@@ -174,11 +215,11 @@ TEST_P(LockInvariantStressTest, FinishedTransactionsHoldNoLocks) {
     at2 += 8;
   }
   for (int p = 0; p < database.num_partitions(); ++p) {
-    const LockManager& locks = database.partition(p).locks();
-    for (TxId tx : finished) {
-      EXPECT_EQ(locks.held_by(tx), 0)
-          << "finished tx " << tx << " still holds locks at partition " << p;
-    }
+    database.partition(p).locks().ForEachOwner([&](Key key, TxId owner) {
+      EXPECT_EQ(std::count(finished.begin(), finished.end(), owner), 0)
+          << "finished tx " << owner << " still holds key " << key
+          << " at partition " << p;
+    });
   }
   database.Drain();
   EXPECT_EQ(finished.size(), 100u);

@@ -1,8 +1,8 @@
 // Edge cases of the no-wait shared/exclusive LockManager that the generated
 // workloads now reach through read ops (Op::Type::kGet): shared->exclusive
-// upgrades, multi-shared upgrade denial, and the held_ bookkeeping that
-// ReleaseAll relies on (an upgraded or re-acquired lock must be tracked
-// exactly once).
+// upgrades, multi-shared upgrade denial, and per-key Release (an upgraded
+// or re-acquired lock is one ownership, freed by one release). The
+// participant-level tests pin what a prepare's record holds in each mode.
 
 #include <gtest/gtest.h>
 
@@ -23,9 +23,9 @@ TEST(LockManagerUpgradeTest, SoleSharedOwnerUpgradesInPlace) {
   EXPECT_TRUE(locks.HoldsExclusive(kKey, 1));
   EXPECT_FALSE(locks.HoldsShared(kKey, 1))
       << "upgrade must move the owner out of the shared set";
-  // Exactly one held_ entry despite two acquisitions: release frees it all.
+  // One ownership despite two acquisitions: one release frees it all.
   EXPECT_EQ(locks.held_locks(), 1);
-  locks.ReleaseAll(1);
+  locks.Release(kKey, 1);
   EXPECT_EQ(locks.held_locks(), 0);
   EXPECT_TRUE(locks.TryLockExclusive(kKey, 2));
 }
@@ -40,7 +40,7 @@ TEST(LockManagerUpgradeTest, UpgradeDeniedWhileOthersShare) {
   EXPECT_TRUE(locks.HoldsShared(kKey, 1));
   EXPECT_TRUE(locks.HoldsShared(kKey, 2));
   // Once the other reader leaves, the upgrade goes through.
-  locks.ReleaseAll(2);
+  locks.Release(kKey, 2);
   EXPECT_TRUE(locks.TryLockExclusive(kKey, 1));
   EXPECT_TRUE(locks.HoldsExclusive(kKey, 1));
 }
@@ -50,7 +50,7 @@ TEST(LockManagerUpgradeTest, SharedReacquireTracksOneHeldEntry) {
   ASSERT_TRUE(locks.TryLockShared(kKey, 1));
   ASSERT_TRUE(locks.TryLockShared(kKey, 1));  // idempotent re-acquire
   EXPECT_EQ(locks.held_locks(), 1);
-  locks.ReleaseAll(1);
+  locks.Release(kKey, 1);
   EXPECT_EQ(locks.held_locks(), 0);
   EXPECT_FALSE(locks.HoldsShared(kKey, 1));
 }
@@ -62,7 +62,7 @@ TEST(LockManagerUpgradeTest, ExclusiveSubsumesSharedWithoutDuplicateEntry) {
   EXPECT_EQ(locks.held_locks(), 1);
   EXPECT_FALSE(locks.HoldsShared(kKey, 1))
       << "the exclusive owner must not also appear as a shared owner";
-  locks.ReleaseAll(1);
+  locks.Release(kKey, 1);
   EXPECT_EQ(locks.held_locks(), 0);
   EXPECT_TRUE(locks.TryLockShared(kKey, 2));
 }
@@ -71,12 +71,12 @@ TEST(LockManagerUpgradeTest, ReleaseAfterUpgradeFreesReaders) {
   LockManager locks;
   ASSERT_TRUE(locks.TryLockShared(kKey, 1));
   ASSERT_TRUE(locks.TryLockExclusive(kKey, 1));
-  locks.ReleaseAll(1);
+  locks.Release(kKey, 1);
   // Both modes are available again.
   EXPECT_TRUE(locks.TryLockShared(kKey, 2));
   EXPECT_TRUE(locks.TryLockShared(kKey, 3));
-  locks.ReleaseAll(2);
-  locks.ReleaseAll(3);
+  locks.Release(kKey, 2);
+  locks.Release(kKey, 3);
   EXPECT_EQ(locks.held_locks(), 0);
 }
 
@@ -108,13 +108,28 @@ TEST(ParticipantReadOpTest, ConcurrentReadersDenyUpgrade) {
   EXPECT_EQ(p.locks().held_locks(), 0);
 }
 
-TEST(ParticipantReadOpTest, PureReadStagesNothing) {
-  Participant p(0);
-  p.store().Put(kKey, 7);
-  EXPECT_EQ(p.Prepare(1, {Transaction::Get(kKey)}), commit::Vote::kYes);
-  p.Finish(1, commit::Decision::kCommit);
-  EXPECT_EQ(p.store().Get(kKey), 7);
-  EXPECT_EQ(p.locks().held_locks(), 0);
+// A pure read's record is the one mode difference: under 2PL the read holds
+// a shared lock, which refuses a writer until its Finish; under OCC it holds
+// nothing and records nothing, so the writer goes through.
+TEST(ParticipantReadOpTest, PureReadHoldsASharedLockOnlyUnder2pl) {
+  for (ConcurrencyMode mode : {ConcurrencyMode::k2PL, ConcurrencyMode::kOCC}) {
+    const bool two_pl = mode == ConcurrencyMode::k2PL;
+    Participant p(0, mode);
+    p.store().Put(kKey, 7);
+    EXPECT_EQ(p.Prepare(1, {Transaction::Get(kKey)}), commit::Vote::kYes);
+    EXPECT_EQ(p.locks().HoldsShared(kKey, 1), two_pl);
+    EXPECT_EQ(p.locks().held_locks(), two_pl ? 1 : 0);
+    EXPECT_EQ(p.versions().locked_words(), 0);
+    EXPECT_EQ(p.Prepare(2, {Transaction::Put(kKey, 8)}),
+              two_pl ? commit::Vote::kNo : commit::Vote::kYes);
+    p.Finish(2, commit::Decision::kAbort);
+    p.CheckInvariants();
+    p.Finish(1, commit::Decision::kCommit);
+    EXPECT_EQ(p.store().Get(kKey), 7);
+    EXPECT_EQ(p.locks().held_locks(), 0);
+    EXPECT_EQ(p.versions().locked_words(), 0);
+    p.CheckInvariants();
+  }
 }
 
 }  // namespace

@@ -98,6 +98,32 @@ run_gates() {
     "./$gates_dir/bench_db_sharded" --txs 4000
 }
 
+# check_line_length: no line of the files CI's lint job formats (the C++
+# sources, tests and benches) may exceed .clang-format's 80-column limit,
+# counted in code points with python3: the one formatting rule a host
+# without clang-format can still check mechanically.
+check_line_length() {
+  if ! cxx_files=$(git ls-files 'src/**/*.cc' 'src/**/*.h' 'tests/*.cc' \
+    'bench/*.cc' 'bench/*.h' 2>/dev/null); then
+    echo "check.sh: line length: not checked (no git checkout)"
+    return 0
+  fi
+  # $cxx_files is unquoted on purpose: one path per word.
+  gate "line length (<= 80 code points)" python3 - $cxx_files <<'PY'
+import sys
+
+too_long = 0
+for path in sys.argv[1:]:
+    with open(path, encoding="utf-8") as source:
+        for number, line in enumerate(source, 1):
+            width = len(line.rstrip("\n"))
+            if width > 80:
+                print(f"{path}:{number}: {width} code points")
+                too_long += 1
+sys.exit(1 if too_long else 0)
+PY
+}
+
 # report_src_lines: the src/ code-line count, with ROADMAP item 7's
 # command, so every log carries the net size a change reports. Report-only:
 # it never fails the script.
@@ -110,6 +136,7 @@ report_src_lines() {
   fi
 }
 
+check_line_length
 run_suite build
 report_src_lines
 run_gates build
