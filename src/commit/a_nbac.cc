@@ -23,10 +23,7 @@ void ANbac::Propose(Vote vote) {
   ChainNbac::Propose(vote);
   vote_ = VoteValue(vote);
   if (vote_ == 0) {
-    net::Message m;
-    m.kind = kV;
-    m.value = 0;
-    SendAll(m);
+    SendAll(Outgoing(kV, 0));
     SetTimerAtPaperTime(3, kTimer0Tag + 3);
   } else {
     SetTimerAtPaperTime(2, kTimer0Tag + 2);
@@ -38,16 +35,12 @@ void ANbac::OnMessage(net::ProcessId from, const net::Message& m) {
     case kV: {
       decision_value_ = 0;
       delivered_v_ = true;
-      net::Message ack;
-      ack.kind = kAckV;
-      SendTo(from, ack);
+      SendTo(from, Outgoing(kAckV));
       break;
     }
     case kB: {
       decision_value_ = 0;
-      net::Message ack;
-      ack.kind = kAckB;
-      SendTo(from, ack);
+      SendTo(from, Outgoing(kAckB));
       break;
     }
     case kAckV: {
@@ -79,10 +72,7 @@ void ANbac::OnTimer(int64_t tag) {
 
 void ANbac::OnTimer0() {
   if (vote_ == 1 && delivered_v_ && phase0_ == 0) {
-    net::Message m;
-    m.kind = kB;
-    m.value = 0;
-    SendAll(m);
+    SendAll(Outgoing(kB, 0));
     SetTimerAtPaperTime(4, kTimer0Tag + 4);
     phase0_ = 1;
     return;

@@ -14,10 +14,7 @@ void AvNbacFast::Reset() {
 }
 
 void AvNbacFast::Propose(Vote vote) {
-  net::Message m;
-  m.kind = kV;
-  m.value = VoteValue(vote);
-  SendAll(m);
+  SendAll(Outgoing(kV, VoteValue(vote)));
   SetTimerAtPaperTime(1);
 }
 

@@ -25,10 +25,7 @@ void AvNbacLean::Reset() {
 void AvNbacLean::Propose(Vote vote) {
   votes_ &= VoteValue(vote);
   if (rank() <= n() - 1) {
-    net::Message m;
-    m.kind = kV;
-    m.value = VoteValue(vote);
-    SendTo(RankToId(n()), m);
+    SendTo(RankToId(n()), Outgoing(kV, VoteValue(vote)));
     SetTimerAtPaperTime(3);
   } else {
     SetTimerAtPaperTime(2);
@@ -58,10 +55,7 @@ void AvNbacLean::OnMessage(net::ProcessId from, const net::Message& m) {
 void AvNbacLean::OnTimer(int64_t tag) {
   if (tag == 2 && IsHub()) {
     if (collection_size_ == n()) {
-      net::Message m;
-      m.kind = kB;
-      m.value = votes_;
-      SendAll(m);
+      SendAll(Outgoing(kB, votes_));
       DecideValue(votes_);
     }
     return;

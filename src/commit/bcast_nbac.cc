@@ -16,10 +16,7 @@ void BcastNbac::OnMessage(net::ProcessId from, const net::Message& m) {
 void BcastNbac::RelayZeroOnce() {
   if (relayed_zero_) return;
   relayed_zero_ = true;
-  net::Message m;
-  m.kind = kB;
-  m.value = 0;
-  SendAll(m);
+  SendAll(Outgoing(kB, 0));
 }
 
 void BcastNbac::OnTimer(int64_t tag) {
@@ -30,10 +27,7 @@ void BcastNbac::OnTimer(int64_t tag) {
   if (tag == 2 && IsHub()) {
     if (collection_size_ < n()) votes_ = 0;
     if (votes_ == 0) relayed_zero_ = true;  // the hub's own relay
-    net::Message m;
-    m.kind = kB;
-    m.value = votes_;
-    SendAll(m);
+    SendAll(Outgoing(kB, votes_));
   } else if (tag == 3 && !IsHub()) {
     if (!received_b_) {
       votes_ = 0;

@@ -19,10 +19,7 @@ void ChainAckNbac::Reset() {
 void ChainAckNbac::Propose(Vote vote) {
   votes_ &= VoteValue(vote);
   if (rank() == 1) {
-    net::Message m;
-    m.kind = kV;
-    m.value = votes_;
-    SendTo(RankToId(2), m);
+    SendTo(RankToId(2), Outgoing(kV, votes_));
     SetTimerAtPaperTime(n() + 1, n() + 1);
     phase_ = 1;
   } else {
@@ -57,10 +54,7 @@ void ChainAckNbac::OnMessage(net::ProcessId from, const net::Message& m) {
       bool is_last = rank() == n();
       bool is_prefix = rank() >= 1 && rank() <= f();
       if ((is_last && phase_ == 1) || (is_prefix && phase_ == 2)) {
-        net::Message reply;
-        reply.kind = kHelped;
-        reply.value = votes_;
-        SendTo(from, reply);
+        SendTo(from, Outgoing(kHelped, votes_));
       }
       break;
     }
@@ -91,14 +85,10 @@ void ChainAckNbac::OnTimer(int64_t tag) {
 void ChainAckNbac::OnPhase0Timeout() {
   // Ranks 2..n at paper time i.
   if (received_v_) {
-    net::Message m;
-    m.value = votes_;
     if (rank() == n()) {
-      m.kind = kB;
-      SendTo(RankToId(1), m);
+      SendTo(RankToId(1), Outgoing(kB, votes_));
     } else {
-      m.kind = kV;
-      SendTo(RankToId(rank() + 1), m);
+      SendTo(RankToId(rank() + 1), Outgoing(kV, votes_));
     }
   } else {
     votes_ = 0;
@@ -111,10 +101,7 @@ void ChainAckNbac::OnPhase0Timeout() {
 void ChainAckNbac::OnPhase1Timeout() {
   if (rank() == f()) {
     if (received_b_) {
-      net::Message m;
-      m.kind = kB;
-      m.value = votes_;
-      SendTo(RankToId(f() + 1), m);
+      SendTo(RankToId(f() + 1), Outgoing(kB, votes_));
       if (!has_decided()) DecideValue(votes_);
     } else {
       votes_ = 0;
@@ -126,12 +113,7 @@ void ChainAckNbac::OnPhase1Timeout() {
   if (rank() == n()) {
     if (received_b_) {
       if (!has_decided()) DecideValue(votes_);
-      if (f() >= 2) {
-        net::Message m;
-        m.kind = kZ;
-        m.value = votes_;
-        SendTo(RankToId(1), m);
-      }
+      if (f() >= 2) SendTo(RankToId(1), Outgoing(kZ, votes_));
     } else {
       if (!cons_proposed()) ConsPropose(static_cast<int>(votes_));
     }
@@ -139,10 +121,7 @@ void ChainAckNbac::OnPhase1Timeout() {
   }
   if (rank() >= 1 && rank() <= f() - 1) {
     if (received_b_) {
-      net::Message m;
-      m.kind = kB;
-      m.value = votes_;
-      SendTo(RankToId(rank() + 1), m);
+      SendTo(RankToId(rank() + 1), Outgoing(kB, votes_));
     } else {
       votes_ = 0;
       if (!cons_proposed()) ConsPropose(0);
@@ -153,14 +132,10 @@ void ChainAckNbac::OnPhase1Timeout() {
   }
   // f+1 <= rank <= n-1.
   if (received_b_) {
-    net::Message m;
-    m.kind = kB;
-    m.value = votes_;
-    SendTo(RankToId(rank() + 1), m);
+    SendTo(RankToId(rank() + 1), Outgoing(kB, votes_));
     if (!has_decided()) DecideValue(votes_);
   } else {
-    net::Message help;
-    help.kind = kHelp;
+    const net::Message& help = Outgoing(kHelp);
     for (int r = 1; r <= f(); ++r) SendTo(RankToId(r), help);
     SendTo(RankToId(n()), help);
   }
@@ -171,10 +146,7 @@ void ChainAckNbac::OnPhase2Timeout() {
   if (received_z_) {
     if (!has_decided()) DecideValue(votes_);
     if (f() - 1 >= rank() + 1) {
-      net::Message m;
-      m.kind = kZ;
-      m.value = votes_;
-      SendTo(RankToId(rank() + 1), m);
+      SendTo(RankToId(rank() + 1), Outgoing(kZ, votes_));
     }
   } else {
     if (!cons_proposed()) ConsPropose(static_cast<int>(votes_));

@@ -28,10 +28,7 @@ void ChainNbac::Reset() {
 void ChainNbac::Propose(Vote vote) {
   decision_value_ = VoteValue(vote);
   if (rank() == 1) {
-    net::Message m;
-    m.kind = kVal;
-    m.value = decision_value_;
-    SendTo(RankToId(2), m);
+    SendTo(RankToId(2), Outgoing(kVal, decision_value_));
     SetTimerAtPaperTime(n() + 1);
     phase_ = 2;
   } else {
@@ -53,25 +50,16 @@ void ChainNbac::OnMessage(net::ProcessId from, const net::Message& m) {
 void ChainNbac::BroadcastDecisionOnce() {
   if (relayed_) return;
   relayed_ = true;
-  net::Message m;
-  m.kind = kVal;
-  m.value = decision_value_;
-  SendAll(m);
+  SendAll(Outgoing(kVal, decision_value_));
 }
 
 void ChainNbac::OnTimer(int64_t tag) {
   if (phase_ == 1 && tag == rank()) {
     if (!delivered_) decision_value_ = 0;
     if (decision_value_ == 1) {
-      net::Message m;
-      m.kind = kVal;
-      m.value = decision_value_;
-      SendTo(SuccessorId(), m);
+      SendTo(SuccessorId(), Outgoing(kVal, decision_value_));
     } else if (rank() == n()) {
-      net::Message m;
-      m.kind = kVal;
-      m.value = decision_value_;
-      SendAll(m);
+      SendAll(Outgoing(kVal, decision_value_));
     }
     delivered_ = false;
     if (rank() >= f() + 1) {
@@ -86,17 +74,9 @@ void ChainNbac::OnTimer(int64_t tag) {
   if (phase_ == 2 && tag == n() + rank()) {
     if (!delivered_) decision_value_ = 0;
     if (decision_value_ == 1 && rank() != f()) {
-      net::Message m;
-      m.kind = kVal;
-      m.value = decision_value_;
-      SendTo(SuccessorId(), m);
+      SendTo(SuccessorId(), Outgoing(kVal, decision_value_));
     }
-    if (decision_value_ == 0) {
-      net::Message m;
-      m.kind = kVal;
-      m.value = decision_value_;
-      SendAll(m);
-    }
+    if (decision_value_ == 0) SendAll(Outgoing(kVal, decision_value_));
     delivered_ = false;
     SetTimerAtPaperTime(n() + 2 * f() + 1);
     phase_ = 3;

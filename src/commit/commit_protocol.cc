@@ -20,9 +20,7 @@ const char* ToString(Vote v) {
 
 CommitProtocol::CommitProtocol(proc::ProcessEnv* env,
                                consensus::Consensus* cons)
-    : env_(env), consensus_(cons) {
-  FC_CHECK(env != nullptr);
-}
+    : Module(env), consensus_(cons) {}
 
 void CommitProtocol::OnConsensusDecide(int value) {
   if (!has_decided()) Decide(DecisionFromValue(value));
@@ -47,16 +45,6 @@ void CommitProtocol::ConsPropose(int value) {
   if (cons_proposed_) return;
   cons_proposed_ = true;
   consensus_->Propose(value);
-}
-
-void CommitProtocol::SendAll(const net::Message& m) {
-  for (int q = 0; q < n(); ++q) env_->Send(q, m);
-}
-
-void CommitProtocol::SendOthers(const net::Message& m) {
-  for (int q = 0; q < n(); ++q) {
-    if (q != id()) env_->Send(q, m);
-  }
 }
 
 void CommitProtocol::SetTimerAtPaperTime(int64_t k, int64_t tag) {

@@ -124,6 +124,10 @@ inline std::vector<Vote> AlignVotesToSuperset(const std::vector<int>& sub,
 ///   - the protocol calls Decide() exactly once (<ac, Decide | d>), observed
 ///     via decision() and the optional callback.
 ///
+/// Messages go out through proc::Module's send path (Outgoing, SendTo,
+/// SendAll, SendOthers); this class adds the paper's identity and timer
+/// helpers on top.
+///
 /// Protocols that rely on an underlying uniform consensus (1NBAC, 0NBAC,
 /// (2n-2+f)NBAC, INBAC) receive a Consensus instance; the host wires that
 /// instance's decide event to OnConsensusDecide.
@@ -173,13 +177,6 @@ class CommitProtocol : public proc::Module {
   int f() const { return env_->f(); }
   net::ProcessId RankToId(int rank) const { return rank - 1; }
 
-  /// Sends to the process with the given 0-based id.
-  void SendTo(net::ProcessId to, const net::Message& m) { env_->Send(to, m); }
-  /// "forall q ∈ Ω" — includes self (delivered locally, not counted).
-  void SendAll(const net::Message& m);
-  /// "every other process".
-  void SendOthers(const net::Message& m);
-
   /// "set timer to time k": fires OnTimer(tag) at (k - origin) * U, where
   /// origin is 0 for the protocols whose timer starts at 0 on Propose
   /// (INBAC, 1NBAC, 0NBAC, avNBAC-fast) and 1 for those whose timer "starts
@@ -188,17 +185,6 @@ class CommitProtocol : public proc::Module {
   void SetTimerAtPaperTime(int64_t k, int64_t tag);
   void SetTimerAtPaperTime(int64_t k) { SetTimerAtPaperTime(k, k); }
 
-  /// The protocol's one reusable outgoing message, re-armed with `kind`,
-  /// `value` and no ints: payloads built in it keep their buffer across
-  /// messages and pooled incarnations. Valid until the next call.
-  net::Message& Outgoing(int kind, int64_t value = 0) {
-    outgoing_.kind = kind;
-    outgoing_.value = value;
-    outgoing_.ints.clear();
-    return outgoing_;
-  }
-
-  proc::ProcessEnv* env_;
   consensus::Consensus* consensus_;
   int64_t timer_origin_ = 0;
 
@@ -206,7 +192,6 @@ class CommitProtocol : public proc::Module {
   Decision decision_ = Decision::kNone;
   bool cons_proposed_ = false;
   std::function<void(Decision)> on_decide_;
-  net::Message outgoing_;
 };
 
 }  // namespace fastcommit::commit

@@ -83,9 +83,7 @@ void Inbac::Reset() {
 
 void Inbac::Propose(Vote vote) {
   val_ = VoteValue(vote);
-  net::Message m;
-  m.kind = kV;
-  m.value = val_;
+  const net::Message& m = Outgoing(kV, val_);
   for (int r = 1; r <= b_; ++r) SendTo(RankToId(r), m);
   if (rank() <= b_) SendTo(RankToId(b_ + 1), m);
   if (rank() <= b_ + 1) {
@@ -97,9 +95,7 @@ void Inbac::Propose(Vote vote) {
   if (fast_abort_ && val_ == 0) {
     // Section 5.2 acceleration: broadcast the 0 and decide right away; a
     // failure-free aborting execution then finishes after one delay.
-    net::Message abort;
-    abort.kind = kAbort;
-    SendOthers(abort);
+    SendOthers(Outgoing(kAbort));
     SetBranch(Branch::kFastDecide);
     Decide(Decision::kAbort);
   }
@@ -263,8 +259,7 @@ void Inbac::TailDecisionLogic(bool from_wait) {
     // self-addressed HELP is answered locally and counts toward n-f).
     wait_ = true;
     SetBranch(Branch::kAskHelp);
-    net::Message help;
-    help.kind = kHelp;
+    const net::Message& help = Outgoing(kHelp);
     for (int r = b_ + 1; r <= n(); ++r) SendTo(RankToId(r), help);
     MaybeCompleteWait();
     return;

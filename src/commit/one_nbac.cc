@@ -19,10 +19,7 @@ void OneNbac::OnMessage(net::ProcessId from, const net::Message& m) {
 void OneNbac::OnTimer(int64_t tag) {
   if (tag == 1) {
     if (votes_seen_ == n()) {
-      net::Message m;
-      m.kind = kD;
-      m.value = and_votes_;
-      SendAll(m);
+      SendAll(Outgoing(kD, and_votes_));
       AvNbacFast::OnTimer(tag);  // decides the AND
     } else {
       SetTimerAtPaperTime(2);

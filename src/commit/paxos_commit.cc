@@ -45,9 +45,7 @@ void PaxosCommit::Reset() {
 void PaxosCommit::Propose(Vote vote) {
   // Ballot-0 optimization: the RM itself performs phase 2a for its own
   // instance by sending its vote to every acceptor.
-  net::Message m;
-  m.kind = kVote2a;
-  m.value = VoteValue(vote);
+  const net::Message& m = Outgoing(kVote2a, VoteValue(vote));
   for (int a = 0; a < acceptors_; ++a) SendTo(a, m);
   // Recovery rounds, driven on the absolute clock; round tags are >= 1.
   ScheduleRound(1);
@@ -79,9 +77,7 @@ void PaxosCommit::LeadRound(int64_t round) {
   accepted_count_ = 0;
   std::fill(best_ballot_.begin(), best_ballot_.end(), -1);
   std::fill(best_value_.begin(), best_value_.end(), -1);
-  net::Message m;
-  m.kind = kPrepare;
-  m.value = round;
+  const net::Message& m = Outgoing(kPrepare, round);
   for (int a = 0; a < acceptors_; ++a) SendTo(a, m);
 }
 
@@ -160,10 +156,7 @@ void PaxosCommit::OnMessage(net::ProcessId from, const net::Message& m) {
           accepted_ballot_[ins] = ballot;
           accepted_value_[ins] = static_cast<int8_t>(m.ints[k + 1]);
         }
-        net::Message reply;
-        reply.kind = kAccepted;
-        reply.value = ballot;
-        SendTo(from, reply);
+        SendTo(from, Outgoing(kAccepted, ballot));
       }
       break;
     }
@@ -228,10 +221,7 @@ void PaxosCommit::MaybeFastOutcome() {
 }
 
 void PaxosCommit::BroadcastOutcome(int64_t value) {
-  net::Message m;
-  m.kind = kOutcome;
-  m.value = value;
-  SendOthers(m);
+  SendOthers(Outgoing(kOutcome, value));
   if (!has_decided()) DecideValue(value);
 }
 

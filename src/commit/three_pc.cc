@@ -28,10 +28,7 @@ void ThreePhaseCommit::Propose(Vote vote) {
     votes_received_ = 1;
     SetTimerAtPaperTime(1, kOutcomeTimer);
   } else {
-    net::Message m;
-    m.kind = kVote;
-    m.value = VoteValue(vote);
-    SendTo(0, m);
+    SendTo(0, Outgoing(kVote, VoteValue(vote)));
   }
   SetTimerAtPaperTime(5, kFallbackTimer);
 }
@@ -50,9 +47,7 @@ void ThreePhaseCommit::OnMessage(net::ProcessId /*from*/,
         Decide(Decision::kAbort);
       } else {
         precommitted_ = true;
-        net::Message ack;
-        ack.kind = kAckPre;
-        SendTo(0, ack);
+        SendTo(0, Outgoing(kAckPre));
       }
       break;
     }
@@ -72,10 +67,7 @@ void ThreePhaseCommit::OnMessage(net::ProcessId /*from*/,
 void ThreePhaseCommit::OnTimer(int64_t tag) {
   if (tag == kOutcomeTimer) {
     bool commit = all_yes_ && votes_received_ == n();
-    net::Message m;
-    m.kind = kPre;
-    m.value = commit ? 1 : 0;
-    SendOthers(m);
+    SendOthers(Outgoing(kPre, commit ? 1 : 0));
     if (commit) {
       precommitted_ = true;
       // Precommit reaches participants at 2U, their acks return at 3U.
@@ -88,9 +80,7 @@ void ThreePhaseCommit::OnTimer(int64_t tag) {
   if (tag == kAckTimer) {
     if (has_decided()) return;
     if (acks_ == n() - 1) {
-      net::Message m;
-      m.kind = kCommit;
-      SendOthers(m);
+      SendOthers(Outgoing(kCommit));
       Decide(Decision::kCommit);
     }
     // Missing acks: fall through to the consensus fallback at time 5.

@@ -18,10 +18,7 @@ void TwoPhaseCommit::Propose(Vote vote) {
     SetTimerAtPaperTime(1);
     return;
   }
-  net::Message m;
-  m.kind = kVote;
-  m.value = VoteValue(vote);
-  SendTo(0, m);
+  SendTo(0, Outgoing(kVote, VoteValue(vote)));
   // Participants set no timer: classic 2PC blocks awaiting the outcome.
 }
 
@@ -44,12 +41,9 @@ void TwoPhaseCommit::OnMessage(net::ProcessId /*from*/, const net::Message& m) {
 void TwoPhaseCommit::OnTimer(int64_t /*tag*/) {
   // Coordinator outcome point at time U. A missing vote means a crash or a
   // late message: abort (allowed, a failure occurred).
-  bool commit = all_yes_ && votes_received_ == n();
-  net::Message m;
-  m.kind = kOutcome;
-  m.value = commit ? 1 : 0;
-  SendOthers(m);
-  DecideValue(m.value);
+  int64_t outcome = all_yes_ && votes_received_ == n() ? 1 : 0;
+  SendOthers(Outgoing(kOutcome, outcome));
+  DecideValue(outcome);
 }
 
 }  // namespace fastcommit::commit

@@ -19,12 +19,7 @@ void ZeroNbac::Reset() {
 
 void ZeroNbac::Propose(Vote vote) {
   myvote_ = VoteValue(vote);
-  if (myvote_ == 0) {
-    net::Message m;
-    m.kind = kV;
-    m.value = 0;
-    SendAll(m);
-  }
+  if (myvote_ == 0) SendAll(Outgoing(kV, 0));
   SetTimerAtPaperTime(1);
   phase_ = 1;
 }
@@ -34,18 +29,12 @@ void ZeroNbac::OnMessage(net::ProcessId from, const net::Message& m) {
     case kV: {
       if (phase_ != 1) break;
       zero_ = true;
-      net::Message ack;
-      ack.kind = kAck;
-      SendTo(from, ack);
+      SendTo(from, Outgoing(kAck));
       break;
     }
     case kB: {
       if (phase_ != 2) break;
-      if (!(myvote_ == 1 && has_decided())) {
-        net::Message ack;
-        ack.kind = kAck;
-        SendTo(from, ack);
-      }
+      if (!(myvote_ == 1 && has_decided())) SendTo(from, Outgoing(kAck));
       break;
     }
     case kAck: {
@@ -66,10 +55,7 @@ void ZeroNbac::OnTimer(int64_t tag) {
     if (!zero_ && myvote_ == 1) {
       Decide(Decision::kCommit);
     } else if (zero_ && myvote_ == 1) {
-      net::Message m;
-      m.kind = kB;
-      m.value = 0;
-      SendAll(m);
+      SendAll(Outgoing(kB, 0));
       SetTimerAtPaperTime(3);
     } else {
       SetTimerAtPaperTime(2);

@@ -21,11 +21,12 @@ namespace fastcommit::consensus {
 ///     paper makes when invoking "consensus in a network-failure system");
 ///   - FloodingConsensus: synchronous f+1-round flooding; terminates in a
 ///     crash-failure system for any f <= n-1 but is not indulgent.
+///
+/// Both send through proc::Module's send path, as the commit protocols do,
+/// so a recycled consensus module reuses its outgoing payload buffer.
 class Consensus : public proc::Module {
  public:
-  explicit Consensus(proc::ProcessEnv* env) : env_(env) {
-    FC_CHECK(env != nullptr);
-  }
+  explicit Consensus(proc::ProcessEnv* env) : Module(env) {}
 
   /// <uc, Propose | v> with v in {0, 1}. At most once per instance.
   virtual void Propose(int value) = 0;
@@ -56,8 +57,6 @@ class Consensus : public proc::Module {
     decision_ = value;
     if (on_decide_) on_decide_(value);
   }
-
-  proc::ProcessEnv* env_;
 
  private:
   bool decided_ = false;

@@ -39,12 +39,7 @@ void FloodingConsensus::FloodAndAdvance(int64_t round) {
     DeliverDecision(decision);
     return;
   }
-  net::Message m;
-  m.kind = kFlood;
-  m.value = static_cast<int64_t>(seen_mask_);
-  for (int q = 0; q < env_->n(); ++q) {
-    if (q != env_->id()) env_->Send(q, m);
-  }
+  SendOthers(Outgoing(kFlood, static_cast<int64_t>(seen_mask_)));
   env_->SetTimerAtUnits(epoch_start_units_ + round + 1, round + 1);
 }
 

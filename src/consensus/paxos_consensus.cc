@@ -80,10 +80,7 @@ void PaxosConsensus::MaybeLeadRound(int64_t round) {
   best_promise_value_ = -1;
   accepted_count_ = 0;
   accept_sent_ = false;
-  net::Message m;
-  m.kind = kPrepare;
-  m.value = round;
-  for (int q = 0; q < env_->n(); ++q) env_->Send(q, m);
+  SendAll(Outgoing(kPrepare, round));
 }
 
 void PaxosConsensus::OnMessage(net::ProcessId from, const net::Message& m) {
@@ -92,11 +89,10 @@ void PaxosConsensus::OnMessage(net::ProcessId from, const net::Message& m) {
       int64_t ballot = m.value;
       if (ballot >= promised_) {
         promised_ = ballot;
-        net::Message reply;
-        reply.kind = kPromise;
-        reply.value = ballot;
-        reply.ints = {accepted_ballot_, accepted_value_};
-        env_->Send(from, reply);
+        net::Message& promise = Outgoing(kPromise, ballot);
+        promise.ints.push_back(accepted_ballot_);
+        promise.ints.push_back(accepted_value_);
+        SendTo(from, promise);
       }
       break;
     }
@@ -112,11 +108,9 @@ void PaxosConsensus::OnMessage(net::ProcessId from, const net::Message& m) {
         lead_value_ =
             best_promise_ballot_ >= 0 ? best_promise_value_ : my_value_;
         accept_sent_ = true;
-        net::Message accept;
-        accept.kind = kAccept;
-        accept.value = leading_;
-        accept.ints = {lead_value_};
-        for (int q = 0; q < env_->n(); ++q) env_->Send(q, accept);
+        net::Message& accept = Outgoing(kAccept, leading_);
+        accept.ints.push_back(lead_value_);
+        SendAll(accept);
       }
       break;
     }
@@ -126,10 +120,7 @@ void PaxosConsensus::OnMessage(net::ProcessId from, const net::Message& m) {
         promised_ = ballot;
         accepted_ballot_ = ballot;
         accepted_value_ = static_cast<int>(m.ints[0]);
-        net::Message reply;
-        reply.kind = kAccepted;
-        reply.value = ballot;
-        env_->Send(from, reply);
+        SendTo(from, Outgoing(kAccepted, ballot));
       }
       break;
     }
@@ -153,12 +144,7 @@ void PaxosConsensus::OnMessage(net::ProcessId from, const net::Message& m) {
 void PaxosConsensus::BroadcastDecision(int value) {
   if (!decide_broadcast_) {
     decide_broadcast_ = true;
-    net::Message d;
-    d.kind = kDecide;
-    d.value = value;
-    for (int q = 0; q < env_->n(); ++q) {
-      if (q != env_->id()) env_->Send(q, d);
-    }
+    SendOthers(Outgoing(kDecide, value));
   }
   DeliverDecision(value);
 }

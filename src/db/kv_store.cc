@@ -53,14 +53,6 @@ void KvStore::Put(Key key, Value value) {
   WritableHead(entry->value, fresh, 0, 0).value = value;
 }
 
-bool KvStore::Erase(Key key) {
-  auto* entry = map_.Find(key);
-  if (entry == nullptr) return false;
-  total_versions_ -= 1 + static_cast<int64_t>(entry->value.older.size());
-  map_.Erase(entry);
-  return true;
-}
-
 void KvStore::Apply(const Op& op, int64_t csn, int64_t gc_watermark) {
   if (op.type == Op::Type::kGet) return;  // reads mutate nothing
   auto [entry, fresh] = map_.Insert(op.key);
@@ -72,12 +64,6 @@ void KvStore::Apply(const Op& op, int64_t csn, int64_t gc_watermark) {
   FC_CHECK(value != kAbsent)
       << "write of the reserved absent value at " << op.key;
   WritableHead(chain, fresh, csn, gc_watermark).value = value;
-}
-
-int64_t KvStore::AddInt(Key key, int64_t delta) {
-  int64_t next = GetInt(key) + delta;
-  Put(key, next);
-  return next;
 }
 
 int64_t KvStore::GetInt(Key key) const {

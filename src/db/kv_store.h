@@ -16,11 +16,10 @@ namespace fastcommit::db {
 /// newest version <= c with no locks and no coordination, while writers
 /// keep appending at their commit CSNs (the csn_log design the ROADMAP's
 /// snapshot-reads item points at). Keys and values are 64-bit integers
-/// (db/key.h): a kAdd adds its delta to the newest value, and AddInt is
-/// the same read-modify-write outside a transaction.
+/// (db/key.h): a kAdd adds its delta to the newest value.
 ///
-/// Non-transactional callers (dataset loads, tests) use Put/AddInt, which
-/// write at the chain's current head: behavior is exactly the old
+/// Non-transactional callers (dataset loads, tests) use Put, which writes
+/// at the chain's current head: behavior is exactly the old
 /// single-value map. Transactional commits go through Apply(op, csn,
 /// gc_watermark), which appends a version at the commit CSN and prunes the
 /// touched chain down to the GC watermark — the minimum CSN any live
@@ -47,7 +46,6 @@ class KvStore {
   /// start at CSN 0), preserving the pre-MVCC overwrite semantics for
   /// dataset loads and direct-store tests. `value` must not be kAbsent.
   void Put(Key key, Value value);
-  bool Erase(Key key);
 
   /// Applies one committed transaction op at commit CSN `csn`: kPut stores,
   /// kAdd adjusts the newest value, kGet is a no-op (reads mutate
@@ -59,11 +57,6 @@ class KvStore {
   /// commit semantics cannot drift between them. FC_CHECKs that the
   /// written value is not kAbsent.
   void Apply(const Op& op, int64_t csn = 0, int64_t gc_watermark = 0);
-
-  /// Adds `delta` to the newest value (0 if absent) and stores the result
-  /// at the chain head (non-transactional, like Put). Returns the new
-  /// value.
-  int64_t AddInt(Key key, int64_t delta);
 
   /// The newest value; 0 if absent.
   int64_t GetInt(Key key) const;

@@ -47,22 +47,20 @@ TEST(KeyTest, IndexOutsideFiftySixBitsDies) {
 
 // -------------------------------------------------------------- KvStore --
 
-TEST(KvStoreTest, PutGetErase) {
+TEST(KvStoreTest, PutOverwritesInPlace) {
   KvStore store;
   EXPECT_FALSE(store.Get(kA).has_value());
   store.Put(kA, 1);
   EXPECT_EQ(store.Get(kA), 1);
   store.Put(kA, 2);
   EXPECT_EQ(store.Get(kA), 2);
-  EXPECT_TRUE(store.Erase(kA));
-  EXPECT_FALSE(store.Erase(kA));
-  EXPECT_EQ(store.size(), 0u);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.versions(kA), 1);
 }
 
-TEST(KvStoreTest, AddIntArithmetic) {
+TEST(KvStoreTest, IntegerReadsAndSum) {
   KvStore store;
-  EXPECT_EQ(store.AddInt(kA, 5), 5);
-  EXPECT_EQ(store.AddInt(kA, -2), 3);
+  store.Put(kA, 3);
   EXPECT_EQ(store.GetInt(kA), 3);
   EXPECT_EQ(store.GetInt(kB), 0);
   store.Put(kKey, 40);

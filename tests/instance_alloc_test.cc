@@ -1,6 +1,7 @@
 // A warm commit instance makes no heap allocation: a pooled Acquire ->
 // Start -> Simulator::Run -> Release cycle with all-yes votes allocates
-// nothing for INBAC, 2PC and PaxosCommit at n = 2..5, a network whose
+// nothing for every protocol at n = 2..5, nor does a recycled INBAC
+// cluster whose processes fall back to Paxos consensus. A network whose
 // in-flight payloads go stale across ResetEpoch reuses every message slot,
 // and a simulator's event queue reuses its slots, wheel and far heap. At
 // database level, a planned coordinator crash that never fires costs no
@@ -17,11 +18,14 @@
 #include <new>
 #include <vector>
 
+#include "commit/inbac.h"
+#include "core/host.h"
 #include "core/protocol_kind.h"
 #include "core/runner.h"
 #include "db/database.h"
 #include "db/instance_pool.h"
 #include "db/traffic.h"
+#include "net/delay_model.h"
 #include "net/network.h"
 #include "sim/simulator.h"
 
@@ -76,15 +80,59 @@ int64_t InstanceCycleAllocations(core::ProtocolKind protocol, int n) {
 }
 
 TEST(InstanceAllocationTest, WarmCycleAllocatesNothing) {
-  for (core::ProtocolKind protocol :
-       {core::ProtocolKind::kInbac, core::ProtocolKind::kTwoPc,
-        core::ProtocolKind::kPaxosCommit}) {
+  for (core::ProtocolKind protocol : core::kAllProtocols) {
     for (int n = 2; n <= 5; ++n) {
       SCOPED_TRACE(::testing::Message()
                    << core::ProtocolName(protocol) << " n=" << n);
       EXPECT_EQ(InstanceCycleAllocations(protocol, n), 0);
     }
   }
+}
+
+TEST(InstanceAllocationTest, WarmConsensusFallbackAllocatesNothing) {
+  // P1, INBAC's one backup at n = 4, has its messages held back by 3U, so
+  // the others miss its [C] at 2U and fall back to Paxos consensus. The
+  // cluster is recycled the way the pool recycles an instance: ResetEpoch,
+  // then Host::Reset at the new epoch, then every process proposes.
+  constexpr int kN = 4;
+  constexpr int kF = 1;
+  constexpr sim::Time kUnit = 100;
+  sim::Simulator sim;
+  auto delays = std::make_unique<net::ScriptedDelayModel>(
+      std::make_unique<net::FixedDelayModel>(kUnit));
+  delays->AddRule(0, -1, 0, sim::kMaxTime, 3 * kUnit);
+  net::Network network(&sim, kN, std::move(delays));
+  std::vector<std::unique_ptr<core::Host>> hosts;
+  int decisions = 0;
+  for (int i = 0; i < kN; ++i) {
+    hosts.push_back(
+        std::make_unique<core::Host>(&sim, &network, i, kN, kF, kUnit));
+    core::Host* host = hosts.back().get();
+    auto cons = core::MakeConsensus(core::ProtocolKind::kInbac,
+                                    core::ConsensusKind::kPaxos,
+                                    host->consensus_env(), kN, kF);
+    auto protocol = core::MakeProtocol(core::ProtocolKind::kInbac,
+                                       host->commit_env(), cons.get());
+    protocol->set_on_decide([&decisions](commit::Decision) { ++decisions; });
+    host->Attach(std::move(protocol), std::move(cons));
+  }
+  auto cycle = [&] {
+    network.ResetEpoch();
+    for (auto& host : hosts) host->Reset(sim.Now());
+    for (auto& host : hosts) host->Propose(commit::Vote::kYes);
+    sim.Run();
+  };
+  for (int i = 0; i < kWarmup; ++i) cycle();
+  const int64_t before = g_allocations.load();
+  for (int i = 0; i < kCycles; ++i) cycle();
+  EXPECT_EQ(g_allocations.load() - before, 0);
+  EXPECT_EQ(decisions, kN * (kWarmup + kCycles));
+  int fallbacks = 0;
+  for (auto& host : hosts) {
+    auto* inbac = static_cast<commit::Inbac*>(host->protocol());
+    fallbacks += inbac->branch() != commit::Inbac::Branch::kFastDecide;
+  }
+  EXPECT_GT(fallbacks, 0) << "the cycle must leave INBAC's fast path";
 }
 
 TEST(InstanceAllocationTest, StaleDeliveriesReturnTheirSlots) {

@@ -98,13 +98,26 @@ run_gates() {
     "./$gates_dir/bench_db_sharded" --txs 4000
 }
 
+# worktree_files <pathspec...>: the files of the working tree that match,
+# tracked or untracked but not ignored, so a new file is gated and counted
+# before it is added and a deleted one is skipped. Fails outside a git
+# checkout.
+worktree_files() {
+  listed=$(git ls-files --cached --others --exclude-standard -- "$@" \
+    2>/dev/null) || return 1
+  # $listed is unquoted on purpose: one path per word.
+  for path in $listed; do
+    if [ -f "$path" ]; then echo "$path"; fi
+  done
+}
+
 # check_line_length: no line of the files CI's lint job formats (the C++
 # sources, tests and benches) may exceed .clang-format's 80-column limit,
 # counted in code points with python3: the one formatting rule a host
 # without clang-format can still check mechanically.
 check_line_length() {
-  if ! cxx_files=$(git ls-files 'src/**/*.cc' 'src/**/*.h' 'tests/*.cc' \
-    'bench/*.cc' 'bench/*.h' 2>/dev/null); then
+  if ! cxx_files=$(worktree_files 'src/**/*.cc' 'src/**/*.h' 'tests/*.cc' \
+    'bench/*.cc' 'bench/*.h'); then
     echo "check.sh: line length: not checked (no git checkout)"
     return 0
   fi
@@ -128,9 +141,10 @@ PY
 # command, so every log carries the net size a change reports. Report-only:
 # it never fails the script.
 report_src_lines() {
-  if src_lines=$(git ls-files 'src/*.h' 'src/*.cc' 2>/dev/null | xargs cat |
-    grep -Evc '^\s*(//|$)'); then
-    echo "check.sh: src/ code lines: $src_lines"
+  if src_files=$(worktree_files 'src/*.h' 'src/*.cc'); then
+    # $src_files is unquoted on purpose: one path per word.
+    echo "check.sh: src/ code lines: $(cat $src_files |
+      grep -Evc '^\s*(//|$)')"
   else
     echo "check.sh: src/ code lines: not counted (no git checkout)"
   fi
