@@ -8,8 +8,6 @@
 //   3. a randomized severity sweep counting agreement violations per 1000
 //      executions as b decreases.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "core/properties.h"
 
@@ -102,27 +100,12 @@ void PrintRandomSweep() {
       "f-backup design of Lemmas 1/5/6 is what agreement rests on.\n");
 }
 
-void BM_InbacByBackupCount(benchmark::State& state) {
-  int b = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    core::RunConfig config = core::MakeNiceConfig(ProtocolKind::kInbac, 8, 4);
-    config.protocol_options.inbac_num_backups = b;
-    core::RunResult result = core::Run(config);
-    benchmark::DoNotOptimize(result.decide_times.data());
-  }
-}
-
 }  // namespace
 }  // namespace fastcommit::bench
 
-BENCHMARK(fastcommit::bench::BM_InbacByBackupCount)->Arg(1)->Arg(2)->Arg(4);
-
-int main(int argc, char** argv) {
+int main() {
   fastcommit::bench::PrintMessageScaling();
   fastcommit::bench::PrintAckAggregation();
   fastcommit::bench::PrintLemmaSchedule();
   fastcommit::bench::PrintRandomSweep();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

@@ -5,8 +5,6 @@
 // (but blocking under coordinator failure), the message-optimal chain
 // protocols trade much higher latency for fewer messages.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "db/database.h"
 #include "db/workload.h"
@@ -70,25 +68,9 @@ void PrintTable() {
       "messages per commit.\n");
 }
 
-void BM_DbTransferWorkload(benchmark::State& state) {
-  auto kind = static_cast<ProtocolKind>(state.range(0));
-  for (auto _ : state) {
-    db::DatabaseStats stats = RunWorkload(kind, 8, 100);
-    benchmark::DoNotOptimize(&stats);
-  }
-}
-
 }  // namespace
 }  // namespace fastcommit::bench
 
-BENCHMARK(fastcommit::bench::BM_DbTransferWorkload)
-    ->Arg(static_cast<int>(fastcommit::core::ProtocolKind::kInbac))
-    ->Arg(static_cast<int>(fastcommit::core::ProtocolKind::kTwoPc))
-    ->Arg(static_cast<int>(fastcommit::core::ProtocolKind::kPaxosCommit));
-
-int main(int argc, char** argv) {
+int main() {
   fastcommit::bench::PrintTable();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

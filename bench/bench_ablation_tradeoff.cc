@@ -5,8 +5,6 @@
 // prints the measured (delays, messages) frontier of every protocol so the
 // tradeoff is visible as a curve.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 
 namespace fastcommit::bench {
@@ -43,38 +41,11 @@ void PrintFrontier(int n, int f) {
       static_cast<long long>(chain.delays / one.delays));
 }
 
-void BM_TradeoffScaling(benchmark::State& state) {
-  auto kind = static_cast<ProtocolKind>(state.range(0));
-  int n = static_cast<int>(state.range(1));
-  int64_t messages = 0;
-  for (auto _ : state) {
-    core::RunResult result =
-        core::Run(core::MakeNiceConfig(kind, n, std::max(1, n / 3)));
-    messages = result.PaperMessageCount();
-    benchmark::DoNotOptimize(result.decide_times.data());
-  }
-  state.counters["messages"] = static_cast<double>(messages);
-}
-
 }  // namespace
 }  // namespace fastcommit::bench
 
-BENCHMARK(fastcommit::bench::BM_TradeoffScaling)
-    ->Args({static_cast<int>(fastcommit::core::ProtocolKind::kOneNbac), 8})
-    ->Args({static_cast<int>(fastcommit::core::ProtocolKind::kOneNbac), 16})
-    ->Args({static_cast<int>(fastcommit::core::ProtocolKind::kOneNbac), 32})
-    ->Args({static_cast<int>(fastcommit::core::ProtocolKind::kChainNbac), 8})
-    ->Args({static_cast<int>(fastcommit::core::ProtocolKind::kChainNbac), 16})
-    ->Args({static_cast<int>(fastcommit::core::ProtocolKind::kChainNbac), 32})
-    ->Args({static_cast<int>(fastcommit::core::ProtocolKind::kInbac), 8})
-    ->Args({static_cast<int>(fastcommit::core::ProtocolKind::kInbac), 16})
-    ->Args({static_cast<int>(fastcommit::core::ProtocolKind::kInbac), 32});
-
-int main(int argc, char** argv) {
+int main() {
   for (auto [n, f] : {std::pair<int, int>{6, 2}, {10, 3}, {16, 5}}) {
     fastcommit::bench::PrintFrontier(n, f);
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

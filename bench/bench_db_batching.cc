@@ -17,9 +17,10 @@
 //
 // It doubles as a determinism and regression gate, exiting nonzero when
 // any fails:
-//   - for every mode, DatabaseStats and BatchStats must be bitwise
-//     identical between the single-queue reference and the same run
-//     placed on 4 shards;
+//   - for every mode, the whole simulated record (DbRun::SameSimulation:
+//     DatabaseStats, BatchStats and the rest) must be bitwise identical
+//     between the single-queue reference and the same run placed on 4
+//     shards, and the store must match the delivered-commit ledger;
 //   - with the largest fixed window, messages per committed transaction
 //     must be strictly lower than with batching disabled, on every
 //     protocol and workload;
@@ -35,8 +36,6 @@
 // tools/bench_compare.py (see BENCH_baseline.json).
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -80,17 +79,11 @@ struct Mode {
   bool adaptive = false;
 };
 
-struct Result {
-  db::DatabaseStats stats;
-  db::Database::BatchStats batch;
-};
-
-Result RunOne(core::ProtocolKind protocol, const WorkloadSpec& workload,
-              int num_txs, const Mode& mode, int shards) {
+db::Database::Options BatchOptions(core::ProtocolKind protocol,
+                                   const Mode& mode) {
   db::Database::Options options;
   options.num_partitions = 4;  // few partition sets => batches actually form
   options.protocol = protocol;
-  options.num_shards = shards;
   if (mode.adaptive) {
     options.batch_window = kAdaptivePrior;
     options.batch_adaptive = true;
@@ -99,34 +92,15 @@ Result RunOne(core::ProtocolKind protocol, const WorkloadSpec& workload,
   } else {
     options.batch_window = mode.window;
   }
-  db::Database database(options);
-
-  auto txs = workload.make(num_txs, /*seed=*/42);
-  sim::Time at = 0;
-  int in_burst = 0;
-  for (auto& tx : txs) {
-    database.Submit(std::move(tx), at);
-    if (++in_burst == kBurst) {
-      in_burst = 0;
-      at += kBurst * kMeanArrivalGap;
-    }
-  }
-  Result result;
-  result.stats = database.Drain();
-  result.batch = database.batch_stats();
-  return result;
+  return options;
 }
 
-double MsgsPerCommit(const Result& r) {
-  return bench::MsgsPerCommit(r.stats.commit_messages, r.stats.committed);
-}
-
-void PrintResult(const Mode& mode, const Result& r, bool identical) {
+void PrintResult(const Mode& mode, const DbRun& r, bool identical) {
   std::printf(
       "  %-12s %8lld committed  %6.2f msgs/commit  "
       "mean %7.0f  p99 %6lld  rounds %7lld  occupancy %5.2f  stats %s\n",
       mode.label.c_str(), static_cast<long long>(r.stats.committed),
-      MsgsPerCommit(r), r.stats.MeanLatency(),
+      MsgsPerCommit(r.stats), r.stats.MeanLatency(),
       static_cast<long long>(r.stats.PercentileLatency(99)),
       static_cast<long long>(r.batch.rounds), r.batch.Occupancy(),
       identical ? "identical" : "DIVERGED");
@@ -139,18 +113,7 @@ int main(int argc, char** argv) {
   using namespace fastcommit;
   using namespace fastcommit::bench;
 
-  int num_txs = 100000;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--txs") == 0 && i + 1 < argc) {
-      num_txs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--txs N] [--json PATH]\n", argv[0]);
-      return 1;
-    }
-  }
+  DbArgs args = ParseDbArgs(argc, argv, 100000);
 
   const core::ProtocolKind kProtocols[] = {
       core::ProtocolKind::kInbac,
@@ -173,10 +136,10 @@ int main(int argc, char** argv) {
       "%d transactions per run, 4 partitions, bursts of %d, "
       "placement check on 4 shards\n"
       "adaptive mode: prior %lld, window max %lld, cross-set admission on\n",
-      num_txs, kBurst, static_cast<long long>(kAdaptivePrior),
+      args.txs, kBurst, static_cast<long long>(kAdaptivePrior),
       static_cast<long long>(kAdaptiveWindowMax));
 
-  JsonBenchReport report("db_batching", num_txs);
+  JsonBenchReport report("db_batching", args.txs);
   bool diverged = false;
   bool no_amortization = false;
   bool occupancy_regressed = false;
@@ -184,21 +147,21 @@ int main(int argc, char** argv) {
     for (core::ProtocolKind protocol : kProtocols) {
       std::printf("\n%s / %s\n", core::ProtocolName(protocol), workload.name);
       PrintRule();
+      DbLoad load = ClosedLoop(workload.make(args.txs, /*seed=*/42),
+                               kMeanArrivalGap, kBurst);
       double unbatched_ratio = 0;
-      Result widest_fixed;
-      Result fixed_reference;
-      Result adaptive;
+      DbRun widest_fixed;
+      DbRun fixed_reference;
+      DbRun adaptive;
       for (const Mode& mode : modes) {
         // Single-queue reference vs the run placed on 4 shards: the merge
         // rule's determinism gate.
-        Result r = RunOne(protocol, workload, num_txs, mode, 1);
-        Result placed = RunOne(protocol, workload, num_txs, mode, 4);
-        bool identical =
-            r.stats == placed.stats && r.batch == placed.batch;
-        if (!identical) diverged = true;
-        PrintResult(mode, r, identical);
+        PlacedRuns runs = RunPlaced(BatchOptions(protocol, mode), load, 4);
+        const DbRun& r = runs.serial;
+        if (!runs.identical) diverged = true;
+        PrintResult(mode, r, runs.identical);
         if (!mode.adaptive && mode.window == 0) {
-          unbatched_ratio = MsgsPerCommit(r);
+          unbatched_ratio = MsgsPerCommit(r.stats);
         }
         if (!mode.adaptive && mode.window == kFixedReference) {
           fixed_reference = r;
@@ -212,19 +175,18 @@ int main(int argc, char** argv) {
             .AddRow(std::string(core::ProtocolName(protocol)) + "/" +
                     workload.name + "/" + mode.label)
             .Set("committed", r.stats.committed)
-            .Set("msgs_per_commit", MsgsPerCommit(r))
+            .Set("msgs_per_commit", MsgsPerCommit(r.stats))
             .Set("mean_latency_ticks", r.stats.MeanLatency())
             .Set("p99_latency_ticks",
                  static_cast<int64_t>(r.stats.PercentileLatency(99)))
             .Set("occupancy", r.batch.Occupancy())
             .Set("rounds", r.batch.rounds)
             .Set("cross_set_joins", r.batch.cross_set_joins)
-            .Set("commits_per_tick",
-                 CommitsPerTick(r.stats.committed, r.stats.makespan))
+            .Set("commits_per_tick", CommitsPerTick(r.stats))
             .Set("makespan_ticks", static_cast<int64_t>(r.stats.makespan));
       }
       if (widest_fixed.stats.committed == 0 ||
-          MsgsPerCommit(widest_fixed) >= unbatched_ratio) {
+          MsgsPerCommit(widest_fixed.stats) >= unbatched_ratio) {
         no_amortization = true;
         std::printf("  AMORTIZATION REGRESSION: widest window >= unbatched\n");
       }
@@ -250,8 +212,6 @@ int main(int argc, char** argv) {
         "fixed-window occupancy at no worse mean latency on skewed "
         "workloads\n");
   }
-  bool json_failed = false;
-  if (!json_path.empty()) json_failed = !report.WriteTo(json_path);
-  return diverged || no_amortization || occupancy_regressed || json_failed ? 2
-                                                                           : 0;
+  bool failed = diverged || no_amortization || occupancy_regressed;
+  return FinishDbBench(args, report, failed);
 }

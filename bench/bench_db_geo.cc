@@ -21,8 +21,9 @@
 //   - both span classes occur (the traffic must actually mix regions), and
 //     every single-region co-coordinator round takes the one-phase path;
 //   - zero lost committed transactions (Add-delta ledger conservation);
-//   - bitwise placement determinism: DatabaseStats and GeoStats identical
-//     between the single-queue reference and 4 shards.
+//   - bitwise placement determinism: the whole simulated record
+//     (DbRun::SameSimulation: DatabaseStats, GeoStats and the rest)
+//     identical between the single-queue reference and 4 shards.
 //
 // Usage:
 //   bench_db_geo [--txs N] [--json PATH]
@@ -30,11 +31,7 @@
 // Default: N = 20000 arrivals per run. --json writes the row set consumed
 // by tools/bench_compare.py.
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <string>
 
 #include "bench_util.h"
@@ -44,66 +41,19 @@
 namespace fastcommit::bench {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 constexpr int kNumRegions = 3;
 constexpr int64_t kCrossUnits = 30;
 
-struct Result {
-  double wall_seconds = 0;
-  db::DatabaseStats stats;
-  db::Database::GeoStats geo;
-  int64_t conservation_violations = 0;  ///< keys diverged from the ledger
-};
-
-db::TrafficOptions Traffic(int num_arrivals) {
-  db::TrafficOptions traffic;
-  traffic.process = db::ArrivalProcess::kPoisson;
-  traffic.mean_gap = 40.0;
-  traffic.shape = db::TxShape::kTransferPair;
-  traffic.num_keys = 512;  // small key space: real conflicts, checkable state
-  traffic.num_arrivals = num_arrivals;
-  traffic.seed = 42;
-  return traffic;
-}
-
-Result RunOne(core::ProtocolKind protocol, bool co_coordinators,
-              int num_arrivals, int shards) {
+db::Database::Options GeoOptions(core::ProtocolKind protocol,
+                                 bool co_coordinators) {
   db::Database::Options options;
   options.num_partitions = 9;  // 3 partitions homed per region
   options.protocol = protocol;
-  options.num_shards = shards;
   options.num_regions = kNumRegions;
   options.cross_region_units_min = kCrossUnits;
   options.cross_region_units_max = kCrossUnits;
   options.geo_co_coordinators = co_coordinators;
-  db::Database database(options);
-
-  db::TrafficOptions traffic = Traffic(num_arrivals);
-  db::TrafficEngine engine(traffic);
-
-  // Delivered-commit ledger: the balance every key must end at if no
-  // committed transaction was lost or double-applied.
-  std::map<db::Key, int64_t> ledger;
-  auto start = Clock::now();
-  database.SubmitArrivals(
-      &engine, [&ledger](const db::Transaction& done, commit::Decision d) {
-        if (d != commit::Decision::kCommit) return;
-        for (const db::Op& op : done.ops) {
-          if (op.type == db::Op::Type::kAdd) ledger[op.key] += op.delta;
-        }
-      });
-  Result result;
-  result.stats = database.Drain();
-  result.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  result.geo = database.geo_stats();
-  for (const auto& entry : ledger) {
-    if (database.GetInt(entry.first) != entry.second) {
-      ++result.conservation_violations;
-    }
-  }
-  return result;
+  return options;
 }
 
 }  // namespace
@@ -113,18 +63,13 @@ int main(int argc, char** argv) {
   using namespace fastcommit;
   using namespace fastcommit::bench;
 
-  int num_arrivals = 20000;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--txs") == 0 && i + 1 < argc) {
-      num_arrivals = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--txs N] [--json PATH]\n", argv[0]);
-      return 1;
-    }
-  }
+  DbArgs args = ParseDbArgs(argc, argv, 20000);
+  int num_arrivals = args.txs;
+  // Open-loop transfers over a small key space: real conflicts, checkable
+  // state.
+  db::TrafficOptions traffic = BaseTraffic(db::ArrivalProcess::kPoisson, 40.0);
+  traffic.num_keys = 512;
+  DbLoad load = OpenLoop(traffic, num_arrivals);
 
   const core::ProtocolKind kProtocols[] = {
       core::ProtocolKind::kTwoPc,
@@ -139,7 +84,6 @@ int main(int argc, char** argv) {
       num_arrivals);
 
   JsonBenchReport report("db_geo", num_arrivals);
-  bool lost_commits = false;
   bool diverged = false;
   bool rounds_regressed = false;
   bool latency_regressed = false;
@@ -155,15 +99,10 @@ int main(int argc, char** argv) {
 
       // Serial reference vs the placed run: the WAN-priced schedule must
       // be placement-invariant, not just the workload stats.
-      Result serial = RunOne(protocol, co_coordinators, num_arrivals, 1);
-      Result placed = RunOne(protocol, co_coordinators, num_arrivals, 4);
-      bool identical =
-          serial.stats == placed.stats && serial.geo == placed.geo;
-      if (!identical) diverged = true;
-      if (placed.conservation_violations > 0 ||
-          serial.conservation_violations > 0) {
-        lost_commits = true;
-      }
+      PlacedRuns runs =
+          RunPlaced(GeoOptions(protocol, co_coordinators), load, 4);
+      const DbRun& placed = runs.placed;
+      if (!runs.identical) diverged = true;
 
       const db::Database::GeoStats& geo = placed.geo;
       double cross_rounds = geo.CrossRegionRoundsPerCommit();
@@ -202,15 +141,14 @@ int main(int argc, char** argv) {
           latency_units, static_cast<long long>(geo.multi_region_rounds),
           static_cast<long long>(geo.single_region_rounds),
           static_cast<long long>(geo.one_phase_rounds),
-          placed.conservation_violations == 0 ? "conserved" : "DIVERGED",
-          identical ? "identical" : "DIVERGED");
+          placed.ledger_mismatches == 0 ? "conserved" : "DIVERGED",
+          runs.identical ? "identical" : "DIVERGED");
 
       auto& row = report.AddRow(std::string(core::ProtocolName(protocol)) +
                                 "/" + mode);
       row.Set("offered", placed.stats.offered)
           .Set("committed", placed.stats.committed)
-          .Set("commits_per_tick",
-               CommitsPerTick(placed.stats.committed, placed.stats.makespan))
+          .Set("commits_per_tick", CommitsPerTick(placed.stats))
           .Set("mean_latency_ticks", placed.stats.MeanLatency())
           .Set("p99_latency_ticks",
                static_cast<int64_t>(placed.stats.PercentileLatency(99)))
@@ -222,16 +160,12 @@ int main(int argc, char** argv) {
           .Set("one_phase_rounds", geo.one_phase_rounds)
           .Set("cross_region_messages", geo.cross_region_messages)
           .Set("wall_seconds", placed.wall_seconds)
-          .Set("committed_per_sec_wall",
-               CommittedPerSecWall(placed.stats.committed,
-                                   placed.wall_seconds));
-      SetAbortColumns(row, placed.stats.abort_lock_conflicts,
-                      placed.stats.abort_validation_failures,
-                      placed.stats.shed);
+          .Set("committed_per_sec_wall", CommittedPerSecWall(placed));
+      SetAbortColumns(row, placed.stats);
     }
   }
 
-  if (lost_commits) {
+  if (check_failed) {
     std::printf("\nDURABILITY VIOLATION: committed transactions were lost\n");
   }
   if (diverged) {
@@ -246,10 +180,7 @@ int main(int argc, char** argv) {
     std::printf("\nLATENCY REGRESSION: co-coordinators did not beat the "
                 "spread baseline\n");
   }
-  bool json_failed = false;
-  if (!json_path.empty()) json_failed = !report.WriteTo(json_path);
-  return lost_commits || diverged || rounds_regressed || latency_regressed ||
-                 mix_missing || json_failed
-             ? 2
-             : 0;
+  bool failed =
+      diverged || rounds_regressed || latency_regressed || mix_missing;
+  return FinishDbBench(args, report, failed);
 }

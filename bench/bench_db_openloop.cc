@@ -12,9 +12,10 @@
 //
 // It doubles as a determinism and regression gate, exiting nonzero when
 // any fails:
-//   - every mode's DatabaseStats and BatchStats must be bitwise identical
-//     between the single-queue reference and the same stream placed on 4
-//     shards;
+//   - every mode's whole simulated record (DbRun::SameSimulation) must be
+//     bitwise identical between the single-queue reference and the same
+//     stream placed on 4 shards, and the store must match the
+//     delivered-commit ledger;
 //   - uncapped Poisson streams must sustain >= 95% of offered load
 //     (shedding nothing), and the saturated row (mean gap 1 tick against
 //     max_inflight = 256) must actually shed — admission control binds
@@ -26,10 +27,7 @@
 // Default: N = 100000 arrivals per run. --json writes the machine-readable
 // row set consumed by tools/bench_compare.py (see BENCH_baseline.json).
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -39,8 +37,6 @@
 
 namespace fastcommit::bench {
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 constexpr double kSustainFloor = 0.95;  ///< achieved/offered gate
 constexpr int64_t kSaturationCap = 256;  ///< max_inflight of the shed row
@@ -53,54 +49,15 @@ struct Mode {
   bool gate_shed = false;     ///< saturated row: admission control must bind
 };
 
-db::TrafficOptions BaseTraffic(db::ArrivalProcess process, double mean_gap) {
-  db::TrafficOptions traffic;
-  traffic.process = process;
-  traffic.mean_gap = mean_gap;
-  traffic.shape = db::TxShape::kTransferPair;
-  traffic.seed = 42;
-  return traffic;  // num_keys stays the 1<<20 open-loop default
-}
-
-struct Result {
-  double wall_seconds = 0;
-  db::DatabaseStats stats;
-  db::Database::BatchStats batch;
-};
-
-Result RunOne(core::ProtocolKind protocol, const Mode& mode, int num_arrivals,
-              int shards) {
-  db::Database::Options options;
-  options.num_partitions = 8;
-  options.protocol = protocol;
-  options.num_shards = shards;
-  options.max_inflight = mode.max_inflight;
-  db::Database database(options);
-
-  db::TrafficOptions traffic = mode.traffic;
-  traffic.num_arrivals = num_arrivals;
-  db::TrafficEngine engine(traffic);
-
-  auto start = Clock::now();
-  database.SubmitArrivals(&engine);
-  Result result;
-  result.stats = database.Drain();
-  result.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  result.batch = database.batch_stats();
-  return result;
-}
-
 /// Achieved load as a fraction of offered: (committed / makespan) against
 /// the stream's long-run arrival rate 1 / mean_gap. ~1.0 when the system
 /// keeps up, < 1 when aborts, shedding, or a long drain tail eat into it.
-double AchievedOverOffered(const Result& r, const Mode& mode) {
+double AchievedOverOffered(const DbRun& r, const Mode& mode) {
   if (r.stats.makespan == 0) return 0.0;
-  return CommitsPerTick(r.stats.committed, r.stats.makespan) *
-         mode.traffic.mean_gap;
+  return CommitsPerTick(r.stats) * mode.traffic.mean_gap;
 }
 
-void PrintResult(const Mode& mode, const Result& r, bool identical) {
+void PrintResult(const Mode& mode, const DbRun& r, bool identical) {
   std::printf(
       "  %-26s %8lld/%8lld committed/offered  %5.3f of offered  shed %6lld  "
       "p99 %6lld  stats %s\n",
@@ -118,18 +75,7 @@ int main(int argc, char** argv) {
   using namespace fastcommit;
   using namespace fastcommit::bench;
 
-  int num_arrivals = 100000;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--txs") == 0 && i + 1 < argc) {
-      num_arrivals = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--txs N] [--json PATH]\n", argv[0]);
-      return 1;
-    }
-  }
+  DbArgs args = ParseDbArgs(argc, argv, 100000);
 
   const core::ProtocolKind kProtocols[] = {
       core::ProtocolKind::kInbac,
@@ -181,22 +127,24 @@ int main(int argc, char** argv) {
       "%d arrivals per run, 8 partitions, transfer pairs over %lld keys, "
       "placement check on 4 shards\n"
       "saturated row: mean gap 1 tick against max_inflight = %lld\n",
-      num_arrivals, static_cast<long long>(int64_t{1} << 20),
+      args.txs, static_cast<long long>(int64_t{1} << 20),
       static_cast<long long>(kSaturationCap));
 
-  JsonBenchReport report("db_openloop", num_arrivals);
+  JsonBenchReport report("db_openloop", args.txs);
   bool diverged = false;
   bool sustain_failed = false;
   bool shed_missing = false;
 
   auto run_gated = [&](core::ProtocolKind protocol, const Mode& mode) {
+    db::Database::Options options;
+    options.num_partitions = 8;
+    options.protocol = protocol;
+    options.max_inflight = mode.max_inflight;
     // Single-queue reference vs the run placed on 4 shards.
-    Result serial = RunOne(protocol, mode, num_arrivals, 1);
-    Result placed = RunOne(protocol, mode, num_arrivals, 4);
-    bool identical =
-        serial.stats == placed.stats && serial.batch == placed.batch;
-    if (!identical) diverged = true;
-    PrintResult(mode, placed, identical);
+    PlacedRuns runs = RunPlaced(options, OpenLoop(mode.traffic, args.txs), 4);
+    const DbRun& placed = runs.placed;
+    if (!runs.identical) diverged = true;
+    PrintResult(mode, placed, runs.identical);
     double achieved = AchievedOverOffered(placed, mode);
     if (mode.gate_sustain &&
         (achieved < kSustainFloor || placed.stats.shed != 0)) {
@@ -215,15 +163,13 @@ int main(int argc, char** argv) {
         .Set("committed", placed.stats.committed)
         .Set("shed", placed.stats.shed)
         .Set("achieved_over_offered", achieved)
-        .Set("commits_per_tick",
-             CommitsPerTick(placed.stats.committed, placed.stats.makespan))
+        .Set("commits_per_tick", CommitsPerTick(placed.stats))
         .Set("mean_latency_ticks", placed.stats.MeanLatency())
         .Set("p99_latency_ticks",
              static_cast<int64_t>(placed.stats.PercentileLatency(99)))
         .Set("makespan_ticks", static_cast<int64_t>(placed.stats.makespan))
         .Set("wall_seconds", placed.wall_seconds)
-        .Set("committed_per_sec_wall",
-             CommittedPerSecWall(placed.stats.committed, placed.wall_seconds));
+        .Set("committed_per_sec_wall", CommittedPerSecWall(placed));
   };
 
   for (core::ProtocolKind protocol : kProtocols) {
@@ -240,7 +186,6 @@ int main(int argc, char** argv) {
   }
 
   if (diverged) std::printf("\nDETERMINISM VIOLATION: stats diverged\n");
-  bool json_failed = false;
-  if (!json_path.empty()) json_failed = !report.WriteTo(json_path);
-  return diverged || sustain_failed || shed_missing || json_failed ? 2 : 0;
+  bool failed = diverged || sustain_failed || shed_missing;
+  return FinishDbBench(args, report, failed);
 }

@@ -11,18 +11,19 @@
 //
 // Measures, per (read fraction, snapshot on/off):
 //   - snapshot reads served and the derived reads_per_tick (for the off
-//     rows, read-only commits of the locked path — counted through the
-//     completion callback so the column means the same thing on both
-//     sides of the axis);
+//     rows, read-only commits of the locked path — counted at delivery
+//     so the column means the same thing on both sides of the axis);
 //   - write-commit latency p99 (DatabaseStats::write_latency — the
 //     read-only commits are excluded so the tail is comparable across
 //     the axis), msgs per commit, commits per tick, shed arrivals.
 //
 // It doubles as the snapshot-plane regression gate, exiting nonzero when
 // any fails:
-//   - every row's DatabaseStats, BatchStats, and read fingerprint must
-//     be bitwise identical between the single-queue reference and the
-//     same stream placed on 4 shards;
+//   - every row's whole simulated record (DbRun::SameSimulation: the
+//     stats, batch counters and read fingerprint among it) must be bitwise
+//     identical between the single-queue reference and the same stream
+//     placed on 4 shards, and the store must match the delivered-commit
+//     ledger;
 //   - at read fraction 0.99 the snapshot plane must serve at least
 //     kReadSpeedupFloor x the locked path's reads per tick — the whole
 //     point of routing read-only transactions around the protocol;
@@ -43,10 +44,7 @@
 // Default: N = 20000 arrivals per run. --json writes the machine-readable
 // row set consumed by tools/bench_compare.py (see BENCH_baseline.json).
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -57,8 +55,6 @@
 namespace fastcommit::bench {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 constexpr double kReadMixGap = 1.0;     ///< ticks between arrivals (mean)
 constexpr int64_t kReadMixCap = 64;     ///< max_inflight of the mix rows
 constexpr double kReadSpeedupFloor = 2.0;  ///< reads/tick, on vs off @0.99
@@ -67,10 +63,8 @@ constexpr int64_t kScanTxIdOffset = 1'000'000'000;  ///< scan stream ids
 constexpr int kScanReadsPerTx = 32;     ///< kGets per scan transaction
 
 db::TrafficOptions MixTraffic(double read_fraction) {
-  db::TrafficOptions traffic;
-  traffic.process = db::ArrivalProcess::kPoisson;
-  traffic.mean_gap = kReadMixGap;
-  traffic.shape = db::TxShape::kTransferPair;
+  db::TrafficOptions traffic =
+      BaseTraffic(db::ArrivalProcess::kPoisson, kReadMixGap);
   traffic.read_fraction = read_fraction;
   traffic.reads_per_tx = 4;
   // A small Zipf-hot key space: in the locked rows the readers'shared
@@ -78,83 +72,28 @@ db::TrafficOptions MixTraffic(double read_fraction) {
   // the snapshot plane exists for.
   traffic.num_keys = 4096;
   traffic.zipf_exponent = 0.99;
-  traffic.seed = 42;
   return traffic;
 }
 
-struct Result {
-  double wall_seconds = 0;
-  db::DatabaseStats stats;
-  db::Database::BatchStats batch;
-  uint64_t fingerprint = 0;  ///< Database::read_fingerprint after drain
-  /// Read-only commits seen by the completion callback — on the locked
-  /// rows these ride the normal path (stats.read_only_committed stays 0),
-  /// so the callback is the only counter that means the same thing on
-  /// both sides of the snapshot axis.
-  int64_t read_txs = 0;
-  int64_t read_ops = 0;  ///< kGets carried by those commits
-};
-
-db::Database::Options BaseOptions(bool snapshot, int64_t max_inflight,
-                                  int shards) {
+db::Database::Options BaseOptions(bool snapshot, int64_t max_inflight) {
   db::Database::Options options;
   options.num_partitions = 8;
   options.protocol = core::ProtocolKind::kInbac;
-  options.num_shards = shards;
   options.max_inflight = max_inflight;
   options.snapshot_reads = snapshot;
   return options;
 }
 
-Result Finish(db::Database& database, Clock::time_point start) {
-  Result result;
-  result.stats = database.Drain();
-  result.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  result.batch = database.batch_stats();
-  result.fingerprint = database.read_fingerprint();
-  return result;
-}
-
-db::Database::CompletionCallback CountReads(Result* result) {
-  return [result](const db::Transaction& tx, commit::Decision decision) {
-    if (decision == commit::Decision::kCommit && db::IsReadOnly(tx)) {
-      ++result->read_txs;
-      result->read_ops += static_cast<int64_t>(tx.ops.size());
-    }
-  };
-}
-
-Result RunMix(double read_fraction, bool snapshot, int num_arrivals,
-              int shards) {
-  db::Database database(BaseOptions(snapshot, kReadMixCap, shards));
-  db::TrafficOptions traffic = MixTraffic(read_fraction);
-  traffic.num_arrivals = num_arrivals;
-  db::TrafficEngine engine(traffic);
-  Result result;
-  auto start = Clock::now();
-  database.SubmitArrivals(&engine, CountReads(&result));
-  Result drained = Finish(database, start);
-  drained.read_txs = result.read_txs;
-  drained.read_ops = result.read_ops;
-  return drained;
-}
-
-/// The scan row: transfer writers at a comfortable rate plus a concurrent
-/// stream of wide read-only scans (its own engine, ids offset past every
-/// OLTP id). Uncapped — the gate is that the snapshot plane serves every
-/// scan while the writers keep sustaining, not that admission binds.
-Result RunScan(int num_arrivals, int shards) {
-  db::Database database(BaseOptions(/*snapshot=*/true, /*max_inflight=*/0,
-                                    shards));
-  db::TrafficOptions oltp;
-  oltp.process = db::ArrivalProcess::kPoisson;
-  oltp.mean_gap = 40.0;
-  oltp.shape = db::TxShape::kTransferPair;
+/// The scan row's load: transfer writers at a comfortable rate plus a
+/// concurrent stream of wide read-only scans (its own engine, ids offset
+/// past every OLTP id). Uncapped — the gate is that the snapshot plane
+/// serves every scan while the writers keep sustaining, not that admission
+/// binds.
+DbLoad ScanLoad(int num_arrivals) {
+  db::TrafficOptions oltp = BaseTraffic(db::ArrivalProcess::kPoisson, 40.0);
   oltp.num_keys = 4096;
   oltp.zipf_exponent = 0.99;
   oltp.num_arrivals = num_arrivals;
-  oltp.seed = 42;
 
   db::TrafficOptions scan = oltp;
   scan.read_fraction = 1.0;
@@ -165,25 +104,18 @@ Result RunScan(int num_arrivals, int shards) {
   scan.first_tx_id = kScanTxIdOffset;
   scan.seed = 7;
 
-  db::TrafficEngine oltp_engine(oltp);
-  db::TrafficEngine scan_engine(scan);
-  Result result;
-  auto start = Clock::now();
-  database.SubmitArrivals(&oltp_engine, CountReads(&result));
-  database.SubmitArrivals(&scan_engine, CountReads(&result));
-  Result drained = Finish(database, start);
-  drained.read_txs = result.read_txs;
-  drained.read_ops = result.read_ops;
-  return drained;
+  DbLoad load;
+  load.streams = {oltp, scan};
+  return load;
 }
 
-double ReadsPerTick(const Result& r) {
+double ReadsPerTick(const DbRun& r) {
   return r.stats.makespan == 0 ? 0.0
                                : static_cast<double>(r.read_ops) /
                                      static_cast<double>(r.stats.makespan);
 }
 
-void PrintResult(const std::string& label, const Result& r, bool identical) {
+void PrintResult(const std::string& label, const DbRun& r, bool identical) {
   std::printf(
       "  %-22s committed %7lld  read txs %7lld  reads/tick %7.3f  "
       "shed %7lld  write p99 %6lld  stats %s\n",
@@ -201,18 +133,8 @@ int main(int argc, char** argv) {
   using namespace fastcommit;
   using namespace fastcommit::bench;
 
-  int num_arrivals = 20000;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--txs") == 0 && i + 1 < argc) {
-      num_arrivals = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--txs N] [--json PATH]\n", argv[0]);
-      return 1;
-    }
-  }
+  DbArgs args = ParseDbArgs(argc, argv, 20000);
+  int num_arrivals = args.txs;
 
   PrintHeader("DB read mix: locked path vs the snapshot read plane");
   std::printf(
@@ -229,58 +151,48 @@ int main(int argc, char** argv) {
   bool leaked_reads = false;
   bool scan_failed = false;
 
-  // Single-queue reference vs the run placed on 4 shards: stats, batch
-  // counters, and the snapshot-read fingerprint must all match, so the
-  // gate covers read *results*, not just outcome counts.
-  auto check_identity = [&](const Result& serial, const Result& placed) {
-    bool identical = serial.stats == placed.stats &&
-                     serial.batch == placed.batch &&
-                     serial.fingerprint == placed.fingerprint;
-    if (!identical) diverged = true;
-    return identical;
-  };
-
-  auto add_row = [&](const std::string& key, const Result& r) -> auto& {
+  auto add_row = [&](const std::string& key, const DbRun& r) -> auto& {
     auto& row = report.AddRow(key);
     row.Set("offered", r.stats.offered)
         .Set("committed", r.stats.committed)
         .Set("shed", r.stats.shed)
-        .Set("msgs_per_commit",
-             MsgsPerCommit(r.stats.commit_messages, r.stats.committed))
-        .Set("commits_per_tick",
-             CommitsPerTick(r.stats.committed, r.stats.makespan))
+        .Set("msgs_per_commit", MsgsPerCommit(r.stats))
+        .Set("commits_per_tick", CommitsPerTick(r.stats))
         .Set("write_p99_latency_ticks",
              static_cast<int64_t>(r.stats.write_latency.Percentile(99)))
         .Set("makespan_ticks", static_cast<int64_t>(r.stats.makespan))
         .Set("wall_seconds", r.wall_seconds)
-        .Set("committed_per_sec_wall",
-             CommittedPerSecWall(r.stats.committed, r.wall_seconds))
+        .Set("committed_per_sec_wall", CommittedPerSecWall(r))
         // Snapshot-served reads count as served too (the same numerator as
         // benchmark/fc_bench's txn_per_s); committed_per_sec_wall omits them.
         .Set("served_per_sec_wall",
              CommittedPerSecWall(
                  r.stats.committed + r.stats.read_only_committed,
                  r.wall_seconds));
-    // The callback-side counters, not stats.read_only_committed: on the
+    // The delivery-side counters, not stats.read_only_committed: on the
     // locked rows the reads commit through the protocol and the column
     // must still mean "read-only transactions served".
-    SetSnapshotColumns(row, r.read_txs, r.read_ops,
-                       static_cast<int64_t>(r.stats.makespan));
+    SetSnapshotColumns(row, r);
     return row;
   };
 
   std::printf("\nread-fraction sweep\n");
   PrintRule();
   for (double fraction : {0.5, 0.9, 0.99}) {
-    Result pair[2];  // [0] = snapshot off (locked reads), [1] = on
+    DbLoad load = OpenLoop(MixTraffic(fraction), num_arrivals);
+    DbRun pair[2];  // [0] = snapshot off (locked reads), [1] = on
     for (int snapshot = 0; snapshot <= 1; ++snapshot) {
-      Result serial = RunMix(fraction, snapshot != 0, num_arrivals, 1);
-      Result placed = RunMix(fraction, snapshot != 0, num_arrivals, 4);
-      bool identical = check_identity(serial, placed);
+      // Single-queue reference vs the run placed on 4 shards: the whole
+      // simulated record, the snapshot-read fingerprint included, must
+      // match, so the gate covers read *results*, not just outcome counts.
+      PlacedRuns runs =
+          RunPlaced(BaseOptions(snapshot != 0, kReadMixCap), load, 4);
+      if (!runs.identical) diverged = true;
+      const DbRun& placed = runs.placed;
       char label[64];
       std::snprintf(label, sizeof(label), "read=%.2f/snapshot=%d", fraction,
                     snapshot);
-      PrintResult(label, placed, identical);
+      PrintResult(label, placed, runs.identical);
       add_row(std::string("inbac/") + label, placed);
       pair[snapshot] = placed;
       if (snapshot == 1 &&
@@ -328,10 +240,11 @@ int main(int argc, char** argv) {
   std::printf("\nscan stream beside OLTP writers (snapshot on)\n");
   PrintRule();
   {
-    Result serial = RunScan(num_arrivals, 1);
-    Result placed = RunScan(num_arrivals, 4);
-    bool identical = check_identity(serial, placed);
-    PrintResult("scan+oltp/snapshot=1", placed, identical);
+    DbLoad load = ScanLoad(num_arrivals);
+    PlacedRuns runs = RunPlaced(BaseOptions(/*snapshot=*/true, 0), load, 4);
+    if (!runs.identical) diverged = true;
+    const DbRun& placed = runs.placed;
+    PrintResult("scan+oltp/snapshot=1", placed, runs.identical);
     add_row("inbac/scan+oltp/snapshot=1", placed);
     int64_t scans_offered = num_arrivals / 8;
     double writer_achieved =
@@ -361,10 +274,7 @@ int main(int argc, char** argv) {
   }
 
   if (diverged) std::printf("\nDETERMINISM VIOLATION: stats diverged\n");
-  bool json_failed = false;
-  if (!json_path.empty()) json_failed = !report.WriteTo(json_path);
-  return diverged || speedup_failed || write_p99_regressed || leaked_reads ||
-                 scan_failed || json_failed
-             ? 2
-             : 0;
+  bool failed = diverged || speedup_failed || write_p99_regressed ||
+                leaked_reads || scan_failed;
+  return FinishDbBench(args, report, failed);
 }

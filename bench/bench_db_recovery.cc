@@ -16,8 +16,9 @@
 //   - zero lost committed transactions: every run's final per-key state
 //     must match the ledger accumulated from delivered commit callbacks
 //     (Add-delta conservation), across every crash point;
-//   - bitwise replay determinism: DatabaseStats, RecoveryStats, and
-//     CommitLog::Stats of every crashed run must be identical between the
+//   - bitwise replay determinism: the whole simulated record of every
+//     crashed run (DbRun::SameSimulation: DatabaseStats, RecoveryStats,
+//     CommitLog::Stats and the rest) must be identical between the
 //     single-queue reference placement and 4 shards;
 //   - bounded unavailability: the recovery window must equal the planned
 //     restart delay exactly (the coordinator replays and reopens at the
@@ -33,13 +34,8 @@
 // Default: N = 20000 arrivals per run. --json writes the row set consumed
 // by tools/bench_compare.py.
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
 #include "db/database.h"
@@ -49,8 +45,6 @@
 namespace fastcommit::bench {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 constexpr int kLogReplicas = 3;
 constexpr sim::Time kRestartDelay = 6000;
 /// Drain-tail slack of the outage-gap gate: parked arrivals and
@@ -58,61 +52,14 @@ constexpr sim::Time kRestartDelay = 6000;
 /// trail the crash-free baseline by more than the downtime itself.
 constexpr sim::Time kOutageSlack = 6000;
 
-struct Result {
-  double wall_seconds = 0;
-  db::DatabaseStats stats;
-  db::Database::RecoveryStats recovery;
-  db::CommitLog::Stats log_stats;
-  int64_t conservation_violations = 0;  ///< keys diverged from the ledger
-};
-
-db::TrafficOptions Traffic(int num_arrivals) {
-  db::TrafficOptions traffic;
-  traffic.process = db::ArrivalProcess::kPoisson;
-  traffic.mean_gap = 40.0;
-  traffic.shape = db::TxShape::kTransferPair;
-  traffic.num_keys = 512;  // small key space: real conflicts, checkable state
-  traffic.num_arrivals = num_arrivals;
-  traffic.seed = 42;
-  return traffic;
-}
-
-Result RunOne(core::ProtocolKind protocol, const db::FaultPlan& plan,
-              int num_arrivals, int shards) {
+db::Database::Options RecoveryOptions(core::ProtocolKind protocol,
+                                      const db::FaultPlan& plan) {
   db::Database::Options options;
   options.num_partitions = 8;
   options.protocol = protocol;
-  options.num_shards = shards;
   options.log_replicas = kLogReplicas;
   options.fault_plan = plan;
-  db::Database database(options);
-
-  db::TrafficOptions traffic = Traffic(num_arrivals);
-  db::TrafficEngine engine(traffic);
-
-  // Delivered-commit ledger: the balance every key must end at if no
-  // committed transaction was lost or double-applied across the crash.
-  std::map<db::Key, int64_t> ledger;
-  auto start = Clock::now();
-  database.SubmitArrivals(
-      &engine, [&ledger](const db::Transaction& done, commit::Decision d) {
-        if (d != commit::Decision::kCommit) return;
-        for (const db::Op& op : done.ops) {
-          if (op.type == db::Op::Type::kAdd) ledger[op.key] += op.delta;
-        }
-      });
-  Result result;
-  result.stats = database.Drain();
-  result.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  result.recovery = database.recovery_stats();
-  result.log_stats = database.commit_log()->stats();
-  for (const auto& entry : ledger) {
-    if (database.GetInt(entry.first) != entry.second) {
-      ++result.conservation_violations;
-    }
-  }
-  return result;
+  return options;
 }
 
 double FastPathRate(const db::CommitLog::Stats& s) {
@@ -129,18 +76,13 @@ int main(int argc, char** argv) {
   using namespace fastcommit;
   using namespace fastcommit::bench;
 
-  int num_arrivals = 20000;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--txs") == 0 && i + 1 < argc) {
-      num_arrivals = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--txs N] [--json PATH]\n", argv[0]);
-      return 1;
-    }
-  }
+  DbArgs args = ParseDbArgs(argc, argv, 20000);
+  int num_arrivals = args.txs;
+  // Open-loop transfers over a small key space: real conflicts, checkable
+  // state.
+  db::TrafficOptions traffic = BaseTraffic(db::ArrivalProcess::kPoisson, 40.0);
+  traffic.num_keys = 512;
+  DbLoad load = OpenLoop(traffic, num_arrivals);
 
   const core::ProtocolKind kProtocols[] = {
       core::ProtocolKind::kInbac,
@@ -162,7 +104,6 @@ int main(int argc, char** argv) {
       static_cast<long long>(kRestartDelay));
 
   JsonBenchReport report("db_recovery", num_arrivals);
-  bool lost_commits = false;
   bool diverged = false;
   bool outage_unbounded = false;
   bool quorum_path_missing = false;
@@ -173,10 +114,10 @@ int main(int argc, char** argv) {
 
     // Crash-free baseline: the makespan yardstick of the outage gate and
     // the row that must exercise both quorum paths.
-    db::FaultPlan no_fault;
-    Result baseline = RunOne(protocol, no_fault, num_arrivals, 4);
-    if (baseline.conservation_violations > 0) lost_commits = true;
-    const db::CommitLog::Stats& log = baseline.log_stats;
+    db::Database::Options options = RecoveryOptions(protocol, {});
+    options.num_shards = 4;
+    DbRun baseline = RunDb(options, load);
+    const db::CommitLog::Stats& log = baseline.log;
     if (log.fast_path_decisions == 0 || log.slow_path_decisions == 0) {
       quorum_path_missing = true;
       std::printf("  QUORUM REGRESSION: fast=%lld slow=%lld — one path "
@@ -189,30 +130,25 @@ int main(int argc, char** argv) {
         "ledger %s\n",
         "baseline/log=3", static_cast<long long>(baseline.stats.committed),
         static_cast<long long>(baseline.stats.makespan),
-        FastPathRate(baseline.log_stats),
-        baseline.conservation_violations == 0 ? "conserved" : "DIVERGED");
+        FastPathRate(baseline.log),
+        baseline.ledger_mismatches == 0 ? "conserved" : "DIVERGED");
     {
       auto& row = report.AddRow(std::string(core::ProtocolName(protocol)) +
                                 "/baseline/log=3");
       row.Set("offered", baseline.stats.offered)
           .Set("committed", baseline.stats.committed)
-          .Set("commits_per_tick", CommitsPerTick(baseline.stats.committed,
-                                                  baseline.stats.makespan))
+          .Set("commits_per_tick", CommitsPerTick(baseline.stats))
           .Set("mean_latency_ticks", baseline.stats.MeanLatency())
           .Set("p99_latency_ticks",
                static_cast<int64_t>(baseline.stats.PercentileLatency(99)))
           .Set("makespan_ticks", static_cast<int64_t>(baseline.stats.makespan))
-          .Set("fast_path_decisions", baseline.log_stats.fast_path_decisions)
-          .Set("slow_path_decisions", baseline.log_stats.slow_path_decisions)
-          .Set("fast_path_rate", FastPathRate(baseline.log_stats))
-          .Set("log_max_live_slots", baseline.log_stats.max_live_slots)
+          .Set("fast_path_decisions", baseline.log.fast_path_decisions)
+          .Set("slow_path_decisions", baseline.log.slow_path_decisions)
+          .Set("fast_path_rate", FastPathRate(baseline.log))
+          .Set("log_max_live_slots", baseline.log.max_live_slots)
           .Set("wall_seconds", baseline.wall_seconds)
-          .Set("committed_per_sec_wall",
-               CommittedPerSecWall(baseline.stats.committed,
-                                   baseline.wall_seconds));
-      SetAbortColumns(row, baseline.stats.abort_lock_conflicts,
-                      baseline.stats.abort_validation_failures,
-                      baseline.stats.shed);
+          .Set("committed_per_sec_wall", CommittedPerSecWall(baseline));
+      SetAbortColumns(row, baseline.stats);
     }
 
     for (db::CrashPoint point : kCrashPoints) {
@@ -223,16 +159,9 @@ int main(int argc, char** argv) {
 
       // Serial reference vs the placed run: the whole crash/replay
       // schedule must be placement-invariant, not just the workload stats.
-      Result serial = RunOne(protocol, plan, num_arrivals, 1);
-      Result placed = RunOne(protocol, plan, num_arrivals, 4);
-      bool identical = serial.stats == placed.stats &&
-                       serial.recovery == placed.recovery &&
-                       serial.log_stats == placed.log_stats;
-      if (!identical) diverged = true;
-      if (placed.conservation_violations > 0 ||
-          serial.conservation_violations > 0) {
-        lost_commits = true;
-      }
+      PlacedRuns runs = RunPlaced(RecoveryOptions(protocol, plan), load, 4);
+      const DbRun& placed = runs.placed;
+      if (!runs.identical) diverged = true;
 
       int64_t outage_gap = static_cast<int64_t>(placed.stats.makespan) -
                            static_cast<int64_t>(baseline.stats.makespan);
@@ -266,15 +195,14 @@ int main(int argc, char** argv) {
           static_cast<long long>(placed.recovery.redecide_rounds),
           static_cast<long long>(placed.recovery.presumed_aborts),
           static_cast<long long>(placed.recovery.parked),
-          placed.conservation_violations == 0 ? "conserved" : "DIVERGED",
-          identical ? "identical" : "DIVERGED");
+          placed.ledger_mismatches == 0 ? "conserved" : "DIVERGED",
+          runs.identical ? "identical" : "DIVERGED");
 
       auto& row = report.AddRow(std::string(core::ProtocolName(protocol)) +
                                 "/crash=" + db::ToString(point));
       row.Set("offered", placed.stats.offered)
           .Set("committed", placed.stats.committed)
-          .Set("commits_per_tick", CommitsPerTick(placed.stats.committed,
-                                                  placed.stats.makespan))
+          .Set("commits_per_tick", CommitsPerTick(placed.stats))
           .Set("p99_latency_ticks",
                static_cast<int64_t>(placed.stats.PercentileLatency(99)))
           .Set("makespan_ticks", static_cast<int64_t>(placed.stats.makespan))
@@ -287,30 +215,22 @@ int main(int argc, char** argv) {
           .Set("presumed_aborts", placed.recovery.presumed_aborts)
           .Set("resubmissions", placed.recovery.resubmissions)
           .Set("parked", placed.recovery.parked)
-          .Set("fast_path_decisions", placed.log_stats.fast_path_decisions)
-          .Set("slow_path_decisions", placed.log_stats.slow_path_decisions)
-          .Set("fast_path_rate", FastPathRate(placed.log_stats))
+          .Set("fast_path_decisions", placed.log.fast_path_decisions)
+          .Set("slow_path_decisions", placed.log.slow_path_decisions)
+          .Set("fast_path_rate", FastPathRate(placed.log))
           .Set("wall_seconds", placed.wall_seconds)
-          .Set("committed_per_sec_wall",
-               CommittedPerSecWall(placed.stats.committed,
-                                   placed.wall_seconds));
-      SetAbortColumns(row, placed.stats.abort_lock_conflicts,
-                      placed.stats.abort_validation_failures,
-                      placed.stats.shed);
+          .Set("committed_per_sec_wall", CommittedPerSecWall(placed));
+      SetAbortColumns(row, placed.stats);
     }
   }
 
-  if (lost_commits) {
+  if (check_failed) {
     std::printf("\nDURABILITY VIOLATION: committed transactions were lost\n");
   }
   if (diverged) {
     std::printf("\nDETERMINISM VIOLATION: crash replay diverged across "
                 "placements\n");
   }
-  bool json_failed = false;
-  if (!json_path.empty()) json_failed = !report.WriteTo(json_path);
-  return lost_commits || diverged || outage_unbounded || quorum_path_missing ||
-                 json_failed
-             ? 2
-             : 0;
+  bool failed = diverged || outage_unbounded || quorum_path_missing;
+  return FinishDbBench(args, report, failed);
 }

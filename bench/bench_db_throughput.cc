@@ -9,16 +9,15 @@
 //   - clusters allocated (pool `created`) vs recycled (`reused`).
 //
 // Usage:
-//   bench_db_throughput [--txs N] [--no-pool | --pool-only] [--json PATH]
+//   bench_db_throughput [--txs N] [--json PATH] [--no-pool | --pool-only]
+//                       [--ablation-only]
 //
 // Default: N = 100000, runs both modes and reports the improvement ratios.
 // --no-pool restricts to the baseline mode (the pre-pooling behavior kept
 // for comparison); --pool-only restricts to the pooled mode. --json writes
 // the machine-readable row set consumed by tools/bench_compare.py.
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -29,8 +28,6 @@
 
 namespace fastcommit::bench {
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 struct WorkloadSpec {
   const char* name;
@@ -48,44 +45,12 @@ std::vector<db::Transaction> MakeHotspot(int num_txs, uint64_t seed) {
                                  /*hot_probability=*/0.2, seed);
 }
 
-struct Result {
-  double wall_seconds = 0;
-  double txs_per_second = 0;
-  db::DatabaseStats stats;
-  db::CommitInstancePool::Stats pool;
-};
-
-Result RunOne(core::ProtocolKind protocol, const WorkloadSpec& workload,
-              int num_txs, bool pooled) {
-  db::Database::Options options;
-  options.num_partitions = 8;
-  options.protocol = protocol;
-  options.pool_instances = pooled;
-  db::Database database(options);
-
-  auto txs = workload.make(num_txs, /*seed=*/42);
-  auto start = Clock::now();
-  sim::Time at = 0;
-  for (auto& tx : txs) {
-    database.Submit(std::move(tx), at);
-    at += 40;  // steady arrivals; commits overlap but concurrency is bounded
-  }
-  Result result;
-  result.stats = database.Drain();
-  result.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  result.txs_per_second =
-      static_cast<double>(result.stats.committed) / result.wall_seconds;
-  result.pool = database.pool_stats();
-  return result;
-}
-
-void PrintResult(const char* mode, const Result& r) {
+void PrintResult(const char* mode, const DbRun& r) {
   std::printf(
       "  %-8s %9lld committed  %7.2fs wall  %9.0f txs/s  peak live %6lld  "
       "created %7lld  reused %7lld\n",
       mode, static_cast<long long>(r.stats.committed), r.wall_seconds,
-      r.txs_per_second, static_cast<long long>(r.pool.peak_live),
+      CommittedPerSecWall(r), static_cast<long long>(r.pool.peak_live),
       static_cast<long long>(r.pool.created),
       static_cast<long long>(r.pool.reused));
 }
@@ -142,31 +107,13 @@ double OpReadFraction(const std::vector<db::Transaction>& txs) {
                   : static_cast<double>(reads) / static_cast<double>(ops);
 }
 
-Result RunAblation(const std::vector<db::Transaction>& txs,
-                   db::ConcurrencyMode mode, int num_shards = 1) {
+db::Database::Options AblationOptions(db::ConcurrencyMode mode) {
   db::Database::Options options;
   options.num_partitions = 8;
   options.protocol = core::ProtocolKind::kInbac;
   options.concurrency = mode;
   options.max_attempts = 1;  // no retries: committed counts are goodput
-  options.num_shards = num_shards;
-  db::Database database(options);
-
-  auto start = Clock::now();
-  sim::Time at = 0;
-  for (const db::Transaction& tx : txs) {
-    database.Submit(tx, at);
-    at += 20;  // tighter than the pooled section: keep several readers'
-               // protocol spans overlapping every hot key's lock window
-  }
-  Result result;
-  result.stats = database.Drain();
-  result.wall_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  result.txs_per_second =
-      static_cast<double>(result.stats.committed) / result.wall_seconds;
-  result.pool = database.pool_stats();
-  return result;
+  return options;
 }
 
 }  // namespace
@@ -176,30 +123,10 @@ int main(int argc, char** argv) {
   using namespace fastcommit;
   using namespace fastcommit::bench;
 
-  int num_txs = 100000;
-  bool run_pooled = true;
-  bool run_baseline = true;
-  bool ablation_only = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--txs") == 0 && i + 1 < argc) {
-      num_txs = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--no-pool") == 0) {
-      run_pooled = false;
-    } else if (std::strcmp(argv[i], "--pool-only") == 0) {
-      run_baseline = false;
-    } else if (std::strcmp(argv[i], "--ablation-only") == 0) {
-      ablation_only = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [--txs N] [--no-pool | --pool-only] "
-                   "[--ablation-only] [--json PATH]\n",
-                   argv[0]);
-      return 1;
-    }
-  }
+  DbArgs args = ParseDbArgs(argc, argv, 100000,
+                            {"--no-pool", "--pool-only", "--ablation-only"});
+  bool run_pooled = !args.Has("--no-pool");
+  bool run_baseline = !args.Has("--pool-only");
 
   const core::ProtocolKind kProtocols[] = {
       core::ProtocolKind::kInbac,
@@ -213,49 +140,51 @@ int main(int argc, char** argv) {
 
   PrintHeader("DB commit throughput: pooled instances vs rebuild-per-tx");
   std::printf("%d transactions per run, 8 partitions, unit U = 100 ticks\n",
-              num_txs);
+              args.txs);
 
-  JsonBenchReport report("db_throughput", num_txs);
+  JsonBenchReport report("db_throughput", args.txs);
   bool diverged = false;
 
   for (const WorkloadSpec& workload : kWorkloads) {
-    if (ablation_only) break;
+    if (args.Has("--ablation-only")) break;
     for (core::ProtocolKind protocol : kProtocols) {
       std::printf("\n%s / %s\n", core::ProtocolName(protocol), workload.name);
       PrintRule();
-      Result pooled;
-      Result baseline;
+      db::Database::Options options;
+      options.num_partitions = 8;
+      options.protocol = protocol;
+      // Steady arrivals: commits overlap but concurrency is bounded.
+      DbLoad load = ClosedLoop(workload.make(args.txs, /*seed=*/42), 40);
+      DbRun pooled;
+      DbRun baseline;
       if (run_pooled) {
-        pooled = RunOne(protocol, workload, num_txs, /*pooled=*/true);
+        pooled = RunDb(options, load);
         PrintResult("pooled", pooled);
         report
             .AddRow(std::string(core::ProtocolName(protocol)) + "/" +
                     workload.name + "/pooled")
             .Set("committed", pooled.stats.committed)
-            .Set("msgs_per_commit",
-                 MsgsPerCommit(pooled.stats.commit_messages,
-                               pooled.stats.committed))
+            .Set("msgs_per_commit", MsgsPerCommit(pooled.stats))
             .Set("mean_latency_ticks", pooled.stats.MeanLatency())
             .Set("p99_latency_ticks",
                  static_cast<int64_t>(pooled.stats.PercentileLatency(99)))
             .Set("peak_live_instances", pooled.pool.peak_live)
-            .Set("commits_per_tick", CommitsPerTick(pooled.stats.committed,
-                                                    pooled.stats.makespan))
+            .Set("commits_per_tick", CommitsPerTick(pooled.stats))
             .Set("wall_seconds", pooled.wall_seconds)
-            .Set("txs_per_second", pooled.txs_per_second)
-            .Set("committed_per_sec_wall",
-                 CommittedPerSecWall(pooled.stats.committed,
-                                     pooled.wall_seconds));
+            .Set("txs_per_second", CommittedPerSecWall(pooled))
+            .Set("committed_per_sec_wall", CommittedPerSecWall(pooled));
       }
       if (run_baseline) {
-        baseline = RunOne(protocol, workload, num_txs, /*pooled=*/false);
+        options.pool_instances = false;
+        baseline = RunDb(options, load);
         PrintResult("no-pool", baseline);
       }
       if (run_pooled && run_baseline) {
-        double throughput_x = pooled.txs_per_second / baseline.txs_per_second;
+        double throughput_x =
+            CommittedPerSecWall(pooled) / CommittedPerSecWall(baseline);
         double alloc_x = static_cast<double>(baseline.pool.created) /
                          static_cast<double>(pooled.pool.created);
-        bool identical = pooled.stats == baseline.stats;
+        bool identical = pooled.SameSimulation(baseline);
         if (!identical) diverged = true;
         std::printf(
             "  -> throughput %4.2fx, allocations %.0fx fewer, stats %s\n",
@@ -273,13 +202,22 @@ int main(int argc, char** argv) {
   PrintRule();
   bool gate_failed = false;
   for (const AblationSpec& spec : kAblationGrid) {
-    auto txs = MakeAblationWorkload(spec, num_txs);
-    double read_fraction = OpReadFraction(txs);
-    Result two_pl = RunAblation(txs, db::ConcurrencyMode::k2PL);
-    Result occ = RunAblation(txs, db::ConcurrencyMode::kOCC);
-    double speedup =
-        CommitsPerTick(occ.stats.committed, occ.stats.makespan) /
-        CommitsPerTick(two_pl.stats.committed, two_pl.stats.makespan);
+    // Tighter than the pooled section: keep several readers' protocol
+    // spans overlapping every hot key's lock window.
+    DbLoad load = ClosedLoop(MakeAblationWorkload(spec, args.txs), 20);
+    double read_fraction = OpReadFraction(load.txs);
+    bool gated = std::strcmp(spec.key, kGatedAblationKey) == 0;
+    DbRun two_pl = RunDb(AblationOptions(db::ConcurrencyMode::k2PL), load);
+    // The gated row also checks the OCC path's placement determinism: the
+    // same seed must simulate bitwise the same on 8 shards.
+    PlacedRuns occ_runs;
+    if (gated) {
+      occ_runs = RunPlaced(AblationOptions(db::ConcurrencyMode::kOCC), load, 8);
+    } else {
+      occ_runs.serial = RunDb(AblationOptions(db::ConcurrencyMode::kOCC), load);
+    }
+    const DbRun& occ = occ_runs.serial;
+    double speedup = CommitsPerTick(occ.stats) / CommitsPerTick(two_pl.stats);
     std::printf("  %-12s %5.2f  %10lld %10lld %7.2fx  %6lld %6lld\n",
                 spec.key, read_fraction,
                 static_cast<long long>(two_pl.stats.committed),
@@ -291,24 +229,19 @@ int main(int argc, char** argv) {
         report.AddRow(std::string("ablation/") + spec.key + "/2pl")
             .Set("committed", two_pl.stats.committed)
             .Set("read_fraction", read_fraction)
-            .Set("commits_per_tick", CommitsPerTick(two_pl.stats.committed,
-                                                    two_pl.stats.makespan))
+            .Set("commits_per_tick", CommitsPerTick(two_pl.stats))
             .Set("wall_seconds", two_pl.wall_seconds);
-    SetAbortColumns(row_2pl, two_pl.stats.abort_lock_conflicts,
-                    two_pl.stats.abort_validation_failures,
-                    two_pl.stats.shed);
+    SetAbortColumns(row_2pl, two_pl.stats);
     auto& row_occ =
         report.AddRow(std::string("ablation/") + spec.key + "/occ")
             .Set("committed", occ.stats.committed)
             .Set("read_fraction", read_fraction)
-            .Set("commits_per_tick",
-                 CommitsPerTick(occ.stats.committed, occ.stats.makespan))
+            .Set("commits_per_tick", CommitsPerTick(occ.stats))
             .Set("occ_speedup_vs_2pl", speedup)
             .Set("wall_seconds", occ.wall_seconds);
-    SetAbortColumns(row_occ, occ.stats.abort_lock_conflicts,
-                    occ.stats.abort_validation_failures, occ.stats.shed);
+    SetAbortColumns(row_occ, occ.stats);
 
-    if (std::strcmp(spec.key, kGatedAblationKey) == 0) {
+    if (gated) {
       // The acceptance gate: on read-heavy, truly-low-conflict traffic OCC
       // must buy back the 2PL false-sharing aborts as real goodput.
       if (speedup < kOccSpeedupGate) {
@@ -316,12 +249,7 @@ int main(int argc, char** argv) {
         std::printf("  -> GATE FAILED: occ speedup %.2fx < %.2fx on %s\n",
                     speedup, kOccSpeedupGate, spec.key);
       }
-      // Placement-determinism gate for the OCC path: the same seed must
-      // produce bitwise-identical stats on 8 shards as on the single-shard
-      // reference above.
-      Result occ_spread =
-          RunAblation(txs, db::ConcurrencyMode::kOCC, /*num_shards=*/8);
-      if (occ_spread.stats != occ.stats) {
+      if (!occ_runs.identical) {
         diverged = true;
         std::printf("  -> OCC placement determinism DIVERGED on %s\n",
                     spec.key);
@@ -329,10 +257,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  bool json_failed = false;
-  if (!json_path.empty()) json_failed = !report.WriteTo(json_path);
   // Nonzero on divergence so CI runs of this bench double as the
   // pooled-vs-baseline determinism regression gate (and the OCC speedup /
   // placement gates above).
-  return diverged || json_failed || gate_failed ? 2 : 0;
+  return FinishDbBench(args, report, diverged || gate_failed);
 }

@@ -7,8 +7,6 @@
 
 #include <array>
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 #include "commit/inbac.h"
 
@@ -103,25 +101,9 @@ void PrintTable() {
   }
 }
 
-void BM_Fig1NetworkFailureRun(benchmark::State& state) {
-  uint64_t seed = 1;
-  for (auto _ : state) {
-    core::RunConfig config =
-        core::MakeNetworkFailureConfig(ProtocolKind::kInbac, 5, 2, seed++);
-    config.delays.late_probability = 0.5;
-    core::RunResult result = core::Run(config);
-    benchmark::DoNotOptimize(result.inbac_branches.data());
-  }
-}
-
 }  // namespace
 }  // namespace fastcommit::bench
 
-BENCHMARK(fastcommit::bench::BM_Fig1NetworkFailureRun);
-
-int main(int argc, char** argv) {
+int main() {
   fastcommit::bench::PrintTable();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
 }

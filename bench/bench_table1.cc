@@ -7,8 +7,6 @@
 // matches it at the locally-maximal cells; we print the full 8x8 grid in
 // the paper's layout and measure the matching protocol for every group.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 
 namespace fastcommit::bench {
@@ -87,40 +85,17 @@ void PrintWitnesses(int n, int f) {
     std::printf("%-12s %-12s %-20s %10lld %10lld %10s\n", cell_name.c_str(),
                 bound.c_str(), witness.c_str(),
                 static_cast<long long>(d.delays),
-                static_cast<long long>(m.messages), ok ? "ok" : "MISMATCH");
+                static_cast<long long>(m.messages), Verdict(ok));
   }
-}
-
-void BM_Table1NiceExecution(benchmark::State& state) {
-  auto kind = static_cast<ProtocolKind>(state.range(0));
-  int n = static_cast<int>(state.range(1));
-  int f = static_cast<int>(state.range(2));
-  int64_t messages = 0;
-  for (auto _ : state) {
-    core::RunResult result = core::Run(core::MakeNiceConfig(kind, n, f));
-    messages = result.PaperMessageCount();
-    benchmark::DoNotOptimize(result.decisions.data());
-  }
-  state.counters["messages"] = static_cast<double>(messages);
 }
 
 }  // namespace
 }  // namespace fastcommit::bench
 
-BENCHMARK(fastcommit::bench::BM_Table1NiceExecution)
-    ->Args({static_cast<int>(fastcommit::core::ProtocolKind::kZeroNbac), 6, 2})
-    ->Args({static_cast<int>(fastcommit::core::ProtocolKind::kChainNbac), 6, 2})
-    ->Args({static_cast<int>(fastcommit::core::ProtocolKind::kBcastNbac), 6, 2})
-    ->Args({static_cast<int>(fastcommit::core::ProtocolKind::kChainAckNbac), 6,
-            2})
-    ->Args({static_cast<int>(fastcommit::core::ProtocolKind::kInbac), 6, 2});
-
-int main(int argc, char** argv) {
+int main() {
   for (auto [n, f] : {std::pair<int, int>{5, 1}, {6, 2}, {9, 4}}) {
     fastcommit::bench::PrintGrid(n, f);
     fastcommit::bench::PrintWitnesses(n, f);
   }
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return fastcommit::bench::check_failed ? 1 : 0;
 }

@@ -2,8 +2,6 @@
 // match the delay lower bound of their cell in every nice execution
 // (1, 1, 1 and 2 message delays respectively).
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 
 namespace fastcommit::bench {
@@ -39,26 +37,10 @@ void PrintTable() {
   }
 }
 
-void BM_DelayOptimalNice(benchmark::State& state) {
-  auto kind = static_cast<ProtocolKind>(state.range(0));
-  for (auto _ : state) {
-    core::RunResult result = core::Run(core::MakeNiceConfig(kind, 6, 2));
-    benchmark::DoNotOptimize(result.decide_times.data());
-  }
-}
-
 }  // namespace
 }  // namespace fastcommit::bench
 
-BENCHMARK(fastcommit::bench::BM_DelayOptimalNice)
-    ->Arg(static_cast<int>(fastcommit::core::ProtocolKind::kAvNbacFast))
-    ->Arg(static_cast<int>(fastcommit::core::ProtocolKind::kZeroNbac))
-    ->Arg(static_cast<int>(fastcommit::core::ProtocolKind::kOneNbac))
-    ->Arg(static_cast<int>(fastcommit::core::ProtocolKind::kInbac));
-
-int main(int argc, char** argv) {
+int main() {
   fastcommit::bench::PrintTable();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return fastcommit::bench::check_failed ? 1 : 0;
 }

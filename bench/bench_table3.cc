@@ -2,8 +2,6 @@
 // (2n-2)NBAC and (2n-2+f)NBAC each match the message lower bound of their
 // cell in every nice execution.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 
 namespace fastcommit::bench {
@@ -43,28 +41,10 @@ void PrintTable() {
       "(a 1-delay protocol must use n(n-1) messages).\n");
 }
 
-void BM_MessageOptimalNice(benchmark::State& state) {
-  auto kind = static_cast<ProtocolKind>(state.range(0));
-  for (auto _ : state) {
-    core::RunResult result = core::Run(core::MakeNiceConfig(kind, 6, 2));
-    benchmark::DoNotOptimize(result.decide_times.data());
-  }
-}
-
 }  // namespace
 }  // namespace fastcommit::bench
 
-BENCHMARK(fastcommit::bench::BM_MessageOptimalNice)
-    ->Arg(static_cast<int>(fastcommit::core::ProtocolKind::kZeroNbac))
-    ->Arg(static_cast<int>(fastcommit::core::ProtocolKind::kANbac))
-    ->Arg(static_cast<int>(fastcommit::core::ProtocolKind::kChainNbac))
-    ->Arg(static_cast<int>(fastcommit::core::ProtocolKind::kAvNbacLean))
-    ->Arg(static_cast<int>(fastcommit::core::ProtocolKind::kBcastNbac))
-    ->Arg(static_cast<int>(fastcommit::core::ProtocolKind::kChainAckNbac));
-
-int main(int argc, char** argv) {
+int main() {
   fastcommit::bench::PrintTable();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return fastcommit::bench::check_failed ? 1 : 0;
 }

@@ -5,8 +5,6 @@
 // Measured with the matching protocols: INBAC / (2n-2+f)NBAC for the
 // indulgent bounds, 1NBAC / (n-1+f)NBAC for synchronous NBAC.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 
 namespace fastcommit::bench {
@@ -47,26 +45,10 @@ void PrintTable() {
   }
 }
 
-void BM_IndulgentVsSyncNbac(benchmark::State& state) {
-  auto kind = static_cast<ProtocolKind>(state.range(0));
-  for (auto _ : state) {
-    core::RunResult result = core::Run(core::MakeNiceConfig(kind, 7, 3));
-    benchmark::DoNotOptimize(result.decide_times.data());
-  }
-}
-
 }  // namespace
 }  // namespace fastcommit::bench
 
-BENCHMARK(fastcommit::bench::BM_IndulgentVsSyncNbac)
-    ->Arg(static_cast<int>(fastcommit::core::ProtocolKind::kInbac))
-    ->Arg(static_cast<int>(fastcommit::core::ProtocolKind::kChainAckNbac))
-    ->Arg(static_cast<int>(fastcommit::core::ProtocolKind::kOneNbac))
-    ->Arg(static_cast<int>(fastcommit::core::ProtocolKind::kChainNbac));
-
-int main(int argc, char** argv) {
+int main() {
   fastcommit::bench::PrintTable();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return fastcommit::bench::check_failed ? 1 : 0;
 }

@@ -6,8 +6,6 @@
 //   - f>=2, n>=3: PaxosCommit wins messages, INBAC wins delays;
 //   - 1NBAC is delay-best, (n-1+f)NBAC is message-best.
 
-#include <benchmark/benchmark.h>
-
 #include "bench_util.h"
 
 namespace fastcommit::bench {
@@ -53,10 +51,8 @@ void PrintClaims() {
         static_cast<long long>(inbac.delays),
         static_cast<long long>(two_pc.messages),
         static_cast<long long>(two_pc.delays),
-        (inbac.messages == two_pc.messages + 2 &&
-         inbac.delays == two_pc.delays)
-            ? "ok"
-            : "MISMATCH");
+        Verdict(inbac.messages == two_pc.messages + 2 &&
+                inbac.delays == two_pc.delays));
   }
   // f >= 2: the INBAC / PaxosCommit tradeoff.
   for (auto [n, f] : {std::pair<int, int>{5, 2}, {8, 3}}) {
@@ -67,42 +63,22 @@ void PrintClaims() {
         "INBAC %lld delays (PaxosCommit %lld) — fewer: %s\n",
         f, n, static_cast<long long>(pc.messages),
         static_cast<long long>(inbac.messages),
-        pc.messages < inbac.messages ? "ok" : "MISMATCH",
+        Verdict(pc.messages < inbac.messages),
         static_cast<long long>(inbac.delays),
         static_cast<long long>(pc.delays),
-        inbac.delays < pc.delays ? "ok" : "MISMATCH");
-  }
-}
-
-void RegisterBenchmarks() {
-  for (ProtocolKind kind : kTable5) {
-    for (auto [n, f] : {std::pair<int, int>{6, 2}, {12, 3}}) {
-      std::string name = std::string("BM_Table5/") + core::ProtocolName(kind) +
-                         "/n" + std::to_string(n) + "f" + std::to_string(f);
-      benchmark::RegisterBenchmark(
-          name.c_str(), [kind, n = n, f = f](benchmark::State& state) {
-            for (auto _ : state) {
-              core::RunResult result =
-                  core::Run(core::MakeNiceConfig(kind, n, f));
-              benchmark::DoNotOptimize(result.decide_times.data());
-            }
-          });
-    }
+        Verdict(inbac.delays < pc.delays));
   }
 }
 
 }  // namespace
 }  // namespace fastcommit::bench
 
-int main(int argc, char** argv) {
+int main() {
   fastcommit::bench::PrintHeader("Table 5 — protocol comparison");
   for (auto [n, f] :
        {std::pair<int, int>{3, 1}, {5, 1}, {5, 2}, {8, 3}, {10, 4}}) {
     fastcommit::bench::PrintFor(n, f);
   }
   fastcommit::bench::PrintClaims();
-  fastcommit::bench::RegisterBenchmarks();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return fastcommit::bench::check_failed ? 1 : 0;
 }

@@ -1,17 +1,29 @@
 #ifndef FASTCOMMIT_BENCH_BENCH_UTIL_H_
 #define FASTCOMMIT_BENCH_BENCH_UTIL_H_
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <deque>
+#include <initializer_list>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/complexity.h"
 #include "core/runner.h"
+#include "db/database.h"
+#include "db/traffic.h"
 
 namespace fastcommit::bench {
+
+/// Set by every shared check that fails: a MISMATCH verdict, or a database
+/// run whose store left its delivered-commit ledger. A bench's main exits
+/// nonzero when it is set.
+inline bool check_failed = false;
 
 /// Measured nice-execution complexity of one protocol.
 struct Measured {
@@ -25,8 +37,14 @@ inline Measured MeasureNice(core::ProtocolKind protocol, int n, int f) {
   return Measured{result.MessageDelays(), result.PaperMessageCount()};
 }
 
+/// "ok", or "MISMATCH" with the failure recorded in check_failed.
+inline const char* Verdict(bool ok) {
+  if (!ok) check_failed = true;
+  return ok ? "ok" : "MISMATCH";
+}
+
 inline const char* Verdict(int64_t measured, int64_t expected) {
-  return measured == expected ? "ok" : "MISMATCH";
+  return Verdict(measured == expected);
 }
 
 inline void PrintHeader(const char* title) {
@@ -43,20 +61,20 @@ inline void PrintRule() {
 /// `msgs_per_commit` JSON field; every db bench must compute it the same
 /// way because tools/bench_compare.py matches it by name across their
 /// documents. 0.0 when nothing committed.
-inline double MsgsPerCommit(int64_t commit_messages, int64_t committed) {
-  return committed == 0 ? 0.0
-                        : static_cast<double>(commit_messages) /
-                              static_cast<double>(committed);
+inline double MsgsPerCommit(const db::DatabaseStats& stats) {
+  return stats.committed == 0 ? 0.0
+                              : static_cast<double>(stats.commit_messages) /
+                                    static_cast<double>(stats.committed);
 }
 
 /// Simulated throughput: committed transactions per virtual tick (the
 /// `commits_per_tick` JSON field, gated higher-is-better — deterministic
 /// for a seed, so regressions here are real scheduling/batching changes,
 /// not machine noise). 0.0 for an empty or zero-length run.
-inline double CommitsPerTick(int64_t committed, int64_t makespan_ticks) {
-  return makespan_ticks == 0 ? 0.0
-                             : static_cast<double>(committed) /
-                                   static_cast<double>(makespan_ticks);
+inline double CommitsPerTick(const db::DatabaseStats& stats) {
+  return stats.makespan == 0 ? 0.0
+                             : static_cast<double>(stats.committed) /
+                                   static_cast<double>(stats.makespan);
 }
 
 /// Wall-clock sustained throughput: committed transactions per second of
@@ -74,29 +92,10 @@ inline double CommittedPerSecWall(int64_t committed, double wall_seconds) {
 /// bucket) plus admission sheds. Simulated metrics, deterministic per
 /// seed.
 template <typename Row>
-inline void SetAbortColumns(Row& row, int64_t abort_lock_conflicts,
-                            int64_t abort_validation_failures, int64_t shed) {
-  row.Set("abort_lock_conflicts", abort_lock_conflicts)
-      .Set("abort_validation_failures", abort_validation_failures)
-      .Set("shed", shed);
-}
-
-/// Snapshot-read-plane columns shared by every db bench row that reports
-/// DatabaseStats: read-only transactions committed without the protocol
-/// and the individual kGets they carried, plus the derived simulated read
-/// throughput (the `reads_per_tick` JSON field, gated higher-is-better).
-/// All zero when Options::snapshot_reads is off.
-template <typename Row>
-inline void SetSnapshotColumns(Row& row, int64_t read_only_committed,
-                               int64_t snapshot_reads_served,
-                               int64_t makespan_ticks) {
-  row.Set("read_only_committed", read_only_committed)
-      .Set("snapshot_reads_served", snapshot_reads_served)
-      .Set("reads_per_tick",
-           makespan_ticks == 0
-               ? 0.0
-               : static_cast<double>(snapshot_reads_served) /
-                     static_cast<double>(makespan_ticks));
+inline void SetAbortColumns(Row& row, const db::DatabaseStats& stats) {
+  row.Set("abort_lock_conflicts", stats.abort_lock_conflicts)
+      .Set("abort_validation_failures", stats.abort_validation_failures)
+      .Set("shed", stats.shed);
 }
 
 /// Machine-readable bench output (the `--json <path>` flag of the db
@@ -171,6 +170,226 @@ class JsonBenchReport {
   int64_t txs_;
   std::deque<Row> rows_;
 };
+
+// ------------------------------------------------------ database runs --
+
+/// The flags every db bench takes: --txs N and --json PATH.
+struct DbArgs {
+  int txs = 0;
+  std::string json_path;              ///< empty: write no document
+  std::vector<std::string> switches;  ///< the bench's own switches given
+
+  bool Has(const char* name) const {
+    for (const std::string& given : switches) {
+      if (given == name) return true;
+    }
+    return false;
+  }
+};
+
+/// Parses --txs N (default `default_txs`), --json PATH and the bench's own
+/// `switches`; prints the usage line and exits 1 on anything else.
+inline DbArgs ParseDbArgs(int argc, char** argv, int default_txs,
+                          std::initializer_list<const char*> switches = {}) {
+  DbArgs args;
+  args.txs = default_txs;
+  for (int i = 1; i < argc; ++i) {
+    bool known = false;
+    if (std::strcmp(argv[i], "--txs") == 0 && i + 1 < argc) {
+      args.txs = std::atoi(argv[++i]);
+      known = true;
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      args.json_path = argv[++i];
+      known = true;
+    }
+    for (const char* name : switches) {
+      if (!known && std::strcmp(argv[i], name) == 0) {
+        args.switches.emplace_back(name);
+        known = true;
+      }
+    }
+    if (!known) {
+      std::fprintf(stderr, "usage: %s [--txs N] [--json PATH]", argv[0]);
+      for (const char* name : switches) std::fprintf(stderr, " [%s]", name);
+      std::fprintf(stderr, "\n");
+      std::exit(1);
+    }
+  }
+  return args;
+}
+
+/// What one database run is fed. `txs` is a closed loop, submitted in
+/// order `burst` at one instant, each burst `burst * gap` ticks after the
+/// previous one. Each of `streams` pumps one open-loop TrafficEngine.
+struct DbLoad {
+  std::vector<db::Transaction> txs;
+  sim::Time gap = 0;
+  int burst = 1;
+  std::vector<db::TrafficOptions> streams;
+};
+
+inline DbLoad ClosedLoop(std::vector<db::Transaction> txs, sim::Time gap,
+                         int burst = 1) {
+  DbLoad load;
+  load.txs = std::move(txs);
+  load.gap = gap;
+  load.burst = burst;
+  return load;
+}
+
+inline DbLoad OpenLoop(db::TrafficOptions traffic, int num_arrivals) {
+  traffic.num_arrivals = num_arrivals;
+  DbLoad load;
+  load.streams.push_back(traffic);
+  return load;
+}
+
+/// Transfer pairs at seed 42, the stream the open-loop benches vary;
+/// num_keys stays the 1<<20 open-loop default.
+inline db::TrafficOptions BaseTraffic(db::ArrivalProcess process,
+                                      double mean_gap) {
+  db::TrafficOptions traffic;
+  traffic.process = process;
+  traffic.mean_gap = mean_gap;
+  traffic.shape = db::TxShape::kTransferPair;
+  traffic.seed = 42;
+  return traffic;
+}
+
+/// Everything one database run reports. Every field but `pool` and
+/// `wall_seconds` is simulated: deterministic for a seed and equal on every
+/// shard placement.
+struct DbRun {
+  db::DatabaseStats stats;
+  db::Database::BatchStats batch;
+  db::Database::RecoveryStats recovery;
+  db::Database::GeoStats geo;
+  db::CommitLog::Stats log;  ///< zero without a commit log
+  db::CommitInstancePool::Stats pool;
+  uint64_t fingerprint = 0;  ///< Database::read_fingerprint
+  /// Delivered read-only commits and the kGets they carried. Counted at
+  /// delivery, so they mean the same with snapshot reads off, where
+  /// stats.read_only_committed stays 0.
+  int64_t read_txs = 0;
+  int64_t read_ops = 0;
+  /// Keys whose final value is not the sum of the kAdd deltas of the
+  /// delivered commits: a commit was lost or applied twice.
+  int64_t ledger_mismatches = 0;
+  double wall_seconds = 0;
+
+  bool SameSimulation(const DbRun& other) const {
+    return stats == other.stats && batch == other.batch &&
+           recovery == other.recovery && geo == other.geo &&
+           log == other.log && fingerprint == other.fingerprint &&
+           read_txs == other.read_txs && read_ops == other.read_ops &&
+           ledger_mismatches == other.ledger_mismatches;
+  }
+};
+
+/// Builds a Database with `options`, feeds it `load`, drains it and reads
+/// every counter. A run whose store left its ledger prints a LEDGER
+/// VIOLATION line and sets check_failed.
+inline DbRun RunDb(const db::Database::Options& options, const DbLoad& load) {
+  db::Database database(options);
+  std::deque<db::TrafficEngine> engines;
+  for (const db::TrafficOptions& stream : load.streams) {
+    engines.emplace_back(stream);
+  }
+  // Copied before the clock starts: Submit takes each transaction.
+  std::vector<db::Transaction> txs = load.txs;
+  DbRun run;
+  std::unordered_map<db::Key, int64_t> ledger;
+  auto deliver = [&](const db::Transaction& tx, commit::Decision d) {
+    if (d != commit::Decision::kCommit) return;
+    if (db::IsReadOnly(tx)) {
+      ++run.read_txs;
+      run.read_ops += static_cast<int64_t>(tx.ops.size());
+    }
+    for (const db::Op& op : tx.ops) {
+      if (op.type == db::Op::Type::kAdd) ledger[op.key] += op.delta;
+    }
+  };
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point start = Clock::now();
+  sim::Time at = 0;
+  int in_burst = 0;
+  for (db::Transaction& tx : txs) {
+    database.Submit(std::move(tx), at, deliver);
+    if (++in_burst == load.burst) {
+      in_burst = 0;
+      at += load.burst * load.gap;
+    }
+  }
+  for (db::TrafficEngine& engine : engines) {
+    database.SubmitArrivals(&engine, deliver);
+  }
+  run.stats = database.Drain();
+  std::chrono::duration<double> wall = Clock::now() - start;
+  run.wall_seconds = wall.count();
+  run.batch = database.batch_stats();
+  run.recovery = database.recovery_stats();
+  run.geo = database.geo_stats();
+  if (database.commit_log() != nullptr) {
+    run.log = database.commit_log()->stats();
+  }
+  run.pool = database.pool_stats();
+  run.fingerprint = database.read_fingerprint();
+  for (const auto& [key, balance] : ledger) {
+    if (database.GetInt(key) != balance) ++run.ledger_mismatches;
+  }
+  if (run.ledger_mismatches > 0) {
+    check_failed = true;
+    std::printf("  LEDGER VIOLATION: %lld keys off the delivered commits\n",
+                static_cast<long long>(run.ledger_mismatches));
+  }
+  return run;
+}
+
+inline double CommittedPerSecWall(const DbRun& run) {
+  return CommittedPerSecWall(run.stats.committed, run.wall_seconds);
+}
+
+/// The one-shard reference and the same run placed on more shards.
+struct PlacedRuns {
+  DbRun serial;
+  DbRun placed;
+  bool identical = false;  ///< DbRun::SameSimulation
+};
+
+inline PlacedRuns RunPlaced(db::Database::Options options, const DbLoad& load,
+                            int shards) {
+  PlacedRuns runs;
+  options.num_shards = 1;
+  runs.serial = RunDb(options, load);
+  options.num_shards = shards;
+  runs.placed = RunDb(options, load);
+  runs.identical = runs.serial.SameSimulation(runs.placed);
+  return runs;
+}
+
+/// Snapshot-read columns: the delivered read-only commits and their kGets,
+/// plus the derived simulated read throughput (the `reads_per_tick` JSON
+/// field, gated higher-is-better).
+template <typename Row>
+inline void SetSnapshotColumns(Row& row, const DbRun& run) {
+  row.Set("read_only_committed", run.read_txs)
+      .Set("snapshot_reads_served", run.read_ops)
+      .Set("reads_per_tick",
+           run.stats.makespan == 0
+               ? 0.0
+               : static_cast<double>(run.read_ops) /
+                     static_cast<double>(run.stats.makespan));
+}
+
+/// Writes the --json document if one was asked for and returns a db
+/// bench's exit status: 2 when `failed`, check_failed is set or the
+/// document could not be written, else 0.
+inline int FinishDbBench(const DbArgs& args, const JsonBenchReport& report,
+                         bool failed) {
+  bool json_failed =
+      !args.json_path.empty() && !report.WriteTo(args.json_path);
+  return failed || check_failed || json_failed ? 2 : 0;
+}
 
 }  // namespace fastcommit::bench
 

@@ -167,6 +167,12 @@ RunConfig MakeNetworkFailureConfig(ProtocolKind protocol, int n, int f,
   return config;
 }
 
+bool FloodingUnderGst(const RunConfig& config) {
+  return NeedsConsensus(config.protocol) &&
+         config.consensus == ConsensusKind::kFlooding &&
+         config.delays.kind == DelaySpec::Kind::kGst;
+}
+
 RunResult Run(const RunConfig& config) {
   FC_CHECK(config.n >= 2) << "need at least two processes";
   FC_CHECK(config.f >= 1 && config.f <= config.n - 1)
@@ -176,6 +182,8 @@ RunResult Run(const RunConfig& config) {
       << "votes must be empty or size n";
   FC_CHECK(static_cast<int>(config.crashes.size()) <= config.f)
       << "more crashes than f";
+  FC_CHECK(!FloodingUnderGst(config))
+      << "flooding consensus is synchronous: refused under GST delays";
 
   sim::Simulator simulator;
   net::Network network(&simulator, config.n, BuildDelayModel(config));

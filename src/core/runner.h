@@ -94,8 +94,14 @@ RunConfig MakeCrashConfig(ProtocolKind protocol, int n, int f,
 RunConfig MakeNetworkFailureConfig(ProtocolKind protocol, int n, int f,
                                    uint64_t seed);
 
+/// Whether `config` runs flooding consensus under the GST delay model for
+/// a protocol that uses consensus. Flooding is synchronous: a late message
+/// can make a process propose after the flooding epoch started.
+bool FloodingUnderGst(const RunConfig& config);
+
 /// Executes the configured run to completion (or deadline) and returns the
 /// trace. Deterministic: equal configs produce identical results.
+/// FC_CHECKs that the config is not FloodingUnderGst.
 RunResult Run(const RunConfig& config);
 
 /// Instantiates a commit protocol of the given kind against `env`; `cons`

@@ -732,13 +732,6 @@ commit::Decision Database::Execute(Transaction tx) {
   return decision;
 }
 
-int64_t Database::TrimPool() {
-  FC_CHECK(sim_.idle())
-      << "TrimPool between drains only: pending events may reference "
-         "pooled instances";
-  return pool_.Trim();
-}
-
 int64_t Database::GetInt(Key key) {
   return plane_.partition(PartitionOf(key)).store().GetInt(key);
 }
@@ -767,15 +760,6 @@ int64_t Database::TotalVersions() {
     total += plane_.partition(p).store().total_versions();
   }
   return total;
-}
-
-int64_t Database::TruncateVersions() {
-  int64_t watermark = reads_.Watermark();
-  int64_t dropped = 0;
-  for (int p = 0; p < plane_.num_partitions(); ++p) {
-    dropped += plane_.partition(p).store().Truncate(watermark);
-  }
-  return dropped;
 }
 
 }  // namespace fastcommit::db

@@ -341,11 +341,6 @@ class Database {
   /// plumbed back through FinishTx (not inferred from counters).
   commit::Decision Execute(Transaction tx);
 
-  /// Shrinks the instance pool to its recent high-water mark (see
-  /// CommitInstancePool::Trim). Only valid between drains, when no stale
-  /// events can reference pooled instances; returns instances destroyed.
-  int64_t TrimPool();
-
   /// Cross-partition numeric read (outside any transaction).
   int64_t GetInt(Key key);
   /// Direct load used to initialize datasets.
@@ -363,12 +358,6 @@ class Database {
   /// Sum of live versions across every partition's chains (MVCC memory
   /// footprint, for the GC tests).
   int64_t TotalVersions();
-  /// Explicit full GC sweep: prunes every chain to the current reader
-  /// low-watermark (min in-flight snapshot CSN, else the stable CSN).
-  /// Returns versions dropped. The per-commit incremental pruning usually
-  /// makes this a no-op; it exists to bound chains after a reader-heavy
-  /// phase ends.
-  int64_t TruncateVersions();
   /// Sink for served snapshot-read values (tests assert snapshot
   /// stability and read-your-writes through it).
   void set_snapshot_read_observer(SnapshotReadObserver observer) {
@@ -381,7 +370,7 @@ class Database {
   uint64_t read_fingerprint() const { return reads_.fingerprint(); }
 
   const DatabaseStats& stats() const { return stats_; }
-  /// Commit-instance pool counters (created/reused/live/peak_live/trimmed)
+  /// Commit-instance pool counters (created/reused/live/peak_live)
   /// — deliberately outside DatabaseStats, which must be identical between
   /// pooled and baseline runs (and across shard counts) of the same seed.
   const CommitInstancePool::Stats& pool_stats() const {

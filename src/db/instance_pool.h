@@ -33,14 +33,6 @@ namespace fastcommit::db {
 /// generation counters (see the lifecycle comment in db/coordinator.h), so
 /// an instance is safe to reuse the moment its last process decided.
 ///
-/// Trim() is the high-water-mark shrink for long runs with concurrency
-/// spikes: it destroys free instances until the pool retains no more than
-/// the peak concurrent usage observed since the previous Trim, then starts
-/// a new observation window. Callers must be quiescent (no pending events
-/// on any shard) because destroyed instances may otherwise be referenced by
-/// generation-fenced stale events still in a queue; the database exposes
-/// this as Database::TrimPool, which checks exactly that.
-///
 /// With pooling disabled the pool degrades to the rebuild-per-transaction
 /// baseline: Acquire always constructs and Release keeps the instance live
 /// until shutdown — the leak-until-shutdown behavior this pool replaces,
@@ -56,7 +48,6 @@ class CommitInstancePool {
     /// O(transactions) live-object count the pool exists to eliminate.
     int64_t live = 0;
     int64_t peak_live = 0;  ///< high-water mark of `live`
-    int64_t trimmed = 0;    ///< instances destroyed by Trim
   };
 
   /// `topology` with num_regions > 1 makes every instance a geo instance
@@ -89,18 +80,9 @@ class CommitInstancePool {
   /// shutdown).
   void Release(CommitInstance* instance);
 
-  /// Destroys free instances until live + free <= the peak live count
-  /// observed since the previous Trim, then resets the observation window.
-  /// Returns the number destroyed. Precondition: no pending events
-  /// reference pooled instances (see class comment).
-  int64_t Trim();
-
   const Stats& stats() const { return stats_; }
 
  private:
-  /// Instances currently parked on free lists.
-  int64_t free_count() const;
-
   core::ProtocolKind protocol_;
   core::ConsensusKind consensus_;
   core::ProtocolOptions protocol_options_;
@@ -109,11 +91,9 @@ class CommitInstancePool {
   net::GeoTopology topology_;
 
   std::vector<std::unique_ptr<CommitInstance>> all_;
-  /// Ordered map so Trim destroys in a deterministic class order.
+  /// Free instances by (shard, n).
   std::map<std::pair<int, int>, std::vector<CommitInstance*>> free_;
   Stats stats_;
-  /// Peak `live` since the last Trim (the shrink target's window).
-  int64_t window_peak_live_ = 0;
 };
 
 }  // namespace fastcommit::db

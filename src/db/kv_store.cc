@@ -103,13 +103,6 @@ int64_t KvStore::PruneChain(Chain& chain, int64_t watermark) {
   return static_cast<int64_t>(base);
 }
 
-int64_t KvStore::Truncate(int64_t watermark) {
-  int64_t dropped = 0;
-  for (auto& [key, chain] : map_) dropped += PruneChain(chain, watermark);
-  total_versions_ -= dropped;
-  return dropped;
-}
-
 int64_t KvStore::SumInts() const {
   int64_t sum = 0;
   for (const auto& [key, chain] : map_) sum += chain.head.value;

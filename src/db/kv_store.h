@@ -52,10 +52,12 @@ class KvStore {
   /// nothing). A second op of the same transaction on the same key updates
   /// the same version in place — the chain gains exactly one version per
   /// (key, commit). After writing, the touched chain is pruned to
-  /// `gc_watermark` (see Truncate); pass 0 to keep everything. The single
-  /// write-application site both concurrency modes' Finish paths share, so
-  /// commit semantics cannot drift between them. FC_CHECKs that the
-  /// written value is not kAbsent.
+  /// `gc_watermark`: every version older than the newest one with CSN <=
+  /// `gc_watermark` goes, and that one stays as the base any snapshot at
+  /// or above the watermark resolves to. Pass 0 to keep everything. The
+  /// single write-application site both concurrency modes' Finish paths
+  /// share, so commit semantics cannot drift between them. FC_CHECKs that
+  /// the written value is not kAbsent.
   void Apply(const Op& op, int64_t csn = 0, int64_t gc_watermark = 0);
 
   /// The newest value; 0 if absent.
@@ -68,15 +70,6 @@ class KvStore {
   int64_t total_versions() const { return total_versions_; }
   /// Versions of one key's chain (0 when absent).
   int64_t versions(Key key) const;
-
-  /// GC pass: for every chain, drops all versions older than the newest
-  /// version with CSN <= `watermark` — that one version stays as the base
-  /// any snapshot >= watermark still resolves to, so no version visible to
-  /// a reader at or above the watermark is ever removed. Returns versions
-  /// dropped. O(store); Apply's per-chain pruning keeps steady-state
-  /// memory bounded without this, but explicit barriers (and tests) can
-  /// force a full pass.
-  int64_t Truncate(int64_t watermark);
 
   /// Sum of all chain-head values (invariant checks in the bank example).
   int64_t SumInts() const;
@@ -109,7 +102,7 @@ class KvStore {
   /// chain to `gc_watermark` when it is positive.
   Version& WritableHead(Chain& chain, bool fresh, int64_t csn,
                         int64_t gc_watermark);
-  /// Prunes one chain to `watermark` (see Truncate); returns drops.
+  /// Prunes one chain to `watermark` (see Apply); returns drops.
   static int64_t PruneChain(Chain& chain, int64_t watermark);
 
   FlatTable<Key, Chain> map_;

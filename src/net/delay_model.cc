@@ -86,10 +86,6 @@ sim::Time ScriptedDelayModel::DelayFor(ProcessId from, ProcessId to,
   return base_->DelayFor(from, to, send_time, seq);
 }
 
-GeoTopology GeoTopology::Uniform(int num_regions, sim::Time cross) {
-  return Ladder(num_regions, cross, cross);
-}
-
 GeoTopology GeoTopology::Ladder(int num_regions, sim::Time cross_min,
                                 sim::Time cross_max) {
   FC_CHECK(num_regions >= 1) << "need at least one region";

@@ -125,11 +125,10 @@ struct GeoTopology {
   /// are unused (same-region messages take the base model's delay).
   std::vector<sim::Time> cross_delay;
 
-  /// Every cross-region pair costs the same `cross` ticks (a uniform WAN).
-  static GeoTopology Uniform(int num_regions, sim::Time cross);
   /// RTT classes laddered by region distance: adjacent regions cost
   /// `cross_min`, the farthest pair costs `cross_max`, intermediate pairs
-  /// interpolate linearly (integer math, deterministic).
+  /// interpolate linearly (integer math, deterministic). With `cross_min`
+  /// equal to `cross_max` every pair costs the same (a uniform WAN).
   static GeoTopology Ladder(int num_regions, sim::Time cross_min,
                             sim::Time cross_max);
 

@@ -274,45 +274,13 @@ TEST(InstancePoolTest, RecycledPaxosCommitInstancesStayCorrect) {
   EXPECT_GT(pooled_db.pool_stats().reused, 0);
 }
 
-// High-water-mark trim (ROADMAP: adaptive pool shrinking): after a
-// concurrency spike the free lists keep the spike's worth of instances
-// until two Trim windows have passed without it recurring.
-TEST(InstancePoolTest, TrimShrinksFreeListsToRecentHighWaterMark) {
-  Database database(BaseOptions(core::ProtocolKind::kInbac, true));
-  auto txs = MakeTwoPartitionTxs(database, 12);
-  // Spike: 8 concurrent commits.
-  for (int i = 0; i < 8; ++i) {
-    database.Submit(std::move(txs[static_cast<size_t>(i)]), 0);
-  }
-  database.Drain();
-  EXPECT_EQ(database.pool_stats().peak_live, 8);
-  // Trim #1 observed the spike in its window, so everything retained is
-  // justified; it only resets the window.
-  EXPECT_EQ(database.TrimPool(), 0);
-  // Calm phase: concurrency 2, served from the pool.
-  database.Submit(std::move(txs[8]), 100000);
-  database.Submit(std::move(txs[9]), 100000);
-  database.Drain();
-  // Trim #2's window only saw concurrency 2: the other 6 are shed.
-  EXPECT_EQ(database.TrimPool(), 6);
-  EXPECT_EQ(database.pool_stats().trimmed, 6);
-  // The pool still works (and reuses survivors) after trimming.
-  database.Submit(std::move(txs[10]), 200000);
-  database.Submit(std::move(txs[11]), 200000);
-  const DatabaseStats& stats = database.Drain();
-  EXPECT_EQ(stats.committed, 12);
-  EXPECT_EQ(database.pool_stats().live, 0);
-}
-
-TEST(InstancePoolTest, TrimIsNoopInBaselineMode) {
+TEST(InstancePoolTest, BaselineInstancesStayLiveUntilShutdown) {
   Database database(BaseOptions(core::ProtocolKind::kInbac, false));
   auto txs = MakeTwoPartitionTxs(database, 4);
   for (auto& tx : txs) database.Submit(std::move(tx), 0);
   database.Drain();
-  EXPECT_EQ(database.TrimPool(), 0);
   EXPECT_EQ(database.pool_stats().live, 4)
       << "baseline instances stay live until shutdown";
-  EXPECT_EQ(database.pool_stats().trimmed, 0);
 }
 
 // Commit instances start mid-simulation with a nonzero epoch; consensus

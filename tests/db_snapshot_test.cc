@@ -66,18 +66,21 @@ TEST(KvStoreMvccTest, NonTransactionalPutKeepsOverwriteSemantics) {
   store.CheckInvariants();
 }
 
-TEST(KvStoreMvccTest, TruncateKeepsTheWatermarkBase) {
+TEST(KvStoreMvccTest, PruningKeepsTheWatermarkBase) {
   KvStore store;
-  for (int64_t csn = 1; csn <= 5; ++csn) {
+  for (int64_t csn = 1; csn <= 4; ++csn) {
     store.Apply(Transaction::Put(kKey, csn), csn);
   }
-  ASSERT_EQ(store.versions(kKey), 5);
-  // Watermark 3: versions 1 and 2 die, but version 3 must survive as the
-  // base every snapshot in [3, 4) still resolves to.
-  EXPECT_EQ(store.Truncate(3), 2);
+  ASSERT_EQ(store.versions(kKey), 4);
+  // A commit at CSN 5 under watermark 3: versions 1 and 2 die, but
+  // version 3 must survive as the base every snapshot in [3, 4) still
+  // resolves to.
+  store.Apply(Transaction::Put(kKey, 5), /*csn=*/5, /*gc_watermark=*/3);
   EXPECT_EQ(store.versions(kKey), 3);
+  EXPECT_EQ(store.total_versions(), 3);
   EXPECT_EQ(store.GetAtSnapshot(kKey, 3), 3);
   EXPECT_EQ(store.GetAtSnapshot(kKey, 4), 4);
+  EXPECT_EQ(store.GetAtSnapshot(kKey, 5), 5);
   // A snapshot below the watermark is by definition no longer live; its
   // history is gone and the read correctly resolves to nothing.
   EXPECT_EQ(store.GetAtSnapshot(kKey, 2), std::nullopt);
@@ -303,7 +306,6 @@ TEST(DatabaseSnapshotTest, VersionChainsStayBoundedByIncrementalGc) {
   }
   database.Drain();
   EXPECT_EQ(database.TotalVersions(), 4);
-  EXPECT_EQ(database.TruncateVersions(), 0);  // nothing left to drop
   EXPECT_EQ(database.SumInts(), 200);
 }
 

@@ -181,7 +181,7 @@ TEST(ScriptedDelayModel2Test, GoldenLayeredScript) {
 // ------------------------------------------------------- GeoTopology --
 
 TEST(GeoTopologyTest, UniformPricesEveryPairEqually) {
-  GeoTopology topology = GeoTopology::Uniform(3, 3000);
+  GeoTopology topology = GeoTopology::Ladder(3, 3000, 3000);
   for (int a = 0; a < 3; ++a) {
     for (int b = 0; b < 3; ++b) {
       if (a == b) continue;
@@ -212,7 +212,7 @@ TEST(GeoTopologyTest, TwoRegionLadderUsesTheMinimum) {
 // ------------------------------------------------- RegionDelayModel --
 
 TEST(RegionDelayModelTest, PricesByRegionBoundary) {
-  RegionDelayModel model(GeoTopology::Uniform(2, 3000), Base(100));
+  RegionDelayModel model(GeoTopology::Ladder(2, 3000, 3000), Base(100));
   model.SetProcessRegions({0, 0, 1});
   EXPECT_EQ(model.DelayFor(0, 1, 0, 0), 100);   // intra: base model
   EXPECT_EQ(model.DelayFor(0, 2, 0, 1), 3000);  // cross
@@ -221,7 +221,7 @@ TEST(RegionDelayModelTest, PricesByRegionBoundary) {
 }
 
 TEST(RegionDelayModelTest, UnassignedProcessesDefaultToRegionZero) {
-  RegionDelayModel model(GeoTopology::Uniform(2, 3000), Base(100));
+  RegionDelayModel model(GeoTopology::Ladder(2, 3000, 3000), Base(100));
   model.SetProcessRegions({1});
   EXPECT_EQ(model.DelayFor(1, 2, 0, 0), 100);  // both beyond: region 0
   EXPECT_EQ(model.DelayFor(0, 1, 0, 1), 3000);
@@ -239,7 +239,7 @@ TEST(RegionDelayModelTest, SingleRegionIsBitwiseTheBaseModel) {
   // base model's stream exactly as the bare model does.
   BoundedRandomDelayModel bare(1, 100, 9);
   auto base = std::make_unique<BoundedRandomDelayModel>(1, 100, 9);
-  RegionDelayModel composed(GeoTopology::Uniform(1, 1), std::move(base));
+  RegionDelayModel composed(GeoTopology::Ladder(1, 1, 1), std::move(base));
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(composed.DelayFor(i % 3, (i + 1) % 3, i, i),
               bare.DelayFor(i % 3, (i + 1) % 3, i, i));
@@ -248,7 +248,7 @@ TEST(RegionDelayModelTest, SingleRegionIsBitwiseTheBaseModel) {
 }
 
 TEST(RegionDelayModelTest, RejectsOutOfRangeRegion) {
-  RegionDelayModel model(GeoTopology::Uniform(2, 3000), Base(100));
+  RegionDelayModel model(GeoTopology::Ladder(2, 3000, 3000), Base(100));
   EXPECT_DEATH(model.SetProcessRegions({0, 2}),
                "process homed in unknown region");
 }

@@ -5,13 +5,14 @@
 // (2n-2+f)NBAC, INBAC and the 2PC, 3PC and Paxos Commit baselines. Each
 // protocol runs over one grid of executions: n = 2..8, every f, nice /
 // crash-failure / network-failure schedules, random votes, Paxos and
-// flooding consensus (for 0NBAC, (2n-2+f)NBAC, INBAC and 3PC, network
-// failures run under Paxos only; see Golden). Every message record (seq,
-// endpoints, send and receive instants, channel, kind, dropped) and every
-// process's decision and decide instant is folded into one FNV-1a digest
-// per protocol. The golden values pin the traces exactly, so a refactor of
-// these protocols or of their consensus modules must reproduce every
-// message, decision and decide instant of the grid.
+// flooding consensus (the protocols that use consensus run network
+// failures under Paxos only: Run refuses flooding under GST delays, see
+// FloodingUnderGst). Every message record (seq, endpoints, send and
+// receive instants, channel, kind, dropped) and every process's decision
+// and decide instant is folded into one FNV-1a digest per protocol. The
+// golden values pin the traces exactly, so a refactor of these protocols
+// or of their consensus modules must reproduce every message, decision
+// and decide instant of the grid.
 
 #include <gtest/gtest.h>
 
@@ -100,10 +101,6 @@ struct GridDigest {
 struct Golden {
   ProtocolKind protocol;
   uint64_t digest;
-  /// Leaves out the network-failure runs under flooding consensus. Flooding
-  /// is synchronous: with delays above U these protocols can propose after
-  /// its epoch start, which FloodingConsensus refuses.
-  bool skip_network_flooding = false;
 };
 
 GridDigest DigestGrid(const Golden& golden) {
@@ -114,14 +111,11 @@ GridDigest DigestGrid(const Golden& golden) {
            {Execution::kNice, Execution::kCrash, Execution::kNetwork}) {
         for (ConsensusKind consensus :
              {ConsensusKind::kPaxos, ConsensusKind::kFlooding}) {
-          if (golden.skip_network_flooding &&
-              execution == Execution::kNetwork &&
-              consensus == ConsensusKind::kFlooding) {
-            continue;
-          }
           for (uint64_t seed = 1; seed <= kSeedsPerCell; ++seed) {
-            grid.Fold(Run(GridConfig(golden.protocol, n, f, execution,
-                                     consensus, seed)));
+            RunConfig config = GridConfig(golden.protocol, n, f, execution,
+                                          consensus, seed);
+            if (FloodingUnderGst(config)) continue;
+            grid.Fold(Run(config));
           }
         }
       }
@@ -161,18 +155,18 @@ INSTANTIATE_TEST_SUITE_P(
         Golden{ProtocolKind::kChainNbac, 0x008c0d3c1f9ad881ULL},
         Golden{ProtocolKind::kBcastNbac, 0xd14535eb02ed8ee1ULL},
         Golden{ProtocolKind::kAvNbacLean, 0x7b64479d7c9f78fdULL},
-        Golden{ProtocolKind::kOneNbac, 0x8f24f1ed4a5822c9ULL},
+        Golden{ProtocolKind::kOneNbac, 0x62488e35e711d0d7ULL},
         Golden{ProtocolKind::kAvNbacFast, 0x339958cfe9af922dULL}),
     GoldenName);
 
 INSTANTIATE_TEST_SUITE_P(
     OtherProtocols, ProtocolDigestTest,
     ::testing::Values(
-        Golden{ProtocolKind::kZeroNbac, 0xc09d21f724daf27dULL, true},
-        Golden{ProtocolKind::kChainAckNbac, 0xd4ee077c725c0c60ULL, true},
-        Golden{ProtocolKind::kInbac, 0x98a8d7b2279b37e8ULL, true},
+        Golden{ProtocolKind::kZeroNbac, 0xc09d21f724daf27dULL},
+        Golden{ProtocolKind::kChainAckNbac, 0xd4ee077c725c0c60ULL},
+        Golden{ProtocolKind::kInbac, 0x98a8d7b2279b37e8ULL},
         Golden{ProtocolKind::kTwoPc, 0x6367020835234ad9ULL},
-        Golden{ProtocolKind::kThreePc, 0xaf723841dfbeaab4ULL, true},
+        Golden{ProtocolKind::kThreePc, 0xaf723841dfbeaab4ULL},
         Golden{ProtocolKind::kPaxosCommit, 0xc0b3df515b305059ULL},
         Golden{ProtocolKind::kFasterPaxosCommit, 0xc0ef0a70e80ea69dULL}),
     GoldenName);

@@ -96,6 +96,22 @@ TEST(RunnerTest, VoteVectorValidated) {
   for (Decision d : result.decisions) EXPECT_EQ(d, Decision::kAbort);
 }
 
+// Flooding consensus is synchronous. Under GST delays a late message can
+// make a process propose after the flooding epoch started, so Run refuses
+// the combination whatever the seed. Seed 7's run would complete without
+// the check, so the death comes from the up-front refusal, not from
+// FloodingConsensus's mid-run FC_CHECK.
+TEST(RunnerTest, FloodingConsensusUnderGstIsRefused) {
+  RunConfig config = MakeNetworkFailureConfig(ProtocolKind::kInbac, 4, 1, 7);
+  config.consensus = ConsensusKind::kFlooding;
+  EXPECT_TRUE(FloodingUnderGst(config));
+  EXPECT_DEATH(fastcommit::core::Run(config),
+               "flooding consensus is synchronous: refused under GST");
+  // A protocol that never runs consensus may take the flag.
+  config.protocol = ProtocolKind::kTwoPc;
+  EXPECT_FALSE(FloodingUnderGst(config));
+}
+
 TEST(RunnerTest, PropertyReportSatisfiesSemantics) {
   PropertyReport report;
   report.agreement = true;

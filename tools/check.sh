@@ -96,6 +96,26 @@ run_gates() {
   # lifetimes too.
   gate "sharded drain ($gates_dir/bench_db_sharded --txs 4000)" \
     "./$gates_dir/bench_db_sharded" --txs 4000
+
+  # Paper tables: nonzero if a measured delay or message count misses its
+  # bound or closed form (bench_table1..5 print MISMATCH), or if a figure
+  # or ablation program fails to run.
+  gate "paper tables and ablations ($gates_dir/bench_table1 ...)" \
+    paper_benches "$gates_dir"
+}
+
+# paper_benches <build dir>: runs the nine paper-table, figure and ablation
+# programs, printing a program's output only when it fails.
+paper_benches() {
+  for bench in bench_table1 bench_table2 bench_table3 bench_table4 \
+    bench_table5 bench_fig1_states bench_ablation_backups bench_ablation_db \
+    bench_ablation_tradeoff; do
+    if ! output=$("./$1/$bench"); then
+      echo "$output"
+      echo "check.sh: $bench failed" >&2
+      return 1
+    fi
+  done
 }
 
 # worktree_files <pathspec...>: the files of the working tree that match,
@@ -137,22 +157,26 @@ sys.exit(1 if too_long else 0)
 PY
 }
 
-# report_src_lines: the src/ code-line count, with ROADMAP item 7's
-# command, so every log carries the net size a change reports. Report-only:
-# it never fails the script.
-report_src_lines() {
-  if src_files=$(worktree_files 'src/*.h' 'src/*.cc'); then
-    # $src_files is unquoted on purpose: one path per word.
-    echo "check.sh: src/ code lines: $(cat $src_files |
+# report_lines <dir> <pathspec...>: the code-line count of the working
+# tree's files under <dir>, with ROADMAP item 7's command, so every log
+# carries the net size a change reports. Report-only: it never fails the
+# script.
+report_lines() {
+  lines_dir="$1"
+  shift
+  if files=$(worktree_files "$@"); then
+    # $files is unquoted on purpose: one path per word.
+    echo "check.sh: $lines_dir code lines: $(cat $files |
       grep -Evc '^\s*(//|$)')"
   else
-    echo "check.sh: src/ code lines: not counted (no git checkout)"
+    echo "check.sh: $lines_dir code lines: not counted (no git checkout)"
   fi
 }
 
 check_line_length
 run_suite build
-report_src_lines
+report_lines src/ 'src/*.h' 'src/*.cc'
+report_lines bench/ 'bench/*.cc' 'bench/*.h'
 run_gates build
 
 case "${1:-}" in

@@ -169,9 +169,14 @@ int main(int argc, char** argv) {
       continue;
     }
     if (ParseFlag(arg, "consensus", &value)) {
-      config.consensus = value == "flooding"
-                             ? fastcommit::core::ConsensusKind::kFlooding
-                             : fastcommit::core::ConsensusKind::kPaxos;
+      if (value == "paxos") {
+        config.consensus = fastcommit::core::ConsensusKind::kPaxos;
+      } else if (value == "flooding") {
+        config.consensus = fastcommit::core::ConsensusKind::kFlooding;
+      } else {
+        std::fprintf(stderr, "unknown consensus mode '%s'\n", value.c_str());
+        return 2;
+      }
       continue;
     }
     if (ParseFlag(arg, "backups", &value)) {
@@ -194,6 +199,13 @@ int main(int argc, char** argv) {
   if (!config.votes.empty() &&
       config.votes.size() != static_cast<size_t>(config.n)) {
     std::fprintf(stderr, "--votes must have exactly n=%d bits\n", config.n);
+    return 2;
+  }
+  if (fastcommit::core::FloodingUnderGst(config)) {
+    std::fprintf(stderr,
+                 "--consensus=flooding is synchronous: %s cannot use it "
+                 "under --delays=gst\n",
+                 fastcommit::core::ProtocolName(config.protocol));
     return 2;
   }
 
