@@ -1,7 +1,6 @@
 #ifndef FASTCOMMIT_BENCH_BENCH_UTIL_H_
 #define FASTCOMMIT_BENCH_BENCH_UTIL_H_
 
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -9,7 +8,6 @@
 #include <deque>
 #include <initializer_list>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -17,13 +15,9 @@
 #include "core/runner.h"
 #include "db/database.h"
 #include "db/traffic.h"
+#include "db_run.h"
 
 namespace fastcommit::bench {
-
-/// Set by every shared check that fails: a MISMATCH verdict, or a database
-/// run whose store left its delivered-commit ledger. A bench's main exits
-/// nonzero when it is set.
-inline bool check_failed = false;
 
 /// Measured nice-execution complexity of one protocol.
 struct Measured {
@@ -218,32 +212,6 @@ inline DbArgs ParseDbArgs(int argc, char** argv, int default_txs,
   return args;
 }
 
-/// What one database run is fed. `txs` is a closed loop, submitted in
-/// order `burst` at one instant, each burst `burst * gap` ticks after the
-/// previous one. Each of `streams` pumps one open-loop TrafficEngine.
-struct DbLoad {
-  std::vector<db::Transaction> txs;
-  sim::Time gap = 0;
-  int burst = 1;
-  std::vector<db::TrafficOptions> streams;
-};
-
-inline DbLoad ClosedLoop(std::vector<db::Transaction> txs, sim::Time gap,
-                         int burst = 1) {
-  DbLoad load;
-  load.txs = std::move(txs);
-  load.gap = gap;
-  load.burst = burst;
-  return load;
-}
-
-inline DbLoad OpenLoop(db::TrafficOptions traffic, int num_arrivals) {
-  traffic.num_arrivals = num_arrivals;
-  DbLoad load;
-  load.streams.push_back(traffic);
-  return load;
-}
-
 /// Transfer pairs at seed 42, the stream the open-loop benches vary;
 /// num_keys stays the 1<<20 open-loop default.
 inline db::TrafficOptions BaseTraffic(db::ArrivalProcess process,
@@ -256,115 +224,8 @@ inline db::TrafficOptions BaseTraffic(db::ArrivalProcess process,
   return traffic;
 }
 
-/// Everything one database run reports. Every field but `pool` and
-/// `wall_seconds` is simulated: deterministic for a seed and equal on every
-/// shard placement.
-struct DbRun {
-  db::DatabaseStats stats;
-  db::Database::BatchStats batch;
-  db::Database::RecoveryStats recovery;
-  db::Database::GeoStats geo;
-  db::CommitLog::Stats log;  ///< zero without a commit log
-  db::CommitInstancePool::Stats pool;
-  uint64_t fingerprint = 0;  ///< Database::read_fingerprint
-  /// Delivered read-only commits and the kGets they carried. Counted at
-  /// delivery, so they mean the same with snapshot reads off, where
-  /// stats.read_only_committed stays 0.
-  int64_t read_txs = 0;
-  int64_t read_ops = 0;
-  /// Keys whose final value is not the sum of the kAdd deltas of the
-  /// delivered commits: a commit was lost or applied twice.
-  int64_t ledger_mismatches = 0;
-  double wall_seconds = 0;
-
-  bool SameSimulation(const DbRun& other) const {
-    return stats == other.stats && batch == other.batch &&
-           recovery == other.recovery && geo == other.geo &&
-           log == other.log && fingerprint == other.fingerprint &&
-           read_txs == other.read_txs && read_ops == other.read_ops &&
-           ledger_mismatches == other.ledger_mismatches;
-  }
-};
-
-/// Builds a Database with `options`, feeds it `load`, drains it and reads
-/// every counter. A run whose store left its ledger prints a LEDGER
-/// VIOLATION line and sets check_failed.
-inline DbRun RunDb(const db::Database::Options& options, const DbLoad& load) {
-  db::Database database(options);
-  std::deque<db::TrafficEngine> engines;
-  for (const db::TrafficOptions& stream : load.streams) {
-    engines.emplace_back(stream);
-  }
-  // Copied before the clock starts: Submit takes each transaction.
-  std::vector<db::Transaction> txs = load.txs;
-  DbRun run;
-  std::unordered_map<db::Key, int64_t> ledger;
-  auto deliver = [&](const db::Transaction& tx, commit::Decision d) {
-    if (d != commit::Decision::kCommit) return;
-    if (db::IsReadOnly(tx)) {
-      ++run.read_txs;
-      run.read_ops += static_cast<int64_t>(tx.ops.size());
-    }
-    for (const db::Op& op : tx.ops) {
-      if (op.type == db::Op::Type::kAdd) ledger[op.key] += op.delta;
-    }
-  };
-  using Clock = std::chrono::steady_clock;
-  Clock::time_point start = Clock::now();
-  sim::Time at = 0;
-  int in_burst = 0;
-  for (db::Transaction& tx : txs) {
-    database.Submit(std::move(tx), at, deliver);
-    if (++in_burst == load.burst) {
-      in_burst = 0;
-      at += load.burst * load.gap;
-    }
-  }
-  for (db::TrafficEngine& engine : engines) {
-    database.SubmitArrivals(&engine, deliver);
-  }
-  run.stats = database.Drain();
-  std::chrono::duration<double> wall = Clock::now() - start;
-  run.wall_seconds = wall.count();
-  run.batch = database.batch_stats();
-  run.recovery = database.recovery_stats();
-  run.geo = database.geo_stats();
-  if (database.commit_log() != nullptr) {
-    run.log = database.commit_log()->stats();
-  }
-  run.pool = database.pool_stats();
-  run.fingerprint = database.read_fingerprint();
-  for (const auto& [key, balance] : ledger) {
-    if (database.GetInt(key) != balance) ++run.ledger_mismatches;
-  }
-  if (run.ledger_mismatches > 0) {
-    check_failed = true;
-    std::printf("  LEDGER VIOLATION: %lld keys off the delivered commits\n",
-                static_cast<long long>(run.ledger_mismatches));
-  }
-  return run;
-}
-
 inline double CommittedPerSecWall(const DbRun& run) {
   return CommittedPerSecWall(run.stats.committed, run.wall_seconds);
-}
-
-/// The one-shard reference and the same run placed on more shards.
-struct PlacedRuns {
-  DbRun serial;
-  DbRun placed;
-  bool identical = false;  ///< DbRun::SameSimulation
-};
-
-inline PlacedRuns RunPlaced(db::Database::Options options, const DbLoad& load,
-                            int shards) {
-  PlacedRuns runs;
-  options.num_shards = 1;
-  runs.serial = RunDb(options, load);
-  options.num_shards = shards;
-  runs.placed = RunDb(options, load);
-  runs.identical = runs.serial.SameSimulation(runs.placed);
-  return runs;
 }
 
 /// Snapshot-read columns: the delivered read-only commits and their kGets,

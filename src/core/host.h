@@ -46,10 +46,6 @@ class Host {
   /// no-ops instead of firing into the new one.
   void Reset(sim::Time epoch);
 
-  /// Generation counter incremented by Reset; pending timers carry the
-  /// generation they were set under and are dropped on mismatch.
-  uint64_t generation() const { return generation_; }
-
   commit::CommitProtocol* protocol() { return protocol_.get(); }
   consensus::Consensus* consensus() { return consensus_.get(); }
 

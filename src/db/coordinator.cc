@@ -79,7 +79,6 @@ void CommitInstance::Reset(const std::vector<commit::Vote>& votes,
   done_ = std::move(done);
   decided_count_ = 0;
   decision_ = commit::Decision::kNone;
-  start_time_ = -1;
   finish_time_ = -1;
   network_->ResetEpoch();
   if (region_model_ != nullptr) cross_mark_ = region_model_->cross_messages();
@@ -97,7 +96,6 @@ void CommitInstance::SetProcessRegions(std::vector<int> regions) {
 }
 
 void CommitInstance::Start() {
-  start_time_ = scheduler_->Now();
   for (int i = 0; i < n_; ++i) {
     hosts_[static_cast<size_t>(i)]->Propose(votes_[static_cast<size_t>(i)]);
   }

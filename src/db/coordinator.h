@@ -34,7 +34,7 @@ namespace fastcommit::db {
 /// consensus modules restore their construction-time state
 /// (proc::Module::Reset), hosts clear their crash marks and move their
 /// timer epoch to the new start instant (core::Host::Reset), and the
-/// network rolls its per-epoch message statistics into lifetime totals
+/// network restarts its per-epoch message statistics
 /// (net::Network::ResetEpoch).
 ///
 /// Stale events are fenced by generation counters rather than cancellation:
@@ -85,14 +85,9 @@ class CommitInstance {
   /// (an instance never migrates; see db/instance_pool.h).
   int shard_key() const { return shard_key_; }
   void set_shard_key(int shard_key) { shard_key_ = shard_key; }
-  sim::Time start_time() const { return start_time_; }
   sim::Time finish_time() const { return finish_time_; }
   /// Network messages this incarnation exchanged (protocol + consensus).
   int64_t messages() const { return network_->stats().total_sent(); }
-  /// Network messages across every incarnation of this instance.
-  int64_t lifetime_messages() const {
-    return network_->stats().lifetime_sent();
-  }
   /// Messages this incarnation priced at a cross-region delay (0 on a
   /// non-geo instance).
   int64_t cross_messages() const {
@@ -118,7 +113,6 @@ class CommitInstance {
 
   int decided_count_ = 0;
   commit::Decision decision_ = commit::Decision::kNone;
-  sim::Time start_time_ = -1;
   sim::Time finish_time_ = -1;
 };
 

@@ -718,6 +718,10 @@ const DatabaseStats& Database::Drain() {
   FC_CHECK(parked_.empty()) << "parked transactions leaked after drain";
   FC_CHECK(!log_.has_value() || !log_->has_waiters())
       << "decision-durability waiters leaked after drain";
+  for (int p = 0; p < plane_.num_partitions(); ++p) {
+    FC_CHECK(plane_.partition(p).idle())
+        << "partition " << p << " holds a prepared record or lock after drain";
+  }
   stats_.makespan = sim_.Now();
   return stats_;
 }

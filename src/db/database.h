@@ -309,11 +309,6 @@ class Database {
   /// Shard that will host the commit instance of transaction `id`
   /// (deterministic in the id, independent of submission order).
   int ShardOf(TxId id) const;
-  /// Geo region `partition` is homed in (partition mod
-  /// Options::num_regions; always 0 with one region).
-  int RegionOfPartition(int partition) const {
-    return plane_.RegionOf(partition);
-  }
 
   /// Schedules `tx` for execution at virtual time `at_ticks` (>= Now()).
   /// `on_complete`, if set, fires once with the transaction's final

@@ -100,6 +100,11 @@ class Participant {
 
   int64_t prepares() const { return prepares_; }
   int64_t conflicts() const { return conflicts_; }
+  /// No prepared record, 2PL lock or locked OCC version word is left.
+  bool idle() const {
+    return records_.size() == 0 && locks_.held_locks() == 0 &&
+           versions_.locked_words() == 0;
+  }
 
  private:
   commit::Vote Prepare2pl(TxId tx, const std::vector<Op>& local_ops);

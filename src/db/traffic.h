@@ -103,9 +103,6 @@ class TrafficEngine {
   /// Produces the next arrival; false once num_arrivals were generated.
   bool Next(Arrival* out);
 
-  const TrafficOptions& options() const { return options_; }
-  int64_t generated() const { return generated_; }
-
  private:
   /// Inter-arrival gap, in ticks, before the next arrival.
   sim::Time NextGap();

@@ -29,11 +29,7 @@ void MessageStats::RecordDrop(int64_t seq, sim::Time at) {
   records_[static_cast<size_t>(seq)].received_at = at;
 }
 
-void MessageStats::ResetEpoch() {
-  lifetime_sent_before_epoch_ += total_sent();
-  ++epoch_;
-  records_.clear();
-}
+void MessageStats::ResetEpoch() { records_.clear(); }
 
 int64_t MessageStats::DeliveredBy(sim::Time t) const {
   int64_t count = 0;

@@ -40,18 +40,10 @@ class MessageStats {
   /// ResetEpoch).
   int64_t total_sent() const { return static_cast<int64_t>(records_.size()); }
 
-  /// Rolls the per-epoch trace into the lifetime total and clears it,
-  /// retaining the buffer's capacity. Used by the pooled commit-instance
-  /// lifecycle: per-instance counters restart at zero while the lifetime
-  /// totals keep accumulating across incarnations.
+  /// Clears the per-epoch trace, retaining the buffer's capacity. Used by
+  /// the pooled commit-instance lifecycle: per-instance counters restart at
+  /// zero for each incarnation.
   void ResetEpoch();
-
-  /// Messages sent across every epoch of this object's lifetime.
-  int64_t lifetime_sent() const {
-    return lifetime_sent_before_epoch_ + total_sent();
-  }
-  /// Number of ResetEpoch calls so far.
-  int64_t epoch() const { return epoch_; }
 
   /// Messages whose delivery happened no later than `t`. This is the metric
   /// of the paper's lower-bound proofs: messages exchanged before or when
@@ -69,8 +61,6 @@ class MessageStats {
 
  private:
   std::vector<MessageRecord> records_;
-  int64_t lifetime_sent_before_epoch_ = 0;
-  int64_t epoch_ = 0;
 };
 
 }  // namespace fastcommit::net

@@ -36,7 +36,7 @@ namespace fastcommit::net {
 /// generation it was sent under; deliveries from a previous generation are
 /// silently discarded (their slots still freed), so a recycled cluster
 /// never observes messages of an earlier incarnation. Per-epoch statistics
-/// restart while lifetime totals accumulate (MessageStats::ResetEpoch).
+/// restart (MessageStats::ResetEpoch).
 class Network {
  public:
   using Handler = std::function<void(ProcessId from, const Message&)>;
@@ -59,12 +59,9 @@ class Network {
   void Crash(ProcessId pid);
 
   /// Starts a new epoch: bumps the delivery generation (pending deliveries
-  /// of the old epoch will be dropped), clears crash marks, and rolls the
-  /// per-epoch message statistics into the lifetime totals.
+  /// of the old epoch will be dropped), clears crash marks, and restarts
+  /// the per-epoch message statistics.
   void ResetEpoch();
-
-  /// Generation counter for stale-delivery guarding (see class comment).
-  uint64_t generation() const { return generation_; }
 
   bool crashed(ProcessId pid) const;
   int crash_count() const;

@@ -23,9 +23,16 @@
 
 #include "db/database.h"
 #include "db/workload.h"
+#include "db_run.h"
 
 namespace fastcommit::db {
 namespace {
+
+using bench::Accounts;
+using bench::ClosedLoop;
+using bench::DbLoad;
+using bench::DbRun;
+using bench::PlacedRuns;
 
 Database::Options AdaptiveOptions(core::ProtocolKind protocol,
                                   int num_shards = 1) {
@@ -40,49 +47,16 @@ Database::Options AdaptiveOptions(core::ProtocolKind protocol,
   return options;
 }
 
-struct RunOutput {
-  DatabaseStats stats;
-  Database::BatchStats batch;
-};
-
-RunOutput RunHotspot(Database::Options options, uint64_t seed,
-                     int num_txs = 400) {
-  options.max_attempts = 4;
-  Database database(options);
-  auto txs = MakeHotspotWorkload(num_txs, 200, 3, 8, 0.4, seed);
-  sim::Time at = 0;
-  int in_burst = 0;
-  for (auto& tx : txs) {
-    database.Submit(std::move(tx), at);
-    if (++in_burst == 32) {
-      in_burst = 0;
-      at += 32 * 40;
-    }
-  }
-  RunOutput out;
-  out.stats = database.Drain();
-  out.batch = database.batch_stats();
-  return out;
+/// Hotspot traffic at seed 7 in bursts of 32 every 1280 ticks, retried up
+/// to four times.
+DbLoad HotspotLoad() {
+  return ClosedLoop(MakeHotspotWorkload(400, 200, 3, 8, 0.4, 7), 40, 32);
 }
 
-RunOutput RunTransfer(Database::Options options, uint64_t seed) {
-  Database database(options);
-  const int kAccounts = 200;
-  for (int a = 0; a < kAccounts; ++a) database.LoadInt(AccountKey(a), 1000);
-  auto txs = MakeTransferWorkload(300, kAccounts, 50, seed);
-  sim::Time at = 0;
-  int in_burst = 0;
-  for (auto& tx : txs) {
-    database.Submit(std::move(tx), at);
-    if (++in_burst == 32) {
-      in_burst = 0;
-      at += 32 * 40;
-    }
-  }
-  RunOutput out;
-  out.stats = database.Drain();
-  out.batch = database.batch_stats();
-  return out;
+Database::Options HotspotOptions(core::ProtocolKind protocol) {
+  Database::Options options = AdaptiveOptions(protocol);
+  options.max_attempts = 4;
+  return options;
 }
 
 class AdaptiveBatchProtocolTest
@@ -92,20 +66,19 @@ class AdaptiveBatchProtocolTest
 // by canonical sorted partition sets — so every counter it produces, not
 // just the workload-visible DatabaseStats, must be placement invariant.
 TEST_P(AdaptiveBatchProtocolTest, StatsIdenticalAcrossShards) {
-  RunOutput baseline = RunTransfer(AdaptiveOptions(GetParam()), 99);
+  DbLoad transfers = ClosedLoop(MakeTransferWorkload(300, 200, 50, 99), 40, 32);
+  transfers.initial = Accounts(200, 1000);
+  DbRun baseline = RunDb(AdaptiveOptions(GetParam()), transfers);
   EXPECT_GT(baseline.stats.committed, 0);
   for (int shards : {1, 2, 8}) {
-    RunOutput placed = RunTransfer(AdaptiveOptions(GetParam(), shards), 99);
-    EXPECT_EQ(placed.stats, baseline.stats) << "shards=" << shards;
-    EXPECT_EQ(placed.batch, baseline.batch) << "shards=" << shards;
+    DbRun placed = RunDb(AdaptiveOptions(GetParam(), shards), transfers);
+    EXPECT_EQ(placed.FirstDifference(baseline), "") << "shards=" << shards;
   }
 
-  RunOutput hot = RunHotspot(AdaptiveOptions(GetParam()), 7);
-  RunOutput hot_placed = RunHotspot(AdaptiveOptions(GetParam(), 8), 7);
-  EXPECT_EQ(hot.stats, hot_placed.stats);
-  EXPECT_EQ(hot.batch, hot_placed.batch);
-  EXPECT_GT(hot.stats.retries, 0) << "hotspot contention should retry";
-  EXPECT_GT(hot.batch.cross_set_joins, 0)
+  PlacedRuns hot = RunPlaced(HotspotOptions(GetParam()), HotspotLoad(), 8);
+  EXPECT_EQ(hot.placed.FirstDifference(hot.serial), "");
+  EXPECT_GT(hot.serial.stats.retries, 0) << "hotspot contention should retry";
+  EXPECT_GT(hot.serial.batch.cross_set_joins, 0)
       << "a skewed multi-set workload must exercise cross-set admission";
 }
 
@@ -274,11 +247,13 @@ TEST(CancelledTimerTest, SizeFlushedBatchNoLongerStretchesMakespan) {
 // control-plane state. The golden numbers double as a tripwire for
 // accidental changes to admission order or controller arithmetic.
 TEST(BatchCounterTest, ExactCountersUnderFixedSeedStableAcrossPlacements) {
-  RunOutput one = RunHotspot(AdaptiveOptions(core::ProtocolKind::kInbac), 7);
+  Database::Options options = HotspotOptions(core::ProtocolKind::kInbac);
+  DbLoad hot = HotspotLoad();
+  DbRun one = RunDb(options, hot);
   for (int shards : {2, 8}) {
-    RunOutput placed =
-        RunHotspot(AdaptiveOptions(core::ProtocolKind::kInbac, shards), 7);
-    EXPECT_EQ(placed.batch, one.batch) << "shards=" << shards;
+    options.num_shards = shards;
+    EXPECT_EQ(RunDb(options, hot).FirstDifference(one), "")
+        << "shards=" << shards;
   }
   EXPECT_EQ(one.batch.rounds, 143);
   EXPECT_EQ(one.batch.members, 1115);

@@ -20,9 +20,16 @@
 
 #include "db/database.h"
 #include "db/workload.h"
+#include "db_run.h"
 
 namespace fastcommit::db {
 namespace {
+
+using bench::Accounts;
+using bench::ClosedLoop;
+using bench::DbLoad;
+using bench::DbRun;
+using bench::PlacedRuns;
 
 Database::Options BatchOptions(core::ProtocolKind protocol, sim::Time window,
                                int num_shards = 1) {
@@ -34,31 +41,23 @@ Database::Options BatchOptions(core::ProtocolKind protocol, sim::Time window,
   return options;
 }
 
-/// Transfer workload in bursts (so batches actually form), returning the
-/// final stats.
-DatabaseStats RunTransfer(Database::Options options, uint64_t seed) {
-  Database database(options);
-  const int kAccounts = 200;
-  for (int a = 0; a < kAccounts; ++a) database.LoadInt(AccountKey(a), 1000);
-  auto txs = MakeTransferWorkload(300, kAccounts, 50, seed);
-  sim::Time at = 0;
-  int in_burst = 0;
-  for (auto& tx : txs) {
-    database.Submit(std::move(tx), at);
-    if (++in_burst == 32) {
-      in_burst = 0;
-      at += 32 * 40;
-    }
-  }
-  return database.Drain();
+/// Transfers over 200 funded accounts in bursts (so batches actually
+/// form), and hotspot traffic all at instant 0, retried up to four times.
+DbLoad TransferLoad() {
+  DbLoad load = ClosedLoop(MakeTransferWorkload(300, 200, 50, 99), 40, 32);
+  load.initial = Accounts(200, 1000);
+  return load;
 }
 
-DatabaseStats RunHotspot(Database::Options options, uint64_t seed) {
+DbLoad HotspotLoad() {
+  return ClosedLoop(MakeHotspotWorkload(150, 60, 3, 4, 0.6, 7), 0);
+}
+
+Database::Options HotspotOptions(core::ProtocolKind protocol,
+                                 sim::Time window) {
+  Database::Options options = BatchOptions(protocol, window);
   options.max_attempts = 4;
-  Database database(options);
-  auto txs = MakeHotspotWorkload(150, 60, 3, 4, 0.6, seed);
-  for (auto& tx : txs) database.Submit(std::move(tx), 0);
-  return database.Drain();
+  return options;
 }
 
 class BatchProtocolTest : public ::testing::TestWithParam<core::ProtocolKind> {
@@ -69,43 +68,44 @@ class BatchProtocolTest : public ::testing::TestWithParam<core::ProtocolKind> {
 TEST_P(BatchProtocolTest, WindowZeroReproducesUnbatchedStatsBitwise) {
   Database::Options defaults = BatchOptions(GetParam(), 0);
   defaults.batch_window = 0;  // explicit: the documented "disabled" value
-  DatabaseStats baseline = RunTransfer(defaults, 99);
+  DbLoad transfers = TransferLoad();
+  DbRun baseline = RunDb(defaults, transfers);
   for (int shards : {1, 2, 8}) {
-    DatabaseStats stats = RunTransfer(BatchOptions(GetParam(), 0, shards), 99);
-    EXPECT_EQ(stats, baseline) << "shards=" << shards;
+    DbRun run = RunDb(BatchOptions(GetParam(), 0, shards), transfers);
+    EXPECT_EQ(run.FirstDifference(baseline), "") << "shards=" << shards;
   }
-  EXPECT_GT(baseline.committed, 0);
+  EXPECT_GT(baseline.stats.committed, 0);
 }
 
 TEST_P(BatchProtocolTest, BatchedStatsIdenticalAcrossShards) {
-  DatabaseStats baseline = RunTransfer(BatchOptions(GetParam(), 400), 99);
+  DbLoad transfers = TransferLoad();
+  DbRun baseline = RunDb(BatchOptions(GetParam(), 400), transfers);
   for (int shards : {2, 8}) {
-    DatabaseStats stats =
-        RunTransfer(BatchOptions(GetParam(), 400, shards), 99);
-    EXPECT_EQ(stats, baseline) << "shards=" << shards;
+    DbRun run = RunDb(BatchOptions(GetParam(), 400, shards), transfers);
+    EXPECT_EQ(run.FirstDifference(baseline), "") << "shards=" << shards;
   }
-  DatabaseStats hot_one = RunHotspot(BatchOptions(GetParam(), 400), 7);
-  DatabaseStats hot_sharded = RunHotspot(BatchOptions(GetParam(), 400, 8), 7);
-  EXPECT_EQ(hot_one, hot_sharded);
-  EXPECT_GT(hot_one.retries, 0) << "hotspot contention should cause retries";
+  PlacedRuns hot = RunPlaced(HotspotOptions(GetParam(), 400), HotspotLoad(), 8);
+  EXPECT_EQ(hot.placed.FirstDifference(hot.serial), "");
+  EXPECT_GT(hot.serial.stats.retries, 0)
+      << "hotspot contention should cause retries";
 }
 
 TEST_P(BatchProtocolTest, BatchingReducesMessagesPerCommit) {
-  auto ratio = [](const DatabaseStats& stats) {
-    return static_cast<double>(stats.commit_messages) /
-           static_cast<double>(stats.committed);
+  auto ratio = [](const DbRun& run) {
+    return static_cast<double>(run.stats.commit_messages) /
+           static_cast<double>(run.stats.committed);
   };
-  DatabaseStats off = RunTransfer(BatchOptions(GetParam(), 0), 99);
-  DatabaseStats on = RunTransfer(BatchOptions(GetParam(), 800), 99);
-  ASSERT_GT(off.committed, 0);
-  ASSERT_GT(on.committed, 0);
+  DbRun off = RunDb(BatchOptions(GetParam(), 0), TransferLoad());
+  DbRun on = RunDb(BatchOptions(GetParam(), 800), TransferLoad());
+  ASSERT_GT(off.stats.committed, 0);
+  ASSERT_GT(on.stats.committed, 0);
   EXPECT_LT(ratio(on), ratio(off))
       << "transfer: batching must amortize protocol messages";
 
-  DatabaseStats hot_off = RunHotspot(BatchOptions(GetParam(), 0), 7);
-  DatabaseStats hot_on = RunHotspot(BatchOptions(GetParam(), 800), 7);
-  ASSERT_GT(hot_off.committed, 0);
-  ASSERT_GT(hot_on.committed, 0);
+  DbRun hot_off = RunDb(HotspotOptions(GetParam(), 0), HotspotLoad());
+  DbRun hot_on = RunDb(HotspotOptions(GetParam(), 800), HotspotLoad());
+  ASSERT_GT(hot_off.stats.committed, 0);
+  ASSERT_GT(hot_on.stats.committed, 0);
   EXPECT_LT(ratio(hot_on), ratio(hot_off))
       << "hotspot: batching must amortize protocol messages";
 }
@@ -255,18 +255,15 @@ TEST(BatchRoundTest, SinglePartitionTransactionsBypassBatching) {
 }
 
 TEST(BatchRoundTest, TransfersConserveBalanceUnderBatchedShardedDrain) {
-  Database::Options options =
-      BatchOptions(core::ProtocolKind::kInbac, 600, /*num_shards=*/8);
-  Database db(options);
   const int kAccounts = 80;
   const int64_t kInitial = 1000;
-  for (int a = 0; a < kAccounts; ++a) db.LoadInt(AccountKey(a), kInitial);
-  auto txs = MakeTransferWorkload(400, kAccounts, 50, 5);
-  for (auto& tx : txs) db.Submit(std::move(tx), 0);
-  const DatabaseStats& stats = db.Drain();
-  EXPECT_EQ(stats.committed + stats.aborted, 400);
-  EXPECT_GT(db.batch_stats().batched_txs, 0);
-  EXPECT_EQ(db.SumInts(), kAccounts * kInitial)
+  DbLoad load = ClosedLoop(MakeTransferWorkload(400, kAccounts, 50, 5), 0);
+  load.initial = Accounts(kAccounts, kInitial);
+  DbRun run = RunDb(
+      BatchOptions(core::ProtocolKind::kInbac, 600, /*num_shards=*/8), load);
+  EXPECT_EQ(run.stats.committed + run.stats.aborted, 400);
+  EXPECT_GT(run.batch.batched_txs, 0);
+  EXPECT_EQ(run.sum, kAccounts * kInitial)
       << "batched transfers must conserve total balance";
 }
 

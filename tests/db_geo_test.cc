@@ -20,9 +20,14 @@
 
 #include "db/database.h"
 #include "db/workload.h"
+#include "db_run.h"
 
 namespace fastcommit::db {
 namespace {
+
+using bench::DbLoad;
+using bench::DbRun;
+using bench::PlacedRuns;
 
 constexpr sim::Time kUnit = 100;
 constexpr int64_t kCrossUnits = 30;
@@ -69,7 +74,7 @@ Transaction CrossPartitionTx(const Database& db, TxId id,
 TEST(DbGeoTest, RegionHomingIsModular) {
   Database db(GeoOptions(3, false));
   for (int p = 0; p < 6; ++p) {
-    EXPECT_EQ(db.RegionOfPartition(p), p % 3);
+    EXPECT_EQ(db.partition_plane().RegionOf(p), p % 3);
   }
 }
 
@@ -152,24 +157,12 @@ TEST(DbGeoTest, SingleRegionWritesTakeTheLoglessOnePhasePath) {
 }
 
 // Mixed workload over every region-span class, both modes, compared
-// bitwise across placements (the acceptance grid of this PR).
-struct GeoRun {
-  DatabaseStats stats;
-  Database::GeoStats geo;
-  Database::BatchStats batch;
-  Database::RecoveryStats recovery;
-};
-
-GeoRun RunGeoWorkload(Database::Options options, int shards, bool batched) {
-  options.num_shards = shards;
-  if (batched) {
-    options.batch_window = 2 * kUnit;
-    options.batch_max = 8;
-  }
-  Database db(options);
-  // Span classes cycle: single-partition, one-region pair, two-region
-  // pair, three-region triple — every geo code path in one stream.
-  int64_t committed = 0;
+// bitwise across placements (the acceptance grid of this PR). Span classes
+// cycle: single-partition, one-region pair, two-region pair, three-region
+// triple — every geo code path in one stream.
+DbLoad GeoLoad(const Database::Options& options) {
+  Database router(options);  // keys depend only on num_partitions
+  DbLoad load;
   for (TxId id = 1; id <= 120; ++id) {
     std::vector<int> partitions;
     switch (id % 4) {
@@ -178,38 +171,30 @@ GeoRun RunGeoWorkload(Database::Options options, int shards, bool batched) {
       case 2: partitions = {1, 2}; break;
       default: partitions = {0, 1, 2}; break;
     }
-    db.Submit(CrossPartitionTx(db, id, partitions), (id - 1) * kUnit / 2,
-              [&committed](const Transaction&, commit::Decision decision) {
-                if (decision == commit::Decision::kCommit) ++committed;
-              });
+    load.Submit(CrossPartitionTx(router, id, partitions), (id - 1) * kUnit / 2);
   }
-  db.Drain();
-  EXPECT_EQ(committed, db.stats().committed);
-  return GeoRun{db.stats(), db.geo_stats(), db.batch_stats(),
-                db.recovery_stats()};
-}
-
-void ExpectGeoRunsEqual(const GeoRun& a, const GeoRun& b,
-                        const std::string& label) {
-  EXPECT_EQ(a.stats, b.stats) << label;
-  EXPECT_EQ(a.geo, b.geo) << label;
-  EXPECT_EQ(a.batch, b.batch) << label;
-  EXPECT_EQ(a.recovery, b.recovery) << label;
+  return load;
 }
 
 TEST(DbGeoTest, StatsBitwiseAcrossPlacementsBothModes) {
   for (bool co : {false, true}) {
     for (bool batched : {false, true}) {
       Database::Options options = GeoOptions(3, co);
-      GeoRun reference = RunGeoWorkload(options, 1, batched);
+      if (batched) {
+        options.batch_window = 2 * kUnit;
+        options.batch_max = 8;
+      }
+      DbLoad load = GeoLoad(options);
+      DbRun reference = RunDb(options, load);
       ASSERT_GT(reference.stats.committed, 0);
       ASSERT_GT(reference.geo.multi_region_rounds, 0);
       std::string label = std::string(co ? "co-coordinator" : "spread") +
                           (batched ? "/batched" : "/unbatched");
-      ExpectGeoRunsEqual(reference, RunGeoWorkload(options, 2, batched),
-                         label + " 2 shards");
-      ExpectGeoRunsEqual(reference, RunGeoWorkload(options, 8, batched),
-                         label + " 8 shards");
+      for (int shards : {2, 8}) {
+        options.num_shards = shards;
+        EXPECT_EQ(RunDb(options, load).FirstDifference(reference), "")
+            << label << " " << shards << " shards";
+      }
     }
   }
 }
@@ -242,12 +227,12 @@ TEST(DbGeoTest, CoordinatorCrashInsideGeoTopology) {
   options.fault_plan.crash_point = CrashPoint::kAfterDecide;
   options.fault_plan.crash_at_occurrence = 3;
   options.fault_plan.coordinator_restart_delay = 50 * kUnit;
-  GeoRun reference = RunGeoWorkload(options, 1, false);
-  EXPECT_EQ(reference.recovery.coordinator_crashes, 1);
-  EXPECT_EQ(reference.recovery.recoveries, 1);
-  ASSERT_GT(reference.stats.committed, 0);
-  ExpectGeoRunsEqual(reference, RunGeoWorkload(options, 8, false),
-                     "geo crash placement");
+  PlacedRuns runs = RunPlaced(options, GeoLoad(options), 8);
+  EXPECT_EQ(runs.serial.recovery.coordinator_crashes, 1);
+  EXPECT_EQ(runs.serial.recovery.recoveries, 1);
+  ASSERT_GT(runs.serial.stats.committed, 0);
+  EXPECT_EQ(runs.placed.FirstDifference(runs.serial), "")
+      << "geo crash placement";
 }
 
 // num_regions = 1 must leave every stat bitwise identical to a run that
@@ -256,22 +241,17 @@ TEST(DbGeoTest, CoordinatorCrashInsideGeoTopology) {
 TEST(DbGeoTest, SingleRegionIsBitwiseTheDefaultPath) {
   std::vector<Transaction> workload = MakeTransferWorkload(
       /*num_txs=*/200, /*num_accounts=*/64, /*max_amount=*/50, /*seed=*/7);
-  auto run = [&](const Database::Options& options) {
-    Database db(options);
-    for (size_t i = 0; i < workload.size(); ++i) {
-      db.Submit(workload[i], static_cast<sim::Time>(i) * 10);
-    }
-    db.Drain();
-    EXPECT_EQ(db.geo_stats(), Database::GeoStats{});
-    return db.stats();
-  };
-  Database::Options defaults;
+  DbLoad load = bench::ClosedLoop(std::move(workload), 10);
   Database::Options geoed;
   geoed.num_regions = 1;
   geoed.geo_co_coordinators = true;
   geoed.cross_region_units_min = 77;
   geoed.cross_region_units_max = 99;
-  EXPECT_EQ(run(defaults), run(geoed));
+  DbRun plain = RunDb(Database::Options{}, load);
+  DbRun geo = RunDb(geoed, load);
+  EXPECT_EQ(plain.geo, Database::GeoStats{});
+  EXPECT_EQ(geo.geo, Database::GeoStats{});
+  EXPECT_EQ(plain.FirstDifference(geo), "");
 }
 
 }  // namespace

@@ -13,9 +13,15 @@
 #include "db/participant.h"
 #include "db/version_table.h"
 #include "db/workload.h"
+#include "db_run.h"
 
 namespace fastcommit::db {
 namespace {
+
+using bench::Accounts;
+using bench::ClosedLoop;
+using bench::DbLoad;
+using bench::DbRun;
 
 const Key kKey = ItemKey(0);
 const Key kA = ItemKey(1);
@@ -170,19 +176,12 @@ TEST(ParticipantOccTest, WriterWriterNoWaitConflict) {
   p.CheckInvariants();
 }
 
-DatabaseStats RunWorkload(ConcurrencyMode mode,
-                          std::vector<Transaction> txs) {
+Database::Options ModeOptions(ConcurrencyMode mode) {
   Database::Options options;
   options.num_partitions = 4;
   options.concurrency = mode;
   options.check_invariants = true;
-  Database database(options);
-  sim::Time at = 0;
-  for (auto& tx : txs) {
-    database.Submit(std::move(tx), at);
-    at += 25;
-  }
-  return database.Drain();
+  return options;
 }
 
 TEST(DatabaseOccTest, ConflictFreeTrafficMatches2plBitwise) {
@@ -190,32 +189,28 @@ TEST(DatabaseOccTest, ConflictFreeTrafficMatches2plBitwise) {
   // refuse anything, so the two runs must agree on every stats field —
   // committed, messages, latency reservoir, makespan, and both abort
   // buckets at zero.
-  auto make = [] {
-    std::vector<Transaction> txs;
-    for (int i = 0; i < 60; ++i) {
-      Transaction tx;
-      tx.id = i + 1;
-      AppendReadModifyWriteOps(&tx, ItemKey(i));
-      txs.push_back(std::move(tx));
-    }
-    return txs;
-  };
-  DatabaseStats two_pl = RunWorkload(ConcurrencyMode::k2PL, make());
-  DatabaseStats occ = RunWorkload(ConcurrencyMode::kOCC, make());
-  EXPECT_EQ(two_pl, occ);
-  EXPECT_EQ(occ.committed, 60);
-  EXPECT_EQ(occ.abort_lock_conflicts, 0);
-  EXPECT_EQ(occ.abort_validation_failures, 0);
+  DbLoad load;
+  for (int i = 0; i < 60; ++i) {
+    Transaction tx;
+    tx.id = i + 1;
+    AppendReadModifyWriteOps(&tx, ItemKey(i));
+    load.Submit(std::move(tx), 25 * i);
+  }
+  DbRun two_pl = RunDb(ModeOptions(ConcurrencyMode::k2PL), load);
+  DbRun occ = RunDb(ModeOptions(ConcurrencyMode::kOCC), load);
+  EXPECT_EQ(occ.FirstDifference(two_pl), "");
+  EXPECT_EQ(occ.stats.committed, 60);
+  EXPECT_EQ(occ.stats.abort_lock_conflicts, 0);
+  EXPECT_EQ(occ.stats.abort_validation_failures, 0);
 }
 
 TEST(DatabaseOccTest, AbortBucketsFollowTheMode) {
-  auto make = [] {
-    return MakeHotspotWorkload(/*num_txs=*/80, /*num_keys=*/50,
-                               /*keys_per_tx=*/3, /*hot_keys=*/3,
-                               /*hot_probability=*/0.7, /*seed=*/9);
-  };
-  DatabaseStats two_pl = RunWorkload(ConcurrencyMode::k2PL, make());
-  DatabaseStats occ = RunWorkload(ConcurrencyMode::kOCC, make());
+  DbLoad load = ClosedLoop(
+      MakeHotspotWorkload(/*num_txs=*/80, /*num_keys=*/50, /*keys_per_tx=*/3,
+                          /*hot_keys=*/3, /*hot_probability=*/0.7, /*seed=*/9),
+      25);
+  DatabaseStats two_pl = RunDb(ModeOptions(ConcurrencyMode::k2PL), load).stats;
+  DatabaseStats occ = RunDb(ModeOptions(ConcurrencyMode::kOCC), load).stats;
   // Each mode fills exactly its own bucket, and every aborted attempt —
   // retry rounds and final aborts — lands in it.
   EXPECT_GT(two_pl.abort_lock_conflicts, 0);
@@ -227,22 +222,13 @@ TEST(DatabaseOccTest, AbortBucketsFollowTheMode) {
 }
 
 TEST(DatabaseOccTest, BankInvariantHoldsUnderOcc) {
-  Database::Options options;
-  options.num_partitions = 4;
-  options.concurrency = ConcurrencyMode::kOCC;
-  options.check_invariants = true;
-  Database database(options);
   const int kAccounts = 20;
-  for (int a = 0; a < kAccounts; ++a) database.LoadInt(AccountKey(a), 100);
   auto txs = MakeTransferWorkload(/*num_txs=*/120, kAccounts,
                                   /*max_amount=*/30, /*seed=*/3);
-  sim::Time at = 0;
-  for (auto& tx : txs) {
-    database.Submit(std::move(tx), at);
-    at += 15;
-  }
-  database.Drain();
-  EXPECT_EQ(database.SumInts(), 100 * kAccounts);
+  DbLoad load = ClosedLoop(std::move(txs), 15);
+  load.initial = Accounts(kAccounts, 100);
+  EXPECT_EQ(RunDb(ModeOptions(ConcurrencyMode::kOCC), load).sum,
+            100 * kAccounts);
 }
 
 }  // namespace

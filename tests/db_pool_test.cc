@@ -16,10 +16,16 @@
 #include "db/database.h"
 #include "db/instance_pool.h"
 #include "db/workload.h"
+#include "db_run.h"
 #include "sim/simulator.h"
 
 namespace fastcommit::db {
 namespace {
+
+using bench::Accounts;
+using bench::ClosedLoop;
+using bench::DbLoad;
+using bench::DbRun;
 
 Database::Options BaseOptions(core::ProtocolKind protocol, bool pool) {
   Database::Options options;
@@ -29,47 +35,29 @@ Database::Options BaseOptions(core::ProtocolKind protocol, bool pool) {
   return options;
 }
 
-DatabaseStats RunTransferWorkload(core::ProtocolKind protocol, bool pool,
-                                  uint64_t seed) {
-  Database database(BaseOptions(protocol, pool));
-  const int kAccounts = 40;
-  for (int a = 0; a < kAccounts; ++a) {
-    database.LoadInt(AccountKey(a), 1000);
-  }
-  auto txs = MakeTransferWorkload(80, kAccounts, 50, seed);
-  sim::Time at = 0;
-  for (auto& tx : txs) {
-    database.Submit(std::move(tx), at);
-    at += 35;  // staggered arrivals: overlapping and non-overlapping commits
-  }
-  return database.Drain();
-}
-
-DatabaseStats RunHotspotWorkload(core::ProtocolKind protocol, bool pool,
-                                 uint64_t seed) {
-  Database::Options options = BaseOptions(protocol, pool);
-  options.max_attempts = 4;
-  Database database(options);
-  auto txs = MakeHotspotWorkload(60, 50, 3, 2, 0.8, seed);
-  for (auto& tx : txs) database.Submit(std::move(tx), 0);
-  return database.Drain();
-}
-
 class PoolDeterminismTest
     : public ::testing::TestWithParam<core::ProtocolKind> {};
 
 TEST_P(PoolDeterminismTest, TransferStatsIdenticalWithAndWithoutPooling) {
-  DatabaseStats pooled = RunTransferWorkload(GetParam(), true, 99);
-  DatabaseStats baseline = RunTransferWorkload(GetParam(), false, 99);
-  EXPECT_EQ(pooled, baseline);
-  EXPECT_GT(pooled.committed, 0);
+  // Staggered arrivals: overlapping and non-overlapping commits.
+  DbLoad load = ClosedLoop(MakeTransferWorkload(80, 40, 50, 99), 35);
+  load.initial = Accounts(40, 1000);
+  DbRun pooled = RunDb(BaseOptions(GetParam(), true), load);
+  DbRun baseline = RunDb(BaseOptions(GetParam(), false), load);
+  EXPECT_EQ(pooled.FirstDifference(baseline), "");
+  EXPECT_GT(pooled.stats.committed, 0);
 }
 
 TEST_P(PoolDeterminismTest, HotspotStatsIdenticalWithAndWithoutPooling) {
-  DatabaseStats pooled = RunHotspotWorkload(GetParam(), true, 7);
-  DatabaseStats baseline = RunHotspotWorkload(GetParam(), false, 7);
-  EXPECT_EQ(pooled, baseline);
-  EXPECT_GT(pooled.retries, 0) << "hotspot contention should cause retries";
+  DbLoad load = ClosedLoop(MakeHotspotWorkload(60, 50, 3, 2, 0.8, 7), 0);
+  Database::Options options = BaseOptions(GetParam(), true);
+  options.max_attempts = 4;
+  DbRun pooled = RunDb(options, load);
+  options.pool_instances = false;
+  DbRun baseline = RunDb(options, load);
+  EXPECT_EQ(pooled.FirstDifference(baseline), "");
+  EXPECT_GT(pooled.stats.retries, 0)
+      << "hotspot contention should cause retries";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -241,21 +229,23 @@ TEST(InstancePoolTest, StaleTimersFromRecycledInstanceDoNotAffectNextCommit) {
   EXPECT_EQ(last_decision, commit::Decision::kCommit);
   sim::Time first_finish = simulator.Now();
   EXPECT_EQ(first_finish, 400) << "nice 3PC decides after 4 delays";
+  const int64_t first_messages = instance.messages();
 
   // Recycle immediately: the old incarnation's 5U fallback timers are still
   // pending and will pop mid-way through the second commit.
   instance.Reset({commit::Vote::kYes, commit::Vote::kNo, commit::Vote::kYes},
                  done);
+  const sim::Time second_start = simulator.Now();
   instance.Start();
   simulator.Run();
   EXPECT_EQ(done_count, 2);
   // A leaked vote or a stale fallback proposal would break this outcome.
   EXPECT_EQ(last_decision, commit::Decision::kAbort);
-  EXPECT_EQ(instance.finish_time() - instance.start_time(), 200)
+  EXPECT_EQ(instance.finish_time() - second_start, 200)
       << "3PC aborts at 2U when the coordinator saw a no vote";
-  // Per-epoch traffic restarted while lifetime totals accumulated.
+  // Per-epoch traffic restarted: the second incarnation counts only its own.
   EXPECT_GT(instance.messages(), 0);
-  EXPECT_GT(instance.lifetime_messages(), instance.messages());
+  EXPECT_LT(instance.messages(), first_messages);
 }
 
 // The same fence at the database level: back-to-back Paxos-Commit rounds

@@ -3,8 +3,9 @@
 //     after the coordinator crashes and recovers, no committed transaction
 //     is lost (per-key Add conservation against the delivered-commit
 //     ledger), no lock is orphaned, and the drain is clean;
-//   - replay determinism: a crashing run's DatabaseStats, RecoveryStats,
-//     and CommitLog::Stats are bitwise identical across shard placements;
+//   - replay determinism: a crashing run's whole simulated record (stats,
+//     recovery and commit-log counters, read fingerprint) is bitwise
+//     identical across shard placements;
 //   - the replicated log's fast and slow quorum paths both occur, its
 //     slot GC keeps live-slot memory bounded, and a crash-free logged
 //     drain ends at its last delivered decision;
@@ -12,7 +13,8 @@
 //     finishes apply at restart, snapshot reads that touch the partition
 //     wait for it in submit order, prepares refused while down vote kNo,
 //     and everything above still holds.
-// Invariant checking (Options::check_invariants) is on for every run.
+// Invariant checking (Options::check_invariants) is on for every run but
+// LoggedDrainEndsAtTheLastDeliveredDecision's.
 
 #include <gtest/gtest.h>
 
@@ -23,89 +25,29 @@
 
 #include "db/database.h"
 #include "db/workload.h"
+#include "db_run.h"
 
 namespace fastcommit::db {
 namespace {
 
-/// Everything a recovery run must reproduce bitwise across placements,
-/// plus the conservation/cleanliness evidence the fault gates assert on.
-struct RunOutcome {
-  DatabaseStats stats;
-  Database::RecoveryStats recovery;
-  CommitLog::Stats log_stats;  ///< zeroed when the log is off
-  int64_t live_slots = 0;
-  int64_t log_min_active = 0;
-  uint64_t fingerprint = 0;
-  int64_t held_locks = 0;
-  int64_t locked_words = 0;
-  int64_t deferred_finishes = 0;
-  int64_t down_noes = 0;
-  /// Keys whose final value diverged from the delivered-commit ledger
-  /// (empty = zero lost committed transactions, zero ghost commits).
-  std::vector<Key> conservation_violations;
-  int64_t total_balance = 0;
-};
+using bench::Accounts;
+using bench::ClosedLoop;
+using bench::DbLoad;
+using bench::DbRun;
 
-bool RecoveryEq(const Database::RecoveryStats& a,
-                const Database::RecoveryStats& b) {
-  return a == b;
-}
-
-/// Transfer traffic against a faulty database. Commits are ledgered from
-/// the completion callback — the client's view — so a decision the crash
-/// swallowed before delivery must NOT change any balance, and a decision
-/// delivered before (or re-delivered after) the crash must change exactly
-/// its keys. Submissions are spread over virtual time so the crash lands
-/// mid-traffic with rounds, batches, and retries in flight.
-RunOutcome RunTransfer(Database::Options options, int num_txs, uint64_t seed,
-                       sim::Time submit_gap = 20) {
-  options.check_invariants = true;
-  Database database(options);
-  const int kAccounts = 64;
-  const int64_t kInitial = 1000;
-  std::map<Key, int64_t> ledger;
-  for (int a = 0; a < kAccounts; ++a) {
-    database.LoadInt(AccountKey(a), kInitial);
-    ledger[AccountKey(a)] = kInitial;
-  }
-  auto txs = MakeTransferWorkload(num_txs, kAccounts, 50, seed);
-  sim::Time at = 0;
-  for (auto& tx : txs) {
-    database.Submit(std::move(tx), at,
-                    [&ledger](const Transaction& done, commit::Decision d) {
-                      if (d != commit::Decision::kCommit) return;
-                      for (const Op& op : done.ops) {
-                        if (op.type == Op::Type::kAdd) {
-                          ledger[op.key] += op.delta;
-                        }
-                      }
-                    });
-    at += submit_gap;
-  }
-
-  RunOutcome out;
-  out.stats = database.Drain();
-  out.recovery = database.recovery_stats();
-  if (database.commit_log() != nullptr) {
-    const CommitLog& log = *database.commit_log();
-    out.log_stats = log.stats();
-    out.live_slots = log.live_slots();
-    out.log_min_active = log.min_active();
-  }
-  out.fingerprint = database.read_fingerprint();
-  out.deferred_finishes = database.partition_plane().deferred_finishes();
-  out.down_noes = database.partition_plane().down_vote_noes();
-  for (const auto& entry : ledger) {
-    if (database.GetInt(entry.first) != entry.second) {
-      out.conservation_violations.push_back(entry.first);
-    }
-  }
-  out.total_balance = database.SumInts();
-  for (int p = 0; p < database.num_partitions(); ++p) {
-    out.held_locks += database.partition(p).locks().held_locks();
-    out.locked_words += database.partition(p).versions().locked_words();
-  }
-  return out;
+/// Transfer traffic against a faulty database, over 64 accounts funded
+/// with 1,000 each. The shared run ledgers commits from the completion
+/// callback — the client's view — so a decision the crash swallowed before
+/// delivery must NOT change any balance, and a decision delivered before
+/// (or re-delivered after) the crash must change exactly its keys; its
+/// Drain checks that no lock or record is orphaned. Submissions are spread
+/// over virtual time so the crash lands mid-traffic with rounds, batches,
+/// and retries in flight.
+DbLoad TransferLoad(int num_txs, uint64_t seed, sim::Time submit_gap = 20) {
+  DbLoad load =
+      ClosedLoop(MakeTransferWorkload(num_txs, 64, 50, seed), submit_gap);
+  load.initial = Accounts(64, 1000);
+  return load;
 }
 
 Database::Options FaultOptions(core::ProtocolKind protocol, int log_replicas,
@@ -115,6 +57,7 @@ Database::Options FaultOptions(core::ProtocolKind protocol, int log_replicas,
   options.protocol = protocol;
   options.log_replicas = log_replicas;
   options.num_shards = shards;
+  options.check_invariants = true;
   return options;
 }
 
@@ -138,20 +81,14 @@ TEST_P(RecoveryProtocolTest, CrashAtEveryStepLosesNothing) {
       options.fault_plan.crash_point = point;
       options.fault_plan.crash_at_occurrence = 7;
       options.fault_plan.coordinator_restart_delay = restart_delay;
-      RunOutcome out = RunTransfer(options, 300, 42);
       SCOPED_TRACE(std::string("crash point ") + ToString(point) +
                    ", restart delay " + std::to_string(restart_delay));
+      DbRun out = RunDb(options, TransferLoad(300, 42));
       EXPECT_EQ(out.recovery.coordinator_crashes, 1);
       EXPECT_EQ(out.recovery.recoveries, 1);
       EXPECT_EQ(out.recovery.unavailability_ticks, restart_delay);
-      EXPECT_TRUE(out.conservation_violations.empty())
-          << out.conservation_violations.size()
-          << " keys diverged from the delivered-commit ledger, first: "
-          << out.conservation_violations.front();
-      EXPECT_EQ(out.total_balance, 64 * 1000)
+      EXPECT_EQ(out.sum, 64 * 1000)
           << "transfers must conserve the total balance across the crash";
-      EXPECT_EQ(out.held_locks, 0) << "orphaned locks after recovery";
-      EXPECT_EQ(out.locked_words, 0);
       EXPECT_GT(out.stats.committed, 0);
       // The crash interrupted real work: recovery had something to replay
       // (a tracked round, a parked arrival, or a presumed abort).
@@ -181,15 +118,13 @@ TEST_P(RecoveryProtocolTest, CrashWithoutLogPresumesAbort) {
     options.fault_plan.crash_point = point;
     options.fault_plan.crash_at_occurrence = 7;
     options.fault_plan.coordinator_restart_delay = 3000;
-    RunOutcome out = RunTransfer(options, 300, 42);
     SCOPED_TRACE(std::string("crash point ") + ToString(point));
+    DbRun out = RunDb(options, TransferLoad(300, 42));
     EXPECT_EQ(out.recovery.coordinator_crashes, 1);
     EXPECT_EQ(out.recovery.recoveries, 1);
     EXPECT_EQ(out.recovery.redo_rounds, 0);
     EXPECT_EQ(out.recovery.redecide_rounds, 0);
-    EXPECT_TRUE(out.conservation_violations.empty());
-    EXPECT_EQ(out.total_balance, 64 * 1000);
-    EXPECT_EQ(out.held_locks, 0);
+    EXPECT_EQ(out.sum, 64 * 1000);
     EXPECT_GT(out.stats.committed, 0);
   }
 }
@@ -203,21 +138,16 @@ TEST_P(RecoveryProtocolTest, ReplayBitwiseDeterministicAcrossPlacements) {
     for (sim::Time restart_delay : kRestartDelays) {
       SCOPED_TRACE(std::string("crash point ") + ToString(point) +
                    ", restart delay " + std::to_string(restart_delay));
-      auto run = [&](int shards) {
-        Database::Options options = FaultOptions(GetParam(), 3, shards);
-        options.fault_plan.crash_point = point;
-        options.fault_plan.crash_at_occurrence = 7;
-        options.fault_plan.coordinator_restart_delay = restart_delay;
-        return RunTransfer(options, 250, 77);
-      };
-      RunOutcome baseline = run(1);
+      Database::Options options = FaultOptions(GetParam(), 3);
+      options.fault_plan.crash_point = point;
+      options.fault_plan.crash_at_occurrence = 7;
+      options.fault_plan.coordinator_restart_delay = restart_delay;
+      DbLoad load = TransferLoad(250, 77);
+      DbRun baseline = RunDb(options, load);
       for (int shards : {2, 8}) {
-        RunOutcome out = run(shards);
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        EXPECT_EQ(out.stats, baseline.stats);
-        EXPECT_TRUE(RecoveryEq(out.recovery, baseline.recovery));
-        EXPECT_EQ(out.log_stats, baseline.log_stats);
-        EXPECT_EQ(out.fingerprint, baseline.fingerprint);
+        options.num_shards = shards;
+        EXPECT_EQ(RunDb(options, load).FirstDifference(baseline), "")
+            << "shards=" << shards;
       }
     }
   }
@@ -232,11 +162,9 @@ TEST_P(RecoveryProtocolTest, CrashWithOpenBatchesRecoversMembers) {
   options.fault_plan.crash_point = CrashPoint::kAfterPrepare;
   options.fault_plan.crash_at_occurrence = 9;
   options.fault_plan.coordinator_restart_delay = 3000;
-  RunOutcome out = RunTransfer(options, 300, 42, /*submit_gap=*/10);
+  DbRun out = RunDb(options, TransferLoad(300, 42, /*submit_gap=*/10));
   EXPECT_EQ(out.recovery.coordinator_crashes, 1);
-  EXPECT_TRUE(out.conservation_violations.empty());
-  EXPECT_EQ(out.total_balance, 64 * 1000);
-  EXPECT_EQ(out.held_locks, 0);
+  EXPECT_EQ(out.sum, 64 * 1000);
   EXPECT_GT(out.stats.committed, 0);
   EXPECT_GT(out.recovery.presumed_aborts + out.recovery.parked, 0);
 }
@@ -263,19 +191,18 @@ INSTANTIATE_TEST_SUITE_P(Protocols, RecoveryProtocolTest,
 // durability without deadlocking the drain, and slot GC returns the log to
 // empty with a bounded high-water mark.
 TEST(CommitLogTest, FastAndSlowPathsBothOccurAndGcBoundsSlots) {
-  Database::Options options = FaultOptions(core::ProtocolKind::kInbac, 3);
-  RunOutcome out = RunTransfer(options, 400, 11);
-  EXPECT_TRUE(out.conservation_violations.empty());
-  EXPECT_GT(out.log_stats.appends, 100);
-  EXPECT_GT(out.log_stats.fast_path_decisions, 0);
-  EXPECT_GT(out.log_stats.slow_path_decisions, 0);
+  DbRun out = RunDb(FaultOptions(core::ProtocolKind::kInbac, 3),
+                    TransferLoad(400, 11));
+  EXPECT_GT(out.log.appends, 100);
+  EXPECT_GT(out.log.fast_path_decisions, 0);
+  EXPECT_GT(out.log.slow_path_decisions, 0);
   // Every appended slot was decided, executed, and freed.
   EXPECT_EQ(out.live_slots, 0);
-  EXPECT_EQ(out.log_stats.freed_slots, out.log_stats.appends);
-  EXPECT_EQ(out.log_stats.executed_slots, out.log_stats.appends);
-  EXPECT_EQ(out.log_min_active, out.log_stats.appends + 1);
+  EXPECT_EQ(out.log.freed_slots, out.log.appends);
+  EXPECT_EQ(out.log.executed_slots, out.log.appends);
+  EXPECT_EQ(out.min_active, out.log.appends + 1);
   // GC keeps live slots far below the total ever appended.
-  EXPECT_LT(out.log_stats.max_live_slots, out.log_stats.appends / 2);
+  EXPECT_LT(out.log.max_live_slots, out.log.appends / 2);
 }
 
 // A crash-free logged drain ends at its last delivered decision: the log
@@ -293,6 +220,7 @@ TEST(CommitLogTest, LoggedDrainEndsAtTheLastDeliveredDecision) {
     for (int replicas : {3, 5}) {
       Database::Options options = FaultOptions(protocol, replicas);
       options.num_partitions = 8;
+      options.check_invariants = false;
       Database database(options);
       const int kAccounts = 64;
       for (int a = 0; a < kAccounts; ++a) {
@@ -318,15 +246,13 @@ TEST(CommitLogTest, LoggedDrainEndsAtTheLastDeliveredDecision) {
 // The log's durability gate must itself be placement invariant: a
 // crash-free logged run reproduces bitwise across placements.
 TEST(CommitLogTest, LoggedRunBitwiseDeterministicAcrossPlacements) {
-  auto run = [](int shards) {
-    return RunTransfer(FaultOptions(core::ProtocolKind::kInbac, 3, shards),
-                       300, 23);
-  };
-  RunOutcome baseline = run(1);
+  Database::Options options = FaultOptions(core::ProtocolKind::kInbac, 3);
+  DbLoad load = TransferLoad(300, 23);
+  DbRun baseline = RunDb(options, load);
   for (int shards : {2, 8}) {
-    RunOutcome out = run(shards);
-    EXPECT_EQ(out.stats, baseline.stats) << "shards=" << shards;
-    EXPECT_EQ(out.log_stats, baseline.log_stats);
+    options.num_shards = shards;
+    EXPECT_EQ(RunDb(options, load).FirstDifference(baseline), "")
+        << "shards=" << shards;
   }
   EXPECT_GT(baseline.stats.committed, 0);
 }
@@ -341,35 +267,30 @@ TEST(ParticipantCrashTest, CrashHoldingLocksRecoversClean) {
   options.fault_plan.crash_partition = 1;
   options.fault_plan.participant_crash_at = 1500;
   options.fault_plan.participant_restart_delay = 2500;
-  RunOutcome out = RunTransfer(options, 300, 42);
+  DbRun out = RunDb(options, TransferLoad(300, 42));
   EXPECT_EQ(out.recovery.participant_crashes, 1);
   EXPECT_EQ(out.recovery.participant_restarts, 1);
   EXPECT_GT(out.deferred_finishes, 0)
       << "the crash window should catch finishes in flight";
-  EXPECT_GT(out.down_noes, 0)
+  EXPECT_GT(out.down_vote_noes, 0)
       << "prepares at the down partition must vote kNo";
-  EXPECT_TRUE(out.conservation_violations.empty());
-  EXPECT_EQ(out.total_balance, 64 * 1000);
-  EXPECT_EQ(out.held_locks, 0);
+  EXPECT_EQ(out.sum, 64 * 1000);
   EXPECT_GT(out.stats.committed, 0);
 }
 
 // Participant crashes are placement invariant too (the crash schedule is
 // time-driven on the control plane).
 TEST(ParticipantCrashTest, BitwiseDeterministicAcrossPlacements) {
-  auto run = [](int shards) {
-    Database::Options options =
-        FaultOptions(core::ProtocolKind::kTwoPc, 0, shards);
-    options.fault_plan.crash_partition = 2;
-    options.fault_plan.participant_crash_at = 1500;
-    options.fault_plan.participant_restart_delay = 2500;
-    return RunTransfer(options, 250, 77);
-  };
-  RunOutcome baseline = run(1);
+  Database::Options options = FaultOptions(core::ProtocolKind::kTwoPc, 0);
+  options.fault_plan.crash_partition = 2;
+  options.fault_plan.participant_crash_at = 1500;
+  options.fault_plan.participant_restart_delay = 2500;
+  DbLoad load = TransferLoad(250, 77);
+  DbRun baseline = RunDb(options, load);
   for (int shards : {2, 8}) {
-    RunOutcome out = run(shards);
-    EXPECT_EQ(out.stats, baseline.stats) << "shards=" << shards;
-    EXPECT_TRUE(RecoveryEq(out.recovery, baseline.recovery));
+    options.num_shards = shards;
+    EXPECT_EQ(RunDb(options, load).FirstDifference(baseline), "")
+        << "shards=" << shards;
   }
   EXPECT_GT(baseline.recovery.participant_crashes, 0);
 }
@@ -392,7 +313,6 @@ TEST(ParticipantCrashTest, SnapshotReadsDeferAndStayDeterministic) {
     options.fault_plan.crash_partition = 1;
     options.fault_plan.participant_crash_at = kCrashAt;
     options.fault_plan.participant_restart_delay = kRestartAt - kCrashAt;
-    options.check_invariants = true;
     Database database(options);
     const int kAccounts = 64;
     for (int a = 0; a < kAccounts; ++a) database.LoadInt(AccountKey(a), 1000);
@@ -429,7 +349,7 @@ TEST(ParticipantCrashTest, SnapshotReadsDeferAndStayDeterministic) {
                                      << submitted_at.at(tx.id);
           ++waited;
         });
-    RunOutcome out;
+    DbRun out;
     out.stats = database.Drain();
     out.fingerprint = database.read_fingerprint();
     out.deferred_finishes = database.partition_plane().deferred_finishes();
@@ -437,14 +357,12 @@ TEST(ParticipantCrashTest, SnapshotReadsDeferAndStayDeterministic) {
     EXPECT_GT(waited, 0) << "no read waited for the restart";
     return out;
   };
-  RunOutcome baseline = run(1);
+  DbRun baseline = run(1);
   EXPECT_EQ(baseline.fingerprint, kGoldenFingerprint);
   EXPECT_EQ(baseline.stats.read_only_committed, 200);
   EXPECT_GT(baseline.deferred_finishes, 0);
   for (int shards : {2, 8}) {
-    RunOutcome out = run(shards);
-    EXPECT_EQ(out.stats, baseline.stats) << "shards=" << shards;
-    EXPECT_EQ(out.fingerprint, baseline.fingerprint) << "shards=" << shards;
+    EXPECT_EQ(run(shards).FirstDifference(baseline), "") << "shards=" << shards;
   }
 }
 
@@ -458,7 +376,6 @@ TEST(RecoveryEdgeTest, CoordinatorCrashWithSnapshotReads) {
   options.fault_plan.crash_point = CrashPoint::kAfterDecide;
   options.fault_plan.crash_at_occurrence = 5;
   options.fault_plan.coordinator_restart_delay = 3000;
-  options.check_invariants = true;
   Database database(options);
   for (int a = 0; a < 32; ++a) database.LoadInt(AccountKey(a), 1000);
   auto txs = MakeTransferWorkload(200, 32, 50, 9);
@@ -491,23 +408,20 @@ TEST(RecoveryEdgeTest, OccCrashRecoveryReleasesVersionLocks) {
   options.fault_plan.crash_point = CrashPoint::kAfterDecide;
   options.fault_plan.crash_at_occurrence = 7;
   options.fault_plan.coordinator_restart_delay = 3000;
-  RunOutcome out = RunTransfer(options, 250, 21);
+  DbRun out = RunDb(options, TransferLoad(250, 21));
   EXPECT_EQ(out.recovery.coordinator_crashes, 1);
-  EXPECT_TRUE(out.conservation_violations.empty());
-  EXPECT_EQ(out.locked_words, 0) << "orphaned version locks after recovery";
-  EXPECT_EQ(out.held_locks, 0);
 }
 
 // Fault plan off + log off must leave every stat of a plain run untouched
 // (the bitwise-unchanged acceptance criterion, locally).
 TEST(RecoveryEdgeTest, EmptyFaultPlanIsBitwiseNoop) {
   Database::Options plain = FaultOptions(core::ProtocolKind::kInbac, 0);
-  RunOutcome a = RunTransfer(plain, 300, 99);
-  RunOutcome b = RunTransfer(plain, 300, 99);
-  EXPECT_EQ(a.stats, b.stats);
+  DbRun a = RunDb(plain, TransferLoad(300, 99));
+  DbRun b = RunDb(plain, TransferLoad(300, 99));
+  EXPECT_EQ(a.FirstDifference(b), "");
   EXPECT_EQ(a.recovery.coordinator_crashes, 0);
   EXPECT_EQ(a.recovery.parked, 0);
-  EXPECT_EQ(a.log_stats.appends, 0);
+  EXPECT_EQ(a.log.appends, 0);
 }
 
 }  // namespace

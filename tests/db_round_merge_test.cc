@@ -18,10 +18,14 @@
 
 #include "db/database.h"
 #include "db/workload.h"
+#include "db_run.h"
 #include "sim/rng.h"
 
 namespace fastcommit::db {
 namespace {
+
+using bench::DbLoad;
+using bench::DbRun;
 
 Database::Options MergeOptions(sim::Time window) {
   Database::Options options;
@@ -200,19 +204,15 @@ TEST(RoundMergeTest, MergeAndCrossSetTogetherCatchBothArrivalOrders) {
   }
 }
 
-DatabaseStats RunMergedMixedWidth(int num_shards,
-                                  Database::BatchStats* batch_stats) {
+TEST(RoundMergeTest, MergedRunsArePlacementDeterministic) {
   Database::Options options = MergeOptions(400);
   options.num_partitions = 5;
   options.batch_cross_set = true;
-  options.num_shards = num_shards;
-  Database database(options);
   // Mixed-width transactions (2 to 4 keys over 60 items): partition sets
   // of different widths interleave, so narrow batches regularly open
   // before a wider superset arrives — the order only merging catches.
   sim::Rng rng(99);
-  sim::Time at = 0;
-  int in_burst = 0;
+  std::vector<Transaction> txs;
   for (int i = 0; i < 300; ++i) {
     Transaction tx;
     tx.id = i + 1;
@@ -222,27 +222,16 @@ DatabaseStats RunMergedMixedWidth(int num_shards,
           Transaction::Add(ItemKey(static_cast<int>(rng.UniformInt(0, 59))),
                            1));
     }
-    database.Submit(std::move(tx), at);
-    if (++in_burst == 32) {
-      in_burst = 0;
-      at += 32 * 40;
-    }
+    txs.push_back(std::move(tx));
   }
-  DatabaseStats stats = database.Drain();
-  if (batch_stats != nullptr) *batch_stats = database.batch_stats();
-  return stats;
-}
-
-TEST(RoundMergeTest, MergedRunsArePlacementDeterministic) {
-  Database::BatchStats reference_batches;
-  DatabaseStats reference = RunMergedMixedWidth(1, &reference_batches);
-  EXPECT_GT(reference_batches.merged_rounds, 0)
+  DbLoad load = bench::ClosedLoop(std::move(txs), 40, 32);
+  DbRun reference = RunDb(options, load);
+  EXPECT_GT(reference.batch.merged_rounds, 0)
       << "workload too tame: no superset round ever absorbed a subset";
   for (int shards : {2, 8}) {
-    Database::BatchStats batches;
-    DatabaseStats stats = RunMergedMixedWidth(shards, &batches);
-    EXPECT_EQ(stats, reference) << "shards=" << shards;
-    EXPECT_EQ(batches, reference_batches) << "shards=" << shards;
+    options.num_shards = shards;
+    EXPECT_EQ(RunDb(options, load).FirstDifference(reference), "")
+        << "shards=" << shards;
   }
 }
 

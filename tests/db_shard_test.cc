@@ -21,9 +21,16 @@
 #include "db/database.h"
 #include "db/traffic.h"
 #include "db/workload.h"
+#include "db_run.h"
 
 namespace fastcommit::db {
 namespace {
+
+using bench::Accounts;
+using bench::ClosedLoop;
+using bench::DbLoad;
+using bench::DbRun;
+using bench::PlacedRuns;
 
 Database::Options BaseOptions(core::ProtocolKind protocol, int num_shards) {
   Database::Options options;
@@ -33,42 +40,20 @@ Database::Options BaseOptions(core::ProtocolKind protocol, int num_shards) {
   return options;
 }
 
-DatabaseStats RunTransfer(core::ProtocolKind protocol, int num_shards,
-                          uint64_t seed) {
-  Database database(BaseOptions(protocol, num_shards));
-  const int kAccounts = 40;
-  for (int a = 0; a < kAccounts; ++a) {
-    database.LoadInt(AccountKey(a), 1000);
-  }
-  auto txs = MakeTransferWorkload(120, kAccounts, 50, seed);
-  sim::Time at = 0;
-  for (auto& tx : txs) {
-    database.Submit(std::move(tx), at);
-    at += 35;  // staggered arrivals: overlapping and non-overlapping commits
-  }
-  return database.Drain();
-}
-
-DatabaseStats RunHotspot(core::ProtocolKind protocol, int num_shards,
-                         uint64_t seed) {
-  Database::Options options = BaseOptions(protocol, num_shards);
-  options.max_attempts = 4;
-  Database database(options);
-  auto txs = MakeHotspotWorkload(80, 50, 3, 2, 0.8, seed);
-  for (auto& tx : txs) database.Submit(std::move(tx), 0);
-  return database.Drain();
-}
-
 class ShardDeterminismTest
     : public ::testing::TestWithParam<core::ProtocolKind> {};
 
 TEST_P(ShardDeterminismTest, TransferStatsIdenticalAcrossShardCounts) {
-  DatabaseStats one = RunTransfer(GetParam(), 1, 99);
+  // Staggered arrivals: overlapping and non-overlapping commits.
+  DbLoad load = ClosedLoop(MakeTransferWorkload(120, 40, 50, 99), 35);
+  load.initial = Accounts(40, 1000);
+  DbRun one = RunDb(BaseOptions(GetParam(), 1), load);
   for (int shards : {2, 4, 8}) {
-    EXPECT_EQ(one, RunTransfer(GetParam(), shards, 99)) << "shards=" << shards;
+    DbRun placed = RunDb(BaseOptions(GetParam(), shards), load);
+    EXPECT_EQ(placed.FirstDifference(one), "") << "shards=" << shards;
   }
-  EXPECT_GT(one.committed, 0);
-  EXPECT_GT(one.latency.count(), 0);
+  EXPECT_GT(one.stats.committed, 0);
+  EXPECT_GT(one.stats.latency.count(), 0);
 }
 
 // The hotspot workload aborts and retries heavily, which is the only path
@@ -76,10 +61,13 @@ TEST_P(ShardDeterminismTest, TransferStatsIdenticalAcrossShardCounts) {
 // injections) back into the merge loop — the part the lookahead bound
 // protects.
 TEST_P(ShardDeterminismTest, HotspotStatsIdenticalAcrossShardCounts) {
-  DatabaseStats one = RunHotspot(GetParam(), 1, 7);
-  DatabaseStats eight = RunHotspot(GetParam(), 8, 7);
-  EXPECT_EQ(one, eight);
-  EXPECT_GT(one.retries, 0) << "hotspot contention should cause retries";
+  Database::Options options = BaseOptions(GetParam(), 1);
+  options.max_attempts = 4;
+  PlacedRuns runs = RunPlaced(
+      options, ClosedLoop(MakeHotspotWorkload(80, 50, 3, 2, 0.8, 7), 0), 8);
+  EXPECT_EQ(runs.placed.FirstDifference(runs.serial), "");
+  EXPECT_GT(runs.serial.stats.retries, 0)
+      << "hotspot contention should cause retries";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -96,21 +84,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(ShardRuntimeTest, TransfersConserveBalanceOnEightShards) {
-  Database database(BaseOptions(core::ProtocolKind::kInbac, 8));
   const int kAccounts = 60;
   const int64_t kInitial = 1000;
-  for (int a = 0; a < kAccounts; ++a) {
-    database.LoadInt(AccountKey(a), kInitial);
-  }
-  auto txs = MakeTransferWorkload(300, kAccounts, 50, 5);
-  sim::Time at = 0;
-  for (auto& tx : txs) {
-    database.Submit(std::move(tx), at);
-    at += 20;
-  }
-  const DatabaseStats& stats = database.Drain();
-  EXPECT_EQ(stats.committed + stats.aborted, 300);
-  EXPECT_EQ(database.SumInts(), kAccounts * kInitial)
+  DbLoad load = ClosedLoop(MakeTransferWorkload(300, kAccounts, 50, 5), 20);
+  load.initial = Accounts(kAccounts, kInitial);
+  DbRun run = RunDb(BaseOptions(core::ProtocolKind::kInbac, 8), load);
+  EXPECT_EQ(run.stats.committed + run.stats.aborted, 300);
+  EXPECT_EQ(run.sum, kAccounts * kInitial)
       << "transfers must conserve total balance";
 }
 

@@ -21,9 +21,15 @@
 #include "db/traffic.h"
 #include "db/transaction.h"
 #include "db/workload.h"
+#include "db_run.h"
 
 namespace fastcommit::db {
 namespace {
+
+using bench::DbLoad;
+using bench::DbRun;
+using bench::OpenLoop;
+using bench::PlacedRuns;
 
 const Key kKey = ItemKey(0);
 const Key kCounter = ItemKey(4);
@@ -313,86 +319,73 @@ TEST(DatabaseSnapshotTest, SnapshotOffKeepsStatsBitwiseIdentical) {
   // The compatibility gate: with snapshot_reads off, read-only
   // transactions ride the locked path and every stat matches a build that
   // never had the feature — same committed count, zero new buckets.
-  auto run = [](bool snapshot) {
-    Database::Options options;
-    options.num_partitions = 4;
-    options.snapshot_reads = snapshot;
-    Database database(options);
-    sim::Time at = 0;
-    for (int i = 0; i < 30; ++i) {
-      Transaction w;
-      w.id = i + 1;
-      AppendReadModifyWriteOps(&w, ItemKey(i % 8));
-      database.Submit(std::move(w), at);
-      at += 13;
-    }
-    return database.Drain();
-  };
-  DatabaseStats off = run(false);
-  DatabaseStats on = run(true);
+  DbLoad load;
+  for (int i = 0; i < 30; ++i) {
+    Transaction w;
+    w.id = i + 1;
+    AppendReadModifyWriteOps(&w, ItemKey(i % 8));
+    load.Submit(std::move(w), 13 * i);
+  }
+  Database::Options options;
+  options.num_partitions = 4;
+  DbRun off = RunDb(options, load);
+  options.snapshot_reads = true;
+  DbRun on = RunDb(options, load);
   // The workload has no read-only transactions, so the flag changes
   // nothing at all — and the off run must keep the new buckets at zero.
-  EXPECT_EQ(off, on);
-  EXPECT_EQ(off.read_only_committed, 0);
-  EXPECT_EQ(off.snapshot_reads_served, 0);
+  EXPECT_EQ(off.FirstDifference(on), "");
+  EXPECT_EQ(off.stats.read_only_committed, 0);
+  EXPECT_EQ(off.stats.snapshot_reads_served, 0);
 }
 
-struct PlacementResult {
-  DatabaseStats stats;
-  uint64_t fingerprint = 0;
-  int64_t sum = 0;
-};
-
-PlacementResult RunPlacement(ConcurrencyMode mode, int shards) {
+/// Poisson arrivals, half of them read-only, over 64 Zipf-skewed keys, on 8
+/// partitions with snapshot reads and at most 64 transactions in flight.
+Database::Options PlacementOptions(ConcurrencyMode mode) {
   Database::Options options;
   options.num_partitions = 8;
   options.concurrency = mode;
   options.snapshot_reads = true;
-  options.num_shards = shards;
   options.check_invariants = true;
   options.max_inflight = 64;
-  Database database(options);
+  return options;
+}
 
+DbLoad PlacementLoad() {
   TrafficOptions traffic;
   traffic.process = ArrivalProcess::kPoisson;
   traffic.mean_gap = 12.0;
-  traffic.num_arrivals = 400;
   traffic.num_keys = 64;
   traffic.shape = TxShape::kTransferPair;
   traffic.read_fraction = 0.5;
   traffic.reads_per_tx = 3;
   traffic.zipf_exponent = 0.9;
   traffic.seed = 42;
-  TrafficEngine engine(traffic);
-  database.SubmitArrivals(&engine);
-
-  PlacementResult result;
-  result.stats = database.Drain();
-  result.fingerprint = database.read_fingerprint();
-  result.sum = database.SumInts();
-  return result;
+  return OpenLoop(traffic, 400);
 }
 
-void ExpectPlacementInvariant(ConcurrencyMode mode) {
-  PlacementResult reference = RunPlacement(mode, /*shards=*/1);
-  EXPECT_GT(reference.stats.read_only_committed, 0);
-  EXPECT_GT(reference.stats.committed, 0);
+// Every placement simulates the same record, the read-result fingerprint
+// included: every snapshot read returned bitwise the same values in the
+// same order.
+TEST(DatabaseSnapshotTest, PlacementDeterminismUnder2pl) {
   for (int shards : {2, 8}) {
-    PlacementResult placed = RunPlacement(mode, shards);
-    // Stats AND the read-result fingerprint: every snapshot read returned
-    // bitwise the same values in the same order, whatever the placement.
-    EXPECT_EQ(placed.stats, reference.stats) << "shards=" << shards;
-    EXPECT_EQ(placed.fingerprint, reference.fingerprint) << "shards=" << shards;
-    EXPECT_EQ(placed.sum, reference.sum);
+    PlacedRuns runs = RunPlaced(PlacementOptions(ConcurrencyMode::k2PL),
+                                PlacementLoad(), shards);
+    EXPECT_GT(runs.serial.stats.read_only_committed, 0);
+    EXPECT_GT(runs.serial.stats.committed, 0);
+    EXPECT_EQ(runs.placed.FirstDifference(runs.serial), "")
+        << "shards=" << shards;
   }
 }
 
-TEST(DatabaseSnapshotTest, PlacementDeterminismUnder2pl) {
-  ExpectPlacementInvariant(ConcurrencyMode::k2PL);
-}
-
 TEST(DatabaseSnapshotTest, PlacementDeterminismUnderOcc) {
-  ExpectPlacementInvariant(ConcurrencyMode::kOCC);
+  for (int shards : {2, 8}) {
+    PlacedRuns runs = RunPlaced(PlacementOptions(ConcurrencyMode::kOCC),
+                                PlacementLoad(), shards);
+    EXPECT_GT(runs.serial.stats.read_only_committed, 0);
+    EXPECT_GT(runs.serial.stats.committed, 0);
+    EXPECT_EQ(runs.placed.FirstDifference(runs.serial), "")
+        << "shards=" << shards;
+  }
 }
 
 TEST(DatabaseSnapshotTest, OutcomeBucketsPartitionEverySubmission) {
@@ -402,16 +395,12 @@ TEST(DatabaseSnapshotTest, OutcomeBucketsPartitionEverySubmission) {
   options.num_partitions = 4;
   options.snapshot_reads = true;
   options.max_inflight = 8;
-  Database database(options);
   TrafficOptions traffic;
   traffic.mean_gap = 2.0;  // saturating: some arrivals must shed
-  traffic.num_arrivals = 300;
   traffic.num_keys = 16;
   traffic.read_fraction = 0.6;
   traffic.seed = 7;
-  TrafficEngine engine(traffic);
-  database.SubmitArrivals(&engine);
-  const DatabaseStats& stats = database.Drain();
+  const DatabaseStats stats = RunDb(options, OpenLoop(traffic, 300)).stats;
   EXPECT_EQ(stats.offered, 300);
   EXPECT_EQ(stats.committed + stats.aborted + stats.shed +
                 stats.read_only_committed,

@@ -22,9 +22,14 @@
 #include "db/database.h"
 #include "db/traffic.h"
 #include "db/workload.h"
+#include "db_run.h"
 
 namespace fastcommit::db {
 namespace {
+
+using bench::DbLoad;
+using bench::DbRun;
+using bench::OpenLoop;
 
 TrafficOptions SmallStream(ArrivalProcess process, double zipf,
                            int64_t drift) {
@@ -39,24 +44,6 @@ TrafficOptions SmallStream(ArrivalProcess process, double zipf,
   traffic.diurnal_period = 20000;
   traffic.seed = 9;
   return traffic;
-}
-
-struct OpenLoopResult {
-  DatabaseStats stats;
-  Database::BatchStats batch_stats;
-  int64_t balance_sum = 0;
-};
-
-OpenLoopResult RunOpenLoop(const Database::Options& options,
-                           const TrafficOptions& traffic) {
-  Database database(options);
-  TrafficEngine engine(traffic);
-  database.SubmitArrivals(&engine);
-  OpenLoopResult result;
-  result.stats = database.Drain();
-  result.batch_stats = database.batch_stats();
-  result.balance_sum = database.SumInts();
-  return result;
 }
 
 TEST(TrafficEngineTest, EveryProcessRealizesItsMeanRate) {
@@ -172,7 +159,7 @@ TEST(OpenLoopTest, OfferedSplitsExactlyAndBalanceConserved) {
   Database::Options options;
   options.num_partitions = 6;
   TrafficOptions traffic = SmallStream(ArrivalProcess::kPoisson, 0.9, 50);
-  OpenLoopResult result = RunOpenLoop(options, traffic);
+  DbRun result = RunDb(options, OpenLoop(traffic, traffic.num_arrivals));
   EXPECT_EQ(result.stats.offered, traffic.num_arrivals);
   EXPECT_EQ(result.stats.shed, 0);
   EXPECT_EQ(result.stats.committed + result.stats.aborted,
@@ -180,7 +167,7 @@ TEST(OpenLoopTest, OfferedSplitsExactlyAndBalanceConserved) {
   EXPECT_GT(result.stats.committed, 0);
   // Transfers move balance between keys; committed ones apply both legs
   // atomically and aborted ones apply neither, so the sum stays 0.
-  EXPECT_EQ(result.balance_sum, 0);
+  EXPECT_EQ(result.sum, 0);
 }
 
 TEST(OpenLoopTest, PoissonSustainsOfferedLoadBelowSaturation) {
@@ -188,18 +175,17 @@ TEST(OpenLoopTest, PoissonSustainsOfferedLoadBelowSaturation) {
   options.num_partitions = 8;
   TrafficOptions traffic;
   traffic.mean_gap = 2000.0;  // far below saturation: U = 100, ~7U commits
-  traffic.num_arrivals = 500;
   traffic.num_keys = 1 << 16;  // low conflict
   traffic.seed = 21;
-  OpenLoopResult result = RunOpenLoop(options, traffic);
+  DatabaseStats stats = RunDb(options, OpenLoop(traffic, 500)).stats;
   // Virtually every arrival commits, and the makespan tracks the arrival
   // horizon (the run ends when traffic does, not when a backlog drains):
   // achieved throughput within 5% of offered.
-  double achieved = static_cast<double>(result.stats.committed) /
-                    static_cast<double>(result.stats.makespan);
-  double offered = static_cast<double>(result.stats.offered) /
-                   static_cast<double>(result.stats.makespan);
-  EXPECT_GT(result.stats.committed, 495);
+  double achieved = static_cast<double>(stats.committed) /
+                    static_cast<double>(stats.makespan);
+  double offered = static_cast<double>(stats.offered) /
+                   static_cast<double>(stats.makespan);
+  EXPECT_GT(stats.committed, 495);
   EXPECT_NEAR(achieved, offered, 0.05 * offered);
 }
 
@@ -211,23 +197,21 @@ TEST(OpenLoopTest, MaxInflightShedsAtSaturationOnly) {
   saturated.max_inflight = 4;
   TrafficOptions flood;
   flood.mean_gap = 1.0;
-  flood.num_arrivals = 300;
   flood.num_keys = 1 << 16;
   flood.seed = 33;
-  OpenLoopResult shed_run = RunOpenLoop(saturated, flood);
-  EXPECT_GT(shed_run.stats.shed, 0);
-  EXPECT_EQ(shed_run.stats.offered, flood.num_arrivals);
-  EXPECT_EQ(shed_run.stats.committed + shed_run.stats.aborted +
-                shed_run.stats.shed,
-            shed_run.stats.offered);
+  DbLoad load = OpenLoop(flood, 300);
+  DatabaseStats shed_run = RunDb(saturated, load).stats;
+  EXPECT_GT(shed_run.shed, 0);
+  EXPECT_EQ(shed_run.offered, 300);
+  EXPECT_EQ(shed_run.committed + shed_run.aborted + shed_run.shed,
+            shed_run.offered);
 
   // The same stream with a slack bound sheds nothing.
   Database::Options slack = saturated;
   slack.max_inflight = 100000;
-  OpenLoopResult clean_run = RunOpenLoop(slack, flood);
-  EXPECT_EQ(clean_run.stats.shed, 0);
-  EXPECT_EQ(clean_run.stats.committed + clean_run.stats.aborted,
-            clean_run.stats.offered);
+  DatabaseStats clean_run = RunDb(slack, load).stats;
+  EXPECT_EQ(clean_run.shed, 0);
+  EXPECT_EQ(clean_run.committed + clean_run.aborted, clean_run.offered);
 }
 
 TEST(OpenLoopTest, ShedArrivalsReportAbortToTheCallback) {
@@ -266,11 +250,11 @@ TEST(OpenLoopTest, ContendedStreamSurvivesInvariantSweeps) {
   TrafficOptions traffic = SmallStream(ArrivalProcess::kBursty, 1.1, 0);
   traffic.num_keys = 16;
   traffic.mean_gap = 30.0;
+  DbLoad load = OpenLoop(traffic, traffic.num_arrivals);
 
-  OpenLoopResult base = RunOpenLoop(off, traffic);
-  OpenLoopResult swept = RunOpenLoop(on, traffic);
-  EXPECT_EQ(swept.stats, base.stats);
-  EXPECT_EQ(swept.batch_stats, base.batch_stats);
+  DbRun base = RunDb(off, load);
+  DbRun swept = RunDb(on, load);
+  EXPECT_EQ(swept.FirstDifference(base), "");
   EXPECT_GT(swept.stats.retries, 0) << "stream too tame to stress conflicts";
 }
 
@@ -280,17 +264,15 @@ TEST(OpenLoopTest, EveryProcessIsPlacementDeterministic) {
                                  ArrivalProcess::kDiurnal}) {
     for (int64_t drift : {int64_t{0}, int64_t{40}}) {
       TrafficOptions traffic = SmallStream(process, 0.99, drift);
-      Database::Options reference_options;
-      reference_options.num_partitions = 6;
-      OpenLoopResult reference = RunOpenLoop(reference_options, traffic);
+      DbLoad load = OpenLoop(traffic, traffic.num_arrivals);
+      Database::Options options;
+      options.num_partitions = 6;
+      DbRun reference = RunDb(options, load);
       for (int shards : {2, 8}) {
-        Database::Options options = reference_options;
         options.num_shards = shards;
-        OpenLoopResult run = RunOpenLoop(options, traffic);
-        EXPECT_EQ(run.stats, reference.stats)
+        EXPECT_EQ(RunDb(options, load).FirstDifference(reference), "")
             << ToString(process) << " drift=" << drift
             << " shards=" << shards;
-        EXPECT_EQ(run.batch_stats, reference.batch_stats);
       }
     }
   }

@@ -20,9 +20,12 @@
 #include "db/lock_manager.h"
 #include "db/participant.h"
 #include "db/workload.h"
+#include "db_run.h"
 
 namespace fastcommit::db {
 namespace {
+
+using bench::DbLoad;
 
 const Key kKey = ItemKey(0);
 const Key kA = ItemKey(1);
@@ -122,6 +125,15 @@ TEST(ParticipantRecordDeathTest, SecondPrepareBeforeFinishDies) {
   }
 }
 
+// Drain checks that it leaves every partition idle: a transaction prepared
+// straight at a partition and never finished keeps its record and locks.
+TEST(DrainDeathTest, UnfinishedPrepareDies) {
+  Database database(Database::Options{});
+  ASSERT_EQ(database.partition(0).Prepare(1, {Transaction::Add(kA, 1)}),
+            commit::Vote::kYes);
+  EXPECT_DEATH(database.Drain(), "holds a prepared record or lock");
+}
+
 // --- Database-level stress ---------------------------------------------------
 
 struct StressSpec {
@@ -129,31 +141,6 @@ struct StressSpec {
   sim::Time batch_window;
   bool adaptive;
 };
-
-// Runs a contended mixed workload with invariant sweeps at every flush.
-DatabaseStats RunStress(Database& database) {
-  // Read-modify-write exercises shared locks and the shared->exclusive
-  // upgrade on every transaction; the hotspot tail adds no-wait conflicts
-  // and the retry path.
-  auto rmw = MakeReadModifyWriteWorkload(120, /*num_keys=*/40,
-                                         /*keys_per_tx=*/3, /*seed=*/11);
-  auto hot = MakeHotspotWorkload(80, /*num_keys=*/40, /*keys_per_tx=*/2,
-                                 /*hot_keys=*/2, /*hot_probability=*/0.9,
-                                 /*seed=*/12);
-  sim::Time at = 0;
-  for (auto& tx : rmw) {
-    database.Submit(std::move(tx), at);
-    at += 10;
-  }
-  for (auto& tx : hot) {
-    // Workload generators number from 1; concurrent waves need disjoint
-    // transaction ids (ids key locks, records, and effect ordering).
-    tx.id += 1000;
-    database.Submit(std::move(tx), at);
-    at += 5;
-  }
-  return database.Drain();
-}
 
 Database::Options StressOptions(const StressSpec& spec) {
   Database::Options options;
@@ -171,19 +158,34 @@ Database::Options StressOptions(const StressSpec& spec) {
 class LockInvariantStressTest
     : public ::testing::TestWithParam<StressSpec> {};
 
+// A contended mixed workload with invariant sweeps at every flush. Its
+// Drain checks the quiescent end state: every transaction finished, so no
+// partition may hold a lock or a record for anyone.
 TEST_P(LockInvariantStressTest, InvariantsHoldAtEveryBarrier) {
-  Database database(StressOptions(GetParam()));
-  DatabaseStats stats = RunStress(database);
+  // Read-modify-write exercises shared locks and the shared->exclusive
+  // upgrade on every transaction; the hotspot tail adds no-wait conflicts
+  // and the retry path.
+  auto rmw = MakeReadModifyWriteWorkload(120, /*num_keys=*/40,
+                                         /*keys_per_tx=*/3, /*seed=*/11);
+  auto hot = MakeHotspotWorkload(80, /*num_keys=*/40, /*keys_per_tx=*/2,
+                                 /*hot_keys=*/2, /*hot_probability=*/0.9,
+                                 /*seed=*/12);
+  DbLoad load;
+  sim::Time at = 0;
+  for (auto& tx : rmw) {
+    load.Submit(std::move(tx), at);
+    at += 10;
+  }
+  for (auto& tx : hot) {
+    // Workload generators number from 1; concurrent waves need disjoint
+    // transaction ids (ids key locks, records, and effect ordering).
+    tx.id += 1000;
+    load.Submit(std::move(tx), at);
+    at += 5;
+  }
+  DatabaseStats stats = RunDb(StressOptions(GetParam()), load).stats;
   EXPECT_EQ(stats.committed + stats.aborted, 200);
   EXPECT_GT(stats.retries, 0) << "stress run should contend";
-  // Quiescent end state: every transaction finished, so no partition may
-  // hold a lock or a record for anyone.
-  for (int p = 0; p < database.num_partitions(); ++p) {
-    Participant& partition = database.partition(p);
-    EXPECT_EQ(partition.locks().held_locks(), 0)
-        << "partition " << p << " holds locks after drain";
-    partition.CheckInvariants();
-  }
 }
 
 // "No lock held by a finished transaction", probed mid-workload: drain a

@@ -177,6 +177,7 @@ check_line_length
 run_suite build
 report_lines src/ 'src/*.h' 'src/*.cc'
 report_lines bench/ 'bench/*.cc' 'bench/*.h'
+report_lines tests/ 'tests/*.cc'
 run_gates build
 
 case "${1:-}" in
