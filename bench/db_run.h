@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <deque>
+#include <functional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -36,12 +37,19 @@ inline void (*report_check_failure)(const std::string& what) =
 
 /// What one database run is fed: `initial` balances, loaded before the
 /// first submission, then closed-loop `txs`, txs[i] submitted at at[i], and
-/// one open-loop TrafficEngine per entry of `streams`.
+/// one open-loop TrafficEngine per entry of `streams`. `on_read`, when set,
+/// observes each served snapshot read with the values it returned and the
+/// run's clock at that instant.
 struct DbLoad {
+  using ReadObserver =
+      std::function<void(const db::Transaction& tx,
+                         const std::vector<db::Value>& values, sim::Time now)>;
+
   std::vector<std::pair<db::Key, db::Value>> initial;
   std::vector<db::Transaction> txs;
   std::vector<sim::Time> at;
   std::vector<db::TrafficOptions> streams;
+  ReadObserver on_read;
 
   void Submit(db::Transaction tx, sim::Time instant) {
     txs.push_back(std::move(tx));
@@ -152,6 +160,13 @@ inline DbRun RunDb(const db::Database::Options& options, const DbLoad& load) {
   std::deque<db::TrafficEngine> engines;
   for (const db::TrafficOptions& stream : load.streams) {
     engines.emplace_back(stream);
+  }
+  if (load.on_read) {
+    database.set_snapshot_read_observer(
+        [&](const db::Transaction& tx, int64_t,
+            const std::vector<db::Value>& values) {
+          load.on_read(tx, values, database.Now());
+        });
   }
   // Copied before the clock starts: Submit takes each transaction.
   std::vector<db::Transaction> txs = load.txs;

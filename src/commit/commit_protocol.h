@@ -87,32 +87,34 @@ inline void DisjoinVotesInto(std::vector<Vote>* round_votes,
 
 /// Cross-set round admission (db/database.h): a transaction whose sorted
 /// partition set `sub` is a subset of an open round's sorted set `super`
-/// may join that round. Its vote vector is re-aligned to the round's
-/// width, voting kYes at every partition it does not touch — a participant
-/// the member never prepared at cannot veto it, and under the disjunction
-/// round vote a padded kYes never forces the round open on its own (a
-/// round only exists because some member prepared at every position of
-/// `super`, namely its opener). The padding preserves the member's fate:
-/// ConjoinVotes over the aligned vector equals ConjoinVotes over `votes`.
-/// Both sets must be sorted ascending; `votes` is aligned with `sub`.
-inline std::vector<Vote> AlignVotesToSuperset(const std::vector<int>& sub,
-                                              const std::vector<Vote>& votes,
-                                              const std::vector<int>& super) {
-  std::vector<Vote> aligned(super.size(), Vote::kYes);
-  size_t i = 0;
-  for (size_t j = 0; j < super.size() && i < sub.size(); ++j) {
-    if (super[j] == sub[i]) {
-      aligned[j] = votes[i];
-      ++i;
+/// may join that round. Its vote vector is re-aligned, in place, to the
+/// round's width, voting kYes at every partition it does not touch — a
+/// participant the member never prepared at cannot veto it, and under the
+/// disjunction round vote a padded kYes never forces the round open on its
+/// own (a round only exists because some member prepared at every position
+/// of `super`, namely its opener). The padding preserves the member's fate:
+/// ConjoinVotes over the aligned vector equals ConjoinVotes over `*votes`.
+/// Both sets must be sorted ascending; `*votes` is aligned with `sub`.
+inline void AlignVotesToSuperset(const std::vector<int>& sub,
+                                 std::vector<Vote>* votes,
+                                 const std::vector<int>& super) {
+  // Back to front: sub[i] sits at a position j >= i of `super`, so each
+  // write lands at or above every vote still to be read.
+  votes->resize(super.size(), Vote::kYes);
+  size_t i = sub.size();
+  for (size_t j = super.size(); j-- > 0;) {
+    if (i > 0 && super[j] == sub[i - 1]) {
+      (*votes)[j] = (*votes)[--i];
+    } else {
+      (*votes)[j] = Vote::kYes;
     }
   }
   // An unconsumed element means `sub` was unsorted or not contained in
   // `super` — a real vote (possibly kNo) would be silently replaced by the
   // kYes padding, letting a conflicted member commit. Fail loudly instead.
-  FC_CHECK(i == sub.size())
+  FC_CHECK(i == 0)
       << "AlignVotesToSuperset: subset/sorted precondition violated ("
-      << i << " of " << sub.size() << " positions matched)";
-  return aligned;
+      << sub.size() - i << " of " << sub.size() << " positions matched)";
 }
 
 /// Base class for every atomic commit protocol in the repository.

@@ -3,10 +3,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <vector>
 
 #include "db/database_options.h"
+#include "db/flat_table.h"
 #include "db/round.h"
 #include "sim/scheduler.h"
 
@@ -62,10 +62,17 @@ struct BatchStats {
 /// votes — goes to the flush callback, which starts it. Control plane
 /// only: every decision here (admission, window sizes, merges) is made in
 /// canonical event order, so it is identical on every shard placement.
+///
+/// Each distinct partition set is interned on first sight as one record
+/// that holds its adaptive controller and its round, whose buffers are
+/// reused from flush to flush. The open sets are listed in lexicographic
+/// order of their partitions, the canonical order of every scan.
 class BatchFormer {
  public:
-  /// Receives each closed round at its flush instant.
-  using FlushFn = std::function<void(RoundState round)>;
+  /// Receives each closed round at its flush instant. The callee takes the
+  /// round's contents by swapping them with an empty round's, whose
+  /// buffers the set's next round then reuses.
+  using FlushFn = std::function<void(RoundState& round)>;
 
   /// `options` and `control` must outlive the former.
   BatchFormer(const DatabaseOptions& options, sim::Scheduler* control,
@@ -83,7 +90,8 @@ class BatchFormer {
   /// batch_cross_set, of the first open strict superset in canonical
   /// order — opening one with a cancellable window-flush timer if absent
   /// (and, with batch_round_merge, absorbing every open strict subset
-  /// round into it). Flushes the round at once when it reaches batch_max.
+  /// round into it, in canonical order). Flushes the round at once when
+  /// it reaches batch_max.
   void Add(RoundMember member);
 
   /// Adaptive feedback from a delivered batched round: folds its
@@ -109,42 +117,65 @@ class BatchFormer {
     int64_t ewma_conflict_permille = 0;  ///< smoothed aborted-member share
     int64_t rounds_observed = 0;
   };
-  /// An open round and its window flush. `deadline` is the timer's
-  /// instant; merging clamps a superset's deadline to the minimum over
-  /// everything it absorbed, so no member waits past the flush its
-  /// original round promised.
-  struct OpenRound {
+  /// One distinct partition set. While `open`, `round` gathers members
+  /// and `timer` is its window flush at `deadline`; merging clamps a
+  /// superset's deadline to the minimum over everything it absorbed, so
+  /// no member waits past the flush its original round promised.
+  struct PartitionSet {
+    std::vector<int> partitions;
+    SetController controller;
     RoundState round;
+    bool open = false;
     sim::EventId timer = sim::kNoEvent;
     sim::Time deadline = 0;
   };
-  using OpenMap = std::map<std::vector<int>, OpenRound>;
+  /// Interning: the id of a set, by its partitions.
+  struct SetId {
+    int id = -1;
+    void clear() { id = -1; }
+  };
+  struct SetHash {
+    uint64_t operator()(const std::vector<int>& partitions) const;
+  };
 
   bool adaptive() const {
     return options_.batch_adaptive && options_.batch_window_max > 0;
   }
+  /// The id of `partitions`' record, made on first sight.
+  int Intern(const std::vector<int>& partitions);
+  PartitionSet& set(int id) { return sets_[static_cast<size_t>(id)]; }
   /// Flush window for a new round over `controller`'s set: the EWMA-sized
   /// adaptive window, or the fixed batch_window when adaptive mode is off.
   sim::Time WindowFor(const SetController& controller) const;
+  /// Whether some open set has a width in [from, to).
+  bool AnyOpenWidth(size_t from, size_t to) const;
+  /// Opens set `id`'s round: lists it among the open sets, absorbs the
+  /// open strict subsets (with batch_round_merge), and arms its timer.
+  void Open(int id, sim::Time now);
   /// Appends `member` (votes aligned to the round) and folds its votes
   /// into the round's disjunction.
   static void Join(RoundState* round, RoundMember member);
-  /// Folds every open round over a strict subset of `super`'s set into it:
+  /// Folds every open round over a strict subset of set `super` into it:
   /// votes re-aligned, timers cancelled, deadline clamped down. Runs while
   /// `super` opens, before its timer is armed.
-  void AbsorbSubsets(OpenRound* super);
-  /// Closes `it`'s round, records its counters, and hands it to flush_.
-  void Flush(OpenMap::iterator it);
+  void AbsorbSubsets(int super);
+  /// Takes set `id` off the open list; its round keeps its contents.
+  void Close(int id);
+  /// Closes set `id`'s round, records its counters, and hands it to
+  /// flush_.
+  void Flush(int id);
 
   const DatabaseOptions& options_;
   sim::Scheduler* control_;
   FlushFn flush_;
-  /// Open rounds keyed by sorted partition set (an ordered map, so the
-  /// cross-set admission scan is deterministic).
-  OpenMap open_;
-  /// Adaptive controllers keyed the same way (bounded by the number of
-  /// distinct partition sets ever batched).
-  std::map<std::vector<int>, SetController> controllers_;
+  FlatTable<std::vector<int>, SetId, SetHash> ids_;
+  /// Every set ever batched, by id (bounded by the distinct sets).
+  std::vector<PartitionSet> sets_;
+  /// Open set ids, in lexicographic order of their partitions.
+  std::vector<int> open_;
+  /// Open sets by width, so admission and merging skip their scans when
+  /// no open set is wider or narrower than the member's.
+  std::vector<int> open_widths_;
   BatchStats stats_;
 };
 

@@ -105,6 +105,15 @@ net::GeoTopology GeoTopologyFor(const Database::Options& options) {
       options.unit * options.cross_region_units_max);
 }
 
+/// The last of `spares`, moved out with its buffers, or a fresh T.
+template <typename T>
+T TakeSpare(std::vector<T>& spares) {
+  if (spares.empty()) return T();
+  T spare = std::move(spares.back());
+  spares.pop_back();
+  return spare;
+}
+
 }  // namespace
 
 Database::Database(const Options& options)
@@ -116,8 +125,8 @@ Database::Database(const Options& options)
       pool_(options.protocol, options.consensus, options.protocol_options,
             options.unit, options.pool_instances, GeoTopologyFor(options)),
       batches_(options_, sim_.control(),
-               [this](RoundState round) {
-                 StartRound(FileRound(std::move(round)), /*resumed=*/false);
+               [this](RoundState& formed) {
+                 StartRound(FileRound(formed), /*resumed=*/false);
                }),
       reads_(&plane_) {
   // num_partitions >= 1 is checked by the plane's constructor.
@@ -191,46 +200,74 @@ int Database::ShardOf(TxId id) const {
 void Database::Submit(Transaction tx, sim::Time at_ticks,
                       CompletionCallback on_complete) {
   ++inflight_;
-  ScheduleExecute(PendingTx{std::move(tx), 1, std::move(on_complete)},
-                  std::max(at_ticks, sim_.Now()));
+  ScheduleExecute(
+      PendingTx{std::move(tx), 1,
+                HoldSink(std::move(on_complete), /*stream=*/false)},
+      std::max(at_ticks, sim_.Now()));
 }
 
 void Database::SubmitArrivals(TrafficEngine* engine,
                               CompletionCallback on_complete) {
   FC_CHECK(engine != nullptr) << "null traffic engine";
-  // One shared callback for the whole stream (arrivals only ever copy the
-  // pointer), pumped one arrival per event so the queue never holds more
-  // than one future arrival of this stream.
-  ScheduleNextArrival(
-      engine, std::make_shared<CompletionCallback>(std::move(on_complete)));
+  // One sink for the whole stream, pumped one arrival per event so the
+  // queue never holds more than one future arrival of this stream.
+  ScheduleNextArrival(engine,
+                      HoldSink(std::move(on_complete), /*stream=*/true));
 }
 
-void Database::ScheduleNextArrival(
-    TrafficEngine* engine, std::shared_ptr<CompletionCallback> on_complete) {
+void Database::ScheduleNextArrival(TrafficEngine* engine,
+                                   CompletionSink* sink) {
   TrafficEngine::Arrival arrival;
-  if (!engine->Next(&arrival)) return;
+  arrival.tx.ops = TakeSpare(spare_ops_);
+  if (!engine->Next(&arrival)) {
+    spare_ops_.push_back(std::move(arrival.tx.ops));
+    return;
+  }
   sim_.control()->ScheduleAt(
       std::max(arrival.at, sim_.Now()), sim::EventClass::kControl,
-      [this, engine, on_complete = std::move(on_complete),
-       tx = std::move(arrival.tx)]() mutable {
-        AdmitArrival(std::move(tx), on_complete);
-        ScheduleNextArrival(engine, std::move(on_complete));
+      [this, engine, sink, tx = std::move(arrival.tx)]() mutable {
+        AdmitArrival(std::move(tx), sink);
+        ScheduleNextArrival(engine, sink);
       });
 }
 
-void Database::AdmitArrival(
-    Transaction tx, const std::shared_ptr<CompletionCallback>& on_complete) {
+void Database::AdmitArrival(Transaction tx, CompletionSink* sink) {
   ++stats_.offered;
   if (options_.max_inflight > 0 && inflight_ >= options_.max_inflight) {
     // Saturated: shed at admission instead of queueing unboundedly — the
     // open-loop analogue of a front door turning requests away. The
     // decision is a real kAbort, delivered immediately.
     ++stats_.shed;
-    if (*on_complete) (*on_complete)(tx, commit::Decision::kAbort);
+    if (sink->callback) sink->callback(tx, commit::Decision::kAbort);
+    spare_ops_.push_back(std::move(tx.ops));
     return;
   }
   ++inflight_;
-  Execute(PendingTx{std::move(tx), 1, *on_complete});
+  Execute(PendingTx{std::move(tx), 1, sink});
+}
+
+CompletionSink* Database::HoldSink(CompletionCallback callback,
+                                   bool stream) {
+  if (!callback && !stream) return nullptr;
+  if (held_sinks_ == sinks_.size()) {
+    sinks_.push_back(std::make_unique<CompletionSink>());
+  }
+  CompletionSink* sink = sinks_[held_sinks_++].get();
+  *sink = CompletionSink{std::move(callback), stream};
+  return sink;
+}
+
+void Database::Notify(const PendingTx& pending, commit::Decision decision) {
+  if (pending.sink != nullptr && pending.sink->callback) {
+    pending.sink->callback(pending.tx, decision);
+  }
+}
+
+void Database::EndTx(PendingTx& pending) {
+  --inflight_;
+  if (pending.sink != nullptr && pending.sink->stream) {
+    spare_ops_.push_back(std::move(pending.tx.ops));
+  }
 }
 
 void Database::FinishPartitions(TxId tx, const std::vector<int>& touched,
@@ -249,16 +286,14 @@ void Database::ExecuteSnapshotRead(PendingTx pending) {
   // values themselves reach the observer when the read is served.
   ++stats_.read_only_committed;
   stats_.snapshot_reads_served += static_cast<int64_t>(pending.tx.ops.size());
-  if (pending.on_complete) {
-    pending.on_complete(pending.tx, commit::Decision::kCommit);
-  }
-  --inflight_;
+  Notify(pending, commit::Decision::kCommit);
   // The snapshot is the stable CSN at this (canonical-order) instant:
   // every commit with CSN <= it already ran FinishTx, so it is applied at
   // every up partition, and a read touching a down one waits for the
   // restart — the read observes exactly the stable prefix, on any
   // placement.
-  reads_.Start(std::move(pending.tx));
+  reads_.Start(pending.tx);
+  EndTx(pending);
 }
 
 void Database::Execute(PendingTx pending) {
@@ -278,20 +313,26 @@ void Database::Execute(PendingTx pending) {
     return;
   }
   sim::Time started = sim_.control()->Now();
-  std::vector<int> touched;
-  std::vector<commit::Vote> votes;
-  plane_.EnqueuePrepares(started, pending.tx.id, pending.tx.ops, &touched,
-                         &votes);
+  // A retired member's touched and vote vectors take this attempt's
+  // prepares without allocating.
+  RoundMember member = TakeSpare(spare_members_);
+  member.pending = std::move(pending);
+  member.started = started;
+  const std::vector<int>& touched = member.touched;
+  plane_.EnqueuePrepares(started, member.pending.tx.id,
+                         member.pending.tx.ops, &member.touched,
+                         &member.votes);
   // The check_invariants sweep, once per transaction.
   plane_.Flush();
 
   if (touched.size() == 1) {
     // One-phase commit: the only participant's vote is the decision.
-    commit::Decision d = votes[0] == commit::Vote::kYes
+    commit::Decision d = member.votes[0] == commit::Vote::kYes
                              ? commit::Decision::kCommit
                              : commit::Decision::kAbort;
     if (d == commit::Decision::kCommit) ++stats_.single_partition;
-    FinishTx(pending, touched, d, started, started);
+    FinishTx(member.pending, touched, d, started, started);
+    spare_members_.push_back(std::move(member));
     return;
   }
 
@@ -308,23 +349,22 @@ void Database::Execute(PendingTx pending) {
     // transaction also learns its fate only when the protocol decides.
     // (Finish is idempotent, so the second Finish at the decide instant is
     // a no-op.)
-    if (commit::ConjoinVotes(votes) == commit::Vote::kNo) {
-      FinishPartitions(pending.tx.id, touched, commit::Decision::kAbort,
-                       started);
+    if (commit::ConjoinVotes(member.votes) == commit::Vote::kNo) {
+      FinishPartitions(member.pending.tx.id, touched,
+                       commit::Decision::kAbort, started);
     }
-    batches_.Add(RoundMember{std::move(pending), std::move(touched),
-                             std::move(votes), started});
+    batches_.Add(std::move(member));
     return;
   }
 
-  RoundState& round = FileRound(RoundState());
-  round.partitions = std::move(touched);
-  round.round_votes = std::move(votes);
-  // The member's own votes stay empty: ConjoinVotes of an empty vector is
-  // kYes, so the round's decision alone settles its fate — exactly the
-  // pre-refactor unbatched behavior. Its touched set is the round's.
-  round.members.push_back(
-      RoundMember{std::move(pending), round.partitions, {}, started});
+  RoundState& round = rounds_.File();
+  round.partitions.assign(touched.begin(), touched.end());
+  // The member's own votes go to the round and the member keeps the
+  // entry's empty vector: ConjoinVotes of an empty vector is kYes, so the
+  // round's decision alone settles its fate. Its touched set is the
+  // round's.
+  round.round_votes.swap(member.votes);
+  round.members.push_back(std::move(member));
   // A crash that caught this transaction between its prepares and its
   // round leaves the round filed but unstarted, like an open batch:
   // recovery presumes abort, releases its locks, and resubmits it.
@@ -547,25 +587,25 @@ void Database::DeliverRoundDecision(RoundState& round,
   RetireRound(round);
 }
 
-RoundState& Database::FileRound(RoundState round) {
-  round.id = oldest_round_ + static_cast<int64_t>(rounds_.size());
-  return rounds_.emplace_back(std::move(round));
+RoundState& Database::FileRound(RoundState& formed) {
+  RoundState& round = rounds_.File();
+  round.partitions.swap(formed.partitions);
+  round.round_votes.swap(formed.round_votes);
+  round.members.swap(formed.members);
+  return round;
 }
 
 RoundState& Database::InFlightRound(int64_t id) {
-  const int64_t index = id - oldest_round_;
-  FC_CHECK(index >= 0 && index < static_cast<int64_t>(rounds_.size()) &&
-           rounds_[static_cast<size_t>(index)].id == id)
-      << "round " << id << " is not in flight";
-  return rounds_[static_cast<size_t>(index)];
+  RoundState* round = rounds_.Find(id);
+  FC_CHECK(round != nullptr) << "round " << id << " is not in flight";
+  return *round;
 }
 
 void Database::RetireRound(RoundState& round) {
-  round = RoundState();  // id 0: no live round has it
-  while (!rounds_.empty() && rounds_.front().id == 0) {
-    rounds_.pop_front();
-    ++oldest_round_;
+  for (RoundMember& member : round.members) {
+    spare_members_.push_back(std::move(member));
   }
+  rounds_.Retire(round);
 }
 
 bool Database::MaybeCrashCoordinator(CrashPoint point, sim::Time at) {
@@ -586,7 +626,7 @@ void Database::CrashCoordinator(sim::Time at) {
   // Open batches are volatile coordinator state: their window timers die
   // with the crash and they become unlogged in-flight rounds for
   // recovery's presumed-abort sweep.
-  for (RoundState& round : batches_.TakeOpen()) FileRound(std::move(round));
+  for (RoundState& round : batches_.TakeOpen()) FileRound(round);
   // Parked delivery continuations are volatile too; their slots hold
   // logged decisions, which recovery redoes from the log itself.
   if (log_.has_value()) log_->DropWaiters();
@@ -608,11 +648,11 @@ void Database::RecoverCoordinator() {
   // presumed abort, release locks, resubmit the members. Redo and presumed
   // abort retire the entry, re-decide keeps it and its id; the walk goes
   // by id because retiring pops the retired prefix.
-  const int64_t end = oldest_round_ + static_cast<int64_t>(rounds_.size());
-  for (int64_t id = oldest_round_; id < end; ++id) {
-    if (id < oldest_round_) continue;  // popped: delivered before the crash
-    RoundState& round = rounds_[static_cast<size_t>(id - oldest_round_)];
-    if (round.id != id) continue;  // retired in place
+  const int64_t end = rounds_.end();
+  for (int64_t id = rounds_.oldest(); id < end; ++id) {
+    RoundState* entry = rounds_.Find(id);
+    if (entry == nullptr) continue;  // retired: delivered before the crash
+    RoundState& round = *entry;
     const CommitLog::Slot* slot =
         round.slot >= 0 ? log_->Get(round.slot) : nullptr;
     FC_CHECK(round.slot < 0 || slot != nullptr)
@@ -653,12 +693,12 @@ void Database::RecoverCoordinator() {
 void Database::ScheduleExecute(PendingTx pending, sim::Time at) {
   sim_.control()->ScheduleAt(
       at, sim::EventClass::kControl,
-      [this, pending = std::make_unique<PendingTx>(std::move(pending))] {
-        Execute(std::move(*pending));
+      [this, pending = std::move(pending)]() mutable {
+        Execute(std::move(pending));
       });
 }
 
-void Database::FinishTx(const PendingTx& pending,
+void Database::FinishTx(PendingTx& pending,
                         const std::vector<int>& touched,
                         commit::Decision decision, sim::Time started,
                         sim::Time finished_at) {
@@ -675,8 +715,8 @@ void Database::FinishTx(const PendingTx& pending,
         stats_.write_latency.Record(finished_at - started);
       }
     }
-    if (pending.on_complete) pending.on_complete(pending.tx, decision);
-    --inflight_;
+    Notify(pending, decision);
+    EndTx(pending);
     return;
   }
   // Abort: bucket the attempt by the concurrency control that refused it
@@ -691,17 +731,16 @@ void Database::FinishTx(const PendingTx& pending,
   }
   if (pending.attempt >= options_.max_attempts) {
     ++stats_.aborted;
-    if (pending.on_complete) pending.on_complete(pending.tx, decision);
-    --inflight_;
+    Notify(pending, decision);
+    EndTx(pending);
     return;
   }
   ++stats_.retries;
   sim::Time backoff =
       options_.unit * kRetryBackoffUnits * pending.attempt +
       static_cast<sim::Time>(rng_.UniformInt(1, options_.unit));
-  ScheduleExecute(
-      PendingTx{pending.tx, pending.attempt + 1, pending.on_complete},
-      finished_at + backoff);
+  ++pending.attempt;
+  ScheduleExecute(std::move(pending), finished_at + backoff);
 }
 
 const DatabaseStats& Database::Drain() {
@@ -722,6 +761,9 @@ const DatabaseStats& Database::Drain() {
     FC_CHECK(plane_.partition(p).idle())
         << "partition " << p << " holds a prepared record or lock after drain";
   }
+  // Every submission and stream has ended: their sinks are free again.
+  for (size_t i = 0; i < held_sinks_; ++i) sinks_[i]->callback = nullptr;
+  held_sinks_ = 0;
   stats_.makespan = sim_.Now();
   return stats_;
 }

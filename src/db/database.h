@@ -2,7 +2,6 @@
 #define FASTCOMMIT_DB_DATABASE_H_
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -397,14 +396,21 @@ class Database {
 
  private:
   void Execute(PendingTx pending);
-  /// Pulls the next arrival from `engine` and schedules its admission
-  /// event, which re-arms itself — the self-rescheduling pump behind
-  /// SubmitArrivals.
-  void ScheduleNextArrival(TrafficEngine* engine,
-                           std::shared_ptr<CompletionCallback> on_complete);
+  /// Pulls the next arrival from `engine` into a recycled op buffer and
+  /// schedules its admission event, which re-arms itself — the
+  /// self-rescheduling pump behind SubmitArrivals.
+  void ScheduleNextArrival(TrafficEngine* engine, CompletionSink* sink);
   /// Admission control for one open-loop arrival: shed or execute.
-  void AdmitArrival(Transaction tx,
-                    const std::shared_ptr<CompletionCallback>& on_complete);
+  void AdmitArrival(Transaction tx, CompletionSink* sink);
+  /// A sink holding `callback`, reusing one a past drain freed; nullptr
+  /// for a Submit without a callback.
+  CompletionSink* HoldSink(CompletionCallback callback, bool stream);
+  /// Tells `pending`'s sink the transaction's final decision.
+  static void Notify(const PendingTx& pending, commit::Decision decision);
+  /// Ends a transaction that has been told its decision: it leaves the
+  /// in-flight count, and a stream arrival's op buffer goes back for a
+  /// later arrival.
+  void EndTx(PendingTx& pending);
   /// Finishes `tx` at every touched partition (a down one applies it at
   /// its restart). A commit carries its CSN (0 for aborts) and the reader
   /// low-watermark computed here — a stale watermark when a backlog is
@@ -473,13 +479,14 @@ class Database {
   /// from the table.
   void DeliverRoundDecision(RoundState& round, commit::Decision decision,
                             sim::Time finished_at);
-  /// Files `round` at the back of the round table under the next id.
-  RoundState& FileRound(RoundState round);
+  /// Files a round with `formed`'s contents, swapping the table entry's
+  /// empty buffers back into `formed`.
+  RoundState& FileRound(RoundState& formed);
   /// The table entry of round `id`, FC_CHECKed to be in flight: a second
   /// delivery or a stale completion of a round is a bug.
   RoundState& InFlightRound(int64_t id);
-  /// Clears a delivered or presumed-aborted round in place and pops the
-  /// table's retired prefix.
+  /// Keeps a delivered or presumed-aborted round's members for reuse and
+  /// retires its table entry.
   void RetireRound(RoundState& round);
   /// Fires the planned coordinator crash if `point` is its armed protocol
   /// step and this is the configured passage. Returns true when the crash
@@ -497,8 +504,9 @@ class Database {
   void ScheduleExecute(PendingTx pending, sim::Time at);
   /// `finished_at` is the commit instance's decide instant (== `started`
   /// for single-partition transactions); all stats and the retry schedule
-  /// derive from it, not from any queue's transient clock.
-  void FinishTx(const PendingTx& pending,
+  /// derive from it, not from any queue's transient clock. A retry moves
+  /// `pending` into its Execute event.
+  void FinishTx(PendingTx& pending,
                 const std::vector<int>& touched_partitions,
                 commit::Decision decision, sim::Time started,
                 sim::Time finished_at);
@@ -530,18 +538,20 @@ class Database {
   /// Passages of the armed crash point remaining before the crash fires;
   /// 0 = disarmed (no crash planned, or already fired).
   int64_t crash_countdown_ = 0;
-  /// The round table: every commit round from formation to delivery, in
-  /// every configuration. rounds_[i] holds round oldest_round_ + i; ids
-  /// follow formation order, so recovery replays rounds in that order. A
-  /// retired entry (id 0) stays in place until the retired prefix pops.
-  /// StartRound and CompleteRound hold their entry across a crash that
-  /// files the open batches: a deque's push_back and pop_front keep other
-  /// entries' references valid, where a vector's growth would not.
-  std::deque<RoundState> rounds_;
-  int64_t oldest_round_ = 1;
+  /// Every commit round from formation to delivery (db/round.h).
+  RoundTable rounds_;
   /// Submissions/retries that arrived while down, re-executed at recovery
   /// in arrival order.
   std::vector<PendingTx> parked_;
+  /// Completion sinks, each owned here for its address to stay put; the
+  /// first `held_sinks_` serve this drain's submissions and streams.
+  std::vector<std::unique_ptr<CompletionSink>> sinks_;
+  size_t held_sinks_ = 0;
+  /// Buffers kept for reuse, each bounded by the most ever alive at once:
+  /// stream arrivals' op vectors, and retired round members with their
+  /// touched and vote vectors.
+  std::vector<std::vector<Op>> spare_ops_;
+  std::vector<RoundMember> spare_members_;
 };
 
 }  // namespace fastcommit::db

@@ -6,7 +6,7 @@
 
 namespace fastcommit::db {
 
-void SnapshotReader::Start(Transaction tx) {
+void SnapshotReader::Start(const Transaction& tx) {
   FC_CHECK(!tx.ops.empty()) << "empty transaction";
   if (waiting_.empty() && !TouchesDownPartition(tx)) {
     Serve(tx, stable_csn_);
@@ -14,7 +14,7 @@ void SnapshotReader::Start(Transaction tx) {
   }
   // Commits deciding while the read waits have CSNs above its snapshot and
   // prune no lower than Watermark(), so the versions it reads survive.
-  waiting_.push_back(WaitingRead{std::move(tx), stable_csn_});
+  waiting_.push_back(WaitingRead{tx, stable_csn_});
 }
 
 void SnapshotReader::Resume() {

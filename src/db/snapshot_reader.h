@@ -51,9 +51,9 @@ class SnapshotReader {
   /// already been applied at every partition that is up, so the read
   /// observes exactly the stable prefix. It is served now unless an older
   /// read is waiting or a partition it touches is down; then it waits,
-  /// holding the GC watermark at its CSN, until Resume. FC_CHECKs that
-  /// `tx` has ops.
-  void Start(Transaction tx);
+  /// holding the GC watermark at its CSN, until Resume, as a copy of
+  /// `tx`. FC_CHECKs that `tx` has ops.
+  void Start(const Transaction& tx);
 
   /// Serves the waiting reads in start order, up to the first that still
   /// touches a down partition. Called after every partition restart,

@@ -109,8 +109,8 @@ bool TrafficEngine::Next(Arrival* out) {
   if (generated_ >= options_.num_arrivals) return false;
   clock_ += NextGap();
   out->at = clock_;
-  out->tx = Transaction{};
   out->tx.id = options_.first_tx_id + generated_ + 1;
+  out->tx.ops.clear();  // the caller's buffer, kept for its capacity
   // The read-mix draw happens only when the knob is on: at the default
   // read_fraction = 0 this consumes nothing, so the golden sequences of
   // every pre-existing configuration stay bitwise identical.

@@ -100,7 +100,8 @@ class TrafficEngine {
     Transaction tx;
   };
 
-  /// Produces the next arrival; false once num_arrivals were generated.
+  /// Produces the next arrival into `out`, whose op vector keeps its
+  /// buffer; false once num_arrivals were generated.
   bool Next(Arrival* out);
 
  private:

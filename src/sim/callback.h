@@ -10,11 +10,12 @@
 namespace fastcommit::sim {
 
 /// A move-only `void(Args...)` callable stored inline, with no heap path.
-/// A closure larger than kInlineBytes does not compile: box its large
-/// captures in a std::unique_ptr at the call site, as
-/// Database::ScheduleExecute does with a PendingTx (a commit round is
-/// referenced by its id in the round table). Trivially copyable closures,
-/// the common case (pointers, ids, times), move as one fixed-size memcpy.
+/// A closure larger than kInlineBytes does not compile: capture an id or a
+/// pointer to state that lives elsewhere, as the database does (a commit
+/// round is referenced by its id in the round table, and a PendingTx
+/// points at its completion callback), or box the large captures in a
+/// std::unique_ptr at the call site. Trivially copyable closures, the
+/// common case (pointers, ids, times), move as one fixed-size memcpy.
 template <typename... Args>
 class InlineFunction {
  public:

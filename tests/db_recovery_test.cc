@@ -313,15 +313,13 @@ TEST(ParticipantCrashTest, SnapshotReadsDeferAndStayDeterministic) {
     options.fault_plan.crash_partition = 1;
     options.fault_plan.participant_crash_at = kCrashAt;
     options.fault_plan.participant_restart_delay = kRestartAt - kCrashAt;
-    Database database(options);
-    const int kAccounts = 64;
-    for (int a = 0; a < kAccounts; ++a) database.LoadInt(AccountKey(a), 1000);
-    auto txs = MakeTransferWorkload(200, kAccounts, 50, 6);
+    DbLoad load;
+    load.initial = Accounts(64, 1000);
     sim::Time at = 0;
     TxId next_id = 100000;
     std::map<TxId, sim::Time> submitted_at;  // reader id -> submit instant
-    for (auto& tx : txs) {
-      database.Submit(std::move(tx), at);
+    for (auto& tx : MakeTransferWorkload(200, 64, 50, 6)) {
+      load.Submit(std::move(tx), at);
       // Interleave a read-only transaction spanning several partitions,
       // its keys shifting from reader to reader so that some touch the
       // crashed partition and some do not.
@@ -332,27 +330,23 @@ TEST(ParticipantCrashTest, SnapshotReadsDeferAndStayDeterministic) {
             Transaction::Get(AccountKey((reader.id * 7 + a * 11) % 64)));
       }
       submitted_at[reader.id] = at + 7;
-      database.Submit(std::move(reader), at + 7);
+      load.Submit(std::move(reader), at + 7);
       at += 25;
     }
     TxId last_served = 0;
     int64_t served = 0;
     int64_t waited = 0;
-    database.set_snapshot_read_observer(
-        [&](const Transaction& tx, int64_t, const std::vector<Value>&) {
-          EXPECT_GT(tx.id, last_served) << "read served out of submit order";
-          last_served = tx.id;
-          ++served;
-          sim::Time now = database.Now();
-          if (now == submitted_at.at(tx.id)) return;
-          EXPECT_EQ(now, kRestartAt) << "read " << tx.id << " submitted at "
-                                     << submitted_at.at(tx.id);
-          ++waited;
-        });
-    DbRun out;
-    out.stats = database.Drain();
-    out.fingerprint = database.read_fingerprint();
-    out.deferred_finishes = database.partition_plane().deferred_finishes();
+    load.on_read = [&](const Transaction& tx, const std::vector<Value>&,
+                       sim::Time now) {
+      EXPECT_GT(tx.id, last_served) << "read served out of submit order";
+      last_served = tx.id;
+      ++served;
+      if (now == submitted_at.at(tx.id)) return;
+      EXPECT_EQ(now, kRestartAt)
+          << "read " << tx.id << " submitted at " << submitted_at.at(tx.id);
+      ++waited;
+    };
+    DbRun out = RunDb(options, load);
     EXPECT_EQ(served, 200);
     EXPECT_GT(waited, 0) << "no read waited for the restart";
     return out;
@@ -360,6 +354,7 @@ TEST(ParticipantCrashTest, SnapshotReadsDeferAndStayDeterministic) {
   DbRun baseline = run(1);
   EXPECT_EQ(baseline.fingerprint, kGoldenFingerprint);
   EXPECT_EQ(baseline.stats.read_only_committed, 200);
+  EXPECT_EQ(baseline.read_txs, 200);
   EXPECT_GT(baseline.deferred_finishes, 0);
   for (int shards : {2, 8}) {
     EXPECT_EQ(run(shards).FirstDifference(baseline), "") << "shards=" << shards;
@@ -376,28 +371,24 @@ TEST(RecoveryEdgeTest, CoordinatorCrashWithSnapshotReads) {
   options.fault_plan.crash_point = CrashPoint::kAfterDecide;
   options.fault_plan.crash_at_occurrence = 5;
   options.fault_plan.coordinator_restart_delay = 3000;
-  Database database(options);
-  for (int a = 0; a < 32; ++a) database.LoadInt(AccountKey(a), 1000);
-  auto txs = MakeTransferWorkload(200, 32, 50, 9);
+  DbLoad load;
+  load.initial = Accounts(32, 1000);
   sim::Time at = 0;
   TxId next_id = 200000;
-  int64_t reads_completed = 0;
-  for (auto& tx : txs) {
-    database.Submit(std::move(tx), at);
+  for (auto& tx : MakeTransferWorkload(200, 32, 50, 9)) {
+    load.Submit(std::move(tx), at);
     Transaction reader;
     reader.id = next_id++;
     reader.ops.push_back(Transaction::Get(AccountKey(3)));
     reader.ops.push_back(Transaction::Get(AccountKey(17)));
-    database.Submit(std::move(reader), at + 3,
-                    [&reads_completed](const Transaction&, commit::Decision d) {
-                      if (d == commit::Decision::kCommit) ++reads_completed;
-                    });
+    load.Submit(std::move(reader), at + 3);
     at += 30;
   }
-  const DatabaseStats& stats = database.Drain();
-  EXPECT_EQ(database.recovery_stats().coordinator_crashes, 1);
-  EXPECT_EQ(stats.read_only_committed, reads_completed);
-  EXPECT_EQ(database.SumInts(), 32 * 1000);
+  DbRun out = RunDb(options, load);
+  EXPECT_EQ(out.recovery.coordinator_crashes, 1);
+  EXPECT_EQ(out.stats.read_only_committed, 200);
+  EXPECT_EQ(out.read_txs, out.stats.read_only_committed);
+  EXPECT_EQ(out.sum, 32 * 1000);
 }
 
 // OCC composes with recovery: version-lock words are released by the same

@@ -204,6 +204,100 @@ TEST(RoundMergeTest, MergeAndCrossSetTogetherCatchBothArrivalOrders) {
   }
 }
 
+/// Records the order in which transactions complete, each with a commit.
+struct Completions {
+  std::vector<TxId> order;
+
+  CompletionCallback Record() {
+    return [this](const Transaction& tx, commit::Decision d) {
+      EXPECT_EQ(d, commit::Decision::kCommit) << "tx " << tx.id;
+      order.push_back(tx.id);
+    };
+  }
+};
+
+/// The CSN of the commit that first wrote `key`, read back from its
+/// version chain: the smallest snapshot at which the key exists.
+int64_t CsnOf(Database& db, Key key) {
+  for (int64_t csn = 1; csn <= db.stable_csn(); ++csn) {
+    if (db.GetIntAtSnapshot(key, csn) != 0) return csn;
+  }
+  return 0;
+}
+
+/// A transaction `id` adding 1 to one fresh key at each of `partitions`.
+Transaction Over(TxId id, KeyPicker& keys, std::vector<int> partitions) {
+  Transaction tx;
+  tx.id = id;
+  for (int p : partitions) tx.ops.push_back(Transaction::Add(keys.In(p), 1));
+  return tx;
+}
+
+TEST(RoundMergeTest, SupersetAbsorbsOpenSubsetsInCanonicalOrder) {
+  // Two open subset batches fold into a new {0, 1, 2} round in their
+  // sets' lexicographic order, {0, 1} before {0, 2}, although {0, 2}
+  // opened first; the opener joins after them. That member order is the
+  // order of the finishes, the CSNs and the completions.
+  Database db(MergeOptions(500));
+  KeyPicker keys(db);
+  std::vector<Transaction> txs;
+  txs.push_back(Over(1, keys, {0, 2}));  // opens {0, 2}
+  txs.push_back(Over(2, keys, {0, 2}));
+  txs.push_back(Over(3, keys, {0, 1}));  // opens {0, 1}
+  txs.push_back(Over(4, keys, {0, 1, 2}));
+  std::vector<Key> first_keys;
+  for (const Transaction& tx : txs) first_keys.push_back(tx.ops[0].key);
+  Completions done;
+  sim::Time at = 0;
+  for (Transaction& tx : txs) {
+    db.Submit(std::move(tx), at, done.Record());
+    at += 20;
+  }
+  db.Drain();
+
+  EXPECT_EQ(db.batch_stats().rounds, 1);
+  EXPECT_EQ(db.batch_stats().merged_rounds, 2);
+  EXPECT_EQ(db.batch_stats().merge_absorbed, 3);
+  EXPECT_EQ(done.order, (std::vector<TxId>{3, 1, 2, 4}));
+  EXPECT_EQ(CsnOf(db, first_keys[2]), 1);
+  EXPECT_EQ(CsnOf(db, first_keys[0]), 2);
+  EXPECT_EQ(CsnOf(db, first_keys[1]), 3);
+  EXPECT_EQ(CsnOf(db, first_keys[3]), 4);
+}
+
+TEST(RoundMergeTest, CrossSetJoinerTakesTheFirstOpenSupersetInOrder) {
+  // A {0, 1} member finds two open strict supersets: {0, 1, 3}, opened
+  // first, and {0, 1, 2}, first in lexicographic order. It joins
+  // {0, 1, 2}, whose round flushes 10 ticks after {0, 1, 3}'s, so it
+  // finishes, takes its CSN and completes after the {0, 1, 2} opener.
+  Database::Options options = MergeOptions(500);
+  options.batch_cross_set = true;
+  Database db(options);
+  KeyPicker keys(db);
+  std::vector<Transaction> txs;
+  txs.push_back(Over(1, keys, {0, 1, 3}));
+  txs.push_back(Over(2, keys, {0, 1, 2}));
+  txs.push_back(Over(3, keys, {0, 1}));
+  std::vector<Key> first_keys;
+  for (const Transaction& tx : txs) first_keys.push_back(tx.ops[0].key);
+  Completions done;
+  sim::Time at = 0;
+  for (Transaction& tx : txs) {
+    db.Submit(std::move(tx), at, done.Record());
+    at += 10;
+  }
+  db.Drain();
+
+  EXPECT_EQ(db.batch_stats().rounds, 2);
+  EXPECT_EQ(db.batch_stats().cross_set_joins, 1);
+  EXPECT_EQ(db.batch_stats().merged_rounds, 0);
+  EXPECT_EQ(done.order, (std::vector<TxId>{1, 2, 3}));
+  for (size_t i = 0; i < first_keys.size(); ++i) {
+    EXPECT_EQ(CsnOf(db, first_keys[i]), static_cast<int64_t>(i) + 1)
+        << "tx " << i + 1;
+  }
+}
+
 TEST(RoundMergeTest, MergedRunsArePlacementDeterministic) {
   Database::Options options = MergeOptions(400);
   options.num_partitions = 5;

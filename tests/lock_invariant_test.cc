@@ -160,7 +160,8 @@ class LockInvariantStressTest
 
 // A contended mixed workload with invariant sweeps at every flush. Its
 // Drain checks the quiescent end state: every transaction finished, so no
-// partition may hold a lock or a record for anyone.
+// partition may hold a lock or a record for anyone. Each placement must
+// also simulate exactly its one-shard reference.
 TEST_P(LockInvariantStressTest, InvariantsHoldAtEveryBarrier) {
   // Read-modify-write exercises shared locks and the shared->exclusive
   // upgrade on every transaction; the hotspot tail adds no-wait conflicts
@@ -183,7 +184,10 @@ TEST_P(LockInvariantStressTest, InvariantsHoldAtEveryBarrier) {
     load.Submit(std::move(tx), at);
     at += 5;
   }
-  DatabaseStats stats = RunDb(StressOptions(GetParam()), load).stats;
+  bench::PlacedRuns runs =
+      bench::RunPlaced(StressOptions(GetParam()), load, GetParam().num_shards);
+  EXPECT_EQ(runs.placed.FirstDifference(runs.serial), "");
+  const DatabaseStats& stats = runs.placed.stats;
   EXPECT_EQ(stats.committed + stats.aborted, 200);
   EXPECT_GT(stats.retries, 0) << "stress run should contend";
 }

@@ -9,7 +9,8 @@
 #                             # -DFASTCOMMIT_SANITIZE=address and run ctest
 #                             # and the same gates there
 #   tools/check.sh --ubsan    # the same with -DFASTCOMMIT_SANITIZE=undefined,
-#                             # aborting on the first report
+#                             # aborting on the first report, and with
+#                             # libstdc++'s bounds-checked operator[]
 #
 # Every gate announces itself and names itself again on failure, so a red
 # CI log says *which* invariant broke without scrolling for the first
@@ -186,8 +187,10 @@ case "${1:-}" in
     run_gates build-asan
     ;;
   --ubsan)
+    # _GLIBCXX_ASSERTIONS makes an out-of-range vector operator[] (a set
+    # id, a ring slot, a partition index) abort like a sanitizer report.
     run_suite build-ubsan -DFASTCOMMIT_SANITIZE=undefined \
-      -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined
+      "-DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined -D_GLIBCXX_ASSERTIONS"
     run_gates build-ubsan
     ;;
 esac
