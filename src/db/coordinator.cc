@@ -86,13 +86,13 @@ void CommitInstance::Reset(const std::vector<commit::Vote>& votes,
   for (auto& host : hosts_) host->Reset(epoch);
 }
 
-void CommitInstance::SetProcessRegions(std::vector<int> regions) {
+void CommitInstance::SetProcessRegions(const std::vector<int>& regions) {
   if (regions.empty() && region_model_ == nullptr) return;
   FC_CHECK(region_model_ != nullptr)
       << "region assignment on a non-geo commit instance";
   FC_CHECK(static_cast<int>(regions.size()) == n_)
       << "region count " << regions.size() << " != instance size " << n_;
-  region_model_->SetProcessRegions(std::move(regions));
+  region_model_->SetProcessRegions(regions);
 }
 
 void CommitInstance::Start() {

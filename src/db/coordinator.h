@@ -74,7 +74,7 @@ class CommitInstance {
   /// Re-homes process i in region regions[i] for this incarnation (geo
   /// instances only; call after Reset, before Start). An empty vector on a
   /// non-geo instance is a no-op, so callers can pass through unconditionally.
-  void SetProcessRegions(std::vector<int> regions);
+  void SetProcessRegions(const std::vector<int>& regions);
 
   /// Proposes every vote at the current virtual time.
   void Start();

@@ -408,11 +408,13 @@ void Database::StartRound(RoundState& round, bool resumed) {
   int64_t epoch = coordinator_epoch_;
   // Geo baseline (spread coordination, no co-coordinators): home each
   // cluster process in its partition's region, so the instance's own
-  // protocol messages pay the WAN delays.
-  std::vector<int> regions;
+  // protocol messages pay the WAN delays. The pool copies the regions out
+  // before Acquire returns, so one buffer serves every round.
+  round_regions_.clear();
   if (GeoEnabled()) {
-    regions.reserve(round.partitions.size());
-    for (int p : round.partitions) regions.push_back(plane_.RegionOf(p));
+    for (int p : round.partitions) {
+      round_regions_.push_back(plane_.RegionOf(p));
+    }
   }
   CommitInstance* instance = pool_.Acquire(
       shard, sim_.shard(shard), round.round_votes,
@@ -437,7 +439,7 @@ void Database::StartRound(RoundState& round, bool resumed) {
                             finished, epoch);
             });
       },
-      std::move(regions));
+      round_regions_);
   instance->Start();
 }
 

@@ -530,6 +530,8 @@ class Database {
   /// default single-region value when GeoEnabled() is false.
   net::GeoTopology geo_topology_;
   std::vector<char> region_scratch_;  ///< reused RegionSpanOf seen-set
+  /// Reused process-to-region homes of the spread round StartRound starts.
+  std::vector<int> round_regions_;
   /// Coordinator liveness. While down, Execute parks submissions and
   /// retries in parked_ (arrival order) and completion effects of rounds
   /// started in an older epoch release their instance and nothing else.

@@ -21,7 +21,7 @@ CommitInstancePool::CommitInstancePool(
 CommitInstance* CommitInstancePool::Acquire(
     int shard, sim::Scheduler* scheduler,
     const std::vector<commit::Vote>& votes, CommitInstance::DoneCallback done,
-    std::vector<int> regions) {
+    const std::vector<int>& regions) {
   FC_CHECK(scheduler != nullptr);
   int n = static_cast<int>(votes.size());
   ++stats_.live;
@@ -33,7 +33,7 @@ CommitInstance* CommitInstancePool::Acquire(
       CommitInstance* instance = it->second.back();
       it->second.pop_back();
       instance->Reset(votes, std::move(done));
-      instance->SetProcessRegions(std::move(regions));
+      instance->SetProcessRegions(regions);
       ++stats_.reused;
       return instance;
     }
@@ -44,7 +44,7 @@ CommitInstance* CommitInstancePool::Acquire(
       std::move(done), topology_);
   CommitInstance* raw = instance.get();
   raw->set_shard_key(shard);
-  raw->SetProcessRegions(std::move(regions));
+  raw->SetProcessRegions(regions);
   all_.push_back(std::move(instance));
   ++stats_.created;
   return raw;

@@ -69,11 +69,12 @@ class CommitInstancePool {
   /// Release exactly once when the commit decided (typically from the
   /// completion effect). `shard` must identify `scheduler` stably.
   /// `regions` homes process i in regions[i] for this incarnation (geo
-  /// pools only; leave empty on a single-region pool).
+  /// pools only; leave empty on a single-region pool). It is copied into
+  /// the instance's retained vector, so the caller may reuse it.
   CommitInstance* Acquire(int shard, sim::Scheduler* scheduler,
                           const std::vector<commit::Vote>& votes,
                           CommitInstance::DoneCallback done,
-                          std::vector<int> regions = {});
+                          const std::vector<int>& regions = {});
 
   /// Returns a finished instance to its (shard, size) class (no-op when
   /// pooling is disabled — the baseline keeps instances live until

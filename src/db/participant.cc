@@ -79,10 +79,15 @@ commit::Vote Participant::Record(TxId tx, const std::vector<Op>& local_ops) {
                    [this](const Op& op) { return Holds(op); })) {
     return commit::Vote::kYes;
   }
+  // A record reuses a parked buffer that may have served a shorter one:
+  // growing each to the longest record seen means a buffer grows at most
+  // once after that length is reached, not whenever it meets a longer one.
   std::vector<Op>& record = records_[tx];
+  record.reserve(longest_record_);
   for (const Op& op : local_ops) {
     if (Holds(op)) record.push_back(op);
   }
+  longest_record_ = std::max(longest_record_, record.size());
   return commit::Vote::kYes;
 }
 

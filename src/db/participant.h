@@ -134,6 +134,8 @@ class Participant {
   VersionTable versions_;
   /// One record per prepared transaction: the ops whose keys it holds.
   FlatTable<TxId, std::vector<Op>> records_;
+  /// Ops in the longest record so far; every record reserves this many.
+  size_t longest_record_ = 0;
   /// Reused OCC read-set scratch: observations live only from the read
   /// phase to the validate phase of one Prepare, so the buffer never
   /// allocates in steady state.

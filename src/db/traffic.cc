@@ -52,7 +52,7 @@ TrafficEngine::TrafficEngine(const TrafficOptions& options)
 sim::Time TrafficEngine::NextGap() {
   switch (options_.process) {
     case ArrivalProcess::kPoisson:
-      return static_cast<sim::Time>(rng_.Exponential(options_.mean_gap));
+      return rng_.ExponentialFloor(options_.mean_gap);
     case ArrivalProcess::kBursty: {
       // A flash crowd: `burst_size` arrivals packed tightly, then an
       // exponential idle gap sized so the long-run mean stays mean_gap —
@@ -70,7 +70,7 @@ sim::Time TrafficEngine::NextGap() {
           static_cast<double>(intra) *
               static_cast<double>(options_.burst_size - 1);
       if (budget < 1.0) budget = 1.0;
-      return static_cast<sim::Time>(rng_.Exponential(budget));
+      return rng_.ExponentialFloor(budget);
     }
     case ArrivalProcess::kDiurnal: {
       // Triangle-wave rate modulation (a "day" of diurnal_period ticks):
@@ -85,24 +85,17 @@ sim::Time TrafficEngine::NextGap() {
                        ? -1.0 + 2.0 * static_cast<double>(phase) / half
                        : 3.0 - 2.0 * static_cast<double>(phase) / half;
       double rate_factor = 1.0 + options_.diurnal_amplitude * tri;
-      return static_cast<sim::Time>(
-          rng_.Exponential(options_.mean_gap / rate_factor));
+      return rng_.ExponentialFloor(options_.mean_gap / rate_factor);
     }
   }
   FC_CHECK(false) << "unknown arrival process";
   return 0;
 }
 
-int64_t TrafficEngine::SampleKey() {
-  int64_t rank = zipf_.Sample(rng_);
-  if (options_.drift_period > 0) {
-    // The popularity ranking rotates one position every drift_period
-    // arrivals: rank r maps to key (r + offset) mod num_keys, so the hot
-    // set wanders across the whole key space over a long run.
-    int64_t offset = generated_ / options_.drift_period;
-    rank = (rank + offset) % options_.num_keys;
-  }
-  return rank;
+int64_t TrafficEngine::SampleKey(int64_t drift) {
+  // rank and drift both lie in [0, num_keys): one subtract reduces.
+  int64_t key = zipf_.Sample(rng_) + drift;
+  return key >= options_.num_keys ? key - options_.num_keys : key;
 }
 
 bool TrafficEngine::Next(Arrival* out) {
@@ -111,20 +104,26 @@ bool TrafficEngine::Next(Arrival* out) {
   out->at = clock_;
   out->tx.id = options_.first_tx_id + generated_ + 1;
   out->tx.ops.clear();  // the caller's buffer, kept for its capacity
+  // The popularity ranking rotates one position every drift_period
+  // arrivals: rank r maps to key (r + drift) mod num_keys, so the hot set
+  // wanders across the whole key space over a long run.
+  int64_t drift = options_.drift_period > 0
+                      ? generated_ / options_.drift_period % options_.num_keys
+                      : 0;
   // The read-mix draw happens only when the knob is on: at the default
   // read_fraction = 0 this consumes nothing, so the golden sequences of
   // every pre-existing configuration stay bitwise identical.
   if (options_.read_fraction > 0.0 && rng_.Chance(options_.read_fraction)) {
     for (int k = 0; k < options_.reads_per_tx; ++k) {
-      out->tx.ops.push_back(Transaction::Get(ItemKey(SampleKey())));
+      out->tx.ops.push_back(Transaction::Get(ItemKey(SampleKey(drift))));
     }
     ++generated_;
     return true;
   }
   switch (options_.shape) {
     case TxShape::kTransferPair: {
-      int64_t from = SampleKey();
-      int64_t to = SampleKey();
+      int64_t from = SampleKey(drift);
+      int64_t to = SampleKey(drift);
       if (to == from) to = (to + 1) % options_.num_keys;
       int64_t amount = rng_.UniformInt(1, options_.max_amount);
       AppendTransferOps(&out->tx, ItemKey(from), ItemKey(to), amount);
@@ -132,7 +131,7 @@ bool TrafficEngine::Next(Arrival* out) {
     }
     case TxShape::kReadModifyWrite:
       for (int k = 0; k < options_.keys_per_tx; ++k) {
-        AppendReadModifyWriteOps(&out->tx, ItemKey(SampleKey()));
+        AppendReadModifyWriteOps(&out->tx, ItemKey(SampleKey(drift)));
       }
       break;
   }

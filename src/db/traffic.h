@@ -84,10 +84,13 @@ struct TrafficOptions {
 /// Deterministic open-loop arrival stream: yields (arrival time,
 /// transaction) pairs one at a time, so a run over millions of keys and
 /// arrivals never materializes a workload vector. All randomness flows
-/// from one sim::Rng and all continuous math goes through sim::detmath,
-/// making the stream bitwise identical across platforms and placements —
-/// gated by the golden-sequence tests in tests/distribution_test.cc and
-/// the placement grids in tests/db_traffic_test.cc.
+/// from one sim::Rng. Every gap and key is the floor of a sim::detmath
+/// value; the samplers compute it from libm and fall back to detmath
+/// only near an integer (sim::detmath::GuardedFloor), so the stream is
+/// bitwise identical across platforms and placements at libm speed —
+/// gated by the golden sequences and guard sweeps in
+/// tests/distribution_test.cc, and by the stream digests and placement
+/// grids in tests/db_traffic_test.cc.
 ///
 /// Transaction ids are assigned 1..num_arrivals in arrival order, matching
 /// the closed-loop generators' convention (retries keep the id).
@@ -107,8 +110,9 @@ class TrafficEngine {
  private:
   /// Inter-arrival gap, in ticks, before the next arrival.
   sim::Time NextGap();
-  /// One key index under the current popularity ranking (Zipf + drift).
-  int64_t SampleKey();
+  /// One key index under the current popularity ranking: a Zipf rank
+  /// rotated by `drift`, this arrival's offset in [0, num_keys).
+  int64_t SampleKey(int64_t drift);
 
   TrafficOptions options_;
   sim::Rng rng_;

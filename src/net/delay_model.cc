@@ -144,12 +144,12 @@ RegionDelayModel::RegionDelayModel(GeoTopology topology,
   }
 }
 
-void RegionDelayModel::SetProcessRegions(std::vector<int> regions) {
+void RegionDelayModel::SetProcessRegions(const std::vector<int>& regions) {
   for (int region : regions) {
     FC_CHECK(region >= 0 && region < topology_.num_regions)
         << "process homed in unknown region " << region;
   }
-  regions_ = std::move(regions);
+  regions_.assign(regions.begin(), regions.end());
 }
 
 int RegionDelayModel::RegionOf(ProcessId pid) const {

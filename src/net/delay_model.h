@@ -149,8 +149,10 @@ class RegionDelayModel : public DelayModel {
 
   /// Region of each process id, indexed by id; processes at or beyond
   /// size() live in region 0. Replaces any previous assignment — the pooled
-  /// commit-instance recycle path re-homes the cluster per incarnation.
-  void SetProcessRegions(std::vector<int> regions);
+  /// commit-instance recycle path re-homes the cluster per incarnation —
+  /// by assigning into the retained vector, so a warm re-home of an equal
+  /// or smaller cluster allocates nothing.
+  void SetProcessRegions(const std::vector<int>& regions);
 
   sim::Time DelayFor(ProcessId from, ProcessId to, sim::Time send_time,
                      int64_t seq) override;

@@ -2,6 +2,7 @@
 #define FASTCOMMIT_SIM_DETMATH_H_
 
 #include <cmath>
+#include <cstdint>
 
 #include "core/check.h"
 
@@ -13,12 +14,18 @@ namespace fastcommit::sim::detmath {
 /// ulp and their exact rounding differs across C libraries, so a workload
 /// or arrival stream derived from them would not be bitwise reproducible
 /// between platforms — the same class of bug as the std::hash routing that
-/// PR 3 replaced with FNV-1a. These implementations use only IEEE-754
-/// basic operations (+, -, *, /, which are correctly rounded everywhere)
-/// plus the exact bit manipulations frexp/ldexp, so every call returns the
+/// FNV-1a replaced. These implementations use only IEEE-754 basic
+/// operations (+, -, *, /, which are correctly rounded everywhere) plus
+/// the exact bit manipulations frexp/ldexp, so every call returns the
 /// identical double on every conforming platform. Accuracy is ~1e-15
 /// relative — far more than any sampler needs — but the point is
 /// *reproducibility*, not precision.
+///
+/// They are the reference definitions of every sampled value, not the
+/// hot path: a series costs 16-18 divisions. The samplers keep only an
+/// integer (a Zipf rank, a gap in ticks), so they floor a libm value
+/// through GuardedFloor below and call these only when the libm value
+/// lies too close to an integer to decide the floor.
 
 inline constexpr double kLn2 = 0.6931471805599453094172321214581766;
 inline constexpr double kInvLn2 = 1.4426950408889634073599246810018921;
@@ -71,6 +78,48 @@ inline double Pow(double base, double y) {
   if (y == 0.0) return 1.0;
   if (y == 1.0) return base;
   return Exp(y * Log(base));
+}
+
+/// Relative half-width of GuardedFloor's guard band: 2^-36.
+inline constexpr double kFloorGuard = 1.0 / 68719476736.0;
+
+/// floor(exact()) for a non-negative value computed two ways: `approx`
+/// by libm, `exact` (a callable) by the functions above. Returns
+/// floor(approx) unless an integer lies within kFloorGuard * approx of
+/// approx; only then does it call `exact`. Requires 0 <= approx < 2^62
+/// and exact() >= 0.
+///
+/// Why the floors agree: if |approx - exact()| <= kFloorGuard * approx
+/// and no integer lies within the band, no integer lies between approx
+/// and exact(), so both floor to the same integer. The band test is
+/// exact: approx's distance to its floor subtracts exactly (Sterbenz), and
+/// so does its distance to the next integer wherever the band can reach
+/// it. The samplers' two values differ far less than the band:
+///   - libm's `log`, `exp` and `pow` (glibc) are within 1 ulp (2^-52
+///     relative) of the true value.
+///   - Log is within about 2^-50 relative everywhere: m - 1 is exact,
+///     the atanh series adds little rounding, and the e * ln2 term cannot
+///     cancel 2 * sum (|2 * sum| <= ln(2) / 2).
+///   - Exp(x) errs by the error of its reduced argument r, absolute, plus
+///     a few ulp: k * kLn2 rounds within 2^-44 for |x| <= 700, and kLn2's
+///     own error times |k| <= 1010 adds under 2^-44. A Pow argument
+///     y * Log(b) carries Log's 2^-50 times |y * Log(b)|. Over Exp's whole
+///     |x| <= 700 domain that is about |x| times a few ulp: under 2^-40
+///     relative.
+/// So the band is 16x wider than any disagreement, and any libm within
+/// 2^-37 of the true value keeps the floors equal. Measured against glibc
+/// 2.36 over 5M random arguments with |x| <= 700: Log 2^-50, Exp 2^-43.5,
+/// Pow 2^-41.2. The samplers' own arguments stay below ln(2^56 + 1): over
+/// 5M Zipf draws at n = 2^56 for each exponent in {0.5, 0.8, 0.9, 0.99,
+/// 1, 1.1, 1.5}, the worst was 2.75e-14 (2^-45, at 0.99). Values above
+/// 2^36 always fall back, since the band then spans an integer.
+template <typename Exact>
+inline int64_t GuardedFloor(double approx, Exact exact) {
+  auto whole = static_cast<int64_t>(approx);  // floor: approx >= 0
+  double below = approx - static_cast<double>(whole);
+  double guard = approx * kFloorGuard;
+  if (below > guard && 1.0 - below > guard) return whole;
+  return static_cast<int64_t>(exact());  // floor: exact() >= 0
 }
 
 }  // namespace fastcommit::sim::detmath

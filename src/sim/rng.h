@@ -1,6 +1,7 @@
 #ifndef FASTCOMMIT_SIM_RNG_H_
 #define FASTCOMMIT_SIM_RNG_H_
 
+#include <cmath>
 #include <cstdint>
 
 #include "sim/detmath.h"
@@ -37,11 +38,21 @@ class Rng {
 
   /// Exponential variate with the given mean (> 0) by inverse CDF:
   /// -mean * ln(1 - U). Uses detmath::Log, so the sequence for a seed is
-  /// bitwise identical on every platform — the property the open-loop
-  /// arrival streams (db/traffic.h) gate with golden-sequence tests.
+  /// bitwise identical on every platform: the reference definition that
+  /// ExponentialFloor reproduces and the golden sequences pin.
   double Exponential(double mean) {
     // 1 - U is in (0, 1]: Log's domain, and Exponential(m) >= 0 exactly.
     return -mean * detmath::Log(1.0 - UniformDouble());
+  }
+
+  /// static_cast<int64_t>(Exponential(mean)), draw for draw, at libm
+  /// speed: the same U goes through std::log, and detmath::Log runs only
+  /// when that value lies within detmath::GuardedFloor's band of an
+  /// integer. The open-loop arrival gaps (db/traffic.h) use it.
+  int64_t ExponentialFloor(double mean) {
+    double w = 1.0 - UniformDouble();
+    return detmath::GuardedFloor(-mean * std::log(w),
+                                 [mean, w] { return -mean * detmath::Log(w); });
   }
 
   /// Forks an independent stream (e.g., one per process) deterministically.
@@ -55,8 +66,13 @@ class Rng {
 /// continuous bounded Pareto density p(x) ∝ x^-exponent on [1, n + 1) —
 /// the standard O(1) continuous approximation of the discrete Zipf
 /// distribution (rank 1 is the most popular item). exponent 0 degenerates
-/// to uniform; exponent near 1 uses the log-uniform limit. All math goes
-/// through detmath, so sequences are platform-invariant like the Rng's.
+/// to uniform; exponent near 1 uses the log-uniform limit. The scale is
+/// computed with detmath, and each rank is the floor of a detmath::Exp or
+/// detmath::Pow value, taken through detmath::GuardedFloor from libm's
+/// std::exp or std::pow. So sequences are platform-invariant like the
+/// Rng's, and a draw costs a libm call unless its value lies within the
+/// guard band of an integer: 4 draws in 10^6 at n = 2^20 and exponent
+/// 0.8, and every draw whose value passes 2^36.
 class ZipfSampler {
  public:
   ZipfSampler(int64_t num_items, double exponent)
@@ -70,6 +86,7 @@ class ZipfSampler {
       scale_ = detmath::Log(n1);  // CDF^-1(u) = e^(u * ln(n+1))
     } else {
       scale_ = detmath::Pow(n1, 1.0 - exponent) - 1.0;
+      power_ = 1.0 / (1.0 - exponent);
     }
   }
 
@@ -79,15 +96,19 @@ class ZipfSampler {
   /// Draws one 0-based item index; 0 is the most popular rank.
   int64_t Sample(Rng& rng) const {
     double u = rng.UniformDouble();
-    double x;  // continuous rank in [1, n + 1)
+    int64_t rank;  // floor of the continuous rank in [1, n + 1)
     if (Uniform()) {
-      x = 1.0 + u * static_cast<double>(num_items_);
+      rank = static_cast<int64_t>(1.0 + u * static_cast<double>(num_items_));
     } else if (LogUniform()) {
-      x = detmath::Exp(u * scale_);
+      double y = u * scale_;
+      rank = detmath::GuardedFloor(std::exp(y),
+                                   [y] { return detmath::Exp(y); });
     } else {
-      x = detmath::Pow(1.0 + u * scale_, 1.0 / (1.0 - exponent_));
+      double base = 1.0 + u * scale_;
+      rank = detmath::GuardedFloor(std::pow(base, power_), [this, base] {
+        return detmath::Pow(base, power_);
+      });
     }
-    int64_t rank = static_cast<int64_t>(x);  // floor: x >= 1
     if (rank < 1) rank = 1;
     if (rank > num_items_) rank = num_items_;  // guard the open-bound edge
     return rank - 1;
@@ -105,6 +126,7 @@ class ZipfSampler {
   int64_t num_items_;
   double exponent_;
   double scale_;
+  double power_ = 0.0;  ///< 1 / (1 - exponent) off the two special cases
 };
 
 }  // namespace fastcommit::sim

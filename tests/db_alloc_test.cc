@@ -4,10 +4,11 @@
 // batch former's per-set rounds, pooled commit instances, the event queue),
 // later streams over the same preloaded keys allocate nothing, whether
 // they carry 2,000 arrivals or 8,000. Unbatched INBAC (the benchmark's
-// uniform workload) and 2PC with adaptive cross-set batching, round
-// merging and retries (contended) are covered. The test replaces the
-// global operator new with a counting one, so it lives in its own file
-// (each tests/*_test.cc builds its own executable).
+// uniform workload), the same over three regions without co-coordinators,
+// and 2PC with adaptive cross-set batching, round merging and retries
+// (contended) are covered. The test replaces the global operator new with
+// a counting one, so it lives in its own file (each tests/*_test.cc builds
+// its own executable).
 
 #include <gtest/gtest.h>
 
@@ -50,6 +51,7 @@ struct Measured {
   int64_t committed = 0;
   int64_t shed = 0;
   int64_t retries = 0;
+  int64_t multi_region_rounds = 0;
   BatchStats batch;
 };
 
@@ -86,6 +88,7 @@ class WarmDatabase {
     for (int64_t i = 0; i < skip; ++i) engine.Next(&arrival);
     const DatabaseStats before = db_.stats();
     const BatchStats batch = db_.batch_stats();
+    const int64_t multi_region = db_.geo_stats().multi_region_rounds;
     const int64_t delivered = delivered_;
 
     const int64_t allocations = g_allocations.load();
@@ -98,6 +101,8 @@ class WarmDatabase {
     m.committed = after.committed - before.committed;
     m.shed = after.shed - before.shed;
     m.retries = after.retries - before.retries;
+    m.multi_region_rounds =
+        db_.geo_stats().multi_region_rounds - multi_region;
     m.batch.rounds = db_.batch_stats().rounds - batch.rounds;
     m.batch.cross_set_joins =
         db_.batch_stats().cross_set_joins - batch.cross_set_joins;
@@ -175,6 +180,24 @@ TEST(DbAllocationTest, WarmBatchedStreamAllocatesNothing) {
     EXPECT_EQ(m.shed, 0);
     EXPECT_GT(m.retries, length) << "too few conflicts";
     EXPECT_GT(m.batch.rounds, 0);
+    EXPECT_EQ(m.allocations, 0);
+  }
+}
+
+TEST(DbAllocationTest, WarmSpreadGeoStreamAllocatesNothing) {
+  // Three regions without co-coordinators: every multi-region round homes
+  // its instance's processes in their partitions' regions, through one
+  // reused buffer.
+  Database::Options options;
+  TrafficOptions traffic;
+  Uniform(&options, &traffic);
+  options.num_regions = 3;
+  options.geo_co_coordinators = false;
+  WarmDatabase db(options, traffic);
+  for (int64_t length : {2000, 8000}) {
+    SCOPED_TRACE(length);
+    Measured m = db.Stream(length);
+    EXPECT_GT(m.multi_region_rounds, length / 2);
     EXPECT_EQ(m.allocations, 0);
   }
 }

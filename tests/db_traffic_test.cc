@@ -11,7 +11,9 @@
 //   - invariant sweeps (Options::check_invariants) under a contended,
 //     retrying stream change no stat;
 //   - placement determinism: every arrival process x skew drift config
-//     yields bitwise-identical DatabaseStats across shard placements.
+//     yields bitwise-identical DatabaseStats across shard placements;
+//   - stream identity: golden digests pin 200,000 arrivals of each of
+//     eight streams, so a faster sampler must reproduce every draw.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "db/database.h"
+#include "db/fnv1a.h"
 #include "db/traffic.h"
 #include "db/workload.h"
 #include "db_run.h"
@@ -144,6 +147,81 @@ TEST(TrafficEngineTest, KeysBeyondTwoToThe31DoNotWrap) {
     }
   }
   EXPECT_GT(high, 0);
+}
+
+/// FNV-1a over `traffic`'s arrivals: each one's instant, id and op count,
+/// and each op's type, key and delta.
+uint64_t StreamDigest(const TrafficOptions& traffic) {
+  TrafficEngine engine(traffic);
+  TrafficEngine::Arrival arrival;
+  Fnv1a hash;
+  while (engine.Next(&arrival)) {
+    hash.Int(static_cast<uint64_t>(arrival.at))
+        .Int(static_cast<uint64_t>(arrival.tx.id))
+        .Int(static_cast<uint64_t>(arrival.tx.ops.size()));
+    for (const Op& op : arrival.tx.ops) {
+      hash.Int(static_cast<uint8_t>(op.type))
+          .Int(static_cast<uint64_t>(op.key))
+          .Int(static_cast<uint64_t>(op.delta));
+    }
+  }
+  return hash.value;
+}
+
+// The arrival streams are part of every simulated result, so each draw of
+// the Zipf and exponential samplers must stay what it was. The first four
+// streams are the benchmark's four distinct traffic configurations at seed
+// 42; the rest cover the bursty and diurnal processes, read-modify-writes
+// and the log-uniform Zipf limit. The digests are those of samplers that
+// ran every draw through detmath, the definition the guarded ones keep.
+TEST(TrafficEngineTest, StreamsMatchTheirGoldenDigests) {
+  auto stream = [](double zipf, double mean_gap) {
+    TrafficOptions traffic;
+    traffic.num_arrivals = 200000;
+    traffic.num_keys = int64_t{1} << 20;
+    traffic.zipf_exponent = zipf;
+    traffic.mean_gap = mean_gap;
+    traffic.seed = 42;
+    return traffic;
+  };
+  TrafficOptions uniform = stream(0.0, 40.0);
+  uniform.num_keys = int64_t{1} << 30;
+  TrafficOptions contended = stream(0.9, 10.0);
+  contended.drift_period = 1000;
+  TrafficOptions readmix = stream(0.8, 10.0);
+  readmix.read_fraction = 0.9;
+  readmix.reads_per_tx = 4;
+  TrafficOptions bursty = stream(0.99, 100.0);
+  bursty.process = ArrivalProcess::kBursty;
+  bursty.burst_size = 16;
+  TrafficOptions diurnal = stream(0.5, 100.0);
+  diurnal.process = ArrivalProcess::kDiurnal;
+  diurnal.diurnal_period = 20000;
+  diurnal.drift_period = 40;
+  // Over 1,000 keys the drift offset wraps the key space ten times.
+  TrafficOptions rmw = stream(1.1, 25.0);
+  rmw.shape = TxShape::kReadModifyWrite;
+  rmw.keys_per_tx = 3;
+  rmw.num_keys = 1000;
+  rmw.drift_period = 20;
+  const struct {
+    const char* name;
+    TrafficOptions traffic;
+    uint64_t digest;
+  } kStreams[] = {
+      {"uniform", uniform, 0x9fb9f11e8a231e0aULL},
+      {"contended", contended, 0x1305431840a85eb3ULL},
+      {"readmix", readmix, 0x1d05d519daf14281ULL},
+      {"durable-crash", stream(0.0, 40.0), 0x47ba07d00ed57e0fULL},
+      {"bursty", bursty, 0xcbfb4d00190d7f91ULL},
+      {"diurnal", diurnal, 0x59ac902006c0dbbdULL},
+      {"rmw", rmw, 0xbbdf9b220d2537dcULL},
+      {"exponent-1.0", stream(1.0, 100.0), 0x1dbd13b64631ff97ULL},
+  };
+  for (const auto& s : kStreams) {
+    uint64_t digest = StreamDigest(s.traffic);
+    EXPECT_EQ(digest, s.digest) << s.name << ": 0x" << std::hex << digest;
+  }
 }
 
 // A key index has 56 bits, so a larger key space is refused up front.

@@ -1,17 +1,26 @@
 // Golden-sequence tests for the deterministic distribution samplers
-// (sim::Rng::Exponential, sim::ZipfSampler) and the software math they run
-// on (sim/detmath.h). The goldens pin exact bit patterns: the samplers
-// must produce identical streams on every platform and placement, because
-// the open-loop traffic engine (db/traffic.h) derives workloads from them
-// and the placement-determinism gates compare the resulting DatabaseStats
-// bitwise. A libm-backed implementation would fail these on some C
-// libraries — the same cross-platform divergence class as the std::hash
-// routing bug fixed in the key-routing layer.
+// (sim::Rng::Exponential and ExponentialFloor, sim::ZipfSampler) and the
+// software math they run on (sim/detmath.h). The goldens pin exact bit
+// patterns: the samplers must produce identical streams on every platform
+// and placement, because the open-loop traffic engine (db/traffic.h)
+// derives workloads from them and the placement-determinism gates compare
+// the resulting DatabaseStats bitwise.
+//
+// ZipfSampler and ExponentialFloor call libm, yet no C library can move
+// these goldens. Each keeps only an integer, the floor of a detmath value,
+// and detmath::GuardedFloor takes that floor from the libm value only when
+// no integer lies within 2^-36 (relative) of it. libm and detmath agree
+// within about 2^-40 over detmath's whole domain, so outside the band both
+// floor to the same integer, and inside it the detmath value decides. The
+// guard sweeps below check this draw for draw against the all-detmath
+// formulas, 10^6 draws per configuration, and print each one's fallback
+// share.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <vector>
 
@@ -151,6 +160,131 @@ TEST(DistributionTest, ZipfExponentZeroIsUniform) {
                 static_cast<double>(kDraws) / kItems,
                 0.25 * static_cast<double>(kDraws) / kItems)
         << "rank " << r;
+  }
+}
+
+TEST(GuardedFloorTest, FallsBackOnlyInsideTheBand) {
+  const double kTiny = std::ldexp(1.0, -40);  // inside 3's band of 2^-34.4
+  // Within the band the exact value decides, on either side of 3.
+  EXPECT_EQ(detmath::GuardedFloor(3.0 + kTiny, [] { return 2.9999999999; }),
+            2);
+  EXPECT_EQ(detmath::GuardedFloor(3.0 - kTiny, [] { return 3.0000000001; }),
+            3);
+  EXPECT_EQ(detmath::GuardedFloor(0.0, [] { return 0.0; }), 0);
+  // Beyond 2^36 the band spans an integer, so every value falls back.
+  EXPECT_EQ(detmath::GuardedFloor(std::ldexp(1.0, 40) + 0.5,
+                                  [] { return 7.0; }),
+            7);
+  // Outside the band the libm value is floored and exact is never called.
+  bool called = false;
+  auto exact = [&called] {
+    called = true;
+    return 0.0;
+  };
+  EXPECT_EQ(detmath::GuardedFloor(3.5, exact), 3);
+  EXPECT_EQ(detmath::GuardedFloor(3.0 + std::ldexp(1.0, -30), exact), 3);
+  EXPECT_EQ(detmath::GuardedFloor(4.0 - std::ldexp(1.0, -30), exact), 3);
+  EXPECT_EQ(detmath::GuardedFloor(1e-3, exact), 0);
+  EXPECT_EQ(detmath::GuardedFloor(123456.789, exact), 123456);
+  EXPECT_FALSE(called);
+}
+
+/// Draws per guard-sweep configuration.
+constexpr int kSweepDraws = 1000000;
+
+/// ZipfSampler's rank with every draw through detmath, as it was computed
+/// before the guard. `fell_back` reports whether the guarded sampler's
+/// libm value for the same u lies within the band.
+class DetmathZipf {
+ public:
+  DetmathZipf(int64_t num_items, double exponent)
+      : num_items_(num_items), exponent_(exponent) {
+    double n1 = static_cast<double>(num_items) + 1.0;
+    scale_ = exponent == 1.0 ? detmath::Log(n1)
+                             : detmath::Pow(n1, 1.0 - exponent) - 1.0;
+  }
+
+  int64_t Rank(double u, bool* fell_back) const {
+    double x, approx;
+    if (exponent_ == 1.0) {
+      x = detmath::Exp(u * scale_);
+      approx = std::exp(u * scale_);
+    } else {
+      double base = 1.0 + u * scale_;
+      x = detmath::Pow(base, 1.0 / (1.0 - exponent_));
+      approx = std::pow(base, 1.0 / (1.0 - exponent_));
+    }
+    *fell_back = false;
+    detmath::GuardedFloor(approx, [&] {
+      *fell_back = true;
+      return x;
+    });
+    int64_t rank = static_cast<int64_t>(x);
+    if (rank < 1) rank = 1;
+    if (rank > num_items_) rank = num_items_;
+    return rank - 1;
+  }
+
+ private:
+  int64_t num_items_;
+  double exponent_;
+  double scale_;
+};
+
+TEST(GuardedFloorTest, ZipfMatchesDetmathDrawForDraw) {
+  const int64_t kSizes[] = {1000, int64_t{1} << 20, int64_t{1} << 30,
+                            int64_t{1} << 56};
+  uint64_t seed = 100;
+  for (double exponent : {0.5, 0.8, 0.9, 0.99, 1.0, 1.1, 1.5}) {
+    for (int64_t n : kSizes) {
+      ZipfSampler zipf(n, exponent);
+      DetmathZipf reference(n, exponent);
+      Rng fast(++seed), twin(seed);
+      int64_t fallbacks = 0;
+      for (int i = 0; i < kSweepDraws; ++i) {
+        bool fell_back;
+        int64_t want = reference.Rank(twin.UniformDouble(), &fell_back);
+        ASSERT_EQ(zipf.Sample(fast), want)
+            << "s=" << exponent << " n=" << n << " draw " << i;
+        fallbacks += fell_back;
+      }
+      std::printf("zipf s=%.2f n=%lld: %lld of %d draws fell back\n",
+                  exponent, static_cast<long long>(n),
+                  static_cast<long long>(fallbacks), kSweepDraws);
+      // Past 2^36 every value falls back, so each 2^56-item sweep checks
+      // the fallback path, and at s = 0.5 nearly every draw takes it.
+      if (n == int64_t{1} << 56) {
+        EXPECT_GT(fallbacks, 0) << "s=" << exponent;
+        if (exponent == 0.5) {
+          EXPECT_GT(fallbacks, kSweepDraws * 99 / 100);
+        }
+      }
+    }
+  }
+}
+
+TEST(GuardedFloorTest, ExponentialFloorMatchesExponential) {
+  // The arrival gaps' means rarely leave a draw in the band; at a mean of
+  // 10^9 about 3% of draws fall back, which checks that path too.
+  uint64_t seed = 200;
+  for (double mean : {0.5, 10.0, 40.0, 1e4, 1e9}) {
+    Rng fast(++seed), twin(seed), probe(seed);
+    int64_t fallbacks = 0;
+    for (int i = 0; i < kSweepDraws; ++i) {
+      ASSERT_EQ(fast.ExponentialFloor(mean),
+                static_cast<int64_t>(twin.Exponential(mean)))
+          << "mean=" << mean << " draw " << i;
+      double w = 1.0 - probe.UniformDouble();
+      detmath::GuardedFloor(-mean * std::log(w), [&fallbacks] {
+        ++fallbacks;
+        return 0.0;
+      });
+    }
+    std::printf("exponential mean=%g: %lld of %d draws fell back\n", mean,
+                static_cast<long long>(fallbacks), kSweepDraws);
+    if (mean == 1e9) {
+      EXPECT_GT(fallbacks, kSweepDraws / 100);
+    }
   }
 }
 

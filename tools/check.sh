@@ -103,6 +103,11 @@ run_gates() {
   # or ablation program fails to run.
   gate "paper tables and ablations ($gates_dir/bench_table1 ...)" \
     paper_benches "$gates_dir"
+
+  # Examples: nonzero if an example fails or its stdout differs from its
+  # checked-in examples/expected/<name>.txt. All four are deterministic, so
+  # a change that should not alter behaviour must leave them byte-identical.
+  gate "examples ($gates_dir/quickstart ...)" example_outputs "$gates_dir"
 }
 
 # paper_benches <build dir>: runs the nine paper-table, figure and ablation
@@ -117,6 +122,28 @@ paper_benches() {
       return 1
     fi
   done
+}
+
+# example_outputs <build dir>: runs the four examples and diffs each one's
+# stdout against examples/expected/<name>.txt, printing the diff on a
+# mismatch.
+example_outputs() {
+  example_out=$(mktemp)
+  for example in quickstart bank_transfer helios_conflict \
+    protocol_comparison; do
+    if ! "./$1/$example" >"$example_out"; then
+      echo "check.sh: $example failed" >&2
+      rm -f "$example_out"
+      return 1
+    fi
+    if ! diff -u "examples/expected/$example.txt" "$example_out"; then
+      echo "check.sh: $example output differs from" \
+        "examples/expected/$example.txt" >&2
+      rm -f "$example_out"
+      return 1
+    fi
+  done
+  rm -f "$example_out"
 }
 
 # worktree_files <pathspec...>: the files of the working tree that match,
