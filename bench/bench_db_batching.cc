@@ -15,12 +15,8 @@
 //     for the flush);
 //   - rounds run, members carried, and round occupancy (members/rounds).
 //
-// It doubles as a determinism and regression gate, exiting nonzero when
-// any fails:
-//   - for every mode, the whole simulated record (DbRun::SameSimulation:
-//     DatabaseStats, BatchStats and the rest) must be bitwise identical
-//     between the single-queue reference and the same run placed on 4
-//     shards, and the store must match the delivered-commit ledger;
+// It doubles as a regression gate, exiting nonzero when any fails:
+//   - for every mode, the store must match the delivered-commit ledger;
 //   - with the largest fixed window, messages per committed transaction
 //     must be strictly lower than with batching disabled, on every
 //     protocol and workload;
@@ -95,15 +91,14 @@ db::Database::Options BatchOptions(core::ProtocolKind protocol,
   return options;
 }
 
-void PrintResult(const Mode& mode, const DbRun& r, bool identical) {
+void PrintResult(const Mode& mode, const DbRun& r) {
   std::printf(
       "  %-12s %8lld committed  %6.2f msgs/commit  "
-      "mean %7.0f  p99 %6lld  rounds %7lld  occupancy %5.2f  stats %s\n",
+      "mean %7.0f  p99 %6lld  rounds %7lld  occupancy %5.2f\n",
       mode.label.c_str(), static_cast<long long>(r.stats.committed),
       MsgsPerCommit(r.stats), r.stats.MeanLatency(),
       static_cast<long long>(r.stats.PercentileLatency(99)),
-      static_cast<long long>(r.batch.rounds), r.batch.Occupancy(),
-      identical ? "identical" : "DIVERGED");
+      static_cast<long long>(r.batch.rounds), r.batch.Occupancy());
 }
 
 }  // namespace
@@ -133,14 +128,12 @@ int main(int argc, char** argv) {
   PrintHeader(
       "DB commit batching: fixed-window sweep + adaptive cross-set mode");
   std::printf(
-      "%d transactions per run, 4 partitions, bursts of %d, "
-      "placement check on 4 shards\n"
+      "%d transactions per run, 4 partitions, bursts of %d\n"
       "adaptive mode: prior %lld, window max %lld, cross-set admission on\n",
       args.txs, kBurst, static_cast<long long>(kAdaptivePrior),
       static_cast<long long>(kAdaptiveWindowMax));
 
   JsonBenchReport report("db_batching", args.txs);
-  bool diverged = false;
   bool no_amortization = false;
   bool occupancy_regressed = false;
   for (const WorkloadSpec& workload : kWorkloads) {
@@ -154,12 +147,8 @@ int main(int argc, char** argv) {
       DbRun fixed_reference;
       DbRun adaptive;
       for (const Mode& mode : modes) {
-        // Single-queue reference vs the run placed on 4 shards: the merge
-        // rule's determinism gate.
-        PlacedRuns runs = RunPlaced(BatchOptions(protocol, mode), load, 4);
-        const DbRun& r = runs.serial;
-        if (!runs.identical) diverged = true;
-        PrintResult(mode, r, runs.identical);
+        DbRun r = RunDb(BatchOptions(protocol, mode), load);
+        PrintResult(mode, r);
         if (!mode.adaptive && mode.window == 0) {
           unbatched_ratio = MsgsPerCommit(r.stats);
         }
@@ -205,13 +194,12 @@ int main(int argc, char** argv) {
       }
     }
   }
-  if (diverged) std::printf("\nDETERMINISM VIOLATION: stats diverged\n");
   if (occupancy_regressed) {
     std::printf(
         "\nOCCUPANCY REGRESSION: adaptive cross-set mode must reach >= 1.2x "
         "fixed-window occupancy at no worse mean latency on skewed "
         "workloads\n");
   }
-  bool failed = diverged || no_amortization || occupancy_regressed;
+  bool failed = no_amortization || occupancy_regressed;
   return FinishDbBench(args, report, failed);
 }

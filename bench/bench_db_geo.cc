@@ -20,10 +20,7 @@
 //     strictly below the spread baseline's for the same protocol;
 //   - both span classes occur (the traffic must actually mix regions), and
 //     every single-region co-coordinator round takes the one-phase path;
-//   - zero lost committed transactions (Add-delta ledger conservation);
-//   - bitwise placement determinism: the whole simulated record
-//     (DbRun::SameSimulation: DatabaseStats, GeoStats and the rest)
-//     identical between the single-queue reference and 4 shards.
+//   - zero lost committed transactions (Add-delta ledger conservation).
 //
 // Usage:
 //   bench_db_geo [--txs N] [--json PATH]
@@ -80,11 +77,10 @@ int main(int argc, char** argv) {
   std::printf(
       "%d arrivals per run, 9 partitions homed 3 per region, transfer "
       "pairs over 512 keys\nspread deployment vs co-coordinator "
-      "choreography; placement check on 4 shards\n",
+      "choreography\n",
       num_arrivals);
 
   JsonBenchReport report("db_geo", num_arrivals);
-  bool diverged = false;
   bool rounds_regressed = false;
   bool latency_regressed = false;
   bool mix_missing = false;
@@ -97,14 +93,9 @@ int main(int argc, char** argv) {
     for (bool co_coordinators : {false, true}) {
       const char* mode = co_coordinators ? "co-coordinator" : "spread";
 
-      // Serial reference vs the placed run: the WAN-priced schedule must
-      // be placement-invariant, not just the workload stats.
-      PlacedRuns runs =
-          RunPlaced(GeoOptions(protocol, co_coordinators), load, 4);
-      const DbRun& placed = runs.placed;
-      if (!runs.identical) diverged = true;
+      DbRun run = RunDb(GeoOptions(protocol, co_coordinators), load);
 
-      const db::Database::GeoStats& geo = placed.geo;
+      const db::Database::GeoStats& geo = run.geo;
       double cross_rounds = geo.CrossRegionRoundsPerCommit();
       double latency_units =
           geo.multi_region_latency.Mean() / static_cast<double>(100);
@@ -136,41 +127,36 @@ int main(int argc, char** argv) {
       std::printf(
           "  %-16s %8lld committed  cross-rounds/commit %.3f  "
           "multi-latency %6.1f U  multi %6lld  single %5lld  one-phase "
-          "%5lld  ledger %s  stats %s\n",
-          mode, static_cast<long long>(placed.stats.committed), cross_rounds,
+          "%5lld  ledger %s\n",
+          mode, static_cast<long long>(run.stats.committed), cross_rounds,
           latency_units, static_cast<long long>(geo.multi_region_rounds),
           static_cast<long long>(geo.single_region_rounds),
           static_cast<long long>(geo.one_phase_rounds),
-          placed.ledger_mismatches == 0 ? "conserved" : "DIVERGED",
-          runs.identical ? "identical" : "DIVERGED");
+          run.ledger_mismatches == 0 ? "conserved" : "DIVERGED");
 
       auto& row = report.AddRow(std::string(core::ProtocolName(protocol)) +
                                 "/" + mode);
-      row.Set("offered", placed.stats.offered)
-          .Set("committed", placed.stats.committed)
-          .Set("commits_per_tick", CommitsPerTick(placed.stats))
-          .Set("mean_latency_ticks", placed.stats.MeanLatency())
+      row.Set("offered", run.stats.offered)
+          .Set("committed", run.stats.committed)
+          .Set("commits_per_tick", CommitsPerTick(run.stats))
+          .Set("mean_latency_ticks", run.stats.MeanLatency())
           .Set("p99_latency_ticks",
-               static_cast<int64_t>(placed.stats.PercentileLatency(99)))
-          .Set("makespan_ticks", static_cast<int64_t>(placed.stats.makespan))
+               static_cast<int64_t>(run.stats.PercentileLatency(99)))
+          .Set("makespan_ticks", static_cast<int64_t>(run.stats.makespan))
           .Set("cross_region_rounds", cross_rounds)
           .Set("multi_region_latency_units", latency_units)
           .Set("multi_region_rounds", geo.multi_region_rounds)
           .Set("single_region_rounds", geo.single_region_rounds)
           .Set("one_phase_rounds", geo.one_phase_rounds)
           .Set("cross_region_messages", geo.cross_region_messages)
-          .Set("wall_seconds", placed.wall_seconds)
-          .Set("committed_per_sec_wall", CommittedPerSecWall(placed));
-      SetAbortColumns(row, placed.stats);
+          .Set("wall_seconds", run.wall_seconds)
+          .Set("committed_per_sec_wall", CommittedPerSecWall(run));
+      SetAbortColumns(row, run.stats);
     }
   }
 
   if (check_failed) {
     std::printf("\nDURABILITY VIOLATION: committed transactions were lost\n");
-  }
-  if (diverged) {
-    std::printf("\nDETERMINISM VIOLATION: geo schedule diverged across "
-                "placements\n");
   }
   if (rounds_regressed) {
     std::printf("\nDELAY REGRESSION: cross-region rounds per commit out of "
@@ -180,7 +166,6 @@ int main(int argc, char** argv) {
     std::printf("\nLATENCY REGRESSION: co-coordinators did not beat the "
                 "spread baseline\n");
   }
-  bool failed =
-      diverged || rounds_regressed || latency_regressed || mix_missing;
+  bool failed = rounds_regressed || latency_regressed || mix_missing;
   return FinishDbBench(args, report, failed);
 }

@@ -10,12 +10,8 @@
 //     and sustained committed/sec of wall clock;
 //   - commit latency mean and p99 in ticks under open-loop pressure.
 //
-// It doubles as a determinism and regression gate, exiting nonzero when
-// any fails:
-//   - every mode's whole simulated record (DbRun::SameSimulation) must be
-//     bitwise identical between the single-queue reference and the same
-//     stream placed on 4 shards, and the store must match the
-//     delivered-commit ledger;
+// It doubles as a regression gate, exiting nonzero when any fails:
+//   - every mode's store must match the delivered-commit ledger;
 //   - uncapped Poisson streams must sustain >= 95% of offered load
 //     (shedding nothing), and the saturated row (mean gap 1 tick against
 //     max_inflight = 256) must actually shed — admission control binds
@@ -57,15 +53,14 @@ double AchievedOverOffered(const DbRun& r, const Mode& mode) {
   return CommitsPerTick(r.stats) * mode.traffic.mean_gap;
 }
 
-void PrintResult(const Mode& mode, const DbRun& r, bool identical) {
+void PrintResult(const Mode& mode, const DbRun& r) {
   std::printf(
       "  %-26s %8lld/%8lld committed/offered  %5.3f of offered  shed %6lld  "
-      "p99 %6lld  stats %s\n",
+      "p99 %6lld\n",
       mode.label.c_str(), static_cast<long long>(r.stats.committed),
       static_cast<long long>(r.stats.offered), AchievedOverOffered(r, mode),
       static_cast<long long>(r.stats.shed),
-      static_cast<long long>(r.stats.PercentileLatency(99)),
-      identical ? "identical" : "DIVERGED");
+      static_cast<long long>(r.stats.PercentileLatency(99)));
 }
 
 }  // namespace
@@ -124,14 +119,12 @@ int main(int argc, char** argv) {
 
   PrintHeader("DB open-loop traffic: arrival processes, saturation");
   std::printf(
-      "%d arrivals per run, 8 partitions, transfer pairs over %lld keys, "
-      "placement check on 4 shards\n"
+      "%d arrivals per run, 8 partitions, transfer pairs over %lld keys\n"
       "saturated row: mean gap 1 tick against max_inflight = %lld\n",
       args.txs, static_cast<long long>(int64_t{1} << 20),
       static_cast<long long>(kSaturationCap));
 
   JsonBenchReport report("db_openloop", args.txs);
-  bool diverged = false;
   bool sustain_failed = false;
   bool shed_missing = false;
 
@@ -140,36 +133,33 @@ int main(int argc, char** argv) {
     options.num_partitions = 8;
     options.protocol = protocol;
     options.max_inflight = mode.max_inflight;
-    // Single-queue reference vs the run placed on 4 shards.
-    PlacedRuns runs = RunPlaced(options, OpenLoop(mode.traffic, args.txs), 4);
-    const DbRun& placed = runs.placed;
-    if (!runs.identical) diverged = true;
-    PrintResult(mode, placed, runs.identical);
-    double achieved = AchievedOverOffered(placed, mode);
+    DbRun run = RunDb(options, OpenLoop(mode.traffic, args.txs));
+    PrintResult(mode, run);
+    double achieved = AchievedOverOffered(run, mode);
     if (mode.gate_sustain &&
-        (achieved < kSustainFloor || placed.stats.shed != 0)) {
+        (achieved < kSustainFloor || run.stats.shed != 0)) {
       sustain_failed = true;
       std::printf("  SUSTAIN REGRESSION: %.3f of offered (floor %.2f), "
                   "shed %lld\n",
                   achieved, kSustainFloor,
-                  static_cast<long long>(placed.stats.shed));
+                  static_cast<long long>(run.stats.shed));
     }
-    if (mode.gate_shed && placed.stats.shed == 0) {
+    if (mode.gate_shed && run.stats.shed == 0) {
       shed_missing = true;
       std::printf("  ADMISSION REGRESSION: saturated row shed nothing\n");
     }
     report.AddRow(std::string(core::ProtocolName(protocol)) + "/" + mode.label)
-        .Set("offered", placed.stats.offered)
-        .Set("committed", placed.stats.committed)
-        .Set("shed", placed.stats.shed)
+        .Set("offered", run.stats.offered)
+        .Set("committed", run.stats.committed)
+        .Set("shed", run.stats.shed)
         .Set("achieved_over_offered", achieved)
-        .Set("commits_per_tick", CommitsPerTick(placed.stats))
-        .Set("mean_latency_ticks", placed.stats.MeanLatency())
+        .Set("commits_per_tick", CommitsPerTick(run.stats))
+        .Set("mean_latency_ticks", run.stats.MeanLatency())
         .Set("p99_latency_ticks",
-             static_cast<int64_t>(placed.stats.PercentileLatency(99)))
-        .Set("makespan_ticks", static_cast<int64_t>(placed.stats.makespan))
-        .Set("wall_seconds", placed.wall_seconds)
-        .Set("committed_per_sec_wall", CommittedPerSecWall(placed));
+             static_cast<int64_t>(run.stats.PercentileLatency(99)))
+        .Set("makespan_ticks", static_cast<int64_t>(run.stats.makespan))
+        .Set("wall_seconds", run.wall_seconds)
+        .Set("committed_per_sec_wall", CommittedPerSecWall(run));
   };
 
   for (core::ProtocolKind protocol : kProtocols) {
@@ -185,7 +175,6 @@ int main(int argc, char** argv) {
     run_gated(core::ProtocolKind::kInbac, mode);
   }
 
-  if (diverged) std::printf("\nDETERMINISM VIOLATION: stats diverged\n");
-  bool failed = diverged || sustain_failed || shed_missing;
+  bool failed = sustain_failed || shed_missing;
   return FinishDbBench(args, report, failed);
 }

@@ -19,11 +19,7 @@
 //
 // It doubles as the snapshot-plane regression gate, exiting nonzero when
 // any fails:
-//   - every row's whole simulated record (DbRun::SameSimulation: the
-//     stats, batch counters and read fingerprint among it) must be bitwise
-//     identical between the single-queue reference and the same stream
-//     placed on 4 shards, and the store must match the delivered-commit
-//     ledger;
+//   - every row's store must match the delivered-commit ledger;
 //   - at read fraction 0.99 the snapshot plane must serve at least
 //     kReadSpeedupFloor x the locked path's reads per tick — the whole
 //     point of routing read-only transactions around the protocol;
@@ -115,15 +111,14 @@ double ReadsPerTick(const DbRun& r) {
                                      static_cast<double>(r.stats.makespan);
 }
 
-void PrintResult(const std::string& label, const DbRun& r, bool identical) {
+void PrintResult(const std::string& label, const DbRun& r) {
   std::printf(
       "  %-22s committed %7lld  read txs %7lld  reads/tick %7.3f  "
-      "shed %7lld  write p99 %6lld  stats %s\n",
+      "shed %7lld  write p99 %6lld\n",
       label.c_str(), static_cast<long long>(r.stats.committed),
       static_cast<long long>(r.read_txs), ReadsPerTick(r),
       static_cast<long long>(r.stats.shed),
-      static_cast<long long>(r.stats.write_latency.Percentile(99)),
-      identical ? "identical" : "DIVERGED");
+      static_cast<long long>(r.stats.write_latency.Percentile(99)));
 }
 
 }  // namespace
@@ -140,12 +135,11 @@ int main(int argc, char** argv) {
   std::printf(
       "%d arrivals per run, 8 partitions, transfer writers + %d-key reads "
       "over 4096 Zipf(0.99) keys,\nPoisson mean gap %.0f against "
-      "max_inflight = %lld, placement check on 4 shards\n",
+      "max_inflight = %lld\n",
       num_arrivals, MixTraffic(0.5).reads_per_tx, kReadMixGap,
       static_cast<long long>(kReadMixCap));
 
   JsonBenchReport report("db_readmix", num_arrivals);
-  bool diverged = false;
   bool speedup_failed = false;
   bool write_p99_regressed = false;
   bool leaked_reads = false;
@@ -182,30 +176,24 @@ int main(int argc, char** argv) {
     DbLoad load = OpenLoop(MixTraffic(fraction), num_arrivals);
     DbRun pair[2];  // [0] = snapshot off (locked reads), [1] = on
     for (int snapshot = 0; snapshot <= 1; ++snapshot) {
-      // Single-queue reference vs the run placed on 4 shards: the whole
-      // simulated record, the snapshot-read fingerprint included, must
-      // match, so the gate covers read *results*, not just outcome counts.
-      PlacedRuns runs =
-          RunPlaced(BaseOptions(snapshot != 0, kReadMixCap), load, 4);
-      if (!runs.identical) diverged = true;
-      const DbRun& placed = runs.placed;
+      DbRun run = RunDb(BaseOptions(snapshot != 0, kReadMixCap), load);
       char label[64];
       std::snprintf(label, sizeof(label), "read=%.2f/snapshot=%d", fraction,
                     snapshot);
-      PrintResult(label, placed, runs.identical);
-      add_row(std::string("inbac/") + label, placed);
-      pair[snapshot] = placed;
+      PrintResult(label, run);
+      add_row(std::string("inbac/") + label, run);
+      pair[snapshot] = run;
       if (snapshot == 1 &&
-          (placed.read_txs != placed.stats.read_only_committed ||
-           placed.read_ops != placed.stats.snapshot_reads_served)) {
+          (run.read_txs != run.stats.read_only_committed ||
+           run.read_ops != run.stats.snapshot_reads_served)) {
         leaked_reads = true;
         std::printf(
             "  SNAPSHOT LEAK: %lld read commits / %lld kGets vs counters "
             "%lld / %lld — read-only transactions took the locked path\n",
-            static_cast<long long>(placed.read_txs),
-            static_cast<long long>(placed.read_ops),
-            static_cast<long long>(placed.stats.read_only_committed),
-            static_cast<long long>(placed.stats.snapshot_reads_served));
+            static_cast<long long>(run.read_txs),
+            static_cast<long long>(run.read_ops),
+            static_cast<long long>(run.stats.read_only_committed),
+            static_cast<long long>(run.stats.snapshot_reads_served));
       }
     }
     double speedup = ReadsPerTick(pair[0]) == 0.0
@@ -241,40 +229,37 @@ int main(int argc, char** argv) {
   PrintRule();
   {
     DbLoad load = ScanLoad(num_arrivals);
-    PlacedRuns runs = RunPlaced(BaseOptions(/*snapshot=*/true, 0), load, 4);
-    if (!runs.identical) diverged = true;
-    const DbRun& placed = runs.placed;
-    PrintResult("scan+oltp/snapshot=1", placed, runs.identical);
-    add_row("inbac/scan+oltp/snapshot=1", placed);
+    DbRun run = RunDb(BaseOptions(/*snapshot=*/true, 0), load);
+    PrintResult("scan+oltp/snapshot=1", run);
+    add_row("inbac/scan+oltp/snapshot=1", run);
     int64_t scans_offered = num_arrivals / 8;
     double writer_achieved =
         num_arrivals == 0 ? 0.0
-                          : static_cast<double>(placed.stats.committed +
-                                                placed.stats.aborted) /
+                          : static_cast<double>(run.stats.committed +
+                                                run.stats.aborted) /
                                 static_cast<double>(num_arrivals);
-    if (placed.stats.read_only_committed != scans_offered ||
-        placed.stats.committed <
+    if (run.stats.read_only_committed != scans_offered ||
+        run.stats.committed <
             static_cast<int64_t>(kOltpFloor *
                                  static_cast<double>(num_arrivals))) {
       scan_failed = true;
       std::printf(
           "  SCAN REGRESSION: %lld/%lld scans served, %lld/%d writers "
           "committed (floor %.2f, %.3f of offered reached a decision)\n",
-          static_cast<long long>(placed.stats.read_only_committed),
+          static_cast<long long>(run.stats.read_only_committed),
           static_cast<long long>(scans_offered),
-          static_cast<long long>(placed.stats.committed), num_arrivals,
+          static_cast<long long>(run.stats.committed), num_arrivals,
           kOltpFloor, writer_achieved);
     } else {
       std::printf(
           "  -> every scan served at its snapshot (%lld x %d kGets), "
           "writers committed %lld/%d\n",
           static_cast<long long>(scans_offered), kScanReadsPerTx,
-          static_cast<long long>(placed.stats.committed), num_arrivals);
+          static_cast<long long>(run.stats.committed), num_arrivals);
     }
   }
 
-  if (diverged) std::printf("\nDETERMINISM VIOLATION: stats diverged\n");
-  bool failed = diverged || speedup_failed || write_p99_regressed ||
-                leaked_reads || scan_failed;
+  bool failed =
+      speedup_failed || write_p99_regressed || leaked_reads || scan_failed;
   return FinishDbBench(args, report, failed);
 }

@@ -16,10 +16,6 @@
 //   - zero lost committed transactions: every run's final per-key state
 //     must match the ledger accumulated from delivered commit callbacks
 //     (Add-delta conservation), across every crash point;
-//   - bitwise replay determinism: the whole simulated record of every
-//     crashed run (DbRun::SameSimulation: DatabaseStats, RecoveryStats,
-//     CommitLog::Stats and the rest) must be identical between the
-//     single-queue reference placement and 4 shards;
 //   - bounded unavailability: the recovery window must equal the planned
 //     restart delay exactly (the coordinator replays and reopens at the
 //     restart instant, no tail), and the outage commit gap must stay
@@ -99,12 +95,11 @@ int main(int argc, char** argv) {
   std::printf(
       "%d arrivals per run, 8 partitions, transfer pairs over 512 keys, "
       "log replicas %d\ncoordinator killed at the %d-th passage of each "
-      "crash point, restart after %lld ticks\nplacement check on 4 shards\n",
+      "crash point, restart after %lld ticks\n",
       num_arrivals, kLogReplicas, num_arrivals / 4,
       static_cast<long long>(kRestartDelay));
 
   JsonBenchReport report("db_recovery", num_arrivals);
-  bool diverged = false;
   bool outage_unbounded = false;
   bool quorum_path_missing = false;
 
@@ -114,9 +109,7 @@ int main(int argc, char** argv) {
 
     // Crash-free baseline: the makespan yardstick of the outage gate and
     // the row that must exercise both quorum paths.
-    db::Database::Options options = RecoveryOptions(protocol, {});
-    options.num_shards = 4;
-    DbRun baseline = RunDb(options, load);
+    DbRun baseline = RunDb(RecoveryOptions(protocol, {}), load);
     const db::CommitLog::Stats& log = baseline.log;
     if (log.fast_path_decisions == 0 || log.slow_path_decisions == 0) {
       quorum_path_missing = true;
@@ -157,20 +150,16 @@ int main(int argc, char** argv) {
       plan.crash_at_occurrence = num_arrivals / 4;
       plan.coordinator_restart_delay = kRestartDelay;
 
-      // Serial reference vs the placed run: the whole crash/replay
-      // schedule must be placement-invariant, not just the workload stats.
-      PlacedRuns runs = RunPlaced(RecoveryOptions(protocol, plan), load, 4);
-      const DbRun& placed = runs.placed;
-      if (!runs.identical) diverged = true;
+      DbRun run = RunDb(RecoveryOptions(protocol, plan), load);
 
-      int64_t outage_gap = static_cast<int64_t>(placed.stats.makespan) -
+      int64_t outage_gap = static_cast<int64_t>(run.stats.makespan) -
                            static_cast<int64_t>(baseline.stats.makespan);
       int64_t recovery_ticks =
-          placed.recovery.last_restart_time - placed.recovery.last_crash_time;
+          run.recovery.last_restart_time - run.recovery.last_crash_time;
       bool bounded =
-          placed.recovery.coordinator_crashes == 1 &&
-          placed.recovery.recoveries == 1 &&
-          placed.recovery.unavailability_ticks == kRestartDelay &&
+          run.recovery.coordinator_crashes == 1 &&
+          run.recovery.recoveries == 1 &&
+          run.recovery.unavailability_ticks == kRestartDelay &&
           outage_gap <= static_cast<int64_t>(kRestartDelay + kOutageSlack);
       if (!bounded) {
         outage_unbounded = true;
@@ -178,59 +167,53 @@ int main(int argc, char** argv) {
             "  OUTAGE REGRESSION at %s: crashes=%lld recoveries=%lld "
             "unavailability=%lld gap=%lld (bound %lld)\n",
             db::ToString(point),
-            static_cast<long long>(placed.recovery.coordinator_crashes),
-            static_cast<long long>(placed.recovery.recoveries),
-            static_cast<long long>(placed.recovery.unavailability_ticks),
+            static_cast<long long>(run.recovery.coordinator_crashes),
+            static_cast<long long>(run.recovery.recoveries),
+            static_cast<long long>(run.recovery.unavailability_ticks),
             static_cast<long long>(outage_gap),
             static_cast<long long>(kRestartDelay + kOutageSlack));
       }
 
       std::printf(
           "  crash=%-16s %8lld committed  gap %6lld  redo %4lld  "
-          "redecide %4lld  presumed %4lld  parked %4lld  ledger %s  "
-          "stats %s\n",
-          db::ToString(point), static_cast<long long>(placed.stats.committed),
+          "redecide %4lld  presumed %4lld  parked %4lld  ledger %s\n",
+          db::ToString(point), static_cast<long long>(run.stats.committed),
           static_cast<long long>(outage_gap),
-          static_cast<long long>(placed.recovery.redo_rounds),
-          static_cast<long long>(placed.recovery.redecide_rounds),
-          static_cast<long long>(placed.recovery.presumed_aborts),
-          static_cast<long long>(placed.recovery.parked),
-          placed.ledger_mismatches == 0 ? "conserved" : "DIVERGED",
-          runs.identical ? "identical" : "DIVERGED");
+          static_cast<long long>(run.recovery.redo_rounds),
+          static_cast<long long>(run.recovery.redecide_rounds),
+          static_cast<long long>(run.recovery.presumed_aborts),
+          static_cast<long long>(run.recovery.parked),
+          run.ledger_mismatches == 0 ? "conserved" : "DIVERGED");
 
       auto& row = report.AddRow(std::string(core::ProtocolName(protocol)) +
                                 "/crash=" + db::ToString(point));
-      row.Set("offered", placed.stats.offered)
-          .Set("committed", placed.stats.committed)
-          .Set("commits_per_tick", CommitsPerTick(placed.stats))
+      row.Set("offered", run.stats.offered)
+          .Set("committed", run.stats.committed)
+          .Set("commits_per_tick", CommitsPerTick(run.stats))
           .Set("p99_latency_ticks",
-               static_cast<int64_t>(placed.stats.PercentileLatency(99)))
-          .Set("makespan_ticks", static_cast<int64_t>(placed.stats.makespan))
+               static_cast<int64_t>(run.stats.PercentileLatency(99)))
+          .Set("makespan_ticks", static_cast<int64_t>(run.stats.makespan))
           .Set("unavailability_ticks",
-               static_cast<int64_t>(placed.recovery.unavailability_ticks))
+               static_cast<int64_t>(run.recovery.unavailability_ticks))
           .Set("outage_commit_gap_ticks", outage_gap)
           .Set("recovery_ticks", recovery_ticks)
-          .Set("redo_rounds", placed.recovery.redo_rounds)
-          .Set("redecide_rounds", placed.recovery.redecide_rounds)
-          .Set("presumed_aborts", placed.recovery.presumed_aborts)
-          .Set("resubmissions", placed.recovery.resubmissions)
-          .Set("parked", placed.recovery.parked)
-          .Set("fast_path_decisions", placed.log.fast_path_decisions)
-          .Set("slow_path_decisions", placed.log.slow_path_decisions)
-          .Set("fast_path_rate", FastPathRate(placed.log))
-          .Set("wall_seconds", placed.wall_seconds)
-          .Set("committed_per_sec_wall", CommittedPerSecWall(placed));
-      SetAbortColumns(row, placed.stats);
+          .Set("redo_rounds", run.recovery.redo_rounds)
+          .Set("redecide_rounds", run.recovery.redecide_rounds)
+          .Set("presumed_aborts", run.recovery.presumed_aborts)
+          .Set("resubmissions", run.recovery.resubmissions)
+          .Set("parked", run.recovery.parked)
+          .Set("fast_path_decisions", run.log.fast_path_decisions)
+          .Set("slow_path_decisions", run.log.slow_path_decisions)
+          .Set("fast_path_rate", FastPathRate(run.log))
+          .Set("wall_seconds", run.wall_seconds)
+          .Set("committed_per_sec_wall", CommittedPerSecWall(run));
+      SetAbortColumns(row, run.stats);
     }
   }
 
   if (check_failed) {
     std::printf("\nDURABILITY VIOLATION: committed transactions were lost\n");
   }
-  if (diverged) {
-    std::printf("\nDETERMINISM VIOLATION: crash replay diverged across "
-                "placements\n");
-  }
-  bool failed = diverged || outage_unbounded || quorum_path_missing;
+  bool failed = outage_unbounded || quorum_path_missing;
   return FinishDbBench(args, report, failed);
 }

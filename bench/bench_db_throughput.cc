@@ -208,15 +208,7 @@ int main(int argc, char** argv) {
     double read_fraction = OpReadFraction(load.txs);
     bool gated = std::strcmp(spec.key, kGatedAblationKey) == 0;
     DbRun two_pl = RunDb(AblationOptions(db::ConcurrencyMode::k2PL), load);
-    // The gated row also checks the OCC path's placement determinism: the
-    // same seed must simulate bitwise the same on 8 shards.
-    PlacedRuns occ_runs;
-    if (gated) {
-      occ_runs = RunPlaced(AblationOptions(db::ConcurrencyMode::kOCC), load, 8);
-    } else {
-      occ_runs.serial = RunDb(AblationOptions(db::ConcurrencyMode::kOCC), load);
-    }
-    const DbRun& occ = occ_runs.serial;
+    DbRun occ = RunDb(AblationOptions(db::ConcurrencyMode::kOCC), load);
     double speedup = CommitsPerTick(occ.stats) / CommitsPerTick(two_pl.stats);
     std::printf("  %-12s %5.2f  %10lld %10lld %7.2fx  %6lld %6lld\n",
                 spec.key, read_fraction,
@@ -249,16 +241,11 @@ int main(int argc, char** argv) {
         std::printf("  -> GATE FAILED: occ speedup %.2fx < %.2fx on %s\n",
                     speedup, kOccSpeedupGate, spec.key);
       }
-      if (!occ_runs.identical) {
-        diverged = true;
-        std::printf("  -> OCC placement determinism DIVERGED on %s\n",
-                    spec.key);
-      }
     }
   }
 
   // Nonzero on divergence so CI runs of this bench double as the
-  // pooled-vs-baseline determinism regression gate (and the OCC speedup /
-  // placement gates above).
+  // pooled-vs-baseline determinism regression gate (and the OCC speedup
+  // gate above).
   return FinishDbBench(args, report, diverged || gate_failed);
 }

@@ -4,8 +4,7 @@
 // The one database run of the db benches and the db tests: build a
 // Database, load its initial balances, feed it a DbLoad, drain it and read
 // every counter into a DbRun. Every run checks that each key ends at its
-// delivered-commit ledger and that every commit was delivered once;
-// RunPlaced compares a run with its one-shard reference.
+// delivered-commit ledger and that every commit was delivered once.
 
 #include <chrono>
 #include <cstdint>
@@ -92,8 +91,7 @@ inline std::vector<std::pair<db::Key, db::Value>> Accounts(int count,
 }
 
 /// Everything one database run reports. Every field but `pool` and
-/// `wall_seconds` is simulated: deterministic for a seed and equal on every
-/// shard placement.
+/// `wall_seconds` is simulated: deterministic for a seed.
 struct DbRun {
   db::DatabaseStats stats;
   db::Database::BatchStats batch;
@@ -219,24 +217,6 @@ inline DbRun RunDb(const db::Database::Options& options, const DbLoad& load) {
                          std::to_string(run.delivered_commits - counted));
   }
   return run;
-}
-
-/// The one-shard reference and the same run placed on more shards.
-struct PlacedRuns {
-  DbRun serial;
-  DbRun placed;
-  bool identical = false;  ///< DbRun::SameSimulation
-};
-
-inline PlacedRuns RunPlaced(db::Database::Options options, const DbLoad& load,
-                            int shards) {
-  PlacedRuns runs;
-  options.num_shards = 1;
-  runs.serial = RunDb(options, load);
-  options.num_shards = shards;
-  runs.placed = RunDb(options, load);
-  runs.identical = runs.serial.SameSimulation(runs.placed);
-  return runs;
 }
 
 }  // namespace fastcommit::bench

@@ -15,7 +15,7 @@ namespace fastcommit::db {
 /// Counters of the batching path (all zero when batching is disabled —
 /// batch_max <= 1, or batch_window == 0 with adaptive mode off).
 /// Deliberately outside DatabaseStats: the determinism gates compare
-/// DatabaseStats across shard counts and execution paths, and these
+/// DatabaseStats across execution paths, and these
 /// counters describe the batching machinery rather than workload-visible
 /// outcomes.
 struct BatchStats {
@@ -61,7 +61,7 @@ struct BatchStats {
 /// members, then the closed round — members plus the disjunction of their
 /// votes — goes to the flush callback, which starts it. Control plane
 /// only: every decision here (admission, window sizes, merges) is made in
-/// canonical event order, so it is identical on every shard placement.
+/// control-plane event order, so it is identical run to run.
 ///
 /// Each distinct partition set is interned on first sight as one record
 /// that holds its adaptive controller and its round, whose buffers are

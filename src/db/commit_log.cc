@@ -92,8 +92,8 @@ void CommitLog::SetDurable(int64_t slot_id, bool fast_path) {
 }
 
 sim::Time CommitLog::AckDelay(int64_t slot, Phase phase, int replica) const {
-  // One stateless splitmix stream per (slot, phase, replica): deterministic,
-  // placement-invariant, and independent of every other random draw.
+  // One stateless splitmix stream per (slot, phase, replica): deterministic
+  // and independent of every other random draw.
   sim::Rng rng(seed_ ^ (static_cast<uint64_t>(slot) * 0x9e3779b97f4a7c15ULL) ^
                (static_cast<uint64_t>(replica + 1) << 40) ^
                (static_cast<uint64_t>(phase) + 1));

@@ -67,8 +67,7 @@ class CommitLog {
 
   /// `unit` is the base one-way message delay (Database::Options::unit);
   /// every ack delay is >= unit, so every event a phase schedules lands at
-  /// least `unit` after the phase starts, which is what lets the database
-  /// lower the simulator lookahead to `unit` when replication is on.
+  /// least `unit` after the phase starts.
   /// Durability events run on `scheduler` (the database's control plane),
   /// which must outlive the log.
   CommitLog(int replicas, sim::Time unit, uint64_t seed,

@@ -81,10 +81,6 @@ class CommitInstance {
 
   bool finished() const { return decided_count_ == n_; }
   int n() const { return n_; }
-  /// Pool-assigned shard key of the scheduler this instance is bound to
-  /// (an instance never migrates; see db/instance_pool.h).
-  int shard_key() const { return shard_key_; }
-  void set_shard_key(int shard_key) { shard_key_ = shard_key; }
   sim::Time finish_time() const { return finish_time_; }
   /// Network messages this incarnation exchanged (protocol + consensus).
   int64_t messages() const { return network_->stats().total_sent(); }
@@ -99,7 +95,6 @@ class CommitInstance {
  private:
   sim::Scheduler* scheduler_;
   int n_;
-  int shard_key_ = 0;
   std::vector<commit::Vote> votes_;
   DoneCallback done_;
 

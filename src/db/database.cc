@@ -78,23 +78,6 @@ namespace {
 /// Retry backoff: attempt k waits k * this many units, plus 1..U jitter.
 constexpr int64_t kRetryBackoffUnits = 4;
 
-sim::ShardedSimulator::Options SimOptions(const Database::Options& options) {
-  sim::ShardedSimulator::Options sim_options;
-  sim_options.num_shards = options.num_shards;
-  // The only control events scheduled from completion effects are retries,
-  // and the earliest retry lands backoff >= unit * kRetryBackoffUnits + 1
-  // ticks after the decide instant (attempt >= 1, random part >= 1). That
-  // bound is the merge rule's safe run-ahead window.
-  sim_options.lookahead = options.unit * kRetryBackoffUnits + 1;
-  if (options.log_replicas > 0) {
-    // With the commit log on, decide effects also schedule durability
-    // events, at >= effect time + unit (CommitLog::AckDelay's floor) — the
-    // binding feedback bound when it is tighter than the retry backoff's.
-    sim_options.lookahead = std::min(sim_options.lookahead, options.unit);
-  }
-  return sim_options;
-}
-
 /// The pool's (and hence every commit instance's) region topology: the
 /// default single-region value with one region — so the pre-geo fixed-delay
 /// construction path runs bitwise unchanged — else the laddered WAN.
@@ -118,9 +101,8 @@ T TakeSpare(std::vector<T>& spares) {
 
 Database::Database(const Options& options)
     : options_(options),
-      sim_(SimOptions(options)),
       rng_(options.seed),
-      plane_(options.num_partitions, sim_.num_shards(), options.concurrency,
+      plane_(options.num_partitions, 1, options.concurrency,
              options.num_regions),
       pool_(options.protocol, options.consensus, options.protocol_options,
             options.unit, options.pool_instances, GeoTopologyFor(options)),
@@ -150,12 +132,11 @@ Database::Database(const Options& options)
         << "crash_at_occurrence must be >= 1, got " << plan.crash_at_occurrence;
     FC_CHECK(plan.crash_point != CrashPoint::kAfterAccept || log_.has_value())
         << "crash-after-accept needs the commit log (Options::log_replicas)";
-    // The restart is a control event scheduled from wherever the crash
-    // fired — possibly a completion effect — so it must respect the
-    // simulator's run-ahead window like every other feedback event.
-    FC_CHECK(plan.coordinator_restart_delay >= SimOptions(options_).lookahead)
-        << "coordinator_restart_delay " << plan.coordinator_restart_delay
-        << " below the simulator lookahead " << SimOptions(options_).lookahead;
+    // The restart is a later instant than the crash, which may fire in a
+    // completion effect or a control event of any instant.
+    FC_CHECK(plan.coordinator_restart_delay >= 1)
+        << "coordinator_restart_delay must be >= 1, got "
+        << plan.coordinator_restart_delay;
     crash_countdown_ = plan.crash_at_occurrence;
   }
   if (plan.HasParticipantCrash()) {
@@ -164,9 +145,9 @@ Database::Database(const Options& options)
         << "crash_partition " << plan.crash_partition << " out of range";
     FC_CHECK(plan.participant_restart_delay >= 1)
         << "participant_restart_delay must be >= 1";
-    // Time-driven: both transitions are plain control-plane instants, so
-    // the crash schedule is placement invariant. EventClass::kCrash orders
-    // them before any same-instant arrival or retry.
+    // Time-driven: both transitions are plain control-plane instants.
+    // EventClass::kCrash orders them before any same-instant arrival or
+    // retry.
     sim_.control()->ScheduleAt(
         plan.participant_crash_at, sim::EventClass::kCrash, [this] {
           plane_.CrashPartition(options_.fault_plan.crash_partition);
@@ -187,15 +168,6 @@ Database::Database(const Options& options)
 }
 
 Database::~Database() = default;
-
-int Database::ShardOf(TxId id) const {
-  // One stateless draw from the repo's canonical splitmix64 stream seeded
-  // by the id: adjacent ids spread uniformly over shards, and the mapping
-  // depends only on the id — never on arrival order or shard load — so
-  // placement is reproducible run to run.
-  return static_cast<int>(sim::Rng(static_cast<uint64_t>(id)).Next() %
-                          static_cast<uint64_t>(sim_.num_shards()));
-}
 
 void Database::Submit(Transaction tx, sim::Time at_ticks,
                       CompletionCallback on_complete) {
@@ -290,8 +262,7 @@ void Database::ExecuteSnapshotRead(PendingTx pending) {
   // The snapshot is the stable CSN at this (canonical-order) instant:
   // every commit with CSN <= it already ran FinishTx, so it is applied at
   // every up partition, and a read touching a down one waits for the
-  // restart — the read observes exactly the stable prefix, on any
-  // placement.
+  // restart — the read observes exactly the stable prefix.
   reads_.Start(pending.tx);
   EndTx(pending);
 }
@@ -397,11 +368,10 @@ void Database::StartRound(RoundState& round, bool resumed) {
     return;
   }
 
-  // The lead (first-enqueued) member's id places the round and keys its
-  // completion effect — ids join exactly one round per attempt, so the
-  // (time, key) pair stays unique.
+  // The lead (first-enqueued) member's id keys the round's completion
+  // effect — ids join exactly one round per attempt, so the key stays
+  // unique among an instant's effects.
   TxId lead = round.members.front().pending.tx.id;
-  int shard = ShardOf(lead);
   // The epoch fences the completion effect: a round that decides into a
   // later epoch was already settled by recovery, so its effect only
   // returns the instance to the pool.
@@ -417,20 +387,20 @@ void Database::StartRound(RoundState& round, bool resumed) {
     }
   }
   CommitInstance* instance = pool_.Acquire(
-      shard, sim_.shard(shard), round.round_votes,
-      [this, shard, lead, epoch, started = now, id = round.id](
+      0, sim_.instances(), round.round_votes,
+      [this, lead, epoch, started = now, id = round.id](
           CommitInstance* done_instance, commit::Decision decision) {
-        // Runs on the shard at the decide instant: snapshot the message
-        // counts here — the instance runs on until the effect applies, and
-        // after Release the per-epoch counters belong to the next
-        // incarnation — and defer everything that touches shared state —
-        // the round table included — to a canonical-order completion
-        // effect on the control plane. The finish time holds until the
-        // next Reset.
+        // Runs on the instance queue at the decide instant: snapshot the
+        // message counts here — the instance's remaining events at this
+        // instant run before the effect applies, and after Release the
+        // per-epoch counters belong to the next incarnation — and defer
+        // everything that touches shared state — the round table included
+        // — to a key-ordered completion effect on the control plane. The
+        // finish time holds until the next Reset.
         int64_t messages = done_instance->messages();
         int64_t cross_messages = done_instance->cross_messages();
         sim_.PostEffect(
-            shard, done_instance->finish_time(), static_cast<uint64_t>(lead),
+            static_cast<uint64_t>(lead),
             [this, done_instance, messages, cross_messages, epoch, started, id,
              decision] {
               sim::Time finished = done_instance->finish_time();
@@ -582,8 +552,8 @@ void Database::DeliverRoundDecision(RoundState& round,
     FinishTx(member.pending, member.touched, member_decision, member.started,
              finished_at);
   }
-  // Canonical control-plane order, so the adaptive EWMA trajectory is
-  // placement invariant.
+  // Control-plane order, so the adaptive EWMA trajectory is
+  // deterministic.
   batches_.ObserveRound(round, aborted_members);
   if (round.slot >= 0) log_->MarkExecuted(round.slot);
   RetireRound(round);
@@ -704,9 +674,9 @@ void Database::FinishTx(PendingTx& pending,
                         const std::vector<int>& touched,
                         commit::Decision decision, sim::Time started,
                         sim::Time finished_at) {
-  // The CSN authority: every commit is stamped here, in canonical
-  // control-plane order, so the sequence — and every snapshot derived
-  // from it — is identical on any shard placement.
+  // The CSN authority: every commit is stamped here, in control-plane
+  // order, so the sequence — and every snapshot derived from it — is
+  // deterministic.
   int64_t csn = decision == commit::Decision::kCommit ? reads_.NextCsn() : 0;
   FinishPartitions(pending.tx.id, touched, decision, finished_at, csn);
   if (decision == commit::Decision::kCommit) {
@@ -723,9 +693,7 @@ void Database::FinishTx(PendingTx& pending,
   }
   // Abort: bucket the attempt by the concurrency control that refused it
   // (shed arrivals never reach FinishTx, so they stay out of both), then
-  // retry with linear backoff or give up. Counted here — a canonical-order
-  // control-plane site — so the breakdown is placement invariant like
-  // every other stat.
+  // retry with linear backoff or give up.
   if (options_.concurrency == ConcurrencyMode::kOCC) {
     ++stats_.abort_validation_failures;
   } else {

@@ -77,9 +77,8 @@ class LatencyStats {
 };
 
 /// Aggregate results of a database run. Memory is O(1) in transaction
-/// count; equality compares every workload-visible field, which both
-/// determinism gates rely on (tests/db_pool_test.cc for pooled vs rebuild,
-/// tests/db_shard_test.cc for shard counts).
+/// count; equality compares every workload-visible field, which the
+/// pooled-vs-rebuild determinism gate relies on (tests/db_pool_test.cc).
 struct DatabaseStats {
   int64_t committed = 0;
   int64_t aborted = 0;           ///< gave up after max_attempts
@@ -143,22 +142,23 @@ struct DatabaseStats {
 ///   2. each touched partition prepares locally: acquires no-wait locks and
 ///      records what it holds, voting yes/no (Helios-style conflict voting);
 ///   3. a commit instance of the configured protocol — acquired from a pool
-///      keyed by (shard, cluster size), see db/instance_pool.h — runs among
-///      the touched partitions on the shard chosen by the transaction id;
+///      keyed by cluster size, see db/instance_pool.h — runs among the
+///      touched partitions;
 ///   4. on commit, recorded writes apply; on abort, the transaction retries
 ///      with backoff up to max_attempts.
 /// Single-partition transactions skip the protocol (one-phase commit).
 ///
-/// ## Sharded execution
+/// ## Execution
 ///
 /// The runtime is a sim::ShardedSimulator: the submit/execute/retry/finish
-/// path runs on the control plane, and each commit instance's whole cluster
-/// (hosts + network links) runs on the shard derived deterministically from
-/// the transaction id. Commit instances never exchange cross-instance
-/// messages (the paper's model advances time only on message delays within
-/// one instance), so shards interact with the control plane only through
-/// canonical-ordered completion effects — DatabaseStats for a given seed is
-/// bitwise identical for any shard count. One thread drains everything.
+/// path runs on its control queue, and every commit instance's whole
+/// cluster (hosts + network links) on its instance queue. Commit instances
+/// never exchange cross-instance messages (the paper's model advances time
+/// only on message delays within one instance), so instances reach the
+/// control plane only through completion effects. Each instant runs its
+/// instance events, then their effects in lead transaction id order, then
+/// its control events, so a completion callback reads its decide instant
+/// as Now(). One thread drains everything.
 ///
 /// Partition data-path work (Prepare's locking, commit's write
 /// application, lock release) goes through the partition plane
@@ -196,8 +196,6 @@ class Database {
   /// empty Options::fault_plan). Outside DatabaseStats for the same reason
   /// as BatchStats: the determinism gates compare DatabaseStats across
   /// configurations where these describe machinery, not workload outcomes.
-  /// They are themselves placement-invariant and the recovery tests compare
-  /// them bitwise across placements.
   struct RecoveryStats {
     int64_t coordinator_crashes = 0;
     int64_t recoveries = 0;
@@ -247,8 +245,7 @@ class Database {
   /// Counters of the geo commit plane (all zero when Options::num_regions
   /// <= 1). Outside DatabaseStats for the usual reason: the determinism
   /// gates compare DatabaseStats across machinery configurations, and these
-  /// describe the geo machinery. They are themselves placement-invariant
-  /// and the geo tests compare them bitwise across placements.
+  /// describe the geo machinery.
   struct GeoStats {
     /// Commit rounds spanning >= 2 regions / exactly 1 region (of the
     /// multi-partition rounds; single-partition one-phase commits never
@@ -305,9 +302,6 @@ class Database {
   /// Direct partition access. Only a down partition has work pending, in
   /// its backlog, so the caller always observes a quiescent partition.
   Participant& partition(int index) { return plane_.partition(index); }
-  /// Shard that will host the commit instance of transaction `id`
-  /// (deterministic in the id, independent of submission order).
-  int ShardOf(TxId id) const;
 
   /// Schedules `tx` for execution at virtual time `at_ticks` (>= Now()).
   /// `on_complete`, if set, fires once with the transaction's final
@@ -358,15 +352,15 @@ class Database {
     reads_.set_observer(std::move(observer));
   }
   /// FNV-1a fold over every served snapshot read's values, in submit
-  /// order — one number that must be bitwise identical across every
-  /// shard placement, which is how the tests gate that snapshot *results*
-  /// (not just stats) are placement invariant. Read it after a Drain.
+  /// order — one number that must be bitwise identical run to run, which
+  /// is how the tests gate that snapshot *results* (not just stats) are
+  /// deterministic. Read it after a Drain.
   uint64_t read_fingerprint() const { return reads_.fingerprint(); }
 
   const DatabaseStats& stats() const { return stats_; }
   /// Commit-instance pool counters (created/reused/live/peak_live)
   /// — deliberately outside DatabaseStats, which must be identical between
-  /// pooled and baseline runs (and across shard counts) of the same seed.
+  /// pooled and baseline runs of the same seed.
   const CommitInstancePool::Stats& pool_stats() const {
     return pool_.stats();
   }
@@ -424,7 +418,7 @@ class Database {
   /// immediately. No locks, no votes, no messages, no pooled instance.
   void ExecuteSnapshotRead(PendingTx pending);
   /// Runs the round table's entry `round`: appends it to the commit log
-  /// (when on), starts a pooled instance on the lead member's shard, and —
+  /// (when on), starts a pooled instance on the instance queue, and —
   /// through the epoch-fenced completion effect, which carries the round's
   /// id — hands the decision to CompleteRound. The single path the
   /// unbatched Execute, the batch former's flushes, and recovery's
@@ -433,7 +427,7 @@ class Database {
   void StartRound(RoundState& round, bool resumed);
   /// Shared tail of every commit round — the instance path's completion
   /// effect and the geo choreography's completion event both land here, in
-  /// canonical control-plane order: epoch fence (a stale epoch's messages
+  /// control-plane order: epoch fence (a stale epoch's messages
   /// count as lost, and its round `id` is not looked up: recovery may have
   /// restarted that round under the same id), message accounting, the
   /// validity FC_CHECK, geo metrics, decision logging, the planned
@@ -453,7 +447,7 @@ class Database {
   /// intra hop). Latency = gather + max cross delay + scatter; messages =
   /// 2 * sum(region fan-out) + R * (R - 1). Everything is a pure function
   /// of round state, scheduled as one control-plane event at the decide
-  /// instant — no shard events, trivially placement-invariant.
+  /// instant — no instance events.
   void RunGeoRound(const RoundState& round, sim::Time now);
   /// Records one decided round's geo counters (multi/single region, round
   /// classification, critical-path cross delays, latency).

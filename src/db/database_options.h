@@ -29,8 +29,7 @@ struct DatabaseOptions {
   /// participant's vote, so every commit protocol, batching mode and round
   /// merge runs unchanged on top. Read-mostly workloads keep readers
   /// invisible to each other and to writers (bench_db_throughput
-  /// --ablation-only quantifies the win); its stats are bitwise identical
-  /// across shard placements, like k2PL's.
+  /// --ablation-only quantifies the win).
   ConcurrencyMode concurrency = ConcurrencyMode::k2PL;
   int max_attempts = 5;  ///< retry k waits k * 4 U plus 1..U jitter
   uint64_t seed = 1;
@@ -40,11 +39,9 @@ struct DatabaseOptions {
   /// kept for the throughput bench's --no-pool comparison and the
   /// determinism regression gate.
   bool pool_instances = true;
-  /// Event-queue shards for commit instances. 1 = the single-queue
-  /// baseline. Any value yields bitwise-identical DatabaseStats for the
-  /// same seed. One thread drains every shard.
+  /// inert; kept only because benchmark/fc_bench.cc sets them. Every
+  /// commit instance runs on one queue, drained by the calling thread.
   int num_shards = 1;
-  /// inert; kept only because benchmark/fc_bench.cc sets it.
   int num_threads = 1;
   /// Group-commit batching window, in ticks. 0 (the default) disables
   /// batching entirely and takes the one-round-per-transaction path
@@ -72,7 +69,7 @@ struct DatabaseOptions {
   /// batch_adaptive = false it stays the fixed window for every set. The
   /// controllers live on the control plane keyed by the canonical sorted
   /// partition set, so adaptive decisions — like everything else — are
-  /// bitwise identical across shard placements.
+  /// bitwise identical run to run.
   bool batch_adaptive = false;
   /// Upper clamp for adaptive windows, in ticks. <= 0 disables adaptive
   /// mode (batch_window rules alone).
@@ -165,10 +162,10 @@ struct DatabaseOptions {
   bool geo_co_coordinators = false;
   /// Deterministic fault injection (db/fault_plan.h): at most one
   /// coordinator crash at a chosen protocol step plus one timed
-  /// participant crash, both driven by sim events at canonical
-  /// control-plane points — so a crash schedule, like everything else,
-  /// is bitwise identical across shard placements. Default
-  /// (empty plan) injects nothing and changes nothing.
+  /// participant crash, both driven by sim events at control-plane
+  /// points — so a crash schedule, like everything else, is bitwise
+  /// identical run to run. Default (empty plan) injects nothing and
+  /// changes nothing.
   FaultPlan fault_plan;
   /// Debug: sweep lock-manager and staging invariants over every
   /// partition after each transaction's prepares and at the end of a

@@ -8,9 +8,9 @@
 namespace fastcommit::db {
 
 /// Protocol step at which a planned coordinator crash fires. The counter
-/// that arms the crash advances at canonical control-plane points only, so
-/// the crash instant — and everything downstream of it — is identical
-/// across shard placements.
+/// that arms the crash advances at control-plane points only (an execute,
+/// a round start, a completion effect), so the crash instant — and
+/// everything downstream of it — is identical run to run.
 enum class CrashPoint : uint8_t {
   kNone = 0,
   /// After a multi-partition transaction collected its prepare votes,

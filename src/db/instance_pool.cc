@@ -19,31 +19,27 @@ CommitInstancePool::CommitInstancePool(
       topology_(std::move(topology)) {}
 
 CommitInstance* CommitInstancePool::Acquire(
-    int shard, sim::Scheduler* scheduler,
+    int, sim::Scheduler* scheduler,
     const std::vector<commit::Vote>& votes, CommitInstance::DoneCallback done,
     const std::vector<int>& regions) {
   FC_CHECK(scheduler != nullptr);
-  int n = static_cast<int>(votes.size());
+  size_t n = votes.size();
   ++stats_.live;
   stats_.peak_live = std::max(stats_.peak_live, stats_.live);
 
-  if (enabled_) {
-    auto it = free_.find({shard, n});
-    if (it != free_.end() && !it->second.empty()) {
-      CommitInstance* instance = it->second.back();
-      it->second.pop_back();
-      instance->Reset(votes, std::move(done));
-      instance->SetProcessRegions(regions);
-      ++stats_.reused;
-      return instance;
-    }
+  if (enabled_ && n < free_.size() && !free_[n].empty()) {
+    CommitInstance* instance = free_[n].back();
+    free_[n].pop_back();
+    instance->Reset(votes, std::move(done));
+    instance->SetProcessRegions(regions);
+    ++stats_.reused;
+    return instance;
   }
 
   auto instance = std::make_unique<CommitInstance>(
       scheduler, protocol_, consensus_, protocol_options_, unit_, votes,
       std::move(done), topology_);
   CommitInstance* raw = instance.get();
-  raw->set_shard_key(shard);
   raw->SetProcessRegions(regions);
   all_.push_back(std::move(instance));
   ++stats_.created;
@@ -56,7 +52,9 @@ void CommitInstancePool::Release(CommitInstance* instance) {
   if (!enabled_) return;  // baseline mode: stays live until shutdown
   FC_CHECK(stats_.live > 0) << "release without a matching acquire";
   --stats_.live;
-  free_[{instance->shard_key(), instance->n()}].push_back(instance);
+  size_t n = static_cast<size_t>(instance->n());
+  if (free_.size() <= n) free_.resize(n + 1);
+  free_[n].push_back(instance);
 }
 
 }  // namespace fastcommit::db

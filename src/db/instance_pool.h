@@ -1,7 +1,6 @@
 #ifndef FASTCOMMIT_DB_INSTANCE_POOL_H_
 #define FASTCOMMIT_DB_INSTANCE_POOL_H_
 
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -13,25 +12,24 @@
 
 namespace fastcommit::db {
 
-/// Free-list pool of CommitInstances, keyed by (shard, cluster size n).
+/// Free-list pool of CommitInstances, one free list per cluster size n.
 ///
 /// n is the *round* size — the number of distinct partitions the commit
 /// spans, which is the vote-vector width. A batched round (Database with
 /// batch_window > 0) that carries many transactions over the same
 /// partition set still acquires a single instance of that width, so
 /// batched and one-transaction rounds of equal width recycle through the
-/// same (shard, n) free list.
+/// same free list.
 ///
-/// Acquire returns a recycled instance of the right size *on the right
-/// shard* when one is free (re-armed via CommitInstance::Reset — no
-/// allocation on the hot path) and constructs one against the supplied
-/// scheduler otherwise. An instance schedules against one shard for its
-/// whole lifetime, so the sharded runtime can drain it without locks; the
-/// shard key keeps recycling from ever migrating an instance across
-/// schedulers. Release returns an instance to its (shard, size) class;
-/// in-flight events of the released incarnation are fenced by the
-/// generation counters (see the lifecycle comment in db/coordinator.h), so
-/// an instance is safe to reuse the moment its last process decided.
+/// Acquire returns a recycled instance of the right size when one is free
+/// (re-armed via CommitInstance::Reset — no allocation on the hot path)
+/// and constructs one against the supplied scheduler otherwise. Every
+/// instance of a pool must schedule on the same scheduler (the database's
+/// instance queue), since a recycled one keeps the scheduler it was built
+/// with. Release returns an instance to its size's list; in-flight events
+/// of the released incarnation are fenced by the generation counters (see
+/// the lifecycle comment in db/coordinator.h), so an instance is safe to
+/// reuse the moment its last process decided.
 ///
 /// With pooling disabled the pool degrades to the rebuild-per-transaction
 /// baseline: Acquire always constructs and Release keeps the instance live
@@ -51,9 +49,9 @@ class CommitInstancePool {
   };
 
   /// `topology` with num_regions > 1 makes every instance a geo instance
-  /// (see CommitInstance's constructor); the free lists stay keyed by
-  /// (shard, n) because every instance of the pool shares one topology —
-  /// only the per-incarnation process->region assignment varies.
+  /// (see CommitInstance's constructor); the free lists stay keyed by n
+  /// because every instance of the pool shares one topology — only the
+  /// per-incarnation process->region assignment varies.
   CommitInstancePool(core::ProtocolKind protocol,
                      core::ConsensusKind consensus,
                      const core::ProtocolOptions& protocol_options,
@@ -64,19 +62,19 @@ class CommitInstancePool {
 
   /// Hands out an instance armed with `done` and a copy of `votes` (a
   /// recycled instance assigns the votes into its retained vector, so a
-  /// warm Acquire allocates nothing), scheduling on `scheduler` (the
-  /// shard's). The pool retains ownership; the caller must
-  /// Release exactly once when the commit decided (typically from the
-  /// completion effect). `shard` must identify `scheduler` stably.
-  /// `regions` homes process i in regions[i] for this incarnation (geo
-  /// pools only; leave empty on a single-region pool). It is copied into
-  /// the instance's retained vector, so the caller may reuse it.
-  CommitInstance* Acquire(int shard, sim::Scheduler* scheduler,
+  /// warm Acquire allocates nothing), scheduling on `scheduler`. The pool
+  /// retains ownership; the caller must Release exactly once when the
+  /// commit decided (typically from the completion effect). `regions`
+  /// homes process i in regions[i] for this incarnation (geo pools only;
+  /// leave empty on a single-region pool). It is copied into the
+  /// instance's retained vector, so the caller may reuse it. The first
+  /// argument is inert; kept only because benchmark/fc_bench.cc passes it.
+  CommitInstance* Acquire(int, sim::Scheduler* scheduler,
                           const std::vector<commit::Vote>& votes,
                           CommitInstance::DoneCallback done,
                           const std::vector<int>& regions = {});
 
-  /// Returns a finished instance to its (shard, size) class (no-op when
+  /// Returns a finished instance to its size's free list (no-op when
   /// pooling is disabled — the baseline keeps instances live until
   /// shutdown).
   void Release(CommitInstance* instance);
@@ -92,8 +90,8 @@ class CommitInstancePool {
   net::GeoTopology topology_;
 
   std::vector<std::unique_ptr<CommitInstance>> all_;
-  /// Free instances by (shard, n).
-  std::map<std::pair<int, int>, std::vector<CommitInstance*>> free_;
+  /// Free instances, indexed by n.
+  std::vector<std::vector<CommitInstance*>> free_;
   Stats stats_;
 };
 

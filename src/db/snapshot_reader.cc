@@ -43,9 +43,9 @@ void SnapshotReader::Serve(const Transaction& tx, int64_t snapshot_csn) {
                       .GetAtSnapshot(op.key, snapshot_csn)
                       .value_or(kAbsent);
     values_.push_back(value);
-    // Fold the value's decimal text into the placement-invariance
-    // fingerprint (FNV-1a, length-prefixed so value boundaries are
-    // unambiguous; an absent key folds as empty text).
+    // Fold the value's decimal text into the read fingerprint (FNV-1a,
+    // length-prefixed so value boundaries are unambiguous; an absent key
+    // folds as empty text).
     char text[20] = {};
     size_t size = 0;
     if (value != kAbsent) {

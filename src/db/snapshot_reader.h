@@ -15,8 +15,8 @@ namespace fastcommit::db {
 /// The MVCC read side of the database (DatabaseOptions::snapshot_reads):
 /// the commit sequence number (CSN) authority and the snapshot reads. A
 /// read looks each kGet up in its partition's store at the read's snapshot
-/// CSN, in op order, folds the values into the placement-invariance
-/// fingerprint and hands them to the observer. Control plane only.
+/// CSN, in op order, folds the values into the read fingerprint and hands
+/// them to the observer. Control plane only.
 class SnapshotReader {
  public:
   /// Observer of served snapshot reads: the values in op order (absent
@@ -35,9 +35,8 @@ class SnapshotReader {
   /// The CSN of the most recently decided commit — what a read started
   /// now is assigned. 0 before the first commit.
   int64_t stable_csn() const { return stable_csn_; }
-  /// Stamps the next commit. Called in canonical control-plane order, so
-  /// the CSN sequence, and every snapshot derived from it, is placement
-  /// invariant.
+  /// Stamps the next commit. Called in control-plane order, so the CSN
+  /// sequence, and every snapshot derived from it, is deterministic.
   int64_t NextCsn() { return ++stable_csn_; }
   /// Minimum CSN a live reader can still demand: the oldest waiting read's
   /// snapshot (reads wait in start order, so it is the smallest), else the

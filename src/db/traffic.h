@@ -87,10 +87,9 @@ struct TrafficOptions {
 /// from one sim::Rng. Every gap and key is the floor of a sim::detmath
 /// value; the samplers compute it from libm and fall back to detmath
 /// only near an integer (sim::detmath::GuardedFloor), so the stream is
-/// bitwise identical across platforms and placements at libm speed —
-/// gated by the golden sequences and guard sweeps in
-/// tests/distribution_test.cc, and by the stream digests and placement
-/// grids in tests/db_traffic_test.cc.
+/// bitwise identical across platforms at libm speed — gated by the
+/// golden sequences and guard sweeps in tests/distribution_test.cc, and
+/// by the stream digests in tests/db_traffic_test.cc.
 ///
 /// Transaction ids are assigned 1..num_arrivals in arrival order, matching
 /// the closed-loop generators' convention (retries keep the id).

@@ -68,15 +68,14 @@ struct Event {
 ///
 /// kWindow is 1,024 ticks, 10 U at the default unit of 100 ticks: message
 /// delays, protocol timers and commit-log acks land inside it; retries,
-/// restarts, WAN delays and events on a shard whose queue lags its clock
-/// go to the heap. The wheel (20 KiB) is allocated on the first push, not in
-/// the constructor: a database builds one queue per shard plus the control
-/// queue, and its set-up should not pay for wheels.
+/// restarts and WAN delays go to the heap. The wheel (20 KiB) is allocated
+/// on the first push, not in the constructor, so a queue that is never
+/// used costs its set-up nothing.
 ///
 /// The earliest live event is cached, so PeekTime() is O(1) amortized for
-/// the sharded merge loop, which reads every shard's next time on every
-/// step. A pop, a cancel of the cached event and an earlier push drop the
-/// cache.
+/// the database's merge loop, which reads both of its queues' next times
+/// every instant. A pop, a cancel of the cached event and an earlier push
+/// drop the cache.
 ///
 /// Cancellation: PushCancellable returns an EventId naming the event's slot
 /// and sequence number; Cancel removes the event logically by marking its

@@ -9,10 +9,11 @@ namespace fastcommit::sim {
 
 /// Virtual-time scheduling surface that every simulation component (hosts,
 /// network links, commit instances, the database control plane) programs
-/// against. Concrete implementations are the single-queue `Simulator` and
-/// the per-shard queues of `ShardedSimulator`; components never name either
-/// directly, which is what lets a whole commit-instance cluster be placed
-/// on an arbitrary shard without code changes.
+/// against. The one implementation is `Simulator`; a standalone run owns
+/// one, and the database's `ShardedSimulator` owns one for its control
+/// plane and one for its commit instances. Components never name a queue
+/// directly, so a commit-instance cluster runs unchanged in either
+/// setting.
 class Scheduler {
  public:
   virtual ~Scheduler() = default;

@@ -15,9 +15,9 @@ namespace fastcommit::sim {
 ///
 /// All components of an execution (network links, process timers, crash
 /// injection) schedule callbacks through the Scheduler interface. A
-/// standalone run owns one Simulator; the sharded database runtime
-/// (sim/sharded_simulator.h) owns one per shard plus one for the control
-/// plane and merges them deterministically.
+/// standalone run owns one Simulator; the database runtime
+/// (sim/sharded_simulator.h) owns two, one for the control plane and one
+/// for its commit instances, and merges them one instant at a time.
 class Simulator : public Scheduler {
  public:
   Simulator() = default;
@@ -46,16 +46,17 @@ class Simulator : public Scheduler {
   /// Executes at most one event (if any is due by `deadline`).
   bool Step(Time deadline = kMaxTime);
 
-  /// Time of the earliest pending event; kMaxTime when idle. The sharded
-  /// merge loop uses this to pick the next safe horizon.
+  /// Time of the earliest pending event; kMaxTime when idle. The
+  /// database's merge loop uses this to pick the next instant.
   Time NextEventTime() const {
     return queue_.empty() ? kMaxTime : queue_.PeekTime();
   }
 
   /// Moves the clock forward to `at` without executing anything. Requires
-  /// every pending event to be at or after `at` — the sharded runtime syncs
-  /// an (already drained) shard clock to the control plane's instant before
-  /// injecting work, so a recycled instance reads a deterministic epoch.
+  /// every pending event to be at or after `at` — the database runtime
+  /// syncs the (already drained) instance clock to the control plane's
+  /// instant before injecting work, so a recycled instance reads a
+  /// deterministic epoch.
   void AdvanceTo(Time at);
 
   bool idle() const override { return queue_.empty(); }

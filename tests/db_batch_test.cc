@@ -1,11 +1,10 @@
 // Gates for batched commit rounds (Database::Options::batch_window /
 // batch_max):
 //   - batch_window = 0 takes the one-round-per-transaction path unchanged:
-//     bitwise-identical DatabaseStats to a default-options run, for shard
-//     counts {1, 2, 8};
-//   - with batching enabled, DatabaseStats stay bitwise identical across
-//     the same placements, and commit messages per committed transaction
-//     drop measurably on the transfer and hotspot workloads;
+//     a bitwise-identical simulated record to a default-options run;
+//   - with batching enabled, hotspot rounds retry their conflicting
+//     members, and commit messages per committed transaction drop
+//     measurably on the transfer and hotspot workloads;
 //   - partial-round aborts: a round commits exactly its all-Yes members,
 //     conflicting members abort individually;
 //   - batch_max flushes a full batch before its window expires;
@@ -29,15 +28,12 @@ using bench::Accounts;
 using bench::ClosedLoop;
 using bench::DbLoad;
 using bench::DbRun;
-using bench::PlacedRuns;
 
-Database::Options BatchOptions(core::ProtocolKind protocol, sim::Time window,
-                               int num_shards = 1) {
+Database::Options BatchOptions(core::ProtocolKind protocol, sim::Time window) {
   Database::Options options;
   options.num_partitions = 4;
   options.protocol = protocol;
   options.batch_window = window;
-  options.num_shards = num_shards;
   return options;
 }
 
@@ -64,29 +60,22 @@ class BatchProtocolTest : public ::testing::TestWithParam<core::ProtocolKind> {
 };
 
 // batch_window = 0 must be the PR 2 code path, bit for bit: identical
-// stats to a run that never heard of batching, for every placement.
+// stats to a run that never heard of batching.
 TEST_P(BatchProtocolTest, WindowZeroReproducesUnbatchedStatsBitwise) {
-  Database::Options defaults = BatchOptions(GetParam(), 0);
-  defaults.batch_window = 0;  // explicit: the documented "disabled" value
+  Database::Options defaults;
+  defaults.num_partitions = 4;
+  defaults.protocol = GetParam();
   DbLoad transfers = TransferLoad();
   DbRun baseline = RunDb(defaults, transfers);
-  for (int shards : {1, 2, 8}) {
-    DbRun run = RunDb(BatchOptions(GetParam(), 0, shards), transfers);
-    EXPECT_EQ(run.FirstDifference(baseline), "") << "shards=" << shards;
-  }
+  DbRun run = RunDb(BatchOptions(GetParam(), 0), transfers);
+  EXPECT_EQ(run.FirstDifference(baseline), "");
   EXPECT_GT(baseline.stats.committed, 0);
 }
 
-TEST_P(BatchProtocolTest, BatchedStatsIdenticalAcrossShards) {
-  DbLoad transfers = TransferLoad();
-  DbRun baseline = RunDb(BatchOptions(GetParam(), 400), transfers);
-  for (int shards : {2, 8}) {
-    DbRun run = RunDb(BatchOptions(GetParam(), 400, shards), transfers);
-    EXPECT_EQ(run.FirstDifference(baseline), "") << "shards=" << shards;
-  }
-  PlacedRuns hot = RunPlaced(HotspotOptions(GetParam(), 400), HotspotLoad(), 8);
-  EXPECT_EQ(hot.placed.FirstDifference(hot.serial), "");
-  EXPECT_GT(hot.serial.stats.retries, 0)
+TEST_P(BatchProtocolTest, BatchedHotspotRetriesConflictingMembers) {
+  DbRun hot = RunDb(HotspotOptions(GetParam(), 400), HotspotLoad());
+  EXPECT_GT(hot.batch.rounds, 0) << "batching path never engaged";
+  EXPECT_GT(hot.stats.retries, 0)
       << "hotspot contention should cause retries";
 }
 
@@ -254,13 +243,12 @@ TEST(BatchRoundTest, SinglePartitionTransactionsBypassBatching) {
       << "a single-partition commit must not wait for any window";
 }
 
-TEST(BatchRoundTest, TransfersConserveBalanceUnderBatchedShardedDrain) {
+TEST(BatchRoundTest, TransfersConserveBalanceUnderBatchedDrain) {
   const int kAccounts = 80;
   const int64_t kInitial = 1000;
   DbLoad load = ClosedLoop(MakeTransferWorkload(400, kAccounts, 50, 5), 0);
   load.initial = Accounts(kAccounts, kInitial);
-  DbRun run = RunDb(
-      BatchOptions(core::ProtocolKind::kInbac, 600, /*num_shards=*/8), load);
+  DbRun run = RunDb(BatchOptions(core::ProtocolKind::kInbac, 600), load);
   EXPECT_EQ(run.stats.committed + run.stats.aborted, 400);
   EXPECT_GT(run.batch.batched_txs, 0);
   EXPECT_EQ(run.sum, kAccounts * kInitial)

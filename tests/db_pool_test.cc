@@ -121,25 +121,30 @@ TEST(InstancePoolTest, SequentialCommitsReuseOneInstance) {
   EXPECT_EQ(pool.live, 0);
 }
 
+// Waves of concurrent two-partition commits, waves far apart: the
+// instances live at once, and those ever built, track the wave size, not
+// the transaction count.
 TEST(InstancePoolTest, PeakLiveTracksConcurrencyNotTransactionCount) {
   const int kWaves = 20;
-  const int kPerWave = 4;
-  Database database(BaseOptions(core::ProtocolKind::kInbac, true));
-  auto txs = MakeTwoPartitionTxs(database, kWaves * kPerWave);
-  // kPerWave concurrent commits per wave, waves far apart.
-  for (int w = 0; w < kWaves; ++w) {
-    for (int i = 0; i < kPerWave; ++i) {
-      database.Submit(std::move(txs[static_cast<size_t>(w * kPerWave + i)]),
-                      w * 10000);
+  for (int per_wave : {4, 6}) {
+    Database database(BaseOptions(core::ProtocolKind::kInbac, true));
+    auto txs = MakeTwoPartitionTxs(database, kWaves * per_wave);
+    for (int w = 0; w < kWaves; ++w) {
+      for (int i = 0; i < per_wave; ++i) {
+        database.Submit(std::move(txs[static_cast<size_t>(w * per_wave + i)]),
+                        w * 10000);
+      }
     }
+    const DatabaseStats& stats = database.Drain();
+    EXPECT_EQ(stats.committed, kWaves * per_wave);
+    const CommitInstancePool::Stats& pool = database.pool_stats();
+    EXPECT_LE(pool.peak_live, per_wave)
+        << "peak live instances must be bounded by concurrency";
+    EXPECT_LE(pool.created, per_wave)
+        << "created instances must track concurrency, not tx count";
+    EXPECT_GT(pool.reused, 0);
+    EXPECT_EQ(pool.live, 0);
   }
-  const DatabaseStats& stats = database.Drain();
-  EXPECT_EQ(stats.committed, kWaves * kPerWave);
-  const CommitInstancePool::Stats& pool = database.pool_stats();
-  EXPECT_LE(pool.peak_live, kPerWave)
-      << "peak live instances must be bounded by concurrency";
-  EXPECT_LE(pool.created, kPerWave);
-  EXPECT_EQ(pool.live, 0);
 }
 
 TEST(InstancePoolTest, BaselineModeRebuildsEveryTransaction) {

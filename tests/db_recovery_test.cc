@@ -5,7 +5,7 @@
 //     ledger), no lock is orphaned, and the drain is clean;
 //   - replay determinism: a crashing run's whole simulated record (stats,
 //     recovery and commit-log counters, read fingerprint) is bitwise
-//     identical across shard placements;
+//     identical run to run;
 //   - the replicated log's fast and slow quorum paths both occur, its
 //     slot GC keeps live-slot memory bounded, and a crash-free logged
 //     drain ends at its last delivered decision;
@@ -50,13 +50,11 @@ DbLoad TransferLoad(int num_txs, uint64_t seed, sim::Time submit_gap = 20) {
   return load;
 }
 
-Database::Options FaultOptions(core::ProtocolKind protocol, int log_replicas,
-                               int shards = 1) {
+Database::Options FaultOptions(core::ProtocolKind protocol, int log_replicas) {
   Database::Options options;
   options.num_partitions = 4;
   options.protocol = protocol;
   options.log_replicas = log_replicas;
-  options.num_shards = shards;
   options.check_invariants = true;
   return options;
 }
@@ -64,10 +62,9 @@ Database::Options FaultOptions(core::ProtocolKind protocol, int log_replicas,
 class RecoveryProtocolTest
     : public ::testing::TestWithParam<core::ProtocolKind> {};
 
-/// Coordinator restart delays the crash sweeps run: the simulator
-/// lookahead with the log on (one unit), where instances of the crashed
-/// epoch still decide after recovery restarted their rounds, and an outage
-/// longer than any round.
+/// Coordinator restart delays the crash sweeps run: one unit, where
+/// instances of the crashed epoch still decide after recovery restarted
+/// their rounds, and an outage longer than any round.
 constexpr sim::Time kRestartDelays[] = {100, 3000};
 
 // The tentpole gate: crash the coordinator at every protocol step, with
@@ -131,8 +128,8 @@ TEST_P(RecoveryProtocolTest, CrashWithoutLogPresumesAbort) {
 
 // Replay determinism, the repo's core invariant extended to crashes: the
 // whole recovery trajectory — stats, recovery counters, log counters — is
-// bitwise identical across shard counts.
-TEST_P(RecoveryProtocolTest, ReplayBitwiseDeterministicAcrossPlacements) {
+// bitwise identical run to run.
+TEST_P(RecoveryProtocolTest, ReplayBitwiseDeterministic) {
   for (CrashPoint point : {CrashPoint::kAfterPrepare, CrashPoint::kAfterAccept,
                            CrashPoint::kAfterDecide}) {
     for (sim::Time restart_delay : kRestartDelays) {
@@ -143,12 +140,8 @@ TEST_P(RecoveryProtocolTest, ReplayBitwiseDeterministicAcrossPlacements) {
       options.fault_plan.crash_at_occurrence = 7;
       options.fault_plan.coordinator_restart_delay = restart_delay;
       DbLoad load = TransferLoad(250, 77);
-      DbRun baseline = RunDb(options, load);
-      for (int shards : {2, 8}) {
-        options.num_shards = shards;
-        EXPECT_EQ(RunDb(options, load).FirstDifference(baseline), "")
-            << "shards=" << shards;
-      }
+      EXPECT_EQ(RunDb(options, load).FirstDifference(RunDb(options, load)),
+                "");
     }
   }
 }
@@ -243,17 +236,13 @@ TEST(CommitLogTest, LoggedDrainEndsAtTheLastDeliveredDecision) {
   }
 }
 
-// The log's durability gate must itself be placement invariant: a
-// crash-free logged run reproduces bitwise across placements.
-TEST(CommitLogTest, LoggedRunBitwiseDeterministicAcrossPlacements) {
+// The log's durability gate must itself be deterministic: a crash-free
+// logged run reproduces bitwise.
+TEST(CommitLogTest, LoggedRunBitwiseDeterministic) {
   Database::Options options = FaultOptions(core::ProtocolKind::kInbac, 3);
   DbLoad load = TransferLoad(300, 23);
   DbRun baseline = RunDb(options, load);
-  for (int shards : {2, 8}) {
-    options.num_shards = shards;
-    EXPECT_EQ(RunDb(options, load).FirstDifference(baseline), "")
-        << "shards=" << shards;
-  }
+  EXPECT_EQ(RunDb(options, load).FirstDifference(baseline), "");
   EXPECT_GT(baseline.stats.committed, 0);
 }
 
@@ -278,20 +267,16 @@ TEST(ParticipantCrashTest, CrashHoldingLocksRecoversClean) {
   EXPECT_GT(out.stats.committed, 0);
 }
 
-// Participant crashes are placement invariant too (the crash schedule is
+// Participant crashes are deterministic too (the crash schedule is
 // time-driven on the control plane).
-TEST(ParticipantCrashTest, BitwiseDeterministicAcrossPlacements) {
+TEST(ParticipantCrashTest, BitwiseDeterministic) {
   Database::Options options = FaultOptions(core::ProtocolKind::kTwoPc, 0);
   options.fault_plan.crash_partition = 2;
   options.fault_plan.participant_crash_at = 1500;
   options.fault_plan.participant_restart_delay = 2500;
   DbLoad load = TransferLoad(250, 77);
   DbRun baseline = RunDb(options, load);
-  for (int shards : {2, 8}) {
-    options.num_shards = shards;
-    EXPECT_EQ(RunDb(options, load).FirstDifference(baseline), "")
-        << "shards=" << shards;
-  }
+  EXPECT_EQ(RunDb(options, load).FirstDifference(baseline), "");
   EXPECT_GT(baseline.recovery.participant_crashes, 0);
 }
 
@@ -299,66 +284,58 @@ TEST(ParticipantCrashTest, BitwiseDeterministicAcrossPlacements) {
 // down partition waits for the restart, and every later read waits behind
 // it. Through the observer, reads arrive in submit order, each at its
 // submit instant or at the restart instant, and their values fold into a
-// fingerprint pinned for every placement.
+// pinned fingerprint.
 TEST(ParticipantCrashTest, SnapshotReadsDeferAndStayDeterministic) {
   constexpr sim::Time kCrashAt = 1500;
   constexpr sim::Time kRestartAt = 4000;
   // The read values of this run, folded: a change to which version a read
-  // sees, on any placement, moves it.
+  // sees moves it.
   constexpr uint64_t kGoldenFingerprint = 1777516774854724264ULL;
-  auto run = [&](int shards) {
-    Database::Options options =
-        FaultOptions(core::ProtocolKind::kInbac, 0, shards);
-    options.snapshot_reads = true;
-    options.fault_plan.crash_partition = 1;
-    options.fault_plan.participant_crash_at = kCrashAt;
-    options.fault_plan.participant_restart_delay = kRestartAt - kCrashAt;
-    DbLoad load;
-    load.initial = Accounts(64, 1000);
-    sim::Time at = 0;
-    TxId next_id = 100000;
-    std::map<TxId, sim::Time> submitted_at;  // reader id -> submit instant
-    for (auto& tx : MakeTransferWorkload(200, 64, 50, 6)) {
-      load.Submit(std::move(tx), at);
-      // Interleave a read-only transaction spanning several partitions,
-      // its keys shifting from reader to reader so that some touch the
-      // crashed partition and some do not.
-      Transaction reader;
-      reader.id = next_id++;
-      for (int a = 0; a < 6; ++a) {
-        reader.ops.push_back(
-            Transaction::Get(AccountKey((reader.id * 7 + a * 11) % 64)));
-      }
-      submitted_at[reader.id] = at + 7;
-      load.Submit(std::move(reader), at + 7);
-      at += 25;
+  Database::Options options = FaultOptions(core::ProtocolKind::kInbac, 0);
+  options.snapshot_reads = true;
+  options.fault_plan.crash_partition = 1;
+  options.fault_plan.participant_crash_at = kCrashAt;
+  options.fault_plan.participant_restart_delay = kRestartAt - kCrashAt;
+  DbLoad load;
+  load.initial = Accounts(64, 1000);
+  sim::Time at = 0;
+  TxId next_id = 100000;
+  std::map<TxId, sim::Time> submitted_at;  // reader id -> submit instant
+  for (auto& tx : MakeTransferWorkload(200, 64, 50, 6)) {
+    load.Submit(std::move(tx), at);
+    // Interleave a read-only transaction spanning several partitions, its
+    // keys shifting from reader to reader so that some touch the crashed
+    // partition and some do not.
+    Transaction reader;
+    reader.id = next_id++;
+    for (int a = 0; a < 6; ++a) {
+      reader.ops.push_back(
+          Transaction::Get(AccountKey((reader.id * 7 + a * 11) % 64)));
     }
-    TxId last_served = 0;
-    int64_t served = 0;
-    int64_t waited = 0;
-    load.on_read = [&](const Transaction& tx, const std::vector<Value>&,
-                       sim::Time now) {
-      EXPECT_GT(tx.id, last_served) << "read served out of submit order";
-      last_served = tx.id;
-      ++served;
-      if (now == submitted_at.at(tx.id)) return;
-      EXPECT_EQ(now, kRestartAt)
-          << "read " << tx.id << " submitted at " << submitted_at.at(tx.id);
-      ++waited;
-    };
-    DbRun out = RunDb(options, load);
-    EXPECT_EQ(served, 200);
-    EXPECT_GT(waited, 0) << "no read waited for the restart";
-    return out;
-  };
-  DbRun baseline = run(1);
-  EXPECT_EQ(baseline.fingerprint, kGoldenFingerprint);
-  EXPECT_EQ(baseline.stats.read_only_committed, 200);
-  EXPECT_EQ(baseline.read_txs, 200);
-  EXPECT_GT(baseline.deferred_finishes, 0);
-  for (int shards : {2, 8}) {
-    EXPECT_EQ(run(shards).FirstDifference(baseline), "") << "shards=" << shards;
+    submitted_at[reader.id] = at + 7;
+    load.Submit(std::move(reader), at + 7);
+    at += 25;
   }
+  TxId last_served = 0;
+  int64_t served = 0;
+  int64_t waited = 0;
+  load.on_read = [&](const Transaction& tx, const std::vector<Value>&,
+                     sim::Time now) {
+    EXPECT_GT(tx.id, last_served) << "read served out of submit order";
+    last_served = tx.id;
+    ++served;
+    if (now == submitted_at.at(tx.id)) return;
+    EXPECT_EQ(now, kRestartAt)
+        << "read " << tx.id << " submitted at " << submitted_at.at(tx.id);
+    ++waited;
+  };
+  DbRun out = RunDb(options, load);
+  EXPECT_EQ(served, 200);
+  EXPECT_GT(waited, 0) << "no read waited for the restart";
+  EXPECT_EQ(out.fingerprint, kGoldenFingerprint);
+  EXPECT_EQ(out.stats.read_only_committed, 200);
+  EXPECT_EQ(out.read_txs, 200);
+  EXPECT_GT(out.deferred_finishes, 0);
 }
 
 // ------------------------------------------ combined / edge scenarios ----

@@ -8,8 +8,7 @@
 //   - partial-round abort: a conflicting member of a merged round aborts
 //     alone, the all-Yes members commit;
 //   - composition with cross-set admission (the two catch opposite
-//     arrival orders), and bitwise placement determinism across shard
-//     counts.
+//     arrival orders), and bitwise run-to-run determinism.
 
 #include <gtest/gtest.h>
 
@@ -298,7 +297,7 @@ TEST(RoundMergeTest, CrossSetJoinerTakesTheFirstOpenSupersetInOrder) {
   }
 }
 
-TEST(RoundMergeTest, MergedRunsArePlacementDeterministic) {
+TEST(RoundMergeTest, MergedRunsAreDeterministic) {
   Database::Options options = MergeOptions(400);
   options.num_partitions = 5;
   options.batch_cross_set = true;
@@ -322,11 +321,7 @@ TEST(RoundMergeTest, MergedRunsArePlacementDeterministic) {
   DbRun reference = RunDb(options, load);
   EXPECT_GT(reference.batch.merged_rounds, 0)
       << "workload too tame: no superset round ever absorbed a subset";
-  for (int shards : {2, 8}) {
-    options.num_shards = shards;
-    EXPECT_EQ(RunDb(options, load).FirstDifference(reference), "")
-        << "shards=" << shards;
-  }
+  EXPECT_EQ(RunDb(options, load).FirstDifference(reference), "");
 }
 
 }  // namespace

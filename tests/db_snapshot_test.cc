@@ -6,8 +6,8 @@
 // (no locks, no votes, no protocol messages, no pooled instances for
 // read-only traffic in either concurrency mode), version GC staying
 // bounded, the empty-transaction check on both read paths, and bitwise
-// placement determinism of both DatabaseStats and the read-result
-// fingerprint across shard counts.
+// run-to-run determinism of both DatabaseStats and the read-result
+// fingerprint.
 
 #include <gtest/gtest.h>
 
@@ -29,7 +29,6 @@ namespace {
 using bench::DbLoad;
 using bench::DbRun;
 using bench::OpenLoop;
-using bench::PlacedRuns;
 
 const Key kKey = ItemKey(0);
 const Key kCounter = ItemKey(4);
@@ -340,7 +339,7 @@ TEST(DatabaseSnapshotTest, SnapshotOffKeepsStatsBitwiseIdentical) {
 
 /// Poisson arrivals, half of them read-only, over 64 Zipf-skewed keys, on 8
 /// partitions with snapshot reads and at most 64 transactions in flight.
-Database::Options PlacementOptions(ConcurrencyMode mode) {
+Database::Options ReadMixOptions(ConcurrencyMode mode) {
   Database::Options options;
   options.num_partitions = 8;
   options.concurrency = mode;
@@ -350,7 +349,7 @@ Database::Options PlacementOptions(ConcurrencyMode mode) {
   return options;
 }
 
-DbLoad PlacementLoad() {
+DbLoad ReadMixLoad() {
   TrafficOptions traffic;
   traffic.process = ArrivalProcess::kPoisson;
   traffic.mean_gap = 12.0;
@@ -363,28 +362,16 @@ DbLoad PlacementLoad() {
   return OpenLoop(traffic, 400);
 }
 
-// Every placement simulates the same record, the read-result fingerprint
+// Two runs simulate the same record, the read-result fingerprint
 // included: every snapshot read returned bitwise the same values in the
 // same order.
-TEST(DatabaseSnapshotTest, PlacementDeterminismUnder2pl) {
-  for (int shards : {2, 8}) {
-    PlacedRuns runs = RunPlaced(PlacementOptions(ConcurrencyMode::k2PL),
-                                PlacementLoad(), shards);
-    EXPECT_GT(runs.serial.stats.read_only_committed, 0);
-    EXPECT_GT(runs.serial.stats.committed, 0);
-    EXPECT_EQ(runs.placed.FirstDifference(runs.serial), "")
-        << "shards=" << shards;
-  }
-}
-
-TEST(DatabaseSnapshotTest, PlacementDeterminismUnderOcc) {
-  for (int shards : {2, 8}) {
-    PlacedRuns runs = RunPlaced(PlacementOptions(ConcurrencyMode::kOCC),
-                                PlacementLoad(), shards);
-    EXPECT_GT(runs.serial.stats.read_only_committed, 0);
-    EXPECT_GT(runs.serial.stats.committed, 0);
-    EXPECT_EQ(runs.placed.FirstDifference(runs.serial), "")
-        << "shards=" << shards;
+TEST(DatabaseSnapshotTest, DeterminismUnder2plAndOcc) {
+  for (ConcurrencyMode mode : {ConcurrencyMode::k2PL, ConcurrencyMode::kOCC}) {
+    DbRun first = RunDb(ReadMixOptions(mode), ReadMixLoad());
+    EXPECT_GT(first.stats.read_only_committed, 0);
+    EXPECT_GT(first.stats.committed, 0);
+    EXPECT_EQ(RunDb(ReadMixOptions(mode), ReadMixLoad()).FirstDifference(first),
+              "");
   }
 }
 

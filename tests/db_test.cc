@@ -2,14 +2,20 @@
 // end-to-end transactions over each commit protocol, invariants under
 // contention.
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "db/database.h"
 #include "db/kv_store.h"
 #include "db/lock_manager.h"
 #include "db/participant.h"
+#include "db/traffic.h"
 #include "db/workload.h"
 
 namespace fastcommit::db {
@@ -265,6 +271,126 @@ TEST(DatabaseTest, LatencyReflectsProtocolDelayCount) {
   };
   EXPECT_EQ(run(core::ProtocolKind::kInbac), 200);
   EXPECT_EQ(run(core::ProtocolKind::kPaxosCommit), 300);
+}
+
+TEST(DatabaseTest, CompletionCallbackReportsRealDecision) {
+  // Two transactions over the same keys, submitted at the same instant: the
+  // loser of the no-wait lock race aborts (max_attempts=1 to pin the
+  // outcome), the winner commits.
+  Database::Options options = DbOptions(core::ProtocolKind::kTwoPc, 5);
+  options.max_attempts = 1;
+  Database db(options);
+  std::vector<Op> ops;
+  int item = 0;
+  while (ops.size() < 2) {
+    if (db.PartitionOf(ItemKey(item)) == static_cast<int>(ops.size()) % 2) {
+      ops.push_back(Transaction::Add(ItemKey(item), 1));
+    }
+    ++item;
+  }
+  Transaction a;
+  a.id = 1;
+  a.ops = ops;
+  Transaction b;
+  b.id = 2;
+  b.ops = ops;
+  std::vector<std::pair<TxId, commit::Decision>> outcomes;
+  auto record = [&outcomes](const Transaction& tx, commit::Decision d) {
+    outcomes.emplace_back(tx.id, d);
+  };
+  db.Submit(std::move(a), 0, record);
+  db.Submit(std::move(b), 0, record);
+  db.Drain();
+  ASSERT_EQ(outcomes.size(), 2u);
+  int commits = 0;
+  int aborts = 0;
+  for (const auto& [id, decision] : outcomes) {
+    if (decision == commit::Decision::kCommit) ++commits;
+    if (decision == commit::Decision::kAbort) ++aborts;
+  }
+  EXPECT_EQ(commits, 1);
+  EXPECT_EQ(aborts, 1);
+}
+
+// A completion callback runs at its round's decide instant and reads that
+// instant as Now(), although another instance still has events queued
+// behind it.
+TEST(DatabaseTest, CompletionCallbackReadsItsDecideInstant) {
+  Database db(DbOptions(core::ProtocolKind::kInbac, 4));
+  // A transfer between the first keys routed to partitions `p` and `q`.
+  auto transfer = [&db](TxId id, int p, int q) {
+    Transaction tx;
+    tx.id = id;
+    for (int partition : {p, q}) {
+      int item = 0;
+      while (db.PartitionOf(ItemKey(item)) != partition) ++item;
+      tx.ops.push_back(Transaction::Add(ItemKey(item), 1));
+    }
+    return tx;
+  };
+  std::map<TxId, sim::Time> decided_at;
+  auto record = [&](const Transaction& tx, commit::Decision d) {
+    EXPECT_EQ(d, commit::Decision::kCommit);
+    decided_at[tx.id] = db.Now();
+  };
+  db.Submit(transfer(1, 0, 1), 0, record);
+  db.Submit(transfer(2, 2, 3), 50, record);
+  db.Drain();
+  // INBAC decides a nice execution in 2U = 200 ticks.
+  EXPECT_EQ(decided_at, (std::map<TxId, sim::Time>{{1, 200}, {2, 250}}));
+}
+
+/// Threads of this process: the entries of /proc/self/task.
+int ThreadCount() {
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) return -1;
+  int count = 0;
+  while (const dirent* entry = readdir(dir)) {
+    if (entry->d_name[0] != '.') ++count;
+  }
+  closedir(dir);
+  return count;
+}
+
+// The shard, thread-count and conflict-lookahead options are inert: a run
+// with all three set starts no thread, calls every partition directly (no
+// restart applies a backlog) and reproduces the default run bitwise.
+TEST(DatabaseTest, ThreadAndLookaheadKnobsAreInert) {
+  TrafficOptions traffic;  // transfer pairs over the default 2^20 keys
+  traffic.mean_gap = 40.0;
+  traffic.num_arrivals = 2000;
+  traffic.seed = 21;
+  Database::Options defaults = DbOptions(core::ProtocolKind::kInbac, 8);
+  DatabaseStats reference;
+  int64_t reference_sum = 0;
+  {
+    Database database(defaults);
+    TrafficEngine engine(traffic);
+    database.SubmitArrivals(&engine);
+    reference = database.Drain();
+    reference_sum = database.SumInts();
+  }
+  ASSERT_EQ(reference.offered, traffic.num_arrivals);
+  ASSERT_LT(reference.retries, reference.offered / 100)
+      << "stream should be conflict-light";
+
+  Database::Options knobs = defaults;
+  knobs.num_shards = 4;
+  knobs.num_threads = 4;
+  knobs.conflict_lookahead = true;
+  const int threads_before = ThreadCount();
+  ASSERT_GT(threads_before, 0);
+  auto database = std::make_unique<Database>(knobs);
+  TrafficEngine engine(traffic);
+  database->SubmitArrivals(&engine);
+  const DatabaseStats stats = database->Drain();
+  EXPECT_EQ(ThreadCount(), threads_before) << "after Drain";
+  EXPECT_EQ(database->lookahead_skips(), 0);
+  EXPECT_EQ(database->partition_plane().flushes(), 0);
+  EXPECT_EQ(stats, reference);
+  EXPECT_EQ(database->SumInts(), reference_sum);
+  database.reset();
+  EXPECT_EQ(ThreadCount(), threads_before) << "after destruction";
 }
 
 TEST(DatabaseStatsTest, PercentileAndMean) {

@@ -10,8 +10,8 @@
 //     sheds nothing when the bound is slack;
 //   - invariant sweeps (Options::check_invariants) under a contended,
 //     retrying stream change no stat;
-//   - placement determinism: every arrival process x skew drift config
-//     yields bitwise-identical DatabaseStats across shard placements;
+//   - determinism: every arrival process x skew drift config simulates a
+//     bitwise-identical record run to run;
 //   - stream identity: golden digests pin 200,000 arrivals of each of
 //     eight streams, so a faster sampler must reproduce every draw.
 
@@ -321,7 +321,6 @@ TEST(OpenLoopTest, ContendedStreamSurvivesInvariantSweeps) {
   // prepares. Stats must match the unswept run exactly.
   Database::Options off;
   off.num_partitions = 4;
-  off.num_shards = 2;
   Database::Options on = off;
   on.check_invariants = true;
 
@@ -336,7 +335,7 @@ TEST(OpenLoopTest, ContendedStreamSurvivesInvariantSweeps) {
   EXPECT_GT(swept.stats.retries, 0) << "stream too tame to stress conflicts";
 }
 
-TEST(OpenLoopTest, EveryProcessIsPlacementDeterministic) {
+TEST(OpenLoopTest, EveryProcessIsDeterministic) {
   for (ArrivalProcess process : {ArrivalProcess::kPoisson,
                                  ArrivalProcess::kBursty,
                                  ArrivalProcess::kDiurnal}) {
@@ -346,12 +345,8 @@ TEST(OpenLoopTest, EveryProcessIsPlacementDeterministic) {
       Database::Options options;
       options.num_partitions = 6;
       DbRun reference = RunDb(options, load);
-      for (int shards : {2, 8}) {
-        options.num_shards = shards;
-        EXPECT_EQ(RunDb(options, load).FirstDifference(reference), "")
-            << ToString(process) << " drift=" << drift
-            << " shards=" << shards;
-      }
+      EXPECT_EQ(RunDb(options, load).FirstDifference(reference), "")
+          << ToString(process) << " drift=" << drift;
     }
   }
 }

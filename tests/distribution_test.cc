@@ -1,10 +1,10 @@
 // Golden-sequence tests for the deterministic distribution samplers
 // (sim::Rng::Exponential and ExponentialFloor, sim::ZipfSampler) and the
 // software math they run on (sim/detmath.h). The goldens pin exact bit
-// patterns: the samplers must produce identical streams on every platform
-// and placement, because the open-loop traffic engine (db/traffic.h)
-// derives workloads from them and the placement-determinism gates compare
-// the resulting DatabaseStats bitwise.
+// patterns: the samplers must produce identical streams on every platform,
+// because the open-loop traffic engine (db/traffic.h) derives workloads
+// from them and the determinism gates compare the resulting DatabaseStats
+// bitwise.
 //
 // ZipfSampler and ExponentialFloor call libm, yet no C library can move
 // these goldens. Each keeps only an integer, the floor of a detmath value,

@@ -2,7 +2,7 @@
 // CheckInvariants runs at every partition-plane flush (Database::Options::
 // check_invariants: after each transaction's prepares and at the end of a
 // drain) while contended workloads prepare, upgrade, batch, abort, and
-// retry on several shard placements — catching any recorded key its
+// retry, unbatched and batched — catching any recorded key its
 // transaction no longer holds, any lock no record names (which nothing
 // would ever release), and any shared/exclusive coexistence.
 //
@@ -137,7 +137,6 @@ TEST(DrainDeathTest, UnfinishedPrepareDies) {
 // --- Database-level stress ---------------------------------------------------
 
 struct StressSpec {
-  int num_shards;
   sim::Time batch_window;
   bool adaptive;
 };
@@ -147,7 +146,6 @@ Database::Options StressOptions(const StressSpec& spec) {
   options.num_partitions = 6;
   options.protocol = core::ProtocolKind::kTwoPc;
   options.max_attempts = 3;
-  options.num_shards = spec.num_shards;
   options.check_invariants = true;  // sweep at every flush
   options.batch_window = spec.batch_window;
   options.batch_adaptive = spec.adaptive;
@@ -160,8 +158,7 @@ class LockInvariantStressTest
 
 // A contended mixed workload with invariant sweeps at every flush. Its
 // Drain checks the quiescent end state: every transaction finished, so no
-// partition may hold a lock or a record for anyone. Each placement must
-// also simulate exactly its one-shard reference.
+// partition may hold a lock or a record for anyone.
 TEST_P(LockInvariantStressTest, InvariantsHoldAtEveryBarrier) {
   // Read-modify-write exercises shared locks and the shared->exclusive
   // upgrade on every transaction; the hotspot tail adds no-wait conflicts
@@ -184,12 +181,9 @@ TEST_P(LockInvariantStressTest, InvariantsHoldAtEveryBarrier) {
     load.Submit(std::move(tx), at);
     at += 5;
   }
-  bench::PlacedRuns runs =
-      bench::RunPlaced(StressOptions(GetParam()), load, GetParam().num_shards);
-  EXPECT_EQ(runs.placed.FirstDifference(runs.serial), "");
-  const DatabaseStats& stats = runs.placed.stats;
-  EXPECT_EQ(stats.committed + stats.aborted, 200);
-  EXPECT_GT(stats.retries, 0) << "stress run should contend";
+  bench::DbRun run = bench::RunDb(StressOptions(GetParam()), load);
+  EXPECT_EQ(run.stats.committed + run.stats.aborted, 200);
+  EXPECT_GT(run.stats.retries, 0) << "stress run should contend";
 }
 
 // "No lock held by a finished transaction", probed mid-workload: drain a
@@ -232,16 +226,13 @@ TEST_P(LockInvariantStressTest, FinishedTransactionsHoldNoLocks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Placements, LockInvariantStressTest,
-    ::testing::Values(StressSpec{1, 0, false},      // one queue
-                      StressSpec{4, 0, false},      // sharded
-                      StressSpec{8, 0, false},      // more shards
-                      StressSpec{8, 200, false},    // + batched rounds
-                      StressSpec{8, 100, true}),    // + adaptive windows
+    Batching, LockInvariantStressTest,
+    ::testing::Values(StressSpec{0, false},      // unbatched
+                      StressSpec{200, false},    // batched rounds
+                      StressSpec{100, true}),    // adaptive windows
     [](const ::testing::TestParamInfo<StressSpec>& info) {
       const StressSpec& spec = info.param;
-      return "shards" + std::to_string(spec.num_shards) + "window" +
-             std::to_string(spec.batch_window) +
+      return "window" + std::to_string(spec.batch_window) +
              (spec.adaptive ? "adaptive" : "");
     });
 

@@ -1,7 +1,8 @@
-// Unit tests for the sharded simulation runtime (sim/sharded_simulator.h):
-// merge ordering between control plane and shards, canonical effect
-// ordering, clock sync on injection, lookahead feedback, and the
-// schedule-into-the-past guards of the underlying queues.
+// Unit tests for the database's two-queue runtime (sim/sharded_simulator.h):
+// the per-instant merge order between instance events, their effects and
+// control events, key-ordered effects, clock sync on injection, the clock
+// an effect reads, and the schedule-into-the-past guards of the underlying
+// queues.
 
 #include <gtest/gtest.h>
 
@@ -14,22 +15,15 @@
 namespace fastcommit::sim {
 namespace {
 
-ShardedSimulator::Options MakeOptions(int shards, Time lookahead = 1) {
-  ShardedSimulator::Options options;
-  options.num_shards = shards;
-  options.lookahead = lookahead;
-  return options;
-}
-
-TEST(ShardedSimulatorTest, DrainsControlAndShardsToQuiescence) {
-  ShardedSimulator sim(MakeOptions(2));
+TEST(ShardedSimulatorTest, DrainsBothQueuesToQuiescence) {
+  ShardedSimulator sim;
   std::vector<int> order;
   sim.control()->ScheduleAt(10, EventClass::kControl, [&] {
     order.push_back(1);
-    sim.shard(0)->ScheduleAt(20, EventClass::kDelivery,
-                             [&] { order.push_back(2); });
-    sim.shard(1)->ScheduleAt(30, EventClass::kDelivery,
-                             [&] { order.push_back(3); });
+    sim.instances()->ScheduleAt(30, EventClass::kDelivery,
+                                [&] { order.push_back(3); });
+    sim.instances()->ScheduleAt(20, EventClass::kDelivery,
+                                [&] { order.push_back(2); });
   });
   sim.control()->ScheduleAt(40, EventClass::kControl,
                             [&] { order.push_back(4); });
@@ -40,77 +34,103 @@ TEST(ShardedSimulatorTest, DrainsControlAndShardsToQuiescence) {
   EXPECT_EQ(sim.events_executed(), 4);
 }
 
-TEST(ShardedSimulatorTest, ShardEventsPrecedeControlAtTheSameInstant) {
-  // The canonical merge rule preserves the single-queue class order:
-  // deliveries and timers at time T run before control events at T.
-  ShardedSimulator sim(MakeOptions(2));
+TEST(ShardedSimulatorTest, InstanceEventsThenEffectsThenControlPerInstant) {
+  // At one instant: every instance event (a timer too, though the control
+  // event was scheduled first), then their effects, then control events.
+  ShardedSimulator sim;
   std::vector<int> order;
-  sim.shard(1)->ScheduleAt(50, EventClass::kDelivery,
-                           [&] { order.push_back(1); });
   sim.control()->ScheduleAt(50, EventClass::kControl,
-                            [&] { order.push_back(2); });
+                            [&] { order.push_back(4); });
+  sim.instances()->ScheduleAt(50, EventClass::kDelivery, [&] {
+    order.push_back(1);
+    sim.PostEffect(/*key=*/1, [&] { order.push_back(3); });
+  });
+  sim.instances()->ScheduleAt(50, EventClass::kTimer,
+                              [&] { order.push_back(2); });
   sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
 }
 
-TEST(ShardedSimulatorTest, EffectsApplyInCanonicalTimeThenKeyOrder) {
-  // Two shards post effects from events at the same instant; application
-  // order must follow (time, key), not shard index or posting order.
-  ShardedSimulator sim(MakeOptions(3));
+TEST(ShardedSimulatorTest, EffectsApplyPerInstantInKeyOrder) {
+  // Effects posted at the same instant apply in key order, not posting
+  // order; an earlier instant's effects apply before a later instant's
+  // instance events run.
+  ShardedSimulator sim;
   std::vector<int> applied;
-  sim.shard(2)->ScheduleAt(10, EventClass::kDelivery, [&] {
-    sim.PostEffect(2, 10, /*key=*/7, [&] { applied.push_back(7); });
+  sim.instances()->ScheduleAt(10, EventClass::kDelivery, [&] {
+    applied.push_back(10);
+    sim.PostEffect(/*key=*/7, [&] { applied.push_back(7); });
   });
-  sim.shard(0)->ScheduleAt(10, EventClass::kDelivery, [&] {
-    sim.PostEffect(0, 10, /*key=*/3, [&] { applied.push_back(3); });
+  sim.instances()->ScheduleAt(10, EventClass::kDelivery, [&] {
+    sim.PostEffect(/*key=*/3, [&] { applied.push_back(3); });
   });
-  sim.shard(1)->ScheduleAt(5, EventClass::kDelivery, [&] {
-    sim.PostEffect(1, 5, /*key=*/9, [&] { applied.push_back(9); });
+  sim.instances()->ScheduleAt(5, EventClass::kDelivery, [&] {
+    sim.PostEffect(/*key=*/9, [&] { applied.push_back(9); });
   });
   sim.Run();
-  EXPECT_EQ(applied, (std::vector<int>{9, 3, 7}));
+  EXPECT_EQ(applied, (std::vector<int>{9, 10, 3, 7}));
 }
 
-TEST(ShardedSimulatorTest, InjectionSyncsShardClockToControlInstant) {
-  // A shard whose own events ended early still reads the control instant
-  // as "now" when the control plane injects work — the property a recycled
-  // commit instance's epoch depends on.
-  ShardedSimulator sim(MakeOptions(2));
+TEST(ShardedSimulatorTest, InjectionSyncsInstanceClockToControlInstant) {
+  // An instance queue whose own events ended early still reads the control
+  // instant as "now" when the control plane injects work — the property a
+  // recycled commit instance's epoch depends on.
+  ShardedSimulator sim;
   Time seen = -1;
-  sim.shard(0)->ScheduleAt(10, EventClass::kDelivery, [] {});
+  sim.instances()->ScheduleAt(10, EventClass::kDelivery, [] {});
   sim.control()->ScheduleAt(500, EventClass::kControl, [&] {
-    seen = sim.shard(0)->Now();
-    sim.shard(0)->ScheduleAt(sim.shard(0)->Now() + 100, EventClass::kTimer,
-                             [] {});
+    seen = sim.instances()->Now();
+    sim.instances()->ScheduleAt(sim.instances()->Now() + 100,
+                                EventClass::kTimer, [] {});
   });
   sim.Run();
   EXPECT_EQ(seen, 500);
   EXPECT_EQ(sim.Now(), 600);
 }
 
-TEST(ShardedSimulatorTest, EffectMayScheduleControlEventsAfterLookahead) {
-  // The retry path: an effect at time T schedules a control event at
-  // T + lookahead, which injects into a different shard. With the horizon
-  // honoring the lookahead bound, nothing lands in any shard's past.
-  const Time kLookahead = 50;
-  ShardedSimulator sim(MakeOptions(2, kLookahead));
+TEST(ShardedSimulatorTest, EffectReadsItsInstantAndFeedsBackAtOnce) {
+  // The retry path: an effect reads its own instant as Now() although the
+  // instance queue holds later work, and a control event it schedules one
+  // tick later injects instance work ahead of that later work.
+  ShardedSimulator sim;
   std::vector<int> order;
-  // Shard 1 has far-future work the horizon must not eagerly drain.
-  sim.shard(1)->ScheduleAt(400, EventClass::kDelivery,
-                           [&] { order.push_back(4); });
-  sim.shard(0)->ScheduleAt(100, EventClass::kDelivery, [&] {
+  Time effect_now = -1;
+  sim.instances()->ScheduleAt(400, EventClass::kDelivery,
+                              [&] { order.push_back(5); });
+  sim.instances()->ScheduleAt(100, EventClass::kDelivery, [&] {
     order.push_back(1);
-    sim.PostEffect(0, 100, 1, [&] {
+    sim.PostEffect(1, [&] {
       order.push_back(2);
-      sim.control()->ScheduleAt(100 + kLookahead, EventClass::kControl, [&] {
+      effect_now = sim.Now();
+      sim.control()->ScheduleAt(101, EventClass::kControl, [&] {
         order.push_back(3);
-        sim.shard(1)->ScheduleAt(150, EventClass::kDelivery,
-                                 [&] { order.push_back(5); });
+        sim.instances()->ScheduleAt(150, EventClass::kDelivery,
+                                    [&] { order.push_back(4); });
       });
     });
   });
   sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 5, 4}));
+  EXPECT_EQ(effect_now, 100);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(ShardedSimulatorDeathTest, ControlEventBehindTheInstanceClockDies) {
+  ShardedSimulator sim;
+  sim.instances()->ScheduleAt(100, EventClass::kDelivery, [&] {
+    sim.PostEffect(1, [&] {
+      sim.control()->ScheduleAt(50, EventClass::kControl, [] {});
+    });
+  });
+  EXPECT_DEATH(sim.Run(), "behind the instance clock");
+}
+
+TEST(ShardedSimulatorDeathTest, DuplicateEffectKeyDies) {
+  ShardedSimulator sim;
+  for (int i = 0; i < 2; ++i) {
+    sim.instances()->ScheduleAt(10, EventClass::kDelivery,
+                                [&] { sim.PostEffect(4, [] {}); });
+  }
+  EXPECT_DEATH(sim.Run(), "duplicate effect key 4");
 }
 
 TEST(ShardedSimulatorDeathTest, AdvanceToPastAPendingEventDies) {

@@ -46,23 +46,22 @@ run_suite() {
 run_gates() {
   gates_dir="$1"
 
-  # Batching determinism: nonzero if DatabaseStats or BatchStats diverge
-  # between the single-queue reference and a 4-shard placement for any
-  # batching window, or if batching stops reducing per-commit messages.
-  # The hotspot and cross-set rows also drive the most lock churn, which
-  # the flat tables' moving entries make asan-relevant.
-  gate "batching determinism ($gates_dir/bench_db_batching --txs 4000)" \
+  # Batching: nonzero if a run breaks its delivered-commit ledger, batching
+  # stops reducing per-commit messages, or adaptive cross-set mode stops
+  # beating the fixed window's occupancy. The hotspot and cross-set rows
+  # also drive the most lock churn, which the flat tables' moving entries
+  # make asan-relevant.
+  gate "batching ($gates_dir/bench_db_batching --txs 4000)" \
     "./$gates_dir/bench_db_batching" --txs 4000
 
-  # Open-loop determinism + saturation: nonzero if any arrival stream's
-  # stats diverge across placements, an uncapped Poisson stream falls under
-  # 95% of offered load, or the saturated row stops shedding.
+  # Open-loop saturation: nonzero if a run breaks its ledger, an uncapped
+  # Poisson stream falls under 95% of offered load, or the saturated row
+  # stops shedding.
   gate "open-loop traffic ($gates_dir/bench_db_openloop --txs 4000)" \
     "./$gates_dir/bench_db_openloop" --txs 4000
 
   # 2PL-vs-OCC ablation: nonzero if OCC stops clearing its goodput floor on
-  # the gated read-heavy low-conflict row, or if OCC stats diverge across
-  # shard placements.
+  # the gated read-heavy low-conflict row, or a run breaks its ledger.
   gate "2PL-vs-OCC ablation ($gates_dir/bench_db_throughput --txs 4000)" \
     "./$gates_dir/bench_db_throughput" --txs 4000 --ablation-only
 
@@ -70,32 +69,29 @@ run_gates() {
   # the locked path's reads/tick at read fraction 0.99, turning snapshot
   # reads on regresses the write p99, a read-only transaction leaks onto
   # the locked path, the concurrent scan stream stops being fully served,
-  # or stats / read fingerprints diverge across placements.
+  # or a run breaks its ledger.
   gate "snapshot read mix ($gates_dir/bench_db_readmix --txs 4000)" \
     "./$gates_dir/bench_db_readmix" --txs 4000
 
   # Crash recovery: nonzero if a committed transaction is lost across any
-  # coordinator crash point (per-key ledger conservation), the crash replay
-  # diverges across placements, the unavailability window exceeds the
-  # planned restart delay, or the commit log's fast/slow quorum split
-  # collapses to one path.
+  # coordinator crash point (per-key ledger conservation), the
+  # unavailability window exceeds the planned restart delay, or the commit
+  # log's fast/slow quorum split collapses to one path.
   gate "crash recovery ($gates_dir/bench_db_recovery --txs 4000)" \
     "./$gates_dir/bench_db_recovery" --txs 4000
 
   # Geo commit: nonzero if co-coordinator multi-region commits stop
   # averaging <= 1 cross-region delay (vs >= 1.5 for the spread baseline),
   # stop beating the baseline's multi-region latency, a single-region round
-  # misses the logless one-phase path, a committed transaction is lost, or
-  # the WAN-priced schedule diverges across placements.
+  # misses the logless one-phase path, or a committed transaction is lost.
   gate "geo commit ($gates_dir/bench_db_geo --txs 4000)" \
     "./$gates_dir/bench_db_geo" --txs 4000
 
-  # Sharded drain: nonzero if the 4-shard placement's stats diverge from
-  # the single-queue run. Bursts of 256 transactions stack hundreds of
-  # events on one wheel bucket, and shards post cross-shard completion
-  # effects, so the asan build checks the event and message slot tables'
-  # lifetimes too.
-  gate "sharded drain ($gates_dir/bench_db_sharded --txs 4000)" \
+  # Burst drain: nonzero if a run breaks its ledger. Bursts of 256
+  # transactions stack hundreds of events on one wheel bucket and hundreds
+  # of completion effects on one instant, so the asan build checks the
+  # event and message slot tables' lifetimes too.
+  gate "burst drain ($gates_dir/bench_db_sharded --txs 4000)" \
     "./$gates_dir/bench_db_sharded" --txs 4000
 
   # Paper tables: nonzero if a measured delay or message count misses its
@@ -207,6 +203,11 @@ report_lines src/ 'src/*.h' 'src/*.cc'
 report_lines bench/ 'bench/*.cc' 'bench/*.h'
 report_lines tests/ 'tests/*.cc'
 run_gates build
+# Benchmark smoke: nothing else compiles benchmark/fc_bench.cc. This builds
+# it against the library (Release, .bench_build/) and runs every workload
+# of BENCHMARK.json once in --quick mode, so a src/ change that breaks
+# fc_bench's build or fails a benchmark check fails here.
+gate "benchmark smoke (benchmark/test_run.py)" python3 benchmark/test_run.py
 
 case "${1:-}" in
   --asan)
