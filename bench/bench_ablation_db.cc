@@ -58,9 +58,9 @@ void PrintTable() {
                 core::ProtocolName(kind),
                 static_cast<long long>(stats.committed),
                 static_cast<long long>(stats.retries),
-                static_cast<double>(stats.PercentileLatency(50)) / 100.0,
-                static_cast<double>(stats.PercentileLatency(99)) / 100.0,
-                stats.MeanLatency() / 100.0, per_commit);
+                static_cast<double>(stats.latency.Percentile(50)) / 100.0,
+                static_cast<double>(stats.latency.Percentile(99)) / 100.0,
+                stats.latency.Mean() / 100.0, per_commit);
   }
   std::printf(
       "\nExpected shape: INBAC/FasterPaxosCommit/2PC ~2U, PaxosCommit ~3U,\n"

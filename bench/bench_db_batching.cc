@@ -96,8 +96,8 @@ void PrintResult(const Mode& mode, const DbRun& r) {
       "  %-12s %8lld committed  %6.2f msgs/commit  "
       "mean %7.0f  p99 %6lld  rounds %7lld  occupancy %5.2f\n",
       mode.label.c_str(), static_cast<long long>(r.stats.committed),
-      MsgsPerCommit(r.stats), r.stats.MeanLatency(),
-      static_cast<long long>(r.stats.PercentileLatency(99)),
+      MsgsPerCommit(r.stats), r.stats.latency.Mean(),
+      static_cast<long long>(r.stats.latency.Percentile(99)),
       static_cast<long long>(r.batch.rounds), r.batch.Occupancy());
 }
 
@@ -165,9 +165,9 @@ int main(int argc, char** argv) {
                     workload.name + "/" + mode.label)
             .Set("committed", r.stats.committed)
             .Set("msgs_per_commit", MsgsPerCommit(r.stats))
-            .Set("mean_latency_ticks", r.stats.MeanLatency())
+            .Set("mean_latency_ticks", r.stats.latency.Mean())
             .Set("p99_latency_ticks",
-                 static_cast<int64_t>(r.stats.PercentileLatency(99)))
+                 static_cast<int64_t>(r.stats.latency.Percentile(99)))
             .Set("occupancy", r.batch.Occupancy())
             .Set("rounds", r.batch.rounds)
             .Set("cross_set_joins", r.batch.cross_set_joins)
@@ -182,13 +182,13 @@ int main(int argc, char** argv) {
       if (workload.skewed) {
         double occupancy_x =
             adaptive.batch.Occupancy() / fixed_reference.batch.Occupancy();
-        bool latency_ok = adaptive.stats.MeanLatency() <=
-                          fixed_reference.stats.MeanLatency();
+        bool latency_ok = adaptive.stats.latency.Mean() <=
+                          fixed_reference.stats.latency.Mean();
         std::printf(
             "  adaptive vs fixed window=%lld: occupancy %.2fx, mean latency "
             "%.0f vs %.0f -> %s\n",
             static_cast<long long>(kFixedReference), occupancy_x,
-            adaptive.stats.MeanLatency(), fixed_reference.stats.MeanLatency(),
+            adaptive.stats.latency.Mean(), fixed_reference.stats.latency.Mean(),
             occupancy_x >= 1.2 && latency_ok ? "ok" : "OCCUPANCY REGRESSION");
         if (occupancy_x < 1.2 || !latency_ok) occupancy_regressed = true;
       }

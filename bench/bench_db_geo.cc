@@ -139,9 +139,9 @@ int main(int argc, char** argv) {
       row.Set("offered", run.stats.offered)
           .Set("committed", run.stats.committed)
           .Set("commits_per_tick", CommitsPerTick(run.stats))
-          .Set("mean_latency_ticks", run.stats.MeanLatency())
+          .Set("mean_latency_ticks", run.stats.latency.Mean())
           .Set("p99_latency_ticks",
-               static_cast<int64_t>(run.stats.PercentileLatency(99)))
+               static_cast<int64_t>(run.stats.latency.Percentile(99)))
           .Set("makespan_ticks", static_cast<int64_t>(run.stats.makespan))
           .Set("cross_region_rounds", cross_rounds)
           .Set("multi_region_latency_units", latency_units)

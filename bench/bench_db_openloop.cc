@@ -60,7 +60,7 @@ void PrintResult(const Mode& mode, const DbRun& r) {
       mode.label.c_str(), static_cast<long long>(r.stats.committed),
       static_cast<long long>(r.stats.offered), AchievedOverOffered(r, mode),
       static_cast<long long>(r.stats.shed),
-      static_cast<long long>(r.stats.PercentileLatency(99)));
+      static_cast<long long>(r.stats.latency.Percentile(99)));
 }
 
 }  // namespace
@@ -154,9 +154,9 @@ int main(int argc, char** argv) {
         .Set("shed", run.stats.shed)
         .Set("achieved_over_offered", achieved)
         .Set("commits_per_tick", CommitsPerTick(run.stats))
-        .Set("mean_latency_ticks", run.stats.MeanLatency())
+        .Set("mean_latency_ticks", run.stats.latency.Mean())
         .Set("p99_latency_ticks",
-             static_cast<int64_t>(run.stats.PercentileLatency(99)))
+             static_cast<int64_t>(run.stats.latency.Percentile(99)))
         .Set("makespan_ticks", static_cast<int64_t>(run.stats.makespan))
         .Set("wall_seconds", run.wall_seconds)
         .Set("committed_per_sec_wall", CommittedPerSecWall(run));

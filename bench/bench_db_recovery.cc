@@ -131,9 +131,9 @@ int main(int argc, char** argv) {
       row.Set("offered", baseline.stats.offered)
           .Set("committed", baseline.stats.committed)
           .Set("commits_per_tick", CommitsPerTick(baseline.stats))
-          .Set("mean_latency_ticks", baseline.stats.MeanLatency())
+          .Set("mean_latency_ticks", baseline.stats.latency.Mean())
           .Set("p99_latency_ticks",
-               static_cast<int64_t>(baseline.stats.PercentileLatency(99)))
+               static_cast<int64_t>(baseline.stats.latency.Percentile(99)))
           .Set("makespan_ticks", static_cast<int64_t>(baseline.stats.makespan))
           .Set("fast_path_decisions", baseline.log.fast_path_decisions)
           .Set("slow_path_decisions", baseline.log.slow_path_decisions)
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
           .Set("committed", run.stats.committed)
           .Set("commits_per_tick", CommitsPerTick(run.stats))
           .Set("p99_latency_ticks",
-               static_cast<int64_t>(run.stats.PercentileLatency(99)))
+               static_cast<int64_t>(run.stats.latency.Percentile(99)))
           .Set("makespan_ticks", static_cast<int64_t>(run.stats.makespan))
           .Set("unavailability_ticks",
                static_cast<int64_t>(run.recovery.unavailability_ticks))

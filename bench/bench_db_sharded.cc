@@ -79,9 +79,9 @@ int main(int argc, char** argv) {
                 "/shards=1/threads=1")
         .Set("committed", r.stats.committed)
         .Set("msgs_per_commit", MsgsPerCommit(r.stats))
-        .Set("mean_latency_ticks", r.stats.MeanLatency())
+        .Set("mean_latency_ticks", r.stats.latency.Mean())
         .Set("p99_latency_ticks",
-             static_cast<int64_t>(r.stats.PercentileLatency(99)))
+             static_cast<int64_t>(r.stats.latency.Percentile(99)))
         .Set("peak_live_instances", r.pool.peak_live)
         .Set("commits_per_tick", CommitsPerTick(r.stats))
         .Set("wall_seconds", r.wall_seconds)

@@ -165,9 +165,9 @@ int main(int argc, char** argv) {
                     workload.name + "/pooled")
             .Set("committed", pooled.stats.committed)
             .Set("msgs_per_commit", MsgsPerCommit(pooled.stats))
-            .Set("mean_latency_ticks", pooled.stats.MeanLatency())
+            .Set("mean_latency_ticks", pooled.stats.latency.Mean())
             .Set("p99_latency_ticks",
-                 static_cast<int64_t>(pooled.stats.PercentileLatency(99)))
+                 static_cast<int64_t>(pooled.stats.latency.Percentile(99)))
             .Set("peak_live_instances", pooled.pool.peak_live)
             .Set("commits_per_tick", CommitsPerTick(pooled.stats))
             .Set("wall_seconds", pooled.wall_seconds)

@@ -50,9 +50,9 @@ int main() {
   std::printf("  retries:          %lld\n",
               static_cast<long long>(stats.retries));
   std::printf("  p50 commit latency: %.1f U\n",
-              static_cast<double>(stats.PercentileLatency(50)) / 100.0);
+              static_cast<double>(stats.latency.Percentile(50)) / 100.0);
   std::printf("  p99 commit latency: %.1f U\n",
-              static_cast<double>(stats.PercentileLatency(99)) / 100.0);
+              static_cast<double>(stats.latency.Percentile(99)) / 100.0);
   std::printf("  commit messages:  %lld\n",
               static_cast<long long>(stats.commit_messages));
 

@@ -221,6 +221,10 @@ void BatchFormer::ObserveRound(const RoundState& round,
   ++controller.rounds_observed;
 }
 
+void BatchFormer::EndDrain() {
+  for (PartitionSet& drained : sets_) drained.controller.last_arrival = -1;
+}
+
 std::vector<RoundState> BatchFormer::TakeOpen() {
   std::vector<RoundState> rounds;
   for (int id : open_) {

@@ -99,6 +99,10 @@ class BatchFormer {
   /// adaptive batching is on.
   void ObserveRound(const RoundState& round, int64_t aborted_members);
 
+  /// A drain ended: every set forgets its last arrival, so the idle time
+  /// before the next one is not folded into its gap EWMA as a gap.
+  void EndDrain();
+
   /// Coordinator crash: cancels every open round's timer and moves the
   /// rounds out in canonical set order. They are volatile coordinator
   /// state; the caller hands them to recovery as unlogged rounds.

@@ -25,60 +25,44 @@ namespace fastcommit::db {
 
 class TrafficEngine;
 
-/// Bounded-memory latency accounting: exact streaming count/sum/min/max
-/// plus a fixed-size reservoir sample (algorithm R, dedicated deterministic
-/// RNG stream) for percentile estimates. O(1) in the number of recorded
-/// latencies, so a million-transaction run does not grow the stats.
+/// Exact latency accounting: the running count and sum, plus one
+/// (latency, records) run per distinct latency in ascending order.
+/// Latencies are integer ticks, so memory grows with the distinct
+/// latencies, not with the records, and every percentile is exact.
 class LatencyStats {
  public:
-  /// Reservoir size. Percentiles are exact up to this many records and a
-  /// uniform sample beyond it.
-  static constexpr int64_t kReservoirCapacity = 4096;
-
   void Record(sim::Time latency);
 
   int64_t count() const { return count_; }
-  /// Exact mean over every recorded latency (not just the sample).
   double Mean() const;
-  sim::Time Min() const { return count_ == 0 ? 0 : min_; }
-  sim::Time Max() const { return count_ == 0 ? 0 : max_; }
-  /// Percentile estimate over the reservoir sample; p in [0, 100]. The
-  /// sorted view is computed lazily and cached until the next Record that
-  /// changes the sample, so sweeping many percentiles (the bench tables
-  /// query several per protocol) sorts the 4096-entry reservoir once, not
-  /// once per call.
+  sim::Time Min() const { return runs_.empty() ? 0 : runs_.front().latency; }
+  sim::Time Max() const { return runs_.empty() ? 0 : runs_.back().latency; }
+  /// Nearest-rank percentile over every record; p in [0, 100].
   sim::Time Percentile(double p) const;
 
-  const std::vector<sim::Time>& sample() const { return sample_; }
-
+  /// Equal record multisets compare equal, whatever their order.
   bool operator==(const LatencyStats& other) const {
-    return count_ == other.count_ && sum_ == other.sum_ &&
-           min_ == other.min_ && max_ == other.max_ &&
-           sample_ == other.sample_;
-  }
-  bool operator!=(const LatencyStats& other) const {
-    return !(*this == other);
+    return sum_ == other.sum_ && runs_ == other.runs_;
   }
 
  private:
+  struct Run {
+    sim::Time latency = 0;
+    int64_t records = 0;
+    bool operator==(const Run& other) const {
+      return latency == other.latency && records == other.records;
+    }
+  };
+
   int64_t count_ = 0;
   int64_t sum_ = 0;
-  sim::Time min_ = 0;
-  sim::Time max_ = 0;
-  std::vector<sim::Time> sample_;
-  /// Lazily sorted copy of `sample_`; valid while !sorted_dirty_. Excluded
-  /// from equality (it is derived state).
-  mutable std::vector<sim::Time> sorted_;
-  mutable bool sorted_dirty_ = true;
-  /// Dedicated stream for the reservoir's replacement draws, fixed seed so
-  /// equal record sequences produce equal samples (the equality operator
-  /// compares the sample itself, not this state).
-  sim::Rng rng_{0x5eed5eed5eed5eedULL};
+  std::vector<Run> runs_;
 };
 
-/// Aggregate results of a database run. Memory is O(1) in transaction
-/// count; equality compares every workload-visible field, which the
-/// pooled-vs-rebuild determinism gate relies on (tests/db_pool_test.cc).
+/// Aggregate results of a database run. Memory grows with the distinct
+/// latencies recorded, not with the transaction count; equality compares
+/// every workload-visible field, which the pooled-vs-rebuild determinism
+/// gate relies on (tests/db_pool_test.cc).
 struct DatabaseStats {
   int64_t committed = 0;
   int64_t aborted = 0;           ///< gave up after max_attempts
@@ -121,11 +105,6 @@ struct DatabaseStats {
   /// make write tails incomparable across the snapshot on/off axis.
   LatencyStats write_latency;
   sim::Time makespan = 0;  ///< virtual time when the run drained
-
-  double MeanLatency() const { return latency.Mean(); }
-  sim::Time PercentileLatency(double p) const {  ///< p in [0, 100]
-    return latency.Percentile(p);
-  }
 
   bool operator==(const DatabaseStats& other) const;
   bool operator!=(const DatabaseStats& other) const {

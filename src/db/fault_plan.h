@@ -54,8 +54,7 @@ struct FaultPlan {
   CrashPoint crash_point = CrashPoint::kNone;
   int64_t crash_at_occurrence = 1;
   /// Virtual ticks until the coordinator restarts and replays. Must be at
-  /// least the simulator lookahead (the Database checks) so the restart
-  /// event can be scheduled from inside a completion effect.
+  /// least 1 (the Database checks).
   sim::Time coordinator_restart_delay = 2000;
 
   /// Participant crash: partition `crash_partition` goes down at

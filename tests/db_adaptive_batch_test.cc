@@ -6,7 +6,8 @@
 //     of an open round's set joins that round (kYes at untouched
 //     partitions), commits with it, and a conflicting joiner aborts alone;
 //   - the controller widens windows for hot sets (occupancy) and shrinks
-//     them to zero for cold sets (no waiting on the prior window);
+//     them to zero for cold sets (no waiting on the prior window), and a
+//     drain's idle time does not turn a hot set cold;
 //   - a size-flushed batch cancels its window timer, so makespan reads the
 //     last decide, not the cancelled timer's expiry;
 //   - batch occupancy / round-size counters take exact values under a
@@ -200,6 +201,33 @@ TEST(AdaptiveWindowTest, HotSetsEarnWindowsSizedByTheArrivalRate) {
   EXPECT_LT(db.batch_stats().rounds, kTxs / 3)
       << "a hot set must form real batches, not one round per transaction";
   EXPECT_GE(db.batch_stats().max_round_size, 4);
+}
+
+TEST(AdaptiveWindowTest, DrainIdleTimeIsNoArrivalGap) {
+  // 40 arrivals 300 ticks apart warm the {0, 1} set's gap EWMA to 300, so
+  // its window opens at the 800-tick cap. Two arrivals 100,000 ticks
+  // after the drain, 10 ticks apart, must still find that window: were
+  // the idle time an arrival gap, the set would read cold (window 0) and
+  // flush each alone.
+  Database db(AdaptiveOptions(core::ProtocolKind::kTwoPc));
+  int cursor = 0;
+  auto submit = [&db, &cursor](TxId id, sim::Time at) {
+    Transaction tx;
+    tx.id = id;
+    tx.ops = {Transaction::Add(KeyIn(db, 0, cursor), 1),
+              Transaction::Add(KeyIn(db, 1, cursor), 1)};
+    db.Submit(std::move(tx), at);
+  };
+  for (TxId id = 1; id <= 40; ++id) submit(id, (id - 1) * 300);
+  db.Drain();
+  const int64_t rounds_before = db.batch_stats().rounds;
+  const sim::Time later = db.Now() + 100000;
+  submit(41, later);
+  submit(42, later + 10);
+  const DatabaseStats& stats = db.Drain();
+  EXPECT_EQ(stats.committed, 42);
+  EXPECT_EQ(db.batch_stats().rounds - rounds_before, 1)
+      << "the two arrivals after the drain share one round";
 }
 
 TEST(CancelledTimerTest, SizeFlushedBatchNoLongerStretchesMakespan) {

@@ -187,7 +187,7 @@ Database::Options ModeOptions(ConcurrencyMode mode) {
 TEST(DatabaseOccTest, ConflictFreeTrafficMatches2plBitwise) {
   // Every transaction reads and writes only its own key: neither mode can
   // refuse anything, so the two runs must agree on every stats field —
-  // committed, messages, latency reservoir, makespan, and both abort
+  // committed, messages, latency distribution, makespan, and both abort
   // buckets at zero.
   DbLoad load;
   for (int i = 0; i < 60; ++i) {

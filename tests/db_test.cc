@@ -267,7 +267,7 @@ TEST(DatabaseTest, LatencyReflectsProtocolDelayCount) {
       tx.ops.push_back(Transaction::Add(ItemKey(i), 1));
     }
     database.Execute(tx);
-    return database.stats().latency.sample().at(0);
+    return database.stats().latency.Min();
   };
   EXPECT_EQ(run(core::ProtocolKind::kInbac), 200);
   EXPECT_EQ(run(core::ProtocolKind::kPaxosCommit), 300);
@@ -396,27 +396,22 @@ TEST(DatabaseTest, ThreadAndLookaheadKnobsAreInert) {
 TEST(DatabaseStatsTest, PercentileAndMean) {
   DatabaseStats stats;
   for (sim::Time t : {100, 200, 300, 400}) stats.latency.Record(t);
-  EXPECT_DOUBLE_EQ(stats.MeanLatency(), 250.0);
-  EXPECT_EQ(stats.PercentileLatency(0), 100);
-  EXPECT_EQ(stats.PercentileLatency(100), 400);
-  EXPECT_GE(stats.PercentileLatency(50), 200);
+  EXPECT_DOUBLE_EQ(stats.latency.Mean(), 250.0);
+  EXPECT_EQ(stats.latency.Percentile(0), 100);
+  EXPECT_EQ(stats.latency.Percentile(100), 400);
+  EXPECT_GE(stats.latency.Percentile(50), 200);
 }
 
-TEST(DatabaseStatsTest, LatencyMemoryIsBounded) {
+TEST(DatabaseStatsTest, LatencyAggregatesStayExact) {
   LatencyStats latency;
-  const int64_t kRecords = 3 * LatencyStats::kReservoirCapacity;
+  const int64_t kRecords = 12288;
   for (int64_t i = 1; i <= kRecords; ++i) latency.Record(i);
   EXPECT_EQ(latency.count(), kRecords);
-  EXPECT_EQ(static_cast<int64_t>(latency.sample().size()),
-            LatencyStats::kReservoirCapacity);
-  // The mean stays exact even past the reservoir capacity.
   EXPECT_DOUBLE_EQ(latency.Mean(), static_cast<double>(kRecords + 1) / 2.0);
   EXPECT_EQ(latency.Min(), 1);
   EXPECT_EQ(latency.Max(), kRecords);
-  // The sampled percentiles approximate the true uniform distribution.
-  EXPECT_NEAR(static_cast<double>(latency.Percentile(50)),
-              static_cast<double>(kRecords) / 2.0,
-              static_cast<double>(kRecords) * 0.1);
+  // Every record counts, so the median is exact: rank n/2.
+  EXPECT_EQ(latency.Percentile(50), kRecords / 2);
 }
 
 TEST(WorkloadTest, TransferWorkloadShapes) {

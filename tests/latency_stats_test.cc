@@ -1,9 +1,10 @@
-// Unit tests for the bounded-memory latency accounting (db::LatencyStats):
-// reservoir fill boundary, percentile lookup and its lazy sorted cache,
-// and determinism of equal record sequences.
+// Unit tests for the exact latency distribution (db::LatencyStats):
+// nearest-rank percentiles over every record, and equality of equal record
+// multisets whatever their order.
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "db/database.h"
@@ -19,31 +20,6 @@ TEST(LatencyStatsTest, EmptyStatsReadAsZero) {
   EXPECT_EQ(stats.Min(), 0);
   EXPECT_EQ(stats.Max(), 0);
   EXPECT_EQ(stats.Percentile(50), 0);
-}
-
-TEST(LatencyStatsTest, ReservoirFillBoundary) {
-  LatencyStats stats;
-  // Exactly at capacity every record is retained, in order.
-  for (int64_t i = 1; i <= LatencyStats::kReservoirCapacity; ++i) {
-    stats.Record(i);
-  }
-  ASSERT_EQ(static_cast<int64_t>(stats.sample().size()),
-            LatencyStats::kReservoirCapacity);
-  EXPECT_EQ(stats.sample().front(), 1);
-  EXPECT_EQ(stats.sample().back(), LatencyStats::kReservoirCapacity);
-  EXPECT_EQ(stats.Percentile(0), 1);
-  EXPECT_EQ(stats.Percentile(100), LatencyStats::kReservoirCapacity);
-
-  // One past capacity: the sample stays fixed-size while the exact
-  // aggregates keep tracking every record.
-  stats.Record(LatencyStats::kReservoirCapacity + 1);
-  EXPECT_EQ(static_cast<int64_t>(stats.sample().size()),
-            LatencyStats::kReservoirCapacity);
-  EXPECT_EQ(stats.count(), LatencyStats::kReservoirCapacity + 1);
-  EXPECT_EQ(stats.Max(), LatencyStats::kReservoirCapacity + 1);
-  EXPECT_DOUBLE_EQ(
-      stats.Mean(),
-      static_cast<double>(LatencyStats::kReservoirCapacity + 2) / 2.0);
 }
 
 TEST(LatencyStatsTest, PercentileIsNearestRank) {
@@ -108,42 +84,62 @@ TEST(LatencyStatsTest, PercentileClampsOutOfRangeP) {
   EXPECT_EQ(stats.Percentile(150), 300) << "p above 100 clamps to the max";
 }
 
-// Regression for the lazy sorted cache: a Record between Percentile calls
-// must invalidate it, and repeated queries must agree.
-TEST(LatencyStatsTest, PercentileCacheInvalidatedByRecord) {
-  LatencyStats stats;
-  stats.Record(100);
-  EXPECT_EQ(stats.Percentile(100), 100);
-  stats.Record(900);
-  EXPECT_EQ(stats.Percentile(100), 900);
-  EXPECT_EQ(stats.Percentile(0), 100);
-  stats.Record(50);
-  EXPECT_EQ(stats.Percentile(0), 50);
-  EXPECT_EQ(stats.Percentile(0), 50) << "repeated queries must be stable";
-  EXPECT_EQ(stats.Percentile(100), 900);
+/// `values` in a seeded Fisher-Yates order.
+std::vector<sim::Time> Shuffled(std::vector<sim::Time> values, uint64_t seed) {
+  sim::Rng rng(seed);
+  for (size_t i = values.size(); i > 1; --i) {
+    int64_t j = rng.UniformInt(0, static_cast<int64_t>(i) - 1);
+    std::swap(values[i - 1], values[static_cast<size_t>(j)]);
+  }
+  return values;
 }
 
-TEST(LatencyStatsTest, EqualRecordSequencesAreBitwiseEqual) {
-  LatencyStats a;
-  LatencyStats b;
-  sim::Rng values(1234);
-  std::vector<sim::Time> sequence;
-  for (int64_t i = 0; i < 3 * LatencyStats::kReservoirCapacity; ++i) {
-    sequence.push_back(values.UniformInt(1, 100000));
-  }
-  for (sim::Time t : sequence) a.Record(t);
-  // Interleave percentile queries on b only: derived-cache state must not
-  // leak into equality or the sample.
-  int64_t i = 0;
-  for (sim::Time t : sequence) {
-    b.Record(t);
-    if (++i % 1000 == 0) b.Percentile(99);
-  }
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a.sample(), b.sample());
+LatencyStats Recorded(const std::vector<sim::Time>& values) {
+  LatencyStats stats;
+  for (sim::Time t : values) stats.Record(t);
+  return stats;
+}
+
+// Every record counts: 1..100,000, recorded in shuffled order, read each
+// percentile p as the record of rank ceil(p*n/100), tails included.
+TEST(LatencyStatsTest, PercentilesAreExactOverEveryRecord) {
+  std::vector<sim::Time> values;
+  for (sim::Time t = 1; t <= 100000; ++t) values.push_back(t);
+  LatencyStats stats = Recorded(Shuffled(values, 7));
+  ASSERT_EQ(stats.count(), 100000);
+  EXPECT_EQ(stats.Percentile(1), 1000);
+  EXPECT_EQ(stats.Percentile(25), 25000);
+  EXPECT_EQ(stats.Percentile(50), 50000);
+  EXPECT_EQ(stats.Percentile(90), 90000);
+  EXPECT_EQ(stats.Percentile(99), 99000);
+  EXPECT_EQ(stats.Percentile(99.9), 99900);
+  EXPECT_EQ(stats.Min(), 1);
+  EXPECT_EQ(stats.Max(), 100000);
+}
+
+TEST(LatencyStatsTest, EqualityComparesRecordsNotTheirOrder) {
+  sim::Rng draws(1234);
+  std::vector<sim::Time> values;
+  for (int i = 0; i < 20000; ++i) values.push_back(draws.UniformInt(1, 5000));
+  LatencyStats in_order = Recorded(values);
+  LatencyStats shuffled = Recorded(Shuffled(values, 99));
+  EXPECT_EQ(in_order, shuffled);
   for (double p : {0.0, 25.0, 50.0, 90.0, 99.0, 100.0}) {
-    EXPECT_EQ(a.Percentile(p), b.Percentile(p));
+    EXPECT_EQ(in_order.Percentile(p), shuffled.Percentile(p));
   }
+
+  std::vector<sim::Time> changed = values;
+  changed[12345] += 1;
+  EXPECT_FALSE(Recorded(changed) == in_order) << "one changed record";
+
+  // Equal count and sum, different records: {10, 30} against {20, 20}.
+  LatencyStats spread = in_order;
+  LatencyStats level = in_order;
+  spread.Record(10);
+  spread.Record(30);
+  level.Record(20);
+  level.Record(20);
+  EXPECT_FALSE(spread == level);
 }
 
 }  // namespace
