@@ -13,9 +13,9 @@
 //   - snapshot reads served and the derived reads_per_tick (for the off
 //     rows, read-only commits of the locked path — counted at delivery
 //     so the column means the same thing on both sides of the axis);
-//   - write-commit latency p99 (DatabaseStats::write_latency — the
-//     read-only commits are excluded so the tail is comparable across
-//     the axis), msgs per commit, commits per tick, shed arrivals.
+//   - write-commit latency p99 (DatabaseStats::latency, which excludes
+//     read-only commits, so the tail is comparable across the axis), msgs
+//     per commit, commits per tick, shed arrivals.
 //
 // It doubles as the snapshot-plane regression gate, exiting nonzero when
 // any fails:
@@ -118,7 +118,7 @@ void PrintResult(const std::string& label, const DbRun& r) {
       label.c_str(), static_cast<long long>(r.stats.committed),
       static_cast<long long>(r.read_txs), ReadsPerTick(r),
       static_cast<long long>(r.stats.shed),
-      static_cast<long long>(r.stats.write_latency.Percentile(99)));
+      static_cast<long long>(r.stats.latency.Percentile(99)));
 }
 
 }  // namespace
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
         .Set("msgs_per_commit", MsgsPerCommit(r.stats))
         .Set("commits_per_tick", CommitsPerTick(r.stats))
         .Set("write_p99_latency_ticks",
-             static_cast<int64_t>(r.stats.write_latency.Percentile(99)))
+             static_cast<int64_t>(r.stats.latency.Percentile(99)))
         .Set("makespan_ticks", static_cast<int64_t>(r.stats.makespan))
         .Set("wall_seconds", r.wall_seconds)
         .Set("committed_per_sec_wall", CommittedPerSecWall(r))
@@ -199,8 +199,8 @@ int main(int argc, char** argv) {
     double speedup = ReadsPerTick(pair[0]) == 0.0
                          ? 0.0
                          : ReadsPerTick(pair[1]) / ReadsPerTick(pair[0]);
-    int64_t p99_off = pair[0].stats.write_latency.Percentile(99);
-    int64_t p99_on = pair[1].stats.write_latency.Percentile(99);
+    int64_t p99_off = pair[0].stats.latency.Percentile(99);
+    int64_t p99_on = pair[1].stats.latency.Percentile(99);
     std::printf("  -> read=%.2f: snapshot plane %.2fx reads/tick, write p99 "
                 "%lld -> %lld ticks\n",
                 fraction, speedup, static_cast<long long>(p99_off),

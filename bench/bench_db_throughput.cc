@@ -1,21 +1,16 @@
-// Database-layer throughput: pooled commit-instance runtime vs the
-// rebuild-per-transaction baseline, across commit protocols and workloads.
+// Database-layer throughput of the pooled commit-instance runtime, across
+// commit protocols and workloads, plus a 2PL-vs-OCC ablation.
 //
-// Measures, per (protocol, workload, mode):
-//   - committed transactions per wall-clock second (the DES hot path is
-//     dominated by per-commit allocation churn in baseline mode);
-//   - peak live CommitInstances — bounded by commit concurrency when
-//     pooled, by the transaction count when not;
+// Measures, per (protocol, workload):
+//   - committed transactions per wall-clock second;
+//   - peak live CommitInstances, bounded by commit concurrency;
 //   - clusters allocated (pool `created`) vs recycled (`reused`).
 //
 // Usage:
-//   bench_db_throughput [--txs N] [--json PATH] [--no-pool | --pool-only]
-//                       [--ablation-only]
+//   bench_db_throughput [--txs N] [--json PATH] [--ablation-only]
 //
-// Default: N = 100000, runs both modes and reports the improvement ratios.
-// --no-pool restricts to the baseline mode (the pre-pooling behavior kept
-// for comparison); --pool-only restricts to the pooled mode. --json writes
-// the machine-readable row set consumed by tools/bench_compare.py.
+// Default: N = 100000. --ablation-only skips the pooled section. --json
+// writes the machine-readable row set consumed by tools/bench_compare.py.
 
 #include <cstdio>
 #include <cstring>
@@ -45,11 +40,11 @@ std::vector<db::Transaction> MakeHotspot(int num_txs, uint64_t seed) {
                                  /*hot_probability=*/0.2, seed);
 }
 
-void PrintResult(const char* mode, const DbRun& r) {
+void PrintResult(const DbRun& r) {
   std::printf(
-      "  %-8s %9lld committed  %7.2fs wall  %9.0f txs/s  peak live %6lld  "
+      "  %9lld committed  %7.2fs wall  %9.0f txs/s  peak live %6lld  "
       "created %7lld  reused %7lld\n",
-      mode, static_cast<long long>(r.stats.committed), r.wall_seconds,
+      static_cast<long long>(r.stats.committed), r.wall_seconds,
       CommittedPerSecWall(r), static_cast<long long>(r.pool.peak_live),
       static_cast<long long>(r.pool.created),
       static_cast<long long>(r.pool.reused));
@@ -123,10 +118,7 @@ int main(int argc, char** argv) {
   using namespace fastcommit;
   using namespace fastcommit::bench;
 
-  DbArgs args = ParseDbArgs(argc, argv, 100000,
-                            {"--no-pool", "--pool-only", "--ablation-only"});
-  bool run_pooled = !args.Has("--no-pool");
-  bool run_baseline = !args.Has("--pool-only");
+  DbArgs args = ParseDbArgs(argc, argv, 100000, {"--ablation-only"});
 
   const core::ProtocolKind kProtocols[] = {
       core::ProtocolKind::kInbac,
@@ -138,12 +130,11 @@ int main(int argc, char** argv) {
       {"hotspot", MakeHotspot},
   };
 
-  PrintHeader("DB commit throughput: pooled instances vs rebuild-per-tx");
+  PrintHeader("DB commit throughput: pooled commit instances");
   std::printf("%d transactions per run, 8 partitions, unit U = 100 ticks\n",
               args.txs);
 
   JsonBenchReport report("db_throughput", args.txs);
-  bool diverged = false;
 
   for (const WorkloadSpec& workload : kWorkloads) {
     if (args.Has("--ablation-only")) break;
@@ -155,42 +146,21 @@ int main(int argc, char** argv) {
       options.protocol = protocol;
       // Steady arrivals: commits overlap but concurrency is bounded.
       DbLoad load = ClosedLoop(workload.make(args.txs, /*seed=*/42), 40);
-      DbRun pooled;
-      DbRun baseline;
-      if (run_pooled) {
-        pooled = RunDb(options, load);
-        PrintResult("pooled", pooled);
-        report
-            .AddRow(std::string(core::ProtocolName(protocol)) + "/" +
-                    workload.name + "/pooled")
-            .Set("committed", pooled.stats.committed)
-            .Set("msgs_per_commit", MsgsPerCommit(pooled.stats))
-            .Set("mean_latency_ticks", pooled.stats.latency.Mean())
-            .Set("p99_latency_ticks",
-                 static_cast<int64_t>(pooled.stats.latency.Percentile(99)))
-            .Set("peak_live_instances", pooled.pool.peak_live)
-            .Set("commits_per_tick", CommitsPerTick(pooled.stats))
-            .Set("wall_seconds", pooled.wall_seconds)
-            .Set("txs_per_second", CommittedPerSecWall(pooled))
-            .Set("committed_per_sec_wall", CommittedPerSecWall(pooled));
-      }
-      if (run_baseline) {
-        options.pool_instances = false;
-        baseline = RunDb(options, load);
-        PrintResult("no-pool", baseline);
-      }
-      if (run_pooled && run_baseline) {
-        double throughput_x =
-            CommittedPerSecWall(pooled) / CommittedPerSecWall(baseline);
-        double alloc_x = static_cast<double>(baseline.pool.created) /
-                         static_cast<double>(pooled.pool.created);
-        bool identical = pooled.SameSimulation(baseline);
-        if (!identical) diverged = true;
-        std::printf(
-            "  -> throughput %4.2fx, allocations %.0fx fewer, stats %s\n",
-            throughput_x, alloc_x,
-            identical ? "identical (determinism ok)" : "DIVERGED");
-      }
+      DbRun pooled = RunDb(options, load);
+      PrintResult(pooled);
+      report
+          .AddRow(std::string(core::ProtocolName(protocol)) + "/" +
+                  workload.name + "/pooled")
+          .Set("committed", pooled.stats.committed)
+          .Set("msgs_per_commit", MsgsPerCommit(pooled.stats))
+          .Set("mean_latency_ticks", pooled.stats.latency.Mean())
+          .Set("p99_latency_ticks",
+               static_cast<int64_t>(pooled.stats.latency.Percentile(99)))
+          .Set("peak_live_instances", pooled.pool.peak_live)
+          .Set("commits_per_tick", CommitsPerTick(pooled.stats))
+          .Set("wall_seconds", pooled.wall_seconds)
+          .Set("txs_per_second", CommittedPerSecWall(pooled))
+          .Set("committed_per_sec_wall", CommittedPerSecWall(pooled));
     }
   }
   PrintHeader("2PL vs OCC ablation: read-mostly skewed traffic, goodput");
@@ -244,8 +214,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Nonzero on divergence so CI runs of this bench double as the
-  // pooled-vs-baseline determinism regression gate (and the OCC speedup
-  // gate above).
-  return FinishDbBench(args, report, diverged || gate_failed);
+  // Nonzero when the OCC speedup gate above fails (or, through
+  // FinishDbBench, when a run broke its ledger).
+  return FinishDbBench(args, report, gate_failed);
 }

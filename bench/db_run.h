@@ -139,9 +139,6 @@ struct DbRun {
     if (ledger_mismatches != o.ledger_mismatches) return "ledger_mismatches";
     return "";
   }
-  bool SameSimulation(const DbRun& other) const {
-    return FirstDifference(other).empty();
-  }
 };
 
 /// Builds a Database with `options`, feeds it `load`, drains it and reads

@@ -18,11 +18,11 @@ namespace fastcommit::core {
 /// independently refuses to send on its behalf).
 class Host {
  public:
-  /// `epoch` is the virtual-time origin for this process's timers; the
-  /// standalone runner uses 0, the database layer uses the transaction's
-  /// commit start time.
+  /// `epoch` is the virtual-time origin for this process's timers;
+  /// core::BuildHosts passes the instant it builds the execution at: 0 for
+  /// the standalone runner, the commit's start for a database instance.
   Host(sim::Scheduler* scheduler, net::Network* network, net::ProcessId id,
-       int n, int f, sim::Time unit, sim::Time epoch = 0);
+       int n, int f, sim::Time unit, sim::Time epoch);
   Host(const Host&) = delete;
   Host& operator=(const Host&) = delete;
   ~Host();

@@ -73,8 +73,8 @@ int64_t LatestConsensusProposeUnits(ProtocolKind kind, int n, int f) {
   }
 }
 
-}  // namespace
-
+/// A commit protocol of the given kind against `env`; `cons` is nullptr
+/// iff !NeedsConsensus(kind).
 std::unique_ptr<commit::CommitProtocol> MakeProtocol(
     ProtocolKind kind, proc::ProcessEnv* env, consensus::Consensus* cons,
     const ProtocolOptions& options) {
@@ -117,6 +117,8 @@ std::unique_ptr<commit::CommitProtocol> MakeProtocol(
   FC_FAIL() << "unknown protocol";
 }
 
+/// A consensus module (nullptr if the protocol needs none).
+/// `flooding_epoch_units` of 0 selects a safe default for the protocol.
 std::unique_ptr<consensus::Consensus> MakeConsensus(
     ProtocolKind protocol, ConsensusKind kind, proc::ProcessEnv* env, int n,
     int f, int64_t flooding_epoch_units) {
@@ -134,6 +136,8 @@ std::unique_ptr<consensus::Consensus> MakeConsensus(
   }
   FC_FAIL() << "unknown consensus kind";
 }
+
+}  // namespace
 
 RunConfig MakeNiceConfig(ProtocolKind protocol, int n, int f) {
   RunConfig config;
@@ -188,13 +192,6 @@ RunResult Run(const RunConfig& config) {
   sim::Simulator simulator;
   net::Network network(&simulator, config.n, BuildDelayModel(config));
 
-  std::vector<std::unique_ptr<Host>> hosts;
-  hosts.reserve(static_cast<size_t>(config.n));
-  for (int i = 0; i < config.n; ++i) {
-    hosts.push_back(std::make_unique<Host>(&simulator, &network, i, config.n,
-                                           config.f, config.unit));
-  }
-
   RunResult result;
   result.n = config.n;
   result.f = config.f;
@@ -204,22 +201,12 @@ RunResult Run(const RunConfig& config) {
   result.decide_times.assign(static_cast<size_t>(config.n), -1);
   result.crashed.assign(static_cast<size_t>(config.n), false);
 
-  const ProtocolOptions& options = config.protocol_options;
-  for (int i = 0; i < config.n; ++i) {
-    auto cons = MakeConsensus(config.protocol, config.consensus,
-                              hosts[static_cast<size_t>(i)]->consensus_env(),
-                              config.n, config.f,
-                              config.flooding_epoch_units);
-    auto protocol = MakeProtocol(config.protocol,
-                                 hosts[static_cast<size_t>(i)]->commit_env(),
-                                 cons.get(), options);
-    protocol->set_on_decide([&result, &simulator, i](commit::Decision d) {
-      result.decisions[static_cast<size_t>(i)] = d;
-      result.decide_times[static_cast<size_t>(i)] = simulator.Now();
-    });
-    hosts[static_cast<size_t>(i)]->Attach(std::move(protocol),
-                                          std::move(cons));
-  }
+  std::vector<std::unique_ptr<Host>> hosts = BuildHosts(
+      &simulator, &network, config,
+      [&result, &simulator](net::ProcessId i, commit::Decision d) {
+        result.decisions[static_cast<size_t>(i)] = d;
+        result.decide_times[static_cast<size_t>(i)] = simulator.Now();
+      });
 
   // Crash injection (kCrash events precede deliveries at the same instant).
   for (const CrashSpec& crash : config.crashes) {
@@ -265,6 +252,31 @@ RunResult Run(const RunConfig& config) {
   }
   result.stats = network.stats();
   return result;
+}
+
+std::vector<std::unique_ptr<Host>> BuildHosts(sim::Scheduler* scheduler,
+                                              net::Network* network,
+                                              const RunConfig& config,
+                                              const DecideHook& on_decide) {
+  std::vector<std::unique_ptr<Host>> hosts;
+  hosts.reserve(static_cast<size_t>(config.n));
+  for (int i = 0; i < config.n; ++i) {
+    hosts.push_back(std::make_unique<Host>(scheduler, network, i, config.n,
+                                           config.f, config.unit,
+                                           scheduler->Now()));
+  }
+  for (int i = 0; i < config.n; ++i) {
+    Host* host = hosts[static_cast<size_t>(i)].get();
+    auto cons = MakeConsensus(config.protocol, config.consensus,
+                              host->consensus_env(), config.n, config.f,
+                              config.flooding_epoch_units);
+    auto protocol = MakeProtocol(config.protocol, host->commit_env(),
+                                 cons.get(), config.protocol_options);
+    protocol->set_on_decide(
+        [on_decide, i](commit::Decision d) { on_decide(i, d); });
+    host->Attach(std::move(protocol), std::move(cons));
+  }
+  return hosts;
 }
 
 }  // namespace fastcommit::core

@@ -2,10 +2,12 @@
 #define FASTCOMMIT_CORE_RUNNER_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "commit/commit_protocol.h"
+#include "core/host.h"
 #include "core/protocol_kind.h"
 #include "core/run_result.h"
 #include "net/message.h"
@@ -104,17 +106,21 @@ bool FloodingUnderGst(const RunConfig& config);
 /// FC_CHECKs that the config is not FloodingUnderGst.
 RunResult Run(const RunConfig& config);
 
-/// Instantiates a commit protocol of the given kind against `env`; `cons`
-/// may be nullptr iff !NeedsConsensus(kind).
-std::unique_ptr<commit::CommitProtocol> MakeProtocol(
-    ProtocolKind kind, proc::ProcessEnv* env, consensus::Consensus* cons,
-    const ProtocolOptions& options = {});
+/// Process `pid` of a commit execution decided `decision`.
+using DecideHook =
+    std::function<void(net::ProcessId pid, commit::Decision decision)>;
 
-/// Instantiates a consensus module (nullptr if the protocol needs none).
-/// `flooding_epoch_units` of 0 selects a safe default for the protocol.
-std::unique_ptr<consensus::Consensus> MakeConsensus(
-    ProtocolKind protocol, ConsensusKind kind, proc::ProcessEnv* env,
-    int n, int f, int64_t flooding_epoch_units = 0);
+/// The processes of one commit execution, wired the one way every
+/// execution is: config.n hosts on `network` at epoch scheduler->Now(),
+/// each with config.f and timer unit config.unit, running config.protocol
+/// over its consensus module (none if the protocol needs none) and
+/// reporting its decisions to `on_decide`. The hook is installed once, so
+/// it also observes a recycled host's later incarnations (Host::Reset).
+/// Votes, crashes, delays and the deadline are the caller's to apply.
+std::vector<std::unique_ptr<Host>> BuildHosts(sim::Scheduler* scheduler,
+                                              net::Network* network,
+                                              const RunConfig& config,
+                                              const DecideHook& on_decide);
 
 }  // namespace fastcommit::core
 

@@ -119,6 +119,9 @@ void BatchFormer::Open(int id, sim::Time now) {
   const std::vector<int>& partitions = opened.partitions;
   opened.round.partitions.assign(partitions.begin(), partitions.end());
   opened.round.round_votes.assign(partitions.size(), commit::Vote::kNo);
+  // Round buffers circulate between the sets and the round table, so each
+  // one grows at most once after warm-up.
+  opened.round.members.reserve(static_cast<size_t>(stats_.max_round_size));
   opened.deadline = now + (adaptive() ? WindowFor(opened.controller)
                                       : options_.batch_window);
   opened.open = true;

@@ -26,7 +26,8 @@ struct BatchStats {
   /// Members over every round (occupancy = members / rounds; counts
   /// size-1 rounds too, unlike batched_txs).
   int64_t members = 0;
-  int64_t max_round_size = 0;  ///< largest round flushed so far
+  /// Largest round flushed so far; every round opens with this capacity.
+  int64_t max_round_size = 0;
   /// Members admitted into an open round of a strict superset partition
   /// set (Options::batch_cross_set).
   int64_t cross_set_joins = 0;
@@ -65,8 +66,10 @@ struct BatchStats {
 ///
 /// Each distinct partition set is interned on first sight as one record
 /// that holds its adaptive controller and its round, whose buffers are
-/// reused from flush to flush. The open sets are listed in lexicographic
-/// order of their partitions, the canonical order of every scan.
+/// reused from flush to flush and reserve the largest round flushed so far
+/// when the round opens, so a warm former allocates nothing. The open sets
+/// are listed in lexicographic order of their partitions, the canonical
+/// order of every scan.
 class BatchFormer {
  public:
   /// Receives each closed round at its flush instant. The callee takes the
@@ -153,8 +156,9 @@ class BatchFormer {
   sim::Time WindowFor(const SetController& controller) const;
   /// Whether some open set has a width in [from, to).
   bool AnyOpenWidth(size_t from, size_t to) const;
-  /// Opens set `id`'s round: lists it among the open sets, absorbs the
-  /// open strict subsets (with batch_round_merge), and arms its timer.
+  /// Opens set `id`'s round: reserves room for the largest round flushed
+  /// so far, lists it among the open sets, absorbs the open strict subsets
+  /// (with batch_round_merge), and arms its timer.
   void Open(int id, sim::Time now);
   /// Appends `member` (votes aligned to the round) and folds its votes
   /// into the round's disjunction.

@@ -21,51 +21,39 @@ CommitInstance::CommitInstance(sim::Scheduler* scheduler,
       done_(std::move(done)) {
   FC_CHECK(n_ >= 2) << "commit instance needs >= 2 participants";
   // Resilience: tolerate any minority of the touched partitions, at least 1.
-  int f = std::max(1, (n_ - 1) / 2);
+  core::RunConfig config =
+      core::MakeNiceConfig(protocol, n_, std::max(1, (n_ - 1) / 2));
+  config.consensus = consensus;
+  config.protocol_options = protocol_options;
+  config.unit = unit;
 
   // The protocols reason synchronously: every message arrives within one
   // paper-U. Across a WAN that bound is the topology's worst one-way delay,
   // so the hosts' timer unit stretches to it while intra-region messages
   // keep the fast base delay — the spread-deployment baseline the
   // co-coordinator choreography is gated against.
-  sim::Time bound = unit;
+  std::unique_ptr<net::DelayModel> delays =
+      std::make_unique<net::FixedDelayModel>(unit);
   if (topology.num_regions > 1) {
-    bound = std::max(unit, topology.MaxCrossDelay());
+    config.unit = std::max(unit, topology.MaxCrossDelay());
     auto region_model = std::make_unique<net::RegionDelayModel>(
-        std::move(topology), std::make_unique<net::FixedDelayModel>(unit));
+        std::move(topology), std::move(delays));
     region_model_ = region_model.get();
-    network_ = std::make_unique<net::Network>(scheduler, n_,
-                                              std::move(region_model));
-  } else {
-    network_ = std::make_unique<net::Network>(
-        scheduler, n_, std::make_unique<net::FixedDelayModel>(unit));
+    delays = std::move(region_model);
   }
+  network_ = std::make_unique<net::Network>(scheduler, n_, std::move(delays));
 
-  sim::Time epoch = scheduler->Now();
-  hosts_.reserve(static_cast<size_t>(n_));
-  for (int i = 0; i < n_; ++i) {
-    hosts_.push_back(std::make_unique<core::Host>(scheduler, network_.get(), i,
-                                                  n_, f, bound, epoch));
-  }
-  for (int i = 0; i < n_; ++i) {
-    core::Host* host = hosts_[static_cast<size_t>(i)].get();
-    auto cons = core::MakeConsensus(protocol, consensus,
-                                    host->consensus_env(), n_, f);
-    auto participant = core::MakeProtocol(protocol, host->commit_env(),
-                                          cons.get(), protocol_options);
-    // The decide hook survives Reset: it is installed once and observes
-    // every incarnation of this instance.
-    participant->set_on_decide([this](commit::Decision d) {
-      FC_CHECK(decision_ == commit::Decision::kNone || decision_ == d)
-          << "agreement violation inside a commit instance";
-      decision_ = d;
-      if (++decided_count_ == n_) {
-        finish_time_ = scheduler_->Now();
-        if (done_) done_(this, decision_);
-      }
-    });
-    host->Attach(std::move(participant), std::move(cons));
-  }
+  hosts_ = core::BuildHosts(
+      scheduler, network_.get(), config,
+      [this](net::ProcessId, commit::Decision d) {
+        FC_CHECK(decision_ == commit::Decision::kNone || decision_ == d)
+            << "agreement violation inside a commit instance";
+        decision_ = d;
+        if (++decided_count_ == n_) {
+          finish_time_ = scheduler_->Now();
+          if (done_) done_(this, decision_);
+        }
+      });
 }
 
 CommitInstance::~CommitInstance() = default;

@@ -18,10 +18,11 @@ namespace fastcommit::db {
 /// One atomic-commit round among the partitions touched by one transaction.
 ///
 /// The instance owns a cluster — its own Network and Hosts over the shared
-/// scheduler — whose processes 0..n-1 correspond to the touched partitions
-/// in order. The epoch of every host is the instant Start() (or Reset()) is
-/// called, so the protocols' absolute-time pseudocode runs unmodified in
-/// the middle of a long database simulation.
+/// scheduler, wired by core::BuildHosts exactly as core::Run wires a
+/// standalone execution — whose processes 0..n-1 correspond to the touched
+/// partitions in order. The epoch of every host is the instant Start() (or
+/// Reset()) is called, so the protocols' absolute-time pseudocode runs
+/// unmodified in the middle of a long database simulation.
 ///
 /// ## Instance lifecycle (pooled runtime)
 ///
@@ -42,8 +43,10 @@ namespace fastcommit::db {
 /// generation current when they were scheduled; Reset bumps both, so any
 /// event left over from a previous incarnation expires as a no-op. A
 /// recycled instance therefore behaves bit-for-bit like a freshly
-/// constructed one — the determinism gate in tests/db_pool_test.cc holds
-/// the pooled and rebuild-per-transaction modes to identical DatabaseStats.
+/// constructed one: tests/db_pool_test.cc's RecycledInstanceTest holds
+/// every protocol's incarnations, reused while the previous ones' events
+/// are still queued, to a fresh instance's decision, decide latency and
+/// message count.
 class CommitInstance {
  public:
   /// Called once per incarnation, when every process has decided. The

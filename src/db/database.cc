@@ -64,8 +64,7 @@ bool DatabaseStats::operator==(const DatabaseStats& other) const {
          offered == other.offered && shed == other.shed &&
          read_only_committed == other.read_only_committed &&
          snapshot_reads_served == other.snapshot_reads_served &&
-         latency == other.latency && write_latency == other.write_latency &&
-         makespan == other.makespan;
+         latency == other.latency && makespan == other.makespan;
 }
 
 namespace {
@@ -100,7 +99,7 @@ Database::Database(const Options& options)
       plane_(options.num_partitions, 1, options.concurrency,
              options.num_regions),
       pool_(options.protocol, options.consensus, options.protocol_options,
-            options.unit, options.pool_instances, GeoTopologyFor(options)),
+            options.unit, /*inert=*/true, GeoTopologyFor(options)),
       batches_(options_, sim_.control(),
                [this](RoundState& formed) {
                  StartRound(FileRound(formed), /*resumed=*/false);
@@ -676,11 +675,8 @@ void Database::FinishTx(PendingTx& pending,
   FinishPartitions(pending.tx.id, touched, decision, finished_at, csn);
   if (decision == commit::Decision::kCommit) {
     ++stats_.committed;
-    if (touched.size() > 1) {
+    if (touched.size() > 1 && !IsReadOnly(pending.tx)) {
       stats_.latency.Record(finished_at - started);
-      if (!IsReadOnly(pending.tx)) {
-        stats_.write_latency.Record(finished_at - started);
-      }
     }
     Notify(pending, decision);
     EndTx(pending);

@@ -61,8 +61,8 @@ class LatencyStats {
 
 /// Aggregate results of a database run. Memory grows with the distinct
 /// latencies recorded, not with the transaction count; equality compares
-/// every workload-visible field, which the pooled-vs-rebuild determinism
-/// gate relies on (tests/db_pool_test.cc).
+/// every workload-visible field, which every two-run determinism check
+/// relies on (DbRun::FirstDifference in bench/db_run.h).
 struct DatabaseStats {
   int64_t committed = 0;
   int64_t aborted = 0;           ///< gave up after max_attempts
@@ -98,12 +98,11 @@ struct DatabaseStats {
   /// Individual kGet ops served at a snapshot (summed over
   /// read_only_committed transactions).
   int64_t snapshot_reads_served = 0;
-  LatencyStats latency;  ///< per multi-partition commit, ticks
-  /// Commit latency of multi-partition transactions with at least one
-  /// write op — the series the read-mix bench gates, since `latency`
-  /// mixes read-only commits in when snapshot reads are off and would
-  /// make write tails incomparable across the snapshot on/off axis.
-  LatencyStats write_latency;
+  /// Commit latency, in ticks, of every multi-partition transaction with
+  /// at least one write op. Read-only commits stay out even when snapshot
+  /// reads are off and they commit through the protocol, so the read-mix
+  /// bench compares write tails across the snapshot on/off axis.
+  LatencyStats latency;
   sim::Time makespan = 0;  ///< virtual time when the run drained
 
   bool operator==(const DatabaseStats& other) const;

@@ -33,12 +33,6 @@ struct DatabaseOptions {
   ConcurrencyMode concurrency = ConcurrencyMode::k2PL;
   int max_attempts = 5;  ///< retry k waits k * 4 U plus 1..U jitter
   uint64_t seed = 1;
-  /// Recycle commit instances through a free-list pool (the default).
-  /// false restores the rebuild-per-transaction baseline, in which every
-  /// commit allocates a fresh cluster that stays live until shutdown —
-  /// kept for the throughput bench's --no-pool comparison and the
-  /// determinism regression gate.
-  bool pool_instances = true;
   /// inert; kept only because benchmark/fc_bench.cc sets them. Every
   /// commit instance runs on one queue, drained by the calling thread.
   int num_shards = 1;

@@ -9,13 +9,12 @@ namespace fastcommit::db {
 
 CommitInstancePool::CommitInstancePool(
     core::ProtocolKind protocol, core::ConsensusKind consensus,
-    const core::ProtocolOptions& protocol_options, sim::Time unit,
-    bool enabled, net::GeoTopology topology)
+    const core::ProtocolOptions& protocol_options, sim::Time unit, bool,
+    net::GeoTopology topology)
     : protocol_(protocol),
       consensus_(consensus),
       protocol_options_(protocol_options),
       unit_(unit),
-      enabled_(enabled),
       topology_(std::move(topology)) {}
 
 CommitInstance* CommitInstancePool::Acquire(
@@ -27,7 +26,7 @@ CommitInstance* CommitInstancePool::Acquire(
   ++stats_.live;
   stats_.peak_live = std::max(stats_.peak_live, stats_.live);
 
-  if (enabled_ && n < free_.size() && !free_[n].empty()) {
+  if (n < free_.size() && !free_[n].empty()) {
     CommitInstance* instance = free_[n].back();
     free_[n].pop_back();
     instance->Reset(votes, std::move(done));
@@ -49,7 +48,6 @@ CommitInstance* CommitInstancePool::Acquire(
 void CommitInstancePool::Release(CommitInstance* instance) {
   FC_CHECK(instance != nullptr);
   FC_CHECK(instance->finished()) << "release of an unfinished instance";
-  if (!enabled_) return;  // baseline mode: stays live until shutdown
   FC_CHECK(stats_.live > 0) << "release without a matching acquire";
   --stats_.live;
   size_t n = static_cast<size_t>(instance->n());

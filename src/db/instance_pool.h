@@ -30,20 +30,13 @@ namespace fastcommit::db {
 /// of the released incarnation are fenced by the generation counters (see
 /// the lifecycle comment in db/coordinator.h), so an instance is safe to
 /// reuse the moment its last process decided.
-///
-/// With pooling disabled the pool degrades to the rebuild-per-transaction
-/// baseline: Acquire always constructs and Release keeps the instance live
-/// until shutdown — the leak-until-shutdown behavior this pool replaces,
-/// preserved behind Options so benches can measure the difference.
 class CommitInstancePool {
  public:
   struct Stats {
     int64_t created = 0;  ///< instances ever constructed
     int64_t reused = 0;   ///< acquisitions served from a free list
-    /// Instances acquired and not yet back on a free list. Pooled mode:
-    /// the in-flight commit count. Baseline mode: Release never returns
-    /// instances, so this is every cluster ever built — the
-    /// O(transactions) live-object count the pool exists to eliminate.
+    /// Instances acquired and not yet back on a free list: the in-flight
+    /// commit count.
     int64_t live = 0;
     int64_t peak_live = 0;  ///< high-water mark of `live`
   };
@@ -51,11 +44,12 @@ class CommitInstancePool {
   /// `topology` with num_regions > 1 makes every instance a geo instance
   /// (see CommitInstance's constructor); the free lists stay keyed by n
   /// because every instance of the pool shares one topology — only the
-  /// per-incarnation process->region assignment varies.
+  /// per-incarnation process->region assignment varies. The `bool` is
+  /// inert; kept only because benchmark/fc_bench.cc passes it.
   CommitInstancePool(core::ProtocolKind protocol,
                      core::ConsensusKind consensus,
                      const core::ProtocolOptions& protocol_options,
-                     sim::Time unit, bool enabled,
+                     sim::Time unit, bool,
                      net::GeoTopology topology = net::GeoTopology());
   CommitInstancePool(const CommitInstancePool&) = delete;
   CommitInstancePool& operator=(const CommitInstancePool&) = delete;
@@ -74,9 +68,7 @@ class CommitInstancePool {
                           CommitInstance::DoneCallback done,
                           const std::vector<int>& regions = {});
 
-  /// Returns a finished instance to its size's free list (no-op when
-  /// pooling is disabled — the baseline keeps instances live until
-  /// shutdown).
+  /// Returns a finished instance to its size's free list.
   void Release(CommitInstance* instance);
 
   const Stats& stats() const { return stats_; }
@@ -86,7 +78,6 @@ class CommitInstancePool {
   core::ConsensusKind consensus_;
   core::ProtocolOptions protocol_options_;
   sim::Time unit_;
-  bool enabled_;
   net::GeoTopology topology_;
 
   std::vector<std::unique_ptr<CommitInstance>> all_;

@@ -1,77 +1,132 @@
 // Tests of the pooled commit-instance runtime (db/instance_pool.h):
-//   - determinism gate: same seed => bitwise-identical DatabaseStats with
-//     pooling on and off, across protocols and workloads;
+//   - the pooling reference: every incarnation of a recycled instance,
+//     reused while the previous ones' events are still queued, decides
+//     like a freshly built instance (generation counters fence the stale
+//     timers and deliveries);
+//   - a fresh instance runs the paper's nice execution, as core::Run does;
 //   - bounded memory: peak live instances track concurrency, not the
-//     transaction count;
-//   - stale-event fencing: timers and deliveries left over from a recycled
-//     incarnation never affect the next commit (generation counters).
+//     transaction count.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "core/protocol_kind.h"
+#include "core/runner.h"
 #include "db/database.h"
 #include "db/instance_pool.h"
-#include "db/workload.h"
-#include "db_run.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 
 namespace fastcommit::db {
 namespace {
 
-using bench::Accounts;
-using bench::ClosedLoop;
-using bench::DbLoad;
-using bench::DbRun;
+constexpr sim::Time kUnit = 100;
 
-Database::Options BaseOptions(core::ProtocolKind protocol, bool pool) {
+Database::Options BaseOptions(core::ProtocolKind protocol) {
   Database::Options options;
   options.num_partitions = 5;
   options.protocol = protocol;
-  options.pool_instances = pool;
   return options;
 }
 
-class PoolDeterminismTest
-    : public ::testing::TestWithParam<core::ProtocolKind> {};
+/// What one incarnation of a commit instance did, read at its last
+/// decision, where the database reads it.
+struct Incarnation {
+  commit::Decision decision = commit::Decision::kNone;
+  sim::Time latency = -1;  ///< last decision minus start
+  int64_t messages = -1;   ///< sent by the last decision
+};
 
-TEST_P(PoolDeterminismTest, TransferStatsIdenticalWithAndWithoutPooling) {
-  // Staggered arrivals: overlapping and non-overlapping commits.
-  DbLoad load = ClosedLoop(MakeTransferWorkload(80, 40, 50, 99), 35);
-  load.initial = Accounts(40, 1000);
-  DbRun pooled = RunDb(BaseOptions(GetParam(), true), load);
-  DbRun baseline = RunDb(BaseOptions(GetParam(), false), load);
-  EXPECT_EQ(pooled.FirstDifference(baseline), "");
-  EXPECT_GT(pooled.stats.committed, 0);
+/// A done callback that records the decision and the messages into `out`.
+CommitInstance::DoneCallback Record(Incarnation* out) {
+  return [out](CommitInstance* instance, commit::Decision d) {
+    out->decision = d;
+    out->messages = instance->messages();
+  };
 }
 
-TEST_P(PoolDeterminismTest, HotspotStatsIdenticalWithAndWithoutPooling) {
-  DbLoad load = ClosedLoop(MakeHotspotWorkload(60, 50, 3, 2, 0.8, 7), 0);
-  Database::Options options = BaseOptions(GetParam(), true);
-  options.max_attempts = 4;
-  DbRun pooled = RunDb(options, load);
-  options.pool_instances = false;
-  DbRun baseline = RunDb(options, load);
-  EXPECT_EQ(pooled.FirstDifference(baseline), "");
-  EXPECT_GT(pooled.stats.retries, 0)
-      << "hotspot contention should cause retries";
+/// Steps `simulator` until `instance` decided; false if it never does.
+bool RunToDecision(sim::Simulator& simulator, const CommitInstance& instance) {
+  while (!instance.finished()) {
+    if (!simulator.Step()) return false;
+  }
+  return true;
+}
+
+/// An instance of `protocol` over `votes`, built fresh on its own
+/// simulator and run to its decision.
+Incarnation Fresh(core::ProtocolKind protocol,
+                  const std::vector<commit::Vote>& votes) {
+  sim::Simulator simulator;
+  Incarnation fresh;
+  CommitInstance instance(&simulator, protocol, core::ConsensusKind::kPaxos,
+                          core::ProtocolOptions(), kUnit, votes,
+                          Record(&fresh));
+  instance.Start();
+  EXPECT_TRUE(RunToDecision(simulator, instance));
+  fresh.latency = instance.finish_time();
+  return fresh;
+}
+
+class RecycledInstanceTest
+    : public ::testing::TestWithParam<core::ProtocolKind> {};
+
+// The pooling reference. One instance per width runs its first
+// incarnation and then 20 reuses, a fifth of their votes no. Each reuse
+// comes 0..7U after the previous decision, before that incarnation's
+// events at or after the reuse instant have run, so its late timers and
+// deliveries fire into the next one unless the host and network
+// generations fence them. Every incarnation must decide as a fresh
+// instance with its votes does: the same decision, decide latency and
+// message count.
+TEST_P(RecycledInstanceTest, EveryIncarnationMatchesAFreshInstance) {
+  constexpr int kReuses = 20;
+  const core::ProtocolKind protocol = GetParam();
+  for (int n = 2; n <= 5; ++n) {
+    SCOPED_TRACE(::testing::Message() << "n=" << n);
+    sim::Rng rng(static_cast<uint64_t>(n));
+    std::vector<commit::Vote> votes(static_cast<size_t>(n));
+    auto draw_votes = [&rng, &votes] {
+      for (commit::Vote& vote : votes) {
+        vote = rng.Chance(0.2) ? commit::Vote::kNo : commit::Vote::kYes;
+      }
+    };
+    draw_votes();
+    sim::Simulator simulator;
+    Incarnation got;
+    CommitInstance instance(&simulator, protocol,
+                            core::ConsensusKind::kPaxos,
+                            core::ProtocolOptions(), kUnit, votes,
+                            Record(&got));
+    sim::Time start = simulator.Now();
+    instance.Start();
+    for (int reuse = 0;; ++reuse) {
+      SCOPED_TRACE(::testing::Message() << "incarnation " << reuse);
+      ASSERT_TRUE(RunToDecision(simulator, instance));
+      got.latency = instance.finish_time() - start;
+      const Incarnation fresh = Fresh(protocol, votes);
+      EXPECT_EQ(got.decision, fresh.decision);
+      EXPECT_EQ(got.latency, fresh.latency);
+      EXPECT_EQ(got.messages, fresh.messages);
+      if (reuse == kReuses) break;
+      start = simulator.Now() + rng.UniformInt(0, 7 * kUnit);
+      simulator.Run(start - 1);
+      simulator.AdvanceTo(start);
+      draw_votes();
+      instance.Reset(votes, Record(&got));
+      instance.Start();
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    CommitProtocols, PoolDeterminismTest,
-    ::testing::Values(core::ProtocolKind::kInbac, core::ProtocolKind::kTwoPc,
-                      core::ProtocolKind::kThreePc,
-                      core::ProtocolKind::kPaxosCommit,
-                      core::ProtocolKind::kFasterPaxosCommit,
-                      core::ProtocolKind::kOneNbac,
-                      core::ProtocolKind::kBcastNbac,
-                      core::ProtocolKind::kANbac,
-                      core::ProtocolKind::kChainNbac,
-                      core::ProtocolKind::kAvNbacLean,
-                      core::ProtocolKind::kAvNbacFast),
+    CommitProtocols, RecycledInstanceTest,
+    ::testing::ValuesIn(core::kAllProtocols),
     [](const ::testing::TestParamInfo<core::ProtocolKind>& info) {
       std::string name = core::ProtocolName(info.param);
       std::string clean;
@@ -80,6 +135,40 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return clean;
     });
+
+// A database commit instance runs the paper's nice execution: for every
+// protocol and n = 2..8, with the instance's f, a fresh all-yes instance
+// decides at core::Run's last decision instant, having sent exactly the
+// messages core::Run's processes sent by then. That ties
+// DatabaseStats::commit_messages, which counts what a round sent by its
+// decision, to Table 1's runner. SentBy rather than PaperMessageCount:
+// 1NBAC sends its [D] broadcasts at its decide instant, and the database
+// counts them; the paper counts only messages delivered by then.
+TEST(CommitInstanceTest, RunsThePaperNiceExecution) {
+  for (core::ProtocolKind protocol : core::kAllProtocols) {
+    for (int n = 2; n <= 8; ++n) {
+      SCOPED_TRACE(::testing::Message()
+                   << core::ProtocolName(protocol) << " n=" << n);
+      const core::RunResult paper = core::Run(
+          core::MakeNiceConfig(protocol, n, std::max(1, (n - 1) / 2)));
+      const sim::Time decided = paper.LastDecisionTime();
+      sim::Simulator simulator;
+      Incarnation got;
+      CommitInstance instance(
+          &simulator, protocol, core::ConsensusKind::kPaxos,
+          core::ProtocolOptions(), paper.unit,
+          std::vector<commit::Vote>(static_cast<size_t>(n),
+                                    commit::Vote::kYes),
+          Record(&got));
+      instance.Start();
+      simulator.Run(decided);
+      ASSERT_TRUE(instance.finished());
+      EXPECT_EQ(instance.finish_time(), decided);
+      EXPECT_EQ(got.decision, commit::Decision::kCommit);
+      EXPECT_EQ(got.messages, paper.stats.SentBy(decided));
+    }
+  }
+}
 
 // Builds `count` non-conflicting transactions, each spanning two
 // partitions (distinct keys per transaction so concurrent prepares never
@@ -105,7 +194,7 @@ std::vector<Transaction> MakeTwoPartitionTxs(const Database& database,
 }
 
 TEST(InstancePoolTest, SequentialCommitsReuseOneInstance) {
-  Database database(BaseOptions(core::ProtocolKind::kInbac, true));
+  Database database(BaseOptions(core::ProtocolKind::kInbac));
   auto txs = MakeTwoPartitionTxs(database, 30);
   sim::Time at = 0;
   for (auto& tx : txs) {
@@ -127,7 +216,7 @@ TEST(InstancePoolTest, SequentialCommitsReuseOneInstance) {
 TEST(InstancePoolTest, PeakLiveTracksConcurrencyNotTransactionCount) {
   const int kWaves = 20;
   for (int per_wave : {4, 6}) {
-    Database database(BaseOptions(core::ProtocolKind::kInbac, true));
+    Database database(BaseOptions(core::ProtocolKind::kInbac));
     auto txs = MakeTwoPartitionTxs(database, kWaves * per_wave);
     for (int w = 0; w < kWaves; ++w) {
       for (int i = 0; i < per_wave; ++i) {
@@ -147,26 +236,8 @@ TEST(InstancePoolTest, PeakLiveTracksConcurrencyNotTransactionCount) {
   }
 }
 
-TEST(InstancePoolTest, BaselineModeRebuildsEveryTransaction) {
-  Database database(BaseOptions(core::ProtocolKind::kInbac, false));
-  auto txs = MakeTwoPartitionTxs(database, 30);
-  sim::Time at = 0;
-  for (auto& tx : txs) {
-    database.Submit(std::move(tx), at);
-    at += 10000;
-  }
-  database.Drain();
-  const CommitInstancePool::Stats& pool = database.pool_stats();
-  EXPECT_EQ(pool.created, 30) << "baseline allocates one cluster per commit";
-  EXPECT_EQ(pool.reused, 0);
-  // Baseline instances stay live until shutdown: O(transactions), the
-  // behavior the pool eliminates.
-  EXPECT_EQ(pool.live, 30);
-  EXPECT_EQ(pool.peak_live, 30);
-}
-
 TEST(InstancePoolTest, PoolIsKeyedByClusterSize) {
-  Database database(BaseOptions(core::ProtocolKind::kInbac, true));
+  Database database(BaseOptions(core::ProtocolKind::kInbac));
   // One 2-partition and one 3-partition transaction, run sequentially, then
   // again: each size class keeps and reuses its own instance.
   auto two_part = MakeTwoPartitionTxs(database, 2);
@@ -256,7 +327,7 @@ TEST(InstancePoolTest, StaleTimersFromRecycledInstanceDoNotAffectNextCommit) {
 // The same fence at the database level: back-to-back Paxos-Commit rounds
 // recycle instances while each round's 6U recovery timer is still pending.
 TEST(InstancePoolTest, RecycledPaxosCommitInstancesStayCorrect) {
-  Database pooled_db(BaseOptions(core::ProtocolKind::kPaxosCommit, true));
+  Database pooled_db(BaseOptions(core::ProtocolKind::kPaxosCommit));
   auto txs = MakeTwoPartitionTxs(pooled_db, 40);
   sim::Time at = 0;
   for (auto& tx : txs) {
@@ -269,22 +340,13 @@ TEST(InstancePoolTest, RecycledPaxosCommitInstancesStayCorrect) {
   EXPECT_GT(pooled_db.pool_stats().reused, 0);
 }
 
-TEST(InstancePoolTest, BaselineInstancesStayLiveUntilShutdown) {
-  Database database(BaseOptions(core::ProtocolKind::kInbac, false));
-  auto txs = MakeTwoPartitionTxs(database, 4);
-  for (auto& tx : txs) database.Submit(std::move(tx), 0);
-  database.Drain();
-  EXPECT_EQ(database.pool_stats().live, 4)
-      << "baseline instances stay live until shutdown";
-}
-
 // Commit instances start mid-simulation with a nonzero epoch; consensus
 // modules must measure their round clocks relative to it. 0NBAC reaches its
 // flooding-consensus path whenever a participant votes no (lock conflict),
 // which used to trip an absolute-time FC_CHECK once virtual time passed the
 // flooding epoch bound.
 TEST(InstancePoolTest, FloodingConsensusWorksMidSimulation) {
-  Database::Options options = BaseOptions(core::ProtocolKind::kZeroNbac, true);
+  Database::Options options = BaseOptions(core::ProtocolKind::kZeroNbac);
   options.consensus = core::ConsensusKind::kFlooding;
   Database database(options);
   auto txs = MakeTwoPartitionTxs(database, 2);

@@ -94,28 +94,17 @@ TEST(InstanceAllocationTest, WarmConsensusFallbackAllocatesNothing) {
   // the others miss its [C] at 2U and fall back to Paxos consensus. The
   // cluster is recycled the way the pool recycles an instance: ResetEpoch,
   // then Host::Reset at the new epoch, then every process proposes.
-  constexpr int kN = 4;
-  constexpr int kF = 1;
-  constexpr sim::Time kUnit = 100;
+  const core::RunConfig config =
+      core::MakeNiceConfig(core::ProtocolKind::kInbac, /*n=*/4, /*f=*/1);
   sim::Simulator sim;
   auto delays = std::make_unique<net::ScriptedDelayModel>(
-      std::make_unique<net::FixedDelayModel>(kUnit));
-  delays->AddRule(0, -1, 0, sim::kMaxTime, 3 * kUnit);
-  net::Network network(&sim, kN, std::move(delays));
-  std::vector<std::unique_ptr<core::Host>> hosts;
+      std::make_unique<net::FixedDelayModel>(config.unit));
+  delays->AddRule(0, -1, 0, sim::kMaxTime, 3 * config.unit);
+  net::Network network(&sim, config.n, std::move(delays));
   int decisions = 0;
-  for (int i = 0; i < kN; ++i) {
-    hosts.push_back(
-        std::make_unique<core::Host>(&sim, &network, i, kN, kF, kUnit));
-    core::Host* host = hosts.back().get();
-    auto cons = core::MakeConsensus(core::ProtocolKind::kInbac,
-                                    core::ConsensusKind::kPaxos,
-                                    host->consensus_env(), kN, kF);
-    auto protocol = core::MakeProtocol(core::ProtocolKind::kInbac,
-                                       host->commit_env(), cons.get());
-    protocol->set_on_decide([&decisions](commit::Decision) { ++decisions; });
-    host->Attach(std::move(protocol), std::move(cons));
-  }
+  std::vector<std::unique_ptr<core::Host>> hosts = core::BuildHosts(
+      &sim, &network, config,
+      [&decisions](net::ProcessId, commit::Decision) { ++decisions; });
   auto cycle = [&] {
     network.ResetEpoch();
     for (auto& host : hosts) host->Reset(sim.Now());
@@ -126,7 +115,7 @@ TEST(InstanceAllocationTest, WarmConsensusFallbackAllocatesNothing) {
   const int64_t before = g_allocations.load();
   for (int i = 0; i < kCycles; ++i) cycle();
   EXPECT_EQ(g_allocations.load() - before, 0);
-  EXPECT_EQ(decisions, kN * (kWarmup + kCycles));
+  EXPECT_EQ(decisions, config.n * (kWarmup + kCycles));
   int fallbacks = 0;
   for (auto& host : hosts) {
     auto* inbac = static_cast<commit::Inbac*>(host->protocol());

@@ -60,10 +60,11 @@ run_gates() {
   gate "open-loop traffic ($gates_dir/bench_db_openloop --txs 4000)" \
     "./$gates_dir/bench_db_openloop" --txs 4000
 
-  # 2PL-vs-OCC ablation: nonzero if OCC stops clearing its goodput floor on
-  # the gated read-heavy low-conflict row, or a run breaks its ledger.
-  gate "2PL-vs-OCC ablation ($gates_dir/bench_db_throughput --txs 4000)" \
-    "./$gates_dir/bench_db_throughput" --txs 4000 --ablation-only
+  # Throughput and 2PL-vs-OCC ablation: nonzero if a pooled protocol or
+  # ablation run breaks its ledger or exactly-once delivery, or OCC stops
+  # clearing its goodput floor on the gated read-heavy low-conflict row.
+  gate "throughput and ablation ($gates_dir/bench_db_throughput --txs 4000)" \
+    "./$gates_dir/bench_db_throughput" --txs 4000
 
   # Snapshot read plane: nonzero if the snapshot plane stops serving >= 2x
   # the locked path's reads/tick at read fraction 0.99, turning snapshot
