@@ -105,6 +105,11 @@ run_gates() {
   # checked-in examples/expected/<name>.txt. All four are deterministic, so
   # a change that should not alter behaviour must leave them byte-identical.
   gate "examples ($gates_dir/quickstart ...)" example_outputs "$gates_dir"
+
+  # CLI: nonzero if `fastcommit_run --list` differs from its checked-in
+  # tools/expected/fastcommit_run_list.txt, or if a protocol it lists fails
+  # to run at n = 5, f = 2.
+  gate "CLI ($gates_dir/fastcommit_run --list ...)" cli_runs "$gates_dir"
 }
 
 # paper_benches <build dir>: runs the nine paper-table, figure and ablation
@@ -141,6 +146,29 @@ example_outputs() {
     fi
   done
   rm -f "$example_out"
+}
+
+# cli_runs <build dir>: diffs `fastcommit_run --list` against
+# tools/expected/fastcommit_run_list.txt, then runs every flag in the
+# listing's first column with --n=5 --f=2, printing a run's output only
+# when it fails.
+cli_runs() {
+  cli_expected=tools/expected/fastcommit_run_list.txt
+  if ! cli_list=$("./$1/fastcommit_run" --list); then
+    echo "check.sh: fastcommit_run --list failed" >&2
+    return 1
+  fi
+  if ! printf '%s\n' "$cli_list" | diff -u "$cli_expected" -; then
+    echo "check.sh: fastcommit_run --list differs from $cli_expected" >&2
+    return 1
+  fi
+  for flag in $(awk 'NR > 1 { print $1 }' "$cli_expected"); do
+    if ! output=$("./$1/fastcommit_run" "--protocol=$flag" --n=5 --f=2); then
+      echo "$output"
+      echo "check.sh: fastcommit_run --protocol=$flag failed" >&2
+      return 1
+    fi
+  done
 }
 
 # worktree_files <pathspec...>: the files of the working tree that match,
