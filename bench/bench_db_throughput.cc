@@ -184,8 +184,9 @@ int main(int argc, char** argv) {
                 spec.key, read_fraction,
                 static_cast<long long>(two_pl.stats.committed),
                 static_cast<long long>(occ.stats.committed), speedup,
-                static_cast<long long>(two_pl.stats.abort_lock_conflicts),
-                static_cast<long long>(occ.stats.abort_validation_failures));
+                static_cast<long long>(two_pl.stats.retries +
+                                       two_pl.stats.aborted),
+                static_cast<long long>(occ.stats.retries + occ.stats.aborted));
 
     auto& row_2pl =
         report.AddRow(std::string("ablation/") + spec.key + "/2pl")
@@ -193,7 +194,7 @@ int main(int argc, char** argv) {
             .Set("read_fraction", read_fraction)
             .Set("commits_per_tick", CommitsPerTick(two_pl.stats))
             .Set("wall_seconds", two_pl.wall_seconds);
-    SetAbortColumns(row_2pl, two_pl.stats);
+    SetAbortColumns(row_2pl, two_pl.stats, db::ConcurrencyMode::k2PL);
     auto& row_occ =
         report.AddRow(std::string("ablation/") + spec.key + "/occ")
             .Set("committed", occ.stats.committed)
@@ -201,7 +202,7 @@ int main(int argc, char** argv) {
             .Set("commits_per_tick", CommitsPerTick(occ.stats))
             .Set("occ_speedup_vs_2pl", speedup)
             .Set("wall_seconds", occ.wall_seconds);
-    SetAbortColumns(row_occ, occ.stats);
+    SetAbortColumns(row_occ, occ.stats, db::ConcurrencyMode::kOCC);
 
     if (gated) {
       // The acceptance gate: on read-heavy, truly-low-conflict traffic OCC

@@ -80,15 +80,17 @@ inline double CommittedPerSecWall(int64_t committed, double wall_seconds) {
              : static_cast<double>(committed) / wall_seconds;
 }
 
-/// Abort-reason breakdown columns shared by every db bench row that
-/// reports DatabaseStats: lock-conflict vs validation-failure attempts
-/// (exactly one side is nonzero per run — the concurrency mode picks the
-/// bucket) plus admission sheds. Simulated metrics, deterministic per
-/// seed.
+/// Abort columns shared by every db bench row that reports DatabaseStats:
+/// every aborted attempt (retries + aborted) in the column of `mode`, lock
+/// conflicts under 2PL or validation failures under OCC, 0 in the other,
+/// plus admission sheds. Simulated metrics, deterministic per seed.
 template <typename Row>
-inline void SetAbortColumns(Row& row, const db::DatabaseStats& stats) {
-  row.Set("abort_lock_conflicts", stats.abort_lock_conflicts)
-      .Set("abort_validation_failures", stats.abort_validation_failures)
+inline void SetAbortColumns(Row& row, const db::DatabaseStats& stats,
+                            db::ConcurrencyMode mode) {
+  int64_t aborts = stats.retries + stats.aborted;
+  bool occ = mode == db::ConcurrencyMode::kOCC;
+  row.Set("abort_lock_conflicts", occ ? int64_t{0} : aborts)
+      .Set("abort_validation_failures", occ ? aborts : int64_t{0})
       .Set("shed", stats.shed);
 }
 

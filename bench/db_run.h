@@ -102,7 +102,9 @@ struct DbRun {
   db::CommitLog::Stats log;
   int64_t live_slots = 0;
   int64_t min_active = 0;
-  /// PartitionPlane::deferred_finishes and down_vote_noes.
+  /// Finishes down partitions deferred to their restarts
+  /// (PartitionPlane::tasks_drained), and prepares they refused
+  /// (down_vote_noes).
   int64_t deferred_finishes = 0;
   int64_t down_vote_noes = 0;
   db::CommitInstancePool::Stats pool;
@@ -122,11 +124,11 @@ struct DbRun {
   /// The first part of the simulated record that differs from `o`'s, or
   /// "" when both runs simulated the same.
   std::string FirstDifference(const DbRun& o) const {
-    if (stats != o.stats) return "stats";
-    if (batch != o.batch) return "batch";
-    if (recovery != o.recovery) return "recovery";
-    if (geo != o.geo) return "geo";
-    if (log != o.log) return "log";
+    if (!(stats == o.stats)) return "stats";
+    if (!(batch == o.batch)) return "batch";
+    if (!(recovery == o.recovery)) return "recovery";
+    if (!(geo == o.geo)) return "geo";
+    if (!(log == o.log)) return "log";
     if (live_slots != o.live_slots) return "live_slots";
     if (min_active != o.min_active) return "min_active";
     if (deferred_finishes != o.deferred_finishes) return "deferred_finishes";
@@ -195,7 +197,7 @@ inline DbRun RunDb(const db::Database::Options& options, const DbLoad& load) {
     run.live_slots = log->live_slots();
     run.min_active = log->min_active();
   }
-  run.deferred_finishes = database.partition_plane().deferred_finishes();
+  run.deferred_finishes = database.partition_plane().tasks_drained();
   run.down_vote_noes = database.partition_plane().down_vote_noes();
   run.pool = database.pool_stats();
   run.fingerprint = database.read_fingerprint();

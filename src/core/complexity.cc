@@ -1,5 +1,8 @@
 #include "core/complexity.h"
 
+#include <cstddef>
+#include <iterator>
+
 #include "core/check.h"
 
 namespace fastcommit::core {
@@ -56,78 +59,50 @@ int64_t TwoDelayMessageLowerBound(int n, int f) {
   return 2 * int64_t{f} * n;
 }
 
-const char* ProtocolName(ProtocolKind kind) {
-  switch (kind) {
-    case ProtocolKind::kZeroNbac:
-      return "0NBAC";
-    case ProtocolKind::kOneNbac:
-      return "1NBAC";
-    case ProtocolKind::kAvNbacFast:
-      return "avNBAC(delay-opt)";
-    case ProtocolKind::kAvNbacLean:
-      return "avNBAC(msg-opt)";
-    case ProtocolKind::kANbac:
-      return "aNBAC";
-    case ProtocolKind::kChainNbac:
-      return "(n-1+f)NBAC";
-    case ProtocolKind::kBcastNbac:
-      return "(2n-2)NBAC";
-    case ProtocolKind::kChainAckNbac:
-      return "(2n-2+f)NBAC";
-    case ProtocolKind::kInbac:
-      return "INBAC";
-    case ProtocolKind::kTwoPc:
-      return "2PC";
-    case ProtocolKind::kThreePc:
-      return "3PC";
-    case ProtocolKind::kPaxosCommit:
-      return "PaxosCommit";
-    case ProtocolKind::kFasterPaxosCommit:
-      return "FasterPaxosCommit";
-  }
-  return "?";
+namespace {
+
+/// What the library says of one protocol: its display name, its
+/// fastcommit_run flag, its Table 1 cell, and whether it runs over a
+/// consensus module.
+struct ProtocolRow {
+  const char* name;
+  const char* flag;
+  Cell cell;
+  bool needs_consensus;
+};
+
+/// One row per ProtocolKind, in enum order.
+constexpr ProtocolRow kProtocolRows[] = {
+    {"0NBAC", "0nbac", {kAT, kAT}, true},
+    {"1NBAC", "1nbac", {kAVT, kVT}, true},
+    {"avNBAC(delay-opt)", "avnbac-fast", {kAV, kAV}, false},
+    {"avNBAC(msg-opt)", "avnbac-lean", {kAV, kAV}, false},
+    {"aNBAC", "anbac", {kAV, kA}, false},
+    {"(n-1+f)NBAC", "chain-nbac", {kAVT, kT}, false},
+    {"(2n-2)NBAC", "bcast-nbac", {kAVT, kVT}, false},
+    {"(2n-2+f)NBAC", "chain-ack-nbac", {kAVT, kAVT}, true},
+    {"INBAC", "inbac", {kAVT, kAVT}, true},
+    {"2PC", "2pc", {kAV, kAV}, false},
+    {"3PC", "3pc", {kAVT, kA}, true},
+    {"PaxosCommit", "paxos-commit", {kAVT, kAVT}, false},
+    {"FasterPaxosCommit", "faster-paxos-commit", {kAVT, kAVT}, false},
+};
+static_assert(std::size(kProtocolRows) == std::size(kAllProtocols),
+              "one row per ProtocolKind");
+
+const ProtocolRow& RowOf(ProtocolKind kind) {
+  return kProtocolRows[static_cast<size_t>(kind)];
 }
 
-bool NeedsConsensus(ProtocolKind kind) {
-  switch (kind) {
-    case ProtocolKind::kOneNbac:
-    case ProtocolKind::kZeroNbac:
-    case ProtocolKind::kChainAckNbac:
-    case ProtocolKind::kInbac:
-    case ProtocolKind::kThreePc:
-      return true;
-    default:
-      return false;
-  }
-}
+}  // namespace
 
-Cell ProtocolCell(ProtocolKind kind) {
-  switch (kind) {
-    case ProtocolKind::kZeroNbac:
-      return Cell{kAT, kAT};
-    case ProtocolKind::kOneNbac:
-      return Cell{kAVT, kVT};
-    case ProtocolKind::kAvNbacFast:
-    case ProtocolKind::kAvNbacLean:
-      return Cell{kAV, kAV};
-    case ProtocolKind::kANbac:
-      return Cell{kAV, kA};
-    case ProtocolKind::kChainNbac:
-      return Cell{kAVT, kT};
-    case ProtocolKind::kBcastNbac:
-      return Cell{kAVT, kVT};
-    case ProtocolKind::kChainAckNbac:
-    case ProtocolKind::kInbac:
-    case ProtocolKind::kPaxosCommit:
-    case ProtocolKind::kFasterPaxosCommit:
-      return Cell{kAVT, kAVT};
-    case ProtocolKind::kTwoPc:
-      return Cell{kAV, kAV};
-    case ProtocolKind::kThreePc:
-      return Cell{kAVT, kA};
-  }
-  FC_FAIL() << "unknown protocol";
-}
+const char* ProtocolName(ProtocolKind kind) { return RowOf(kind).name; }
+
+const char* ProtocolFlag(ProtocolKind kind) { return RowOf(kind).flag; }
+
+bool NeedsConsensus(ProtocolKind kind) { return RowOf(kind).needs_consensus; }
+
+Cell ProtocolCell(ProtocolKind kind) { return RowOf(kind).cell; }
 
 NiceComplexity ExpectedNice(ProtocolKind kind, int n, int f) {
   int64_t nn = n;

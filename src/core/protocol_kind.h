@@ -33,6 +33,8 @@ inline constexpr ProtocolKind kAllProtocols[] = {
 };
 
 const char* ProtocolName(ProtocolKind kind);
+/// The protocol's fastcommit_run --protocol value, e.g. "inbac".
+const char* ProtocolFlag(ProtocolKind kind);
 
 /// True if the protocol requires an underlying uniform consensus module.
 bool NeedsConsensus(ProtocolKind kind);

@@ -34,7 +34,7 @@ std::unique_ptr<net::DelayModel> BuildDelayModel(const RunConfig& config) {
       return std::make_unique<net::FixedDelayModel>(config.unit);
     case DelaySpec::Kind::kBoundedRandom:
       return std::make_unique<net::BoundedRandomDelayModel>(
-          config.delays.min_delay, config.unit, config.seed);
+          /*min_delay=*/1, config.unit, config.seed);
     case DelaySpec::Kind::kGst:
       return std::make_unique<net::GstDelayModel>(
           config.unit, config.delays.gst_units * config.unit,
@@ -117,22 +117,20 @@ std::unique_ptr<commit::CommitProtocol> MakeProtocol(
   FC_FAIL() << "unknown protocol";
 }
 
-/// A consensus module (nullptr if the protocol needs none).
-/// `flooding_epoch_units` of 0 selects a safe default for the protocol.
-std::unique_ptr<consensus::Consensus> MakeConsensus(
-    ProtocolKind protocol, ConsensusKind kind, proc::ProcessEnv* env, int n,
-    int f, int64_t flooding_epoch_units) {
+/// A consensus module (nullptr if the protocol needs none). Flooding
+/// starts its epoch 2U after the protocol's latest possible proposal.
+std::unique_ptr<consensus::Consensus> MakeConsensus(ProtocolKind protocol,
+                                                    ConsensusKind kind,
+                                                    proc::ProcessEnv* env,
+                                                    int n, int f) {
   if (!NeedsConsensus(protocol)) return nullptr;
   switch (kind) {
     case ConsensusKind::kPaxos:
       return std::make_unique<consensus::PaxosConsensus>(env,
                                                          8 * env->unit());
-    case ConsensusKind::kFlooding: {
-      int64_t epoch = flooding_epoch_units != 0
-                          ? flooding_epoch_units
-                          : LatestConsensusProposeUnits(protocol, n, f) + 2;
-      return std::make_unique<consensus::FloodingConsensus>(env, epoch);
-    }
+    case ConsensusKind::kFlooding:
+      return std::make_unique<consensus::FloodingConsensus>(
+          env, LatestConsensusProposeUnits(protocol, n, f) + 2);
   }
   FC_FAIL() << "unknown consensus kind";
 }
@@ -230,10 +228,7 @@ RunResult Run(const RunConfig& config) {
                          [host, vote]() { host->Propose(vote); });
   }
 
-  sim::Time deadline = config.deadline != 0
-                           ? config.deadline
-                           : config.unit * (4000 + 64 * (config.n + config.f));
-  simulator.Run(deadline);
+  simulator.Run(config.unit * (4000 + 64 * (config.n + config.f)));
   result.deadline_reached = !simulator.idle();
   result.end_time = simulator.Now();
   result.events_executed = simulator.events_executed();
@@ -268,8 +263,7 @@ std::vector<std::unique_ptr<Host>> BuildHosts(sim::Scheduler* scheduler,
   for (int i = 0; i < config.n; ++i) {
     Host* host = hosts[static_cast<size_t>(i)].get();
     auto cons = MakeConsensus(config.protocol, config.consensus,
-                              host->consensus_env(), config.n, config.f,
-                              config.flooding_epoch_units);
+                              host->consensus_env(), config.n, config.f);
     auto protocol = MakeProtocol(config.protocol, host->commit_env(),
                                  cons.get(), config.protocol_options);
     protocol->set_on_decide(

@@ -33,7 +33,7 @@ struct CrashSpec {
 struct DelaySpec {
   enum class Kind {
     kFixed,          ///< every delay exactly U (nice executions)
-    kBoundedRandom,  ///< uniform in [min_delay, U] (crash-failure system)
+    kBoundedRandom,  ///< uniform in [1 tick, U] (crash-failure system)
     kGst,            ///< eventually synchronous (network-failure system)
     kScripted,       ///< fixed U plus explicit per-link overrides
   };
@@ -47,7 +47,6 @@ struct DelaySpec {
   };
 
   Kind kind = Kind::kFixed;
-  sim::Time min_delay = 1;
   sim::Time gst_units = 10;          ///< GST, in units of U
   sim::Time max_delay_units = 10;    ///< pre-GST delay cap, in units of U
   double late_probability = 0.3;
@@ -76,14 +75,11 @@ struct RunConfig {
   std::vector<CrashSpec> crashes;
   DelaySpec delays;
 
+  /// Flooding consensus starts its epoch after the latest possible
+  /// proposal time of the chosen protocol.
   ConsensusKind consensus = ConsensusKind::kPaxos;
-  /// Flooding epoch start (units of U); 0 = auto (after the latest possible
-  /// proposal time of the chosen protocol).
-  int64_t flooding_epoch_units = 0;
 
   uint64_t seed = 1;
-  /// Stop the simulation at this time (ticks); 0 = auto (generous).
-  sim::Time deadline = 0;
 
   /// Protocol-specific knobs (shared with the database layer).
   ProtocolOptions protocol_options;
@@ -101,8 +97,9 @@ RunConfig MakeNetworkFailureConfig(ProtocolKind protocol, int n, int f,
 /// can make a process propose after the flooding epoch started.
 bool FloodingUnderGst(const RunConfig& config);
 
-/// Executes the configured run to completion (or deadline) and returns the
-/// trace. Deterministic: equal configs produce identical results.
+/// Executes the configured run to completion, or to a generous deadline
+/// of (4000 + 64 (n + f)) U, and returns the trace. Deterministic: equal
+/// configs produce identical results.
 /// FC_CHECKs that the config is not FloodingUnderGst.
 RunResult Run(const RunConfig& config);
 
@@ -116,7 +113,7 @@ using DecideHook =
 /// over its consensus module (none if the protocol needs none) and
 /// reporting its decisions to `on_decide`. The hook is installed once, so
 /// it also observes a recycled host's later incarnations (Host::Reset).
-/// Votes, crashes, delays and the deadline are the caller's to apply.
+/// Votes, crashes and delays are the caller's to apply.
 std::vector<std::unique_ptr<Host>> BuildHosts(sim::Scheduler* scheduler,
                                               net::Network* network,
                                               const RunConfig& config,

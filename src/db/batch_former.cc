@@ -122,8 +122,7 @@ void BatchFormer::Open(int id, sim::Time now) {
   // Round buffers circulate between the sets and the round table, so each
   // one grows at most once after warm-up.
   opened.round.members.reserve(static_cast<size_t>(stats_.max_round_size));
-  opened.deadline = now + (adaptive() ? WindowFor(opened.controller)
-                                      : options_.batch_window);
+  opened.deadline = now + WindowFor(opened.controller);
   opened.open = true;
   open_.insert(std::lower_bound(open_.begin(), open_.end(), id,
                                 [this](int a, int b) {
@@ -142,10 +141,7 @@ void BatchFormer::Open(int id, sim::Time now) {
   // absorption into a superset, a coordinator crash — cancels this timer
   // first, so when it runs the set's round is still open.
   opened.timer = control_->ScheduleCancellableAt(
-      opened.deadline, sim::EventClass::kControl, [this, id] {
-        ++stats_.window_flushes;
-        Flush(id);
-      });
+      opened.deadline, sim::EventClass::kControl, [this, id] { Flush(id); });
 }
 
 void BatchFormer::Join(RoundState* round, RoundMember member) {

@@ -14,15 +14,12 @@ namespace fastcommit::db {
 
 /// Counters of the batching path (all zero when batching is disabled —
 /// batch_max <= 1, or batch_window == 0 with adaptive mode off).
-/// Deliberately outside DatabaseStats: the determinism gates compare
-/// DatabaseStats across execution paths, and these
-/// counters describe the batching machinery rather than workload-visible
-/// outcomes.
 struct BatchStats {
-  int64_t rounds = 0;          ///< commit rounds run by the batching path
-  int64_t batched_txs = 0;     ///< members that shared a round (size >= 2)
-  int64_t window_flushes = 0;  ///< rounds flushed by the window timer
-  int64_t size_flushes = 0;    ///< rounds flushed by reaching batch_max
+  int64_t rounds = 0;        ///< commit rounds run by the batching path
+  int64_t batched_txs = 0;   ///< members that shared a round (size >= 2)
+  /// Rounds flushed by reaching batch_max; the window timer flushed the
+  /// rest (rounds - size_flushes).
+  int64_t size_flushes = 0;
   /// Members over every round (occupancy = members / rounds; counts
   /// size-1 rounds too, unlike batched_txs).
   int64_t members = 0;
@@ -46,14 +43,12 @@ struct BatchStats {
 
   bool operator==(const BatchStats& other) const {
     return rounds == other.rounds && batched_txs == other.batched_txs &&
-           window_flushes == other.window_flushes &&
            size_flushes == other.size_flushes && members == other.members &&
            max_round_size == other.max_round_size &&
            cross_set_joins == other.cross_set_joins &&
            merged_rounds == other.merged_rounds &&
            merge_absorbed == other.merge_absorbed;
   }
-  bool operator!=(const BatchStats& other) const { return !(*this == other); }
 };
 
 /// Group-commit batch formation (DatabaseOptions::batch_*): prepared

@@ -46,7 +46,6 @@ void CommitLog::RecordDecision(int64_t slot_id, commit::Decision decision,
       << "CommitLog: recording an empty decision";
   slot->decision = decision;
   slot->deliver = std::move(deliver);
-  ++stats_.decisions;
   Replicate(slot_id, Phase::kDecide, now);
 }
 
@@ -109,11 +108,9 @@ void CommitLog::MarkExecuted(int64_t slot_id) {
   FC_CHECK(!slot->executed)
       << "CommitLog: slot " << slot_id << " executed twice";
   slot->executed = true;
-  ++stats_.executed_slots;
   while (!slots_.empty() && slots_.front().executed) {
     slots_.pop_front();
     ++min_active_;
-    ++stats_.freed_slots;
   }
 }
 

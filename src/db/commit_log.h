@@ -45,9 +45,6 @@ class CommitLog {
 
   struct Stats {
     int64_t appends = 0;
-    int64_t decisions = 0;
-    int64_t executed_slots = 0;
-    int64_t freed_slots = 0;
     /// Durable phases won by fast-path unanimity vs slow-path majority.
     int64_t fast_path_decisions = 0;
     int64_t slow_path_decisions = 0;
@@ -55,14 +52,11 @@ class CommitLog {
     int64_t max_live_slots = 0;
 
     bool operator==(const Stats& other) const {
-      return appends == other.appends && decisions == other.decisions &&
-             executed_slots == other.executed_slots &&
-             freed_slots == other.freed_slots &&
+      return appends == other.appends &&
              fast_path_decisions == other.fast_path_decisions &&
              slow_path_decisions == other.slow_path_decisions &&
              max_live_slots == other.max_live_slots;
     }
-    bool operator!=(const Stats& other) const { return !(*this == other); }
   };
 
   /// `unit` is the base one-way message delay (Database::Options::unit);
@@ -103,6 +97,7 @@ class CommitLog {
   /// prefix starting at min_active.
   void MarkExecuted(int64_t slot);
 
+  /// The lowest slot not yet freed: min_active() - 1 slots were freed.
   int64_t min_active() const { return min_active_; }
   int64_t live_slots() const { return static_cast<int64_t>(slots_.size()); }
   const Stats& stats() const { return stats_; }

@@ -58,8 +58,6 @@ bool DatabaseStats::operator==(const DatabaseStats& other) const {
   return committed == other.committed && aborted == other.aborted &&
          retries == other.retries &&
          single_partition == other.single_partition &&
-         abort_lock_conflicts == other.abort_lock_conflicts &&
-         abort_validation_failures == other.abort_validation_failures &&
          commit_messages == other.commit_messages &&
          offered == other.offered && shed == other.shed &&
          read_only_committed == other.read_only_committed &&
@@ -154,7 +152,6 @@ Database::Database(const Options& options)
           // reads that waited for it, before anything newer reaches the
           // partition.
           plane_.RestartPartition(options_.fault_plan.crash_partition);
-          ++recovery_stats_.participant_restarts;
           reads_.Resume();
           plane_.Flush();
         });
@@ -411,12 +408,9 @@ void Database::CompleteRound(int64_t id, commit::Decision decision,
                              int64_t messages, int64_t cross_messages,
                              sim::Time started_at, sim::Time finished_at,
                              int64_t epoch) {
-  if (epoch != coordinator_epoch_) {
-    // Decided into a dead epoch: the round's fate is recovery's to settle,
-    // which may already have retired it or restarted it under this id.
-    recovery_stats_.lost_round_messages += messages;
-    return;
-  }
+  // Decided into a dead epoch: the round's fate is recovery's to settle,
+  // which may already have retired it or restarted it under this id.
+  if (epoch != coordinator_epoch_) return;
   RoundState& round = InFlightRound(id);
   // One protocol round's messages, however many members it carried — the
   // amortization batching exists for.
@@ -508,12 +502,6 @@ void Database::RecordGeoRound(const RoundState& round, int64_t cross_messages,
                               sim::Time started_at, sim::Time finished_at) {
   int span = RegionSpanOf(round.partitions).count;
   geo_stats_.cross_region_messages += cross_messages;
-  if (GeoChoreographyEnabled()) {
-    ++geo_stats_.co_coordinator_rounds;
-    // A single-region choreography round is by construction the logless
-    // one-phase path (StartRound never appended a slot for it).
-    if (span == 1) ++geo_stats_.one_phase_rounds;
-  }
   if (span <= 1) {
     ++geo_stats_.single_region_rounds;
     return;
@@ -588,7 +576,6 @@ void Database::CrashCoordinator(sim::Time at) {
   down_ = true;
   ++coordinator_epoch_;
   ++recovery_stats_.coordinator_crashes;
-  recovery_stats_.last_crash_time = at;
   // Open batches are volatile coordinator state: their window timers die
   // with the crash and they become unlogged in-flight rounds for
   // recovery's presumed-abort sweep.
@@ -598,16 +585,15 @@ void Database::CrashCoordinator(sim::Time at) {
   if (log_.has_value()) log_->DropWaiters();
   sim_.control()->ScheduleAt(
       at + options_.fault_plan.coordinator_restart_delay,
-      sim::EventClass::kCrash, [this] { RecoverCoordinator(); });
+      sim::EventClass::kCrash, [this, at] { RecoverCoordinator(at); });
 }
 
-void Database::RecoverCoordinator() {
+void Database::RecoverCoordinator(sim::Time crashed_at) {
   FC_CHECK(down_) << "recovery of a live coordinator";
   sim::Time now = sim_.control()->Now();
   down_ = false;
   ++recovery_stats_.recoveries;
-  recovery_stats_.last_restart_time = now;
-  recovery_stats_.unavailability_ticks += now - recovery_stats_.last_crash_time;
+  recovery_stats_.unavailability_ticks += now - crashed_at;
   // Replay the round table in formation order against the recovered log.
   // Three classes: decision logged -> redo the finishes; votes logged but
   // undecided -> re-decide through a fresh instance; nothing durable ->
@@ -682,14 +668,7 @@ void Database::FinishTx(PendingTx& pending,
     EndTx(pending);
     return;
   }
-  // Abort: bucket the attempt by the concurrency control that refused it
-  // (shed arrivals never reach FinishTx, so they stay out of both), then
-  // retry with linear backoff or give up.
-  if (options_.concurrency == ConcurrencyMode::kOCC) {
-    ++stats_.abort_validation_failures;
-  } else {
-    ++stats_.abort_lock_conflicts;
-  }
+  // Abort: retry with linear backoff or give up.
   if (pending.attempt >= options_.max_attempts) {
     ++stats_.aborted;
     Notify(pending, decision);

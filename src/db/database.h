@@ -68,14 +68,6 @@ struct DatabaseStats {
   int64_t aborted = 0;           ///< gave up after max_attempts
   int64_t retries = 0;           ///< abort-and-retry rounds
   int64_t single_partition = 0;  ///< committed locally, no protocol
-  /// Abort-reason breakdown over every aborted *attempt* (retry rounds and
-  /// final aborts alike), bucketed by the concurrency mode that refused it:
-  /// no-wait lock conflicts under ConcurrencyMode::k2PL, validation
-  /// failures under ConcurrencyMode::kOCC. Invariant after a drain:
-  ///   abort_lock_conflicts + abort_validation_failures == retries + aborted
-  /// (shed arrivals are admission rejections, counted in `shed` only).
-  int64_t abort_lock_conflicts = 0;
-  int64_t abort_validation_failures = 0;
   /// Network messages each multi-partition commit had sent by the instant
   /// it decided (protocol + consensus), summed over all commits.
   int64_t commit_messages = 0;
@@ -106,9 +98,6 @@ struct DatabaseStats {
   sim::Time makespan = 0;  ///< virtual time when the run drained
 
   bool operator==(const DatabaseStats& other) const;
-  bool operator!=(const DatabaseStats& other) const {
-    return !(*this == other);
-  }
 };
 
 /// A partitioned transactional key-value store committed by any of the
@@ -171,14 +160,12 @@ class Database {
   using BatchStats = db::BatchStats;
 
   /// Counters of the fault-injection / recovery plane (all zero with an
-  /// empty Options::fault_plan). Outside DatabaseStats for the same reason
-  /// as BatchStats: the determinism gates compare DatabaseStats across
-  /// configurations where these describe machinery, not workload outcomes.
+  /// empty Options::fault_plan). Every participant crash restarts before
+  /// the drain ends, so crashes count restarts too.
   struct RecoveryStats {
     int64_t coordinator_crashes = 0;
     int64_t recoveries = 0;
     int64_t participant_crashes = 0;
-    int64_t participant_restarts = 0;
     /// Recovery replay classification of the rounds in flight at the crash:
     /// decision found in the log -> finishes redone; votes logged but no
     /// decision -> re-decided through a fresh instance (FC_CHECKed against
@@ -192,11 +179,6 @@ class Database {
     /// Submissions/retries that arrived while the coordinator was down and
     /// were parked until recovery.
     int64_t parked = 0;
-    /// Protocol messages of rounds that decided into a dead coordinator
-    /// epoch (their instances ran to completion, but nobody was listening).
-    int64_t lost_round_messages = 0;
-    sim::Time last_crash_time = 0;
-    sim::Time last_restart_time = 0;
     /// Total virtual time the coordinator was down (the unavailability
     /// window bench_db_recovery gates).
     sim::Time unavailability_ticks = 0;
@@ -205,37 +187,25 @@ class Database {
       return coordinator_crashes == other.coordinator_crashes &&
              recoveries == other.recoveries &&
              participant_crashes == other.participant_crashes &&
-             participant_restarts == other.participant_restarts &&
              redo_rounds == other.redo_rounds &&
              redecide_rounds == other.redecide_rounds &&
              presumed_aborts == other.presumed_aborts &&
              resubmissions == other.resubmissions && parked == other.parked &&
-             lost_round_messages == other.lost_round_messages &&
-             last_crash_time == other.last_crash_time &&
-             last_restart_time == other.last_restart_time &&
              unavailability_ticks == other.unavailability_ticks;
-    }
-    bool operator!=(const RecoveryStats& other) const {
-      return !(*this == other);
     }
   };
 
   /// Counters of the geo commit plane (all zero when Options::num_regions
-  /// <= 1). Outside DatabaseStats for the usual reason: the determinism
-  /// gates compare DatabaseStats across machinery configurations, and these
-  /// describe the geo machinery.
+  /// <= 1).
   struct GeoStats {
     /// Commit rounds spanning >= 2 regions / exactly 1 region (of the
     /// multi-partition rounds; single-partition one-phase commits never
     /// form a round and are counted in DatabaseStats::single_partition).
+    /// With Options::geo_co_coordinators every round is a choreography
+    /// round, and every single-region one takes the logless one-phase
+    /// path (no commit-log slot).
     int64_t multi_region_rounds = 0;
     int64_t single_region_rounds = 0;
-    /// Rounds run by the co-coordinator choreography instead of a pooled
-    /// protocol instance (Options::geo_co_coordinators).
-    int64_t co_coordinator_rounds = 0;
-    /// Single-region rounds that took the logless one-phase path (no
-    /// commit-log slot; subset of co_coordinator_rounds).
-    int64_t one_phase_rounds = 0;
     /// Cross-region one-way delays on the commit critical path, summed
     /// over multi-region rounds: each round's decide latency divided by
     /// the closest-pair cross delay, nearest integer — exact while intra
@@ -261,13 +231,10 @@ class Database {
     bool operator==(const GeoStats& other) const {
       return multi_region_rounds == other.multi_region_rounds &&
              single_region_rounds == other.single_region_rounds &&
-             co_coordinator_rounds == other.co_coordinator_rounds &&
-             one_phase_rounds == other.one_phase_rounds &&
              cross_region_delays == other.cross_region_delays &&
              cross_region_messages == other.cross_region_messages &&
              multi_region_latency == other.multi_region_latency;
     }
-    bool operator!=(const GeoStats& other) const { return !(*this == other); }
   };
 
   explicit Database(const Options& options);
@@ -336,9 +303,9 @@ class Database {
   uint64_t read_fingerprint() const { return reads_.fingerprint(); }
 
   const DatabaseStats& stats() const { return stats_; }
-  /// Commit-instance pool counters (created/reused/live/peak_live)
-  /// — deliberately outside DatabaseStats, which must be identical between
-  /// pooled and baseline runs of the same seed.
+  /// Commit-instance pool counters (created/reused/live/peak_live): they
+  /// describe the pool's machinery, not workload outcomes, and DbRun
+  /// leaves them out of its comparison.
   const CommitInstancePool::Stats& pool_stats() const {
     return pool_.stats();
   }
@@ -346,9 +313,8 @@ class Database {
   /// disabled.
   const BatchStats& batch_stats() const { return batches_.stats(); }
   /// Partition-plane counters (restarts that applied a backlog, finishes
-  /// applied) — zero without a participant crash; outside
-  /// DatabaseStats like the pool counters, since they describe execution
-  /// machinery, not workload outcomes.
+  /// applied, prepares refused while down) — zero without a participant
+  /// crash.
   const PartitionPlane& partition_plane() const { return plane_; }
   /// inert; kept only because benchmark/fc_bench.cc calls it. Always 0.
   int64_t lookahead_skips() const { return 0; }
@@ -358,8 +324,8 @@ class Database {
   /// Geo-plane counters (see GeoStats); all zero with one region.
   const GeoStats& geo_stats() const { return geo_stats_; }
   /// The replicated coordinator log, or nullptr when Options::log_replicas
-  /// is 0. Its live-slot window and CommitLog::Stats (fast/slow path
-  /// decisions, live-slot high-water mark) for the recovery tests and
+  /// is 0. Its live-slot window and CommitLog::Stats (appends, fast/slow
+  /// path decisions, live-slot high-water mark) for the recovery tests and
   /// bench.
   const CommitLog* commit_log() const {
     return log_.has_value() ? &*log_ : nullptr;
@@ -405,9 +371,9 @@ class Database {
   void StartRound(RoundState& round, bool resumed);
   /// Shared tail of every commit round — the instance path's completion
   /// effect and the geo choreography's completion event both land here, in
-  /// control-plane order: epoch fence (a stale epoch's messages
-  /// count as lost, and its round `id` is not looked up: recovery may have
-  /// restarted that round under the same id), message accounting, the
+  /// control-plane order: epoch fence (a stale epoch's round `id` is not
+  /// looked up: recovery may have restarted that round under the same id,
+  /// and its messages are not counted), message accounting, the
   /// validity FC_CHECK, geo metrics, decision logging, the planned
   /// after-decide crash, and delivery — gated on both log phases being
   /// durable when the round is logged. `started_at` is the round's
@@ -466,10 +432,11 @@ class Database {
   /// crash).
   bool MaybeCrashCoordinator(CrashPoint point, sim::Time at);
   void CrashCoordinator(sim::Time at);
-  /// The restart event: replays the round table against the log (redo /
-  /// re-decide / presumed abort), releases presumed-abort locks, resubmits
-  /// their members, and re-executes everything parked during the outage.
-  void RecoverCoordinator();
+  /// The restart event of the crash at `crashed_at`: replays the round
+  /// table against the log (redo / re-decide / presumed abort), releases
+  /// presumed-abort locks, resubmits their members, and re-executes
+  /// everything parked during the outage.
+  void RecoverCoordinator(sim::Time crashed_at);
   /// Schedules `pending` for a fresh Execute at `at`: a submission, a
   /// retry, or a recovery resubmit / unpark (which keep the attempt number
   /// — a coordinator crash is not the transaction's fault).

@@ -99,7 +99,6 @@ void PartitionPlane::EnqueueFinish(int partition, sim::Time at, TxId tx,
   if (q.down) {
     // Crash holding locks: the finish waits out the downtime.
     q.backlog.push_back(DeferredFinish{tx, decision, csn, gc_watermark});
-    ++q.deferred_total;
     return;
   }
   q.participant->Finish(tx, decision, csn, gc_watermark);
@@ -134,12 +133,6 @@ void PartitionPlane::RestartPartition(int partition) {
   tasks_drained_ += static_cast<int64_t>(q.backlog.size());
   ++flushes_;
   q.backlog.clear();
-}
-
-int64_t PartitionPlane::deferred_finishes() const {
-  int64_t total = 0;
-  for (const PartitionQueue& q : queues_) total += q.deferred_total;
-  return total;
 }
 
 int64_t PartitionPlane::down_vote_noes() const {

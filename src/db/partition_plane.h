@@ -114,10 +114,7 @@ class PartitionPlane {
   }
   bool any_down() const { return down_count_ > 0; }
 
-  /// Finishes ever deferred by down partitions / prepares refused while
-  /// down, summed over partitions. Machinery counters, not part of stats
-  /// equality.
-  int64_t deferred_finishes() const;
+  /// Prepares refused while down, summed over partitions.
   int64_t down_vote_noes() const;
 
   /// Runs Participant::CheckInvariants over every partition when
@@ -130,8 +127,8 @@ class PartitionPlane {
   /// O(held locks + recorded ops) per call, so off by default.
   void set_check_invariants(bool on) { check_invariants_ = on; }
 
-  /// Restarts that applied a backlog, and the finishes they applied.
-  /// Machinery counters, not part of any stats equality.
+  /// Restarts that applied a backlog, and the finishes they applied:
+  /// after a drain, every finish a down partition deferred.
   int64_t flushes() const { return flushes_; }
   int64_t tasks_drained() const { return tasks_drained_; }
 
@@ -153,7 +150,6 @@ class PartitionPlane {
     /// prepares vote kNo.
     bool down = false;
     std::vector<DeferredFinish> backlog;
-    int64_t deferred_total = 0;
     int64_t down_noes = 0;
   };
 

@@ -5,6 +5,17 @@
 
 namespace fastcommit::db {
 
+namespace {
+
+/// A flash crowd's arrivals are this fraction of the mean gap apart.
+constexpr double kBurstGapScale = 0.02;
+/// The diurnal rate swings this fraction above and below its mean.
+constexpr double kDiurnalAmplitude = 0.8;
+/// A transfer moves 1 to this many units.
+constexpr int64_t kMaxAmount = 50;
+
+}  // namespace
+
 const char* ToString(ArrivalProcess process) {
   switch (process) {
     case ArrivalProcess::kPoisson:
@@ -34,10 +45,7 @@ TrafficEngine::TrafficEngine(const TrafficOptions& options)
   FC_CHECK(options.mean_gap > 0.0) << "mean_gap must be positive";
   FC_CHECK(options.num_arrivals >= 0) << "negative num_arrivals";
   FC_CHECK(options.burst_size >= 1) << "burst_size must be >= 1";
-  FC_CHECK(options.burst_gap_scale >= 0.0) << "negative burst_gap_scale";
   FC_CHECK(options.diurnal_period >= 2) << "diurnal_period must be >= 2";
-  FC_CHECK(options.diurnal_amplitude >= 0.0 && options.diurnal_amplitude < 1.0)
-      << "diurnal_amplitude must be in [0, 1)";
   FC_CHECK(options.num_keys >= 2 && options.num_keys <= kKeyIndexLimit)
       << "num_keys must be in [2, 2^56]";
   FC_CHECK(options.keys_per_tx >= 1) << "keys_per_tx must be >= 1";
@@ -45,7 +53,6 @@ TrafficEngine::TrafficEngine(const TrafficOptions& options)
       << "read_fraction must be in [0, 1]";
   FC_CHECK(options.reads_per_tx >= 1) << "reads_per_tx must be >= 1";
   FC_CHECK(options.first_tx_id >= 0) << "negative first_tx_id";
-  FC_CHECK(options.max_amount >= 1) << "max_amount must be >= 1";
   FC_CHECK(options.drift_period >= 0) << "negative drift_period";
 }
 
@@ -58,8 +65,8 @@ sim::Time TrafficEngine::NextGap() {
       // exponential idle gap sized so the long-run mean stays mean_gap —
       // the idle mean is one whole burst's budget minus what the packed
       // arrivals already consumed.
-      sim::Time intra = static_cast<sim::Time>(options_.mean_gap *
-                                               options_.burst_gap_scale);
+      sim::Time intra =
+          static_cast<sim::Time>(options_.mean_gap * kBurstGapScale);
       if (in_burst_ > 0) {
         if (++in_burst_ >= options_.burst_size) in_burst_ = 0;
         return intra;
@@ -76,7 +83,8 @@ sim::Time TrafficEngine::NextGap() {
       // Triangle-wave rate modulation (a "day" of diurnal_period ticks):
       // tri runs -1 -> +1 over the first half-period and back down over
       // the second, so the instantaneous rate ramps linearly between
-      // (1 - amplitude) and (1 + amplitude) times the base rate. Pure
+      // 1 - kDiurnalAmplitude and 1 + kDiurnalAmplitude times the base
+      // rate. Pure
       // integer/basic-double arithmetic — no libm trigonometry — keeps
       // the stream platform-invariant.
       sim::Time phase = clock_ % options_.diurnal_period;
@@ -84,7 +92,7 @@ sim::Time TrafficEngine::NextGap() {
       double tri = static_cast<double>(phase) < half
                        ? -1.0 + 2.0 * static_cast<double>(phase) / half
                        : 3.0 - 2.0 * static_cast<double>(phase) / half;
-      double rate_factor = 1.0 + options_.diurnal_amplitude * tri;
+      double rate_factor = 1.0 + kDiurnalAmplitude * tri;
       return rng_.ExponentialFloor(options_.mean_gap / rate_factor);
     }
   }
@@ -125,7 +133,7 @@ bool TrafficEngine::Next(Arrival* out) {
       int64_t from = SampleKey(drift);
       int64_t to = SampleKey(drift);
       if (to == from) to = (to + 1) % options_.num_keys;
-      int64_t amount = rng_.UniformInt(1, options_.max_amount);
+      int64_t amount = rng_.UniformInt(1, kMaxAmount);
       AppendTransferOps(&out->tx, ItemKey(from), ItemKey(to), amount);
       break;
     }

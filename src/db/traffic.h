@@ -19,13 +19,12 @@ namespace fastcommit::db {
 enum class ArrivalProcess : uint8_t {
   kPoisson = 0,  ///< exponential inter-arrival gaps at a fixed mean rate
   /// Flash crowds: bursts of `burst_size` arrivals packed at
-  /// `burst_gap_scale * mean_gap` ticks apart, separated by exponential
-  /// idle gaps sized so the long-run mean gap stays `mean_gap`.
+  /// 0.02 * `mean_gap` ticks apart, separated by exponential idle gaps
+  /// sized so the long-run mean gap stays `mean_gap`.
   kBursty = 1,
   /// Diurnal ramp: the instantaneous rate follows a triangle wave with
-  /// period `diurnal_period` — mean gap swings between
-  /// mean_gap / (1 + amplitude) (peak) and mean_gap / (1 - amplitude)
-  /// (trough), linearly in time.
+  /// period `diurnal_period` — mean gap swings between mean_gap / 1.8
+  /// (peak) and mean_gap / 0.2 (trough), linearly in time.
   kDiurnal = 2,
 };
 
@@ -45,19 +44,13 @@ struct TrafficOptions {
   double mean_gap = 100.0;
   int64_t num_arrivals = 10000;
 
-  // kBursty knobs.
-  int64_t burst_size = 64;
-  double burst_gap_scale = 0.02;  ///< intra-burst gap = mean_gap * this
-
-  // kDiurnal knobs.
-  int64_t diurnal_period = 200000;  ///< ticks per full ramp cycle
-  double diurnal_amplitude = 0.8;   ///< rate swing fraction, in [0, 1)
+  int64_t burst_size = 64;          ///< kBursty only
+  int64_t diurnal_period = 200000;  ///< kDiurnal: ticks per ramp cycle
 
   // Key population and per-transaction shape.
   int64_t num_keys = 1 << 20;  ///< open-loop default: a million-key space
   TxShape shape = TxShape::kTransferPair;
-  int keys_per_tx = 2;      ///< kReadModifyWrite only
-  int64_t max_amount = 50;  ///< kTransferPair only
+  int keys_per_tx = 2;  ///< kReadModifyWrite only
   /// Fraction of arrivals emitted as pure read-only transactions:
   /// `reads_per_tx` kGets on independently sampled keys (same Zipf + drift
   /// popularity as the writes). The read-mix axis of the snapshot-read

@@ -268,9 +268,6 @@ TEST(BatchCounterTest, ExactCountersUnderFixedSeed) {
   EXPECT_EQ(one.batch.cross_set_joins, 469);
   EXPECT_EQ(one.batch.batched_txs, 1106);
   EXPECT_EQ(one.batch.max_round_size, 16);
-  EXPECT_EQ(one.batch.window_flushes + one.batch.size_flushes,
-            one.batch.rounds)
-      << "every round flushes exactly once, by timer or by size";
   EXPECT_GT(one.batch.Occupancy(), 1.5)
       << "the hotspot workload must actually fill rounds";
 }

@@ -5,7 +5,8 @@
 //     under the spread baseline, measured both in ticks and in the
 //     GeoStats cross-region-delay counter;
 //   - single-region-write transactions take the logless one-phase path:
-//     two intra-DC hops, no commit-log slot, even with the log on;
+//     two intra-DC hops, no commit-log slot, even with the log on; only
+//     multi-region rounds append log slots, batched or not;
 //   - num_regions = 1 leaves DatabaseStats bitwise identical to a build
 //     without any geo option set, and GeoStats all zero;
 //   - both geo modes, batched or not, commit multi-region rounds, and a
@@ -86,8 +87,6 @@ TEST(DbGeoTest, CoCoordinatorPaysOneCrossRegionRound) {
             commit::Decision::kCommit);
   const Database::GeoStats& geo = db.geo_stats();
   EXPECT_EQ(geo.multi_region_rounds, 1);
-  EXPECT_EQ(geo.co_coordinator_rounds, 1);
-  EXPECT_EQ(geo.one_phase_rounds, 0);
   EXPECT_EQ(geo.cross_region_delays, 1);
   // Both regions hold a single touched partition: no gather/scatter hops,
   // the aggregate exchange alone is the critical path.
@@ -103,7 +102,6 @@ TEST(DbGeoTest, SpreadBaselinePaysAtLeastTwoCrossRegionRounds) {
             commit::Decision::kCommit);
   const Database::GeoStats& geo = db.geo_stats();
   EXPECT_EQ(geo.multi_region_rounds, 1);
-  EXPECT_EQ(geo.co_coordinator_rounds, 0);
   EXPECT_GE(geo.cross_region_delays, 2);
   EXPECT_GE(geo.multi_region_latency.Max(), 2 * kCross);
   EXPECT_GT(geo.cross_region_messages, 0);
@@ -135,7 +133,6 @@ TEST(DbGeoTest, SingleRegionWritesTakeTheLoglessOnePhasePath) {
   ASSERT_EQ(db.Execute(CrossPartitionTx(db, 1, {0, 3})),
             commit::Decision::kCommit);
   const Database::GeoStats& geo = db.geo_stats();
-  EXPECT_EQ(geo.one_phase_rounds, 1);
   EXPECT_EQ(geo.single_region_rounds, 1);
   EXPECT_EQ(geo.multi_region_rounds, 0);
   EXPECT_EQ(geo.cross_region_messages, 0);
@@ -150,7 +147,6 @@ TEST(DbGeoTest, SingleRegionWritesTakeTheLoglessOnePhasePath) {
   ASSERT_EQ(db.Execute(CrossPartitionTx(db, 2, {0, 1})),
             commit::Decision::kCommit);
   EXPECT_EQ(db.commit_log()->stats().appends, 1);
-  EXPECT_EQ(db.geo_stats().one_phase_rounds, 1);
   EXPECT_EQ(db.geo_stats().multi_region_rounds, 1);
 }
 
@@ -171,6 +167,25 @@ DbLoad GeoLoad(const Database::Options& options) {
     load.Submit(CrossPartitionTx(router, id, partitions), (id - 1) * kUnit / 2);
   }
   return load;
+}
+
+// Over a mixed stream with the log on, a co-coordinator database appends
+// one slot per multi-region round and none for a single-region round,
+// whether rounds are formed one by one or in batches.
+TEST(DbGeoTest, OnlyMultiRegionRoundsAppendLogSlots) {
+  for (bool batched : {false, true}) {
+    Database::Options options = GeoOptions(3, true);
+    options.log_replicas = 3;
+    if (batched) {
+      options.batch_window = 2 * kUnit;
+      options.batch_max = 8;
+    }
+    SCOPED_TRACE(batched ? "batched" : "unbatched");
+    DbRun run = RunDb(options, GeoLoad(options));
+    EXPECT_GT(run.geo.single_region_rounds, 0);
+    EXPECT_GT(run.geo.multi_region_rounds, 0);
+    EXPECT_EQ(run.log.appends, run.geo.multi_region_rounds);
+  }
 }
 
 TEST(DbGeoTest, BothModesCommitMultiRegionRounds) {
@@ -201,9 +216,6 @@ TEST(DbGeoTest, ChoreographyRunsWithoutInstances) {
   db.Drain();
   EXPECT_GT(db.stats().committed, 0);
   EXPECT_EQ(db.pool_stats().created, 0);
-  EXPECT_EQ(db.geo_stats().co_coordinator_rounds,
-            db.geo_stats().multi_region_rounds +
-                db.geo_stats().single_region_rounds);
   EXPECT_EQ(db.SumInts(), 0);  // every committed transfer is zero-sum
 }
 

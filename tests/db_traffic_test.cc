@@ -85,7 +85,6 @@ TEST(TrafficEngineTest, BurstyPacksArrivalsTightly) {
   traffic.process = ArrivalProcess::kBursty;
   traffic.mean_gap = 100.0;
   traffic.burst_size = 8;
-  traffic.burst_gap_scale = 0.02;
   traffic.num_arrivals = 8000;
   traffic.seed = 2;
   TrafficEngine engine(traffic);

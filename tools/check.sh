@@ -83,8 +83,9 @@ run_gates() {
 
   # Geo commit: nonzero if co-coordinator multi-region commits stop
   # averaging <= 1 cross-region delay (vs >= 1.5 for the spread baseline),
-  # stop beating the baseline's multi-region latency, a single-region round
-  # misses the logless one-phase path, or a committed transaction is lost.
+  # stop beating the baseline's multi-region latency, a span class never
+  # occurs, or a committed transaction is lost. The bench runs without a
+  # commit log; db_geo_test checks the logless one-phase path.
   gate "geo commit ($gates_dir/bench_db_geo --txs 4000)" \
     "./$gates_dir/bench_db_geo" --txs 4000
 

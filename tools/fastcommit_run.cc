@@ -9,9 +9,11 @@
 //   fastcommit_run --protocol=1nbac --votes=11011 --delays=random
 //   fastcommit_run --list
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 
 #include "core/complexity.h"
@@ -21,28 +23,8 @@
 
 namespace {
 
+using fastcommit::core::kAllProtocols;
 using fastcommit::core::ProtocolKind;
-
-struct NameMapping {
-  const char* flag;
-  ProtocolKind kind;
-};
-
-constexpr NameMapping kNames[] = {
-    {"0nbac", ProtocolKind::kZeroNbac},
-    {"1nbac", ProtocolKind::kOneNbac},
-    {"avnbac-fast", ProtocolKind::kAvNbacFast},
-    {"avnbac-lean", ProtocolKind::kAvNbacLean},
-    {"anbac", ProtocolKind::kANbac},
-    {"chain-nbac", ProtocolKind::kChainNbac},
-    {"bcast-nbac", ProtocolKind::kBcastNbac},
-    {"chain-ack-nbac", ProtocolKind::kChainAckNbac},
-    {"inbac", ProtocolKind::kInbac},
-    {"2pc", ProtocolKind::kTwoPc},
-    {"3pc", ProtocolKind::kThreePc},
-    {"paxos-commit", ProtocolKind::kPaxosCommit},
-    {"faster-paxos-commit", ProtocolKind::kFasterPaxosCommit},
-};
 
 void PrintUsage() {
   std::printf(
@@ -65,12 +47,13 @@ void PrintUsage() {
 void PrintList() {
   std::printf("%-22s %-22s %-14s %s\n", "flag", "protocol", "cell (CF,NF)",
               "nice d/m at n=6,f=2");
-  for (const NameMapping& m : kNames) {
-    fastcommit::core::Cell cell = fastcommit::core::ProtocolCell(m.kind);
+  for (ProtocolKind kind : kAllProtocols) {
+    fastcommit::core::Cell cell = fastcommit::core::ProtocolCell(kind);
     fastcommit::core::NiceComplexity nice =
-        fastcommit::core::ExpectedNice(m.kind, 6, 2);
-    std::printf("%-22s %-22s (%s,%s)%*s %lld/%lld\n", m.flag,
-                fastcommit::core::ProtocolName(m.kind),
+        fastcommit::core::ExpectedNice(kind, 6, 2);
+    std::printf("%-22s %-22s (%s,%s)%*s %lld/%lld\n",
+                fastcommit::core::ProtocolFlag(kind),
+                fastcommit::core::ProtocolName(kind),
                 fastcommit::core::PropSetName(cell.crash).c_str(),
                 fastcommit::core::PropSetName(cell.network).c_str(), 6, "",
                 static_cast<long long>(nice.delays),
@@ -112,18 +95,17 @@ int main(int argc, char** argv) {
       continue;
     }
     if (ParseFlag(arg, "protocol", &value)) {
-      bool found = false;
-      for (const NameMapping& m : kNames) {
-        if (value == m.flag) {
-          config.protocol = m.kind;
-          found = true;
-        }
-      }
-      if (!found) {
+      const ProtocolKind* kind = std::find_if(
+          std::begin(kAllProtocols), std::end(kAllProtocols),
+          [&value](ProtocolKind k) {
+            return value == fastcommit::core::ProtocolFlag(k);
+          });
+      if (kind == std::end(kAllProtocols)) {
         std::fprintf(stderr, "unknown protocol '%s' (try --list)\n",
                      value.c_str());
         return 2;
       }
+      config.protocol = *kind;
       continue;
     }
     if (ParseFlag(arg, "n", &value)) {
